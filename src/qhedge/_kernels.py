@@ -1,33 +1,18 @@
-"""Hot numerical kernels, with optional numba acceleration.
+"""Hot numerical kernels, in numpy.
 
-Every kernel has a pure-numpy twin implementing the same arithmetic per
-element, so the two backends agree to rounding error.  Set the environment
-variable QHEDGE_NO_NUMBA=1 to force the numpy implementations (also used
-automatically when numba is not importable).
+thomas_batch solves batches of tridiagonal systems for the implicit ADI
+sweeps; bessel3_log_paths is the log-Euler recursion of the radial model.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("QHEDGE_NO_NUMBA", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-
 
 def backend() -> str:
-    """Name of the active kernel backend."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +24,7 @@ def backend() -> str:
 # matrices (implicit diffusion steps).
 # ---------------------------------------------------------------------------
 
-def thomas_batch_numpy(dl, dd, du, rhs):
+def thomas_batch(dl, dd, du, rhs):
     m, n = dd.shape
     cp = np.empty((m, n - 1))
     x = np.empty((m, n))
@@ -56,39 +41,6 @@ def thomas_batch_numpy(dl, dd, du, rhs):
     return x
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _thomas_batch_nb(dl, dd, du, rhs):  # pragma: no cover - numba path
-        m, n = dd.shape
-        x = np.empty((m, n))
-        cp = np.empty(n - 1)
-        for i in range(m):
-            denom = dd[i, 0]
-            cp[0] = du[i, 0] / denom
-            x[i, 0] = rhs[i, 0] / denom
-            for k in range(1, n):
-                denom = dd[i, k] - dl[i, k] * cp[k - 1]
-                if k < n - 1:
-                    cp[k] = du[i, k] / denom
-                x[i, k] = (rhs[i, k] - dl[i, k] * x[i, k - 1]) / denom
-            for k in range(n - 2, -1, -1):
-                x[i, k] -= cp[k] * x[i, k + 1]
-        return x
-
-    def thomas_batch_numba(dl, dd, du, rhs):
-        return _thomas_batch_nb(
-            np.ascontiguousarray(dl),
-            np.ascontiguousarray(dd),
-            np.ascontiguousarray(du),
-            np.ascontiguousarray(rhs),
-        )
-
-    thomas_batch = thomas_batch_numba
-else:
-    thomas_batch = thomas_batch_numpy
-
-
 # ---------------------------------------------------------------------------
 # Log-Euler evolution for the radial (Bessel-3 type) model, d=1:
 #   d log X = 0.5 exp(-2 log X) dt + exp(-log X) dW
@@ -98,7 +50,7 @@ else:
 # still below the floor is clamped there and counted.
 # ---------------------------------------------------------------------------
 
-def bessel3_log_paths_numpy(y0, dw, xi, dt, floor):
+def bessel3_log_paths(y0, dw, xi, dt, floor):
     """Return (y, lz, n_clamped); y and lz are (m, K+1) log X and log Z paths.
 
     y0: (m,) initial log X; dw: (m, K) Brownian increments; xi: (m, K)
@@ -144,59 +96,3 @@ def bessel3_log_paths_numpy(y0, dw, xi, dt, floor):
         y[:, k + 1] = trial
         lz[:, k + 1] = lz[:, k] + dlz
     return y, lz, n_clamped
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _bessel3_log_paths_nb(y0, dw, xi, dt, floor):  # pragma: no cover
-        m, nsteps = dw.shape
-        y = np.empty((m, nsteps + 1))
-        lz = np.empty((m, nsteps + 1))
-        half = 0.5 * dt
-        bridge_scale = 0.5 * math.sqrt(dt)
-        n_clamped = 0
-        for i in range(m):
-            y[i, 0] = y0[i]
-            lz[i, 0] = 0.0
-            for k in range(nsteps):
-                yk = y[i, k]
-                e = dw[i, k]
-                ey = math.exp(-yk)
-                drift = 0.5 * ey * ey * dt
-                trial = yk + drift + ey * e
-                dlz = -drift - ey * e
-                if trial < floor:
-                    e1 = 0.5 * e + bridge_scale * xi[i, k]
-                    e2 = e - e1
-                    ey1 = math.exp(-yk)
-                    d1 = 0.5 * ey1 * ey1 * half
-                    y1 = yk + d1 + ey1 * e1
-                    dlz = -d1 - ey1 * e1
-                    if y1 < floor:
-                        y1 = floor
-                        n_clamped += 1
-                    ey2 = math.exp(-y1)
-                    d2 = 0.5 * ey2 * ey2 * half
-                    y2 = y1 + d2 + ey2 * e2
-                    dlz = dlz - d2 - ey2 * e2
-                    if y2 < floor:
-                        y2 = floor
-                        n_clamped += 1
-                    trial = y2
-                y[i, k + 1] = trial
-                lz[i, k + 1] = lz[i, k] + dlz
-        return y, lz, n_clamped
-
-    def bessel3_log_paths_numba(y0, dw, xi, dt, floor):
-        return _bessel3_log_paths_nb(
-            np.ascontiguousarray(y0),
-            np.ascontiguousarray(dw),
-            np.ascontiguousarray(xi),
-            float(dt),
-            float(floor),
-        )
-
-    bessel3_log_paths = bessel3_log_paths_numba
-else:
-    bessel3_log_paths = bessel3_log_paths_numpy

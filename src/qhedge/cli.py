@@ -1,10 +1,33 @@
 """Command-line driver: config ingestion, runs, studies, persistence.
 
 Subcommands: price, dual, solve, verify, study-epsilon, compare-oracle.
-Configs are INI files with [model], [payoff], [grid], [run] sections (see
-README for the schema).  All artifacts are data-only (CSV plus a JSON
-summary); identical config and seed produce byte-identical outputs except
-for the isolated "timestamp" key in the JSON.
+Configs are INI files; the keys read, with their defaults:
+
+  [model]   kind = gbm | bessel3 | custom (required)
+            gbm: b, s (required; one value, or d values separated by
+              spaces or commas, s then being the diagonal)
+            custom: dim = 1; b_exprs = d expressions separated by ";";
+              s_exprs = d rows separated by ";", entries by ",";
+              variables x1..xd
+  [payoff]  optional; kind = linear | expression (linear)
+            linear: weights (none: the first coordinate)
+            expression: expr (required), growth_class = other
+  [grid]    needed by solve, and by price and dual unless the method is mc
+            t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
+            n_x = 128, n_z = 128, domain = q, z_max (required for domain q)
+  [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values);
+            n_paths = 100000; n_steps = 64; scheme = log-euler | exact-gbm |
+            exact-bessel3 (the exact sampler of a gbm or bessel3 model,
+            log-euler otherwise); t0 = 0.0, T = 1.0 (the [grid] values win);
+            epsilons (positive; required by solve and study-epsilon);
+            q_window = 0.2 2.0; n_probe = 41; p_points = 101;
+            tolerance (verify; none: 10 (dt + dx^2 + dq^2));
+            threads = 0 (0: one per CPU); refine (none, auto, n or
+            "r_x r_q r_t"); pad (auto, n or "x_cells q_cells")
+
+--seed, --threads and --method override the [run] values.  All artifacts
+are data-only (CSV plus a JSON summary); identical config and seed produce
+byte-identical outputs except for the isolated "timestamp" key in the JSON.
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error, 3 numerical failure.

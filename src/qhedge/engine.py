@@ -7,10 +7,19 @@ auxiliary Brownian motion B, and the bridge normals of the near-zero
 guard.  The partition never depends on the thread schedule, so results
 are bit-identical under any worker count.
 
-All evolution is in log space: log X by Euler with drift b - diag(a)/2,
-log Z with drift -|theta|^2/2 and diffusion -theta'dW on the same W
-increments.  Q is derived as q0/Z exactly, and Q_eps from Q by the exact
-multiplicative factor exp(-eps^2 (s-t0)/2 + eps (B(s)-B(t0))).
+Stream contract: one per-block stepper reads these streams for every
+consumer.  simulate() and the log-Euler terminal_block() step a block on
+cfg.n_steps steps, so their terminal states agree bit for bit.  When only
+terminal states are needed, an exact scheme makes one draw over the whole
+horizon: it matches simulate()'s terminal column in law, and bit for bit
+when cfg.n_steps == 1.
+
+Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
+-|theta|^2/2 and diffusion -theta'dW on the same W increments.  The
+exact-bessel3 scheme takes X as the norm of a 3-dimensional Brownian
+motion started at x0 e1, and Z = x0 / X.  Q is derived as q0/Z exactly,
+and Q_eps from Q by the exact multiplicative factor
+exp(-eps^2 (s-t0)/2 + eps (B(s)-B(t0))).
 """
 from __future__ import annotations
 
@@ -20,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import Nonfinite, SchemeMismatch
-from .market import MarketModel, Payoff
+from .errors import Nonfinite, SchemeMismatch, SingularDiffusion
+from .market import MarketModel, builtin_model
 
 BLOCK = 8192
 LOG_FLOOR = -30.0
@@ -110,21 +119,6 @@ class PathBundle:
         """B(T) - B(t0) per path."""
         return self.dB.sum(axis=1)
 
-    def to_csv(self, path) -> None:
-        """Full path dump; large: n_paths * (n_steps+1) rows."""
-        d = self.dim
-        header = "path,step,t," + ",".join(f"X_{i + 1}" for i in range(d)) + ",Z,Q,Q_eps"
-        n, k1 = self.Z.shape
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i in range(n):
-                for k in range(k1):
-                    xs = ",".join("%.17g" % v for v in self.X[i, k])
-                    fh.write(
-                        "%d,%d,%.17g,%s,%.17g,%.17g,%.17g\n"
-                        % (i, k, self.t[k], xs, self.Z[i, k], self.Q[i, k], self.Q_eps[i, k])
-                    )
-
 
 def _freeze(*arrays):
     for a in arrays:
@@ -132,16 +126,15 @@ def _freeze(*arrays):
             a.flags.writeable = False
 
 
-def _check_log_range(logX, logZ, what: str):
-    bad = ~(
-        np.isfinite(logZ).all(axis=tuple(range(1, logZ.ndim)))
-        & (np.abs(logZ).max(axis=tuple(range(1, logZ.ndim))) < _LOG_LIMIT)
-        & np.isfinite(logX).all(axis=tuple(range(1, logX.ndim)))
-        & (np.abs(logX).max(axis=tuple(range(1, logX.ndim))) < _LOG_LIMIT)
-    )
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise Nonfinite(f"{what}: log-space overflow on path {idx}", path_index=idx)
+def _check_log_range(logX, logZ, first_path: int, what: str):
+    """Raise Nonfinite on the first path whose log X or log Z is NaN or at
+    least _LOG_LIMIT in magnitude; first_path is row 0's global index."""
+    # max/min propagate NaN, which fails the comparisons
+    if all(a.max() < _LOG_LIMIT and a.min() > -_LOG_LIMIT for a in (logX, logZ)):
+        return
+    ok = (np.abs(logX) < _LOG_LIMIT).all(axis=(1, 2)) & (np.abs(logZ) < _LOG_LIMIT).all(axis=1)
+    idx = first_path + int(np.argmin(ok))
+    raise Nonfinite(f"log-space overflow on path {idx} ({what})", path_index=idx)
 
 
 def _gbm_coeffs(model: MarketModel):
@@ -153,8 +146,12 @@ def _gbm_coeffs(model: MarketModel):
 
 
 def _generic_log_euler(model: MarketModel, y0: np.ndarray, dW: np.ndarray, xi: np.ndarray, dt: float):
-    """Shared stepper for state-dependent coefficients; y0 (d,), dW and xi
-    (m, K, d).  Returns (y (m,K+1,d), lz (m,K+1), n_clamped)."""
+    """Stepper for state-dependent coefficients; y0 (d,), dW and xi (m, K, d).
+
+    A step that would push a coordinate of log X below LOG_FLOOR is redone
+    as two half steps with the increment split by the bridge normal xi; a
+    half step still below the floor is clamped there and counted.
+    Returns (y (m,K+1,d), lz (m,K+1), n_clamped)."""
     m, nsteps, d = dW.shape
     y = np.empty((m, nsteps + 1, d))
     lz = np.empty((m, nsteps + 1))
@@ -164,43 +161,91 @@ def _generic_log_euler(model: MarketModel, y0: np.ndarray, dW: np.ndarray, xi: n
     bridge_scale = 0.5 * np.sqrt(dt)
     n_clamped = 0
 
-    def one_step(y_cur, e, h):
-        nonlocal n_clamped
+    def step(y_cur, e, h):
         x_cur = np.exp(y_cur)
         bv = np.asarray(model.b(x_cur), dtype=float)
         sv = np.asarray(model.s(x_cur), dtype=float)
         a_diag = np.einsum("nij,nij->ni", sv, sv)
-        theta = np.linalg.solve(sv, bv[..., None])[..., 0]
+        try:
+            theta = np.linalg.solve(sv, bv[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularDiffusion(
+                f"volatility matrix singular on a simulated path of model {model.name}: {exc}"
+            ) from None
         y_new = y_cur + (bv - 0.5 * a_diag) * h + np.einsum("nij,nj->ni", sv, e)
         dlz = -0.5 * (theta * theta).sum(axis=1) * h - np.einsum("ni,ni->n", theta, e)
-        low = y_new < LOG_FLOOR
-        if low.any():
-            n_clamped += int(low.sum())
-            y_new = np.where(low, LOG_FLOOR, y_new)
         return y_new, dlz
+
+    def clamped_half_step(y_cur, e):
+        nonlocal n_clamped
+        y_new, dlz = step(y_cur, e, half)
+        low = y_new < LOG_FLOOR
+        n_clamped += int(low.sum())
+        return np.where(low, LOG_FLOOR, y_new), dlz
 
     for k in range(nsteps):
         yk = y[:, k, :]
         e = dW[:, k, :]
-        x_cur = np.exp(yk)
-        bv = np.asarray(model.b(x_cur), dtype=float)
-        sv = np.asarray(model.s(x_cur), dtype=float)
-        a_diag = np.einsum("nij,nij->ni", sv, sv)
-        theta = np.linalg.solve(sv, bv[..., None])[..., 0]
-        trial = yk + (bv - 0.5 * a_diag) * dt + np.einsum("nij,nj->ni", sv, e)
-        dlz = -0.5 * (theta * theta).sum(axis=1) * dt - np.einsum("ni,ni->n", theta, e)
+        trial, dlz = step(yk, e, dt)
         bad = (trial < LOG_FLOOR).any(axis=1)
         if bad.any():
             eb = e[bad]
             e1 = 0.5 * eb + bridge_scale * xi[bad, k, :]
-            e2 = eb - e1
-            y1, dlz1 = one_step(yk[bad], e1, half)
-            y2, dlz2 = one_step(y1, e2, half)
-            trial[bad] = y2
+            y1, dlz1 = clamped_half_step(yk[bad], e1)
+            trial[bad], dlz2 = clamped_half_step(y1, eb - e1)
             dlz[bad] = dlz1 + dlz2
         y[:, k + 1, :] = trial
         lz[:, k + 1] = lz[:, k] + dlz
     return y, lz, n_clamped
+
+
+def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int,
+                n_steps: int):
+    """Paths of one block over cfg's horizon on n_steps equal steps.
+
+    The only reader of the block streams and the only place a scheme's
+    arithmetic is written.  Returns (X (bn, n_steps+1, d), Z (bn, n_steps+1),
+    dW (bn, n_steps, d), dB (bn, n_steps), n_clamped); dW is None for
+    exact-bessel3, which draws a 3-dimensional Brownian motion instead.
+    The log-space schemes raise Nonfinite with the global index of the
+    first path that leaves the representable log range.
+    """
+    dt = cfg.horizon / n_steps
+    sq_dt = np.sqrt(dt)
+    dB = sq_dt * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal((bn, n_steps))
+    gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
+
+    if cfg.scheme == "exact-bessel3":
+        # X = |x0 e1 + W3| for a 3-dimensional Brownian motion W3, Z = x0 / X
+        w3 = np.zeros((bn, n_steps + 1, 3))
+        np.cumsum(sq_dt * gen_w.standard_normal((bn, n_steps, 3)), axis=1, out=w3[:, 1:, :])
+        w3[:, :, 0] += x0[0]
+        X = np.sqrt((w3 * w3).sum(axis=2))
+        return X[:, :, None], x0[0] / X, None, dB, 0
+
+    d = model.dim
+    dW = sq_dt * gen_w.standard_normal((bn, n_steps, d))
+    n_clamped = 0
+    if model.kind == "gbm":
+        # Constant coefficients: log-Euler has no discretization error,
+        # so exact-gbm and log-euler share this path.
+        b_vec, s_mat, a_diag, theta = _gbm_coeffs(model)
+        logX = np.zeros((bn, n_steps + 1, d))
+        np.cumsum((b_vec - 0.5 * a_diag) * dt + dW @ s_mat.T, axis=1, out=logX[:, 1:, :])
+        logX += np.log(x0)
+        logZ = np.zeros((bn, n_steps + 1))
+        np.cumsum(-0.5 * float(theta @ theta) * dt - dW @ theta, axis=1, out=logZ[:, 1:])
+    elif model.kind == "bessel3":
+        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, n_steps))
+        y, logZ, n_clamped = _kernels.bessel3_log_paths(
+            np.full(bn, np.log(x0[0])), dW[:, :, 0], xi, dt, LOG_FLOOR
+        )
+        logX = y[:, :, None]
+    else:
+        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, n_steps, d))
+        logX, logZ, n_clamped = _generic_log_euler(model, np.log(x0), dW, xi, dt)
+    _check_log_range(logX, logZ, block_index * BLOCK, f"{model.name}, {cfg.scheme}")
+    return np.exp(logX, out=logX), np.exp(logZ, out=logZ), dW, dB, n_clamped
 
 
 def _check_scheme(model: MarketModel, scheme: str):
@@ -236,74 +281,22 @@ def simulate(model: MarketModel, x0, q0: float, cfg: SimConfig) -> PathBundle:
     _check_scheme(model, cfg.scheme)
 
     n, K, d = cfg.n_paths, cfg.n_steps, model.dim
-    dt = cfg.horizon / K
-    sq_dt = np.sqrt(dt)
-    t = cfg.t0 + dt * np.arange(K + 1)
-    t = t.copy()
+    t = cfg.t0 + (cfg.horizon / K) * np.arange(K + 1)
     t[-1] = cfg.T
 
-    logX = np.empty((n, K + 1, d))
-    logZ = np.empty((n, K + 1))
-    X_exact: Optional[np.ndarray] = None
-    dW_out: Optional[np.ndarray] = None if cfg.scheme == "exact-bessel3" else np.empty((n, K, d))
+    X = np.empty((n, K + 1, d))
+    Z = np.empty((n, K + 1))
+    dW_out = None if cfg.scheme == "exact-bessel3" else np.empty((n, K, d))
     dB_out = np.empty((n, K))
     floor_hits = 0
-
-    if cfg.scheme == "exact-bessel3":
-        X_exact = np.empty((n, K + 1))
-
     for blk, start, bn in _blocks(n):
         sl = slice(start, start + bn)
-        dB = sq_dt * _block_gen(cfg.seed, blk, _REGION_B).standard_normal((bn, K))
-        dB_out[sl] = dB
-        gen_w = _block_gen(cfg.seed, blk, _REGION_W)
-
-        if cfg.scheme == "exact-bessel3":
-            G = sq_dt * gen_w.standard_normal((bn, K, 3))
-            w3 = np.zeros((bn, K + 1, 3))
-            np.cumsum(G, axis=1, out=w3[:, 1:, :])
-            w3[:, :, 0] += x0[0]
-            Xb = np.sqrt((w3 * w3).sum(axis=2))
-            X_exact[sl] = Xb
-            logX[sl, :, 0] = np.log(Xb)
-            logZ[sl] = np.log(x0[0]) - logX[sl, :, 0]
-        elif model.kind == "gbm":
-            # Constant coefficients: log-Euler has no discretization error,
-            # so exact-gbm and log-euler share this path.
-            b_vec, s_mat, a_diag, theta = _gbm_coeffs(model)
-            dW = sq_dt * gen_w.standard_normal((bn, K, d))
+        X[sl], Z[sl], dW, dB_out[sl], clamped = _step_block(model, x0, cfg, blk, bn, K)
+        if dW_out is not None:
             dW_out[sl] = dW
-            incY = (b_vec - 0.5 * a_diag) * dt + dW @ s_mat.T
-            incZ = -0.5 * float(theta @ theta) * dt - dW @ theta
-            logX[sl, 0, :] = np.log(x0)
-            np.cumsum(incY, axis=1, out=logX[sl, 1:, :])
-            logX[sl, 1:, :] += np.log(x0)
-            logZ[sl, 0] = 0.0
-            np.cumsum(incZ, axis=1, out=logZ[sl, 1:])
-        elif model.kind == "bessel3":
-            dW = sq_dt * gen_w.standard_normal((bn, K, 1))
-            dW_out[sl] = dW
-            xi = _block_gen(cfg.seed, blk, _REGION_BRIDGE).standard_normal((bn, K))
-            y, lz, nc = _kernels.bessel3_log_paths(
-                np.full(bn, np.log(x0[0])), dW[:, :, 0], xi, dt, LOG_FLOOR
-            )
-            floor_hits += nc
-            logX[sl, :, 0] = y
-            logZ[sl] = lz
-        else:
-            dW = sq_dt * gen_w.standard_normal((bn, K, d))
-            dW_out[sl] = dW
-            xi = _block_gen(cfg.seed, blk, _REGION_BRIDGE).standard_normal((bn, K, d))
-            y, lz, nc = _generic_log_euler(model, np.log(x0), dW, xi, dt)
-            floor_hits += nc
-            logX[sl] = y
-            logZ[sl] = lz
+        floor_hits += clamped
 
-    _check_log_range(logX, logZ, f"simulate({model.name}, {cfg.scheme})")
-
-    X = np.exp(logX) if X_exact is None else X_exact[:, :, None]
-    Z = np.exp(logZ)
-    Q = q0 * np.exp(-logZ)
+    Q = q0 / Z
     Bcum = np.zeros((n, K + 1))
     np.cumsum(dB_out, axis=1, out=Bcum[:, 1:])
     eps = cfg.epsilon
@@ -326,22 +319,38 @@ def simulate(model: MarketModel, x0, q0: float, cfg: SimConfig) -> PathBundle:
     )
 
 
+def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int):
+    """Terminal state for one path block: (X_T (bn,d), Z_T (bn,), B_T (bn,)).
+
+    Exact schemes make one draw over the whole horizon; log-Euler steps
+    through the same streams as simulate().  Used by the streaming sampler.
+    """
+    _check_scheme(model, cfg.scheme)
+    n_steps = cfg.n_steps if cfg.scheme == "log-euler" else 1
+    X, Z, _, dB, _ = _step_block(model, x0, cfg, block_index, bn, n_steps)
+    return X[:, -1, :], Z[:, -1], dB.sum(axis=1)
+
+
+def _terminal_draws(model: MarketModel, x0: float, cfg: SimConfig):
+    """(X_T, Z_T) of every path of a d=1 model, block by block."""
+    X = np.empty(cfg.n_paths)
+    Z = np.empty(cfg.n_paths)
+    for blk, start, bn in _blocks(cfg.n_paths):
+        X_T, Z[start : start + bn], _ = terminal_block(model, np.array([x0]), cfg, blk, bn)
+        X[start : start + bn] = X_T[:, 0]
+    _freeze(X, Z)
+    return X, Z
+
+
 def exact_bessel3_terminal(x0: float, T: float, n_paths: int, seed: int):
     """Exact terminal draws for the radial model: X(T) = |x0 e1 + G| with G
     3-dimensional N(0, T I); Z(T) = x0 / X(T).  Returns (X, Z)."""
     if not x0 > 0:
         raise ValueError("x0 must be > 0")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    X = np.empty(n_paths)
-    sq = np.sqrt(T)
-    for blk, start, bn in _blocks(n_paths):
-        G = sq * _block_gen(seed, blk, _REGION_W).standard_normal((bn, 3))
-        G[:, 0] += x0
-        X[start : start + bn] = np.sqrt((G * G).sum(axis=1))
-    Z = x0 / X
-    _freeze(X, Z)
-    return X, Z
+    if not T > 0:
+        raise ValueError("T must be > 0")
+    cfg = SimConfig(T=T, n_steps=1, n_paths=n_paths, seed=seed, scheme="exact-bessel3")
+    return _terminal_draws(builtin_model("bessel3"), x0, cfg)
 
 
 def exact_gbm_terminal(b: float, s: float, x0: float, T: float, n_paths: int, seed: int):
@@ -352,76 +361,10 @@ def exact_gbm_terminal(b: float, s: float, x0: float, T: float, n_paths: int, se
         raise ValueError("s must be nonzero")
     if not x0 > 0:
         raise ValueError("x0 must be > 0")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    theta = b / s
-    sq = np.sqrt(T)
-    X = np.empty(n_paths)
-    Z = np.empty(n_paths)
-    for blk, start, bn in _blocks(n_paths):
-        N = _block_gen(seed, blk, _REGION_W).standard_normal(bn)
-        sl = slice(start, start + bn)
-        X[sl] = x0 * np.exp((b - 0.5 * s * s) * T + s * sq * N)
-        Z[sl] = np.exp(-theta * sq * N - 0.5 * theta * theta * T)
-    _freeze(X, Z)
-    return X, Z
-
-
-def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int):
-    """Terminal state for one path block: (X_T (bn,d), Z_T (bn,), B_T (bn,)).
-
-    Exact schemes draw the terminal law in one shot; log-Euler steps through
-    the same per-block streams as simulate().  Used by the streaming sampler.
-    """
-    _check_scheme(model, cfg.scheme)
-    K, d = cfg.n_steps, model.dim
-    tau = cfg.horizon
-    dt = tau / K
-    sq_dt = np.sqrt(dt)
-    gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
-
-    if cfg.scheme == "exact-bessel3":
-        G = np.sqrt(tau) * gen_w.standard_normal((bn, 3))
-        G[:, 0] += x0[0]
-        X_T = np.sqrt((G * G).sum(axis=1))[:, None]
-        Z_T = x0[0] / X_T[:, 0]
-        B_T = np.sqrt(tau) * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
-        return X_T, Z_T, B_T
-
-    if cfg.scheme == "exact-gbm":
-        b_vec, s_mat, a_diag, theta = _gbm_coeffs(model)
-        W = np.sqrt(tau) * gen_w.standard_normal((bn, d))
-        logX = np.log(x0) + (b_vec - 0.5 * a_diag) * tau + W @ s_mat.T
-        logZ = -0.5 * float(theta @ theta) * tau - W @ theta
-        _check_log_range(logX, logZ, f"terminal_block({model.name}, exact-gbm)")
-        B_T = np.sqrt(tau) * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
-        return np.exp(logX), np.exp(logZ), B_T
-
-    # log-Euler terminal: consume the same stepped streams as simulate().
-    dB = sq_dt * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal((bn, K))
-    B_T = dB.sum(axis=1)
-    if model.kind == "gbm":
-        b_vec, s_mat, a_diag, theta = _gbm_coeffs(model)
-        dW = sq_dt * gen_w.standard_normal((bn, K, d))
-        Wsum = dW.sum(axis=1)
-        logX = np.log(x0) + (b_vec - 0.5 * a_diag) * tau + Wsum @ s_mat.T
-        logZ = -0.5 * float(theta @ theta) * tau - Wsum @ theta
-    elif model.kind == "bessel3":
-        dW = sq_dt * gen_w.standard_normal((bn, K, 1))
-        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, K))
-        y, lz, _ = _kernels.bessel3_log_paths(
-            np.full(bn, np.log(x0[0])), dW[:, :, 0], xi, dt, LOG_FLOOR
-        )
-        logX = y[:, -1:][:, :]
-        logZ = lz[:, -1]
-    else:
-        dW = sq_dt * gen_w.standard_normal((bn, K, d))
-        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, K, d))
-        y, lz, _ = _generic_log_euler(model, np.log(x0), dW, xi, dt)
-        logX = y[:, -1, :]
-        logZ = lz[:, -1]
-    _check_log_range(logX, logZ, f"terminal_block({model.name}, log-euler)")
-    return np.exp(np.atleast_2d(logX.reshape(bn, d))), np.exp(logZ), B_T
+    if not T > 0:
+        raise ValueError("T must be > 0")
+    cfg = SimConfig(T=T, n_steps=1, n_paths=n_paths, seed=seed, scheme="exact-gbm")
+    return _terminal_draws(builtin_model("gbm", b=b, s=s), x0, cfg)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,9 @@ def builtin_model(kind: str, **params) -> MarketModel:
 
 # Construction-time probes deliberately avoid round numbers so that models
 # singular at a user-relevant point (for example s(x) = x - 1 at x = 1)
-# still construct and are caught by validate() instead.
+# still construct; a singular matrix met later raises SingularDiffusion
+# where theta is solved for (MarketModel.theta, market_price_of_risk, the
+# log-Euler stepper).
 _PROBE_SCALES = (0.6, 1.3, 2.9)
 
 
@@ -245,47 +247,3 @@ def _validation_sample(model: MarketModel) -> None:
             raise InvalidCoefficients(
                 f"volatility matrix singular at validation probe x={c} for {model.name}"
             )
-
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    """Spot-check report from validate(); informational, never raised."""
-
-    points: np.ndarray
-    cond_s: np.ndarray
-    singular_points: tuple
-    lipschitz_theta: float
-    lipschitz_s: float
-    passed: bool
-
-
-def validate(model: MarketModel, probe_points) -> ModelDiagnostics:
-    """Sampled diagnostics: conditioning of s and finite-difference Lipschitz
-    quotients of theta and s over probe pairs.  Flags, never raises."""
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    n = pts.shape[0]
-    svals = model.vol(pts)
-    conds = np.array([np.linalg.cond(svals[k]) for k in range(n)])
-    singular = tuple(tuple(pts[k]) for k in range(n) if not np.isfinite(conds[k]) or conds[k] > COND_LIMIT)
-    ok = np.array([k for k in range(n) if tuple(pts[k]) not in set(singular)], dtype=int)
-    lip_theta = 0.0
-    lip_s = 0.0
-    if ok.size >= 2:
-        good = pts[ok]
-        thetas = model.theta(good)
-        svals_ok = svals[ok]
-        for i in range(len(good)):
-            for j in range(i + 1, len(good)):
-                dx = np.linalg.norm(good[i] - good[j])
-                if dx == 0:
-                    continue
-                lip_theta = max(lip_theta, np.linalg.norm(thetas[i] - thetas[j]) / dx)
-                lip_s = max(lip_s, np.linalg.norm(svals_ok[i] - svals_ok[j]) / dx)
-    return ModelDiagnostics(
-        points=pts,
-        cond_s=conds,
-        singular_points=singular,
-        lipschitz_theta=float(lip_theta),
-        lipschitz_s=float(lip_s),
-        passed=not singular,
-    )

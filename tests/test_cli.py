@@ -252,3 +252,28 @@ def test_numerical_failure_exit_code(tmp_path):
         "scheme = exact-bessel3", "scheme = log-euler\nn_steps = 64")
     cfg = write_config(tmp_path, text)
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_singular_diffusion_exit_code(tmp_path, capsys):
+    # s(x) = 1/x vanishes once exp(log X) overflows, so the batched solve
+    # for theta meets a singular matrix
+    text = """
+[model]
+kind = custom
+dim = 1
+b_exprs = 1/(x1*x1)
+s_exprs = 1/x1
+
+[run]
+method = mc
+seed = 7
+x0 = 1.0
+n_paths = 4096
+n_steps = 64
+scheme = log-euler
+"""
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "singular" in err

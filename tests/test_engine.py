@@ -8,6 +8,7 @@ from qhedge.engine import (SCHEMES, SimConfig, default_scheme,
                            integrability_diagnostic, simulate, terminal_block)
 from qhedge.errors import Nonfinite, SchemeMismatch
 from qhedge.market import builtin_model, linear_payoff
+from qhedge.mc import sample_terminal
 
 
 def test_config_validation():
@@ -157,6 +158,19 @@ def test_nonfinite_guard_on_deep_dive():
     cfg = SimConfig(0.0, 1.0, 64, 2048, 0, "log-euler", 0.0)
     with pytest.raises(Nonfinite):
         simulate(model, [0.02], 0.5, cfg)
+
+
+def test_nonfinite_reports_global_path_index():
+    # path 2194 of block 1 overflows; both entry points name it by its
+    # index among all paths
+    model = builtin_model("bessel3")
+    cfg = SimConfig(0.0, 1.0, 64, 10_387, 0, "log-euler", 0.0)
+    with pytest.raises(Nonfinite) as sim:
+        simulate(model, [1.0], 0.5, cfg)
+    with pytest.raises(Nonfinite) as streamed:
+        sample_terminal(model, linear_payoff(), [1.0], cfg)
+    assert sim.value.path_index == 10_386
+    assert streamed.value.path_index == 10_386
 
 
 def test_integrability_diagnostic():

@@ -1,8 +1,4 @@
-"""Numba and numpy kernel variants must agree; both against references."""
-import os
-import subprocess
-import sys
-
+"""Numpy kernels against references and hand-checked recursions."""
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -24,7 +20,7 @@ def random_tridiag(rng, m, n):
 def test_thomas_numpy_matches_scipy():
     rng = np.random.default_rng(0)
     dl, dd, du, rhs = random_tridiag(rng, 4, 12)
-    x = _kernels.thomas_batch_numpy(dl, dd, du, rhs)
+    x = _kernels.thomas_batch(dl, dd, du, rhs)
     for i in range(4):
         ab = np.zeros((3, 12))
         ab[0, 1:] = du[i, :-1]
@@ -32,29 +28,6 @@ def test_thomas_numpy_matches_scipy():
         ab[2, :-1] = dl[i, 1:]
         ref = solve_banded((1, 1), ab, rhs[i])
         assert np.allclose(x[i], ref, atol=1e-12)
-
-
-def test_thomas_dispatched_matches_numpy():
-    rng = np.random.default_rng(1)
-    dl, dd, du, rhs = random_tridiag(rng, 8, 40)
-    a = _kernels.thomas_batch(dl, dd, du, rhs)
-    b = _kernels.thomas_batch_numpy(dl, dd, du, rhs)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_radial_paths_dispatched_matches_numpy():
-    rng = np.random.default_rng(2)
-    m, K = 64, 32
-    y0 = rng.uniform(-0.5, 1.0, m)
-    dt = 1.0 / K
-    dw = rng.normal(0, np.sqrt(dt), (m, K))
-    xi = rng.normal(0, 1.0, (m, K))
-    floor = -30.0
-    y_a, lz_a, n_a = _kernels.bessel3_log_paths(y0, dw, xi, dt, floor)
-    y_b, lz_b, n_b = _kernels.bessel3_log_paths_numpy(y0, dw, xi, dt, floor)
-    assert np.allclose(y_a, y_b, atol=1e-12, rtol=0)
-    assert np.allclose(lz_a, lz_b, atol=1e-12, rtol=0)
-    assert n_a == n_b
 
 
 def test_radial_paths_bridge_splits_steps_near_floor():
@@ -65,12 +38,12 @@ def test_radial_paths_bridge_splits_steps_near_floor():
     dt = 0.25
     dw = np.array([[-1.0, 0.2]])
     xi = np.zeros((1, K))
-    y, lz, n_clamped = _kernels.bessel3_log_paths_numpy(y0, dw, xi, dt, 0.0)
+    y, lz, n_clamped = _kernels.bessel3_log_paths(y0, dw, xi, dt, 0.0)
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(lz))
     assert y.min() >= -1e-12
     assert n_clamped >= 1
     # the same inputs with the floor far below take the unguarded step
-    y2, _, n2 = _kernels.bessel3_log_paths_numpy(y0, dw, xi, dt, -1e6)
+    y2, _, n2 = _kernels.bessel3_log_paths(y0, dw, xi, dt, -1e6)
     assert n2 == 0
     assert y2[0, 1] < 0.0
 
@@ -82,7 +55,7 @@ def test_radial_paths_reduce_to_plain_euler_away_from_floor():
     dt = 0.5
     dw = np.array([[0.3]])
     xi = np.zeros((1, 1))
-    y, lz, n = _kernels.bessel3_log_paths_numpy(y0, dw, xi, dt, -1e6)
+    y, lz, n = _kernels.bessel3_log_paths(y0, dw, xi, dt, -1e6)
     drift = 0.5 * np.exp(0.0) * np.exp(0.0) * dt
     assert y[0, 1] == pytest.approx(0.0 + drift + 0.3, abs=1e-15)
     assert lz[0, 1] == pytest.approx(-drift - 0.3, abs=1e-15)
@@ -90,22 +63,4 @@ def test_radial_paths_reduce_to_plain_euler_away_from_floor():
 
 
 def test_backend_reports_environment():
-    assert _kernels.backend() in ("numba", "numpy")
-    if os.environ.get("QHEDGE_NO_NUMBA", "").strip().lower() in ("1", "true", "yes"):
-        assert _kernels.backend() == "numpy"
-    # the env flag forces the numpy backend in a fresh interpreter
-    code = ("import qhedge._kernels as k; print(k.backend())")
-    env = dict(os.environ, QHEDGE_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(_kernels.backend() != "numba",
-                    reason="numba backend not active in this session")
-def test_numba_and_numpy_agree_under_active_backend():
-    rng = np.random.default_rng(5)
-    dl, dd, du, rhs = random_tridiag(rng, 3, 25)
-    assert np.allclose(_kernels.thomas_batch(dl, dd, du, rhs),
-                       _kernels.thomas_batch_numpy(dl, dd, du, rhs),
-                       atol=1e-12)
+    assert _kernels.backend() == "numpy"

@@ -162,14 +162,25 @@ def test_sample_terminal_threads_do_not_change_results():
     assert s1.horizon == 1.0
 
 
-def test_from_bundle_matches_sample_terminal():
+@pytest.mark.parametrize("model, scheme, n_steps", [
+    pytest.param(builtin_model("gbm", b=0.1, s=0.2), "log-euler", 8, id="gbm-log-euler"),
+    pytest.param(builtin_model("custom", dim=1, b_exprs=["0.1"], s_exprs=[["0.2"]]),
+                 "log-euler", 8, id="custom-log-euler"),
+    pytest.param(builtin_model("bessel3"), "log-euler", 8, id="bessel3-log-euler"),
+    pytest.param(builtin_model("gbm", b=0.1, s=0.2), "exact-gbm", 1, id="exact-gbm"),
+    pytest.param(builtin_model("bessel3"), "exact-bessel3", 1, id="exact-bessel3"),
+])
+def test_from_bundle_matches_sample_terminal(model, scheme, n_steps):
+    # both entry points step each block through the same streams, so the
+    # terminal column of simulate() is the streaming sampler's draw; 9000
+    # paths span two blocks
     from qhedge.engine import simulate
-    model = builtin_model("gbm", b=0.1, s=0.2)
     payoff = linear_payoff()
-    cfg = SimConfig(0.0, 0.5, 8, 3000, 5, "log-euler", 0.0)
+    cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme, 0.0)
     a = mc.from_bundle(simulate(model, [1.0], 0.5, cfg), payoff)
     b = mc.sample_terminal(model, payoff, [1.0], cfg)
-    assert np.allclose(a.values, b.values, rtol=0, atol=1e-14)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.aux, b.aux)
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=50),
