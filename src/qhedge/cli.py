@@ -1,11 +1,13 @@
 """Command-line driver: config ingestion, runs, studies, persistence.
 
-Subcommands: price, dual, solve, verify, study-epsilon, compare-oracle.
+Subcommands: price, dual, solve, verify, study-epsilon, compare-oracle
+(which needs a d = 1 gbm or bessel3 model and the payoff g(x) = x1).
 Configs are INI files; the keys read, with their defaults:
 
   [model]   kind = gbm | bessel3 | custom (required)
             gbm: b, s (required; one value, or d values separated by
-              spaces or commas, s then being the diagonal)
+              spaces or commas; s is then d values, the diagonal, or
+              d*d values, the volatility matrix row by row)
             custom: dim = 1; b_exprs = d expressions separated by ";";
               s_exprs = d rows separated by ";", entries by ",";
               variables x1..xd
@@ -20,7 +22,9 @@ Configs are INI files; the keys read, with their defaults:
             exact-bessel3 (the exact sampler of a gbm or bessel3 model,
             log-euler otherwise); t0 = 0.0, T = 1.0 (the [grid] values win);
             epsilons (positive; required by solve and study-epsilon);
-            q_window = 0.2 2.0; n_probe = 41; p_points = 101;
+            q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
+              with the mc method probes [0, hi]); n_probe = 41;
+            p_points = 101;
             tolerance (verify; none: 10 (dt + dx^2 + dq^2));
             threads = 0 (0: one per CPU); refine (none, auto, n or
             "r_x r_q r_t"); pad (auto, n or "x_cells q_cells")
@@ -67,6 +71,8 @@ def _parse_model(cp: configparser.ConfigParser) -> market.MarketModel:
             raise ConfigError("gbm model needs b and s")
         b = _floats(sec["b"])
         s = _floats(sec["s"])
+        if len(b) > 1 and len(s) == len(b) ** 2:
+            s = np.reshape(s, (len(b), len(b)))
         return market.builtin_model("gbm", b=b[0] if len(b) == 1 else b,
                                     s=s[0] if len(s) == 1 else s)
     if kind == "custom":
@@ -267,15 +273,10 @@ def cmd_dual(run: _Run) -> int:
     artifacts = ["dual.csv"]
     if run.method == "mc":
         samples = run.samples()
-        q_hi = run.q_window[1]
-        q_grid = np.linspace(0.0, q_hi, run.n_probe)
-        for q in q_grid:
-            est = mc.dual_value(samples, float(q))
-            rows.append((0.0, float(q), est.value, est.std_error))
-        for eps in eps_list:
-            for q in q_grid:
-                est = mc.dual_value_regularized(samples, float(q), eps)
-                rows.append((eps, float(q), est.value, est.std_error))
+        q_grid = np.linspace(0.0, run.q_window[1], run.n_probe)
+        for eps in [0.0] + eps_list:
+            _, value, se = mc.dual_curve(samples, q_grid, eps)
+            rows += zip([eps] * q_grid.size, q_grid.tolist(), value.tolist(), se.tolist())
     else:
         for eps in eps_list or [0.0]:
             surf = run.solve(eps)
@@ -345,18 +346,16 @@ def cmd_study_epsilon(run: _Run) -> int:
     samples = run.samples()
     lo, hi = run.q_window
     q_grid = np.linspace(lo, hi, run.n_probe)
-    base = [mc.dual_value(samples, float(q)) for q in q_grid]
+    _, base, base_se = mc.dual_curve(samples, q_grid)
     run.write_csv("study_epsilon_baseline.csv", "q,value,stderr",
-                  [(float(q), e.value, e.std_error) for q, e in zip(q_grid, base)])
+                  zip(q_grid.tolist(), base.tolist(), base_se.tolist()))
     tau = run.T - run.t0
     rows = []
     for eps in run.epsilons:
-        gaps = []
-        for q, b in zip(q_grid, base):
-            reg = mc.dual_value_regularized(samples, float(q), eps)
-            gaps.append((abs(reg.value - b.value), reg.std_error + b.std_error))
-        k = int(np.argmax([g for g, _ in gaps]))
-        sup_gap, se = gaps[k]
+        _, reg, reg_se = mc.dual_curve(samples, q_grid, eps)
+        gaps = np.abs(reg - base)
+        k = int(np.argmax(gaps))
+        sup_gap, se = float(gaps[k]), float(reg_se[k] + base_se[k])
         bound = oracles.regularization_bound(hi, eps, tau)
         rows.append((eps, sup_gap, bound, se, sup_gap <= bound + 3.0 * se))
     run.write_csv("study_epsilon.csv", "epsilon,sup_gap,bound,gap_stderr,within", rows)
@@ -373,10 +372,22 @@ def cmd_study_epsilon(run: _Run) -> int:
     return 0
 
 
+def _payoff_is_first_coordinate(cp: configparser.ConfigParser) -> bool:
+    if not cp.has_section("payoff"):
+        return True
+    sec = cp["payoff"]
+    weights = sec.get("weights", "").strip()
+    return (sec.get("kind", "linear").strip() == "linear"
+            and (not weights or _floats(weights) == [1.0]))
+
+
 def cmd_compare_oracle(run: _Run) -> int:
     kind = run.model.kind
     if kind not in ("bessel3", "gbm"):
         raise ConfigError("compare-oracle needs a builtin model (bessel3 or gbm)")
+    # the closed forms price g(x) = x1 in one dimension
+    if run.model.dim != 1 or not _payoff_is_first_coordinate(run.cp):
+        raise ConfigError("compare-oracle needs d = 1 and the payoff g(x) = x1")
     samples = run.samples()
     x0 = float(run.x0[0])
     tau = run.T - run.t0
@@ -397,14 +408,16 @@ def cmd_compare_oracle(run: _Run) -> int:
         def d_oracle(q):
             return oracles.bessel_dual(x0, q)
 
-    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        est = mc.quantile_value(samples, p)
+    p_points = (0.1, 0.3, 0.5, 0.7, 0.9)
+    _, value, se = mc.quantile_curve(samples, p_points)
+    for p, est, err in zip(p_points, value.tolist(), se.tolist()):
         ref = q_oracle(p)
-        rows.append(("quantile_value", p, est.value, ref, abs(est.value - ref), est.std_error))
-    for q in (0.0, 0.5, 1.0, 1.5, 2.0):
-        est = mc.dual_value(samples, q * x0)
-        ref = d_oracle(q * x0)
-        rows.append(("dual_value", q * x0, est.value, ref, abs(est.value - ref), est.std_error))
+        rows.append(("quantile_value", p, est, ref, abs(est - ref), err))
+    q_points = [q * x0 for q in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    _, value, se = mc.dual_curve(samples, q_points)
+    for q, est, err in zip(q_points, value.tolist(), se.tolist()):
+        ref = d_oracle(q)
+        rows.append(("dual_value", q, est, ref, abs(est - ref), err))
     run.write_csv("compare_oracle.csv",
                   "quantity,coordinate,estimate,oracle,abs_gap,stderr", rows)
     worst = max(r[4] / max(3.0 * r[5], 1e-12) for r in rows)

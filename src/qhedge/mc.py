@@ -11,6 +11,14 @@ a = v_k, whose sample standard deviation vanishes in the degenerate case.
 aux stores the auxiliary Brownian increment B(T) - B(t0) per sample (not a
 fixed multiplier), so regularized estimates at any eps reuse the same
 draws: common random numbers across an eps study by construction.
+
+dual_curve gives mean (q L_eps - v)^+ on a whole q grid in one pass
+(L = 1 at eps = 0).  Sample i pays at every q above its threshold
+u_i = v_i / L_i, so each sample is binned once by where u_i falls in the
+grid; per-bin sums of L, v and their products (taken about the means of
+L and v), accumulated over the bins, give every value and standard error
+in O(n log m) for n samples and m grid points.  Each eps uses the same
+aux draws, so curves at different eps keep the common random numbers.
 """
 from __future__ import annotations
 
@@ -224,25 +232,53 @@ def dual_value(samples: SampleSet, q: float) -> Estimate:
     return Estimate(float(w.mean()), se, n)
 
 
-def dual_curve(samples: SampleSet, q_grid=None):
-    """Vectorized dual_value over a q grid via prefix sums; (q, value, se)."""
+def dual_curve(samples: SampleSet, q_grid=None, eps: float = 0.0):
+    """dual_value_regularized over a whole q grid in one pass; (q, value, se).
+
+    q may come in any order; value and se follow it.
+    """
     if q_grid is None:
         q_grid = default_q_grid(samples)
     q = np.asarray(q_grid, dtype=float)
     if np.any(q < 0):
         raise ValueError("q grid must be >= 0")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     v = samples.values
     n = v.size
-    s1, s2 = _prefix_sums(v)
-    k = np.searchsorted(v, q, side="left")
-    tot = k * q - s1[k]
-    tot_sq = k * q * q - 2.0 * q * s1[k] + s2[k]
-    value = tot / n
+    L = _aux_multipliers(samples, eps) if eps > 0 else np.ones(n)
+    order = np.argsort(q, kind="stable")
+    qs = q[order]
+    # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
+    # grid index first[i] on
+    buf = np.divide(v, L)
+    first = np.searchsorted(qs, buf, side="right")
+
+    def paying(weights=None):
+        """Per-q sums over the paying samples: binned once, accumulated."""
+        return np.cumsum(np.bincount(first, weights, minlength=q.size + 1))[:-1]
+
+    # moments about the global means, so that constant payouts cancel
+    # exactly; products go through buf, so three n-arrays are live at most
+    cL, cv = L.mean(), v.mean()
+    a = np.subtract(L, cL, out=L)
+    k, sa = paying(), paying(a)
+    saa = paying(np.multiply(a, a, out=buf))
+    d = np.subtract(v, cv, out=buf)
+    sd = paying(d)
+    sad = paying(np.multiply(a, d, out=a))
+    sdd = paying(np.multiply(d, d, out=d))
+    t = qs * sa - sd
+    total = np.maximum(t + k * (qs * cL - cv), 0.0)
+    value = np.empty_like(qs)
+    se = np.zeros_like(qs)
+    value[order] = total / n
     if n >= 2:
-        var = np.maximum(tot_sq - tot * tot / n, 0.0) / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.zeros_like(value)
+        # spread among the k paying samples plus the gap between their
+        # mean and the n - k zeros
+        k1 = np.maximum(k, 1.0)
+        within = np.maximum(qs * qs * saa - 2.0 * qs * sad + sdd - t * t / k1, 0.0)
+        se[order] = np.sqrt((within + (n - k) * total * total / (n * k1)) / (n - 1) / n)
     return q, value, se
 
 

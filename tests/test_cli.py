@@ -1,12 +1,16 @@
 """End-to-end checks of the command line driver, run in process."""
 
+import configparser
 import datetime
 import json
 
 import numpy as np
 import pytest
 
+from qhedge import cli, mc
 from qhedge.cli import main
+from qhedge.engine import SimConfig
+from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import read_surface_bin, write_surface_bin
 
 
@@ -244,6 +248,99 @@ def test_compare_oracle_needs_builtin(tmp_path):
         "scheme = exact-bessel3", "scheme = log-euler"), "custom.ini")
     assert main(["compare-oracle", "--config", cfg_fixed,
                  "--out", str(tmp_path)]) == 2
+
+
+GBM_MC_MODEL = "[model]\nkind = gbm\nb = 0.05\ns = 0.3\n"
+GBM_D2_MODEL = "[model]\nkind = gbm\nb = 0.05 0.03\ns = 0.3 0.25\n"
+
+
+def gbm_mc_ini(model=GBM_MC_MODEL, x0="1.0"):
+    return mc_ini().replace("[model]\nkind = bessel3\n", model).replace(
+        "scheme = exact-bessel3", "scheme = exact-gbm").replace("x0 = 1.0", f"x0 = {x0}")
+
+
+def test_compare_oracle_rejects_a_payoff_other_than_x1(tmp_path):
+    # the gbm closed forms price g(x) = x1; x1*x1 gave a worst gap of ~39 SE
+    text = gbm_mc_ini() + "\n[payoff]\nkind = expression\nexpr = x1*x1\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["compare-oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # weights [1] is g(x) = x1 too
+    ok = write_config(tmp_path, gbm_mc_ini() + "\n[payoff]\nweights = 1\n", "w1.ini")
+    assert main(["compare-oracle", "--config", ok, "--out", str(tmp_path / "w")]) == 0
+
+
+def test_compare_oracle_rejects_two_dimensions(tmp_path):
+    # a d = 2 gbm would be read as the d = 1 law of b[0], s[0]
+    cfg = write_config(tmp_path, gbm_mc_ini(GBM_D2_MODEL, x0="1 1"))
+    assert main(["compare-oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_gbm_takes_a_full_volatility_matrix(tmp_path):
+    model = GBM_D2_MODEL.replace("s = 0.3 0.25", "s = 0.3 0.1 0.0 0.25")
+    text = gbm_mc_ini(model, x0="1 1")
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    vol = cli._parse_model(cp).vol([[1.0, 1.0]])[0]
+    assert np.array_equal(vol, [[0.3, 0.1], [0.0, 0.25]])
+    # d values stay the diagonal
+    cp.read_string(GBM_D2_MODEL)
+    assert np.array_equal(cli._parse_model(cp).vol([[1.0, 1.0]])[0], np.diag([0.3, 0.25]))
+
+
+def test_mc_commands_make_no_per_q_estimator_calls(tmp_path, monkeypatch):
+    # dual, study-epsilon and compare-oracle evaluate whole curves; the
+    # scalar estimators stay as the reference the next test checks against
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-q estimator called")
+
+    for name in ("dual_value", "dual_value_regularized", "quantile_value"):
+        monkeypatch.setattr(mc, name, refuse)
+    cfg = write_config(tmp_path, mc_ini())
+    for command in (["dual", "--method", "mc"], ["study-epsilon"], ["compare-oracle"]):
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / command[0])]) == 0
+
+
+@pytest.mark.parametrize("text, model, scheme", [
+    (mc_ini(), builtin_model("bessel3"), "exact-bessel3"),
+    (gbm_mc_ini(), builtin_model("gbm", b=0.05, s=0.3), "exact-gbm"),
+], ids=["bessel3", "gbm"])
+def test_mc_curves_match_the_scalar_estimators(tmp_path, text, model, scheme):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["dual", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["study-epsilon", "--config", cfg, "--out", str(out)]) == 0
+    # the samples the config describes
+    samples = mc.sample_terminal(model, linear_payoff(), [1.0],
+                                 SimConfig(0.0, 1.0, 64, 20000, 11, scheme, 0.0))
+
+    def scalar(q, eps):
+        return mc.dual_value_regularized(samples, q, eps)
+
+    # Z X = x0 on every exact bessel3 path, so at eps = 0 both standard
+    # errors are rounding noise near 1e-19: hence the 1e-15 floor
+    def check(row_value, row_se, est):
+        assert float(row_value) == pytest.approx(est.value, rel=0.0, abs=1e-12)
+        assert float(row_se) == pytest.approx(est.std_error, rel=1e-8, abs=1e-15)
+
+    _, rows = read_rows(out / "dual.csv")
+    assert len(rows) == 21
+    for eps, q, value, se in rows:
+        check(value, se, scalar(float(q), float(eps)))
+    _, rows = read_rows(out / "study_epsilon_baseline.csv")
+    q_grid = [float(r[0]) for r in rows]
+    base = [scalar(q, 0.0) for q in q_grid]
+    for (_, value, se), est in zip(rows, base):
+        check(value, se, est)
+    _, rows = read_rows(out / "study_epsilon.csv")
+    for eps, sup_gap, bound, gap_se, within in rows:
+        reg = [scalar(q, float(eps)) for q in q_grid]
+        gaps = [(abs(r.value - b.value), r.std_error + b.std_error) for r, b in zip(reg, base)]
+        ref_gap, ref_se = max(gaps, key=lambda g: g[0])
+        assert float(sup_gap) == pytest.approx(ref_gap, rel=0.0, abs=1e-12)
+        assert float(gap_se) == pytest.approx(ref_se, rel=1e-8, abs=1e-15)
+        assert within == str(ref_gap <= float(bound) + 3.0 * ref_se)
 
 
 def test_numerical_failure_exit_code(tmp_path):

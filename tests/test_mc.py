@@ -204,3 +204,78 @@ def test_dual_value_properties(vals, q):
     est = mc.dual_value(s, q)
     # (q - v)^+ bounds: between (q - max)^+ and q
     assert max(q - max(vals), 0.0) - 1e-12 <= est.value <= q + 1e-12
+
+
+@st.composite
+def curve_cases(draw):
+    """A sample set with aux, an eps, and a q grid that holds q = 0, every
+    sample's own threshold v / L_eps (ties), a q above all thresholds and
+    a few q in between.  Values and aux are O(1), as Z g(X) and B(T) are."""
+    n = draw(st.integers(1, 30))
+    vals = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    aux = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    eps = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    s = toy(vals, aux=aux)
+    u = s.values / (mc._aux_multipliers(s, eps) if eps > 0 else 1.0)
+    extra = draw(st.lists(st.floats(0.0, 2.0 * u.max()), max_size=5))
+    q = np.sort(np.concatenate([[0.0, 1.5 * u.max()], u, extra]))
+    return s, eps, q
+
+
+@given(curve_cases())
+@settings(max_examples=300, deadline=None)
+def test_dual_curve_matches_pointwise_regularized(case):
+    s, eps, q = case
+    _, value, se = mc.dual_curve(s, q, eps)
+    assert np.all(value >= 0.0)
+    ref = [mc.dual_value_regularized(s, float(qq), eps) for qq in q]
+    ref_value = np.array([e.value for e in ref])
+    ref_var = np.array([e.std_error for e in ref]) ** 2
+    np.testing.assert_allclose(value, ref_value, rtol=0.0, atol=1e-12)
+    # the variance agrees to 2e-8 relative (1e-8 on se), up to the
+    # rounding floor of any variance built from sums of moments: machine
+    # eps times the squared spread of q L and v about their means, plus
+    # the reference's own rounding of a constant payout
+    L = mc._aux_multipliers(s, eps) if eps > 0 else np.ones(s.n)
+    spread = q[:, None] * np.abs(L - L.mean()) + np.abs(s.values - s.values.mean())
+    tiny = np.finfo(float).eps
+    floor = 16 * tiny * (spread ** 2).sum(axis=1) / (s.n * max(s.n - 1, 1))
+    floor += (16 * tiny * (q * L.max() + s.values.max())) ** 2
+    assert np.all(np.abs(se ** 2 - ref_var) <= 2e-8 * ref_var + floor)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_dual_curve_constant_payouts_have_zero_stderr(eps):
+    # every sample pays the same amount at each q, so the spread is zero;
+    # a raw second moment minus the squared mean would leave ~1e-8 q here
+    s = toy(np.full(64, 0.1), aux=np.full(64, 0.7))
+    q = np.linspace(0.0, 3.0, 31)
+    _, value, se = mc.dual_curve(s, q, eps)
+    L = mc._aux_multipliers(s, eps)[0] if eps > 0 else 1.0
+    np.testing.assert_allclose(value, np.maximum(q * L - 0.1, 0.0), rtol=0.0, atol=1e-15)
+    assert np.all(se <= 1e-15 * q)
+
+
+def test_dual_curve_keeps_the_order_of_an_unsorted_grid():
+    rng = np.random.default_rng(5)
+    s = toy(rng.lognormal(0.0, 0.5, size=300), aux=rng.normal(size=300))
+    q = np.linspace(0.0, 3.0, 25)
+    perm = rng.permutation(q.size)
+    _, value, se = mc.dual_curve(s, q, 0.2)
+    q_out, value_p, se_p = mc.dual_curve(s, q[perm], 0.2)
+    assert np.array_equal(q_out, q[perm])
+    assert np.array_equal(value_p, value[perm])
+    assert np.array_equal(se_p, se[perm])
+
+
+def test_dual_curve_argument_checks():
+    s = toy([1.0, 2.0, 3.0], aux=[0.1, -0.2, 0.3])
+    with pytest.raises(MissingAux):
+        mc.dual_curve(toy([1.0, 2.0]), [1.0], 0.2)
+    with pytest.raises(ValueError):
+        mc.dual_curve(s, [1.0], -0.1)
+    with pytest.raises(ValueError):
+        mc.dual_curve(s, [-1.0, 1.0])
+    # eps = 0 needs no aux
+    _, value, _ = mc.dual_curve(toy([1.0, 2.0, 3.0]), [2.5])
+    assert value[0] == pytest.approx(2.0 / 3)
