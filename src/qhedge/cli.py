@@ -420,7 +420,14 @@ def cmd_compare_oracle(run: _Run) -> int:
         rows.append(("dual_value", q, est, ref, abs(est - ref), err))
     run.write_csv("compare_oracle.csv",
                   "quantity,coordinate,estimate,oracle,abs_gap,stderr", rows)
-    worst = max(r[4] / max(3.0 * r[5], 1e-12) for r in rows)
+
+    def se_floor(row):
+        """One sample's contribution, coordinate / n (x0 / n for a quantile
+        row): a row that no sample reached reports SE 0 although its true
+        value may lie that far off."""
+        return (row[1] if row[0] == "dual_value" else x0) / samples.n
+
+    worst = max(r[4] / max(3.0 * max(r[5], se_floor(r)), 1e-12) for r in rows)
     run.write_json("compare_oracle.json", {
         "provenance": run.provenance("compare-oracle"),
         "rows": len(rows),

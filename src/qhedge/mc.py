@@ -133,12 +133,10 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
     )
 
 
-def _prefix_sums(v: np.ndarray):
-    s1 = np.zeros(v.size + 1)
-    s2 = np.zeros(v.size + 1)
-    np.cumsum(v, out=s1[1:])
-    np.cumsum(v * v, out=s2[1:])
-    return s1, s2
+def _prefix_sum(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.size + 1)
+    np.cumsum(v, out=out[1:])
+    return out
 
 
 def superhedge_value(samples: SampleSet) -> Estimate:
@@ -184,21 +182,25 @@ def quantile_curve(samples: SampleSet, p_grid=None):
         raise POutOfRange("p grid outside [0, 1]")
     v = samples.values
     n = v.size
-    s1, s2 = _prefix_sums(v)
     m = p * n
     k = np.minimum(np.floor(m).astype(int), n)
-    head = s1[k]
     vk = v[np.minimum(k, n - 1)]
-    value = (head + np.where(k < n, (m - k) * vk, 0.0)) / n
-    # influence function (a - v)^+ at a = v_k: moments from prefix sums
-    a = vk
-    tot = k * a - s1[k]
-    tot_sq = k * a * a - 2.0 * a * s1[k] + s2[k]
+    value = (_prefix_sum(v)[k] + np.where(k < n, (m - k) * vk, 0.0)) / n
+    se = np.zeros_like(value)
     if n >= 2:
-        var = np.maximum(tot_sq - tot * tot / n, 0.0) / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.zeros_like(value)
+        # influence function (a - v)^+ at a = v_k: the k lowest samples pay
+        # a - v_i.  Their moments are taken about the mean of v, so that
+        # near-constant samples cancel exactly (as in dual_curve): the
+        # spread among the payers plus the gap between their mean and the
+        # n - k zeros.
+        c = v.mean()
+        dv = v - c
+        sd = _prefix_sum(dv)[k]
+        sdd = _prefix_sum(dv * dv)[k]
+        t = k * (vk - c) - sd
+        k1 = np.maximum(k, 1)
+        within = np.maximum(sdd - sd * sd / k1, 0.0)
+        se = np.sqrt((within + (n - k) * t * t / (n * k1)) / (n - 1) / n)
     return p, value, se
 
 

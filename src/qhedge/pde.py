@@ -2,31 +2,45 @@
 dual-to-primal transform, the nonlinear-operator residual, and the
 supersolution verifier.
 
-The dual equation is backward parabolic with pure second-order terms,
+The dual equation is one linear backward equation on (x_1..x_d, q) for
+every d, with pure second-order terms,
 
-    w_t + cx w_xx + cq w_qq + cc w_xq = 0,
-    cx = sigma^2/2,  cq = (theta^2 + eps^2) q^2 / 2,  cc = sigma theta q,
+    w_t + 1/2 sum_ij A_ij d_i d_j w = 0,
 
-terminal data (q - g(x))^+.  Time stepping is an ADI splitting (Douglas
-predictor-corrector) with the mixed term explicit and the diagonal
-second-order terms implicit; the first backward steps are damped by
-implicit Euler (Rannacher startup).  The mixed term's modulus
-theta/sqrt(theta^2+eps^2) is < 1 whenever eps > 0, but the splitting
-loses stability as it approaches 1 (small x on a padded log grid, or
-eps = 0 outright); the solver then substeps the whole cycle, escalating
-by factors of 4 on detected divergence, and emits CFLWarning.
+    A = [[ alpha,              sigma theta q           ],
+         [ (sigma theta q)',   (|theta|^2 + eps^2) q^2 ]],   alpha = sigma sigma',
 
-Boundary handling: w = 0 at q=0 (Dirichlet), dw/dq = 1 at q_max (Neumann,
-the saturation slope), zero second x-derivative at the x edges (linear
-extrapolation), all folded into the implicit sweeps.  The q=0 condition
-is exact; the other two are artificial, so the solver pads the domain by
-default to keep their influence away from the requested window.
+and terminal data (q - g(x))^+.  `_coefficients` is the one place that
+evaluates the model: it builds A with the q factors taken out, and both
+the solver and the primal residual read it.
+
+Time stepping is an ADI splitting (Douglas predictor-corrector).  The
+predictor applies the whole operator explicitly; the diagonal terms, one
+per x axis and one for q, are then corrected implicitly, one axis at a
+time; the mixed terms, one per pair of axes, stay explicit.  An x sweep
+makes one banded solve per node of the other x axes, with every q column
+as a right-hand side; the q sweep is one batched tridiagonal solve over
+all x nodes.  The first backward steps are damped by implicit Euler
+(Rannacher startup).  The correlations |A_ij| / sqrt(A_ii A_jj) of the
+mixed terms are < 1 (for the x-q pairs, whenever eps > 0), but the
+splitting loses stability as they approach 1 (small x on a padded log
+grid, or eps = 0 outright);
+the solver then substeps the whole cycle, escalating by factors of 4 on
+detected divergence, and emits CFLWarning.
+
+Edge conditions, folded into the implicit sweeps: each x axis is
+non-uniform (three-point weights) and has zero second x-derivative at
+both edges (linear extrapolation); the q axis is uniform, with w = 0 at
+q = 0 (Dirichlet) and dw/dq = 1 at q_max (Neumann, the saturation slope).
+The q = 0 condition is exact; the others are artificial, so the solver
+pads the domain by default to keep their influence away from the
+requested window.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +52,6 @@ from .errors import (
     CFLWarning,
     DimensionUnsupported,
     DomainMismatch,
-    GridMismatch,
     NonConvexNode,
     Nonfinite,
 )
@@ -62,265 +75,169 @@ def _edge_ratios(x: np.ndarray):
     return r_lo, r_hi
 
 
-class _Dual1D:
-    """Workspace for the d=1 solve: coefficients, sweeps, boundary fill."""
+def _mesh(x_axes) -> np.ndarray:
+    """Every node of the x mesh as an (n_nodes, d) array, in C order."""
+    return np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, len(x_axes))
+
+
+def _coefficients(model: MarketModel, x_axes, eps: float):
+    """sigma (..., d, d), theta (..., d) and A (..., d+1, d+1) on the x mesh.
+
+    A is the dual operator's matrix with the q factors taken out: alpha on
+    the x block, sigma theta in the x-q entries, |theta|^2 + eps^2 in the
+    q-q entry.  The primal residual uses it as it is."""
+    shape = tuple(ax.size for ax in x_axes)
+    d = len(x_axes)
+    mesh = _mesh(x_axes)
+    sigma = model.sigma(mesh).reshape(shape + (d, d))
+    theta = model.theta(mesh).reshape(shape + (d,))
+    A = np.empty(shape + (d + 1, d + 1))
+    A[..., :d, :d] = sigma @ np.swapaxes(sigma, -1, -2)
+    stheta = np.einsum("...ij,...j->...i", sigma, theta)
+    A[..., :d, d] = stheta
+    A[..., d, :d] = stheta
+    A[..., d, d] = (theta * theta).sum(axis=-1) + eps * eps
+    return sigma, theta, A
+
+
+_LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
+
+
+def _view(W: np.ndarray, lead: int, shifts=()) -> np.ndarray:
+    """W on the interior nodes of every axis from `lead` on, moved one node
+    down (_LO) or up (_HI) along the axes given as (axis, slice) pairs."""
+    idx = [slice(None)] * lead + [_MID] * (W.ndim - lead)
+    for axis, s in shifts:
+        idx[axis] = s
+    return W[tuple(idx)]
+
+
+def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A 1-d array shaped to broadcast along `axis` of an ndim array."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return v.reshape(shape)
+
+
+def _second_diff(W: np.ndarray, axis: int, weights, lead: int = 0) -> np.ndarray:
+    """Three-point second difference along `axis` (interior nodes)."""
+    wl, wc, wr = (_along(w, axis, W.ndim) for w in weights)
+    return (wl * _view(W, lead, ((axis, _LO),)) + wc * _view(W, lead)
+            + wr * _view(W, lead, ((axis, _HI),)))
+
+
+def _cross_diff(W: np.ndarray, i: int, j: int, lead: int = 0) -> np.ndarray:
+    """Central cross difference along axes i and j (interior nodes), not
+    yet divided by the product of the two-cell spans."""
+    return (_view(W, lead, ((i, _HI), (j, _HI))) - _view(W, lead, ((i, _HI), (j, _LO)))
+            - _view(W, lead, ((i, _LO), (j, _HI))) + _view(W, lead, ((i, _LO), (j, _LO))))
+
+
+class _DualOperator:
+    """Workspace for the dual solve on (x_1..x_d, q): coefficients on the
+    interior nodes, the explicit terms, the implicit sweeps, the edges."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, grid: GridSpec):
-        self.grid = grid
-        x = grid.x_axes[0]
-        q = grid.z
-        self.x, self.q = x, q
-        self.dq = grid.dz
-        pts = x[:, None]
-        svals = model.vol(pts)[:, 0, 0]
-        theta = model.theta(pts)[:, 0]
-        sigma = svals * x
-        eps = grid.epsilon
-        self.cx = 0.5 * sigma * sigma
-        self.cq = 0.5 * (theta * theta + eps * eps)[:, None] * (q * q)[None, :]
-        self.cc = (sigma * theta)[:, None] * q[None, :]
-        self.theta = theta
-        self.sigma = sigma
-        self.wl, self.wc, self.wr = _d2_weights(x)
-        self.r_lo, self.r_hi = _edge_ratios(x)
-        self.gx = payoff(pts)
-        denom = np.sqrt(theta * theta + eps * eps)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(denom > 0, np.abs(theta) / np.where(denom > 0, denom, 1.0), 0.0)
-        self.max_corr = float(corr.max()) if corr.size else 0.0
+        xs, q = grid.x_axes, grid.z
+        self.d = d = len(xs)
+        self.dq = dq = grid.dz
+        self.q = q
+        self.gx = payoff(_mesh(xs)).reshape(tuple(ax.size for ax in xs))
+        _, _, A = _coefficients(model, xs, grid.epsilon)
+        # correlations of the mixed terms; the q factors cancel in them
+        self.max_corr = max(
+            float((np.abs(A[..., i, j])
+                   / np.sqrt(np.maximum(A[..., i, i] * A[..., j, j], 1e-300))).max())
+            for i in range(d + 1) for j in range(i + 1, d + 1)
+        )
+        Ai = A[(_MID,) * d]
+        qi = q[1:-1]
+        self.weights = [_d2_weights(x) for x in xs]
+        self.ratios = [_edge_ratios(x) for x in xs]
+        self.cx = [0.5 * Ai[..., i, i] for i in range(d)]
+        self.cq = 0.5 * Ai[..., d, d][..., None] * (qi * qi)
+        self.cq_dq2 = self.cq / (dq * dq)
+        # two-cell spans broadcast over the interior (x_1..x_d, q) block
+        spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(xs)] + [2.0 * dq]
+        self.pairs = []
+        for i in range(d + 1):
+            for j in range(i + 1, d + 1):
+                c = Ai[..., i, j][..., None]
+                self.pairs.append((i, j, c * qi if j == d else c, spans[i] * spans[j]))
 
     def terminal(self) -> np.ndarray:
-        return np.maximum(self.q[None, :] - self.gx[:, None], 0.0)
+        return np.maximum(self.q - self.gx[..., None], 0.0)
 
     def apply_bc(self, W: np.ndarray) -> None:
         dq = self.dq
-        W[1:-1, 0] = 0.0
-        W[1:-1, -1] = W[1:-1, -2] + dq
-        W[0, :] = W[1, :] + self.r_lo * (W[1, :] - W[2, :])
-        W[-1, :] = W[-2, :] + self.r_hi * (W[-2, :] - W[-3, :])
-        W[0, 0] = 0.0
-        W[-1, 0] = 0.0
-        W[0, -1] = W[0, -2] + dq
-        W[-1, -1] = W[-1, -2] + dq
+        W[..., 0] = 0.0
+        W[..., -1] = W[..., -2] + dq
+        for axis, (r_lo, r_hi) in enumerate(self.ratios):
+            Wa = np.moveaxis(W, axis, 0)
+            Wa[0] = Wa[1] + r_lo * (Wa[1] - Wa[2])
+            Wa[-1] = Wa[-2] + r_hi * (Wa[-2] - Wa[-3])
+        W[..., 0] = 0.0
+        W[..., -1] = W[..., -2] + dq
 
-    def a_x(self, W: np.ndarray) -> np.ndarray:
-        return self.cx[1:-1, None] * (
-            self.wl[:, None] * W[:-2, 1:-1]
-            + self.wc[:, None] * W[1:-1, 1:-1]
-            + self.wr[:, None] * W[2:, 1:-1]
-        )
+    def a_x(self, W: np.ndarray, axis: int) -> np.ndarray:
+        return self.cx[axis][..., None] * _second_diff(W, axis, self.weights[axis])
 
     def a_q(self, W: np.ndarray) -> np.ndarray:
-        return self.cq[1:-1, 1:-1] * (
-            (W[1:-1, :-2] - 2.0 * W[1:-1, 1:-1] + W[1:-1, 2:]) / (self.dq * self.dq)
-        )
-
-    def cross(self, W: np.ndarray) -> np.ndarray:
-        span = (self.x[2:] - self.x[:-2])[:, None] * (2.0 * self.dq)
-        return self.cc[1:-1, 1:-1] * (
-            (W[2:, 2:] - W[2:, :-2] - W[:-2, 2:] + W[:-2, :-2]) / span
-        )
-
-    def solve_x(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        """(I - th*A_x) on interior x rows, same tridiagonal for every q column."""
-        lo = -th * self.cx[1:-1] * self.wl
-        di = 1.0 - th * self.cx[1:-1] * self.wc
-        up = -th * self.cx[1:-1] * self.wr
-        # fold the zero-curvature extrapolation at both x edges
-        di = di.copy()
-        up = up.copy()
-        lo = lo.copy()
-        di[0] += lo[0] * (1.0 + self.r_lo)
-        up[0] += -lo[0] * self.r_lo
-        di[-1] += up[-1] * (1.0 + self.r_hi)
-        lo[-1] += -up[-1] * self.r_hi
-        n = di.size
-        ab = np.zeros((3, n))
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = di
-        ab[2, :-1] = lo[1:]
-        return solve_banded((1, 1), ab, rhs)
-
-    def solve_q(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        """(I - th*A_q) on interior q rows, batched tridiagonal per x row.
-
-        Folds w(q=0) = 0 and the unit-slope ghost at q_max."""
-        dq2 = self.dq * self.dq
-        c = self.cq[1:-1, 1:-1] / dq2
-        lo = -th * c
-        di = 1.0 + 2.0 * th * c
-        up = -th * c
-        rhs = rhs.copy()
-        di[:, -1] += up[:, -1]
-        rhs[:, -1] -= up[:, -1] * self.dq
-        return _kernels.thomas_batch(lo, di, up, rhs)
-
-    def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
-        a1 = self.a_x(W)
-        a2 = self.a_q(W)
-        cr = self.cross(W)
-        y0 = W[1:-1, 1:-1] + h * (a1 + a2 + cr)
-        th = theta_w * h
-        y1 = self.solve_x(y0 - th * a1, th)
-        y2 = self.solve_q(y1 - th * a2, th)
-        out = np.empty_like(W)
-        out[1:-1, 1:-1] = y2
-        self.apply_bc(out)
-        return out
-
-
-class _Dual2D:
-    """Workspace for the d=2 solve; same splitting with three implicit sweeps."""
-
-    def __init__(self, model: MarketModel, payoff: Payoff, grid: GridSpec):
-        self.grid = grid
-        x1, x2 = grid.x_axes
-        q = grid.z
-        self.x1, self.x2, self.q = x1, x2, q
-        self.dq = grid.dz
-        n1, n2 = x1.size, x2.size
-        mesh = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
-        alpha = model.alpha(mesh).reshape(n1, n2, 2, 2)
-        theta = model.theta(mesh).reshape(n1, n2, 2)
-        sigma = model.sigma(mesh).reshape(n1, n2, 2, 2)
-        stheta = np.einsum("abij,abj->abi", sigma, theta)
-        eps = grid.epsilon
-        th2 = (theta * theta).sum(axis=-1)
-        self.c1 = 0.5 * alpha[:, :, 0, 0]
-        self.c2 = 0.5 * alpha[:, :, 1, 1]
-        self.c12 = alpha[:, :, 0, 1]
-        self.cq = 0.5 * (th2 + eps * eps)[:, :, None] * (q * q)[None, None, :]
-        self.cc1 = stheta[:, :, 0][:, :, None] * q[None, None, :]
-        self.cc2 = stheta[:, :, 1][:, :, None] * q[None, None, :]
-        self.w1 = _d2_weights(x1)
-        self.w2 = _d2_weights(x2)
-        self.r1 = _edge_ratios(x1)
-        self.r2 = _edge_ratios(x2)
-        self.gx = payoff(mesh).reshape(n1, n2)
-        denom = np.sqrt(th2 + eps * eps)
-        corrs = []
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a11 = alpha[:, :, 0, 0]
-            a22 = alpha[:, :, 1, 1]
-            corrs.append(np.abs(self.c12) / np.sqrt(np.maximum(a11 * a22, 1e-300)))
-            qcorr = np.where(denom > 0, 1.0, 0.0)
-            corrs.append(
-                np.abs(stheta[:, :, 0]) / np.sqrt(np.maximum(a11, 1e-300)) / np.where(denom > 0, denom, 1.0) * qcorr
-            )
-            corrs.append(
-                np.abs(stheta[:, :, 1]) / np.sqrt(np.maximum(a22, 1e-300)) / np.where(denom > 0, denom, 1.0) * qcorr
-            )
-        self.max_corr = float(max(c.max() for c in corrs))
-
-    def terminal(self) -> np.ndarray:
-        return np.maximum(self.q[None, None, :] - self.gx[:, :, None], 0.0)
-
-    def apply_bc(self, W: np.ndarray) -> None:
-        dq = self.dq
-        W[:, :, 0] = 0.0
-        W[:, :, -1] = W[:, :, -2] + dq
-        r1l, r1h = self.r1
-        W[0] = W[1] + r1l * (W[1] - W[2])
-        W[-1] = W[-2] + r1h * (W[-2] - W[-3])
-        r2l, r2h = self.r2
-        W[:, 0] = W[:, 1] + r2l * (W[:, 1] - W[:, 2])
-        W[:, -1] = W[:, -2] + r2h * (W[:, -2] - W[:, -3])
-        W[:, :, 0] = 0.0
-        W[:, :, -1] = W[:, :, -2] + dq
-
-    def a_1(self, W: np.ndarray) -> np.ndarray:
-        wl, wc, wr = self.w1
-        return self.c1[1:-1, 1:-1, None] * (
-            wl[:, None, None] * W[:-2, 1:-1, 1:-1]
-            + wc[:, None, None] * W[1:-1, 1:-1, 1:-1]
-            + wr[:, None, None] * W[2:, 1:-1, 1:-1]
-        )
-
-    def a_2(self, W: np.ndarray) -> np.ndarray:
-        wl, wc, wr = self.w2
-        return self.c2[1:-1, 1:-1, None] * (
-            wl[None, :, None] * W[1:-1, :-2, 1:-1]
-            + wc[None, :, None] * W[1:-1, 1:-1, 1:-1]
-            + wr[None, :, None] * W[1:-1, 2:, 1:-1]
-        )
-
-    def a_q(self, W: np.ndarray) -> np.ndarray:
-        return self.cq[1:-1, 1:-1, 1:-1] * (
-            (W[1:-1, 1:-1, :-2] - 2.0 * W[1:-1, 1:-1, 1:-1] + W[1:-1, 1:-1, 2:])
+        d = self.d
+        return self.cq * (
+            (_view(W, 0, ((d, _LO),)) - 2.0 * _view(W, 0) + _view(W, 0, ((d, _HI),)))
             / (self.dq * self.dq)
         )
 
-    def cross(self, W: np.ndarray) -> np.ndarray:
-        s1 = (self.x1[2:] - self.x1[:-2])[:, None, None]
-        s2 = (self.x2[2:] - self.x2[:-2])[None, :, None]
-        dq2 = 2.0 * self.dq
-        c12 = self.c12[1:-1, 1:-1, None] * (
-            (W[2:, 2:, 1:-1] - W[2:, :-2, 1:-1] - W[:-2, 2:, 1:-1] + W[:-2, :-2, 1:-1])
-            / (s1 * s2)
-        )
-        c1q = self.cc1[1:-1, 1:-1, 1:-1] * (
-            (W[2:, 1:-1, 2:] - W[2:, 1:-1, :-2] - W[:-2, 1:-1, 2:] + W[:-2, 1:-1, :-2])
-            / (s1 * dq2)
-        )
-        c2q = self.cc2[1:-1, 1:-1, 1:-1] * (
-            (W[1:-1, 2:, 2:] - W[1:-1, 2:, :-2] - W[1:-1, :-2, 2:] + W[1:-1, :-2, :-2])
-            / (s2 * dq2)
-        )
-        return c12 + c1q + c2q
-
-    def _sweep(self, rhs: np.ndarray, coef: np.ndarray, weights, ratios, th: float, axis: int) -> np.ndarray:
-        """Implicit sweep along one x axis with edge extrapolation folded in.
-
-        rhs and coef have the interior shape with `axis` moved first."""
-        wl, wc, wr = weights
-        r_lo, r_hi = ratios
-        moved = np.moveaxis(rhs, axis, 0)
-        cmoved = np.moveaxis(coef, axis, 0)
-        n = moved.shape[0]
-        flat = moved.reshape(n, -1).T.copy()
-        cflat = cmoved.reshape(n, -1).T
-        lo = -th * cflat * wl[None, :]
-        di = 1.0 - th * cflat * wc[None, :]
-        up = -th * cflat * wr[None, :]
-        di[:, 0] += lo[:, 0] * (1.0 + r_lo)
-        up[:, 0] += -lo[:, 0] * r_lo
-        di[:, -1] += up[:, -1] * (1.0 + r_hi)
-        lo[:, -1] += -up[:, -1] * r_hi
-        sol = _kernels.thomas_batch(lo, di, up, flat)
-        return np.moveaxis(sol.T.reshape(moved.shape), 0, axis)
-
-    def solve_1(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        coef = np.broadcast_to(self.c1[1:-1, 1:-1, None], rhs.shape)
-        return self._sweep(rhs, coef, self.w1, self.r1, th, 0)
-
-    def solve_2(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        coef = np.broadcast_to(self.c2[1:-1, 1:-1, None], rhs.shape)
-        return self._sweep(rhs, coef, self.w2, self.r2, th, 1)
+    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
+        """(I - th*A_axis) on interior nodes with the edge extrapolation
+        folded in: one banded solve per node of the other x axes, every q
+        column a right-hand side."""
+        wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
+        r_lo, r_hi = self.ratios[axis]
+        c = self.cx[axis]
+        lo = np.moveaxis(-th * c * wl, axis, 0)
+        di = np.moveaxis(1.0 - th * c * wc, axis, 0)
+        up = np.moveaxis(-th * c * wr, axis, 0)
+        di[0] += lo[0] * (1.0 + r_lo)
+        up[0] += -lo[0] * r_lo
+        di[-1] += up[-1] * (1.0 + r_hi)
+        lo[-1] += -up[-1] * r_hi
+        ab = np.zeros((3,) + di.shape)
+        ab[0, 1:] = up[:-1]
+        ab[1] = di
+        ab[2, :-1] = lo[1:]
+        out = np.empty_like(rhs)
+        src, dst = np.moveaxis(rhs, axis, 0), np.moveaxis(out, axis, 0)
+        for node in np.ndindex(di.shape[1:]):
+            dst[(slice(None),) + node] = solve_banded((1, 1), ab[(slice(None), slice(None)) + node],
+                                                      src[(slice(None),) + node])
+        return out
 
     def solve_q(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        dq2 = self.dq * self.dq
-        c = (self.cq[1:-1, 1:-1, 1:-1] / dq2).reshape(-1, rhs.shape[-1])
-        lo = -th * c
+        """(I - th*A_q) on interior q nodes, batched tridiagonal per x node.
+
+        Folds w(q=0) = 0 and the unit-slope ghost at q_max."""
+        n = rhs.shape[-1]
+        c = self.cq_dq2.reshape(-1, n)
+        off = -th * c
         di = 1.0 + 2.0 * th * c
-        up = -th * c
-        flat = rhs.reshape(-1, rhs.shape[-1]).copy()
-        di[:, -1] += up[:, -1]
-        flat[:, -1] -= up[:, -1] * self.dq
-        sol = _kernels.thomas_batch(lo, di, up, flat)
-        return sol.reshape(rhs.shape)
+        flat = rhs.reshape(-1, n).copy()
+        di[:, -1] += off[:, -1]
+        flat[:, -1] -= off[:, -1] * self.dq
+        return _kernels.thomas_batch(off, di, off, flat).reshape(rhs.shape)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
-        a1 = self.a_1(W)
-        a2 = self.a_2(W)
-        aq = self.a_q(W)
-        cr = self.cross(W)
-        y0 = W[1:-1, 1:-1, 1:-1] + h * (a1 + a2 + aq + cr)
+        diag = [self.a_x(W, axis) for axis in range(self.d)] + [self.a_q(W)]
+        mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in self.pairs]
+        terms = diag + mixed
+        y = _view(W, 0) + h * sum(terms[1:], terms[0])
         th = theta_w * h
-        y1 = self.solve_1(y0 - th * a1, th)
-        y2 = self.solve_2(y1 - th * a2, th)
-        y3 = self.solve_q(y2 - th * aq, th)
+        for axis in range(self.d):
+            y = self.solve_x(y - th * diag[axis], th, axis)
+        y = self.solve_q(y - th * diag[-1], th)
         out = np.empty_like(W)
-        out[1:-1, 1:-1, 1:-1] = y3
+        out[(_MID,) * (self.d + 1)] = y
         self.apply_bc(out)
         return out
 
@@ -417,14 +334,11 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     t_int = _refine_axis(grid.t, rt, False)
     inner = GridSpec(t_int, x_int, q_int, "q", grid.epsilon)
 
-    ws = _Dual1D(model, payoff, inner) if model.dim == 1 else _Dual2D(model, payoff, inner)
+    ws = _DualOperator(model, payoff, inner)
     nt = grid.t.size
     dt_int = inner.dt
-    ix = (slice(px * rx, px * rx + (grid.x_axes[0].size - 1) * rx + 1, rx),)
-    if model.dim == 2:
-        ix = ix + (slice(px * rx, px * rx + (grid.x_axes[1].size - 1) * rx + 1, rx),)
-    iq = slice(0, (grid.z.size - 1) * rq + 1, rq)
-    restrict = ix + (iq,)
+    restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in grid.x_axes)
+    restrict += (slice(0, (grid.z.size - 1) * rq + 1, rq),)
     blow_bound = 4.0 * float(q_int[-1]) + 10.0
 
     n_sub = 1
@@ -654,21 +568,6 @@ class HJBResult:
         return float(np.abs(r).max()) if r.size else 0.0
 
 
-def _central_t(U: np.ndarray, dt: float) -> np.ndarray:
-    return (U[2:] - U[:-2]) / (2.0 * dt)
-
-
-def _central_axis(U: np.ndarray, x: np.ndarray, axis: int):
-    """Non-uniform central first and second differences along one axis."""
-    Um = np.moveaxis(U, axis, 0)
-    span = (x[2:] - x[:-2]).reshape((-1,) + (1,) * (Um.ndim - 1))
-    d1 = (Um[2:] - Um[:-2]) / span
-    wl, wc, wr = _d2_weights(x)
-    shape = (-1,) + (1,) * (Um.ndim - 1)
-    d2 = wl.reshape(shape) * Um[:-2] + wc.reshape(shape) * Um[1:-1] + wr.reshape(shape) * Um[2:]
-    return np.moveaxis(d1, 0, axis), np.moveaxis(d2, 0, axis)
-
-
 def _curvature_floor(U: np.ndarray) -> float:
     # a p second difference below machine rounding on the value scale is
     # indistinguishable from zero, so the node counts as an envelope node
@@ -699,100 +598,66 @@ def hjb_residual(U_surface: Surface, model: MarketModel, eps: Optional[float] = 
         raise DomainMismatch("hjb_residual expects a p-domain surface")
     if eps is None:
         eps = g.epsilon
-    U = U_surface.values
-    dt = g.dt
-    dp = g.dz
     d = g.dim
-
-    if d == 1:
-        x = g.x_axes[0]
-        pts = x[:, None]
-        svals = model.vol(pts)[:, 0, 0]
-        theta = model.theta(pts)[:, 0]
-        sigma = svals * x
-        Ui = U[1:-1]
-        Ut = _central_t(U, dt)[:, 1:-1, 1:-1]
-        Up = (Ui[:, :, 2:] - Ui[:, :, :-2])[:, 1:-1, :] / (2.0 * dp)
-        Upp = (Ui[:, :, 2:] - 2.0 * Ui[:, :, 1:-1] + Ui[:, :, :-2])[:, 1:-1, :] / (dp * dp)
-        _, Uxx_full = _central_axis(Ui, x, 1)
-        Uxx = Uxx_full[:, :, 1:-1]
-        span_x = (x[2:] - x[:-2])[None, :, None]
-        Uxp = (
-            Ui[:, 2:, 2:] - Ui[:, 2:, :-2] - Ui[:, :-2, 2:] + Ui[:, :-2, :-2]
-        ) / (span_x * 2.0 * dp)
-        sig_i = sigma[1:-1][None, :, None]
-        th_i = theta[1:-1][None, :, None]
-        convex = _resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = (
-                Ut
-                + 0.5 * sig_i * sig_i * Uxx
-                - sig_i * sig_i * Uxp * Uxp / (2.0 * Upp)
-                - 0.5 * (th_i * th_i + eps * eps) * Up * Up / Upp
-                + (Up / Upp) * sig_i * th_i * Uxp
-            )
-            a1 = (Up / Upp) * th_i - (1.0 / Upp) * sig_i * Uxp
-            bstar = eps * Up / Upp
-        res = np.where(convex, res, np.nan)
-        a_star = np.where(convex, a1, np.nan)[..., None]
-        b_star = np.where(convex, bstar, np.nan)
-    elif d == 2:
-        x1, x2 = g.x_axes
-        n1, n2 = x1.size, x2.size
-        mesh = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
-        alpha = model.alpha(mesh).reshape(n1, n2, 2, 2)
-        theta = model.theta(mesh).reshape(n1, n2, 2)
-        sigma = model.sigma(mesh).reshape(n1, n2, 2, 2)
-        stheta = np.einsum("abij,abj->abi", sigma, theta)
-        th2 = (theta * theta).sum(axis=-1)
-        Ui = U[1:-1]
-        Ut = _central_t(U, dt)[:, 1:-1, 1:-1, 1:-1]
-        Up = (Ui[..., 2:] - Ui[..., :-2])[:, 1:-1, 1:-1, :] / (2.0 * dp)
-        Upp = (Ui[..., 2:] - 2.0 * Ui[..., 1:-1] + Ui[..., :-2])[:, 1:-1, 1:-1, :] / (dp * dp)
-        _, U11f = _central_axis(Ui, x1, 1)
-        U11 = U11f[:, :, 1:-1, 1:-1]
-        _, U22f = _central_axis(Ui, x2, 2)
-        U22 = U22f[:, 1:-1, :, 1:-1]
-        s1 = (x1[2:] - x1[:-2])[None, :, None, None]
-        s2 = (x2[2:] - x2[:-2])[None, None, :, None]
-        U12 = (
-            Ui[:, 2:, 2:, 1:-1] - Ui[:, 2:, :-2, 1:-1] - Ui[:, :-2, 2:, 1:-1] + Ui[:, :-2, :-2, 1:-1]
-        ) / (s1 * s2)
-        U1p = (
-            Ui[:, 2:, 1:-1, 2:] - Ui[:, 2:, 1:-1, :-2] - Ui[:, :-2, 1:-1, 2:] + Ui[:, :-2, 1:-1, :-2]
-        ) / (s1 * 2.0 * dp)
-        U2p = (
-            Ui[:, 1:-1, 2:, 2:] - Ui[:, 1:-1, 2:, :-2] - Ui[:, 1:-1, :-2, 2:] + Ui[:, 1:-1, :-2, :-2]
-        ) / (s2 * 2.0 * dp)
-        ai = alpha[1:-1, 1:-1][None]
-        a11 = ai[..., 0, 0]
-        a12 = ai[..., 0, 1]
-        a22 = ai[..., 1, 1]
-        st_i = stheta[1:-1, 1:-1][None]
-        th2_i = th2[1:-1, 1:-1][None]
-        convex = _resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quad = a11 * U1p * U1p + 2.0 * a12 * U1p * U2p + a22 * U2p * U2p
-            res = (
-                Ut
-                + 0.5 * (a11 * U11 + 2.0 * a12 * U12 + a22 * U22)
-                - quad / (2.0 * Upp)
-                - 0.5 * (th2_i + eps * eps) * Up * Up / Upp
-                + (Up / Upp) * (st_i[..., 0] * U1p + st_i[..., 1] * U2p)
-            )
-            rho = Up / Upp
-            sig_i = sigma[1:-1, 1:-1][None]
-            sDpx = np.einsum("tabji,tabj->tabi", np.broadcast_to(sig_i, res.shape + (2, 2)),
-                             np.stack([U1p, U2p], axis=-1))
-            a_vec = rho[..., None] * theta[1:-1, 1:-1][None] - sDpx / Upp[..., None]
-            bstar = eps * rho
-        res = np.where(convex, res, np.nan)
-        a_star = np.where(convex[..., None], a_vec, np.nan)
-        b_star = np.where(convex, bstar, np.nan)
-    else:
+    if d > 2:
         raise DimensionUnsupported(f"residual evaluation supports d <= 2, got d={d}")
+    U = U_surface.values
+    dp = g.dz
+    sigma, theta, A = _coefficients(model, g.x_axes, eps)
+    inner = (_MID,) * d
 
-    n_nonconvex = int((~convex).sum())
+    def lift(c):
+        """A field on the x mesh, on interior nodes, broadcast over t and p."""
+        return c[inner][None, ..., None]
+
+    def sym_sum(M, entry):
+        """sum_ij M_ij entry(i, j) for a symmetric matrix field M and a
+        symmetric entry, summed over the upper triangle in place."""
+        total = None
+        n = M.shape[-1]
+        for i in range(n):
+            for j in range(i, n):
+                term = entry(i, j)
+                term *= lift(M[..., i, j]) * (1.0 if i == j else 2.0)
+                total = term if total is None else np.add(total, term, out=total)
+        return total
+
+    # axes of Ui: t (interior times), x_1..x_d, p
+    Ui = U[1:-1]
+    Ux = Ui[(slice(None),) + inner]
+    Up = (Ux[..., 2:] - Ux[..., :-2]) / (2.0 * dp)
+    Upp = (Ux[..., 2:] - 2.0 * Ux[..., 1:-1] + Ux[..., :-2]) / (dp * dp)
+    spans = [_along(x[2:] - x[:-2], 1 + i, d + 2) for i, x in enumerate(g.x_axes)]
+    Uxp = [_cross_diff(Ui, 1 + i, 1 + d, lead=1) / (spans[i] * (2.0 * dp)) for i in range(d)]
+
+    def U_xx(i, j):
+        if i == j:
+            return _second_diff(Ui, 1 + i, _d2_weights(g.x_axes[i]), lead=1)
+        return _cross_diff(Ui, 1 + i, 1 + j, lead=1) / (spans[i] * spans[j])
+
+    # the operator is U_t + 1/2 sum_ij<d alpha_ij U_xixj - v' A v / (2 U_pp)
+    # with v = (U_x1p .. U_xdp, -U_p)
+    v = Uxp + [-Up]
+    res = sym_sum(A[..., :d, :d], U_xx)
+    quad = sym_sum(A, lambda i, j: v[i] * v[j])
+    convex = _resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res *= 0.5
+        res += (_view(U[2:], 1) - _view(U[:-2], 1)) / (2.0 * g.dt)
+        res -= np.divide(quad, 2.0 * Upp, out=quad)
+        # a* = (U_p theta - sigma' U_xp) / U_pp,  b* = eps U_p / U_pp
+        rho = Up / Upp
+        a_star = np.empty(res.shape + (d,))
+        for k in range(d):
+            a_star[..., k] = (rho * lift(theta[..., k])
+                              - sum(lift(sigma[..., j, k]) * Uxp[j] for j in range(d)) / Upp)
+        b_star = np.multiply(rho, eps, out=rho)
+    nonconvex = ~convex
+    res[nonconvex] = np.nan
+    a_star[nonconvex] = np.nan
+    b_star[nonconvex] = np.nan
+
+    n_nonconvex = int(nonconvex.sum())
     if strict and n_nonconvex:
         raise NonConvexNode(f"{n_nonconvex} interior nodes have non-positive D_pp")
     return HJBResult(
@@ -867,13 +732,8 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
         tol = default_residual_tol(g)
 
     p = g.z
-    if g.dim == 1:
-        gx = payoff(g.x_axes[0][:, None])
-        target = gx[:, None] * p[None, :]
-    else:
-        mesh = np.stack(np.meshgrid(*g.x_axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
-        gx = payoff(mesh).reshape(tuple(ax.size for ax in g.x_axes))
-        target = gx[..., None] * p[(None,) * g.dim + (slice(None),)]
+    gx = payoff(_mesh(g.x_axes)).reshape(tuple(ax.size for ax in g.x_axes))
+    target = gx[..., None] * p
     terminal_err = float(np.abs(u_surface.values[-1] - target).max())
     terminal_ok = terminal_err <= terminal_tol
 

@@ -275,6 +275,19 @@ def test_compare_oracle_rejects_two_dimensions(tmp_path):
     assert main(["compare-oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_compare_oracle_floors_the_se_of_an_unreached_row(tmp_path):
+    # no sample pays at q = 0.5 x0, so that row's SE is 0 while the
+    # oracle's tail is ~1.7e-9; unfloored, the worst gap read ~1700 SE
+    cfg = write_config(tmp_path, gbm_mc_ini())
+    out = tmp_path / "o"
+    assert main(["compare-oracle", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "compare_oracle.csv")
+    half = [r for r in rows if r[0] == "dual_value" and float(r[1]) == 0.5]
+    assert len(half) == 1 and float(half[0][5]) == 0.0 and float(half[0][4]) > 0.0
+    payload = json.loads((out / "compare_oracle.json").read_text())
+    assert payload["worst_gap_over_3se"] < 5.0
+
+
 def test_gbm_takes_a_full_volatility_matrix(tmp_path):
     model = GBM_D2_MODEL.replace("s = 0.3 0.25", "s = 0.3 0.1 0.0 0.25")
     text = gbm_mc_ini(model, x0="1 1")

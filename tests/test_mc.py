@@ -91,6 +91,15 @@ def test_curves_match_pointwise_calls():
         assert wse[i] == pytest.approx(est.std_error, abs=1e-14)
 
 
+@pytest.mark.parametrize("n,c", [(64, 0.1), (777, 1.7)])
+def test_quantile_curve_constant_samples_have_zero_stderr(n, c):
+    # the influence function is 0 on every sample; raw prefix-sum moments
+    # left ~1e-9 here
+    _, value, se = mc.quantile_curve(toy(np.full(n, c)), np.linspace(0.0, 1.0, 21))
+    np.testing.assert_allclose(value, c * np.linspace(0.0, 1.0, 21), rtol=1e-12, atol=0.0)
+    assert np.all(se <= 1e-15 * c)
+
+
 def test_superhedge_value_is_mean():
     s = toy([1.0, 2.0, 3.0])
     est = mc.superhedge_value(s)

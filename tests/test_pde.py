@@ -250,3 +250,72 @@ def test_default_residual_tol_scales_with_grid():
     g1 = radial_grid(n_t=8, n_x=16, n_z=16)
     g2 = radial_grid(n_t=16, n_x=32, n_z=32)
     assert pde.default_residual_tol(g2) < pde.default_residual_tol(g1)
+
+
+def test_d2_lift_matches_d1():
+    # a second stock with no drift, independent of the first and absent
+    # from the payoff, leaves the d=1 problem unchanged at every x2
+    g1 = GridSpec.regular(0.0, 1.0, 10, 0.5, 2.0, 16, 32, "q", z_max=4.0, epsilon=0.2)
+    x2 = np.exp(np.linspace(np.log(0.6), np.log(1.8), 12))
+    g2 = GridSpec(g1.t, (g1.x_axes[0], x2), g1.z, "q", g1.epsilon)
+    m1 = builtin_model("gbm", b=0.05, s=0.3)
+    m2 = builtin_model("gbm", b=[0.05, 0.0], s=[[0.3, 0.0], [0.0, 0.25]])
+    payoff = linear_payoff()
+    dual1 = pde.solve_dual_pde(m1, payoff, g1, pad=0)
+    dual2 = pde.solve_dual_pde(m2, payoff, g2, pad=0)
+    assert np.abs(dual2.values - dual1.values[:, :, None, :]).max() < 1e-12
+    assert dual2.meta["substeps"] == dual1.meta["substeps"]
+
+    p_grid = np.linspace(0.0, 1.0, 33)
+    primal1 = pde.dual_to_primal(dual1, p_grid)
+    primal2 = pde.dual_to_primal(dual2, p_grid)
+    assert np.abs(primal2.values - primal1.values[:, :, None, :]).max() < 1e-12
+
+    res1 = pde.hjb_residual(primal1, m1)
+    res2 = pde.hjb_residual(primal2, m2)
+    lifted = np.broadcast_to(res1.residual[:, :, None, :], res2.residual.shape)
+    assert np.array_equal(np.isnan(res2.residual), np.isnan(lifted))
+    ok = ~np.isnan(lifted)
+    scale = np.abs(lifted[ok]).max()
+    assert np.abs(res2.residual[ok] - lifted[ok]).max() <= 1e-8 * scale
+    assert res1.a_star.shape == res1.residual.shape + (1,)
+    assert res2.a_star.shape == res2.residual.shape + (2,)
+
+    assert pde.verify_supersolution(primal2, m2, payoff).passed
+
+
+def test_d2_full_matrix_matches_closed_form():
+    # the x1-x2 mixed term: with a full volatility matrix Z X1 is
+    # lognormal with log-volatility |s[0] - theta|, whatever x2 is
+    s = np.array([[0.3, 0.1], [0.0, 0.25]])
+    b = np.array([0.05, 0.03])
+    model = builtin_model("gbm", b=b, s=s)
+    grid = GridSpec.regular(0.0, 1.0, 16, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
+                            z_max=6.0, epsilon=0.2)
+    surf = pde.solve_dual_pde(model, linear_payoff(), grid)
+    vol = float(np.linalg.norm(s[0] - np.linalg.solve(s, b)))
+    x1, x2 = grid.x_axes
+    i1, i2 = np.argmin(np.abs(x1 - 1.0)), np.argmin(np.abs(x2 - 1.0))
+    ref = np.array([oracles.gbm_dual_smeared(x1[i1], q, 0.0, vol, 1.0, 0.2) for q in grid.z])
+    assert np.abs(surf.values[0, i1, i2] - ref).max() < 1e-2
+
+
+def test_d2_residual_vanishes_on_the_closed_form():
+    # the closed-form primal of Z X1 under a full volatility matrix solves
+    # the d=2 operator: the residual falls at second order with the mesh
+    s = np.array([[0.3, 0.1], [0.0, 0.25]])
+    b = np.array([0.05, 0.03])
+    model = builtin_model("gbm", b=b, s=s)
+    vol = float(np.linalg.norm(s[0] - np.linalg.solve(s, b)))
+    errs = []
+    for n in (16, 32):
+        grid = GridSpec.regular(0.0, 1.0, 2 * n, [0.5, 0.5], [2.0, 2.0], [n, 6], 2 * n + 1, "p",
+                                epsilon=0.2)
+        U = np.array([[[oracles.gbm_primal_smeared(x, p, 0.0, vol, 1.0 - t, 0.2) for p in grid.z]
+                       for x in grid.x_axes[0]] for t in grid.t])
+        U = np.repeat(U[:, :, None, :], 6, axis=2)
+        res = pde.hjb_residual(Surface(grid, U, {}), model).residual
+        inner = (grid.t[1:-1] <= 0.6)[:, None, None, None] & ((grid.z[1:-1] > 0.2) & (grid.z[1:-1] < 0.8))
+        errs.append(np.nanmax(np.abs(np.where(inner, res, np.nan))))
+    assert errs[0] < 1e-3
+    assert errs[1] < errs[0] / 3.0
