@@ -32,6 +32,9 @@ Configs are INI files; the keys read, with their defaults:
 --seed, --threads and --method override the [run] values.  All artifacts
 are data-only (CSV plus a JSON summary); identical config and seed produce
 byte-identical outputs except for the isolated "timestamp" key in the JSON.
+The solve summary also carries deterministic "counters" per epsilon: the
+dual solve's substeps and, with the pipeline method, the transform's
+enveloped and saturated slices.
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error, 3 numerical failure.
@@ -304,6 +307,7 @@ def cmd_solve(run: _Run) -> int:
         raise ConfigError("solve needs an epsilons entry in [run]")
     eps_list = run.epsilons or [0.0]
     artifacts = []
+    counters = []
     grid = None
     for eps in eps_list:
         surf = run.solve(eps)
@@ -312,15 +316,21 @@ def cmd_solve(run: _Run) -> int:
         write_surface_bin(surf, os.path.join(run.out, f"surface_eps{tag}.bin"))
         write_surface_csv(surf, os.path.join(run.out, f"surface_eps{tag}.csv"))
         artifacts += [f"surface_eps{tag}.bin", f"surface_eps{tag}.csv"]
+        counted = {"epsilon": eps, "substeps": surf.meta["substeps"]}
         if run.method == "pipeline":
             primal = pde.dual_to_primal(surf, mc.default_p_grid(run.p_points))
             write_surface_bin(primal, os.path.join(run.out, f"primal_eps{tag}.bin"))
             write_surface_csv(primal, os.path.join(run.out, f"primal_eps{tag}.csv"))
             artifacts += [f"primal_eps{tag}.bin", f"primal_eps{tag}.csv"]
+            for key in ("enveloped_slices", "saturated_slices"):
+                counted[key] = primal.meta[key]
+        counters.append(counted)
     run.write_json("solve.json", {
         "provenance": run.provenance("solve", grid),
         "epsilons": eps_list,
         "artifacts": artifacts,
+        # deterministic numerical events, one entry per epsilon
+        "counters": counters,
     })
     return 0
 

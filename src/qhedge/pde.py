@@ -47,6 +47,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import _kernels
+from .duality import convex_envelope_rows
 from .errors import (
     ArgmaxAtBoundary,
     CFLWarning,
@@ -418,31 +419,51 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 # truncation artifact near p=1); saturation for mid-range p on a slice
 # whose q_max covers 4x the payoff signals a genuinely undersized grid
 # and raises ArgmaxAtBoundary.
+#
+# The transform runs one time level at a time, on all x slices of the
+# level together, in array passes (after Lucet's linear-time Legendre
+# transform, Numer. Algorithms 1997), so its scratch memory is
+# O(slices x n_q):
+#   - the second differences of the whole level flag the slices that
+#     need their convex envelope, and one row-wise hull envelopes them;
+#   - the spline pieces of every slice are built at once;
+#   - each target p takes the last piece whose start slope is <= p,
+#     found by a row-wise count of those slopes.
+# A cell whose knot falls on one of its ends leaves a zero-length piece.
+# Such pieces are compacted to the end of their row by a stable argsort,
+# keeping the order of the others, and get slope +inf.  Left in place, a
+# zero-length right piece would carry the secant, which can sit below the
+# clamped slope of the piece before it, and break the slope order.
+# Rounding still leaves kept slopes out of order by an ulp here and there
+# (the slope-1 tail of a dual slice); where such a run straddles a target,
+# the piece is found by the same bisection np.searchsorted makes, so the
+# result is the slice-at-a-time one to the bit.
 # ---------------------------------------------------------------------------
 
-def _schumaker_pieces(qv: np.ndarray, w: np.ndarray):
-    """Convex C1 quadratic interpolant of one slice.
+def _schumaker_pieces(q: np.ndarray, W: np.ndarray):
+    """Convex C1 quadratic interpolants of the rows of W over the axis q.
 
-    Returns per-piece arrays (start q, length, start value, start slope,
-    slope rate) with the start slopes nondecreasing; cells split at
-    xi = q_i + h d2/(d1+d2) carry slope exactly s at the knot, which
-    keeps the interpolation error second order without breaking shape.
+    Returns per-piece arrays of shape (rows, 2 (n - 1)), two pieces per
+    cell in order of q: start q, length, start value, start slope and slope
+    rate.  Then `order`, the stable argsort that moves each row's
+    zero-length pieces behind the others (order[r, j] is the position of
+    the j-th piece of nonzero length), and the count of those pieces per
+    row.  Zero-length pieces get slope +inf; the kept start slopes are
+    nondecreasing in that order up to rounding.  Cells split at
+    xi = q_i + h d2/(d1+d2) carry slope exactly s at the knot, which keeps
+    the interpolation error second order without breaking shape.
     """
-    h = np.diff(qv)
-    s = np.diff(w) / h
-    n = qv.size
-    d = np.empty(n)
-    if n == 2:
-        d[:] = s
-    else:
-        d[1:-1] = (s[:-1] * h[1:] + s[1:] * h[:-1]) / (h[1:] + h[:-1])
-        d[0] = max(0.0, 2.0 * s[0] - d[1])
-        d[-1] = 2.0 * s[-1] - d[-2]
-    np.maximum.accumulate(d, out=d)
+    h = np.diff(q)
+    s = np.diff(W, axis=1) / h
+    d = np.empty_like(W)
+    d[:, 1:-1] = (s[:, :-1] * h[1:] + s[:, 1:] * h[:-1]) / (h[1:] + h[:-1])
+    d[:, 0] = np.maximum(0.0, 2.0 * s[:, 0] - d[:, 1])
+    d[:, -1] = 2.0 * s[:, -1] - d[:, -2]
+    np.maximum.accumulate(d, axis=1, out=d)
     # rounding can push a slope past a secant; clamped offsets keep every
     # piece's slope rate nonnegative
-    d1 = np.maximum(s - d[:-1], 0.0)
-    d2 = np.maximum(d[1:] - s, 0.0)
+    d1 = np.maximum(s - d[:, :-1], 0.0)
+    d2 = np.maximum(d[:, 1:] - s, 0.0)
     tot = d1 + d2
     safe = np.where(tot > 0.0, tot, 1.0)
     a = np.where(tot > 0.0, h * d2 / safe, h)
@@ -450,53 +471,111 @@ def _schumaker_pieces(qv: np.ndarray, w: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         rate_l = np.where(a > 0.0, d1 / np.where(a > 0.0, a, 1.0), 0.0)
         rate_r = np.where(b > 0.0, d2 / np.where(b > 0.0, b, 1.0), 0.0)
-    w_knot = w[:-1] + 0.5 * (d[:-1] + s) * a
-    starts = np.stack([qv[:-1], qv[:-1] + a]).T.ravel()
-    lens = np.stack([a, b]).T.ravel()
-    vals = np.stack([w[:-1], w_knot]).T.ravel()
-    slopes = np.stack([d[:-1], s]).T.ravel()
-    rates = np.stack([rate_l, rate_r]).T.ravel()
+    w_knot = W[:, :-1] + 0.5 * (d[:, :-1] + s) * a
+    rows = W.shape[0]
+
+    def pieces(left, right):
+        return np.stack([left, right], axis=2).reshape(rows, -1)
+
+    lens = pieces(a, b)
+    slopes = pieces(d[:, :-1], s)
     keep = lens > 0.0
-    if not keep.all():
-        starts, lens = starts[keep], lens[keep]
-        vals, slopes, rates = vals[keep], slopes[keep], rates[keep]
-    return starts, lens, vals, slopes, rates
+    slopes[~keep] = np.inf
+    return (pieces(np.broadcast_to(q[:-1], a.shape), q[:-1] + a), lens,
+            pieces(W[:, :-1], w_knot), slopes, pieces(rate_l, rate_r),
+            np.argsort(~keep, axis=1, kind="stable"), keep.sum(axis=1))
 
 
-def _conjugate_slice(qv: np.ndarray, w: np.ndarray, p: np.ndarray):
-    """Spline conjugate of one (t, x) slice.  Returns (U, top_slope, enveloped)."""
-    d2 = w[:-2] - 2.0 * w[1:-1] + w[2:]
-    enveloped = False
-    if d2.size and d2.min() < -1e-8:
-        from .duality import ConvexGridFunction, convex_envelope
+def _search_right(slopes, order, lo, hi, key):
+    """np.searchsorted(kept, key, side="right") for each row, where kept is
+    the row's slopes taken in `order` up to hi, bisecting [lo, hi) with the
+    probes numpy makes when the previous, smaller target ended at lo."""
+    rows = np.arange(slopes.shape[0])
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = lo + ((hi - lo) >> 1)
+        right = open_ & (slopes[rows, order[rows, np.where(open_, mid, 0)]] <= key)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
 
-        w = convex_envelope(ConvexGridFunction(qv, w, "q")).values
-        enveloped = True
-    q0, seg, w0, sl0, rate = _schumaker_pieces(qv, w)
-    k = np.clip(np.searchsorted(sl0, p, side="right") - 1, 0, sl0.size - 1)
+
+def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
+    """Spline conjugate of every x slice (row of W) of one time level.
+
+    Returns (U, top_slope, enveloped): U has one row per slice, top_slope
+    is each row's largest spline slope, and enveloped flags the rows that
+    were replaced by their convex envelope first.
+    """
+    d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
+    enveloped = d2.min(axis=1) < -1e-8
+    if enveloped.any():
+        W = W.copy()
+        W[enveloped] = convex_envelope_rows(q, W[enveloped])
+    starts, lens, vals, slopes, rates, order, count = _schumaker_pieces(q, W)
+    rows, width = slopes.shape
+    base = (np.arange(rows) * width)[:, None]
+    # the piece of target p is the last kept one whose start slope is
+    # <= p: its rank is the count of such slopes less one.  A slope is
+    # <= p[j] for every j at or past its left insertion point in p.
+    first = np.searchsorted(p, slopes.ravel(), side="left")
+    first += np.repeat(np.arange(rows) * (p.size + 1), width)
+    per_p = np.bincount(first, minlength=rows * (p.size + 1)).reshape(rows, p.size + 1)
+    found = np.cumsum(per_p[:, :-1], axis=1)
+    # Any binary search returns that count where the kept slopes are
+    # partitioned by p (those counted come first).  Rounding can leave
+    # kept slopes an ulp out of order, and where such a run straddles p
+    # the result depends on the probe path; there the search is redone
+    # exactly as np.searchsorted does it for ascending targets.
+    kept = np.where(slopes < np.inf, slopes, -np.inf)
+    np.maximum.accumulate(kept, axis=1, out=kept)
+    last_counted = np.take_along_axis(order, np.clip(found - 1, 0, count[:, None] - 1), axis=1)
+    unsure = (found > 0) & (kept.ravel()[last_counted + base] > p)
+    for j in np.flatnonzero(unsure.any(axis=0)):
+        r = np.flatnonzero(unsure[:, j])
+        lo = found[r, j - 1] if j else np.zeros(r.size, dtype=found.dtype)
+        found[r, j] = _search_right(slopes[r], order[r], lo, count[r], p[j])
+    rank = np.clip(found - 1, 0, count[:, None] - 1)
+    k = np.take_along_axis(order, rank, axis=1) + base
+    last = order[np.arange(rows), count - 1] + base[:, 0]
+    q0, seg, w0, sl0, rate = (arr.ravel()[k] for arr in (starts, lens, vals, slopes, rates))
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (p - sl0[k]) / rate[k]
+        u = (p - sl0) / rate
     # linear pieces divide to +inf when p exceeds their slope; the clip
     # saturates them at the right end, which is where the argmax sits.
     # 0/0 means p ties the slope and either end gives the same value.
     u = np.where(np.isnan(u), 0.0, u)
-    u = np.clip(u, 0.0, seg[k])
-    qstar = q0[k] + u
-    wstar = w0[k] + (sl0[k] + 0.5 * rate[k] * u) * u
+    u = np.clip(u, 0.0, seg)
+    qstar = q0 + u
+    wstar = w0 + (sl0 + 0.5 * rate * u) * u
     U = p * qstar - wstar
-    top = float(sl0[-1] + rate[-1] * seg[-1])
-    sat = p >= top
+    top = slopes.ravel()[last] + rates.ravel()[last] * lens.ravel()[last]
+    sat = p >= top[:, None]
     if sat.any():
-        U[sat] = p[sat] * qv[-1] - w[-1]
-    U[p == 0.0] = 0.0
+        U = np.where(sat, p * q[-1] - W[:, -1:], U)
+    U[:, p == 0.0] = 0.0
     return U, top, enveloped
 
 
+def _check_p_grid(p: np.ndarray) -> None:
+    if p.ndim != 1 or p.size < 3:
+        raise ValueError("p grid must be 1-d with >= 3 nodes")
+    # written so that a NaN fails
+    if not np.all(np.diff(p) > 0.0):
+        raise ValueError("p grid must be strictly increasing")
+    if not (p[0] >= 0.0 and p[-1] <= 1.0):
+        raise ValueError("p grid must lie in [0, 1]")
+
+
 def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> Surface:
-    """Legendre transform of a dual surface to the p-domain, slice by slice.
+    """Legendre transform of a dual surface to the p-domain, one time level
+    at a time.
 
     The terminal slice is imposed analytically as p g(x), with g read off
-    the terminal data; the p=0 column is exactly 0.
+    the terminal data; the p=0 column is exactly 0.  The p grid is checked
+    (1-d, >= 3 strictly increasing nodes in [0, 1]) before any slice is
+    conjugated.
     """
     g = w_surface.grid
     if g.domain != "q":
@@ -504,6 +583,7 @@ def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> 
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 101)
     p = np.asarray(p_grid, dtype=float)
+    _check_p_grid(p)
     q = g.z
     nt = g.t.size
     xshape = tuple(ax.size for ax in g.x_axes)
@@ -521,17 +601,17 @@ def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> 
     n_env = 0
     n_sat = 0
     for k in range(nt - 1):
-        for i in range(nslices):
-            U, top, enveloped = _conjugate_slice(q, wflat[k, i].copy(), p)
-            n_env += int(enveloped)
-            if top < 1.0 - tolerance:
-                n_sat += 1
-                if covered[i]:
-                    raise ArgmaxAtBoundary(
-                        f"slice t-index {k}, x-slice {i}: maximizer at q_max for "
-                        f"p >= {top:.4f} although q_max >= 4 g(x); enlarge q_max"
-                    )
-            out[k, i] = U
+        out[k], top, enveloped = _conjugate_level(q, wflat[k], p)
+        n_env += int(enveloped.sum())
+        saturated = top < 1.0 - tolerance
+        n_sat += int(saturated.sum())
+        bad = np.flatnonzero(saturated & covered)
+        if bad.size:
+            i = int(bad[0])
+            raise ArgmaxAtBoundary(
+                f"slice t-index {k}, x-slice {i}: maximizer at q_max for "
+                f"p >= {top[i]:.4f} although q_max >= 4 g(x); enlarge q_max"
+            )
 
     grid_p = GridSpec(g.t.copy(), tuple(ax.copy() for ax in g.x_axes), p, "p", g.epsilon)
     meta = dict(w_surface.meta)

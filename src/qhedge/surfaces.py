@@ -7,7 +7,9 @@ float64 payload: t axis, each x axis, the q-or-p axis, and the value array
 in C order.  Axes and values round-trip bit-exactly.
 
 CSV long format: header t,x1[,x2],<q|p>,value and one row per node,
-printed with %.17g so parsing back reproduces the exact doubles.
+printed with %.17g so parsing back reproduces the exact doubles.  The
+writer formats each axis node once and, per time level, only the values;
+the bytes are those of formatting every column of every row with %.17g.
 """
 from __future__ import annotations
 
@@ -159,13 +161,22 @@ def write_surface_csv(surface: Surface, path) -> None:
     g = surface.grid
     xcols = ",".join(f"x{i + 1}" for i in range(g.dim))
     header = f"t,{xcols},{g.domain},value"
-    mesh = np.meshgrid(g.t, *g.x_axes, g.z, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [surface.values.ravel()]
+
+    def fmt(axis):
+        return list(map("%.17g".__mod__, axis.tolist()))
+
+    # the lines of one time level as one template, "\0,x1[,x2],z,%.17g"
+    # per node, with \0 standing for t: every axis node is formatted once,
+    # and each level fills in its t and formats its values in one call
+    heads = [""]
+    for axis in g.x_axes + (g.z,):
+        heads = [head + node + "," for head in heads for node in fmt(axis)]
+    level = "".join("\0," + head + "%.17g\n" for head in heads)
+    values = surface.values.reshape(g.t.size, -1)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-        for row in zip(*cols):
-            fh.write(fmt % row)
+        for t, slab in zip(fmt(g.t), values):
+            fh.write(level.replace("\0", t) % tuple(slab.tolist()))
 
 
 def write_surface_bin(surface: Surface, path) -> None:

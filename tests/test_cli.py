@@ -212,6 +212,32 @@ def test_solve_verify_roundtrip(tmp_path):
                  str(tmp_path / "vm"), str(tmp_path / "gone.bin")]) == 2
 
 
+def test_solve_summary_counts_numerical_events_deterministically(tmp_path):
+    cfg = write_config(tmp_path, pde_ini(eps_line="epsilons = 0.2 0.4", method="pipeline"))
+    summaries = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "solve.json").read_text())
+        datetime.datetime.fromisoformat(summary.pop("timestamp"))
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    counters = summaries[0]["counters"]
+    assert [c["epsilon"] for c in counters] == [0.2, 0.4]
+    for c, eps in zip(counters, ("0p2", "0p4")):
+        dual = read_surface_bin(str(tmp_path / "a" / f"surface_eps{eps}.bin"))
+        primal = read_surface_bin(str(tmp_path / "a" / f"primal_eps{eps}.bin"))
+        assert c == {"epsilon": dual.grid.epsilon,
+                     "substeps": dual.meta["substeps"],
+                     "enveloped_slices": primal.meta["enveloped_slices"],
+                     "saturated_slices": primal.meta["saturated_slices"]}
+    # the pde method solves the dual only, so only substeps are counted
+    cfg = write_config(tmp_path, pde_ini(), name="pde.ini")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    counters = json.loads((tmp_path / "c" / "solve.json").read_text())["counters"]
+    assert [sorted(c) for c in counters] == [["epsilon", "substeps"]]
+
+
 def test_study_epsilon_gap_table(tmp_path):
     cfg = write_config(tmp_path, mc_ini())
     out = tmp_path / "out"

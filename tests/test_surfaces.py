@@ -70,9 +70,9 @@ def test_surface_terminal_slice():
     assert np.array_equal(s.terminal, s.values[-1])
 
 
-def test_csv_roundtrip():
+def test_csv_roundtrip(tmp_path):
     s = small_surface()
-    path = "/tmp/qhedge_test_surface.csv"
+    path = tmp_path / "surface.csv"
     write_surface_csv(s, path)
     with open(path) as fh:
         header = fh.readline().strip()
@@ -84,9 +84,41 @@ def test_csv_roundtrip():
     assert np.array_equal(again, s.values)
 
 
-def test_binary_roundtrip_and_rejection():
+def write_rows_reference(surface, path):
+    """The row-at-a-time writer: every column of every row through %.17g."""
+    g = surface.grid
+    xcols = ",".join(f"x{i + 1}" for i in range(g.dim))
+    header = f"t,{xcols},{g.domain},value"
+    mesh = np.meshgrid(g.t, *g.x_axes, g.z, indexing="ij")
+    cols = [m.ravel() for m in mesh] + [surface.values.ravel()]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+        for row in zip(*cols):
+            fh.write(fmt % row)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_csv_bytes_match_the_row_writer(tmp_path, dim):
+    # non-uniform x axes, a p axis with 0.1 + 0.2, and values that print
+    # as -0, a subnormal, a huge number and a rounding-heavy sum
+    x_axes = (np.array([0.5, 0.7000000000000001, 1.9, 2.0]), np.array([0.1, 0.3, 5.0]))[:dim]
+    p = np.array([0.0, 0.1 + 0.2, 0.5, 1.0])
+    g = GridSpec(np.linspace(0.0, 1.0, 3), x_axes, p, "p", 0.25)
+    vals = np.random.default_rng(dim).normal(size=g.shape) / 3.0
+    vals.flat[:4] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+    vals.flat[-1] = -0.0
+    surf = Surface(g, vals, {})
+    want, got = tmp_path / "rows.csv", tmp_path / "surface.csv"
+    write_rows_reference(surf, want)
+    write_surface_csv(surf, got)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\n") == 1 + vals.size
+
+
+def test_binary_roundtrip_and_rejection(tmp_path):
     s = small_surface()
-    path = "/tmp/qhedge_test_surface.bin"
+    path = tmp_path / "surface.bin"
     write_surface_bin(s, path)
     back = read_surface_bin(path)
     assert np.array_equal(back.values, s.values)
@@ -95,15 +127,16 @@ def test_binary_roundtrip_and_rejection():
     assert back.grid.epsilon == s.grid.epsilon
     assert back.meta["tag"] == "unit"
     # corrupted magic
-    raw = open(path, "rb").read()
-    bad = b"XX" + raw[2:]
-    open("/tmp/qhedge_test_bad.bin", "wb").write(bad)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"XX" + raw[2:])
     with pytest.raises(ValueError):
-        read_surface_bin("/tmp/qhedge_test_bad.bin")
+        read_surface_bin(bad)
     # truncated payload
-    open("/tmp/qhedge_test_trunc.bin", "wb").write(raw[:len(raw) // 2])
+    trunc = tmp_path / "trunc.bin"
+    trunc.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(ValueError):
-        read_surface_bin("/tmp/qhedge_test_trunc.bin")
+        read_surface_bin(trunc)
 
 
 def test_value_shape_checked():
