@@ -2,42 +2,23 @@
 
 Monte Carlo estimators and a regularized dual PDE solver for the minimal
 capital that superreplicates a terminal claim with prescribed probability,
-plus the convex-duality transforms connecting the two and a supersolution
-verifier for candidate value surfaces.
+plus the Legendre transform of the dual surface back to the primal value
+and a supersolution verifier for candidate value surfaces.
 """
 from . import oracles
-from .duality import (
-    ConvexGridFunction,
-    convex_envelope,
-    derivative_inverse,
-    fenchel_young_gap,
-    grid_function,
-    legendre_p_to_q,
-    legendre_q_to_p,
-)
-from .engine import (
-    PathBundle,
-    SimConfig,
-    default_scheme,
-    exact_bessel3_terminal,
-    exact_gbm_terminal,
-    integrability_diagnostic,
-    simulate,
-)
+from .duality import convex_envelope
+from .engine import SimConfig, default_scheme
 from .errors import (
     ArgmaxAtBoundary,
-    BadDistribution,
     CFLWarning,
     ConfigError,
     DimensionUnsupported,
     DomainMismatch,
     EmptySamples,
-    GridMismatch,
     InvalidCoefficients,
     MissingAux,
     NonConvexNode,
     Nonfinite,
-    NotStrictlyConvex,
     POutOfRange,
     QhedgeError,
     SchemeMismatch,
@@ -49,7 +30,6 @@ from .market import (
     Payoff,
     builtin_model,
     linear_payoff,
-    market_price_of_risk,
     payoff_from_expression,
 )
 from .mc import (
@@ -60,21 +40,14 @@ from .mc import (
     dual_curve,
     dual_value,
     dual_value_regularized,
-    empirical_cdf,
-    from_bundle,
-    neyman_pearson_bruteforce,
-    partial_expectation,
     quantile_curve,
     quantile_value,
     sample_set,
     sample_terminal,
-    superhedge_value,
 )
 from .pde import (
-    ComparisonReport,
     HJBResult,
     SupersolutionReport,
-    compare_candidates,
     default_residual_tol,
     dual_to_primal,
     hjb_residual,

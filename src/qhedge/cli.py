@@ -24,7 +24,7 @@ Configs are INI files; the keys read, with their defaults:
             epsilons (positive; required by solve and study-epsilon);
             q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
               with the mc method probes [0, hi]); n_probe = 41;
-            p_points = 101;
+            p_points = 101 (at least 3);
             tolerance (verify; none: 10 (dt + dx^2 + dq^2));
             threads = 0 (0: one per CPU); refine (none, auto, n or
             "r_x r_q r_t"); pad (auto, n or "x_cells q_cells")
@@ -34,7 +34,10 @@ are data-only (CSV plus a JSON summary); identical config and seed produce
 byte-identical outputs except for the isolated "timestamp" key in the JSON.
 The solve summary also carries deterministic "counters" per epsilon: the
 dual solve's substeps and, with the pipeline method, the transform's
-enveloped and saturated slices.
+enveloped and saturated slices.  Every Monte Carlo summary (price and dual
+with the mc method, study-epsilon, compare-oracle) carries "counters" with
+"floor_clamps", the log-Euler floor clamps of the sample; the verify
+report counts the non-convex nodes the residual skips ("n_nonconvex").
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error, 3 numerical failure.
@@ -171,6 +174,8 @@ class _Run:
             raise ConfigError("q_window must be 'lo hi' with 0 <= lo < hi")
         self.n_probe = int(run.get("n_probe", 41))
         self.p_points = int(run.get("p_points", 101))
+        if self.p_points < 3:
+            raise ConfigError("p_points must be >= 3")
         self.tolerance = float(run["tolerance"]) if "tolerance" in run else None
         threads = args.threads if args.threads is not None else int(run.get("threads", 0))
         self.threads = threads if threads > 0 else (os.cpu_count() or 1)
@@ -241,13 +246,20 @@ class _Run:
                                   for v in row) + "\n")
 
 
+def _sample_counters(samples: mc.SampleSet) -> dict:
+    """Deterministic numerical events of a Monte Carlo sample."""
+    return {"floor_clamps": samples.meta["floor_clamps"]}
+
+
 def cmd_price(run: _Run) -> int:
     p_grid = mc.default_p_grid(run.p_points)
     grid = None
+    extra = {}
     if run.method == "mc":
         samples = run.samples()
         p_arr, value, se = mc.quantile_curve(samples, p_grid)
         rows = [(float(p), float(v), float(s)) for p, v, s in zip(p_arr, value, se)]
+        extra["counters"] = _sample_counters(samples)
     else:
         eps = run.epsilons[0] if run.epsilons else 0.0
         surf = run.solve(eps)
@@ -265,6 +277,7 @@ def cmd_price(run: _Run) -> int:
         "rows": len(rows),
         "artifact": "price.csv",
         "summary": {"%.3f" % k: val for k, val in summary.items()},
+        **extra,
     })
     return 0
 
@@ -274,8 +287,10 @@ def cmd_dual(run: _Run) -> int:
     grid = None
     rows = []
     artifacts = ["dual.csv"]
+    extra = {}
     if run.method == "mc":
         samples = run.samples()
+        extra["counters"] = _sample_counters(samples)
         q_grid = np.linspace(0.0, run.q_window[1], run.n_probe)
         for eps in [0.0] + eps_list:
             _, value, se = mc.dual_curve(samples, q_grid, eps)
@@ -298,6 +313,7 @@ def cmd_dual(run: _Run) -> int:
         "rows": len(rows),
         "epsilons": eps_list,
         "artifacts": artifacts,
+        **extra,
     })
     return 0
 
@@ -378,6 +394,7 @@ def cmd_study_epsilon(run: _Run) -> int:
         "monotone": bool(all(a >= b for a, b in
                              zip(gaps_only, gaps_only[1:]))),
         "artifacts": ["study_epsilon.csv", "study_epsilon_baseline.csv"],
+        "counters": _sample_counters(samples),
     })
     return 0
 
@@ -443,6 +460,7 @@ def cmd_compare_oracle(run: _Run) -> int:
         "rows": len(rows),
         "worst_gap_over_3se": worst,
         "artifact": "compare_oracle.csv",
+        "counters": _sample_counters(samples),
     })
     return 0
 

@@ -1,4 +1,4 @@
-"""Path simulation for X, the deflator Z, and the dual processes Q and Q_eps.
+"""Terminal states of X, the deflator Z and the auxiliary Brownian motion B.
 
 Randomness is counter-based (Philox).  Paths are partitioned into fixed
 blocks of BLOCK; block j draws from streams keyed by (seed, j, region),
@@ -7,30 +7,28 @@ auxiliary Brownian motion B, and the bridge normals of the near-zero
 guard.  The partition never depends on the thread schedule, so results
 are bit-identical under any worker count.
 
-Stream contract: one per-block stepper reads these streams for every
-consumer.  simulate() and the log-Euler terminal_block() step a block on
-cfg.n_steps steps, so their terminal states agree bit for bit.  When only
-terminal states are needed, an exact scheme makes one draw over the whole
-horizon: it matches simulate()'s terminal column in law, and bit for bit
-when cfg.n_steps == 1.
+Stream contract: terminal_block() is the one entry point and _step_block()
+the one reader of these streams.  Log-Euler steps a block on cfg.n_steps
+steps; an exact scheme makes one draw over the whole horizon.
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
--|theta|^2/2 and diffusion -theta'dW on the same W increments.  The
-exact-bessel3 scheme takes X as the norm of a 3-dimensional Brownian
-motion started at x0 e1, and Z = x0 / X.  Q is derived as q0/Z exactly,
-and Q_eps from Q by the exact multiplicative factor
-exp(-eps^2 (s-t0)/2 + eps (B(s)-B(t0))).
+-|theta|^2/2 and diffusion -theta'dW on the same W increments.  A step
+that would push log X below LOG_FLOOR is redone as two half steps split by
+a bridge normal, and a half step still below the floor is clamped there;
+terminal_block() returns the number of clamps.  The exact-bessel3 scheme
+takes X as the norm of a 3-dimensional Brownian motion started at x0 e1,
+and Z = x0 / X.  B(T) - B(t0) is returned per path; the regularized
+estimators in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .errors import Nonfinite, SchemeMismatch, SingularDiffusion
-from .market import MarketModel, builtin_model
+from .market import MarketModel
 
 BLOCK = 8192
 LOG_FLOOR = -30.0
@@ -86,44 +84,6 @@ class SimConfig:
     @property
     def horizon(self) -> float:
         return self.T - self.t0
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    t: np.ndarray
-    X: np.ndarray
-    Z: np.ndarray
-    Q: np.ndarray
-    Q_eps: np.ndarray
-    dW: Optional[np.ndarray]
-    dB: np.ndarray
-    model_name: str
-    x0: np.ndarray
-    q0: float
-    config: SimConfig
-    n_floor_hits: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.X.shape[1] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[2]
-
-    def aux_total(self) -> np.ndarray:
-        """B(T) - B(t0) per path."""
-        return self.dB.sum(axis=1)
-
-
-def _freeze(*arrays):
-    for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
 
 
 def _check_log_range(logX, logZ, first_path: int, what: str):
@@ -205,10 +165,9 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
 
     The only reader of the block streams and the only place a scheme's
     arithmetic is written.  Returns (X (bn, n_steps+1, d), Z (bn, n_steps+1),
-    dW (bn, n_steps, d), dB (bn, n_steps), n_clamped); dW is None for
-    exact-bessel3, which draws a 3-dimensional Brownian motion instead.
-    The log-space schemes raise Nonfinite with the global index of the
-    first path that leaves the representable log range.
+    dB (bn, n_steps), n_clamped).  The log-space schemes raise Nonfinite
+    with the global index of the first path that leaves the representable
+    log range.
     """
     dt = cfg.horizon / n_steps
     sq_dt = np.sqrt(dt)
@@ -221,7 +180,7 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
         np.cumsum(sq_dt * gen_w.standard_normal((bn, n_steps, 3)), axis=1, out=w3[:, 1:, :])
         w3[:, :, 0] += x0[0]
         X = np.sqrt((w3 * w3).sum(axis=2))
-        return X[:, :, None], x0[0] / X, None, dB, 0
+        return X[:, :, None], x0[0] / X, dB, 0
 
     d = model.dim
     dW = sq_dt * gen_w.standard_normal((bn, n_steps, d))
@@ -245,7 +204,7 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
         xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, n_steps, d))
         logX, logZ, n_clamped = _generic_log_euler(model, np.log(x0), dW, xi, dt)
     _check_log_range(logX, logZ, block_index * BLOCK, f"{model.name}, {cfg.scheme}")
-    return np.exp(logX, out=logX), np.exp(logZ, out=logZ), dW, dB, n_clamped
+    return np.exp(logX, out=logX), np.exp(logZ, out=logZ), dB, n_clamped
 
 
 def _check_scheme(model: MarketModel, scheme: str):
@@ -264,134 +223,15 @@ def default_scheme(model: MarketModel) -> str:
     return "log-euler"
 
 
-def simulate(model: MarketModel, x0, q0: float, cfg: SimConfig) -> PathBundle:
-    """Joint paths of (X, Z, Q, Q_eps) on n_steps+1 nodes.
-
-    dW is None for the exact-bessel3 scheme: the radial embedding draws a
-    3-dimensional Brownian motion, and no 1-dimensional driving increments
-    exist for it.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.dim,):
-        raise ValueError(f"x0 must have shape ({model.dim},)")
-    if not np.all(x0 > 0):
-        raise ValueError("x0 must be strictly positive")
-    if not q0 > 0:
-        raise ValueError("q0 must be > 0")
-    _check_scheme(model, cfg.scheme)
-
-    n, K, d = cfg.n_paths, cfg.n_steps, model.dim
-    t = cfg.t0 + (cfg.horizon / K) * np.arange(K + 1)
-    t[-1] = cfg.T
-
-    X = np.empty((n, K + 1, d))
-    Z = np.empty((n, K + 1))
-    dW_out = None if cfg.scheme == "exact-bessel3" else np.empty((n, K, d))
-    dB_out = np.empty((n, K))
-    floor_hits = 0
-    for blk, start, bn in _blocks(n):
-        sl = slice(start, start + bn)
-        X[sl], Z[sl], dW, dB_out[sl], clamped = _step_block(model, x0, cfg, blk, bn, K)
-        if dW_out is not None:
-            dW_out[sl] = dW
-        floor_hits += clamped
-
-    Q = q0 / Z
-    Bcum = np.zeros((n, K + 1))
-    np.cumsum(dB_out, axis=1, out=Bcum[:, 1:])
-    eps = cfg.epsilon
-    Q_eps = Q * np.exp(-0.5 * eps * eps * (t - cfg.t0)[None, :] + eps * Bcum)
-
-    _freeze(t, X, Z, Q, Q_eps, dW_out, dB_out)
-    return PathBundle(
-        t=t,
-        X=X,
-        Z=Z,
-        Q=Q,
-        Q_eps=Q_eps,
-        dW=dW_out,
-        dB=dB_out,
-        model_name=model.name,
-        x0=x0.copy(),
-        q0=float(q0),
-        config=cfg,
-        n_floor_hits=floor_hits,
-    )
-
-
 def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int):
-    """Terminal state for one path block: (X_T (bn,d), Z_T (bn,), B_T (bn,)).
+    """Terminal state of one path block: (X_T (bn, d), Z_T (bn,), B_T (bn,),
+    n_clamped), B_T the auxiliary increment B(T) - B(t0) and n_clamped the
+    floor clamps of the log-Euler guard (0 for the exact schemes).
 
     Exact schemes make one draw over the whole horizon; log-Euler steps
-    through the same streams as simulate().  Used by the streaming sampler.
+    through cfg.n_steps steps.
     """
     _check_scheme(model, cfg.scheme)
     n_steps = cfg.n_steps if cfg.scheme == "log-euler" else 1
-    X, Z, _, dB, _ = _step_block(model, x0, cfg, block_index, bn, n_steps)
-    return X[:, -1, :], Z[:, -1], dB.sum(axis=1)
-
-
-def _terminal_draws(model: MarketModel, x0: float, cfg: SimConfig):
-    """(X_T, Z_T) of every path of a d=1 model, block by block."""
-    X = np.empty(cfg.n_paths)
-    Z = np.empty(cfg.n_paths)
-    for blk, start, bn in _blocks(cfg.n_paths):
-        X_T, Z[start : start + bn], _ = terminal_block(model, np.array([x0]), cfg, blk, bn)
-        X[start : start + bn] = X_T[:, 0]
-    _freeze(X, Z)
-    return X, Z
-
-
-def exact_bessel3_terminal(x0: float, T: float, n_paths: int, seed: int):
-    """Exact terminal draws for the radial model: X(T) = |x0 e1 + G| with G
-    3-dimensional N(0, T I); Z(T) = x0 / X(T).  Returns (X, Z)."""
-    if not x0 > 0:
-        raise ValueError("x0 must be > 0")
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    cfg = SimConfig(T=T, n_steps=1, n_paths=n_paths, seed=seed, scheme="exact-bessel3")
-    return _terminal_draws(builtin_model("bessel3"), x0, cfg)
-
-
-def exact_gbm_terminal(b: float, s: float, x0: float, T: float, n_paths: int, seed: int):
-    """Exact lognormal terminal draws, d=1 constant coefficients: same normal
-    N drives X(T) = x0 exp((b - s^2/2)T + s sqrt(T) N) and
-    Z(T) = exp(-theta sqrt(T) N - theta^2 T / 2), theta = b/s.  Returns (X, Z)."""
-    if s == 0.0:
-        raise ValueError("s must be nonzero")
-    if not x0 > 0:
-        raise ValueError("x0 must be > 0")
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    cfg = SimConfig(T=T, n_steps=1, n_paths=n_paths, seed=seed, scheme="exact-gbm")
-    return _terminal_draws(builtin_model("gbm", b=b, s=s), x0, cfg)
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Discrete-path check of the coefficient integrability sum
-    sum_i int (|b_i| + a_ii + theta_i^2) dt against a cap."""
-
-    sums: np.ndarray
-    flagged_paths: np.ndarray
-    cap: float
-
-    @property
-    def passed(self) -> bool:
-        return self.flagged_paths.size == 0
-
-
-def integrability_diagnostic(model: MarketModel, bundle: PathBundle, cap: float = 1e6) -> IntegrabilityReport:
-    n, k1, d = bundle.X.shape
-    dt = bundle.t[1] - bundle.t[0]
-    sums = np.zeros(n)
-    for k in range(k1 - 1):
-        xk = bundle.X[:, k, :]
-        bv = np.abs(np.asarray(model.b(xk), dtype=float)).sum(axis=1)
-        sv = np.asarray(model.s(xk), dtype=float)
-        a_diag = np.einsum("nij,nij->ni", sv, sv).sum(axis=1)
-        th = model.theta(xk)
-        sums += (bv + a_diag + (th * th).sum(axis=1)) * dt
-    flagged = np.nonzero(sums > cap)[0]
-    sums.flags.writeable = False
-    return IntegrabilityReport(sums=sums, flagged_paths=flagged, cap=float(cap))
+    X, Z, dB, n_clamped = _step_block(model, x0, cfg, block_index, bn, n_steps)
+    return X[:, -1, :], Z[:, -1], dB.sum(axis=1), n_clamped

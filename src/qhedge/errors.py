@@ -41,28 +41,16 @@ class MissingAux(QhedgeError):
     """Regularized estimator called on samples without auxiliary draws."""
 
 
-class BadDistribution(QhedgeError):
-    """Discrete distribution with negative weights or mass not summing to 1."""
-
-
 class DomainMismatch(QhedgeError):
-    """Grid function tagged with the wrong domain for this transform."""
+    """Surface on the wrong domain (q or p) for this operation."""
 
 
 class ArgmaxAtBoundary(QhedgeError):
     """Conjugate maximizer hit the top of the q grid; enlarge q_max."""
 
 
-class NotStrictlyConvex(QhedgeError):
-    """Slice slopes are not strictly increasing; derivative not invertible."""
-
-
 class DimensionUnsupported(QhedgeError):
     """Finite-difference solver limited to d <= 2."""
-
-
-class GridMismatch(QhedgeError):
-    """Surfaces live on different grids."""
 
 
 class NonConvexNode(QhedgeError):

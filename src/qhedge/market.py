@@ -4,7 +4,7 @@ A model is a coefficient bundle (b, s) for d stocks with relative drift
 b(x) and relative volatility matrix s(x), evaluated batchwise: coefficient
 callables map an (n, d) array of states to (n, d) for b and (n, d, d) for
 s.  Everything else (market price of risk theta = s^{-1} b, a = s s',
-mu_i = b_i x_i, sigma_ik = s_ik x_i, alpha = sigma sigma') is derived.
+sigma_ik = s_ik x_i, alpha = sigma sigma') is derived.
 """
 from __future__ import annotations
 
@@ -69,10 +69,6 @@ class MarketModel:
         svals = self.vol(x)
         return svals @ np.swapaxes(svals, -1, -2)
 
-    def mu(self, x) -> np.ndarray:
-        pts = self._points(x)
-        return self.drift(pts) * pts
-
     def sigma(self, x) -> np.ndarray:
         pts = self._points(x)
         return self.vol(pts) * pts[:, :, None]
@@ -106,27 +102,6 @@ def linear_payoff(weights=None) -> Payoff:
 def payoff_from_expression(expr: str, dim: int, growth_class: str = "other") -> Payoff:
     fn = _compile_expression(expr, dim)
     return Payoff(fn, growth_class, f"expr:{expr}")
-
-
-def market_price_of_risk(model: MarketModel, x) -> np.ndarray:
-    """theta(x) solving s(x) theta = b(x) at a single point, with conditioning check."""
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.ndim != 1 or pt.shape[0] != model.dim:
-        raise ValueError(f"expected a point of dimension {model.dim}")
-    if not np.all(pt > 0):
-        raise ValueError("point must be strictly positive componentwise")
-    svals = model.vol(pt[None, :])[0]
-    bvals = model.drift(pt[None, :])[0]
-    cond = np.linalg.cond(svals)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDiffusion(
-            f"volatility matrix at x={pt.tolist()} has condition estimate {cond:.3e}"
-        )
-    try:
-        theta = np.linalg.solve(svals, bvals)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDiffusion(f"linear solve failed at x={pt.tolist()}: {exc}") from None
-    return theta
 
 
 def _compile_expression(expr: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -230,8 +205,7 @@ def builtin_model(kind: str, **params) -> MarketModel:
 # Construction-time probes deliberately avoid round numbers so that models
 # singular at a user-relevant point (for example s(x) = x - 1 at x = 1)
 # still construct; a singular matrix met later raises SingularDiffusion
-# where theta is solved for (MarketModel.theta, market_price_of_risk, the
-# log-Euler stepper).
+# where theta is solved for (MarketModel.theta, the log-Euler stepper).
 _PROBE_SCALES = (0.6, 1.3, 2.9)
 
 

@@ -1,10 +1,15 @@
-"""Estimators on terminal samples of Z(T) g(X(T)).
+"""Terminal samples of Z(T) g(X(T)) and the estimators on them.
 
-The sorted sample array is the empirical distribution; every estimator
-here is a closed-form functional of it.  quantile_value implements the
-fractional-atom rule: with m = p*n and k = floor(m), the value is
-(sum_{i<k} v_i + (m - k) v_k) / n, i.e. the mean of the lowest p-mass with
-the boundary order statistic fractionally weighted.  Its standard error
+sample_terminal draws the samples block by block through
+engine.terminal_block.  The sorted sample array is the empirical
+distribution; every estimator here is a closed-form functional of it.
+quantile_curve and dual_curve evaluate whole grids; quantile_value,
+dual_value and dual_value_regularized are their one-point forms.
+
+quantile_value implements the fractional-atom rule: with m = p*n and
+k = floor(m), the value is (sum_{i<k} v_i + (m - k) v_k) / n, i.e. the
+mean of the lowest p-mass with the boundary order statistic fractionally
+weighted.  Its standard error
 uses the influence function (a - v)^+ - const at the empirical p-quantile
 a = v_k, whose sample standard deviation vanishes in the degenerate case.
 
@@ -29,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .errors import BadDistribution, EmptySamples, MissingAux, POutOfRange
+from .errors import EmptySamples, MissingAux, POutOfRange
 from .market import MarketModel, Payoff
 
 
@@ -86,35 +91,24 @@ def sample_set(values, aux=None, *, horizon: float = 1.0, seed: int = 0,
                      scheme=scheme, model_name=model_name, meta=dict(meta or {}))
 
 
-def from_bundle(bundle: engine.PathBundle, payoff: Payoff) -> SampleSet:
-    v = bundle.Z[:, -1] * payoff(bundle.X[:, -1, :])
-    return sample_set(
-        v,
-        aux=bundle.aux_total(),
-        horizon=bundle.config.horizon,
-        seed=bundle.config.seed,
-        scheme=bundle.config.scheme,
-        model_name=bundle.model_name,
-        meta={"n_paths": bundle.n_paths, "n_steps": bundle.n_steps},
-    )
-
-
 def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfig,
                     threads: int = 1) -> SampleSet:
     """Streaming terminal sampler: evolves fixed path blocks (engine.BLOCK)
-    keeping only terminal states; thread count never changes the result."""
+    keeping only terminal states; thread count never changes the result.
+    meta["floor_clamps"] counts the log-Euler floor clamps of every block."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cfg.n_paths
     values = np.empty(n)
     aux = np.empty(n)
+    tasks = list(engine._blocks(n))
+    clamps = [0] * len(tasks)
 
     def run_block(args):
         blk, start, bn = args
-        X_T, Z_T, B_T = engine.terminal_block(model, x0, cfg, blk, bn)
+        X_T, Z_T, B_T, clamps[blk] = engine.terminal_block(model, x0, cfg, blk, bn)
         values[start : start + bn] = Z_T * payoff(X_T)
         aux[start : start + bn] = B_T
 
-    tasks = list(engine._blocks(n))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, tasks))
@@ -129,7 +123,8 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
         seed=cfg.seed,
         scheme=cfg.scheme,
         model_name=model.name,
-        meta={"n_paths": n, "n_steps": cfg.n_steps, "x0": x0.tolist()},
+        meta={"n_paths": n, "n_steps": cfg.n_steps, "x0": x0.tolist(),
+              "floor_clamps": sum(clamps)},
     )
 
 
@@ -137,14 +132,6 @@ def _prefix_sum(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.size + 1)
     np.cumsum(v, out=out[1:])
     return out
-
-
-def superhedge_value(samples: SampleSet) -> Estimate:
-    """Sample mean of the deflated payoff: the p=1 capital."""
-    if samples.n < 2:
-        raise EmptySamples("need at least 2 samples for a standard error")
-    v = samples.values
-    return Estimate(float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size)), v.size)
 
 
 def quantile_value(samples: SampleSet, p: float) -> Estimate:
@@ -202,26 +189,6 @@ def quantile_curve(samples: SampleSet, p_grid=None):
         within = np.maximum(sdd - sd * sd / k1, 0.0)
         se = np.sqrt((within + (n - k) * t * t / (n * k1)) / (n - 1) / n)
     return p, value, se
-
-
-def empirical_cdf(samples: SampleSet, a: float) -> float:
-    """F(a): fraction of values <= a (right-continuous)."""
-    return float(np.searchsorted(samples.values, a, side="right")) / samples.n
-
-
-def empirical_cdf_left(samples: SampleSet, a: float) -> float:
-    """F(a-): fraction of values strictly below a."""
-    return float(np.searchsorted(samples.values, a, side="left")) / samples.n
-
-
-def partial_expectation(samples: SampleSet, q: float, a: float) -> float:
-    """Mean of (q - v) over samples with v <= a; maximized over a at a = q,
-    where it equals dual_value."""
-    if q < 0 or a < 0:
-        raise ValueError("q and a must be >= 0")
-    v = samples.values
-    k = int(np.searchsorted(v, a, side="right"))
-    return (k * q - float(v[:k].sum())) / v.size
 
 
 def dual_value(samples: SampleSet, q: float) -> Estimate:
@@ -308,31 +275,10 @@ def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate
     return Estimate(float(w.mean()), se, n)
 
 
-def neyman_pearson_bruteforce(dist, p: float) -> float:
-    """Exact minimum of E[v phi] over randomized tests phi with E[phi] >= p
-    on a discrete distribution given as (value, prob) pairs: greedy fill of
-    the smallest values with a fractional weight at the marginal atom."""
-    arr = np.atleast_2d(np.asarray(dist, dtype=float))
-    if arr.shape[1] != 2:
-        raise BadDistribution("expected (value, prob) pairs")
-    vals, probs = arr[:, 0], arr[:, 1]
-    if np.any(probs < -1e-15):
-        raise BadDistribution("negative probability")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise BadDistribution(f"probabilities sum to {total}, not 1")
-    if not 0.0 <= p <= 1.0:
-        raise POutOfRange(f"p={p} outside [0, 1]")
-    order = np.argsort(vals, kind="stable")
-    vals, probs = vals[order], probs[order]
-    before = np.cumsum(probs) - probs
-    used = np.clip(p - before, 0.0, probs)
-    return float(np.dot(used, vals))
-
-
 def default_p_grid(n: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
 def default_q_grid(samples: SampleSet, n: int = 201) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * superhedge_value(samples).value, n)
+    """n points on [0, 2 E[v]]; E[v] is the p = 1 (superhedging) capital."""
+    return np.linspace(0.0, 2.0 * float(samples.values.mean()), n)

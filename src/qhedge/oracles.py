@@ -9,7 +9,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
@@ -159,36 +158,3 @@ def gbm_primal_smeared(x: float, p: float, b: float, s: float, tau: float, eps: 
     theta = b / s
     v = math.sqrt(((s - theta) ** 2 + eps * eps) * tau)
     return lognormal_lower_partial(x, p, v)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    formula_id: str
-    inputs: dict
-
-
-_FORMULAS = {
-    "bessel_quantile_value": bessel_quantile_value,
-    "bessel_dual": bessel_dual,
-    "gbm_dual": gbm_dual,
-    "gbm_quantile_value": gbm_quantile_value,
-    "regularization_bound": regularization_bound,
-    "std_normal_cdf": std_normal_cdf,
-    "bessel_dual_smeared": bessel_dual_smeared,
-    "bessel_primal_smeared": bessel_primal_smeared,
-    "gbm_dual_smeared": gbm_dual_smeared,
-    "gbm_primal_smeared": gbm_primal_smeared,
-}
-
-
-def evaluate(formula_id: str, **inputs) -> OracleResult:
-    """Evaluate a named closed form, echoing inputs for provenance."""
-    try:
-        fn = _FORMULAS[formula_id]
-    except KeyError:
-        raise ValueError(f"unknown formula {formula_id!r}") from None
-    value = fn(**inputs)
-    if not math.isfinite(value):
-        raise ValueError(f"formula {formula_id} returned non-finite value for {inputs}")
-    return OracleResult(value=float(value), formula_id=formula_id, inputs=dict(inputs))

@@ -57,7 +57,7 @@ from .errors import (
     Nonfinite,
 )
 from .market import MarketModel, Payoff
-from .surfaces import GridSpec, Surface, require_same_axes
+from .surfaces import GridSpec, Surface
 
 
 def _d2_weights(x: np.ndarray):
@@ -643,10 +643,6 @@ class HJBResult:
     n_interior: int
     epsilon: float
 
-    def max_abs(self) -> float:
-        r = self.residual[np.isfinite(self.residual)]
-        return float(np.abs(r).max()) if r.size else 0.0
-
 
 def _curvature_floor(U: np.ndarray) -> float:
     # a p second difference below machine rounding on the value scale is
@@ -761,6 +757,7 @@ class SupersolutionReport:
     n_checked: int
     n_violations: int
     n_auto_pass: int
+    n_nonconvex: int
     tol: float
     tol_convex: float
     worst_node: Optional[tuple]
@@ -776,6 +773,7 @@ class SupersolutionReport:
             "n_checked": int(self.n_checked),
             "n_violations": int(self.n_violations),
             "n_auto_pass": int(self.n_auto_pass),
+            "n_nonconvex": int(self.n_nonconvex),
             "tol": float(self.tol),
             "tol_convex": float(self.tol_convex),
             "worst_node": list(self.worst_node) if self.worst_node else None,
@@ -868,44 +866,9 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
         n_checked=n_checked,
         n_violations=n_violations,
         n_auto_pass=int(auto.sum()),
+        n_nonconvex=hjb.n_nonconvex,
         tol=float(tol),
         tol_convex=float(tol_convex),
         worst_node=worst_node,
         notes=notes,
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    min_diff: float
-    argmin_node: tuple
-    n_negative: int
-    n_nodes: int
-
-    def dominates(self, tol: float) -> bool:
-        return self.min_diff >= -tol
-
-    def to_dict(self) -> dict:
-        return {
-            "min_diff": float(self.min_diff),
-            "argmin_node": list(self.argmin_node),
-            "n_negative": int(self.n_negative),
-            "n_nodes": int(self.n_nodes),
-        }
-
-
-def compare_candidates(u_surface: Surface, reference: Surface) -> ComparisonReport:
-    """Pointwise min(u - reference) over a shared grid (epsilon may differ)."""
-    require_same_axes(u_surface, reference)
-    diff = u_surface.values - reference.values
-    flat = int(np.argmin(diff))
-    idx = np.unravel_index(flat, diff.shape)
-    g = u_surface.grid
-    axes = (g.t,) + g.x_axes + (g.z,)
-    node = tuple(float(axes[a][idx[a]]) for a in range(len(axes)))
-    return ComparisonReport(
-        min_diff=float(diff[idx]),
-        argmin_node=node,
-        n_negative=int((diff < 0).sum()),
-        n_nodes=diff.size,
     )

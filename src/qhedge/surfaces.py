@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch
-
 _MAGIC = b"QHSURF01"
 
 
@@ -225,8 +223,3 @@ def read_surface_bin(path) -> Surface:
         values = arr(int(np.prod(shape))).reshape(shape)
     grid = GridSpec(t, xs, z, header["domain"], float(header["epsilon"]))
     return Surface(grid, values, dict(header.get("meta", {})))
-
-
-def require_same_axes(a: Surface, b: Surface) -> None:
-    if not a.grid.axes_equal(b.grid):
-        raise GridMismatch("surfaces live on different grids")

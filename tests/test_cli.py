@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qhedge import cli, mc
+from qhedge import cli, mc, pde
 from qhedge.cli import main
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
@@ -194,6 +194,13 @@ def test_solve_verify_roundtrip(tmp_path):
     report = json.loads((vout / "verify.json").read_text())["report"]
     assert report["passed"] is True
     assert report["terminal_ok"] is True
+    # the non-convex nodes the residual skips are counted, the same on a rerun
+    assert report["n_nonconvex"] == pde.hjb_residual(read_surface_bin(primal),
+                                                     builtin_model("gbm", b=0.05, s=0.3)
+                                                     ).n_nonconvex
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v2"), primal]) == 0
+    again = json.loads((tmp_path / "v2" / "verify.json").read_text())["report"]
+    assert again == report
 
     # a uniform shift breaks the terminal condition and must be flagged
     surf = read_surface_bin(primal)
@@ -210,6 +217,19 @@ def test_solve_verify_roundtrip(tmp_path):
                  str(tmp_path / "vj"), str(junk)]) == 2
     assert main(["verify", "--config", cfg, "--out",
                  str(tmp_path / "vm"), str(tmp_path / "gone.bin")]) == 2
+
+
+def test_too_few_p_points_is_a_config_error(tmp_path, capsys):
+    # the transform needs three p nodes: two ended the pipeline solve in a
+    # ValueError traceback, and none crashed price on an empty curve
+    text = pde_ini(method="pipeline").replace("p_points = 21", "p_points = 2")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    cfg = write_config(tmp_path, mc_ini().replace("p_points = 21", "p_points = 0"), "mc.ini")
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("p_points must be >= 3") == 2
 
 
 def test_solve_summary_counts_numerical_events_deterministically(tmp_path):
@@ -312,6 +332,52 @@ def test_compare_oracle_floors_the_se_of_an_unreached_row(tmp_path):
     assert len(half) == 1 and float(half[0][5]) == 0.0 and float(half[0][4]) > 0.0
     payload = json.loads((out / "compare_oracle.json").read_text())
     assert payload["worst_gap_over_3se"] < 5.0
+
+
+FLOOR_INI = """
+[model]
+kind = custom
+dim = 1
+b_exprs = -32
+s_exprs = 2
+
+[run]
+method = mc
+seed = 3
+x0 = 1.0
+n_paths = 20000
+n_steps = 16
+scheme = log-euler
+epsilons = 0.5
+q_window = 0.2 2.0
+n_probe = 7
+p_points = 21
+"""
+
+
+def test_mc_summaries_count_floor_clamps(tmp_path):
+    # a strong negative drift drives log X through the floor on most paths;
+    # every MC summary counts the clamps of its sample, whatever the thread
+    # count, and reruns are byte-identical apart from the timestamp
+    cfg = write_config(tmp_path, FLOOR_INI)
+    commands = {"price": "price.json", "dual": "dual.json", "study-epsilon": "study_epsilon.json"}
+    texts = {}
+    for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        for command, name in commands.items():
+            out = tmp_path / run
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            lines = (out / name).read_text().splitlines()
+            texts[run, name] = [line for line in lines if '"timestamp"' not in line]
+    counts = set()
+    for name in commands.values():
+        assert texts["a", name] == texts["b", name] == texts["c", name]
+        counts.add(json.loads((tmp_path / "a" / name).read_text())["counters"]["floor_clamps"])
+    assert len(counts) == 1 and counts.pop() > 0
+    # the exact sampler never clamps
+    exact = write_config(tmp_path, gbm_mc_ini(), "exact.ini")
+    assert main(["compare-oracle", "--config", exact, "--out", str(tmp_path / "e")]) == 0
+    summary = json.loads((tmp_path / "e" / "compare_oracle.json").read_text())
+    assert summary["counters"] == {"floor_clamps": 0}
 
 
 def test_gbm_takes_a_full_volatility_matrix(tmp_path):

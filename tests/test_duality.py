@@ -1,138 +1,118 @@
-"""Convex envelopes and discrete Legendre transforms."""
+"""Convex envelopes, and the Legendre transform of dual slices to the p
+domain (`pde._conjugate_level`, the one conjugate of the package)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhedge.duality import (convex_envelope, derivative_inverse,
-                            fenchel_young_gap, grid_function, legendre_p_to_q,
-                            legendre_q_to_p)
-from qhedge.errors import (ArgmaxAtBoundary, DomainMismatch, NotStrictlyConvex,
-                           POutOfRange)
+from qhedge import pde
+from qhedge.duality import convex_envelope
+from qhedge.errors import ArgmaxAtBoundary, DomainMismatch
+from qhedge.surfaces import GridSpec, Surface
 
 
-def test_grid_function_validation():
-    f = grid_function([0.0, 0.5, 1.0], [0.0, 0.1, 0.5], "p")
-    assert f.domain_tag == "p"
-    with pytest.raises(ValueError):
-        grid_function([0.0, 0.0, 1.0], [0.0, 0.1, 0.5], "p")
-    with pytest.raises(ValueError):
-        grid_function([0.0, 1.0], [0.0, np.inf], "p")
-    with pytest.raises(ValueError):
-        grid_function([0.0, 1.0], [0.0, 1.0], "x")
+def conjugate(q, w, p):
+    """U(p) = max over q of (p q - w(q)) for one dual slice w on the q grid."""
+    U, _, _ = pde._conjugate_level(q, np.asarray(w, float)[None, :], np.asarray(p, float))
+    return U[0]
 
 
 def test_convex_envelope_basic():
     x = np.linspace(0, 1, 11)
     y = x ** 2
-    f = grid_function(x, y, "p")
-    env = convex_envelope(f)
-    assert np.allclose(env.values, y)  # already convex: identity
+    env = convex_envelope(x, y)
+    assert np.allclose(env, y)  # already convex: identity
     # a bump is shaved off down to the chord
     y2 = y.copy()
     y2[5] += 0.5
-    env2 = convex_envelope(grid_function(x, y2, "p"))
-    assert env2.values[5] == pytest.approx((y[4] + y[6]) / 2, abs=1e-12)
-    assert np.all(env2.values <= y2 + 1e-15)
+    env2 = convex_envelope(x, y2)
+    assert env2[5] == pytest.approx((y[4] + y[6]) / 2, abs=1e-12)
+    assert np.all(env2 <= y2 + 1e-15)
     # idempotent
-    env3 = convex_envelope(env2)
-    assert np.allclose(env3.values, env2.values)
+    env3 = convex_envelope(x, env2)
+    assert np.allclose(env3, env2)
     # output second differences are nonnegative
-    d2 = np.diff(env2.values, 2)
+    d2 = np.diff(env2, 2)
     assert d2.min() >= -1e-12
 
 
 def test_legendre_pair_on_parabola():
-    # U(p) = p^2 has conjugate w(q) = q^2 / 4 for q in [0, 2]; beyond q = 2
-    # the sup sits at p = 1 where w = q - 1
-    p = np.linspace(0, 1, 401)
-    u = grid_function(p, p ** 2, "p")
+    # w(q) = q^2 / 4 for q in [0, 2] and q - 1 beyond is the conjugate of
+    # U(p) = p^2 on [0, 1]; the spline reproduces the quadratic piece
+    # exactly, so the transform returns the parabola
     q = np.linspace(0, 2.2, 441)
-    w = legendre_p_to_q(u, q)
-    assert w.domain_tag == "q"
-    ref = np.where(q <= 2.0, q ** 2 / 4, q - 1.0)
-    assert np.allclose(w.values, ref, atol=2e-5)
-    # and back: grid biconjugation recovers the parabola
-    u2 = legendre_q_to_p(w, p)
-    assert u2.domain_tag == "p"
-    assert np.allclose(u2.values, p ** 2, atol=1e-4)
+    w = np.where(q <= 2.0, q ** 2 / 4, q - 1.0)
+    p = np.linspace(0, 1, 401)
+    assert np.allclose(conjugate(q, w, p), p ** 2, atol=1e-12)
 
 
 def test_legendre_domain_checks():
-    p = np.linspace(0, 1, 11)
-    u = grid_function(p, p ** 2, "p")
-    q = np.linspace(0, 2, 11)
-    w = grid_function(q, q ** 2 / 4, "q")
+    # the transform takes a q-domain surface and a p grid inside [0, 1]
+    grid = GridSpec.regular(0.0, 1.0, 4, 0.5, 2.0, 6, 11, "p", epsilon=0.1)
     with pytest.raises(DomainMismatch):
-        legendre_p_to_q(w, q)
-    with pytest.raises(DomainMismatch):
-        legendre_q_to_p(u, p)
-    with pytest.raises(POutOfRange):
-        legendre_q_to_p(w, [0.5, 1.2])
+        pde.dual_to_primal(Surface(grid, np.zeros(grid.shape), {}))
+    qgrid = GridSpec.regular(0.0, 1.0, 4, 0.5, 2.0, 6, 11, "q", z_max=8.0, epsilon=0.1)
+    ramp = np.maximum(qgrid.z - qgrid.x_axes[0][:, None], 0.0)
+    dual = Surface(qgrid, np.broadcast_to(ramp, qgrid.shape), {})
+    with pytest.raises(ValueError):
+        pde.dual_to_primal(dual, [0.0, 0.5, 1.2])
 
 
 def test_argmax_at_boundary_detection():
-    # a q grid cut short: slopes only reach 0.5, so p = 0.9 pushes the
-    # maximizer to the top of the grid
-    q = np.linspace(0, 1.0, 51)
-    w = grid_function(q, q ** 2 / 4, "q")
+    # a q grid cut short: slopes only reach 0.5, so every p above it puts
+    # the maximizer at the top of the grid.  The payoff is covered
+    # (q_max >= 4 g(x)), so the transform raises
+    grid = GridSpec.regular(0.0, 1.0, 3, 0.1, 0.25, 4, 51, "q", z_max=1.0, epsilon=0.1)
+    q = grid.z
+    vals = np.empty(grid.shape)
+    vals[-1] = np.maximum(q - grid.x_axes[0][:, None], 0.0)
+    vals[:-1] = q ** 2 / 4
     with pytest.raises(ArgmaxAtBoundary):
-        legendre_q_to_p(w, np.linspace(0, 0.9, 10))
-    # within the reliable p range it works
-    out = legendre_q_to_p(w, np.linspace(0, 0.4, 9))
-    assert np.allclose(out.values, np.linspace(0, 0.4, 9) ** 2, atol=1e-3)
-
-
-def test_derivative_inverse():
-    q = np.linspace(0, 2, 801)
-    w = grid_function(q, q ** 2 / 4, "q")
-    # w'(q) = q/2 crosses p at q = 2p
-    for p in (0.2, 0.5, 0.77):
-        assert derivative_inverse(w, p) == pytest.approx(2 * p, abs=0.01)
-    with pytest.raises(POutOfRange):
-        derivative_inverse(w, 0.0)
-    flat = grid_function(q, np.maximum(q - 1, 0.0), "q")
-    with pytest.raises(NotStrictlyConvex):
-        derivative_inverse(flat, 0.5)
+        pde.dual_to_primal(Surface(grid, vals, {}))
+    # within the reliable p range the slice conjugate is right
+    p = np.linspace(0, 0.4, 9)
+    U, top, _ = pde._conjugate_level(q, vals[0], p)
+    assert np.allclose(U, p ** 2, atol=1e-3)
+    assert np.allclose(top, 0.5)
 
 
 def test_fenchel_young_gap_sign():
-    p = np.linspace(0, 1, 201)
-    u = grid_function(p, p ** 2, "p")
-    q = np.linspace(0, 2, 201)
-    w = legendre_p_to_q(u, q)
-    gap = fenchel_young_gap(u, w)
-    # for a conjugate pair the max of p q - U - w is <= 0 (up to rounding)
-    assert gap <= 1e-10
+    # the spline interpolates the slice, so p q - U(p) - w(q) <= 0 on every
+    # pair of grid nodes, with equality at p = q = 0
+    q = np.linspace(0, 4, 201)
+    w = np.maximum(q - 1.0, 0.0) + 0.05 * q * q / (1.0 + q)
+    p = np.linspace(0, 1, 101)
+    U = conjugate(q, w, p)
+
+    def gap(wq):
+        return float((np.outer(p, q) - U[:, None] - wq[None, :]).max())
+
+    assert abs(gap(w)) <= 1e-12
     # shifting w down violates the inequality by the shift
-    w_bad = grid_function(q, w.values - 0.05, "q")
-    assert fenchel_young_gap(u, w_bad) == pytest.approx(0.05, abs=1e-10)
+    assert gap(w - 0.05) == pytest.approx(0.05, abs=1e-12)
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=30))
 @settings(max_examples=80, deadline=None)
 def test_envelope_properties(ys):
     x = np.linspace(0, 1, len(ys))
-    f = grid_function(x, ys, "p")
-    env = convex_envelope(f)
-    assert np.all(env.values <= np.asarray(ys) + 1e-9)
-    assert np.diff(env.values, 2).min() >= -1e-9 if len(ys) > 2 else True
-    assert env.values[0] == pytest.approx(ys[0])
-    assert env.values[-1] == pytest.approx(ys[-1])
+    env = convex_envelope(x, ys)
+    assert np.all(env <= np.asarray(ys) + 1e-9)
+    assert np.diff(env, 2).min() >= -1e-9
+    assert env[0] == pytest.approx(ys[0])
+    assert env[-1] == pytest.approx(ys[-1])
 
 
 @given(st.integers(3, 40), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_biconjugation_recovers_convex_functions(n, seed):
-    # random convex function from sorted slopes; double transform restores it
+    # a random convex U with U(0) = 0 from sorted slopes; its discrete
+    # conjugate w(q) = max_j (q p_j - U_j), transformed back, restores it
     rng = np.random.default_rng(seed)
     p = np.linspace(0, 1, n)
     slopes = np.sort(rng.uniform(0.0, 4.0, size=n - 1))
-    vals = rng.uniform(0, 1) + np.concatenate(
-        [[0.0], np.cumsum(slopes * np.diff(p))])
-    u = grid_function(p, vals, "p")
+    vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(p))])
     q = np.linspace(0.0, 4.5, 400)
-    w = legendre_p_to_q(u, q)
-    u2 = legendre_q_to_p(w, p, tolerance=1.0)
+    w = (np.outer(q, p) - vals).max(axis=1)
     # sup-norm error bounded by a couple of q grid cells
-    assert np.max(np.abs(u2.values - vals)) <= 2 * (q[1] - q[0]) + 1e-9
+    assert np.max(np.abs(conjugate(q, w, p) - vals)) <= 2 * (q[1] - q[0]) + 1e-9

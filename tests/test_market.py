@@ -4,7 +4,7 @@ import pytest
 
 from qhedge.errors import InvalidCoefficients, SingularDiffusion, UnknownModel
 from qhedge.market import (MarketModel, builtin_model, linear_payoff,
-                           market_price_of_risk, payoff_from_expression)
+                           payoff_from_expression)
 
 
 def test_radial_builtin_coefficients():
@@ -14,11 +14,9 @@ def test_radial_builtin_coefficients():
     # relative drift 1/x^2, relative vol 1/x, so mu = 1/x and sigma = 1
     assert np.allclose(m.drift(x), [[4.0], [0.25]])
     assert np.allclose(m.vol(x)[:, 0, 0], [2.0, 0.5])
-    assert np.allclose(m.mu(x), [[2.0], [0.5]])
     assert np.allclose(m.sigma(x)[:, 0, 0], [1.0, 1.0])
     # market price of risk is 1/x
     assert np.allclose(m.theta(x)[:, 0], [2.0, 0.5])
-    assert market_price_of_risk(m, [2.0]) == pytest.approx([0.5])
 
 
 def test_gbm_builtin_scalar_and_matrix():
@@ -85,9 +83,9 @@ def test_point_dimension_check():
     with pytest.raises(ValueError):
         m.drift(np.ones((3, 2)))
     with pytest.raises(ValueError):
-        market_price_of_risk(m, [1.0, 1.0])
+        m.theta([1.0, 1.0])
     with pytest.raises(ValueError):
-        market_price_of_risk(m, [-1.0])
+        m.sigma(np.ones((3, 2)))
 
 
 def test_linear_payoff_variants():

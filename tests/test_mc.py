@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhedge import mc
+from neyman_pearson_reference import neyman_pearson_bruteforce
+from qhedge import engine, mc
 from qhedge.engine import SimConfig
 from qhedge.errors import EmptySamples, MissingAux, POutOfRange
 from qhedge.market import builtin_model, linear_payoff
@@ -50,7 +51,7 @@ def test_quantile_matches_bruteforce_neyman_pearson():
     dist = [(v, 1.0 / 7) for v in vals]
     for p in np.linspace(0, 1, 23):
         assert mc.quantile_value(s, float(p)).value == pytest.approx(
-            mc.neyman_pearson_bruteforce(dist, float(p)), abs=1e-12)
+            neyman_pearson_bruteforce(dist, float(p)), abs=1e-12)
 
 
 def test_dual_value_hand_example():
@@ -101,23 +102,12 @@ def test_quantile_curve_constant_samples_have_zero_stderr(n, c):
 
 
 def test_superhedge_value_is_mean():
+    # the p = 1 capital is the sample mean, and the default q grid spans
+    # twice it
     s = toy([1.0, 2.0, 3.0])
-    est = mc.superhedge_value(s)
-    assert est.value == pytest.approx(2.0)
-    assert est.value == pytest.approx(mc.quantile_value(s, 1.0).value)
-
-
-def test_cdf_and_partial_expectation_at_atoms():
-    s = toy([1.0, 1.0, 2.0, 3.0])
-    assert mc.empirical_cdf(s, 1.0) == 0.5
-    assert mc.empirical_cdf_left(s, 1.0) == 0.0
-    assert mc.empirical_cdf(s, 2.5) == 0.75
-    # (q - v) over v <= a, a = 1.5, q = 2: (1 + 1) / 4
-    assert mc.partial_expectation(s, 2.0, 1.5) == pytest.approx(0.5)
-    # maximized at a = q where it equals the dual value
-    qs = 2.0
-    best = max(mc.partial_expectation(s, qs, a) for a in np.linspace(0, 5, 101))
-    assert best == pytest.approx(mc.dual_value(s, qs).value, abs=1e-12)
+    assert mc.quantile_value(s, 1.0).value == pytest.approx(2.0)
+    q = mc.default_q_grid(s, 5)
+    assert np.array_equal(q, np.linspace(0.0, 4.0, 5))
 
 
 def test_regularized_dual_reduces_and_requires_aux():
@@ -151,11 +141,11 @@ def test_regularized_dual_on_degenerate_samples_matches_closed_form():
 
 def test_neyman_pearson_bruteforce_validation():
     with pytest.raises(Exception):
-        mc.neyman_pearson_bruteforce([(1.0, 0.4)], 0.5)
+        neyman_pearson_bruteforce([(1.0, 0.4)], 0.5)
     with pytest.raises(Exception):
-        mc.neyman_pearson_bruteforce([(1.0, 0.5), (2.0, 0.5)], 1.5)
+        neyman_pearson_bruteforce([(1.0, 0.5), (2.0, 0.5)], 1.5)
     # greedy fill by hand: values (1, 0.25), (2, 0.75); p = 0.5
-    got = mc.neyman_pearson_bruteforce([(2.0, 0.75), (1.0, 0.25)], 0.5)
+    got = neyman_pearson_bruteforce([(2.0, 0.75), (1.0, 0.25)], 0.5)
     assert got == pytest.approx(0.25 * 1.0 + 0.25 * 2.0)
 
 
@@ -179,17 +169,36 @@ def test_sample_terminal_threads_do_not_change_results():
     pytest.param(builtin_model("gbm", b=0.1, s=0.2), "exact-gbm", 1, id="exact-gbm"),
     pytest.param(builtin_model("bessel3"), "exact-bessel3", 1, id="exact-bessel3"),
 ])
-def test_from_bundle_matches_sample_terminal(model, scheme, n_steps):
-    # both entry points step each block through the same streams, so the
-    # terminal column of simulate() is the streaming sampler's draw; 9000
-    # paths span two blocks
-    from qhedge.engine import simulate
+def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
+    # the streaming sampler is Z_T g(X_T) of every block of
+    # engine.terminal_block, sorted with the aux draws kept alongside;
+    # 9000 paths span two blocks
     payoff = linear_payoff()
     cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme, 0.0)
-    a = mc.from_bundle(simulate(model, [1.0], 0.5, cfg), payoff)
-    b = mc.sample_terminal(model, payoff, [1.0], cfg)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.aux, b.aux)
+    blocks = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)
+              for blk, _, bn in engine._blocks(cfg.n_paths)]
+    ref = mc.sample_set(np.concatenate([Z * payoff(X) for X, Z, _, _ in blocks]),
+                        aux=np.concatenate([B for _, _, B, _ in blocks]))
+    got = mc.sample_terminal(model, payoff, [1.0], cfg)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.aux, ref.aux)
+    assert got.meta["floor_clamps"] == sum(n for *_, n in blocks)
+
+
+def test_floor_clamps_are_counted_for_any_thread_count():
+    # a strong negative drift drives log X through the floor on most paths
+    model = builtin_model("custom", dim=1, b_exprs=["-32"], s_exprs=[["2"]])
+    cfg = SimConfig(0.0, 1.0, 16, 20_000, 3, "log-euler", 0.0)
+    one = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=1)
+    two = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=2)
+    per_block = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)[3]
+                 for blk, _, bn in engine._blocks(cfg.n_paths)]
+    assert len(per_block) == 3 and min(per_block) > 0
+    assert one.meta["floor_clamps"] == two.meta["floor_clamps"] == sum(per_block)
+    assert np.array_equal(one.values, two.values)
+    exact = SimConfig(0.0, 1.0, 16, 20_000, 3, "exact-gbm", 0.0)
+    gbm = builtin_model("gbm", b=0.1, s=0.2)
+    assert mc.sample_terminal(gbm, linear_payoff(), [1.0], exact).meta["floor_clamps"] == 0
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=50),

@@ -145,12 +145,3 @@ def test_smeared_primal_dual_consistency():
     for p in (0.3, 0.5, 0.7):
         u = np.max(p * q_grid - w)
         assert u == pytest.approx(oracles.bessel_primal_smeared(x, p, eps, tau), abs=5e-5)
-
-
-def test_evaluate_dispatch():
-    res = oracles.evaluate("bessel_dual", x=1.0, q=2.0)
-    assert res.value == 1.0
-    assert res.formula_id == "bessel_dual"
-    assert res.inputs == {"x": 1.0, "q": 2.0}
-    with pytest.raises(ValueError):
-        oracles.evaluate("no_such_formula", x=1.0)

@@ -2,10 +2,8 @@
 import numpy as np
 import pytest
 
-from qhedge.errors import GridMismatch
 from qhedge.surfaces import (GridSpec, Surface, read_surface_bin,
-                             require_same_axes, write_surface_bin,
-                             write_surface_csv)
+                             write_surface_bin, write_surface_csv)
 
 
 def small_grid(domain="q", epsilon=0.1):
@@ -143,16 +141,6 @@ def test_value_shape_checked():
     g = small_grid()
     with pytest.raises(ValueError):
         Surface(g, np.zeros((2, 2, 2)), {})
-
-
-def test_require_same_axes():
-    a = small_surface()
-    b = small_surface()
-    require_same_axes(a, b)  # no raise
-    g2 = GridSpec.regular(0.0, 1.0, 5, 0.5, 2.0, 6, 8, "q", z_max=3.0)
-    c = Surface(g2, np.zeros(g2.shape), {})
-    with pytest.raises(GridMismatch):
-        require_same_axes(a, c)
 
 
 def test_eval_out_of_range_clamped_or_raises():
