@@ -18,12 +18,13 @@ Configs are INI files; the keys read, with their defaults:
             t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
             n_x = 128, n_z = 128, domain = q, z_max (required for domain q)
   [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values);
-            n_paths = 100000; n_steps = 64; scheme = log-euler | exact-gbm |
-            exact-bessel3 (the exact sampler of a gbm or bessel3 model,
-            log-euler otherwise); t0 = 0.0, T = 1.0 (the [grid] values win);
+            n_paths = 100000, n_steps = 64 (each at least 1);
+            scheme = log-euler | exact-gbm | exact-bessel3 (the exact
+            sampler of a gbm or bessel3 model, log-euler otherwise);
+            t0 = 0.0, T = 1.0 (the [grid] values win);
             epsilons (positive; required by solve and study-epsilon);
             q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
-              with the mc method probes [0, hi]); n_probe = 41;
+              with the mc method probes [0, hi]); n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
             tolerance (verify; none: 10 (dt + dx^2 + dq^2));
             threads = 0 (0: one per CPU); refine (none, auto, n or
@@ -40,7 +41,8 @@ with the mc method, study-epsilon, compare-oracle) carries "counters" with
 report counts the non-convex nodes the residual skips ("n_nonconvex").
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
-error, 3 numerical failure.
+error (a missing or unknown entry, or a value that does not parse or is out
+of range), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -157,11 +159,12 @@ class _Run:
         self.x0 = np.asarray(_floats(run.get("x0", "1.0")))
         if self.x0.shape != (self.model.dim,):
             raise ConfigError(f"x0 must have {self.model.dim} components")
-        self.n_paths = int(run.get("n_paths", 100_000))
-        self.n_steps = int(run.get("n_steps", 64))
-        self.scheme = run.get("scheme", "").strip() or engine.default_scheme(self.model)
         self.t0 = cp.getfloat("grid", "t0", fallback=float(run.get("t0", 0.0)))
         self.T = cp.getfloat("grid", "T", fallback=float(run.get("T", 1.0)))
+        scheme = run.get("scheme", "").strip() or engine.default_scheme(self.model)
+        # raises ValueError on n_paths or n_steps below 1, or an unknown scheme
+        self.sim = engine.SimConfig(self.t0, self.T, int(run.get("n_steps", 64)),
+                                    int(run.get("n_paths", 100_000)), self.seed, scheme)
         raw_eps = run.get("epsilons", None)
         if raw_eps is None:
             self.epsilons = None
@@ -173,6 +176,8 @@ class _Run:
         if len(self.q_window) != 2 or not 0 <= self.q_window[0] < self.q_window[1]:
             raise ConfigError("q_window must be 'lo hi' with 0 <= lo < hi")
         self.n_probe = int(run.get("n_probe", 41))
+        if self.n_probe < 1:
+            raise ConfigError("n_probe must be >= 1")
         self.p_points = int(run.get("p_points", 101))
         if self.p_points < 3:
             raise ConfigError("p_points must be >= 3")
@@ -197,13 +202,9 @@ class _Run:
     def grid(self, epsilon: float) -> GridSpec:
         return _parse_grid(self.cp, epsilon)
 
-    def sim_config(self, epsilon: float = 0.0) -> engine.SimConfig:
-        return engine.SimConfig(self.t0, self.T, self.n_steps, self.n_paths,
-                                self.seed, self.scheme, epsilon)
-
-    def samples(self, epsilon: float = 0.0) -> mc.SampleSet:
-        return mc.sample_terminal(self.model, self.payoff, self.x0,
-                                  self.sim_config(epsilon), threads=self.threads)
+    def samples(self) -> mc.SampleSet:
+        return mc.sample_terminal(self.model, self.payoff, self.x0, self.sim,
+                                  threads=self.threads)
 
     def solve(self, epsilon: float):
         return pde.solve_dual_pde(self.model, self.payoff, self.grid(epsilon),
@@ -492,7 +493,9 @@ def main(argv=None) -> int:
     try:
         run = _Run(args)
         os.makedirs(run.out, exist_ok=True)
-    except (ConfigError, QhedgeError) as exc:
+    # a ValueError here comes from a value in the config that does not parse
+    # or is out of range
+    except (ConfigError, QhedgeError, ValueError) as exc:
         print(f"qhedge: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,24 +1,29 @@
 """Terminal states of X, the deflator Z and the auxiliary Brownian motion B.
 
 Randomness is counter-based (Philox).  Paths are partitioned into fixed
-blocks of BLOCK; block j draws from streams keyed by (seed, j, region),
-where the region index separates the driving increments of W, the
+blocks of BLOCK; block j draws from streams keyed by (seed, j, region,
+step), where the region index separates the driving increments of W, the
 auxiliary Brownian motion B, and the bridge normals of the near-zero
 guard.  The partition never depends on the thread schedule, so results
 are bit-identical under any worker count.
 
 Stream contract: terminal_block() is the one entry point and _step_block()
-the one reader of these streams.  Log-Euler steps a block on cfg.n_steps
-steps; an exact scheme makes one draw over the whole horizon.
+the one reader of these streams.  W is one draw per block: cfg.n_steps
+increments per path for log-Euler, one over the whole horizon for an exact
+scheme.  B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme;
+the regularized estimators in mc turn it into the factor
+exp(-eps^2 (T-t0)/2 + eps B).  Bridge normals are drawn, (bn, d) per
+block, only at a step where some path of the block crosses LOG_FLOOR,
+from the stream keyed by that step.
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
--|theta|^2/2 and diffusion -theta'dW on the same W increments.  A step
-that would push log X below LOG_FLOOR is redone as two half steps split by
-a bridge normal, and a half step still below the floor is clamped there;
-terminal_block() returns the number of clamps.  The exact-bessel3 scheme
-takes X as the norm of a 3-dimensional Brownian motion started at x0 e1,
-and Z = x0 / X.  B(T) - B(t0) is returned per path; the regularized
-estimators in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).
+-|theta|^2/2 and diffusion -theta'dW on the same W increments, keeping
+only the current state.  A step that would push log X below LOG_FLOOR is
+redone as two half steps split by a bridge normal, and a half step still
+below the floor is clamped there; terminal_block() returns the number of
+clamps.  The log range is checked after every step, before the next
+coefficients are evaluated.  The exact-bessel3 scheme takes X as the norm
+of a 3-dimensional Brownian motion started at x0 e1, and Z = x0 / X.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import Nonfinite, SchemeMismatch, SingularDiffusion
 from .market import MarketModel
 
@@ -43,9 +47,9 @@ _REGION_BRIDGE = 2
 SCHEMES = ("log-euler", "exact-gbm", "exact-bessel3")
 
 
-def _block_gen(seed: int, block_index: int, region: int) -> np.random.Generator:
+def _block_gen(seed: int, block_index: int, region: int, step: int = 0) -> np.random.Generator:
     key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    counter = np.array([0, 0, block_index, region], dtype=np.uint64)
+    counter = np.array([0, step, block_index, region], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -67,7 +71,6 @@ class SimConfig:
     n_paths: int = 1024
     seed: int = 0
     scheme: str = "log-euler"
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not self.t0 < self.T:
@@ -78,8 +81,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
 
     @property
     def horizon(self) -> float:
@@ -88,35 +89,43 @@ class SimConfig:
 
 def _check_log_range(logX, logZ, first_path: int, what: str):
     """Raise Nonfinite on the first path whose log X or log Z is NaN or at
-    least _LOG_LIMIT in magnitude; first_path is row 0's global index."""
+    least _LOG_LIMIT in magnitude; axis 0 of both arrays indexes the paths
+    and first_path is row 0's global index."""
     # max/min propagate NaN, which fails the comparisons
     if all(a.max() < _LOG_LIMIT and a.min() > -_LOG_LIMIT for a in (logX, logZ)):
         return
-    ok = (np.abs(logX) < _LOG_LIMIT).all(axis=(1, 2)) & (np.abs(logZ) < _LOG_LIMIT).all(axis=1)
+    n = logZ.shape[0]
+    ok = ((np.abs(logX) < _LOG_LIMIT).reshape(n, -1).all(axis=1)
+          & (np.abs(logZ) < _LOG_LIMIT).reshape(n, -1).all(axis=1))
     idx = first_path + int(np.argmin(ok))
     raise Nonfinite(f"log-space overflow on path {idx} ({what})", path_index=idx)
 
 
-def _gbm_coeffs(model: MarketModel):
+def _gbm_log_terminal(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, first_path: int,
+                      what: str):
+    """Constant coefficients: log X and log Z are sums of the increments, so
+    log-Euler has no discretization error and exact-gbm shares this path.
+    Returns (log X_T (bn, d), log Z_T (bn,))."""
     b_vec = np.asarray(model.params["b"], dtype=float)
     s_mat = np.asarray(model.params["s"], dtype=float)
     a_diag = (s_mat * s_mat).sum(axis=1)
     theta = np.linalg.solve(s_mat, b_vec)
-    return b_vec, s_mat, a_diag, theta
+    logX = np.cumsum((b_vec - 0.5 * a_diag) * dt + dW @ s_mat.T, axis=1)
+    logX += np.log(x0)
+    logZ = np.cumsum(-0.5 * float(theta @ theta) * dt - dW @ theta, axis=1)
+    _check_log_range(logX, logZ, first_path, what)
+    return logX[:, -1, :], logZ[:, -1]
 
 
-def _generic_log_euler(model: MarketModel, y0: np.ndarray, dW: np.ndarray, xi: np.ndarray, dt: float):
-    """Stepper for state-dependent coefficients; y0 (d,), dW and xi (m, K, d).
-
-    A step that would push a coordinate of log X below LOG_FLOOR is redone
-    as two half steps with the increment split by the bridge normal xi; a
-    half step still below the floor is clamped there and counted.
-    Returns (y (m,K+1,d), lz (m,K+1), n_clamped)."""
-    m, nsteps, d = dW.shape
-    y = np.empty((m, nsteps + 1, d))
-    lz = np.empty((m, nsteps + 1))
-    y[:, 0, :] = y0
-    lz[:, 0] = 0.0
+def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, bridge_normals,
+               first_path: int, what: str):
+    """Log-Euler for state-dependent coefficients, holding only the current
+    log X (bn, d) and log Z (bn,).  bridge_normals(k) returns the (bn, d)
+    bridge normals of step k; it is called only at a step that crosses the
+    floor.  Returns (log X_T, log Z_T, n_clamped)."""
+    bn, n_steps, d = dW.shape
+    y = np.tile(np.log(x0), (bn, 1))
+    lz = np.zeros(bn)
     half = 0.5 * dt
     bridge_scale = 0.5 * np.sqrt(dt)
     n_clamped = 0
@@ -125,6 +134,15 @@ def _generic_log_euler(model: MarketModel, y0: np.ndarray, dW: np.ndarray, xi: n
         x_cur = np.exp(y_cur)
         bv = np.asarray(model.b(x_cur), dtype=float)
         sv = np.asarray(model.s(x_cur), dtype=float)
+        if d == 1:
+            # theta = b / s is what LAPACK's 1x1 solve returns, bit for bit
+            s = sv[:, :, 0]
+            if not s.all():
+                raise SingularDiffusion(
+                    f"volatility matrix singular on a simulated path of model {model.name}")
+            theta = bv / s
+            y_new = y_cur + (bv - 0.5 * (s * s)) * h + s * e
+            return y_new, -0.5 * (theta * theta)[:, 0] * h - (theta * e)[:, 0]
         a_diag = np.einsum("nij,nij->ni", sv, sv)
         try:
             theta = np.linalg.solve(sv, bv[..., None])[..., 0]
@@ -143,68 +161,58 @@ def _generic_log_euler(model: MarketModel, y0: np.ndarray, dW: np.ndarray, xi: n
         n_clamped += int(low.sum())
         return np.where(low, LOG_FLOOR, y_new), dlz
 
-    for k in range(nsteps):
-        yk = y[:, k, :]
+    for k in range(n_steps):
         e = dW[:, k, :]
-        trial, dlz = step(yk, e, dt)
-        bad = (trial < LOG_FLOOR).any(axis=1)
+        y_new, dlz = step(y, e, dt)
+        bad = (y_new < LOG_FLOOR).any(axis=1)
         if bad.any():
             eb = e[bad]
-            e1 = 0.5 * eb + bridge_scale * xi[bad, k, :]
-            y1, dlz1 = clamped_half_step(yk[bad], e1)
-            trial[bad], dlz2 = clamped_half_step(y1, eb - e1)
+            e1 = 0.5 * eb + bridge_scale * bridge_normals(k)[bad]
+            y1, dlz1 = clamped_half_step(y[bad], e1)
+            y_new[bad], dlz2 = clamped_half_step(y1, eb - e1)
             dlz[bad] = dlz1 + dlz2
-        y[:, k + 1, :] = trial
-        lz[:, k + 1] = lz[:, k] + dlz
+        y = y_new
+        lz += dlz
+        _check_log_range(y, lz, first_path, what)
     return y, lz, n_clamped
 
 
 def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int,
                 n_steps: int):
-    """Paths of one block over cfg's horizon on n_steps equal steps.
+    """Terminal states of one block over cfg's horizon: n_steps equal steps
+    for the log-space schemes, one draw for exact-bessel3.
 
     The only reader of the block streams and the only place a scheme's
-    arithmetic is written.  Returns (X (bn, n_steps+1, d), Z (bn, n_steps+1),
-    dB (bn, n_steps), n_clamped).  The log-space schemes raise Nonfinite
-    with the global index of the first path that leaves the representable
-    log range.
+    arithmetic is written.  Returns (X_T (bn, d), Z_T (bn,), B_T (bn,),
+    n_clamped).  The log-space schemes raise Nonfinite with the global
+    index of the first path that leaves the representable log range.
     """
     dt = cfg.horizon / n_steps
-    sq_dt = np.sqrt(dt)
-    dB = sq_dt * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal((bn, n_steps))
+    sq_horizon = np.sqrt(cfg.horizon)
+    B_T = sq_horizon * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
     gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
 
     if cfg.scheme == "exact-bessel3":
         # X = |x0 e1 + W3| for a 3-dimensional Brownian motion W3, Z = x0 / X
-        w3 = np.zeros((bn, n_steps + 1, 3))
-        np.cumsum(sq_dt * gen_w.standard_normal((bn, n_steps, 3)), axis=1, out=w3[:, 1:, :])
-        w3[:, :, 0] += x0[0]
-        X = np.sqrt((w3 * w3).sum(axis=2))
-        return X[:, :, None], x0[0] / X, dB, 0
+        w3 = sq_horizon * gen_w.standard_normal((bn, 3))
+        w3[:, 0] += x0[0]
+        X = np.sqrt((w3 * w3).sum(axis=1))
+        return X[:, None], x0[0] / X, B_T, 0
 
-    d = model.dim
-    dW = sq_dt * gen_w.standard_normal((bn, n_steps, d))
+    dW = gen_w.standard_normal((bn, n_steps, model.dim))
+    dW *= np.sqrt(dt)
+    first_path = block_index * BLOCK
+    what = f"{model.name}, {cfg.scheme}"
     n_clamped = 0
     if model.kind == "gbm":
-        # Constant coefficients: log-Euler has no discretization error,
-        # so exact-gbm and log-euler share this path.
-        b_vec, s_mat, a_diag, theta = _gbm_coeffs(model)
-        logX = np.zeros((bn, n_steps + 1, d))
-        np.cumsum((b_vec - 0.5 * a_diag) * dt + dW @ s_mat.T, axis=1, out=logX[:, 1:, :])
-        logX += np.log(x0)
-        logZ = np.zeros((bn, n_steps + 1))
-        np.cumsum(-0.5 * float(theta @ theta) * dt - dW @ theta, axis=1, out=logZ[:, 1:])
-    elif model.kind == "bessel3":
-        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, n_steps))
-        y, logZ, n_clamped = _kernels.bessel3_log_paths(
-            np.full(bn, np.log(x0[0])), dW[:, :, 0], xi, dt, LOG_FLOOR
-        )
-        logX = y[:, :, None]
+        logX, logZ = _gbm_log_terminal(model, x0, dW, dt, first_path, what)
     else:
-        xi = _block_gen(cfg.seed, block_index, _REGION_BRIDGE).standard_normal((bn, n_steps, d))
-        logX, logZ, n_clamped = _generic_log_euler(model, np.log(x0), dW, xi, dt)
-    _check_log_range(logX, logZ, block_index * BLOCK, f"{model.name}, {cfg.scheme}")
-    return np.exp(logX, out=logX), np.exp(logZ, out=logZ), dB, n_clamped
+        def bridge_normals(k):
+            gen = _block_gen(cfg.seed, block_index, _REGION_BRIDGE, k)
+            return gen.standard_normal((bn, model.dim))
+
+        logX, logZ, n_clamped = _log_euler(model, x0, dW, dt, bridge_normals, first_path, what)
+    return np.exp(logX), np.exp(logZ), B_T, n_clamped
 
 
 def _check_scheme(model: MarketModel, scheme: str):
@@ -233,5 +241,4 @@ def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_ind
     """
     _check_scheme(model, cfg.scheme)
     n_steps = cfg.n_steps if cfg.scheme == "log-euler" else 1
-    X, Z, dB, n_clamped = _step_block(model, x0, cfg, block_index, bn, n_steps)
-    return X[:, -1, :], Z[:, -1], dB.sum(axis=1), n_clamped
+    return _step_block(model, x0, cfg, block_index, bn, n_steps)

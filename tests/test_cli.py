@@ -418,7 +418,7 @@ def test_mc_curves_match_the_scalar_estimators(tmp_path, text, model, scheme):
     assert main(["study-epsilon", "--config", cfg, "--out", str(out)]) == 0
     # the samples the config describes
     samples = mc.sample_terminal(model, linear_payoff(), [1.0],
-                                 SimConfig(0.0, 1.0, 64, 20000, 11, scheme, 0.0))
+                                 SimConfig(0.0, 1.0, 64, 20000, 11, scheme))
 
     def scalar(q, eps):
         return mc.dual_value_regularized(samples, q, eps)
@@ -456,15 +456,12 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_singular_diffusion_exit_code(tmp_path, capsys):
-    # s(x) = 1/x vanishes once exp(log X) overflows, so the batched solve
-    # for theta meets a singular matrix
-    text = """
+SINGULAR_INI = """
 [model]
 kind = custom
 dim = 1
-b_exprs = 1/(x1*x1)
-s_exprs = 1/x1
+b_exprs = 0.05
+s_exprs = x1 - 1
 
 [run]
 method = mc
@@ -474,8 +471,37 @@ n_paths = 4096
 n_steps = 64
 scheme = log-euler
 """
-    cfg = write_config(tmp_path, text)
+
+
+def test_singular_diffusion_exit_code(tmp_path, capsys):
+    # s(x) = x - 1 vanishes at the starting point, so theta = b / s does not
+    # exist on the first step
+    cfg = write_config(tmp_path, SINGULAR_INI)
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "singular" in err
+
+
+def test_log_overflow_exit_code(tmp_path, capsys):
+    # with s(x) = 1/x some paths overflow log X; the range check after each
+    # step stops them before s(exp(log X)) = 0 can be evaluated
+    text = SINGULAR_INI.replace("b_exprs = 0.05", "b_exprs = 1/(x1*x1)").replace(
+        "s_exprs = x1 - 1", "s_exprs = 1/x1")
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("line", ["n_paths = abc", "n_paths = 0", "n_steps = 0", "seed = x",
+                                  "threads = x", "n_probe = 0"])
+def test_malformed_run_integers_are_config_errors(tmp_path, capsys, line):
+    key = line.split()[0]
+    text = "\n".join(ln for ln in mc_ini().splitlines() if not ln.startswith(key + " "))
+    cfg = write_config(tmp_path, text.replace("[run]", "[run]\n" + line))
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import engine_reference as ref
+from qhedge import engine
 from qhedge.engine import (BLOCK, SCHEMES, SimConfig, _blocks, default_scheme,
                            terminal_block)
 from qhedge.errors import Nonfinite, SchemeMismatch
@@ -13,7 +15,7 @@ from qhedge.mc import sample_terminal
 def terminal(model, x0, T, n_paths, seed, scheme, n_steps=1):
     """(X_T, Z_T, B_T) of every path, block by block, with the floor clamps
     summed over the blocks."""
-    cfg = SimConfig(0.0, T, n_steps, n_paths, seed, scheme, 0.0)
+    cfg = SimConfig(0.0, T, n_steps, n_paths, seed, scheme)
     blocks = [terminal_block(model, np.array([x0]), cfg, blk, bn)
               for blk, _, bn in _blocks(n_paths)]
     X, Z, B = (np.concatenate([blk[k] for blk in blocks]) for k in range(3))
@@ -31,18 +33,16 @@ def exact_gbm(b, s, x0, T, n_paths, seed):
 
 
 def test_config_validation():
-    cfg = SimConfig(0.0, 1.0, 8, 100, 0, "log-euler", 0.0)
+    cfg = SimConfig(0.0, 1.0, 8, 100, 0, "log-euler")
     assert cfg.horizon == 1.0
     with pytest.raises(ValueError):
-        SimConfig(1.0, 1.0, 8, 100, 0, "log-euler", 0.0)
+        SimConfig(1.0, 1.0, 8, 100, 0, "log-euler")
     with pytest.raises(ValueError):
-        SimConfig(0.0, 1.0, 0, 100, 0, "log-euler", 0.0)
+        SimConfig(0.0, 1.0, 0, 100, 0, "log-euler")
     with pytest.raises(ValueError):
-        SimConfig(0.0, 1.0, 8, 0, 0, "log-euler", 0.0)
+        SimConfig(0.0, 1.0, 8, 0, 0, "log-euler")
     with pytest.raises(ValueError):
-        SimConfig(0.0, 1.0, 8, 100, 0, "milstein", 0.0)
-    with pytest.raises(ValueError):
-        SimConfig(0.0, 1.0, 8, 100, 0, "log-euler", -0.1)
+        SimConfig(0.0, 1.0, 8, 100, 0, "milstein")
 
 
 def test_default_scheme_prefers_exact_samplers():
@@ -54,10 +54,10 @@ def test_default_scheme_prefers_exact_samplers():
 
 
 def test_scheme_model_mismatch():
-    cfg = SimConfig(0.0, 1.0, 8, 64, 0, "exact-gbm", 0.0)
+    cfg = SimConfig(0.0, 1.0, 8, 64, 0, "exact-gbm")
     with pytest.raises(SchemeMismatch):
         terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, 0, 64)
-    cfg2 = SimConfig(0.0, 1.0, 8, 64, 0, "exact-bessel3", 0.0)
+    cfg2 = SimConfig(0.0, 1.0, 8, 64, 0, "exact-bessel3")
     with pytest.raises(SchemeMismatch):
         sample_terminal(builtin_model("gbm", b=0.1, s=0.2), linear_payoff(), [1.0], cfg2)
 
@@ -110,7 +110,7 @@ def test_simulate_shapes_and_determinism():
     # log-Euler terminal states of a stepped block: shapes, no floor
     # clamps far from the floor, and the same draws on every call
     model = builtin_model("gbm", b=0.1, s=0.2)
-    cfg = SimConfig(0.0, 0.5, 16, 300, 9, "log-euler", 0.3)
+    cfg = SimConfig(0.0, 0.5, 16, 300, 9, "log-euler")
     X, Z, B, n_clamped = terminal_block(model, np.array([1.0]), cfg, 0, 300)
     assert X.shape == (300, 1) and Z.shape == (300,) and B.shape == (300,)
     assert n_clamped == 0
@@ -150,7 +150,7 @@ def test_log_euler_matches_exact_gbm_distribution():
 
 def test_terminal_block_provides_brownian_aux():
     model = builtin_model("bessel3")
-    cfg = SimConfig(0.0, 1.0, 8, 8192, 1, "exact-bessel3", 0.0)
+    cfg = SimConfig(0.0, 1.0, 8, 8192, 1, "exact-bessel3")
     X, Z, B, n_clamped = terminal_block(model, np.array([1.0]), cfg, 0, 4096)
     assert X.shape == (4096, 1) and Z.shape == (4096,) and B.shape == (4096,)
     assert n_clamped == 0
@@ -165,7 +165,7 @@ def test_terminal_block_provides_brownian_aux():
 def test_nonfinite_guard_on_deep_dive():
     # the radial model started near zero overflows the deflator in log-Euler
     model = builtin_model("bessel3")
-    cfg = SimConfig(0.0, 1.0, 64, 2048, 0, "log-euler", 0.0)
+    cfg = SimConfig(0.0, 1.0, 64, 2048, 0, "log-euler")
     with pytest.raises(Nonfinite):
         sample_terminal(model, linear_payoff(), [0.02], cfg)
 
@@ -174,10 +174,101 @@ def test_nonfinite_reports_global_path_index():
     # path 2194 of block 1 overflows; the block and the streaming sampler
     # both name it by its index among all paths
     model = builtin_model("bessel3")
-    cfg = SimConfig(0.0, 1.0, 64, 10_387, 0, "log-euler", 0.0)
+    cfg = SimConfig(0.0, 1.0, 64, 10_387, 0, "log-euler")
     with pytest.raises(Nonfinite) as block:
         terminal_block(model, np.array([1.0]), cfg, 1, 10_387 - BLOCK)
     with pytest.raises(Nonfinite) as streamed:
         sample_terminal(model, linear_payoff(), [1.0], cfg)
     assert block.value.path_index == 10_386
     assert streamed.value.path_index == 10_386
+
+
+@pytest.mark.parametrize("model, x0, n_steps", [
+    pytest.param(builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]]), [1.0], 64,
+                 id="constant-d1"),
+    pytest.param(builtin_model("custom", dim=1, b_exprs=["0.1*sin(x1)"], s_exprs=[["0.2+0.1*x1"]]),
+                 [1.0], 32, id="state-d1"),
+    pytest.param(builtin_model("custom", dim=2, b_exprs=["0.05", "0.03*x2"],
+                               s_exprs=[["0.3", "0.1*x1"], ["0.05", "0.25"]]),
+                 [1.0, 1.2], 16, id="full-matrix-d2"),
+])
+def test_log_euler_matches_the_full_path_reference(monkeypatch, model, x0, n_steps):
+    # on paths that never reach the floor the stepper keeps only the current
+    # state but does the reference's arithmetic, so X_T and Z_T are equal
+    # bit for bit; no bridge normal is drawn
+    regions = []
+    block_gen = engine._block_gen
+
+    def recording_gen(seed, block_index, region, step=0):
+        regions.append(region)
+        return block_gen(seed, block_index, region, step)
+
+    monkeypatch.setattr(engine, "_block_gen", recording_gen)
+    cfg = SimConfig(0.0, 1.0, n_steps, 9000, 3, "log-euler")
+    for blk, _, bn in _blocks(cfg.n_paths):
+        X, Z, _, n_clamped = terminal_block(model, np.array(x0), cfg, blk, bn)
+        dW, xi, dt = ref.block_draws(cfg, blk, bn, model.dim)
+        y, lz, ref_clamped = ref.log_euler_paths(model, np.log(x0), dW, xi, dt)
+        assert np.array_equal(X, np.exp(y[:, -1, :]))
+        assert np.array_equal(Z, np.exp(lz[:, -1]))
+        assert n_clamped == ref_clamped == 0
+    assert engine._REGION_BRIDGE not in regions
+
+
+def test_bessel3_log_euler_matches_the_radial_recursion():
+    # bessel3 steps through the generic b/s stepper; the hand-written radial
+    # recursion computes the same map in another order
+    cfg = SimConfig(0.0, 1.0, 64, 9000, 0, "log-euler")
+    for blk, _, bn in _blocks(cfg.n_paths):
+        X, Z, _, n_clamped = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, blk, bn)
+        dW, _, dt = ref.block_draws(cfg, blk, bn, 1)
+        y, lz = ref.bessel3_log_paths(np.zeros(bn), dW[:, :, 0], dt)
+        assert n_clamped == 0
+        assert np.max(np.abs(X[:, 0] / np.exp(y[:, -1]) - 1.0)) < 1e-12
+        assert np.max(np.abs(Z / np.exp(lz[:, -1]) - 1.0)) < 1e-12
+        # Z X = x0 pathwise, as for the exact sampler
+        assert np.max(np.abs(X[:, 0] * Z - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("model, exact", [
+    (builtin_model("gbm", b=0.1, s=0.2), "exact-gbm"),
+    (builtin_model("bessel3"), "exact-bessel3"),
+], ids=["gbm", "bessel3"])
+def test_log_euler_draws_the_exact_schemes_aux_brownian(model, exact):
+    # B_T is one N(0, T - t0) draw per path whatever the scheme and step count
+    for blk, bn in ((0, 1000), (3, 100)):
+        stepped = terminal_block(model, np.array([1.0]), SimConfig(0.0, 0.5, 16, 9000, 5, "log-euler"),
+                                 blk, bn)
+        one_draw = terminal_block(model, np.array([1.0]), SimConfig(0.0, 0.5, 1, 9000, 5, exact),
+                                  blk, bn)
+        assert np.array_equal(stepped[2], one_draw[2])
+
+
+def test_radial_log_euler_bridges_and_clamps_at_the_floor(monkeypatch):
+    # with the floor raised to log X = 0, coarse steps from log X = 0.1 dive
+    # through it; they are redone as two bridge half steps and clamped there
+    cfg = SimConfig(0.0, 0.5, 2, 4096, 1, "log-euler")
+    model = builtin_model("bessel3")
+    x0 = np.array([np.exp(0.1)])
+    monkeypatch.setattr(engine, "LOG_FLOOR", 0.0)
+    X, Z, _, n_clamped = terminal_block(model, x0, cfg, 0, 4096)
+    assert np.all(np.isfinite(X)) and np.all(np.isfinite(Z))
+    assert X.min() >= 1.0
+    assert n_clamped >= 1
+    # the same block with the floor far below takes the unguarded steps
+    monkeypatch.setattr(engine, "LOG_FLOOR", -1e6)
+    X2, _, _, n2 = terminal_block(model, x0, cfg, 0, 4096)
+    assert n2 == 0
+    assert X2.min() < 1.0
+
+
+def test_radial_log_euler_step_is_the_plain_euler_map():
+    # one step from log X = 0, checked by hand against the block's W draw
+    dt = 0.5
+    cfg = SimConfig(0.0, dt, 1, 64, 2, "log-euler")
+    X, Z, _, n_clamped = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, 0, 64)
+    dw = ref.block_draws(cfg, 0, 64, 1)[0][:, 0, 0]
+    drift = 0.5 * dt
+    assert np.allclose(np.log(X[:, 0]), drift + dw, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.log(Z), -drift - dw, rtol=0.0, atol=1e-15)
+    assert n_clamped == 0

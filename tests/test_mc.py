@@ -152,7 +152,7 @@ def test_neyman_pearson_bruteforce_validation():
 def test_sample_terminal_threads_do_not_change_results():
     model = builtin_model("bessel3")
     payoff = linear_payoff()
-    cfg = SimConfig(0.0, 1.0, 4, 20_000, 6, "exact-bessel3", 0.0)
+    cfg = SimConfig(0.0, 1.0, 4, 20_000, 6, "exact-bessel3")
     s1 = mc.sample_terminal(model, payoff, [1.0], cfg, threads=1)
     s4 = mc.sample_terminal(model, payoff, [1.0], cfg, threads=4)
     assert np.array_equal(s1.values, s4.values)
@@ -174,7 +174,7 @@ def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
     # engine.terminal_block, sorted with the aux draws kept alongside;
     # 9000 paths span two blocks
     payoff = linear_payoff()
-    cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme, 0.0)
+    cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme)
     blocks = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)
               for blk, _, bn in engine._blocks(cfg.n_paths)]
     ref = mc.sample_set(np.concatenate([Z * payoff(X) for X, Z, _, _ in blocks]),
@@ -188,7 +188,7 @@ def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
 def test_floor_clamps_are_counted_for_any_thread_count():
     # a strong negative drift drives log X through the floor on most paths
     model = builtin_model("custom", dim=1, b_exprs=["-32"], s_exprs=[["2"]])
-    cfg = SimConfig(0.0, 1.0, 16, 20_000, 3, "log-euler", 0.0)
+    cfg = SimConfig(0.0, 1.0, 16, 20_000, 3, "log-euler")
     one = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=1)
     two = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=2)
     per_block = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)[3]
@@ -196,7 +196,7 @@ def test_floor_clamps_are_counted_for_any_thread_count():
     assert len(per_block) == 3 and min(per_block) > 0
     assert one.meta["floor_clamps"] == two.meta["floor_clamps"] == sum(per_block)
     assert np.array_equal(one.values, two.values)
-    exact = SimConfig(0.0, 1.0, 16, 20_000, 3, "exact-gbm", 0.0)
+    exact = SimConfig(0.0, 1.0, 16, 20_000, 3, "exact-gbm")
     gbm = builtin_model("gbm", b=0.1, s=0.2)
     assert mc.sample_terminal(gbm, linear_payoff(), [1.0], exact).meta["floor_clamps"] == 0
 
