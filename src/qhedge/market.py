@@ -3,8 +3,9 @@
 A model is a coefficient bundle (b, s) for d stocks with relative drift
 b(x) and relative volatility matrix s(x), evaluated batchwise: coefficient
 callables map an (n, d) array of states to (n, d) for b and (n, d, d) for
-s.  Everything else (market price of risk theta = s^{-1} b, a = s s',
-sigma_ik = s_ik x_i, alpha = sigma sigma') is derived.
+s.  Derived from them are the market price of risk theta = s^{-1} b and
+the absolute volatility sigma_ik = s_ik x_i; pde._coefficients forms
+alpha = sigma sigma' from sigma.
 """
 from __future__ import annotations
 
@@ -65,17 +66,9 @@ class MarketModel:
         except np.linalg.LinAlgError as exc:
             raise SingularDiffusion(f"volatility matrix singular for model {self.name}: {exc}") from None
 
-    def a(self, x) -> np.ndarray:
-        svals = self.vol(x)
-        return svals @ np.swapaxes(svals, -1, -2)
-
     def sigma(self, x) -> np.ndarray:
         pts = self._points(x)
         return self.vol(pts) * pts[:, :, None]
-
-    def alpha(self, x) -> np.ndarray:
-        sig = self.sigma(x)
-        return sig @ np.swapaxes(sig, -1, -2)
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,25 @@ the solver and the primal residual read it.
 Time stepping is an ADI splitting (Douglas predictor-corrector).  The
 predictor applies the whole operator explicitly; the diagonal terms, one
 per x axis and one for q, are then corrected implicitly, one axis at a
-time; the mixed terms, one per pair of axes, stay explicit.  An x sweep
-makes one banded solve per node of the other x axes, with every q column
-as a right-hand side; the q sweep is one batched tridiagonal solve over
-all x nodes.  The first backward steps are damped by implicit Euler
-(Rannacher startup).  The correlations |A_ij| / sqrt(A_ii A_jj) of the
-mixed terms are < 1 (for the x-q pairs, whenever eps > 0), but the
-splitting loses stability as they approach 1 (small x on a padded log
-grid, or eps = 0 outright);
-the solver then substeps the whole cycle, escalating by factors of 4 on
+time; the mixed terms, one per pair of axes, stay explicit.  The first
+backward steps are damped by implicit Euler (Rannacher startup).  The
+correlations |A_ij| / sqrt(A_ii A_jj) of the mixed terms are < 1 (for the
+x-q pairs, whenever eps > 0), but the splitting loses stability as they
+approach 1 (small x on a padded log grid, or eps = 0 outright); the
+solver then substeps the whole cycle, escalating by factors of 4 on
 detected divergence, and emits CFLWarning.
+
+The implicit sweeps are factored, not rebuilt, per substep.  A sweep's
+matrix depends on th = theta_w h but not on t.  Its tridiagonal blocks,
+one per line of the swept axis (a line per node of the other x axes for
+an x sweep, a line per x node for the q sweep), are stacked into one
+block-diagonal system with zero couplings between blocks, and that system
+is LU-factored once (_kernels.factor_blocks).  Every substep then solves
+each sweep with one call (_kernels.thomas_batch): an x sweep takes every
+q column as a right-hand side, the q sweep one column.  Factors are kept
+for the current th only and rebuilt when th changes, which is at a
+substep restart: the Rannacher steps (theta_w = 1 on half substeps) and
+the Crank-Nicolson steps (theta_w = 1/2) share th = dt / (2 n_sub).
 
 Edge conditions, folded into the implicit sweeps: each x axis is
 non-uniform (three-point weights) and has zero second x-derivative at
@@ -44,7 +53,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import _kernels
 from .duality import convex_envelope_rows
@@ -158,6 +166,7 @@ class _DualOperator:
         self.cx = [0.5 * Ai[..., i, i] for i in range(d)]
         self.cq = 0.5 * Ai[..., d, d][..., None] * (qi * qi)
         self.cq_dq2 = self.cq / (dq * dq)
+        self._th = self._sweeps = None
         # two-cell spans broadcast over the interior (x_1..x_d, q) block
         spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(xs)] + [2.0 * dq]
         self.pairs = []
@@ -190,43 +199,57 @@ class _DualOperator:
             / (self.dq * self.dq)
         )
 
-    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
+    def _factors(self, th: float):
+        """The factored x sweeps and q sweep for th = theta_w h, and the q
+        sweep's Neumann ghost term.  A new th refactors every sweep, so only
+        the current th's factors are kept."""
+        if th != self._th:
+            self._sweeps = ([self._factor_x(th, axis) for axis in range(self.d)]
+                            + [self._factor_q(th)])
+            self._th = th
+        return self._sweeps
+
+    def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
-        folded in: one banded solve per node of the other x axes, every q
-        column a right-hand side."""
+        folded in, one block per line of the axis, lines in C order of the
+        other x axes."""
         wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
         r_lo, r_hi = self.ratios[axis]
         c = self.cx[axis]
-        lo = np.moveaxis(-th * c * wl, axis, 0)
-        di = np.moveaxis(1.0 - th * c * wc, axis, 0)
-        up = np.moveaxis(-th * c * wr, axis, 0)
-        di[0] += lo[0] * (1.0 + r_lo)
-        up[0] += -lo[0] * r_lo
-        di[-1] += up[-1] * (1.0 + r_hi)
-        lo[-1] += -up[-1] * r_hi
-        ab = np.zeros((3,) + di.shape)
-        ab[0, 1:] = up[:-1]
-        ab[1] = di
-        ab[2, :-1] = lo[1:]
-        out = np.empty_like(rhs)
-        src, dst = np.moveaxis(rhs, axis, 0), np.moveaxis(out, axis, 0)
-        for node in np.ndindex(di.shape[1:]):
-            dst[(slice(None),) + node] = solve_banded((1, 1), ab[(slice(None), slice(None)) + node],
-                                                      src[(slice(None),) + node])
-        return out
+        lo, di, up = (np.moveaxis(a, axis, -1).reshape(-1, c.shape[axis])
+                      for a in (-th * c * wl, 1.0 - th * c * wc, -th * c * wr))
+        di[:, 0] += lo[:, 0] * (1.0 + r_lo)
+        up[:, 0] += -lo[:, 0] * r_lo
+        di[:, -1] += up[:, -1] * (1.0 + r_hi)
+        lo[:, -1] += -up[:, -1] * r_hi
+        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}")
 
-    def solve_q(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        """(I - th*A_q) on interior q nodes, batched tridiagonal per x node.
-
-        Folds w(q=0) = 0 and the unit-slope ghost at q_max."""
-        n = rhs.shape[-1]
-        c = self.cq_dq2.reshape(-1, n)
+    def _factor_q(self, th: float):
+        """(I - th*A_q) on interior q nodes, one block per x node, with
+        w(q=0) = 0 and the unit-slope ghost at q_max folded in."""
+        c = self.cq_dq2.reshape(-1, self.cq_dq2.shape[-1])
         off = -th * c
         di = 1.0 + 2.0 * th * c
-        flat = rhs.reshape(-1, n).copy()
         di[:, -1] += off[:, -1]
-        flat[:, -1] -= off[:, -1] * self.dq
-        return _kernels.thomas_batch(off, di, off, flat).reshape(rhs.shape)
+        factors = _kernels.factor_blocks(off, di, off, f"q sweep at th={th:g}")
+        return factors, off[:, -1] * self.dq
+
+    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
+        """The x sweep along `axis`: one solve for every line of the axis,
+        every q column a right-hand side."""
+        # in C order, the (q, other x axes, axis) array is the Fortran-order
+        # (unknowns, q columns) matrix, with the unknowns numbered line by line
+        perm = (self.d,) + tuple(i for i in range(self.d) if i != axis) + (axis,)
+        cols = np.array(rhs.transpose(perm), order="C")
+        x = _kernels.thomas_batch(self._factors(th)[axis], cols.reshape(cols.shape[0], -1).T)
+        return x.T.reshape(cols.shape).transpose(np.argsort(perm))
+
+    def solve_q(self, rhs: np.ndarray, th: float) -> np.ndarray:
+        """The q sweep: one solve for every x node at once."""
+        factors, ghost = self._factors(th)[-1]
+        flat = np.array(rhs, order="C").reshape(ghost.size, -1)
+        flat[:, -1] -= ghost
+        return _kernels.thomas_batch(factors, flat.ravel()).reshape(rhs.shape)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
         diag = [self.a_x(W, axis) for axis in range(self.d)] + [self.a_q(W)]

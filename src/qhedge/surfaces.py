@@ -99,15 +99,6 @@ class GridSpec:
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
-    def axes_equal(self, other: "GridSpec") -> bool:
-        return (
-            self.domain == other.domain
-            and self.dim == other.dim
-            and np.array_equal(self.t, other.t)
-            and all(np.array_equal(a, b) for a, b in zip(self.x_axes, other.x_axes))
-            and np.array_equal(self.z, other.z)
-        )
-
 
 @dataclass(frozen=True)
 class Surface:
@@ -127,32 +118,6 @@ class Surface:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-    def eval(self, t, *coords) -> np.ndarray:
-        """Multilinear interpolation at (t, x..., z) points (scalars or arrays)."""
-        axes = (self.grid.t,) + self.grid.x_axes + (self.grid.z,)
-        if len(coords) != len(axes) - 1:
-            raise ValueError(f"expected {len(axes) - 1} coordinates after t")
-        pts = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (t,) + coords))
-        out_shape = pts[0].shape
-        flat = [p.ravel() for p in pts]
-        idx = []
-        wts = []
-        for ax, p in zip(axes, flat):
-            i = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, ax.size - 2)
-            w = (p - ax[i]) / (ax[i + 1] - ax[i])
-            idx.append(i)
-            wts.append(np.clip(w, 0.0, 1.0))
-        acc = np.zeros(flat[0].size)
-        k = len(axes)
-        for corner in range(1 << k):
-            sel = tuple(idx[a] + ((corner >> a) & 1) for a in range(k))
-            weight = np.ones(flat[0].size)
-            for a in range(k):
-                wa = wts[a]
-                weight = weight * (wa if (corner >> a) & 1 else 1.0 - wa)
-            acc += weight * self.values[sel]
-        return acc.reshape(out_shape) if out_shape else float(acc[0])
 
 
 def write_surface_csv(surface: Surface, path) -> None:

@@ -74,8 +74,10 @@ def test_custom_model_expressions():
 def test_quadratic_forms_consistency():
     m = builtin_model("gbm", b=0.1, s=0.2)
     x = np.array([[1.5]])
-    assert m.a(x)[0, 0, 0] == pytest.approx(0.04)
-    assert m.alpha(x)[0, 0, 0] == pytest.approx(0.04 * 1.5 ** 2)
+    # a = s s' and alpha = sigma sigma', sigma_ik = s_ik x_i
+    s, sigma = m.vol(x), m.sigma(x)
+    assert (s @ np.swapaxes(s, -1, -2))[0, 0, 0] == pytest.approx(0.04)
+    assert (sigma @ np.swapaxes(sigma, -1, -2))[0, 0, 0] == pytest.approx(0.04 * 1.5 ** 2)
 
 
 def test_point_dimension_check():

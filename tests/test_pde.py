@@ -2,13 +2,15 @@
 small grids; production-scale agreement lives in the acceptance suite."""
 import warnings
 
+import adi_reference as ref
 import numpy as np
 import pytest
 
-from qhedge import oracles, pde
+from qhedge import _kernels, oracles, pde
 from qhedge.errors import ArgmaxAtBoundary, CFLWarning, DomainMismatch
 from qhedge.market import Payoff, builtin_model, linear_payoff
 from qhedge.surfaces import GridSpec, Surface
+from surface_helpers import axes_equal, surface_eval
 
 
 def radial_grid(n_t=8, n_x=20, n_z=20, eps=0.1, x_min=0.5, x_max=3.0, z_max=3.0):
@@ -92,12 +94,74 @@ def test_no_substeps_for_mild_correlation():
     assert surf.meta["substeps"] == 1
 
 
+def sweep_cases():
+    """A d=1 bessel3 grid that engages x8 substepping, and a d=2 gbm grid
+    with a full volatility matrix (so the x1-x2 term is live) and unequal
+    x axes."""
+    d2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]])
+    return [
+        (builtin_model("bessel3"), linear_payoff(),
+         radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0), {}),
+        (d2, linear_payoff(),
+         GridSpec.regular(0.0, 1.0, 6, [0.5, 0.6], [2.0, 1.8], [12, 10], 16, "q",
+                          z_max=4.0, epsilon=0.2), {"refine": (1, 1, 2)}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
+    model, payoff, grid, kw = sweep_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        got = pde.solve_dual_pde(model, payoff, grid, **kw)
+        monkeypatch.setattr(pde._DualOperator, "solve_x", ref.solve_x)
+        monkeypatch.setattr(pde._DualOperator, "solve_q", ref.solve_q)
+        want = pde.solve_dual_pde(model, payoff, grid, **kw)
+    assert got.meta == want.meta
+    assert got.meta["substeps"] == (8 if case == 0 else 1)
+    assert np.abs(got.values - want.values).max() <= 1e-11
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
+    # each sweep is factored for at most two th (Rannacher and
+    # Crank-Nicolson) and solved by one call per substep, never per node
+    model, payoff, grid, kw = sweep_cases()[case]
+    factored, solves, sweep_of = {}, {}, {}
+    factor_blocks, thomas_batch = _kernels.factor_blocks, _kernels.thomas_batch
+
+    def counting_factor(lo, di, up, label):
+        sweep = label.split(" sweep")[0]
+        factored[sweep] = factored.get(sweep, 0) + 1
+        out = factor_blocks(lo, di, up, label)
+        sweep_of[id(out)] = sweep
+        return out
+
+    def counting_solve(factors, rhs):
+        sweep = sweep_of[id(factors)]
+        solves[sweep] = solves.get(sweep, 0) + 1
+        return thomas_batch(factors, rhs)
+
+    monkeypatch.setattr(_kernels, "factor_blocks", counting_factor)
+    monkeypatch.setattr(_kernels, "thomas_batch", counting_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CFLWarning)
+        surf = pde.solve_dual_pde(model, payoff, grid, **kw)
+    assert not any("restarting" in str(w.message) for w in caught)
+    sweeps = [f"x axis {i}" for i in range(grid.dim)] + ["q"]
+    steps = (grid.t.size - 1) * surf.meta["refine"][2]
+    substeps = surf.meta["substeps"] * (steps + min(surf.meta["rannacher_steps"], steps))
+    assert sorted(factored) == sorted(sweeps)
+    assert max(factored.values()) <= 2
+    assert solves == {sweep: substeps for sweep in sweeps}
+
+
 def test_refinement_and_padding_controls():
     model = builtin_model("gbm", b=0.1, s=0.2)
     grid = radial_grid(n_t=6, n_x=14, n_z=14, eps=0.2)
     base = pde.solve_dual_pde(model, linear_payoff(), grid)
     fine = pde.solve_dual_pde(model, linear_payoff(), grid, refine=2)
-    assert fine.grid.axes_equal(base.grid)
+    assert axes_equal(fine.grid, base.grid)
     assert np.array_equal(fine.terminal, base.terminal)
     assert fine.meta["refine"] == [2, 2, 2]
     # refinement changes interior values only modestly on a smooth problem
@@ -183,7 +247,7 @@ def test_primal_matches_closed_form_center():
                             z_max=4.0, epsilon=0.2)
     surf = pde.solve_dual_pde(builtin_model("bessel3"), linear_payoff(), grid)
     primal = pde.dual_to_primal(surf, np.linspace(0, 1, 101))
-    got = primal.eval(0.0, 1.0, 0.5)
+    got = surface_eval(primal, 0.0, 1.0, 0.5)
     ref = oracles.bessel_primal_smeared(1.0, 0.5, 0.2, 1.0)
     assert got == pytest.approx(ref, rel=0.05)
 

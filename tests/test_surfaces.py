@@ -4,6 +4,7 @@ import pytest
 
 from qhedge.surfaces import (GridSpec, Surface, read_surface_bin,
                              write_surface_bin, write_surface_csv)
+from surface_helpers import axes_equal, surface_eval
 
 
 def small_grid(domain="q", epsilon=0.1):
@@ -50,16 +51,16 @@ def test_surface_eval_multilinear():
     s = small_surface()
     g = s.grid
     # exact at nodes
-    assert s.eval(g.t[2], g.x_axes[0][3], g.z[4]) == pytest.approx(
+    assert surface_eval(s, g.t[2], g.x_axes[0][3], g.z[4]) == pytest.approx(
         g.t[2] + 10 * g.x_axes[0][3] + 100 * g.z[4], abs=1e-12)
     # linear in between: the stored function is multilinear already
     tm = 0.5 * (g.t[1] + g.t[2])
     xm = 0.5 * (g.x_axes[0][0] + g.x_axes[0][1])
     zm = 0.5 * (g.z[5] + g.z[6])
-    assert s.eval(tm, xm, zm) == pytest.approx(tm + 10 * xm + 100 * zm, abs=1e-12)
+    assert surface_eval(s, tm, xm, zm) == pytest.approx(tm + 10 * xm + 100 * zm, abs=1e-12)
     # scalar in, float out; vector in, vector out
-    assert isinstance(s.eval(0.5, 1.0, 1.5), float)
-    out = s.eval(0.5, np.array([0.6, 1.0]), np.array([1.0, 2.0]))
+    assert isinstance(surface_eval(s, 0.5, 1.0, 1.5), float)
+    out = surface_eval(s, 0.5, np.array([0.6, 1.0]), np.array([1.0, 2.0]))
     assert out.shape == (2,)
 
 
@@ -120,7 +121,7 @@ def test_binary_roundtrip_and_rejection(tmp_path):
     write_surface_bin(s, path)
     back = read_surface_bin(path)
     assert np.array_equal(back.values, s.values)
-    assert back.grid.axes_equal(s.grid)
+    assert axes_equal(back.grid, s.grid)
     assert back.grid.domain == "q"
     assert back.grid.epsilon == s.grid.epsilon
     assert back.meta["tag"] == "unit"
@@ -148,6 +149,6 @@ def test_eval_out_of_range_clamped_or_raises():
     g = s.grid
     # interpolation beyond the box must not silently extrapolate wildly:
     # the convention is clamping to the boundary value
-    edge = s.eval(g.t[0], g.x_axes[0][0], g.z[-1])
-    beyond = s.eval(g.t[0] - 0.5, g.x_axes[0][0] * 0.5, g.z[-1] + 1.0)
+    edge = surface_eval(s, g.t[0], g.x_axes[0][0], g.z[-1])
+    beyond = surface_eval(s, g.t[0] - 0.5, g.x_axes[0][0] * 0.5, g.z[-1] + 1.0)
     assert beyond == pytest.approx(edge, abs=1e-12)
