@@ -17,7 +17,10 @@ Configs are INI files; the keys read, with their defaults:
   [grid]    needed by solve, and by price and dual unless the method is mc
             t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
             n_x = 128, n_z = 128, domain = q, z_max (required for domain q)
-  [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values);
+  [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values,
+            each finite and > 0; price and dual with the pde or pipeline
+            method read the surface at the grid node nearest x0 and need
+            x0 inside [x_min, x_max]);
             n_paths = 100000, n_steps = 64 (each at least 1);
             scheme = log-euler | exact-gbm | exact-bessel3 (the exact
             sampler of a gbm or bessel3 model, log-euler otherwise);
@@ -159,6 +162,9 @@ class _Run:
         self.x0 = np.asarray(_floats(run.get("x0", "1.0")))
         if self.x0.shape != (self.model.dim,):
             raise ConfigError(f"x0 must have {self.model.dim} components")
+        # every model lives on the positive orthant
+        if not np.all(np.isfinite(self.x0) & (self.x0 > 0)):
+            raise ConfigError("x0 components must be finite and > 0")
         self.t0 = cp.getfloat("grid", "t0", fallback=float(run.get("t0", 0.0)))
         self.T = cp.getfloat("grid", "T", fallback=float(run.get("T", 1.0)))
         scheme = run.get("scheme", "").strip() or engine.default_scheme(self.model)
@@ -252,6 +258,19 @@ def _sample_counters(samples: mc.SampleSet) -> dict:
     return {"floor_clamps": samples.meta["floor_clamps"]}
 
 
+def _x0_index(grid: GridSpec, x0: np.ndarray) -> tuple:
+    """The grid node nearest x0 on each x axis.  An x0 outside an axis
+    (beyond the rounding of its ends) is a configuration error: the edge
+    row is not the value there."""
+    idx = []
+    for i, (ax, x) in enumerate(zip(grid.x_axes, x0), start=1):
+        if not ax[0] * (1 - 1e-12) <= x <= ax[-1] * (1 + 1e-12):
+            raise ConfigError(f"x0 component {i} = {x:g} lies outside the grid's "
+                              f"x range [{ax[0]:g}, {ax[-1]:g}]")
+        idx.append(int(np.argmin(np.abs(ax - x))))
+    return tuple(idx)
+
+
 def cmd_price(run: _Run) -> int:
     p_grid = mc.default_p_grid(run.p_points)
     grid = None
@@ -263,12 +282,11 @@ def cmd_price(run: _Run) -> int:
         extra["counters"] = _sample_counters(samples)
     else:
         eps = run.epsilons[0] if run.epsilons else 0.0
+        idx = _x0_index(run.grid(eps), run.x0)
         surf = run.solve(eps)
         primal = pde.dual_to_primal(surf, p_grid)
         grid = surf.grid
         vals = primal.values[0, ...]
-        idx = tuple(int(np.argmin(np.abs(ax - x))) for ax, x in
-                    zip(grid.x_axes, run.x0))
         rows = [(float(p), float(vals[idx + (j,)]), 0.0) for j, p in enumerate(p_grid)]
     run.write_csv("price.csv", "p,value,stderr", rows)
     summary = {k: {"value": v, "stderr": s}
@@ -298,14 +316,13 @@ def cmd_dual(run: _Run) -> int:
             rows += zip([eps] * q_grid.size, q_grid.tolist(), value.tolist(), se.tolist())
     else:
         for eps in eps_list or [0.0]:
+            ix = _x0_index(run.grid(eps), run.x0)
             surf = run.solve(eps)
             grid = surf.grid
             tag = ("%g" % eps).replace(".", "p")
             write_surface_bin(surf, os.path.join(run.out, f"dual_eps{tag}.bin"))
             write_surface_csv(surf, os.path.join(run.out, f"dual_eps{tag}.csv"))
             artifacts += [f"dual_eps{tag}.bin", f"dual_eps{tag}.csv"]
-            ix = tuple(int(np.argmin(np.abs(ax - x))) for ax, x in
-                       zip(grid.x_axes, run.x0))
             for j, q in enumerate(grid.z):
                 rows.append((eps, float(q), float(surf.values[0][ix + (j,)]), 0.0))
     run.write_csv("dual.csv", "epsilon,q,value,stderr", rows)

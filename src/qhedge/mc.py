@@ -1,8 +1,11 @@
 """Terminal samples of Z(T) g(X(T)) and the estimators on them.
 
 sample_terminal draws the samples block by block through
-engine.terminal_block.  The sorted sample array is the empirical
-distribution; every estimator here is a closed-form functional of it.
+engine.terminal_block and keeps them in draw order (block order, the same
+for any thread count).  The sample array is the empirical distribution;
+every estimator here is a closed-form functional of it.  The quantile
+estimators sort their own copy of the values; the dual estimators take
+each sample on its own and need no order.
 quantile_curve and dual_curve evaluate whole grids; quantile_value,
 dual_value and dual_value_regularized are their one-point forms.
 
@@ -47,7 +50,7 @@ class Estimate:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sorted terminal draws of Z(T) g(X(T)) with provenance."""
+    """Terminal draws of Z(T) g(X(T)) in draw order, with provenance."""
 
     values: np.ndarray
     aux: Optional[np.ndarray]
@@ -63,8 +66,6 @@ class SampleSet:
             raise EmptySamples("need a non-empty 1-d value array")
         if not np.all(np.isfinite(v)) or not np.all(v > 0):
             raise ValueError("sample values must be finite and > 0")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("sample values must be sorted ascending")
         if self.aux is not None and self.aux.shape != v.shape:
             raise ValueError("aux must match values in shape")
 
@@ -75,16 +76,13 @@ class SampleSet:
 
 def sample_set(values, aux=None, *, horizon: float = 1.0, seed: int = 0,
                scheme: str = "external", model_name: str = "external", meta=None) -> SampleSet:
-    """Build a SampleSet from raw draws; sorts and keeps aux aligned."""
-    v = np.asarray(values, dtype=float).ravel()
-    order = np.argsort(v, kind="stable")
-    v = v[order].copy()
+    """Build a SampleSet from raw draws, kept in the order given.  values
+    and aux are read-only 1-d views of the float arrays given (copies only
+    where the dtype needs one), so the caller must not write to those."""
+    v = np.asarray(values, dtype=float).reshape(-1)
     a = None
     if aux is not None:
-        a = np.asarray(aux, dtype=float).ravel()
-        if a.shape != v.shape:
-            raise ValueError("aux must match values in shape")
-        a = a[order].copy()
+        a = np.asarray(aux, dtype=float).reshape(-1)
         a.flags.writeable = False
     v.flags.writeable = False
     return SampleSet(values=v, aux=a, horizon=float(horizon), seed=int(seed),
@@ -137,7 +135,7 @@ def _prefix_sum(v: np.ndarray) -> np.ndarray:
 def quantile_value(samples: SampleSet, p: float) -> Estimate:
     if not 0.0 <= p <= 1.0:
         raise POutOfRange(f"p={p} outside [0, 1]")
-    v = samples.values
+    v = np.sort(samples.values)
     n = v.size
     m = p * n
     k = int(np.floor(m))
@@ -167,7 +165,7 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     p = np.asarray(p_grid, dtype=float)
     if np.any(p < 0) or np.any(p > 1):
         raise POutOfRange("p grid outside [0, 1]")
-    v = samples.values
+    v = np.sort(samples.values)
     n = v.size
     m = p * n
     k = np.minimum(np.floor(m).astype(int), n)

@@ -3,6 +3,7 @@
 import configparser
 import datetime
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -505,3 +506,44 @@ def test_malformed_run_integers_are_config_errors(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "config error" in err
+
+
+GBM_MC_INI = """
+[model]
+kind = gbm
+b = 0.05
+s = 0.3
+
+[run]
+method = mc
+seed = 5
+x0 = 1.0
+n_paths = 4096
+scheme = exact-gbm
+"""
+
+
+@pytest.mark.parametrize("x0", ["-1.0", "0.0", "nan", "inf"])
+def test_nonpositive_x0_is_a_config_error(tmp_path, capsys, x0):
+    # every model lives on the positive orthant; log(x0) must not be taken
+    cfg = write_config(tmp_path, GBM_MC_INI.replace("x0 = 1.0", f"x0 = {x0}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "x0" in err
+
+
+@pytest.mark.parametrize("command, artifact", [("price", "price.csv"), ("dual", "dual.csv")])
+def test_pde_x0_outside_the_grid_is_a_config_error(tmp_path, capsys, command, artifact):
+    # x in [0.5, 2]: the x = 2 row is not the value at x0 = 5
+    for x0 in ("5.0", "0.4"):
+        cfg = write_config(tmp_path, pde_ini().replace("x0 = 1.0", f"x0 = {x0}"))
+        out = tmp_path / f"o{x0}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "outside" in err
+        assert not (out / artifact).exists()
+    # the ends of the axis are on the grid
+    cfg = write_config(tmp_path, pde_ini().replace("x0 = 1.0", "x0 = 2.0"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "edge")]) == 0

@@ -1,4 +1,5 @@
-"""Estimators on sorted terminal samples: hand values, duality, determinism."""
+"""Estimators on terminal samples in draw order (quantiles sort their own
+copy): hand values, order independence, duality, determinism."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,18 +16,58 @@ def toy(values, aux=None):
     return mc.sample_set(values, aux=aux, horizon=1.0)
 
 
-def test_sample_set_sorts_and_aligns_aux():
+def test_sample_set_keeps_draw_order_and_aligns_aux():
     s = toy([3.0, 1.0, 2.0], aux=[30.0, 10.0, 20.0])
-    assert np.array_equal(s.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(s.aux, [10.0, 20.0, 30.0])
+    assert np.array_equal(s.values, [3.0, 1.0, 2.0])
+    assert np.array_equal(s.aux, [30.0, 10.0, 20.0])
     assert s.n == 3
     assert not s.values.flags.writeable
+    assert not s.aux.flags.writeable
     with pytest.raises(EmptySamples):
         toy([])
     with pytest.raises(ValueError):
         toy([1.0, -2.0])
     with pytest.raises(ValueError):
+        toy([1.0, 0.0])
+    with pytest.raises(ValueError):
+        toy([1.0, np.inf])
+    with pytest.raises(ValueError):
         toy([1.0, 2.0], aux=[1.0])
+
+
+def _tied_sample():
+    rng = np.random.default_rng(7)
+    return toy(rng.choice([0.5, 0.75, 1.0, 1.25, 2.0], size=4000), aux=rng.normal(size=4000))
+
+
+def _bessel3_sample():
+    # exact bessel3 has Z X = x0 on every path: all values (nearly) tied
+    cfg = SimConfig(0.0, 1.0, 1, 9000, 8, "exact-bessel3")
+    return mc.sample_terminal(builtin_model("bessel3"), linear_payoff(), [1.0], cfg)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_tied_sample, id="ties"),
+    pytest.param(lambda: toy(np.full(3000, 1.3), aux=np.linspace(-2.0, 2.0, 3000)),
+                 id="all-equal"),
+    pytest.param(_bessel3_sample, id="exact-bessel3"),
+])
+def test_estimators_do_not_depend_on_sample_order(make):
+    s = make()
+    perm = np.random.default_rng(11).permutation(s.n)
+    shuffled = toy(s.values[perm], aux=s.aux[perm])
+    p_grid = np.linspace(0.0, 1.0, 41)
+    for a, b in zip(mc.quantile_curve(s, p_grid), mc.quantile_curve(shuffled, p_grid)):
+        assert np.array_equal(a, b)
+    for p in (0.0, 0.3, 0.5, 0.999, 1.0):
+        assert mc.quantile_value(s, p) == mc.quantile_value(shuffled, p)
+    q_grid = mc.default_q_grid(s, 33)
+    for eps in (0.0, 0.3):
+        _, value, se = mc.dual_curve(s, q_grid, eps)
+        _, value_p, se_p = mc.dual_curve(shuffled, q_grid, eps)
+        # only the summation order moves
+        np.testing.assert_allclose(value_p, value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(se_p, se, rtol=1e-12, atol=0.0)
 
 
 def test_quantile_value_hand_examples():
@@ -171,7 +212,7 @@ def test_sample_terminal_threads_do_not_change_results():
 ])
 def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
     # the streaming sampler is Z_T g(X_T) of every block of
-    # engine.terminal_block, sorted with the aux draws kept alongside;
+    # engine.terminal_block in block order, with the aux draws alongside;
     # 9000 paths span two blocks
     payoff = linear_payoff()
     cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme)

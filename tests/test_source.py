@@ -42,7 +42,8 @@ def test_unused_import_is_found():
     assert unused_imports(src) == [(2, "List")]
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def names_read(node) -> set:
@@ -83,34 +84,58 @@ def test_unread_private_definition_is_found():
     assert unread_private_definitions(sources) == [("a.py", "_Gone"), ("a.py", "_orphan")]
 
 
+def public_methods(cls) -> list:
+    """The public methods and properties defined in a class body."""
+    return [node for node in cls.body
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_")]
+
+
+def own_reads(node) -> set:
+    """names_read of a statement; for a class, without the bodies of its
+    public methods, which are reached on their own."""
+    if not isinstance(node, ast.ClassDef):
+        return names_read(node)
+    methods = {id(m) for m in public_methods(node)}
+    parts = node.decorator_list + node.bases + node.keywords
+    parts += [stmt for stmt in node.body if id(stmt) not in methods]
+    return set().union(*map(names_read, parts))
+
+
 def unreached_public_definitions(sources: dict, bench_text: str, exempt=("oracles.py",)) -> list:
-    """Module-level public functions and classes that nothing outside the
-    tests reaches, as (module, name) pairs.  `sources` maps module names to
-    their source text.  Reached are: definitions whose name is a whole word
-    of `bench_text`, definitions of the modules in `exempt` (references for
-    the tests), module-level statements other than definitions, and every
-    definition whose name a reached statement reads.
+    """Public functions and classes of the package, and public methods and
+    properties of its classes, that nothing outside the tests reaches, as
+    (module, name) pairs; a method is named "Class.method".  `sources` maps
+    module names to their source text.  Reached are: definitions whose name
+    is a whole word of `bench_text`, definitions of the modules in `exempt`
+    (references for the tests), module-level statements other than
+    definitions, and every definition whose name a reached statement reads
+    (a class's private and dunder methods belong to the class).
     Re-exports in `__init__.py` are not reads."""
     bench_words = set(re.findall(r"\w+", bench_text))
     statements = [(module, node) for module, text in sources.items()
                   if module != "__init__.py" for node in ast.parse(text).body]
-    by_name = {}
+    definitions = []
     for module, node in statements:
         if isinstance(node, DEFINITIONS):
-            by_name.setdefault(node.name, []).append(node)
-    todo = [node for module, node in statements
-            if not isinstance(node, DEFINITIONS) or module in exempt or node.name in bench_words]
+            definitions.append((module, node.name, node))
+        if isinstance(node, ast.ClassDef):
+            definitions += [(module, f"{node.name}.{m.name}", m) for m in public_methods(node)]
+    by_name = {}
+    for module, label, node in definitions:
+        by_name.setdefault(node.name, []).append(node)
+    todo = [node for module, node in statements if not isinstance(node, DEFINITIONS)]
+    todo += [node for module, label, node in definitions
+             if module in exempt or node.name in bench_words]
     reached = {id(node) for node in todo}
     while todo:
         node = todo.pop()
-        for name in names_read(node):
+        for name in own_reads(node):
             for target in by_name.get(name, ()):
                 if id(target) not in reached:
                     reached.add(id(target))
                     todo.append(target)
-    return sorted((module, node.name) for module, node in statements
-                  if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
-                  and id(node) not in reached)
+    return sorted((module, label) for module, label, node in definitions
+                  if not node.name.startswith("_") and id(node) not in reached)
 
 
 def test_no_unreached_public_definitions():
@@ -131,3 +156,21 @@ def test_unreached_public_definition_is_found():
     bench = "tracing.wrap(qhedge.a.traced)  # orphans stay untraced"
     # orphan reads itself and Result, and nothing reached reads either
     assert unreached_public_definitions(sources, bench) == [("a.py", "Result"), ("a.py", "orphan")]
+
+
+def test_unreached_public_method_is_found():
+    sources = {
+        "a.py": "class Box:\n"
+                "    def __init__(self):\n        self._fill()\n\n"
+                "    def _fill(self):\n        self.used()\n\n"
+                "    def used(self):\n        return self.size\n\n"
+                "    @property\n    def size(self):\n        return 1\n\n"
+                "    def orphan(self):\n        return self.stale\n\n"
+                "    @property\n    def stale(self):\n        return 2\n\n"
+                "    def traced(self):\n        return 3\n",
+        "b.py": "from .a import Box\n\nBOX = Box()\n",
+    }
+    # used is read by the private _fill, which belongs to Box, and reads
+    # size; orphan reads stale, but nothing reached reads orphan
+    found = unreached_public_definitions(sources, "wrap(Box.traced)")
+    assert found == [("a.py", "Box.orphan"), ("a.py", "Box.stale")]
