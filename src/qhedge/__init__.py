@@ -10,7 +10,6 @@ from .duality import convex_envelope
 from .engine import SimConfig, default_scheme
 from .errors import (
     ArgmaxAtBoundary,
-    CFLWarning,
     ConfigError,
     DimensionUnsupported,
     DomainMismatch,

@@ -37,11 +37,13 @@ Configs are INI files; the keys read, with their defaults:
 are data-only (CSV plus a JSON summary); identical config and seed produce
 byte-identical outputs except for the isolated "timestamp" key in the JSON.
 The solve summary also carries deterministic "counters" per epsilon: the
-dual solve's substeps and, with the pipeline method, the transform's
-enveloped and saturated slices.  Every Monte Carlo summary (price and dual
-with the mc method, study-epsilon, compare-oracle) carries "counters" with
-"floor_clamps", the log-Euler floor clamps of the sample; the verify
-report counts the non-convex nodes the residual skips ("n_nonconvex").
+dual solve's substeps per time step (always 1: the solver steps the dual
+in characteristic coordinates, without an x-q cross term to substep) and,
+with the pipeline method, the transform's enveloped and saturated slices.
+Every Monte Carlo summary (price and dual with the mc method,
+study-epsilon, compare-oracle) carries "counters" with "floor_clamps", the
+log-Euler floor clamps of the sample; the verify report counts the
+non-convex nodes the residual skips ("n_nonconvex").
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out

@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class QhedgeError(Exception):
@@ -59,7 +59,3 @@ class NonConvexNode(QhedgeError):
 
 class ConfigError(QhedgeError):
     """Malformed or incomplete run configuration."""
-
-
-class CFLWarning(UserWarning):
-    """Explicit cross-term step bound violated; time substepping engaged."""

@@ -2,53 +2,50 @@
 dual-to-primal transform, the nonlinear-operator residual, and the
 supersolution verifier.
 
-The dual equation is one linear backward equation on (x_1..x_d, q) for
-every d, with pure second-order terms,
+The dual equation is one linear backward equation on (x_1..x_d, q),
 
     w_t + 1/2 sum_ij A_ij d_i d_j w = 0,
 
     A = [[ alpha,              sigma theta q           ],
          [ (sigma theta q)',   (|theta|^2 + eps^2) q^2 ]],   alpha = sigma sigma',
 
-and terminal data (q - g(x))^+.  `_coefficients` is the one place that
-evaluates the model: it builds A with the q factors taken out, and both
-the solver and the primal residual read it.
+with terminal data (q - g(x))^+.  `_coefficients` is the one place that
+evaluates the model; the solver and the primal residual read it.
 
-Time stepping is an ADI splitting (Douglas predictor-corrector).  The
-predictor applies the whole operator explicitly; the diagonal terms, one
-per x axis and one for q, are then corrected implicitly, one axis at a
-time; the mixed terms, one per pair of axes, stay explicit.  The first
-backward steps are damped by implicit Euler (Rannacher startup).  The
-correlations |A_ij| / sqrt(A_ii A_jj) of the mixed terms are < 1 (for the
-x-q pairs, whenever eps > 0), but the splitting loses stability as they
-approach 1 (small x on a padded log grid, or eps = 0 outright); the
-solver then substeps the whole cycle, escalating by factors of 4 on
-detected divergence, and emits CFLWarning.
+The solver steps it in characteristic coordinates, v(t, x, eta) =
+w(t, x, e^(eta + phi(x))) with grad phi = sigma'^{-1} theta (`_phase`),
+where the x-eta cross terms vanish identically:
 
-The implicit sweeps are factored, not rebuilt, per substep.  A sweep's
-matrix depends on th = theta_w h but not on t.  Its tridiagonal blocks,
-one per line of the swept axis (a line per node of the other x axes for
-an x sweep, a line per x node for the q sweep), are stacked into one
-block-diagonal system with zero couplings between blocks, and that system
-is LU-factored once (_kernels.factor_blocks).  Every substep then solves
-each sweep with one call (_kernels.thomas_batch): an x sweep takes every
-q column as a right-hand side, the q sweep one column.  Factors are kept
-for the current th only and rebuilt when th changes, which is at a
-substep restart: the Rannacher steps (theta_w = 1 on half substeps) and
-the Crank-Nicolson steps (theta_w = 1/2) share th = dt / (2 n_sub).
+    v_t + 1/2 sum_ij alpha_ij v_{x_i x_j} + 1/2 eps^2 v_etaeta
+        - 1/2 (sum_ij alpha_ij phi_ij + |theta|^2 + eps^2) v_eta = 0.
 
-Edge conditions, folded into the implicit sweeps: each x axis is
-non-uniform (three-point weights) and has zero second x-derivative at
-both edges (linear extrapolation); the q axis is uniform, with w = 0 at
-q = 0 (Dirichlet) and dw/dq = 1 at q_max (Neumann, the saturation slope).
-The q = 0 condition is exact; the others are artificial, so the solver
-pads the domain by default to keep their influence away from the
-requested window.
+For bessel3 phi = log x and v = x f(eta); for gbm phi is linear in log x.
+The eta drift taken is the one whose discrete operator annihilates q =
+e^(eta + phi): the drift above up to O(dx^2 + de^2), and w_q = 1 exactly
+where w - q does not depend on q.  Mixed terms remain only between x axes
+(gbm with a full volatility matrix), at the model's own correlation.
+
+Time stepping is Douglas ADI: an explicit predictor, then implicit
+corrections one axis at a time (x axes, then eta), x-x mixed terms
+explicit, with two implicit Euler half steps first (Rannacher startup)
+and no substepping.  Each implicit sweep is one block-diagonal tridiagonal
+system, a block per line, factored once per solve (every step has th =
+dt / 2, _kernels.factor_blocks) and solved by one call per step
+(_kernels.thomas_batch; an x sweep takes every eta column at once).
+
+Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
+w - q is extrapolated linearly at fixed eta, exact where q is large.  The
+uniform eta axis has as many nodes as the padded q axis would have.  At
+its bottom v = 0, which errs by at most the q there (0 <= w <= q), at most
+e^-_ETA_MARGIN times the smallest requested positive q at every requested
+x; at its top, which reaches the padded q_max at every requested x, w_q =
+1, as the exact increase of q between the top two nodes.  Requested nodes
+are read back by cubic interpolation in eta (`read`); q <= 0 reads 0, and
+the terminal level is (q - g(x))^+ itself.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,7 +55,6 @@ from . import _kernels
 from .duality import convex_envelope_rows
 from .errors import (
     ArgmaxAtBoundary,
-    CFLWarning,
     DimensionUnsupported,
     DomainMismatch,
     NonConvexNode,
@@ -109,6 +105,26 @@ def _coefficients(model: MarketModel, x_axes, eps: float):
     return sigma, theta, A
 
 
+def _phase(x_axes, sigma: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """phi with grad phi = sigma'^{-1} theta on the x mesh, up to a constant:
+    the cumulative trapezoid in y = log x of its gradient there, psi =
+    diag(x) sigma'^{-1} theta = (s s')^{-1} b.  Exact where psi is constant
+    (bessel3, every gbm), second order otherwise; in d = 2 a psi that varies
+    need not be a gradient, and raises DimensionUnsupported."""
+    d = len(x_axes)
+    x = _mesh(x_axes).reshape(sigma.shape[:-1])
+    psi = x * np.linalg.solve(np.swapaxes(sigma, -1, -2), theta[..., None])[..., 0]
+    ys = [np.log(ax) for ax in x_axes]
+    if d == 1:
+        p = psi[:, 0]
+        return np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(ys[0]))))
+    mean = psi.reshape(-1, d).mean(axis=0)
+    if not np.allclose(psi, mean, rtol=1e-9, atol=1e-12):
+        raise DimensionUnsupported("the dual solver needs a constant (s s')^{-1} b "
+                                   "in d = 2 (a gbm-type model)")
+    return sum(_along(m * y, i, d) for i, (m, y) in enumerate(zip(mean, ys)))
+
+
 _LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
 
 
@@ -142,77 +158,97 @@ def _cross_diff(W: np.ndarray, i: int, j: int, lead: int = 0) -> np.ndarray:
             - _view(W, lead, ((i, _LO), (j, _HI))) + _view(W, lead, ((i, _LO), (j, _LO))))
 
 
+# how far, in log q, the eta axis reaches below every requested q > 0
+_ETA_MARGIN = 0.75
+
+
 class _DualOperator:
-    """Workspace for the dual solve on (x_1..x_d, q): coefficients on the
-    interior nodes, the explicit terms, the implicit sweeps, the edges."""
+    """Workspace for the dual solve on (x_1..x_d, eta): coefficients on the
+    interior nodes, the explicit terms, the implicit sweeps, the edges and
+    the read-back to the requested x nodes (`restrict`) and q nodes."""
 
-    def __init__(self, model: MarketModel, payoff: Payoff, grid: GridSpec):
-        xs, q = grid.x_axes, grid.z
-        self.d = d = len(xs)
-        self.dq = dq = grid.dz
-        self.q = q
-        self.gx = payoff(_mesh(xs)).reshape(tuple(ax.size for ax in xs))
-        _, _, A = _coefficients(model, xs, grid.epsilon)
-        # correlations of the mixed terms; the q factors cancel in them
-        self.max_corr = max(
-            float((np.abs(A[..., i, j])
-                   / np.sqrt(np.maximum(A[..., i, i] * A[..., j, j], 1e-300))).max())
-            for i in range(d + 1) for j in range(i + 1, d + 1)
-        )
-        Ai = A[(_MID,) * d]
-        qi = q[1:-1]
-        self.weights = [_d2_weights(x) for x in xs]
-        self.ratios = [_edge_ratios(x) for x in xs]
-        self.cx = [0.5 * Ai[..., i, i] for i in range(d)]
-        self.cq = 0.5 * Ai[..., d, d][..., None] * (qi * qi)
-        self.cq_dq2 = self.cq / (dq * dq)
+    def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
+                 restrict, q: np.ndarray, q_top: float, n_eta: int):
+        self.d = d = len(x_axes)
+        sigma, theta, A = _coefficients(model, x_axes, eps)
+        alpha = A[..., :d, :d]
+        self.phi = _phase(x_axes, sigma, theta)
+        self.first = int(np.count_nonzero(q <= 0.0))  # index of the first q > 0
+        lo = math.log(q[self.first]) - float(self.phi[restrict].max()) - _ETA_MARGIN
+        self.eta = np.linspace(lo, math.log(q_top) - float(self.phi[restrict].min()), n_eta)
+        self.de = de = float(self.eta[1] - self.eta[0])
+        self.gx = payoff(_mesh(x_axes)).reshape(self.phi.shape)
+        e_phi = np.exp(self.phi)
+        self.top = e_phi * np.diff(np.exp(self.eta[-2:]))[0]  # v_eta = q at the top
+        inner = (_MID,) * d
+        self.weights = [_d2_weights(x) for x in x_axes]
+        self.ratios = [_edge_ratios(x) for x in x_axes]
+        # what q = e^(eta + phi) adds at each x edge to a linear
+        # extrapolation of v: one (other x axes, eta) face per edge
+        self.faces = []
+        for axis, (r_lo, r_hi) in enumerate(self.ratios):
+            e = np.moveaxis(e_phi, axis, 0)
+            self.faces.append([(e[a] - (1.0 + r) * e[b] + r * e[c])[..., None] * np.exp(self.eta)
+                               for a, b, c, r in ((0, 1, 2, r_lo), (-1, -2, -3, r_hi))])
+        self.cx = [0.5 * alpha[inner + (i, i)] for i in range(d)]
         self._th = self._sweeps = None
-        # two-cell spans broadcast over the interior (x_1..x_d, q) block
-        spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(xs)] + [2.0 * dq]
-        self.pairs = []
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                c = Ai[..., i, j][..., None]
-                self.pairs.append((i, j, c * qi if j == d else c, spans[i] * spans[j]))
-
-    def terminal(self) -> np.ndarray:
-        return np.maximum(self.q - self.gx[..., None], 0.0)
+        # x pairs whose coefficient vanishes everywhere are left out
+        spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(x_axes)]
+        self.pairs = [(i, j, alpha[inner + (i, j)][..., None], spans[i] * spans[j])
+                      for i in range(d) for j in range(i + 1, d) if np.any(alpha[..., i, j])]
+        # eta diffusion per second difference, and the drift per two-cell
+        # difference that makes the discrete operator annihilate q
+        self.ce2 = 0.5 * eps * eps / (de * de)
+        e_three = np.broadcast_to(e_phi[..., None], e_phi.shape + (3,))
+        x_part = sum(self.a_x(e_three, axis) for axis in range(d)) + sum(
+            c * (_cross_diff(e_three, i, j) / span) for i, j, c, span in self.pairs)
+        eta_part = self.ce2 * (2.0 * math.cosh(de) - 2.0)
+        self.ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
+        # per requested node with q > 0: the flat index of its stencil's
+        # first node, the cubic weights, and its place among the stencil's q
+        # nodes Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1),
+        # e f = (q - Q_1) / (Q_1 - Q_0) and g = (q - Q_2) / (Q_3 - Q_2)
+        s = (np.log(q[self.first:]) - self.phi[restrict][..., None] - self.eta[0]) / de
+        k = np.clip(np.floor(s).astype(np.intp) - 1, 0, self.eta.size - 4)
+        rows = np.arange(self.phi.size).reshape(self.phi.shape)[restrict]
+        self.start = rows[..., None] * self.eta.size + k
+        u = s - k
+        self.centred = (u >= 1.0) & (u < 2.0)
+        self.cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
+                      u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
+        f = np.expm1((u - 1.0) * de) / math.expm1(de)
+        self.bounds = f, math.exp(de) * f, np.expm1((u - 2.0) * de) / math.expm1(de)
 
     def apply_bc(self, W: np.ndarray) -> None:
-        dq = self.dq
         W[..., 0] = 0.0
-        W[..., -1] = W[..., -2] + dq
-        for axis, (r_lo, r_hi) in enumerate(self.ratios):
+        W[..., -1] = W[..., -2] + self.top
+        for axis, ((r_lo, r_hi), (f_lo, f_hi)) in enumerate(zip(self.ratios, self.faces)):
             Wa = np.moveaxis(W, axis, 0)
-            Wa[0] = Wa[1] + r_lo * (Wa[1] - Wa[2])
-            Wa[-1] = Wa[-2] + r_hi * (Wa[-2] - Wa[-3])
+            Wa[0] = Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo
+            Wa[-1] = Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi
         W[..., 0] = 0.0
-        W[..., -1] = W[..., -2] + dq
+        W[..., -1] = W[..., -2] + self.top
 
     def a_x(self, W: np.ndarray, axis: int) -> np.ndarray:
         return self.cx[axis][..., None] * _second_diff(W, axis, self.weights[axis])
 
-    def a_q(self, W: np.ndarray) -> np.ndarray:
-        d = self.d
-        return self.cq * (
-            (_view(W, 0, ((d, _LO),)) - 2.0 * _view(W, 0) + _view(W, 0, ((d, _HI),)))
-            / (self.dq * self.dq)
-        )
+    def a_eta(self, W: np.ndarray) -> np.ndarray:
+        up, down = _view(W, 0, ((self.d, _HI),)), _view(W, 0, ((self.d, _LO),))
+        return self.ce2 * (up - 2.0 * _view(W, 0) + down) + self.ce1 * (up - down)
 
     def _factors(self, th: float):
-        """The factored x sweeps and q sweep for th = theta_w h, and the q
-        sweep's Neumann ghost term.  A new th refactors every sweep, so only
-        the current th's factors are kept."""
+        """The factored x and eta sweeps for th = theta_w h, with their edge
+        terms; only the current th's are kept."""
         if th != self._th:
             self._sweeps = ([self._factor_x(th, axis) for axis in range(self.d)]
-                            + [self._factor_q(th)])
+                            + [self._factor_eta(th)])
             self._th = th
         return self._sweeps
 
     def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
         folded in, one block per line of the axis, lines in C order of the
-        other x axes."""
+        other x axes; and the edge faces' terms in every line's end rows."""
         wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
         r_lo, r_hi = self.ratios[axis]
         c = self.cx[axis]
@@ -222,65 +258,80 @@ class _DualOperator:
         up[:, 0] += -lo[:, 0] * r_lo
         di[:, -1] += up[:, -1] * (1.0 + r_hi)
         lo[:, -1] += -up[:, -1] * r_hi
-        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}")
+        lines = c.shape[:axis] + c.shape[axis + 1:]
+        edges = [np.moveaxis(face[(_MID,) * self.d], -1, 0) * coef.reshape(lines)
+                 for face, coef in zip(self.faces[axis], (lo[:, 0], up[:, -1]))]
+        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}"), edges
 
-    def _factor_q(self, th: float):
-        """(I - th*A_q) on interior q nodes, one block per x node, with
-        w(q=0) = 0 and the unit-slope ghost at q_max folded in."""
-        c = self.cq_dq2.reshape(-1, self.cq_dq2.shape[-1])
-        off = -th * c
-        di = 1.0 + 2.0 * th * c
-        di[:, -1] += off[:, -1]
-        factors = _kernels.factor_blocks(off, di, off, f"q sweep at th={th:g}")
-        return factors, off[:, -1] * self.dq
+    def _factor_eta(self, th: float):
+        """(I - th*A_eta) on interior eta nodes, one block per x node, with
+        v = 0 at the bottom and the top's increment folded in."""
+        c1 = self.ce1.reshape(-1, 1)
+        lo = np.broadcast_to(-th * (self.ce2 - c1), (c1.size, self.eta.size - 2))
+        up = np.array(np.broadcast_to(-th * (self.ce2 + c1), lo.shape))
+        di = np.full(lo.shape, 1.0 + 2.0 * th * self.ce2)
+        di[:, -1] += up[:, -1]
+        return (_kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}"),
+                up[:, -1] * self.top[(_MID,) * self.d].ravel())
 
     def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
         """The x sweep along `axis`: one solve for every line of the axis,
-        every q column a right-hand side."""
-        # in C order, the (q, other x axes, axis) array is the Fortran-order
-        # (unknowns, q columns) matrix, with the unknowns numbered line by line
+        every eta column a right-hand side."""
+        # in C order, the (eta, other x axes, axis) array is the Fortran-order
+        # (unknowns, eta columns) matrix, with the unknowns numbered line by line
         perm = (self.d,) + tuple(i for i in range(self.d) if i != axis) + (axis,)
         cols = np.array(rhs.transpose(perm), order="C")
-        x = _kernels.thomas_batch(self._factors(th)[axis], cols.reshape(cols.shape[0], -1).T)
+        factors, (edge_lo, edge_hi) = self._factors(th)[axis]
+        cols[..., 0] -= edge_lo
+        cols[..., -1] -= edge_hi
+        x = _kernels.thomas_batch(factors, cols.reshape(cols.shape[0], -1).T)
         return x.T.reshape(cols.shape).transpose(np.argsort(perm))
 
-    def solve_q(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        """The q sweep: one solve for every x node at once."""
-        factors, ghost = self._factors(th)[-1]
-        flat = np.array(rhs, order="C").reshape(ghost.size, -1)
-        flat[:, -1] -= ghost
+    def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
+        """The eta sweep: one solve for every x node at once."""
+        factors, top = self._factors(th)[-1]
+        flat = np.array(rhs, order="C").reshape(top.size, -1)
+        flat[:, -1] -= top
         return _kernels.thomas_batch(factors, flat.ravel()).reshape(rhs.shape)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
-        diag = [self.a_x(W, axis) for axis in range(self.d)] + [self.a_q(W)]
+        diag = [self.a_x(W, axis) for axis in range(self.d)] + [self.a_eta(W)]
         mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in self.pairs]
-        terms = diag + mixed
-        y = _view(W, 0) + h * sum(terms[1:], terms[0])
+        y = _view(W, 0) + h * sum(diag + mixed)
         th = theta_w * h
         for axis in range(self.d):
             y = self.solve_x(y - th * diag[axis], th, axis)
-        y = self.solve_q(y - th * diag[-1], th)
+        y = self.solve_eta(y - th * diag[-1], th)
         out = np.empty_like(W)
         out[(_MID,) * (self.d + 1)] = y
         self.apply_bc(out)
         return out
 
+    def read(self, W: np.ndarray, out: np.ndarray) -> None:
+        """Write W on the requested nodes to out: the 4-point cubic Lagrange
+        interpolant in eta, clamped in the stencil's middle cell to the
+        bounds convexity in q sets (below the cell's chord, above either
+        neighbouring chord extended).  Smooth convex data keep the cubic in
+        them up to O(de^4); at an unresolved kink the clamp stops overshoot."""
+        flat = W.ravel()
+        v0, v1, v2, v3 = (flat[m:][self.start] for m in range(4))
+        f, ef, g = self.bounds
+        floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
+        chord = v1 + f * (v2 - v1)
+        value = sum(c * v for c, v in zip(self.cubic, (v0, v1, v2, v3)))
+        np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=self.centred)
+        out[..., :self.first] = 0.0
+        out[..., self.first:] = value
 
-def _refine_axis(x: np.ndarray, r: int, geometric: bool) -> np.ndarray:
-    """Insert r-1 nodes per cell; the original nodes are kept bit-exact."""
+
+def _refine_axis(x: np.ndarray, r: int) -> np.ndarray:
+    """Insert r-1 geometric nodes per cell; the original nodes stay bit-exact."""
     x = np.asarray(x, dtype=float)
-    if r <= 1:
-        return x.copy()
     out = np.empty((x.size - 1) * r + 1)
     out[::r] = x
-    if geometric:
-        step = (x[1:] / x[:-1]) ** (1.0 / r)
-        for j in range(1, r):
-            out[j::r] = x[:-1] * step ** j
-    else:
-        step = (x[1:] - x[:-1]) / r
-        for j in range(1, r):
-            out[j::r] = x[:-1] + step * j
+    step = (x[1:] / x[:-1]) ** (1.0 / r)
+    for j in range(1, r):
+        out[j::r] = x[:-1] * step ** j
     return out
 
 
@@ -293,30 +344,16 @@ def _pad_geometric(x: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([lo, x, hi])
 
 
-def _pad_above(q: np.ndarray, n: int) -> np.ndarray:
-    if n <= 0:
-        return q
-    return np.concatenate([q, q[-1] + (q[-1] - q[-2]) * np.arange(1, n + 1)])
-
-
-# Substepping engages when the q-direction correlation is this close to
-# degenerate; measured onset of Douglas instability on padded log grids.
-_SUBSTEP_CORR = 0.9995
-_SUBSTEP_INIT = 8
-
-
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
-                   rannacher_steps: int = 2, max_substeps: int = 512,
-                   pad=None, refine=None) -> Surface:
+                   rannacher_steps: int = 2, pad=None, refine=None) -> Surface:
     """Backward solve of the regularized dual equation on a q-domain grid.
 
-    The returned surface lives on `grid`.  Internally the solver may work
-    on a larger mesh and restrict: `pad` adds cells beyond the x edges
-    (geometric continuation) and above q_max, pushing the artificial side
-    conditions away from the region of interest; `refine` subdivides each
-    cell.  Requested nodes stay on the internal mesh exactly, so
-    restriction is a pure slice and the terminal slice is reproduced to
-    machine precision.
+    The returned surface lives on `grid`; the solver works on (x, eta) with
+    a larger x mesh.  `pad` adds cells beyond the x edges (geometric
+    continuation) and raises the q that the eta axis reaches above q_max,
+    pushing the artificial side conditions away from the region of
+    interest; `refine` subdivides each x and t cell and multiplies the eta
+    nodes.  Requested x nodes stay on the internal mesh exactly.
 
     pad : None for the default margin (quarter of the x range, ~3/8 of the
         q range, d=1 only), 0 to disable, or a pair (x_cells, q_cells) in
@@ -331,6 +368,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         raise DomainMismatch("solve_dual_pde expects a q-domain grid")
     if grid.dim != model.dim:
         raise ValueError(f"grid dimension {grid.dim} != model dimension {model.dim}")
+    if grid.z[-1] <= 0.0:
+        raise ValueError("the q axis needs a positive node")
 
     if refine is None:
         rx, rq, rt = 1, 1, 1
@@ -353,75 +392,35 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     else:
         px, pq = (int(v) for v in pad)
 
-    x_int = tuple(_pad_geometric(_refine_axis(ax, rx, True), px * rx) for ax in grid.x_axes)
-    q_int = _pad_above(_refine_axis(grid.z, rq, False), pq * rq)
-    t_int = _refine_axis(grid.t, rt, False)
-    inner = GridSpec(t_int, x_int, q_int, "q", grid.epsilon)
-
-    ws = _DualOperator(model, payoff, inner)
-    nt = grid.t.size
-    dt_int = inner.dt
+    q = grid.z
+    x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in grid.x_axes)
+    n_eta = (q.size - 1) * rq + 1 + pq * rq
     restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in grid.x_axes)
-    restrict += (slice(0, (grid.z.size - 1) * rq + 1, rq),)
-    blow_bound = 4.0 * float(q_int[-1]) + 10.0
-
-    n_sub = 1
-    if ws.max_corr >= _SUBSTEP_CORR:
-        n_sub = _SUBSTEP_INIT
-        warnings.warn(
-            "explicit cross-term step bound violated (near-degenerate "
-            f"regularization); substepping x{n_sub} engaged",
-            CFLWarning,
-            stacklevel=2,
-        )
+    q_top = float(q[-1] + pq * (q[-1] - q[-2]))
+    ws = _DualOperator(model, payoff, x_int, grid.epsilon, restrict, q, q_top, n_eta)
+    h = float(grid.dt) / rt
 
     values = np.empty(grid.shape)
-    while True:
-        W = ws.terminal()
-        values[-1] = W[restrict]
-        internal_step = 0
-        diverged = False
-        for k in range(nt - 2, -1, -1):
-            for _ in range(rt):
-                if internal_step < rannacher_steps:
-                    theta_w, reps = 1.0, 2 * n_sub
-                else:
-                    theta_w, reps = 0.5, n_sub
-                h = dt_int / reps
-                for _ in range(reps):
-                    W = ws.substep(W, h, theta_w)
-                internal_step += 1
-            if not np.isfinite(W).all() or np.abs(W).max() > blow_bound:
-                diverged = True
-                break
-            # the exact flow preserves the sign of the terminal data; FD
-            # undershoot below zero near q = 0 is projected out
-            np.maximum(W, 0.0, out=W)
-            values[k] = W[restrict]
-        if not diverged:
-            break
-        if n_sub >= max_substeps:
-            raise Nonfinite(
-                f"dual solve diverged even with {n_sub} substeps per time step"
-            )
-        n_sub = min(4 * n_sub, max_substeps)
-        warnings.warn(
-            f"time stepping diverged; restarting with substepping x{n_sub}",
-            CFLWarning,
-            stacklevel=2,
-        )
+    values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
+    W = np.maximum(np.exp(ws.eta + ws.phi[..., None]) - ws.gx[..., None], 0.0)
+    step = 0
+    for k in range(grid.t.size - 2, -1, -1):
+        for _ in range(rt):
+            if step < rannacher_steps:
+                W = ws.substep(ws.substep(W, 0.5 * h, 1.0), 0.5 * h, 1.0)
+            else:
+                W = ws.substep(W, h, 0.5)
+            step += 1
+        if not np.isfinite(W).all():
+            raise Nonfinite(f"dual solve: non-finite values at t = {grid.t[k]:g}")
+        # the exact flow preserves the sign of the terminal data; FD
+        # undershoot below zero is projected out
+        np.maximum(W, 0.0, out=W)
+        ws.read(W, values[k])
 
-    meta = {
-        "kind": "dual",
-        "model": model.name,
-        "payoff": payoff.name,
-        "epsilon": grid.epsilon,
-        "substeps": n_sub,
-        "rannacher_steps": rannacher_steps,
-        "pad": [px, pq],
-        "refine": [rx, rq, rt],
-        "scheme": "douglas-adi",
-    }
+    meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
+            "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": rannacher_steps,
+            "pad": [px, pq], "refine": [rx, rq, rt], "scheme": "douglas-adi"}
     return Surface(grid, values, meta)
 
 

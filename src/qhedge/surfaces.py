@@ -115,10 +115,6 @@ class Surface:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def write_surface_csv(surface: Surface, path) -> None:
     g = surface.grid

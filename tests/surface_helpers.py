@@ -1,5 +1,5 @@
-"""Grid comparison and surface interpolation for the tests; the package
-itself reads surfaces only on their nodes."""
+"""Grid comparison, the terminal slice and surface interpolation for the
+tests; the package itself reads surfaces only on their nodes."""
 import numpy as np
 
 
@@ -12,6 +12,11 @@ def axes_equal(a, b) -> bool:
         and all(np.array_equal(x, y) for x, y in zip(a.x_axes, b.x_axes))
         and np.array_equal(a.z, b.z)
     )
+
+
+def terminal(surface):
+    """The values at the last time node."""
+    return surface.values[-1]
 
 
 def surface_eval(surface, t, *coords):

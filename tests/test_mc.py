@@ -327,6 +327,27 @@ def test_dual_curve_keeps_the_order_of_an_unsorted_grid():
     assert np.array_equal(se_p, se[perm])
 
 
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform", "ties", "single", "flat"])
+def test_grid_bins_match_searchsorted(monkeypatch, grid):
+    # thresholds on every node, a hair either side of them, far outside the
+    # grid and at random, against np.searchsorted(side="right"), in blocks
+    # of 97 samples so that the 5000-odd thresholds take many blocks
+    monkeypatch.setattr(mc, "_BIN_BLOCK", 97)
+    rng = np.random.default_rng(11)
+    qs = {
+        "uniform": np.linspace(0.0, 3.0, 31),
+        "nonuniform": np.sort(rng.uniform(0.0, 3.0, 40)) ** 2,
+        "ties": np.array([0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 4.0]),
+        "single": np.array([0.7]),
+        "flat": np.full(5, 1.5),
+    }[grid]
+    u = np.concatenate([qs, np.nextafter(qs, -np.inf), np.nextafter(qs, np.inf),
+                        [-1e300, -1.0, 0.0, 1e-300, 10.0, 1e300, np.inf],
+                        rng.uniform(-0.5, 1.2 * qs[-1] + 1.0, 5000)])
+    rng.shuffle(u)
+    assert np.array_equal(mc._bin_right(qs, u), np.searchsorted(qs, u, side="right"))
+
+
 def test_dual_curve_argument_checks():
     s = toy([1.0, 2.0, 3.0], aux=[0.1, -0.2, 0.3])
     with pytest.raises(MissingAux):

@@ -4,7 +4,7 @@ import pytest
 
 from qhedge.surfaces import (GridSpec, Surface, read_surface_bin,
                              write_surface_bin, write_surface_csv)
-from surface_helpers import axes_equal, surface_eval
+from surface_helpers import axes_equal, surface_eval, terminal
 
 
 def small_grid(domain="q", epsilon=0.1):
@@ -66,7 +66,7 @@ def test_surface_eval_multilinear():
 
 def test_surface_terminal_slice():
     s = small_surface()
-    assert np.array_equal(s.terminal, s.values[-1])
+    assert np.array_equal(terminal(s), s.values[-1])
 
 
 def test_csv_roundtrip(tmp_path):
