@@ -16,7 +16,6 @@ from .errors import (
     EmptySamples,
     InvalidCoefficients,
     MissingAux,
-    NonConvexNode,
     Nonfinite,
     POutOfRange,
     QhedgeError,
@@ -35,7 +34,6 @@ from .mc import (
     Estimate,
     SampleSet,
     default_p_grid,
-    default_q_grid,
     dual_curve,
     dual_value,
     dual_value_regularized,

@@ -13,7 +13,7 @@ Configs are INI files; the keys read, with their defaults:
               variables x1..xd
   [payoff]  optional; kind = linear | expression (linear)
             linear: weights (none: the first coordinate)
-            expression: expr (required), growth_class = other
+            expression: expr (required)
   [grid]    needed by solve, and by price and dual unless the method is mc
             t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
             n_x = 128, n_z = 128, domain = q, z_max (required for domain q)
@@ -30,8 +30,9 @@ Configs are INI files; the keys read, with their defaults:
               with the mc method probes [0, hi]); n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
             tolerance (verify; none: 10 (dt + dx^2 + dq^2));
-            threads = 0 (0: one per CPU); refine (none, auto, n or
-            "r_x r_q r_t"); pad (auto, n or "x_cells q_cells")
+            threads = 0 (0: one per CPU); refine (none, n or
+            "r_x r_q r_t", each at least 1); pad (auto, n or
+            "x_cells q_cells", each at least 0)
 
 --seed, --threads and --method override the [run] values.  All artifacts
 are data-only (CSV plus a JSON summary); identical config and seed produce
@@ -47,7 +48,8 @@ non-convex nodes the residual skips ("n_nonconvex").
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
-of range), 3 numerical failure.
+of range, such as a refine or pad with another count of values than those
+above), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -109,7 +111,7 @@ def _parse_payoff(cp: configparser.ConfigParser, dim: int) -> market.Payoff:
         expr = sec.get("expr", "").strip()
         if not expr:
             raise ConfigError("expression payoff needs expr")
-        return market.payoff_from_expression(expr, dim, sec.get("growth_class", "other"))
+        return market.payoff_from_expression(expr, dim)
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
@@ -132,6 +134,21 @@ def _parse_grid(cp: configparser.ConfigParser, epsilon: float) -> GridSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [grid] section: {exc}") from None
+
+
+def _run_ints(run, key: str, count: int, least: int):
+    """[run] `key`: None when absent or empty, else one integer or `count`
+    of them, each at least `least`."""
+    tokens = run.get(key, "").replace(",", " ").split()
+    if not tokens:
+        return None
+    try:
+        vals = [int(tok) for tok in tokens]
+    except ValueError:
+        vals = []
+    if len(vals) not in (1, count) or min(vals) < least:
+        raise ConfigError(f"{key} must be one integer or {count}, each >= {least}")
+    return vals[0] if len(vals) == 1 else tuple(vals)
 
 
 class _Run:
@@ -192,20 +209,8 @@ class _Run:
         self.tolerance = float(run["tolerance"]) if "tolerance" in run else None
         threads = args.threads if args.threads is not None else int(run.get("threads", 0))
         self.threads = threads if threads > 0 else (os.cpu_count() or 1)
-        refine = run.get("refine", "").strip()
-        if not refine:
-            self.refine = None
-        elif refine == "auto":
-            self.refine = "auto"
-        else:
-            vals = [int(v) for v in refine.replace(",", " ").split()]
-            self.refine = vals[0] if len(vals) == 1 else tuple(vals)
-        pad = run.get("pad", "").strip()
-        if not pad or pad == "auto":
-            self.pad = None
-        else:
-            vals = [int(v) for v in pad.replace(",", " ").split()]
-            self.pad = vals[0] if len(vals) == 1 else tuple(vals)
+        self.refine = _run_ints(run, "refine", 3, 1)
+        self.pad = None if run.get("pad", "").strip() == "auto" else _run_ints(run, "pad", 2, 0)
 
     def grid(self, epsilon: float) -> GridSpec:
         return _parse_grid(self.cp, epsilon)

@@ -53,9 +53,5 @@ class DimensionUnsupported(QhedgeError):
     """Finite-difference solver limited to d <= 2."""
 
 
-class NonConvexNode(QhedgeError):
-    """Raised in strict mode when curvature-in-p is non-positive somewhere."""
-
-
 class ConfigError(QhedgeError):
     """Malformed or incomplete run configuration."""

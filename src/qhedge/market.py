@@ -76,7 +76,6 @@ class Payoff:
     """Terminal claim g(X(T)) > 0, evaluated batchwise (n, d) -> (n,)."""
 
     g: Callable[[np.ndarray], np.ndarray]
-    growth_class: str = "linear"
     name: str = "payoff"
 
     def __call__(self, x) -> np.ndarray:
@@ -87,14 +86,13 @@ class Payoff:
 def linear_payoff(weights=None) -> Payoff:
     """g(x) = w . x ; default takes the first coordinate."""
     if weights is None:
-        return Payoff(lambda x: x[:, 0], "linear", "first-coordinate")
+        return Payoff(lambda x: x[:, 0], "first-coordinate")
     w = np.asarray(weights, dtype=float)
-    return Payoff(lambda x: x @ w, "linear", "weighted-sum")
+    return Payoff(lambda x: x @ w, "weighted-sum")
 
 
-def payoff_from_expression(expr: str, dim: int, growth_class: str = "other") -> Payoff:
-    fn = _compile_expression(expr, dim)
-    return Payoff(fn, growth_class, f"expr:{expr}")
+def payoff_from_expression(expr: str, dim: int) -> Payoff:
+    return Payoff(_compile_expression(expr, dim), f"expr:{expr}")
 
 
 def _compile_expression(expr: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:

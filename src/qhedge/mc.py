@@ -199,13 +199,11 @@ def dual_value(samples: SampleSet, q: float) -> Estimate:
     return Estimate(float(w.mean()), se, n)
 
 
-def dual_curve(samples: SampleSet, q_grid=None, eps: float = 0.0):
+def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     """dual_value_regularized over a whole q grid in one pass; (q, value, se).
 
     q may come in any order; value and se follow it.
     """
-    if q_grid is None:
-        q_grid = default_q_grid(samples)
     q = np.asarray(q_grid, dtype=float)
     if np.any(q < 0):
         raise ValueError("q grid must be >= 0")
@@ -313,8 +311,3 @@ def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate
 
 def default_p_grid(n: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
-
-
-def default_q_grid(samples: SampleSet, n: int = 201) -> np.ndarray:
-    """n points on [0, 2 E[v]]; E[v] is the p = 1 (superhedging) capital."""
-    return np.linspace(0.0, 2.0 * float(samples.values.mean()), n)

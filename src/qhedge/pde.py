@@ -57,7 +57,6 @@ from .errors import (
     ArgmaxAtBoundary,
     DimensionUnsupported,
     DomainMismatch,
-    NonConvexNode,
     Nonfinite,
 )
 from .market import MarketModel, Payoff
@@ -344,8 +343,12 @@ def _pad_geometric(x: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([lo, x, hi])
 
 
+# implicit Euler half-step pairs that start the solve (Rannacher startup)
+_RANNACHER_STEPS = 2
+
+
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
-                   rannacher_steps: int = 2, pad=None, refine=None) -> Surface:
+                   pad=None, refine=None) -> Surface:
     """Backward solve of the regularized dual equation on a q-domain grid.
 
     The returned surface lives on `grid`; the solver works on (x, eta) with
@@ -353,14 +356,14 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     continuation) and raises the q that the eta axis reaches above q_max,
     pushing the artificial side conditions away from the region of
     interest; `refine` subdivides each x and t cell and multiplies the eta
-    nodes.  Requested x nodes stay on the internal mesh exactly.
+    nodes.  Requested x nodes stay on the internal mesh exactly.  The
+    first _RANNACHER_STEPS steps are each two implicit Euler half steps.
 
     pad : None for the default margin (quarter of the x range, ~3/8 of the
         q range, d=1 only), 0 to disable, or a pair (x_cells, q_cells) in
-        units of the requested grid's spacing.
-    refine : None for no refinement, "auto" to subdivide x and t by 4 and
-        q until the regularization layer is resolved (dq <= eps/25, capped
-        at 16), an int, or a triple (r_x, r_q, r_t).
+        units of the requested grid's spacing; each >= 0.
+    refine : None for no refinement, an int, or a triple (r_x, r_q, r_t);
+        each >= 1.
     """
     if model.dim > 2:
         raise DimensionUnsupported(f"finite differences support d <= 2, got d={model.dim}")
@@ -373,10 +376,6 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 
     if refine is None:
         rx, rq, rt = 1, 1, 1
-    elif refine == "auto":
-        rx, rt = 4, 4
-        eps = grid.epsilon
-        rq = 16 if eps <= 0 else int(np.clip(math.ceil(25.0 * grid.dz / eps), 1, 16))
     elif np.isscalar(refine):
         rx = rq = rt = int(refine)
     else:
@@ -391,6 +390,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         px = pq = int(pad)
     else:
         px, pq = (int(v) for v in pad)
+    if min(px, pq) < 0:
+        raise ValueError("padding cells must be >= 0")
 
     q = grid.z
     x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in grid.x_axes)
@@ -406,7 +407,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     step = 0
     for k in range(grid.t.size - 2, -1, -1):
         for _ in range(rt):
-            if step < rannacher_steps:
+            if step < _RANNACHER_STEPS:
                 W = ws.substep(ws.substep(W, 0.5 * h, 1.0), 0.5 * h, 1.0)
             else:
                 W = ws.substep(W, h, 0.5)
@@ -419,7 +420,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         ws.read(W, values[k])
 
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
-            "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": rannacher_steps,
+            "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,
             "pad": [px, pq], "refine": [rx, rq, rt], "scheme": "douglas-adi"}
     return Surface(grid, values, meta)
 
@@ -590,14 +591,20 @@ def _check_p_grid(p: np.ndarray) -> None:
         raise ValueError("p grid must lie in [0, 1]")
 
 
-def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> Surface:
+# a slice whose largest spline slope stays below 1 - _SATURATION_GAP
+# saturates at q_max for the p above it
+_SATURATION_GAP = 0.02
+
+
+def dual_to_primal(w_surface: Surface, p_grid=None) -> Surface:
     """Legendre transform of a dual surface to the p-domain, one time level
     at a time.
 
     The terminal slice is imposed analytically as p g(x), with g read off
     the terminal data; the p=0 column is exactly 0.  The p grid is checked
     (1-d, >= 3 strictly increasing nodes in [0, 1]) before any slice is
-    conjugated.
+    conjugated.  Slices whose top slope is below 1 - _SATURATION_GAP count
+    as saturated.
     """
     g = w_surface.grid
     if g.domain != "q":
@@ -625,7 +632,7 @@ def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> 
     for k in range(nt - 1):
         out[k], top, enveloped = _conjugate_level(q, wflat[k], p)
         n_env += int(enveloped.sum())
-        saturated = top < 1.0 - tolerance
+        saturated = top < 1.0 - _SATURATION_GAP
         n_sat += int(saturated.sum())
         bad = np.flatnonzero(saturated & covered)
         if bad.size:
@@ -655,15 +662,12 @@ def dual_to_primal(w_surface: Surface, p_grid=None, tolerance: float = 0.02) -> 
 @dataclass(frozen=True)
 class HJBResult:
     """Central-difference residual of the nonlinear operator on interior
-    nodes with positive curvature in p; NaN elsewhere."""
+    nodes with positive curvature in p, NaN elsewhere, and the p curvature
+    U_pp on the same nodes."""
 
     residual: np.ndarray
-    convex_mask: np.ndarray
-    a_star: np.ndarray
-    b_star: np.ndarray
+    curvature: np.ndarray
     n_nonconvex: int
-    n_interior: int
-    epsilon: float
 
 
 def _curvature_floor(U: np.ndarray) -> float:
@@ -682,31 +686,22 @@ def _resolved_mask(convex: np.ndarray) -> np.ndarray:
     return out
 
 
-def hjb_residual(U_surface: Surface, model: MarketModel, eps: Optional[float] = None,
-                 strict: bool = False) -> HJBResult:
-    """Residual of the primal nonlinear operator at interior nodes.
+def hjb_residual(U_surface: Surface, model: MarketModel) -> HJBResult:
+    """Residual of the primal nonlinear operator at interior nodes, at the
+    surface grid's epsilon.
 
     Nodes whose discrete p curvature is not positive beyond machine
     rounding take the operator's envelope value (minus infinity) and are
-    excluded: flagged, NaN residual.  With strict=True their presence
-    raises NonConvexNode instead.
+    excluded: counted, NaN residual.
     """
     g = U_surface.grid
     if g.domain != "p":
         raise DomainMismatch("hjb_residual expects a p-domain surface")
-    if eps is None:
-        eps = g.epsilon
     d = g.dim
-    if d > 2:
-        raise DimensionUnsupported(f"residual evaluation supports d <= 2, got d={d}")
     U = U_surface.values
     dp = g.dz
-    sigma, theta, A = _coefficients(model, g.x_axes, eps)
+    A = _coefficients(model, g.x_axes, g.epsilon)[2]
     inner = (_MID,) * d
-
-    def lift(c):
-        """A field on the x mesh, on interior nodes, broadcast over t and p."""
-        return c[inner][None, ..., None]
 
     def sym_sum(M, entry):
         """sum_ij M_ij entry(i, j) for a symmetric matrix field M and a
@@ -716,7 +711,8 @@ def hjb_residual(U_surface: Surface, model: MarketModel, eps: Optional[float] = 
         for i in range(n):
             for j in range(i, n):
                 term = entry(i, j)
-                term *= lift(M[..., i, j]) * (1.0 if i == j else 2.0)
+                # the entry on interior x nodes, broadcast over t and p
+                term *= M[..., i, j][inner][None, ..., None] * (1.0 if i == j else 2.0)
                 total = term if total is None else np.add(total, term, out=total)
         return total
 
@@ -738,35 +734,13 @@ def hjb_residual(U_surface: Surface, model: MarketModel, eps: Optional[float] = 
     v = Uxp + [-Up]
     res = sym_sum(A[..., :d, :d], U_xx)
     quad = sym_sum(A, lambda i, j: v[i] * v[j])
-    convex = _resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
+    nonconvex = ~_resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
     with np.errstate(divide="ignore", invalid="ignore"):
         res *= 0.5
         res += (_view(U[2:], 1) - _view(U[:-2], 1)) / (2.0 * g.dt)
         res -= np.divide(quad, 2.0 * Upp, out=quad)
-        # a* = (U_p theta - sigma' U_xp) / U_pp,  b* = eps U_p / U_pp
-        rho = Up / Upp
-        a_star = np.empty(res.shape + (d,))
-        for k in range(d):
-            a_star[..., k] = (rho * lift(theta[..., k])
-                              - sum(lift(sigma[..., j, k]) * Uxp[j] for j in range(d)) / Upp)
-        b_star = np.multiply(rho, eps, out=rho)
-    nonconvex = ~convex
     res[nonconvex] = np.nan
-    a_star[nonconvex] = np.nan
-    b_star[nonconvex] = np.nan
-
-    n_nonconvex = int(nonconvex.sum())
-    if strict and n_nonconvex:
-        raise NonConvexNode(f"{n_nonconvex} interior nodes have non-positive D_pp")
-    return HJBResult(
-        residual=res,
-        convex_mask=convex,
-        a_star=a_star,
-        b_star=b_star,
-        n_nonconvex=n_nonconvex,
-        n_interior=int(convex.size),
-        epsilon=float(eps),
-    )
+    return HJBResult(residual=res, curvature=Upp, n_nonconvex=int(nonconvex.sum()))
 
 
 @dataclass(frozen=True)
@@ -809,21 +783,28 @@ def default_residual_tol(grid: GridSpec) -> float:
     return 10.0 * (grid.dt + dx * dx + grid.dz * grid.dz)
 
 
+# the verifier's surrogate: a terminal slice within _TERMINAL_TOL of p g(x);
+# residuals checked where U_pp > _TOL_CONVEX, on tau >= _TIME_MARGIN (T - t0)
+# and p in _P_WINDOW, outside the terminal kink's reach
+_TERMINAL_TOL = 1e-8
+_TOL_CONVEX = 1e-8
+_TIME_MARGIN = 0.1
+_P_WINDOW = (0.02, 0.98)
+
+
 def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
-                         tol: Optional[float] = None, *, tol_convex: float = 1e-8,
-                         terminal_tol: float = 1e-8, eps: Optional[float] = None,
-                         time_margin: float = 0.1,
-                         p_window: tuple = (0.02, 0.98)) -> SupersolutionReport:
+                         tol: Optional[float] = None) -> SupersolutionReport:
     """Grid surrogate for the supersolution property.
 
-    (a) terminal data must equal p g(x) within terminal_tol (a sharp check:
+    (a) terminal data must equal p g(x) within _TERMINAL_TOL (a sharp check:
     boundary data is imposed, not approximated); (b) the nonlinear-operator
-    residual must stay below tol at interior nodes with curvature above
-    tol_convex; nodes at or below tol_convex auto-pass by the envelope
-    convention.  The residual check skips a layer of width time_margin*(T-t0)
-    before the terminal time and p outside p_window, where the kink of the
-    terminal data makes central differences meaningless; the margins are
-    part of the surrogate's definition and recorded in the report.
+    residual must stay below tol (default_residual_tol when None) at
+    interior nodes with curvature above _TOL_CONVEX; nodes at or below it
+    auto-pass by the envelope convention.  The residual check skips a layer
+    of width _TIME_MARGIN*(T-t0) before the terminal time and p outside
+    _P_WINDOW, where the kink of the terminal data makes central
+    differences meaningless; the margins are part of the surrogate's
+    definition and recorded in the report.
     """
     g = u_surface.grid
     if g.domain != "p":
@@ -835,27 +816,21 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
     gx = payoff(_mesh(g.x_axes)).reshape(tuple(ax.size for ax in g.x_axes))
     target = gx[..., None] * p
     terminal_err = float(np.abs(u_surface.values[-1] - target).max())
-    terminal_ok = terminal_err <= terminal_tol
+    terminal_ok = terminal_err <= _TERMINAL_TOL
 
-    hjb = hjb_residual(u_surface, model, eps=eps)
+    hjb = hjb_residual(u_surface, model)
     res = hjb.residual
-
-    # curvature threshold: recompute Upp cheaply from the residual inputs
-    dp = g.dz
-    Ui = u_surface.values[1:-1]
-    Upp = (Ui[..., 2:] - 2.0 * Ui[..., 1:-1] + Ui[..., :-2]) / (dp * dp)
-    sl = (slice(None),) + (slice(1, -1),) * g.dim + (slice(None),)
-    Upp = Upp[sl]
+    Upp = hjb.curvature
 
     t_int = g.t[1:-1]
     tau = g.t[-1] - t_int
-    keep_t = tau >= time_margin * (g.t[-1] - g.t[0])
+    keep_t = tau >= _TIME_MARGIN * (g.t[-1] - g.t[0])
     p_int = p[1:-1]
-    keep_p = (p_int >= p_window[0]) & (p_int <= p_window[1])
+    keep_p = (p_int >= _P_WINDOW[0]) & (p_int <= _P_WINDOW[1])
     window = keep_t.reshape((-1,) + (1,) * (res.ndim - 1)) & keep_p.reshape((1,) * (res.ndim - 1) + (-1,))
 
-    checkable = window & (Upp > tol_convex) & np.isfinite(res)
-    auto = window & ~(Upp > tol_convex)
+    checkable = window & (Upp > _TOL_CONVEX) & np.isfinite(res)
+    auto = window & ~(Upp > _TOL_CONVEX)
     checked = res[checkable]
     n_checked = int(checkable.sum())
     if n_checked:
@@ -876,21 +851,21 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
 
     passed = terminal_ok and n_violations == 0
     notes = (
-        f"residual checked on tau >= {time_margin:g}*(T-t0), p in [{p_window[0]:g}, {p_window[1]:g}]; "
+        f"residual checked on tau >= {_TIME_MARGIN:g}*(T-t0), p in [{_P_WINDOW[0]:g}, {_P_WINDOW[1]:g}]; "
         "pointwise FD surrogate, not a test-function verification"
     )
     return SupersolutionReport(
         passed=passed,
         terminal_ok=terminal_ok,
         terminal_max_err=terminal_err,
-        terminal_tol=float(terminal_tol),
+        terminal_tol=_TERMINAL_TOL,
         max_residual=max_residual,
         n_checked=n_checked,
         n_violations=n_violations,
         n_auto_pass=int(auto.sum()),
         n_nonconvex=hjb.n_nonconvex,
         tol=float(tol),
-        tol_convex=float(tol_convex),
+        tol_convex=_TOL_CONVEX,
         worst_node=worst_node,
         notes=notes,
     )

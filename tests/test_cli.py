@@ -497,7 +497,9 @@ def test_log_overflow_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["n_paths = abc", "n_paths = 0", "n_steps = 0", "seed = x",
-                                  "threads = x", "n_probe = 0"])
+                                  "threads = x", "n_probe = 0", "refine = 2 2", "refine = 0",
+                                  "refine = 1 2 3 4", "refine = auto", "pad = 1 2 3",
+                                  "pad = -3"])
 def test_malformed_run_integers_are_config_errors(tmp_path, capsys, line):
     key = line.split()[0]
     text = "\n".join(ln for ln in mc_ini().splitlines() if not ln.startswith(key + " "))

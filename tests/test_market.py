@@ -93,7 +93,6 @@ def test_point_dimension_check():
 def test_linear_payoff_variants():
     g = linear_payoff()
     assert g.name == "first-coordinate"
-    assert g.growth_class == "linear"
     assert np.allclose(g(np.array([[2.0, 5.0]])), [2.0])
     g2 = linear_payoff([0.5, 0.25])
     assert g2.name == "weighted-sum"

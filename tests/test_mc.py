@@ -61,7 +61,7 @@ def test_estimators_do_not_depend_on_sample_order(make):
         assert np.array_equal(a, b)
     for p in (0.0, 0.3, 0.5, 0.999, 1.0):
         assert mc.quantile_value(s, p) == mc.quantile_value(shuffled, p)
-    q_grid = mc.default_q_grid(s, 33)
+    q_grid = np.linspace(0.0, 2.0 * s.values.mean(), 33)
     for eps in (0.0, 0.3):
         _, value, se = mc.dual_curve(s, q_grid, eps)
         _, value_p, se_p = mc.dual_curve(shuffled, q_grid, eps)
@@ -125,7 +125,7 @@ def test_curves_match_pointwise_calls():
         est = mc.quantile_value(s, float(pp))
         assert val[i] == pytest.approx(est.value, abs=1e-14)
         assert se[i] == pytest.approx(est.std_error, abs=1e-14)
-    q_grid = mc.default_q_grid(s, 17)
+    q_grid = np.linspace(0.0, 2.0 * s.values.mean(), 17)
     q, wval, wse = mc.dual_curve(s, q_grid)
     for i, qq in enumerate(q_grid):
         est = mc.dual_value(s, float(qq))
@@ -143,12 +143,12 @@ def test_quantile_curve_constant_samples_have_zero_stderr(n, c):
 
 
 def test_superhedge_value_is_mean():
-    # the p = 1 capital is the sample mean, and the default q grid spans
-    # twice it
+    # the p = 1 capital is the sample mean; at or above every sample the
+    # dual value is q less it
     s = toy([1.0, 2.0, 3.0])
     assert mc.quantile_value(s, 1.0).value == pytest.approx(2.0)
-    q = mc.default_q_grid(s, 5)
-    assert np.array_equal(q, np.linspace(0.0, 4.0, 5))
+    _, w, _ = mc.dual_curve(s, np.linspace(0.0, 4.0, 5))
+    assert w[-2:] == pytest.approx([1.0, 2.0])
 
 
 def test_regularized_dual_reduces_and_requires_aux():

@@ -200,3 +200,88 @@ def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
 
 def test_scipy_subpackage_import_is_found():
     assert "interpolate" in scipy_subpackages("import qhedge.cli, scipy.interpolate")
+
+
+def passed_arguments(trees) -> dict:
+    """For every name called in `trees`, as a function or as a method: the
+    keywords its calls pass and the most positional arguments one call
+    passes.  A call that unpacks *args or **kwargs passes every parameter
+    (keywords None)."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords, most = out.get(name, (set(), 0))
+            if keywords is None or any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    kw.arg is None for kw in node.keywords):
+                out[name] = (None, 0)
+            else:
+                out[name] = (keywords | {kw.arg for kw in node.keywords},
+                             max(most, len(node.args)))
+    return out
+
+
+def unset_keyword_parameters(sources: dict, callers) -> list:
+    """Defaulted parameters of the package's public functions and public
+    methods that no call in `callers` (source texts) passes, by keyword or
+    by position, as (module, "function.parameter") pairs; a method is named
+    "Class.method".  A call counts for every definition of its name; a
+    definition that no call names is left to the reachability check.
+    `sources` maps module names to their source text."""
+    passed = passed_arguments([ast.parse(text) for text in callers])
+    defs = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, FUNCTIONS):
+                defs.append((module, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for m in public_methods(node):
+                    static = any(getattr(dec, "id", None) == "staticmethod"
+                                 for dec in m.decorator_list)
+                    defs.append((module, f"{node.name}.{m.name}", m, 0 if static else 1))
+    found = []
+    for module, label, node, skip in defs:
+        if node.name.startswith("_") or node.name not in passed:
+            continue
+        keywords, most = passed[node.name]
+        if keywords is None:
+            continue
+        args = node.args.posonlyargs + node.args.args
+        defaulted = [(a.arg, i) for i, a in enumerate(args)
+                     if i >= len(args) - len(node.args.defaults)]
+        defaulted += [(a.arg, None) for a, default in zip(node.args.kwonlyargs,
+                                                           node.args.kw_defaults)
+                      if default is not None]
+        found += [(module, f"{label}.{arg}") for arg, i in defaulted
+                  if arg not in keywords and (i is None or i - skip >= most)]
+    return sorted(found)
+
+
+def test_no_unset_keyword_parameters():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    callers = [p.read_text() for p in SOURCES + BENCH]
+    assert unset_keyword_parameters(sources, callers) == []
+
+
+def test_unset_keyword_parameter_is_found():
+    sources = {
+        "a.py": "def solve(grid, refine=None, *, pad=0, knob=2, steps=None):\n    pass\n\n\n"
+                "def blur(x, width=1.0, *, mode='same'):\n    pass\n\n\n"
+                "class Box:\n"
+                "    def fill(self, value=0.0, extra=None):\n        pass\n\n"
+                "    @staticmethod\n    def make(size=1):\n        pass\n",
+    }
+    callers = [
+        "from .a import Box, blur, solve\n\n"
+        "solve(grid, 2, pad=1)\nsolve(grid)\nblur(*args)\n"
+        "Box().fill(1.0)\nBox.make(3)\n",
+        "def wrap(fn):\n    return fn(steps=1)\n",
+    ]
+    # refine and pad are passed, knob never, steps only to another name;
+    # blur(*args) may pass anything; fill's self takes no argument of the
+    # call, while the static make has no self
+    assert unset_keyword_parameters(sources, callers) == [
+        ("a.py", "Box.fill.extra"), ("a.py", "solve.knob"), ("a.py", "solve.steps")]
