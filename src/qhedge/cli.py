@@ -25,11 +25,13 @@ Configs are INI files; the keys read, with their defaults:
             scheme = log-euler | exact-gbm | exact-bessel3 (the exact
             sampler of a gbm or bessel3 model, log-euler otherwise);
             t0 = 0.0, T = 1.0 (the [grid] values win);
-            epsilons (positive; required by solve and study-epsilon);
+            epsilons (finite and positive; required by solve and
+              study-epsilon);
             q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
               with the mc method probes [0, hi]); n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
-            tolerance (verify; none: 10 (dt + dx^2 + dq^2));
+            tolerance (verify, finite and >= 0; none: 10 (dt + dx^2 +
+              dq^2));
             threads = 0 (0: one per CPU); refine (none, n or
             "r_x r_q r_t", each at least 1); pad (auto, n or
             "x_cells q_cells", each at least 0)
@@ -55,9 +57,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -195,8 +199,9 @@ class _Run:
             self.epsilons = None
         else:
             self.epsilons = _floats(raw_eps)
-            if any(e <= 0 for e in self.epsilons):
-                raise ConfigError("epsilons must be positive")
+            # written so that a NaN fails
+            if not all(0 < e < math.inf for e in self.epsilons):
+                raise ConfigError("epsilons must be finite and positive")
         self.q_window = _floats(run.get("q_window", "0.2 2.0"))
         if len(self.q_window) != 2 or not 0 <= self.q_window[0] < self.q_window[1]:
             raise ConfigError("q_window must be 'lo hi' with 0 <= lo < hi")
@@ -207,6 +212,8 @@ class _Run:
         if self.p_points < 3:
             raise ConfigError("p_points must be >= 3")
         self.tolerance = float(run["tolerance"]) if "tolerance" in run else None
+        if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
+            raise ConfigError("tolerance must be finite and >= 0")
         threads = args.threads if args.threads is not None else int(run.get("threads", 0))
         self.threads = threads if threads > 0 else (os.cpu_count() or 1)
         self.refine = _run_ints(run, "refine", 3, 1)
@@ -262,7 +269,7 @@ class _Run:
 
 def _sample_counters(samples: mc.SampleSet) -> dict:
     """Deterministic numerical events of a Monte Carlo sample."""
-    return {"floor_clamps": samples.meta["floor_clamps"]}
+    return {"floor_clamps": samples.floor_clamps}
 
 
 def _x0_index(grid: GridSpec, x0: np.ndarray) -> tuple:
@@ -386,7 +393,7 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
     run.write_json("verify.json", {
         "provenance": run.provenance("verify", surf.grid),
         "surface": os.path.basename(surface_path),
-        "report": report.to_dict(),
+        "report": dataclasses.asdict(report),
     })
     return 0 if report.passed else 1
 

@@ -31,7 +31,7 @@ aux draws, so curves at different eps keep the common random numbers.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,15 +50,13 @@ class Estimate:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Terminal draws of Z(T) g(X(T)) in draw order, with provenance."""
+    """Terminal draws of Z(T) g(X(T)) in draw order, with the count of
+    log-Euler floor clamps that made them."""
 
     values: np.ndarray
     aux: Optional[np.ndarray]
     horizon: float
-    seed: int
-    scheme: str
-    model_name: str
-    meta: dict = field(default_factory=dict)
+    floor_clamps: int
 
     def __post_init__(self):
         v = self.values
@@ -74,8 +72,7 @@ class SampleSet:
         return self.values.size
 
 
-def sample_set(values, aux=None, *, horizon: float = 1.0, seed: int = 0,
-               scheme: str = "external", model_name: str = "external", meta=None) -> SampleSet:
+def sample_set(values, aux=None, *, horizon: float = 1.0, floor_clamps: int = 0) -> SampleSet:
     """Build a SampleSet from raw draws, kept in the order given.  values
     and aux are read-only 1-d views of the float arrays given (copies only
     where the dtype needs one), so the caller must not write to those."""
@@ -85,15 +82,14 @@ def sample_set(values, aux=None, *, horizon: float = 1.0, seed: int = 0,
         a = np.asarray(aux, dtype=float).reshape(-1)
         a.flags.writeable = False
     v.flags.writeable = False
-    return SampleSet(values=v, aux=a, horizon=float(horizon), seed=int(seed),
-                     scheme=scheme, model_name=model_name, meta=dict(meta or {}))
+    return SampleSet(values=v, aux=a, horizon=float(horizon), floor_clamps=int(floor_clamps))
 
 
 def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfig,
                     threads: int = 1) -> SampleSet:
     """Streaming terminal sampler: evolves fixed path blocks (engine.BLOCK)
     keeping only terminal states; thread count never changes the result.
-    meta["floor_clamps"] counts the log-Euler floor clamps of every block."""
+    floor_clamps counts the log-Euler floor clamps of every block."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cfg.n_paths
     values = np.empty(n)
@@ -114,16 +110,7 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
         for task in tasks:
             run_block(task)
 
-    return sample_set(
-        values,
-        aux=aux,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-        scheme=cfg.scheme,
-        model_name=model.name,
-        meta={"n_paths": n, "n_steps": cfg.n_steps, "x0": x0.tolist(),
-              "floor_clamps": sum(clamps)},
-    )
+    return sample_set(values, aux=aux, horizon=cfg.horizon, floor_clamps=sum(clamps))
 
 
 def _prefix_sum(v: np.ndarray) -> np.ndarray:

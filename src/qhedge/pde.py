@@ -452,15 +452,14 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 #   - the spline pieces of every slice are built at once;
 #   - each target p takes the last piece whose start slope is <= p,
 #     found by a row-wise count of those slopes.
-# A cell whose knot falls on one of its ends leaves a zero-length piece.
-# Such pieces are compacted to the end of their row by a stable argsort,
-# keeping the order of the others, and get slope +inf.  Left in place, a
-# zero-length right piece would carry the secant, which can sit below the
-# clamped slope of the piece before it, and break the slope order.
-# Rounding still leaves kept slopes out of order by an ulp here and there
-# (the slope-1 tail of a dual slice); where such a run straddles a target,
-# the piece is found by the same bisection np.searchsorted makes, so the
-# result is the slice-at-a-time one to the bit.
+# The start slopes are taken in one monotone order, their running maximum
+# along the row.  In exact arithmetic the spline's derivative is
+# continuous and nondecreasing, so they are in order already; only
+# rounding (clamped offsets, the slope-1 tail of a dual slice) breaks it.
+# A cell whose knot falls on one of its ends leaves a zero-length piece,
+# which under the running maximum carries the end slope of the piece
+# before it: when it is chosen, its start, the end of that piece, is the
+# maximizer.
 # ---------------------------------------------------------------------------
 
 def _schumaker_pieces(q: np.ndarray, W: np.ndarray):
@@ -468,13 +467,10 @@ def _schumaker_pieces(q: np.ndarray, W: np.ndarray):
 
     Returns per-piece arrays of shape (rows, 2 (n - 1)), two pieces per
     cell in order of q: start q, length, start value, start slope and slope
-    rate.  Then `order`, the stable argsort that moves each row's
-    zero-length pieces behind the others (order[r, j] is the position of
-    the j-th piece of nonzero length), and the count of those pieces per
-    row.  Zero-length pieces get slope +inf; the kept start slopes are
-    nondecreasing in that order up to rounding.  Cells split at
-    xi = q_i + h d2/(d1+d2) carry slope exactly s at the knot, which keeps
-    the interpolation error second order without breaking shape.
+    rate.  The start slopes are their running maximum along the row, so
+    they are nondecreasing; zero-length pieces stay in place.  Cells split
+    at xi = q_i + h d2/(d1+d2) carry slope exactly s at the knot, which
+    keeps the interpolation error second order without breaking shape.
     """
     h = np.diff(q)
     s = np.diff(W, axis=1) / h
@@ -500,28 +496,10 @@ def _schumaker_pieces(q: np.ndarray, W: np.ndarray):
     def pieces(left, right):
         return np.stack([left, right], axis=2).reshape(rows, -1)
 
-    lens = pieces(a, b)
     slopes = pieces(d[:, :-1], s)
-    keep = lens > 0.0
-    slopes[~keep] = np.inf
-    return (pieces(np.broadcast_to(q[:-1], a.shape), q[:-1] + a), lens,
-            pieces(W[:, :-1], w_knot), slopes, pieces(rate_l, rate_r),
-            np.argsort(~keep, axis=1, kind="stable"), keep.sum(axis=1))
-
-
-def _search_right(slopes, order, lo, hi, key):
-    """np.searchsorted(kept, key, side="right") for each row, where kept is
-    the row's slopes taken in `order` up to hi, bisecting [lo, hi) with the
-    probes numpy makes when the previous, smaller target ended at lo."""
-    rows = np.arange(slopes.shape[0])
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = lo + ((hi - lo) >> 1)
-        right = open_ & (slopes[rows, order[rows, np.where(open_, mid, 0)]] <= key)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(open_ & ~right, mid, hi)
+    np.maximum.accumulate(slopes, axis=1, out=slopes)
+    return (pieces(np.broadcast_to(q[:-1], a.shape), q[:-1] + a), pieces(a, b),
+            pieces(W[:, :-1], w_knot), slopes, pieces(rate_l, rate_r))
 
 
 def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
@@ -536,47 +514,29 @@ def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
     if enveloped.any():
         W = W.copy()
         W[enveloped] = convex_envelope_rows(q, W[enveloped])
-    starts, lens, vals, slopes, rates, order, count = _schumaker_pieces(q, W)
+    starts, lens, vals, slopes, rates = _schumaker_pieces(q, W)
     rows, width = slopes.shape
-    base = (np.arange(rows) * width)[:, None]
-    # the piece of target p is the last kept one whose start slope is
-    # <= p: its rank is the count of such slopes less one.  A slope is
-    # <= p[j] for every j at or past its left insertion point in p.
+    # the piece of target p is the last one whose start slope is <= p: its
+    # index is the count of such slopes less one.  A slope is <= p[j] for
+    # every j at or past its left insertion point in p.
     first = np.searchsorted(p, slopes.ravel(), side="left")
     first += np.repeat(np.arange(rows) * (p.size + 1), width)
     per_p = np.bincount(first, minlength=rows * (p.size + 1)).reshape(rows, p.size + 1)
-    found = np.cumsum(per_p[:, :-1], axis=1)
-    # Any binary search returns that count where the kept slopes are
-    # partitioned by p (those counted come first).  Rounding can leave
-    # kept slopes an ulp out of order, and where such a run straddles p
-    # the result depends on the probe path; there the search is redone
-    # exactly as np.searchsorted does it for ascending targets.
-    kept = np.where(slopes < np.inf, slopes, -np.inf)
-    np.maximum.accumulate(kept, axis=1, out=kept)
-    last_counted = np.take_along_axis(order, np.clip(found - 1, 0, count[:, None] - 1), axis=1)
-    unsure = (found > 0) & (kept.ravel()[last_counted + base] > p)
-    for j in np.flatnonzero(unsure.any(axis=0)):
-        r = np.flatnonzero(unsure[:, j])
-        lo = found[r, j - 1] if j else np.zeros(r.size, dtype=found.dtype)
-        found[r, j] = _search_right(slopes[r], order[r], lo, count[r], p[j])
-    rank = np.clip(found - 1, 0, count[:, None] - 1)
-    k = np.take_along_axis(order, rank, axis=1) + base
-    last = order[np.arange(rows), count - 1] + base[:, 0]
+    k = np.clip(np.cumsum(per_p[:, :-1], axis=1) - 1, 0, width - 1)
+    k += (np.arange(rows) * width)[:, None]
     q0, seg, w0, sl0, rate = (arr.ravel()[k] for arr in (starts, lens, vals, slopes, rates))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (p - sl0) / rate
     # linear pieces divide to +inf when p exceeds their slope; the clip
-    # saturates them at the right end, which is where the argmax sits.
+    # saturates them at the right end, which is where the argmax sits.  A p
+    # above the top slope takes the last piece, whose right end is q_max.
     # 0/0 means p ties the slope and either end gives the same value.
     u = np.where(np.isnan(u), 0.0, u)
     u = np.clip(u, 0.0, seg)
     qstar = q0 + u
     wstar = w0 + (sl0 + 0.5 * rate * u) * u
     U = p * qstar - wstar
-    top = slopes.ravel()[last] + rates.ravel()[last] * lens.ravel()[last]
-    sat = p >= top[:, None]
-    if sat.any():
-        U = np.where(sat, p * q[-1] - W[:, -1:], U)
+    top = slopes[:, -1] + rates[:, -1] * lens[:, -1]
     U[:, p == 0.0] = 0.0
     return U, top, enveloped
 
@@ -596,7 +556,7 @@ def _check_p_grid(p: np.ndarray) -> None:
 _SATURATION_GAP = 0.02
 
 
-def dual_to_primal(w_surface: Surface, p_grid=None) -> Surface:
+def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
     """Legendre transform of a dual surface to the p-domain, one time level
     at a time.
 
@@ -609,8 +569,6 @@ def dual_to_primal(w_surface: Surface, p_grid=None) -> Surface:
     g = w_surface.grid
     if g.domain != "q":
         raise DomainMismatch("dual_to_primal expects a q-domain surface")
-    if p_grid is None:
-        p_grid = np.linspace(0.0, 1.0, 101)
     p = np.asarray(p_grid, dtype=float)
     _check_p_grid(p)
     q = g.z
@@ -758,23 +716,6 @@ class SupersolutionReport:
     tol_convex: float
     worst_node: Optional[tuple]
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "terminal_ok": bool(self.terminal_ok),
-            "terminal_max_err": float(self.terminal_max_err),
-            "terminal_tol": float(self.terminal_tol),
-            "max_residual": float(self.max_residual),
-            "n_checked": int(self.n_checked),
-            "n_violations": int(self.n_violations),
-            "n_auto_pass": int(self.n_auto_pass),
-            "n_nonconvex": int(self.n_nonconvex),
-            "tol": float(self.tol),
-            "tol_convex": float(self.tol_convex),
-            "worst_node": list(self.worst_node) if self.worst_node else None,
-            "notes": self.notes,
-        }
 
 
 def default_residual_tol(grid: GridSpec) -> float:

@@ -147,8 +147,10 @@ def test_x0_dimension_mismatch_rejected(tmp_path):
     assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_nonpositive_epsilons_rejected(tmp_path):
-    cfg = write_config(tmp_path, mc_ini("epsilons = 0.2 -0.1"))
+@pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
+def test_nonpositive_epsilons_rejected(tmp_path, eps):
+    # a NaN or infinite epsilon passed config parsing and failed mid-run
+    cfg = write_config(tmp_path, mc_ini(f"epsilons = 0.2 {eps}"))
     assert main(["dual", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
@@ -218,6 +220,20 @@ def test_solve_verify_roundtrip(tmp_path):
                  str(tmp_path / "vj"), str(junk)]) == 2
     assert main(["verify", "--config", cfg, "--out",
                  str(tmp_path / "vm"), str(tmp_path / "gone.bin")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_nonfinite_or_negative_tolerance_is_a_config_error(tmp_path, tol):
+    # tolerance = nan passed every surface and wrote a bare NaN into
+    # verify.json; -1 failed nodes of a surface that passes
+    cfg = write_config(tmp_path, pde_ini(method="pipeline"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    bad = write_config(tmp_path, pde_ini(method="pipeline") + f"tolerance = {tol}\n", "tol.ini")
+    vout = tmp_path / "v"
+    assert main(["verify", "--config", bad, "--out", str(vout),
+                 str(out / "primal_eps0p2.bin")]) == 2
+    assert not (vout / "verify.json").exists()
 
 
 def test_too_few_p_points_is_a_config_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qhedge import pde
 from qhedge.duality import convex_envelope
 from qhedge.errors import ArgmaxAtBoundary, DomainMismatch
+from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import GridSpec, Surface
 
 
@@ -50,7 +51,7 @@ def test_legendre_domain_checks():
     # the transform takes a q-domain surface and a p grid inside [0, 1]
     grid = GridSpec.regular(0.0, 1.0, 4, 0.5, 2.0, 6, 11, "p", epsilon=0.1)
     with pytest.raises(DomainMismatch):
-        pde.dual_to_primal(Surface(grid, np.zeros(grid.shape), {}))
+        pde.dual_to_primal(Surface(grid, np.zeros(grid.shape), {}), np.linspace(0.0, 1.0, 11))
     qgrid = GridSpec.regular(0.0, 1.0, 4, 0.5, 2.0, 6, 11, "q", z_max=8.0, epsilon=0.1)
     ramp = np.maximum(qgrid.z - qgrid.x_axes[0][:, None], 0.0)
     dual = Surface(qgrid, np.broadcast_to(ramp, qgrid.shape), {})
@@ -68,12 +69,32 @@ def test_argmax_at_boundary_detection():
     vals[-1] = np.maximum(q - grid.x_axes[0][:, None], 0.0)
     vals[:-1] = q ** 2 / 4
     with pytest.raises(ArgmaxAtBoundary):
-        pde.dual_to_primal(Surface(grid, vals, {}))
+        pde.dual_to_primal(Surface(grid, vals, {}), np.linspace(0.0, 1.0, 101))
     # within the reliable p range the slice conjugate is right
     p = np.linspace(0, 0.4, 9)
     U, top, _ = pde._conjugate_level(q, vals[0], p)
     assert np.allclose(U, p ** 2, atol=1e-3)
     assert np.allclose(top, 0.5)
+
+
+def test_spline_start_slopes_are_finite_and_nondecreasing():
+    # piecewise-linear rows with every kink on a node leave zero-length
+    # pieces; a solved gbm slice adds its slope-1 tail, where rounding puts
+    # secants an ulp out of order.  The start slopes keep one order anyway
+    q = np.linspace(0.0, 3.0, 13)
+    kinked = []
+    for knots, top in (((2, 5, 9), 1.2), ((0, 4, 6), 1.0), ((3, 7, 11), 1.5)):
+        slopes = np.zeros(q.size - 1)
+        for j, knot in enumerate(knots):
+            slopes[knot:] = 0.5 * j if j < len(knots) - 1 else top
+        kinked.append(np.concatenate([[0.0], np.cumsum(slopes * np.diff(q))]))
+    grid = GridSpec.regular(0.0, 1.0, 6, 0.5, 2.0, 16, 48, "q", z_max=8.0, epsilon=0.2)
+    gbm = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(), grid)
+    for axis, rows in ((q, np.array(kinked)), (grid.z, gbm.values[0])):
+        _, lens, _, slopes, _ = pde._schumaker_pieces(axis, rows)
+        assert (lens == 0.0).any()
+        assert np.all(np.isfinite(slopes))
+        assert np.all(np.diff(slopes, axis=1) >= 0.0)
 
 
 def test_fenchel_young_gap_sign():

@@ -198,7 +198,6 @@ def test_sample_terminal_threads_do_not_change_results():
     s4 = mc.sample_terminal(model, payoff, [1.0], cfg, threads=4)
     assert np.array_equal(s1.values, s4.values)
     assert np.array_equal(s1.aux, s4.aux)
-    assert s1.scheme == "exact-bessel3"
     assert s1.horizon == 1.0
 
 
@@ -223,7 +222,7 @@ def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
     got = mc.sample_terminal(model, payoff, [1.0], cfg)
     assert np.array_equal(got.values, ref.values)
     assert np.array_equal(got.aux, ref.aux)
-    assert got.meta["floor_clamps"] == sum(n for *_, n in blocks)
+    assert got.floor_clamps == sum(n for *_, n in blocks)
 
 
 def test_floor_clamps_are_counted_for_any_thread_count():
@@ -235,11 +234,11 @@ def test_floor_clamps_are_counted_for_any_thread_count():
     per_block = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)[3]
                  for blk, _, bn in engine._blocks(cfg.n_paths)]
     assert len(per_block) == 3 and min(per_block) > 0
-    assert one.meta["floor_clamps"] == two.meta["floor_clamps"] == sum(per_block)
+    assert one.floor_clamps == two.floor_clamps == sum(per_block)
     assert np.array_equal(one.values, two.values)
     exact = SimConfig(0.0, 1.0, 16, 20_000, 3, "exact-gbm")
     gbm = builtin_model("gbm", b=0.1, s=0.2)
-    assert mc.sample_terminal(gbm, linear_payoff(), [1.0], exact).meta["floor_clamps"] == 0
+    assert mc.sample_terminal(gbm, linear_payoff(), [1.0], exact).floor_clamps == 0
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=50),

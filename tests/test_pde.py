@@ -1,6 +1,7 @@
 """Dual solver, conjugation, residuals, and the supersolution verifier on
 small grids; production-scale agreement lives in the acceptance suite."""
 import warnings
+from dataclasses import asdict
 
 import adi_reference as ref
 import numpy as np
@@ -305,7 +306,7 @@ def test_dual_to_primal_terminal_and_shape():
                        for xx in x] for tt in tau])
     assert np.abs(sat - exact).max() <= 5e-3
     with pytest.raises(DomainMismatch):
-        pde.dual_to_primal(primal)
+        pde.dual_to_primal(primal, p_grid)
 
 
 def test_dual_to_primal_boundary_localization_guard():
@@ -365,7 +366,7 @@ def test_verifier_pass_and_fail_modes():
     primal = pde.dual_to_primal(surf, np.linspace(0, 1, 41))
     report = pde.verify_supersolution(primal, model, linear_payoff())
     assert report.passed
-    d = report.to_dict()
+    d = asdict(report)
     assert d["passed"] is True and "terminal_max_err" in d
     assert d["n_nonconvex"] == pde.hjb_residual(primal, model).n_nonconvex
     # additive shift breaks the terminal identity
