@@ -25,13 +25,21 @@ e^(eta + phi): the drift above up to O(dx^2 + de^2), and w_q = 1 exactly
 where w - q does not depend on q.  Mixed terms remain only between x axes
 (gbm with a full volatility matrix), at the model's own correlation.
 
-Time stepping is Douglas ADI: an explicit predictor, then implicit
-corrections one axis at a time (x axes, then eta), x-x mixed terms
-explicit, with two implicit Euler half steps first (Rannacher startup)
-and no substepping.  Each implicit sweep is one block-diagonal tridiagonal
-system, a block per line, factored once per solve (every step has th =
-dt / 2, _kernels.factor_blocks) and solved by one call per step
-(_kernels.thomas_batch; an x sweep takes every eta column at once).
+Time stepping is Douglas ADI in delta form (Douglas & Rachford 1956): a
+substep of length h takes the increment z = h F(W) of the whole discrete
+operator, x-x mixed terms included, in one explicit pass of the stencil,
+then solves (I - th A_i) z_i = z_(i-1) one axis at a time (x axes, then
+eta) with th = theta h, and sets W <- W + z.  With h = dt / r_t for r_t
+time refinements, the first _RANNACHER_STEPS steps are each two implicit
+Euler half steps (Rannacher startup: theta = 1 on h / 2), the rest
+Crank-Nicolson (theta = 1/2 on h), so every substep has th = h / 2.  Each
+implicit sweep is one block-diagonal tridiagonal system, a block per
+line, factored once per solve (_kernels.factor_blocks) and solved by one
+call per substep (_kernels.thomas_batch; an x sweep takes every eta
+column at once).  The sweeps act on the increment; their end terms are
+W's own departure from the edge relations below (`edge_residuals`).
+apply_bc zeroes it, so only the terminal data and an edge value that the
+projection onto w >= 0 at an output level has clipped carry one.
 
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
 w - q is extrapolated linearly at fixed eta, exact where q is large.  The
@@ -190,7 +198,7 @@ class _DualOperator:
             self.faces.append([(e[a] - (1.0 + r) * e[b] + r * e[c])[..., None] * np.exp(self.eta)
                                for a, b, c, r in ((0, 1, 2, r_lo), (-1, -2, -3, r_hi))])
         self.cx = [0.5 * alpha[inner + (i, i)] for i in range(d)]
-        self._th = self._sweeps = None
+        self._th = self._sweeps = self._h = self._terms = None
         # x pairs whose coefficient vanishes everywhere are left out
         spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(x_axes)]
         self.pairs = [(i, j, alpha[inner + (i, j)][..., None], spans[i] * spans[j])
@@ -199,7 +207,8 @@ class _DualOperator:
         # difference that makes the discrete operator annihilate q
         self.ce2 = 0.5 * eps * eps / (de * de)
         e_three = np.broadcast_to(e_phi[..., None], e_phi.shape + (3,))
-        x_part = sum(self.a_x(e_three, axis) for axis in range(d)) + sum(
+        x_part = sum(c[..., None] * _second_diff(e_three, axis, w)
+                     for axis, (c, w) in enumerate(zip(self.cx, self.weights))) + sum(
             c * (_cross_diff(e_three, i, j) / span) for i, j, c, span in self.pairs)
         eta_part = self.ce2 * (2.0 * math.cosh(de) - 2.0)
         self.ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
@@ -218,26 +227,59 @@ class _DualOperator:
         f = np.expm1((u - 1.0) * de) / math.expm1(de)
         self.bounds = f, math.exp(de) * f, np.expm1((u - 2.0) * de) / math.expm1(de)
 
+    def x_edge(self, W: np.ndarray, axis: int, end: int) -> np.ndarray:
+        """The value the extrapolation of `axis` puts at its edge `end` (0 or
+        -1): the two nodes next to it continued linearly, plus the face of q."""
+        Wa = np.moveaxis(W, axis, 0)
+        step = 1 if end == 0 else -1
+        near, far = Wa[end + step], Wa[end + 2 * step]
+        return near + self.ratios[axis][end] * (near - far) + self.faces[axis][end]
+
     def apply_bc(self, W: np.ndarray) -> None:
         W[..., 0] = 0.0
         W[..., -1] = W[..., -2] + self.top
-        for axis, ((r_lo, r_hi), (f_lo, f_hi)) in enumerate(zip(self.ratios, self.faces)):
+        for axis in range(self.d):
             Wa = np.moveaxis(W, axis, 0)
-            Wa[0] = Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo
-            Wa[-1] = Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi
+            for end in (0, -1):
+                Wa[end] = self.x_edge(W, axis, end)
         W[..., 0] = 0.0
         W[..., -1] = W[..., -2] + self.top
 
-    def a_x(self, W: np.ndarray, axis: int) -> np.ndarray:
-        return self.cx[axis][..., None] * _second_diff(W, axis, self.weights[axis])
+    def _stencil(self, h: float):
+        """h times the interior operator as (coefficient, shifts) terms: the
+        centre, then one term per neighbour along each x axis and eta, and
+        the four corners of each x-x mixed term.  The coefficients broadcast
+        along eta; only the current h's are kept."""
+        if h != self._h:
+            d = self.d
+            centre = -2.0 * self.ce2
+            sides = []
+            for axis, (c, (wl, wc, wr)) in enumerate(zip(self.cx, self.weights)):
+                c = c[..., None]
+                centre = centre + c * _along(wc, axis, d + 1)
+                sides += [(c * _along(wl, axis, d + 1), ((axis, _LO),)),
+                          (c * _along(wr, axis, d + 1), ((axis, _HI),))]
+            sides += [(self.ce2 - self.ce1, ((d, _LO),)), (self.ce2 + self.ce1, ((d, _HI),))]
+            sides += [(sign * c / span, ((i, si), (j, sj)))
+                      for i, j, c, span in self.pairs
+                      for si, sj, sign in ((_HI, _HI, 1.0), (_HI, _LO, -1.0),
+                                           (_LO, _HI, -1.0), (_LO, _LO, 1.0))]
+            self._terms = [(h * c, shifts) for c, shifts in [(centre, ())] + sides]
+            self._h = h
+        return self._terms
 
-    def a_eta(self, W: np.ndarray) -> np.ndarray:
-        up, down = _view(W, 0, ((self.d, _HI),)), _view(W, 0, ((self.d, _LO),))
-        return self.ce2 * (up - 2.0 * _view(W, 0) + down) + self.ce1 * (up - down)
+    def explicit(self, W: np.ndarray, h: float) -> np.ndarray:
+        """h F(W) on the interior nodes, F the whole discrete operator (every
+        axis and the x-x mixed terms) on W as it stands, edges included."""
+        (centre, _), *terms = self._stencil(h)
+        z = centre * _view(W, 0)
+        for c, shifts in terms:
+            z += c * _view(W, 0, shifts)
+        return z
 
     def _factors(self, th: float):
-        """The factored x and eta sweeps for th = theta_w h, with their edge
-        terms; only the current th's are kept."""
+        """The factored x and eta sweeps for th = theta_w h, with the
+        coefficients of their edge terms; only the current th's are kept."""
         if th != self._th:
             self._sweeps = ([self._factor_x(th, axis) for axis in range(self.d)]
                             + [self._factor_eta(th)])
@@ -247,62 +289,81 @@ class _DualOperator:
     def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
         folded in, one block per line of the axis, lines in C order of the
-        other x axes; and the edge faces' terms in every line's end rows."""
+        other x axes; and each line's coefficient of the node beyond either
+        end."""
         wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
         r_lo, r_hi = self.ratios[axis]
         c = self.cx[axis]
         lo, di, up = (np.moveaxis(a, axis, -1).reshape(-1, c.shape[axis])
                       for a in (-th * c * wl, 1.0 - th * c * wc, -th * c * wr))
+        lines = c.shape[:axis] + c.shape[axis + 1:]
+        ends = lo[:, 0].reshape(lines).copy(), up[:, -1].reshape(lines).copy()
         di[:, 0] += lo[:, 0] * (1.0 + r_lo)
         up[:, 0] += -lo[:, 0] * r_lo
         di[:, -1] += up[:, -1] * (1.0 + r_hi)
         lo[:, -1] += -up[:, -1] * r_hi
-        lines = c.shape[:axis] + c.shape[axis + 1:]
-        edges = [np.moveaxis(face[(_MID,) * self.d], -1, 0) * coef.reshape(lines)
-                 for face, coef in zip(self.faces[axis], (lo[:, 0], up[:, -1]))]
-        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}"), edges
+        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}"), ends
 
     def _factor_eta(self, th: float):
         """(I - th*A_eta) on interior eta nodes, one block per x node, with
-        v = 0 at the bottom and the top's increment folded in."""
+        v = 0 at the bottom and the top's increment folded in; and each
+        line's coefficient of the node beyond either end."""
         c1 = self.ce1.reshape(-1, 1)
         lo = np.broadcast_to(-th * (self.ce2 - c1), (c1.size, self.eta.size - 2))
         up = np.array(np.broadcast_to(-th * (self.ce2 + c1), lo.shape))
+        ends = lo[:, 0], up[:, -1].copy()
         di = np.full(lo.shape, 1.0 + 2.0 * th * self.ce2)
         di[:, -1] += up[:, -1]
-        return (_kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}"),
-                up[:, -1] * self.top[(_MID,) * self.d].ravel())
+        return _kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}"), ends
 
-    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
-        """The x sweep along `axis`: one solve for every line of the axis,
-        every eta column a right-hand side."""
+    def edge_residuals(self, W: np.ndarray, axis: int):
+        """What the edges of `axis` (an x axis, or d for eta) lack of the
+        relations apply_bc sets, on the interior of the other axes, in the
+        sweep's (eta, other x axes) order for an x axis.  Zero once
+        apply_bc has run; the terminal data and the projection onto w >= 0
+        leave some, which the sweeps carry into the increment."""
+        inner = (_MID,) * self.d
+        if axis == self.d:
+            return -W[inner + (0,)].ravel(), (W[..., -2] + self.top - W[..., -1])[inner].ravel()
+        return [np.moveaxis((self.x_edge(W, axis, end) - np.moveaxis(W, axis, 0)[end])[inner], -1, 0)
+                for end in (0, -1)]
+
+    def solve_x(self, rhs: np.ndarray, W: np.ndarray, th: float, axis: int) -> np.ndarray:
+        """The x sweep along `axis` for an increment of W: one solve for
+        every line of the axis, every eta column a right-hand side, with W's
+        edge residuals as the lines' end terms."""
         # in C order, the (eta, other x axes, axis) array is the Fortran-order
         # (unknowns, eta columns) matrix, with the unknowns numbered line by line
         perm = (self.d,) + tuple(i for i in range(self.d) if i != axis) + (axis,)
         cols = np.array(rhs.transpose(perm), order="C")
-        factors, (edge_lo, edge_hi) = self._factors(th)[axis]
-        cols[..., 0] -= edge_lo
-        cols[..., -1] -= edge_hi
+        factors, (end_lo, end_hi) = self._factors(th)[axis]
+        res_lo, res_hi = self.edge_residuals(W, axis)
+        cols[..., 0] -= end_lo * res_lo
+        cols[..., -1] -= end_hi * res_hi
         x = _kernels.thomas_batch(factors, cols.reshape(cols.shape[0], -1).T)
         return x.T.reshape(cols.shape).transpose(np.argsort(perm))
 
-    def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
-        """The eta sweep: one solve for every x node at once."""
-        factors, top = self._factors(th)[-1]
-        flat = np.array(rhs, order="C").reshape(top.size, -1)
-        flat[:, -1] -= top
+    def solve_eta(self, rhs: np.ndarray, W: np.ndarray, th: float) -> np.ndarray:
+        """The eta sweep for an increment of W: one solve for every x node
+        at once, with W's edge residuals as the lines' end terms."""
+        factors, (end_lo, end_hi) = self._factors(th)[-1]
+        res_lo, res_hi = self.edge_residuals(W, self.d)
+        flat = np.array(rhs, order="C").reshape(end_lo.size, -1)
+        flat[:, 0] -= end_lo * res_lo
+        flat[:, -1] -= end_hi * res_hi
         return _kernels.thomas_batch(factors, flat.ravel()).reshape(rhs.shape)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
-        diag = [self.a_x(W, axis) for axis in range(self.d)] + [self.a_eta(W)]
-        mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in self.pairs]
-        y = _view(W, 0) + h * sum(diag + mixed)
+        """One Douglas step of length h in delta form: the increment z =
+        h F(W), then (I - th A_i) z_i = z_(i-1) along each x axis and eta
+        with th = theta_w h, and W + z."""
         th = theta_w * h
+        z = self.explicit(W, h)
         for axis in range(self.d):
-            y = self.solve_x(y - th * diag[axis], th, axis)
-        y = self.solve_eta(y - th * diag[-1], th)
+            z = self.solve_x(z, W, th, axis)
+        z = self.solve_eta(z, W, th)
         out = np.empty_like(W)
-        out[(_MID,) * (self.d + 1)] = y
+        np.add(_view(W, 0), z, out=out[(_MID,) * (self.d + 1)])
         self.apply_bc(out)
         return out
 
@@ -719,7 +780,7 @@ class SupersolutionReport:
 
 
 def default_residual_tol(grid: GridSpec) -> float:
-    """10 (dt + dx^2 + dz^2), with dx the largest spacing of the first x axis."""
+    """10 (dt + dx^2 + dz^2), with dx the largest spacing over all x axes."""
     dx = float(max(np.diff(ax).max() for ax in grid.x_axes))
     return 10.0 * (grid.dt + dx * dx + grid.dz * grid.dz)
 

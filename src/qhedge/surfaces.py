@@ -34,7 +34,10 @@ class GridSpec:
         t = np.asarray(self.t, dtype=float)
         z = np.asarray(self.z, dtype=float)
         xs = tuple(np.asarray(ax, dtype=float) for ax in self.x_axes)
-        if t.size < 3 or np.any(np.diff(t) <= 0):
+        # every comparison below is written so that a NaN fails it
+        if not all(np.isfinite(arr).all() for arr in (t, z) + xs):
+            raise ValueError("grid nodes must be finite")
+        if t.size < 3 or not np.all(np.diff(t) > 0):
             raise ValueError("need >= 3 strictly increasing time nodes")
         dt = np.diff(t)
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
@@ -42,15 +45,15 @@ class GridSpec:
         if not 1 <= len(xs) <= 2:
             raise ValueError("one or two spatial axes supported")
         for ax in xs:
-            if ax.size < 3 or np.any(np.diff(ax) <= 0) or ax[0] <= 0:
+            if ax.size < 3 or not (np.all(np.diff(ax) > 0) and ax[0] > 0):
                 raise ValueError("x axes must be strictly increasing with x_min > 0, >= 3 nodes")
-        if z.size < 3 or np.any(np.diff(z) <= 0):
+        if z.size < 3 or not np.all(np.diff(z) > 0):
             raise ValueError("need >= 3 strictly increasing q-or-p nodes")
         if self.domain not in ("q", "p"):
             raise ValueError("domain must be 'q' or 'p'")
         if self.domain == "p" and (z[0] < -1e-15 or z[-1] > 1.0 + 1e-15):
             raise ValueError("p axis must lie in [0, 1]")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
         for arr in (t, z) + xs:
             arr.flags.writeable = False
@@ -71,17 +74,18 @@ class GridSpec:
         n_x = np.atleast_1d(np.asarray(n_x, dtype=int))
         if not (x_min.size == x_max.size == n_x.size):
             raise ValueError("x_min, x_max, n_x must have matching lengths")
-        xs = tuple(
-            np.exp(np.linspace(np.log(lo), np.log(hi), int(m)))
-            for lo, hi, m in zip(x_min, x_max, n_x)
-        )
-        if domain == "q":
-            if z_max is None:
-                raise ValueError("q-domain grid needs z_max")
-            z = np.linspace(0.0, float(z_max), n_z)
-        else:
-            z = np.linspace(0.0, 1.0, n_z)
-        return cls(np.linspace(t0, T, n_t), xs, z, domain, float(epsilon))
+        if domain == "q" and z_max is None:
+            raise ValueError("q-domain grid needs z_max")
+        # a bound that is not finite, or an x bound <= 0, makes nodes that
+        # are not finite or not positive, which __post_init__ rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = tuple(
+                np.exp(np.linspace(np.log(lo), np.log(hi), int(m)))
+                for lo, hi, m in zip(x_min, x_max, n_x)
+            )
+            z = np.linspace(0.0, float(z_max) if domain == "q" else 1.0, n_z)
+            t = np.linspace(t0, T, n_t)
+        return cls(t, xs, z, domain, float(epsilon))
 
     @property
     def dim(self) -> int:

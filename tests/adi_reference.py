@@ -1,14 +1,19 @@
-"""The implicit ADI sweeps of pde._DualOperator in their per-node form,
-kept as test references: the x sweep as one banded solve per node of the
-other x axes, and the eta sweep as a Thomas recursion looped over eta
-nodes, batched over x nodes.  Both rebuild their matrices on every call.
-They solve the same systems as the factored block sweeps in another order
-of operations, so surfaces agree with them up to rounding.
+"""pde._DualOperator's time step in the standard Douglas form, and its
+implicit sweeps in per-node form, kept as test references.
+
+The sweeps: the x sweep as one banded solve per node of the other x axes,
+and the eta sweep as a Thomas recursion looped over eta nodes, batched
+over x nodes.  Both rebuild their matrices on every call.  `solve_x` and
+`solve_eta` take the operator's interface, an increment of W with W's
+edge residuals as end terms; `substep` is the standard form, in which
+the sweeps act on values with the edge relations' own inhomogeneous
+terms.  They compute the same steps as the operator in another order of
+operations, so surfaces agree with them up to rounding.
 """
 import numpy as np
 from scipy.linalg import solve_banded
 
-from qhedge.pde import _along
+from qhedge.pde import _HI, _LO, _MID, _along, _cross_diff, _second_diff, _view
 
 
 def thomas_loop(dl, dd, du, rhs):
@@ -30,26 +35,25 @@ def thomas_loop(dl, dd, du, rhs):
     return x
 
 
-def solve_x(op, rhs, th, axis):
+def _x_sweep(op, rhs, th, axis, ends):
     """(I - th*A_axis) on interior nodes with the edge extrapolation folded
     in: one banded solve per node of the other x axes, every eta column a
-    right-hand side."""
+    right-hand side.  `ends` are what the extrapolation adds beyond each
+    end, on the (other x axes, eta) interior face."""
     wl, wc, wr = (_along(w, axis, op.d) for w in op.weights[axis])
     r_lo, r_hi = op.ratios[axis]
     c = op.cx[axis]
     lo = np.moveaxis(-th * c * wl, axis, 0)
     di = np.moveaxis(1.0 - th * c * wc, axis, 0)
     up = np.moveaxis(-th * c * wr, axis, 0)
+    rhs = rhs.copy()
+    src = np.moveaxis(rhs, axis, 0)
+    src[0] -= lo[0][..., None] * ends[0]
+    src[-1] -= up[-1][..., None] * ends[1]
     di[0] += lo[0] * (1.0 + r_lo)
     up[0] += -lo[0] * r_lo
     di[-1] += up[-1] * (1.0 + r_hi)
     lo[-1] += -up[-1] * r_hi
-    # the edge offsets of w - q's extrapolation, as right-hand side terms
-    f_lo, f_hi = (face[(slice(1, -1),) * op.d] for face in op.faces[axis])
-    rhs = rhs.copy()
-    src = np.moveaxis(rhs, axis, 0)
-    src[0] -= lo[0][..., None] * f_lo
-    src[-1] -= up[-1][..., None] * f_hi
     ab = np.zeros((3,) + di.shape)
     ab[0, 1:] = up[:-1]
     ab[1] = di
@@ -62,16 +66,59 @@ def solve_x(op, rhs, th, axis):
     return out
 
 
-def solve_eta(op, rhs, th):
-    """(I - th*A_eta) on interior eta nodes, batched tridiagonal per x node.
-
-    Folds v = 0 at the bottom and the top's ghost increment of q."""
+def _eta_sweep(op, rhs, th, bottom, top):
+    """(I - th*A_eta) on interior eta nodes, batched tridiagonal per x node,
+    with the top's ghost increment folded in; `bottom` and `top` are the
+    values beyond either end, one per x node."""
     n = rhs.shape[-1]
     c1 = np.broadcast_to(op.ce1, rhs.shape).reshape(-1, n)
     lo = -th * (op.ce2 - c1)
     up = -th * (op.ce2 + c1)
     di = np.full(lo.shape, 1.0 + 2.0 * th * op.ce2)
     flat = rhs.reshape(-1, n).copy()
+    flat[:, 0] -= lo[:, 0] * bottom.ravel()
+    flat[:, -1] -= up[:, -1] * top.ravel()
     di[:, -1] += up[:, -1]
-    flat[:, -1] -= up[:, -1] * op.top[(slice(1, -1),) * op.d].ravel()
     return thomas_loop(lo, di, up, flat).reshape(rhs.shape)
+
+
+def solve_x(op, rhs, W, th, axis):
+    """The x sweep for an increment of W: the end terms are how far W's
+    edges fall short of its own extrapolation plus the faces of q."""
+    r_lo, r_hi = op.ratios[axis]
+    f_lo, f_hi = op.faces[axis]
+    Wa = np.moveaxis(W, axis, 0)
+    inner = (_MID,) * op.d
+    ends = ((Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo - Wa[0])[inner],
+            (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi - Wa[-1])[inner])
+    return _x_sweep(op, rhs, th, axis, ends)
+
+
+def solve_eta(op, rhs, W, th):
+    """The eta sweep for an increment of W: the end terms are how far W is
+    from v = 0 at the bottom and from its top increment."""
+    inner = (_MID,) * op.d
+    return _eta_sweep(op, rhs, th, -W[..., 0][inner], (W[..., -2] + op.top - W[..., -1])[inner])
+
+
+def substep(op, W, h, theta_w):
+    """One Douglas step in the standard form: the explicit predictor W + h
+    F(W), then per axis a sweep on the values of the predictor less th
+    times the axis's own explicit term, the edges folded in with the faces
+    of q and the top increment themselves."""
+    diag = [op.cx[axis][..., None] * _second_diff(W, axis, op.weights[axis])
+            for axis in range(op.d)]
+    up, down = _view(W, 0, ((op.d, _HI),)), _view(W, 0, ((op.d, _LO),))
+    diag.append(op.ce2 * (up - 2.0 * _view(W, 0) + down) + op.ce1 * (up - down))
+    mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in op.pairs]
+    y = _view(W, 0) + h * sum(diag + mixed)
+    th = theta_w * h
+    inner = (_MID,) * op.d
+    for axis in range(op.d):
+        faces = [face[inner] for face in op.faces[axis]]
+        y = _x_sweep(op, y - th * diag[axis], th, axis, faces)
+    y = _eta_sweep(op, y - th * diag[-1], th, np.zeros(op.top[inner].shape), op.top[inner])
+    out = np.empty_like(W)
+    out[(_MID,) * (op.d + 1)] = y
+    op.apply_bc(out)
+    return out

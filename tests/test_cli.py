@@ -565,3 +565,18 @@ def test_pde_x0_outside_the_grid_is_a_config_error(tmp_path, capsys, command, ar
     # the ends of the axis are on the grid
     cfg = write_config(tmp_path, pde_ini().replace("x0 = 1.0", "x0 = 2.0"))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "edge")]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["z_max", "x_max", "x_min"])
+def test_non_finite_grid_value_is_a_config_error(tmp_path, capsys, key, value):
+    # caught by the grid's own checks before the solver sees the nodes
+    text = "\n".join(f"{key} = {value}" if ln.startswith(key + " ") else ln
+                     for ln in pde_ini(method="pipeline").splitlines())
+    cfg = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "bad [grid] section" in err

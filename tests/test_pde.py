@@ -217,6 +217,58 @@ def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_delta_form_matches_the_standard_form(monkeypatch, case):
+    # the step in delta form solves for the increment; the standard form
+    # predicts values and corrects them axis by axis, each sweep less th
+    # times its own explicit term.  The same Douglas scheme, x1-x2 term
+    # included on the d=2 case
+    model, payoff, grid, kw = sweep_cases()[case]
+    got = pde.solve_dual_pde(model, payoff, grid, **kw)
+    monkeypatch.setattr(pde._DualOperator, "substep", ref.substep)
+    want = pde.solve_dual_pde(model, payoff, grid, **kw)
+    assert got.meta == want.meta
+    assert np.abs(got.values - want.values).max() <= 1e-11
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
+    # the sweeps fold W's edge residuals into the increment's end rows;
+    # after apply_bc the residuals vanish on every line a sweep folds, so
+    # the delta form keeps the standard form's edge treatment and does not
+    # add one.  The terminal data departs from it on the d=2 case
+    model, payoff, grid, kw = sweep_cases()[case]
+    seen = []
+    substep = pde._DualOperator.substep
+
+    def record(op, W, h, theta_w):
+        out = substep(op, W, h, theta_w)
+        seen.append((op, W.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(pde._DualOperator, "substep", record)
+    pde.solve_dual_pde(model, payoff, grid, **kw)
+    op = seen[0][0]
+    inner = (slice(1, -1),) * op.d
+
+    def residuals(W):
+        for axis in range(op.d):
+            Wa = np.moveaxis(W, axis, 0)
+            (r_lo, r_hi), (f_lo, f_hi) = op.ratios[axis], op.faces[axis]
+            yield (Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo - Wa[0])[inner]
+            yield (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi - Wa[-1])[inner]
+        yield (W[..., -2] + op.top - W[..., -1])[inner]
+
+    for _, _, W in seen:
+        scale = np.abs(W).max()
+        assert all(np.abs(r).max() <= 1e-12 * scale for r in residuals(W))
+        assert all(np.abs(r).max() <= 1e-12 * scale
+                   for axis in range(op.d + 1) for r in op.edge_residuals(W, axis))
+    terminal = seen[0][1]
+    if op.d == 2:
+        assert max(np.abs(r).max() for r in residuals(terminal)) > 1e-3
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
 def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     # the Rannacher half steps and the Crank-Nicolson steps share one th,
     # so each sweep is factored once, and solved by one call per substep,

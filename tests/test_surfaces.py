@@ -1,4 +1,6 @@
 """Grid containers, interpolation, and the CSV / binary persistence pair."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,27 @@ def test_regular_grid_axes():
     assert p.z[-1] == 1.0
     with pytest.raises(ValueError):
         GridSpec.regular(0.0, 1.0, 5, 0.5, 2.0, 6, 7, "q")  # z_max missing
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_nodes_are_rejected(bad):
+    g = small_grid()
+    axes = {"t": g.t, "x": g.x_axes[0], "z": g.z}
+    for name in axes:
+        for k in (0, -1):
+            nodes = {key: ax.copy() for key, ax in axes.items()}
+            nodes[name][k] = bad
+            with pytest.raises(ValueError):
+                GridSpec(nodes["t"], (nodes["x"],), nodes["z"], "q", 0.1)
+    for x_min, x_max, z_max in ((bad, 2.0, 3.0), (0.5, bad, 3.0), (0.5, 2.0, bad),
+                                ([0.5, bad], [2.0, 2.0], 3.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                GridSpec.regular(0.0, 1.0, 5, x_min, x_max, np.broadcast_to(6, np.shape(x_min)),
+                                 7, "q", z_max=z_max)
+    with pytest.raises(ValueError):
+        GridSpec(g.t, g.x_axes, g.z, "q", np.nan)
 
 
 def test_two_dimensional_grid():
