@@ -220,7 +220,10 @@ class _Run:
         self.pad = None if run.get("pad", "").strip() == "auto" else _run_ints(run, "pad", 2, 0)
 
     def grid(self, epsilon: float) -> GridSpec:
-        return _parse_grid(self.cp, epsilon)
+        grid = _parse_grid(self.cp, epsilon)
+        if grid.dim != self.model.dim:
+            raise ConfigError(f"[grid] has dimension {grid.dim}, the model {self.model.dim}")
+        return grid
 
     def samples(self) -> mc.SampleSet:
         return mc.sample_terminal(self.model, self.payoff, self.x0, self.sim,
@@ -388,6 +391,9 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
         surf = read_surface_bin(surface_path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read surface file: {exc}") from None
+    if surf.grid.dim != run.model.dim:
+        raise ConfigError(f"the surface has dimension {surf.grid.dim}, "
+                          f"the model {run.model.dim}")
     tol = run.tolerance
     report = pde.verify_supersolution(surf, run.model, run.payoff, tol)
     run.write_json("verify.json", {

@@ -36,10 +36,14 @@ Crank-Nicolson (theta = 1/2 on h), so every substep has th = h / 2.  Each
 implicit sweep is one block-diagonal tridiagonal system, a block per
 line, factored once per solve (_kernels.factor_blocks) and solved by one
 call per substep (_kernels.thomas_batch; an x sweep takes every eta
-column at once).  The sweeps act on the increment; their end terms are
-W's own departure from the edge relations below (`edge_residuals`).
-apply_bc zeroes it, so only the terminal data and an edge value that the
-projection onto w >= 0 at an output level has clipped carry one.
+column at once).
+
+Every state a substep starts from satisfies the edge relations below:
+apply_bc sets them on the terminal data, after each substep, and after
+the projection onto w >= 0 at each output level, which clips the x edges
+(project, then restore the edges).  The sweeps act on the increment, so
+with the relations holding their end terms vanish, and the step is the
+standard Douglas step with the edges folded in.
 
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
 w - q is extrapolated linearly at fixed eta, exact where q is large.  The
@@ -48,8 +52,9 @@ its bottom v = 0, which errs by at most the q there (0 <= w <= q), at most
 e^-_ETA_MARGIN times the smallest requested positive q at every requested
 x; at its top, which reaches the padded q_max at every requested x, w_q =
 1, as the exact increase of q between the top two nodes.  Requested nodes
-are read back by cubic interpolation in eta (`read`); q <= 0 reads 0, and
-the terminal level is (q - g(x))^+ itself.
+are read back by cubic interpolation in eta (`read`), clamped at 0, since
+a restored x edge can dip below it; q <= 0 reads 0, and the terminal level
+is (q - g(x))^+ itself.
 """
 from __future__ import annotations
 
@@ -227,21 +232,15 @@ class _DualOperator:
         f = np.expm1((u - 1.0) * de) / math.expm1(de)
         self.bounds = f, math.exp(de) * f, np.expm1((u - 2.0) * de) / math.expm1(de)
 
-    def x_edge(self, W: np.ndarray, axis: int, end: int) -> np.ndarray:
-        """The value the extrapolation of `axis` puts at its edge `end` (0 or
-        -1): the two nodes next to it continued linearly, plus the face of q."""
-        Wa = np.moveaxis(W, axis, 0)
-        step = 1 if end == 0 else -1
-        near, far = Wa[end + step], Wa[end + 2 * step]
-        return near + self.ratios[axis][end] * (near - far) + self.faces[axis][end]
-
     def apply_bc(self, W: np.ndarray) -> None:
-        W[..., 0] = 0.0
-        W[..., -1] = W[..., -2] + self.top
+        """Set the edge relations in place: at each x edge the two nodes next
+        to it continued linearly plus the face of q, then v = 0 at the eta
+        bottom and v_eta = q at the top."""
         for axis in range(self.d):
             Wa = np.moveaxis(W, axis, 0)
-            for end in (0, -1):
-                Wa[end] = self.x_edge(W, axis, end)
+            for end, step in ((0, 1), (-1, -1)):
+                near, far = Wa[end + step], Wa[end + 2 * step]
+                Wa[end] = near + self.ratios[axis][end] * (near - far) + self.faces[axis][end]
         W[..., 0] = 0.0
         W[..., -1] = W[..., -2] + self.top
 
@@ -278,8 +277,8 @@ class _DualOperator:
         return z
 
     def _factors(self, th: float):
-        """The factored x and eta sweeps for th = theta_w h, with the
-        coefficients of their edge terms; only the current th's are kept."""
+        """The factored x and eta sweeps for th = theta_w h; only the current
+        th's are kept."""
         if th != self._th:
             self._sweeps = ([self._factor_x(th, axis) for axis in range(self.d)]
                             + [self._factor_eta(th)])
@@ -289,69 +288,42 @@ class _DualOperator:
     def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
         folded in, one block per line of the axis, lines in C order of the
-        other x axes; and each line's coefficient of the node beyond either
-        end."""
+        other x axes."""
         wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
         r_lo, r_hi = self.ratios[axis]
         c = self.cx[axis]
         lo, di, up = (np.moveaxis(a, axis, -1).reshape(-1, c.shape[axis])
                       for a in (-th * c * wl, 1.0 - th * c * wc, -th * c * wr))
-        lines = c.shape[:axis] + c.shape[axis + 1:]
-        ends = lo[:, 0].reshape(lines).copy(), up[:, -1].reshape(lines).copy()
         di[:, 0] += lo[:, 0] * (1.0 + r_lo)
         up[:, 0] += -lo[:, 0] * r_lo
         di[:, -1] += up[:, -1] * (1.0 + r_hi)
         lo[:, -1] += -up[:, -1] * r_hi
-        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}"), ends
+        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}")
 
     def _factor_eta(self, th: float):
         """(I - th*A_eta) on interior eta nodes, one block per x node, with
-        v = 0 at the bottom and the top's increment folded in; and each
-        line's coefficient of the node beyond either end."""
+        v = 0 at the bottom and the top's increment folded in."""
         c1 = self.ce1.reshape(-1, 1)
         lo = np.broadcast_to(-th * (self.ce2 - c1), (c1.size, self.eta.size - 2))
         up = np.array(np.broadcast_to(-th * (self.ce2 + c1), lo.shape))
-        ends = lo[:, 0], up[:, -1].copy()
         di = np.full(lo.shape, 1.0 + 2.0 * th * self.ce2)
         di[:, -1] += up[:, -1]
-        return _kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}"), ends
+        return _kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}")
 
-    def edge_residuals(self, W: np.ndarray, axis: int):
-        """What the edges of `axis` (an x axis, or d for eta) lack of the
-        relations apply_bc sets, on the interior of the other axes, in the
-        sweep's (eta, other x axes) order for an x axis.  Zero once
-        apply_bc has run; the terminal data and the projection onto w >= 0
-        leave some, which the sweeps carry into the increment."""
-        inner = (_MID,) * self.d
-        if axis == self.d:
-            return -W[inner + (0,)].ravel(), (W[..., -2] + self.top - W[..., -1])[inner].ravel()
-        return [np.moveaxis((self.x_edge(W, axis, end) - np.moveaxis(W, axis, 0)[end])[inner], -1, 0)
-                for end in (0, -1)]
-
-    def solve_x(self, rhs: np.ndarray, W: np.ndarray, th: float, axis: int) -> np.ndarray:
-        """The x sweep along `axis` for an increment of W: one solve for
-        every line of the axis, every eta column a right-hand side, with W's
-        edge residuals as the lines' end terms."""
+    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
+        """The x sweep along `axis` for an increment: one solve for every
+        line of the axis, every eta column a right-hand side."""
         # in C order, the (eta, other x axes, axis) array is the Fortran-order
         # (unknowns, eta columns) matrix, with the unknowns numbered line by line
         perm = (self.d,) + tuple(i for i in range(self.d) if i != axis) + (axis,)
         cols = np.array(rhs.transpose(perm), order="C")
-        factors, (end_lo, end_hi) = self._factors(th)[axis]
-        res_lo, res_hi = self.edge_residuals(W, axis)
-        cols[..., 0] -= end_lo * res_lo
-        cols[..., -1] -= end_hi * res_hi
-        x = _kernels.thomas_batch(factors, cols.reshape(cols.shape[0], -1).T)
+        x = _kernels.thomas_batch(self._factors(th)[axis], cols.reshape(cols.shape[0], -1).T)
         return x.T.reshape(cols.shape).transpose(np.argsort(perm))
 
-    def solve_eta(self, rhs: np.ndarray, W: np.ndarray, th: float) -> np.ndarray:
-        """The eta sweep for an increment of W: one solve for every x node
-        at once, with W's edge residuals as the lines' end terms."""
-        factors, (end_lo, end_hi) = self._factors(th)[-1]
-        res_lo, res_hi = self.edge_residuals(W, self.d)
-        flat = np.array(rhs, order="C").reshape(end_lo.size, -1)
-        flat[:, 0] -= end_lo * res_lo
-        flat[:, -1] -= end_hi * res_hi
-        return _kernels.thomas_batch(factors, flat.ravel()).reshape(rhs.shape)
+    def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
+        """The eta sweep for an increment: one solve for every x node at
+        once."""
+        return _kernels.thomas_batch(self._factors(th)[-1], rhs.ravel()).reshape(rhs.shape)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
         """One Douglas step of length h in delta form: the increment z =
@@ -360,8 +332,8 @@ class _DualOperator:
         th = theta_w * h
         z = self.explicit(W, h)
         for axis in range(self.d):
-            z = self.solve_x(z, W, th, axis)
-        z = self.solve_eta(z, W, th)
+            z = self.solve_x(z, th, axis)
+        z = self.solve_eta(z, th)
         out = np.empty_like(W)
         np.add(_view(W, 0), z, out=out[(_MID,) * (self.d + 1)])
         self.apply_bc(out)
@@ -372,7 +344,9 @@ class _DualOperator:
         interpolant in eta, clamped in the stencil's middle cell to the
         bounds convexity in q sets (below the cell's chord, above either
         neighbouring chord extended).  Smooth convex data keep the cubic in
-        them up to O(de^4); at an unresolved kink the clamp stops overshoot."""
+        them up to O(de^4); at an unresolved kink the clamp stops overshoot.
+        What is written is clamped at 0: a restored x edge can take W, and
+        the cubic through it, below 0."""
         flat = W.ravel()
         v0, v1, v2, v3 = (flat[m:][self.start] for m in range(4))
         f, ef, g = self.bounds
@@ -381,7 +355,7 @@ class _DualOperator:
         value = sum(c * v for c, v in zip(self.cubic, (v0, v1, v2, v3)))
         np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=self.centred)
         out[..., :self.first] = 0.0
-        out[..., self.first:] = value
+        np.maximum(value, 0.0, out=out[..., self.first:])
 
 
 def _refine_axis(x: np.ndarray, r: int) -> np.ndarray:
@@ -465,6 +439,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     values = np.empty(grid.shape)
     values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
     W = np.maximum(np.exp(ws.eta + ws.phi[..., None]) - ws.gx[..., None], 0.0)
+    ws.apply_bc(W)
     step = 0
     for k in range(grid.t.size - 2, -1, -1):
         for _ in range(rt):
@@ -476,8 +451,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         if not np.isfinite(W).all():
             raise Nonfinite(f"dual solve: non-finite values at t = {grid.t[k]:g}")
         # the exact flow preserves the sign of the terminal data; FD
-        # undershoot below zero is projected out
+        # undershoot below zero is projected out, then the edge relations
+        # the projection clips are restored
         np.maximum(W, 0.0, out=W)
+        ws.apply_bc(W)
         ws.read(W, values[k])
 
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,

@@ -4,11 +4,12 @@ implicit sweeps in per-node form, kept as test references.
 The sweeps: the x sweep as one banded solve per node of the other x axes,
 and the eta sweep as a Thomas recursion looped over eta nodes, batched
 over x nodes.  Both rebuild their matrices on every call.  `solve_x` and
-`solve_eta` take the operator's interface, an increment of W with W's
-edge residuals as end terms; `substep` is the standard form, in which
-the sweeps act on values with the edge relations' own inhomogeneous
-terms.  They compute the same steps as the operator in another order of
-operations, so surfaces agree with them up to rounding.
+`solve_eta` take the operator's interface: an increment of a state that
+satisfies the edge relations, so nothing lies beyond either end.
+`substep` is the standard form, in which the sweeps act on values with the
+edge relations' own inhomogeneous terms.  They compute the same steps as
+the operator in another order of operations, so surfaces agree with them
+up to rounding.
 """
 import numpy as np
 from scipy.linalg import solve_banded
@@ -82,23 +83,15 @@ def _eta_sweep(op, rhs, th, bottom, top):
     return thomas_loop(lo, di, up, flat).reshape(rhs.shape)
 
 
-def solve_x(op, rhs, W, th, axis):
-    """The x sweep for an increment of W: the end terms are how far W's
-    edges fall short of its own extrapolation plus the faces of q."""
-    r_lo, r_hi = op.ratios[axis]
-    f_lo, f_hi = op.faces[axis]
-    Wa = np.moveaxis(W, axis, 0)
-    inner = (_MID,) * op.d
-    ends = ((Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo - Wa[0])[inner],
-            (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi - Wa[-1])[inner])
-    return _x_sweep(op, rhs, th, axis, ends)
+def solve_x(op, rhs, th, axis):
+    """The x sweep for an increment: zero beyond either end."""
+    return _x_sweep(op, rhs, th, axis, (0.0, 0.0))
 
 
-def solve_eta(op, rhs, W, th):
-    """The eta sweep for an increment of W: the end terms are how far W is
-    from v = 0 at the bottom and from its top increment."""
-    inner = (_MID,) * op.d
-    return _eta_sweep(op, rhs, th, -W[..., 0][inner], (W[..., -2] + op.top - W[..., -1])[inner])
+def solve_eta(op, rhs, th):
+    """The eta sweep for an increment: zero beyond either end."""
+    ends = np.zeros(rhs.shape[:-1])
+    return _eta_sweep(op, rhs, th, ends, ends)
 
 
 def substep(op, W, h, theta_w):

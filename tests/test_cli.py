@@ -322,6 +322,37 @@ def gbm_mc_ini(model=GBM_MC_MODEL, x0="1.0"):
         "scheme = exact-bessel3", "scheme = exact-gbm").replace("x0 = 1.0", f"x0 = {x0}")
 
 
+def gbm_d2_pde_ini(method):
+    return pde_ini(method=method).replace(GBM_MC_MODEL, GBM_D2_MODEL).replace(
+        "x0 = 1.0", "x0 = 1 1")
+
+
+@pytest.mark.parametrize("command, method", [("solve", "pipeline"), ("price", "pde"),
+                                             ("dual", "pde")])
+def test_grid_of_another_dimension_is_a_config_error(tmp_path, capsys, command, method):
+    # every [grid] is d = 1: a d = 2 model ended in a ValueError traceback
+    cfg = write_config(tmp_path, gbm_d2_pde_ini(method))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err and "dimension" in err
+
+
+def test_verify_of_a_surface_of_another_dimension_is_a_config_error(tmp_path, capsys):
+    # exit 1 means "not a supersolution"; a d = 1 surface under a d = 2
+    # model is neither a pass nor a fail
+    cfg = write_config(tmp_path, pde_ini(method="pipeline"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    d2 = write_config(tmp_path, gbm_d2_pde_ini("pipeline"), "d2.ini")
+    vout = tmp_path / "v"
+    assert main(["verify", "--config", d2, "--out", str(vout),
+                 str(out / "primal_eps0p2.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dimension" in err
+    assert not (vout / "verify.json").exists()
+
+
 def test_compare_oracle_rejects_a_payoff_other_than_x1(tmp_path):
     # the gbm closed forms price g(x) = x1; x1*x1 gave a worst gap of ~39 SE
     text = gbm_mc_ini() + "\n[payoff]\nkind = expression\nexpr = x1*x1\n"
