@@ -4,16 +4,26 @@ serialization.
 Binary container: magic b"QHSURF01", a little-endian uint64 header length,
 a JSON header (axis lengths, domain, epsilon, metadata), then the raw
 float64 payload: t axis, each x axis, the q-or-p axis, and the value array
-in C order.  Axes and values round-trip bit-exactly.
+in C order.  Axes and values round-trip bit-exactly; the reader rejects a
+container that is cut short or has bytes after the payload.
 
 CSV long format: header t,x1[,x2],<q|p>,value and one row per node,
 printed with %.17g so parsing back reproduces the exact doubles.  The
-writer formats each axis node once and, per time level, only the values;
-the bytes are those of formatting every column of every row with %.17g.
+writer formats each axis node once and, per time level, the value column
+as arrays; the bytes are those of formatting every column of every row
+with %.17g.  A value v with 1e-4 <= |v| < 1e16 gets its 17 significant
+digits exactly: the error-free product of |v| and 10**(16 - k) (Dekker's
+TwoProduct, with k = floor(log10 |v|) checked against the product) is
+rounded half-even, as the correctly rounded %.17g does, and the text
+comes from tables of 4-digit groups.  Exact zeros print as 0 or -0 on the
+same path.  Other values (nonzero |v| < 1e-4, subnormals included, and
+|v| >= 1e16) take b"%.17g" % v one by one.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -120,26 +130,166 @@ class Surface:
         object.__setattr__(self, "values", v)
 
 
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for binary64
+_POW10 = np.array([float(10 ** i) for i in range(23)])  # exact doubles
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+# 17 digits are written as groups of 4, 4, 4, 4 and 1, one uint32 word
+# each; the place values of the first four groups
+_GROUP_UNITS = (10 ** 13, 10 ** 9, 10 ** 5, 10)
+
+
+def _digit_table() -> np.ndarray:
+    """ASCII text of the numbers below 10 000 as little-endian uint32 words
+    (NUL-padded), in four blocks of 10 000: the four digits; the four
+    digits with trailing zeros cut; "." and the last three digits; and that
+    with trailing zeros cut, empty when the three digits are all zero."""
+    i = np.arange(10000)
+    digits = (i // np.array([[1000], [100], [10], [1]]) % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[::-1] == 48, axis=0)[::-1]
+    dotted = np.concatenate([np.full((1, i.size), 46, np.uint8), digits[1:]])
+    cut = np.concatenate([(i % 1000 == 0)[None], trailing[1:]])
+    blocks = [digits, np.where(trailing, 0, digits), dotted, np.where(cut, 0, dotted)]
+    return np.ascontiguousarray(np.concatenate(blocks, axis=1).T).view("<u4").ravel()
+
+
+def _exponent_words(texts) -> np.ndarray:
+    """(5, len(texts)) little-endian uint32 words of 20-byte NUL-padded texts."""
+    raw = b"".join(text.ljust(20, b"\0") for text in texts)
+    return np.frombuffer(raw, "<u4").reshape(len(texts), 5).T.copy()
+
+
+_CUT, _DOT = 10000, 20000  # offsets of the digit table's blocks
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """The digit table and, per decimal exponent k = -4..16 (row k + 4),
+    the mask that keeps the integer part's first k + 1 digits and, below 1,
+    the integer part "0." and -1 - k zeros.  Built on first use, so that a
+    run that writes no CSV does not pay for them."""
+    tables = (_digit_table(),
+              _exponent_words([b"\xff" * (k + 1) for k in range(-4, 17)]),
+              _exponent_words([b"0." + b"0" * (-1 - k) for k in range(-4, 0)] + [b""] * 17))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _round_scaled(a: np.ndarray, k: np.ndarray):
+    """floor(a * 10**(16 - k)), exactly, and the product rounded half to
+    even, exactly where it is at least 10**16; for 1e-4 <= a < 1e16 and
+    16 - k in [0, 22].
+
+    TwoProduct gives the product as p + e exactly.  A product of at least
+    10**16 > 2**53 makes p an even integer, so p + rint(e) rounds half to
+    even."""
+    b = _POW10[16 - k]
+    p = a * b
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = b * _SPLIT
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    r = np.rint(e)
+    rounded = p.astype(np.int64) + r.astype(np.int64)
+    return rounded - (r > e), rounded
+
+
+def _format_g17(values: np.ndarray) -> tuple[list, list]:
+    """b"%.17g" % v for each v of a 1-D float array, as two lists of bytes
+    whose items concatenate to it: the sign and integer part ("0.0.." below
+    1), and the fraction with its "."."""
+    n = values.size
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0
+    # the other lanes are computed on 1.0, which prints as "1", and
+    # replaced: a zero by "0", the rest by the per-value fallback
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    floor, D = _round_scaled(a, k)
+    off = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
+    if off.size:  # log10 rounded across a power of ten: k is one off
+        k[off] += np.where(floor[off] < 10 ** 16, -1, 1)
+        D[off] = _round_scaled(a[off], k[off])[1]
+    # rounding up to the next power of ten; no double in range lies within
+    # half a unit of the 17th digit below one, so this is a guard
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    # D holds the 17 significant digits and k the decimal exponent, so the
+    # value prints as D's first k + 1 digits, "." and the rest; below 1, as
+    # "0.", -1 - k zeros and D.  Trailing zeros of the fraction are cut.
+    digits, int_mask, int_prefix = _g17_tables()
+    row = k + 4
+    ints = np.zeros((n, 5), "<u4")
+    words = (int(k.max()) + 4) // 4  # the groups the longest integer part fills
+    rest = D
+    for j, unit in enumerate(_GROUP_UNITS[:words]):
+        group = rest // unit
+        rest = rest - group * unit
+        ints[:, j] = digits[group] & int_mask[j, row]
+    if words == 5:
+        ints[:, 4] = digits[rest * 1000] & int_mask[4, row]
+    ints[:, 0] |= int_prefix[0, row]
+    ints[:, 1] |= int_prefix[1, row]
+    ints[zero, 0] = 48
+    # the fraction digits, left-aligned: 16 after "." (grouped 3, 4, 4, 4,
+    # 1) from 1 up, all 17 of D (grouped 4, 4, 4, 4, 1) below 1
+    whole = np.maximum(k, 0)
+    scale = _POW10_INT[16 - whole]
+    rest = np.where(k < 0, D, (D - D // scale * scale) * _POW10_INT[whole])
+    fracs = np.empty((n, 5), "<u4")
+    block = np.where(k < 0, 0, _DOT)  # from 1 up, the first group follows "."
+    for j, unit in enumerate(_GROUP_UNITS):
+        group = rest // unit
+        rest = rest - group * unit
+        # a group with only zeros after it loses its trailing zeros
+        fracs[:, j] = digits[group + block + _CUT * (rest == 0)]
+        block = 0
+    fracs[:, 4] = digits[rest * 1000 + _CUT]
+    neg = np.signbit(values)
+    if neg.any():  # shift the integer part one byte right, behind a "-"
+        signed = ints << 8
+        signed[:, 1:] |= ints[:, :-1] >> 24
+        signed[:, 0] |= 45
+        ints = np.where(neg[:, None], signed, ints)
+    heads = ints.view("S20").ravel().tolist()
+    tails = fracs.view("S20").ravel().tolist()
+    # the fallback; the fraction computed on 1.0 is already empty
+    slow = np.flatnonzero(~(fast | zero))
+    for i, v in zip(slow.tolist(), values[slow].tolist()):
+        heads[i] = b"%.17g" % v
+    return heads, tails
+
+
 def write_surface_csv(surface: Surface, path) -> None:
     g = surface.grid
     xcols = ",".join(f"x{i + 1}" for i in range(g.dim))
-    header = f"t,{xcols},{g.domain},value"
+    header = f"t,{xcols},{g.domain},value".encode("ascii")
 
     def fmt(axis):
-        return list(map("%.17g".__mod__, axis.tolist()))
+        return list(map(b"%.17g".__mod__, axis.tolist()))
 
-    # the lines of one time level as one template, "\0,x1[,x2],z,%.17g"
-    # per node, with \0 standing for t: every axis node is formatted once,
-    # and each level fills in its t and formats its values in one call
-    heads = [""]
+    # a row is four parts: "\n" t ",", the nodes "x1[,x2],z," and the
+    # value's two parts.  It starts with the newline that ends the row
+    # before it, so that the first part is the same for a whole level;
+    # every axis node is formatted once.
+    nodes = [b""]
     for axis in g.x_axes + (g.z,):
-        heads = [head + node + "," for head in heads for node in fmt(axis)]
-    level = "".join("\0," + head + "%.17g\n" for head in heads)
+        nodes = [head + node + b"," for head in nodes for node in fmt(axis)]
+    parts = [b""] * (4 * len(nodes))
+    parts[1::4] = nodes
     values = surface.values.reshape(g.t.size, -1)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, slab in zip(fmt(g.t), values):
-            fh.write(level.replace("\0", t) % tuple(slab.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for t, level in zip(fmt(g.t), values):
+            parts[0::4] = [b"\n" + t + b","] * len(nodes)
+            parts[2::4], parts[3::4] = _format_g17(level)
+            fh.write(b"".join(parts))
+        fh.write(b"\n")
 
 
 def write_surface_bin(surface: Surface, path) -> None:
@@ -170,21 +320,24 @@ def read_surface_bin(path) -> Surface:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a surface container: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("ascii"))
-        if header.get("format") != 1:
-            raise ValueError(f"unsupported container format {header.get('format')}")
-
-        def arr(count):
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError("truncated surface container")
-            return np.frombuffer(buf, dtype="<f8").copy()
-
-        t = arr(header["n_t"])
-        xs = tuple(arr(m) for m in header["n_x"])
-        z = arr(header["n_z"])
-        shape = (header["n_t"], *header["n_x"], header["n_z"])
-        values = arr(int(np.prod(shape))).reshape(shape)
-    grid = GridSpec(t, xs, z, header["domain"], float(header["epsilon"]))
-    return Surface(grid, values, dict(header.get("meta", {})))
+        # the rest at once: no length read from the file makes a read
+        # larger than the file
+        rest = fh.read()
+    if len(rest) < 8:
+        raise ValueError("truncated surface container")
+    (hlen,) = struct.unpack("<Q", rest[:8])
+    header = json.loads(rest[8:8 + hlen].decode("ascii"))
+    if header.get("format") != 1:
+        raise ValueError(f"unsupported container format {header.get('format')}")
+    counts = [header["n_t"], *header["n_x"], header["n_z"]]
+    if not all(isinstance(c, int) and c >= 0 for c in counts):
+        raise ValueError(f"axis lengths must be nonnegative integers, not {counts}")
+    end = 8 + hlen + 8 * (sum(counts) + math.prod(counts))
+    if len(rest) < end:
+        raise ValueError("truncated surface container")
+    if len(rest) > end:
+        raise ValueError(f"{len(rest) - end} trailing bytes after the surface payload")
+    data = np.frombuffer(rest, dtype="<f8", offset=8 + hlen).copy()
+    t, *xs, z, values = np.split(data, np.cumsum(counts))
+    grid = GridSpec(t, tuple(xs), z, header["domain"], float(header["epsilon"]))
+    return Surface(grid, values.reshape(counts), dict(header.get("meta", {})))

@@ -220,6 +220,14 @@ def test_solve_verify_roundtrip(tmp_path):
                  str(tmp_path / "vj"), str(junk)]) == 2
     assert main(["verify", "--config", cfg, "--out",
                  str(tmp_path / "vm"), str(tmp_path / "gone.bin")]) == 2
+    # so is a container cut inside its header length or with bytes after
+    # its payload
+    with open(primal, "rb") as fh:
+        raw = fh.read()
+    for name, blob in (("cut.bin", raw[:11]), ("long.bin", raw + b"garbage")):
+        (tmp_path / name).write_bytes(blob)
+        assert main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / ("v" + name)), str(tmp_path / name)]) == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -1,10 +1,16 @@
 """Grid containers, interpolation, and the CSV / binary persistence pair."""
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhedge.surfaces import (GridSpec, Surface, read_surface_bin,
+from qhedge import mc, pde
+from qhedge.market import builtin_model, linear_payoff
+from qhedge.surfaces import (GridSpec, Surface, _format_g17, read_surface_bin,
                              write_surface_bin, write_surface_csv)
 from surface_helpers import axes_equal, surface_eval, terminal
 
@@ -120,15 +126,91 @@ def write_rows_reference(surface, path):
             fh.write(fmt % row)
 
 
+def is_17th_digit_tie(v: float) -> bool:
+    """Whether v lies exactly halfway between two 17-digit decimals."""
+    f = Fraction(abs(v))
+    k = int(np.floor(np.log10(abs(v))))
+    while Fraction(10) ** k > f:
+        k -= 1
+    while Fraction(10) ** (k + 1) <= f:
+        k += 1
+    return (f * Fraction(10) ** (16 - k)).denominator == 2
+
+
+def g17_edge_values() -> list:
+    """Values at the edges of the %.17g kernel, both signs: powers of ten
+    and their neighbours from 1e-6 to 1e18, the doubles just below a power
+    of ten that round up to it, exact ties at the 17th digit, the ends of
+    the exact-digit range [1e-4, 1e16), zeros, subnormals and the extremes."""
+    values = []
+    for j in range(-6, 19):
+        p = float(f"1e{j}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    carries = []
+    for j in range(-307, 309):
+        nearest = float(f"1e{j}")
+        for v in (np.nextafter(nearest, 0.0), nearest):
+            if Fraction(v) < Fraction(10) ** j and b"%.16e" % v == b"1.0000000000000000e%+03d" % j:
+                carries.append(v)
+    assert len(carries) > 10
+    ties = [m * 2.0 ** -21 for m in (211, 1023, 2095)] + [m * 2.0 ** -20 for m in (1049, 4095)]
+    assert all(map(is_17th_digit_tie, ties))
+    values += carries + ties
+    values += [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+               np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf)]
+    values += [0.0, 5e-324, sys.float_info.min, np.nextafter(sys.float_info.min, 0.0),
+               1e308, sys.float_info.max, 0.1 + 0.2]
+    values = [float(v) for v in values]
+    return values + [-v for v in values]
+
+
+def g17(values) -> list:
+    """The kernel's text of each value, with any numpy warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heads, tails = _format_g17(np.asarray(values, dtype=float))
+    return [head + tail for head, tail in zip(heads, tails)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-4, 1e16, exclude_max=True),
+                          st.floats(-1e16, -1e-4, exclude_min=True)),
+                min_size=1, max_size=40))
+def test_g17_kernel_matches_percent_g(values):
+    assert g17(values) == [b"%.17g" % v for v in values]
+
+
+def test_g17_kernel_on_edge_values():
+    values = g17_edge_values()
+    assert g17(values) == [b"%.17g" % v for v in values]
+
+
+def test_g17_kernel_on_short_mantissa_dyadics():
+    # odd 12-bit mantissas over 70 binades; those in [1e-4, 1e-2) with
+    # exponent k - 17 are exact ties at the 17th digit
+    m = np.arange(1.0, 4096.0, 2.0)
+    values = (m[:, None] * 2.0 ** np.arange(-45, 25)).ravel()
+    values = np.concatenate([values, -values])
+    assert g17(values) == [b"%.17g" % v for v in values.tolist()]
+    near = [v for v in values.tolist() if 1e-4 <= v < 1e-2]
+    assert sum(map(is_17th_digit_tie, near)) > 1000
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_csv_bytes_match_the_row_writer(tmp_path, dim):
     # non-uniform x axes, a p axis with 0.1 + 0.2, and values that print
-    # as -0, a subnormal, a huge number and a rounding-heavy sum
+    # as -0, a subnormal, a huge number and a rounding-heavy sum; the time
+    # levels after the first three carry the kernel's edge values
+    edges = g17_edge_values()
     x_axes = (np.array([0.5, 0.7000000000000001, 1.9, 2.0]), np.array([0.1, 0.3, 5.0]))[:dim]
     p = np.array([0.0, 0.1 + 0.2, 0.5, 1.0])
-    g = GridSpec(np.linspace(0.0, 1.0, 3), x_axes, p, "p", 0.25)
+    per_level = p.size * int(np.prod([ax.size for ax in x_axes]))
+    n_t = 4 + len(edges) // per_level  # room for the edges and the last -0
+    g = GridSpec(0.5 * np.arange(n_t), x_axes, p, "p", 0.25)
     vals = np.random.default_rng(dim).normal(size=g.shape) / 3.0
     vals.flat[:4] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+    vals[3:].flat[:len(edges)] = edges
     vals.flat[-1] = -0.0
     surf = Surface(g, vals, {})
     want, got = tmp_path / "rows.csv", tmp_path / "surface.csv"
@@ -159,6 +241,40 @@ def test_binary_roundtrip_and_rejection(tmp_path):
     trunc.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(ValueError):
         read_surface_bin(trunc)
+    # cut inside the header length
+    short = tmp_path / "short.bin"
+    short.write_bytes(raw[:11])
+    with pytest.raises(ValueError, match="truncated"):
+        read_surface_bin(short)
+    # a header that gives more nodes than the file holds, or a length that
+    # is not an integer
+    hlen = int.from_bytes(raw[8:16], "little")
+    for n_t, match in ((b"1000000000000000", "truncated"), (b'"5"', "axis lengths")):
+        blob = raw[16:16 + hlen].replace(b'"n_t": 5', b'"n_t": ' + n_t)
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=match):
+            read_surface_bin(forged)
+    # bytes after the payload
+    long = tmp_path / "long.bin"
+    long.write_bytes(raw + b"garbage")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_surface_bin(long)
+
+
+def test_pipeline_surface_csvs_match_the_row_writer(tmp_path):
+    # the smoke-size gbm pipeline: a dual with values below 1e-4, which
+    # take the per-value fallback, and its primal
+    grid = GridSpec.regular(0.0, 1.0, 8, 0.5, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)
+    dual = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(), grid)
+    primal = pde.dual_to_primal(dual, mc.default_p_grid(21))
+    small = np.abs(dual.values)
+    assert ((small > 0) & (small < 1e-4)).any()
+    for name, surf in (("dual", dual), ("primal", primal)):
+        want, got = tmp_path / f"{name}_rows.csv", tmp_path / f"{name}.csv"
+        write_rows_reference(surf, want)
+        write_surface_csv(surf, got)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_value_shape_checked():
