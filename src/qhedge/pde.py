@@ -33,10 +33,15 @@ eta) with th = theta h, and sets W <- W + z.  With h = dt / r_t for r_t
 time refinements, the first _RANNACHER_STEPS steps are each two implicit
 Euler half steps (Rannacher startup: theta = 1 on h / 2), the rest
 Crank-Nicolson (theta = 1/2 on h), so every substep has th = h / 2.  Each
-implicit sweep is one block-diagonal tridiagonal system, a block per
-line, factored once per solve (_kernels.factor_blocks) and solved by one
-call per substep (_kernels.thomas_batch; an x sweep takes every eta
-column at once).
+implicit sweep is one tridiagonal system per line, with the swept axis
+first and every other axis a lane: factored once per solve
+(_kernels.factor_lines) and solved by one Thomas recurrence per substep
+(_kernels.thomas_batch), down the swept axis on all lanes at once.  An x
+sweep works in place on the increment, every eta column a lane; the eta
+sweep works on one eta-first copy of it.  The Thomas kernel does not
+pivot.  That is stable where the rows are diagonally dominant: in every x
+sweep (slack 1), and in the eta sweep while th (|ce1| - ce2) <= 1/2,
+which a strong eta drift on a coarse t axis can break.
 
 Every state a substep starts from satisfies the edge relations below:
 apply_bc sets them on the terminal data, after each substep, and after
@@ -287,43 +292,49 @@ class _DualOperator:
 
     def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
-        folded in, one block per line of the axis, lines in C order of the
-        other x axes."""
+        folded in, swept axis first, one line per node of the other x axes
+        and every eta column a lane.  The edge rows reduce to the identity
+        (the extrapolation is linear, so its second difference vanishes),
+        and every other row is diagonally dominant with a slack of 1, so
+        the pivot-free Thomas factors are stable whatever th."""
         wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
         r_lo, r_hi = self.ratios[axis]
         c = self.cx[axis]
-        lo, di, up = (np.moveaxis(a, axis, -1).reshape(-1, c.shape[axis])
+        lo, di, up = (np.moveaxis(a, axis, 0)[..., None]
                       for a in (-th * c * wl, 1.0 - th * c * wc, -th * c * wr))
-        di[:, 0] += lo[:, 0] * (1.0 + r_lo)
-        up[:, 0] += -lo[:, 0] * r_lo
-        di[:, -1] += up[:, -1] * (1.0 + r_hi)
-        lo[:, -1] += -up[:, -1] * r_hi
-        return _kernels.factor_blocks(lo, di, up, f"x axis {axis} sweep at th={th:g}")
+        di[0] += lo[0] * (1.0 + r_lo)
+        up[0] += -lo[0] * r_lo
+        di[-1] += up[-1] * (1.0 + r_hi)
+        lo[-1] += -up[-1] * r_hi
+        # stored at the lane shape: a factor row that broadcasts (in d = 1,
+        # one value) makes every one of the kernel's calls slower
+        lanes = di.shape[:-1] + (self.eta.size - 2,)
+        return _kernels.factor_lines(*(np.broadcast_to(a, lanes) for a in (lo, di, up)),
+                                     f"x axis {axis} sweep at th={th:g}")
 
     def _factor_eta(self, th: float):
-        """(I - th*A_eta) on interior eta nodes, one block per x node, with
-        v = 0 at the bottom and the top's increment folded in."""
-        c1 = self.ce1.reshape(-1, 1)
-        lo = np.broadcast_to(-th * (self.ce2 - c1), (c1.size, self.eta.size - 2))
-        up = np.array(np.broadcast_to(-th * (self.ce2 + c1), lo.shape))
-        di = np.full(lo.shape, 1.0 + 2.0 * th * self.ce2)
-        di[:, -1] += up[:, -1]
-        return _kernels.factor_blocks(lo, di, up, f"eta sweep at th={th:g}")
+        """(I - th*A_eta) on interior eta nodes, eta first, one line per x
+        node, with v = 0 at the bottom and the top's increment folded in.
+        Its rows are diagonally dominant, so the pivot-free Thomas factors
+        are stable, while th (|ce1| - ce2) <= 1/2, that is while the eta
+        drift exceeds the diffusion by at most 1 / (2 th)."""
+        c1 = np.moveaxis(self.ce1, -1, 0)
+        lo, up = -th * (self.ce2 - c1), -th * (self.ce2 + c1)
+        di = np.full((self.eta.size - 2,) + c1.shape[1:], 1.0 + 2.0 * th * self.ce2)
+        di[-1] += up[-1]
+        return _kernels.factor_lines(lo, di, up, f"eta sweep at th={th:g}")
 
     def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
-        """The x sweep along `axis` for an increment: one solve for every
-        line of the axis, every eta column a right-hand side."""
-        # in C order, the (eta, other x axes, axis) array is the Fortran-order
-        # (unknowns, eta columns) matrix, with the unknowns numbered line by line
-        perm = (self.d,) + tuple(i for i in range(self.d) if i != axis) + (axis,)
-        cols = np.array(rhs.transpose(perm), order="C")
-        x = _kernels.thomas_batch(self._factors(th)[axis], cols.reshape(cols.shape[0], -1).T)
-        return x.T.reshape(cols.shape).transpose(np.argsort(perm))
+        """The x sweep along `axis` for an increment, in place: one solve for
+        every line of the axis, every eta column a lane."""
+        _kernels.thomas_batch(self._factors(th)[axis], np.moveaxis(rhs, axis, 0))
+        return rhs
 
     def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
         """The eta sweep for an increment: one solve for every x node at
-        once."""
-        return _kernels.thomas_batch(self._factors(th)[-1], rhs.ravel()).reshape(rhs.shape)
+        once, on an eta-first copy of rhs; returns an (x, eta) view of it."""
+        cols = np.moveaxis(rhs, -1, 0).copy()
+        return np.moveaxis(_kernels.thomas_batch(self._factors(th)[-1], cols), 0, -1)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
         """One Douglas step of length h in delta form: the increment z =

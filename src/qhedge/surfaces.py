@@ -327,11 +327,21 @@ def read_surface_bin(path) -> Surface:
         raise ValueError("truncated surface container")
     (hlen,) = struct.unpack("<Q", rest[:8])
     header = json.loads(rest[8:8 + hlen].decode("ascii"))
+    if not isinstance(header, dict):
+        raise ValueError(f"surface header must be a JSON object, not {type(header).__name__}")
     if header.get("format") != 1:
         raise ValueError(f"unsupported container format {header.get('format')}")
-    counts = [header["n_t"], *header["n_x"], header["n_z"]]
-    if not all(isinstance(c, int) and c >= 0 for c in counts):
+    n_x, epsilon, meta = header.get("n_x"), header.get("epsilon"), header.get("meta", {})
+    if not isinstance(n_x, list):
+        raise ValueError(f"n_x must be a list of axis lengths, not {n_x!r}")
+    # bool is an int to isinstance, and never a length or an epsilon
+    counts = [header.get("n_t"), *n_x, header.get("n_z")]
+    if not all(type(c) is int and c >= 0 for c in counts):
         raise ValueError(f"axis lengths must be nonnegative integers, not {counts}")
+    if type(epsilon) not in (int, float):
+        raise ValueError(f"epsilon must be a number, not {epsilon!r}")
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta must be a JSON object, not {type(meta).__name__}")
     end = 8 + hlen + 8 * (sum(counts) + math.prod(counts))
     if len(rest) < end:
         raise ValueError("truncated surface container")
@@ -339,5 +349,5 @@ def read_surface_bin(path) -> Surface:
         raise ValueError(f"{len(rest) - end} trailing bytes after the surface payload")
     data = np.frombuffer(rest, dtype="<f8", offset=8 + hlen).copy()
     t, *xs, z, values = np.split(data, np.cumsum(counts))
-    grid = GridSpec(t, tuple(xs), z, header["domain"], float(header["epsilon"]))
-    return Surface(grid, values.reshape(counts), dict(header.get("meta", {})))
+    grid = GridSpec(t, tuple(xs), z, header.get("domain"), float(epsilon))
+    return Surface(grid, values.reshape(counts), meta)

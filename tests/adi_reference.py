@@ -2,10 +2,11 @@
 implicit sweeps in per-node form, kept as test references.
 
 The sweeps: the x sweep as one banded solve per node of the other x axes,
-and the eta sweep as a Thomas recursion looped over eta nodes, batched
-over x nodes.  Both rebuild their matrices on every call.  `solve_x` and
-`solve_eta` take the operator's interface: an increment of a state that
-satisfies the edge relations, so nothing lies beyond either end.
+and the eta sweep as one per x node.  Both rebuild their matrices on every
+call, and both pivot (LAPACK gbsv), where the operator's Thomas kernel
+does not.  `solve_x` and `solve_eta` take the operator's interface: an
+increment of a state that satisfies the edge relations, so nothing lies
+beyond either end.
 `substep` is the standard form, in which the sweeps act on values with the
 edge relations' own inhomogeneous terms.  They compute the same steps as
 the operator in another order of operations, so surfaces agree with them
@@ -15,25 +16,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from qhedge.pde import _HI, _LO, _MID, _along, _cross_diff, _second_diff, _view
-
-
-def thomas_loop(dl, dd, du, rhs):
-    """m tridiagonal systems of size n, rows of (m, n) arrays; dl[:, 0] and
-    du[:, -1] are ignored.  No pivoting."""
-    m, n = dd.shape
-    cp = np.empty((m, n - 1))
-    x = np.empty((m, n))
-    denom = dd[:, 0].copy()
-    cp[:, 0] = du[:, 0] / denom
-    x[:, 0] = rhs[:, 0] / denom
-    for k in range(1, n):
-        denom = dd[:, k] - dl[:, k] * cp[:, k - 1]
-        if k < n - 1:
-            cp[:, k] = du[:, k] / denom
-        x[:, k] = (rhs[:, k] - dl[:, k] * x[:, k - 1]) / denom
-    for k in range(n - 2, -1, -1):
-        x[:, k] -= cp[:, k] * x[:, k + 1]
-    return x
 
 
 def _x_sweep(op, rhs, th, axis, ends):
@@ -68,7 +50,7 @@ def _x_sweep(op, rhs, th, axis, ends):
 
 
 def _eta_sweep(op, rhs, th, bottom, top):
-    """(I - th*A_eta) on interior eta nodes, batched tridiagonal per x node,
+    """(I - th*A_eta) on interior eta nodes, one banded solve per x node,
     with the top's ghost increment folded in; `bottom` and `top` are the
     values beyond either end, one per x node."""
     n = rhs.shape[-1]
@@ -80,7 +62,14 @@ def _eta_sweep(op, rhs, th, bottom, top):
     flat[:, 0] -= lo[:, 0] * bottom.ravel()
     flat[:, -1] -= up[:, -1] * top.ravel()
     di[:, -1] += up[:, -1]
-    return thomas_loop(lo, di, up, flat).reshape(rhs.shape)
+    out = np.empty_like(flat)
+    for line in range(flat.shape[0]):
+        ab = np.zeros((3, n))
+        ab[0, 1:] = up[line, :-1]
+        ab[1] = di[line]
+        ab[2, :-1] = lo[line, 1:]
+        out[line] = solve_banded((1, 1), ab, flat[line])
+    return out.reshape(rhs.shape)
 
 
 def solve_x(op, rhs, th, axis):

@@ -1,5 +1,8 @@
-"""Grid comparison, the terminal slice and surface interpolation for the
-tests; the package itself reads surfaces only on their nodes."""
+"""Grid comparison, the terminal slice, surface interpolation and forged
+surface containers for the tests; the package itself reads surfaces only
+on their nodes."""
+import json
+
 import numpy as np
 
 
@@ -45,3 +48,26 @@ def surface_eval(surface, t, *coords):
             weight = weight * (wa if (corner >> a) & 1 else 1.0 - wa)
         acc += weight * surface.values[sel]
     return acc.reshape(out_shape) if out_shape else float(acc[0])
+
+
+def with_header(raw: bytes, header) -> bytes:
+    """A surface container's bytes with its JSON header replaced by
+    `header` (any JSON value) and the payload kept."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    blob = json.dumps(header).encode("ascii")
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:]
+
+
+def wrongly_typed_headers(raw: bytes) -> dict:
+    """Forged containers, by name, whose header has a field of the wrong
+    JSON type: not an object, an n_x that is not a list, and epsilons that
+    are not numbers."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    return {
+        "array": with_header(raw, []),
+        "n_x scalar": with_header(raw, dict(header, n_x=header["n_x"][0])),
+        "epsilon string": with_header(raw, dict(header, epsilon="0.2")),
+        "epsilon null": with_header(raw, dict(header, epsilon=None)),
+        "meta list": with_header(raw, dict(header, meta=[["kind", "dual"]])),
+    }

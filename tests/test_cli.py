@@ -13,6 +13,7 @@ from qhedge.cli import main
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import read_surface_bin, write_surface_bin
+from surface_helpers import wrongly_typed_headers
 
 
 def mc_ini(eps_line="epsilons = 0.5 0.2"):
@@ -228,6 +229,12 @@ def test_solve_verify_roundtrip(tmp_path):
         (tmp_path / name).write_bytes(blob)
         assert main(["verify", "--config", cfg, "--out",
                      str(tmp_path / ("v" + name)), str(tmp_path / name)]) == 2
+    # and a header field of the wrong JSON type: an array for the header
+    # or an n_x of 3 ended in a traceback with exit 1, "not a supersolution"
+    for i, blob in enumerate(wrongly_typed_headers(raw).values()):
+        (tmp_path / "typed.bin").write_bytes(blob)
+        assert main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / f"vt{i}"), str(tmp_path / "typed.bin")]) == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qhedge import _kernels, oracles, pde
-from qhedge.errors import ArgmaxAtBoundary, DimensionUnsupported, DomainMismatch
+from qhedge.errors import ArgmaxAtBoundary, DimensionUnsupported, DomainMismatch, Nonfinite
 from qhedge.market import Payoff, builtin_model, linear_payoff
 from qhedge.surfaces import GridSpec, Surface
 from surface_helpers import axes_equal, surface_eval, terminal
@@ -216,6 +216,41 @@ def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
     assert np.abs(got.values - want.values).max() <= 1e-11
 
 
+@pytest.mark.parametrize("n_t, dominant", [(8, True), (7, False)])
+def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n_t, dominant):
+    # at b/s^2 = 50 and eps = 0.05 the eta drift outweighs its diffusion:
+    # with 8 time nodes the eta sweep's rows keep diagonal dominance by a
+    # slack of only 6e-4, with 7 they lose it, where the kernel, which does
+    # not pivot, is no longer backed by dominance.  It must then match the
+    # reference, which pivots, or raise; never return a surface of its own.
+    # The surfaces themselves break w <= q on this grid (up to 1.2e3 and
+    # 1.9e4), so the 1e-11 is taken relative to their size
+    model = builtin_model("gbm", b=0.5, s=0.1)
+    grid = radial_grid(n_t=n_t, n_x=64, n_z=64, eps=0.05, x_min=0.5, x_max=2.0, z_max=8.0)
+    slack = []
+    factor_lines = _kernels.factor_lines
+
+    def spy(lo, di, up, label):
+        if label.startswith("eta"):
+            l, u = (np.array(np.broadcast_to(a, di.shape)) for a in (lo, up))
+            l[0] = u[-1] = 0.0
+            slack.append(float((np.abs(di) - np.abs(l) - np.abs(u)).min()))
+        return factor_lines(lo, di, up, label)
+
+    monkeypatch.setattr(_kernels, "factor_lines", spy)
+    try:
+        got = pde.solve_dual_pde(model, linear_payoff(), grid)
+    except Nonfinite as err:
+        assert "eta sweep" in str(err)
+        return
+    assert len(slack) == 1 and (slack[0] > 0.0) == dominant
+    monkeypatch.setattr(pde._DualOperator, "solve_x", ref.solve_x)
+    monkeypatch.setattr(pde._DualOperator, "solve_eta", ref.solve_eta)
+    want = pde.solve_dual_pde(model, linear_payoff(), grid)
+    scale = max(1.0, np.abs(want.values).max())
+    assert np.abs(got.values - want.values).max() <= 1e-11 * scale
+
+
 @pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
 def test_delta_form_matches_the_standard_form(monkeypatch, case):
     # the step in delta form solves for the increment; the standard form
@@ -272,12 +307,12 @@ def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     # never per node
     model, payoff, grid, kw = sweep_cases()[case]
     factored, solves, sweep_of = {}, {}, {}
-    factor_blocks, thomas_batch = _kernels.factor_blocks, _kernels.thomas_batch
+    factor_lines, thomas_batch = _kernels.factor_lines, _kernels.thomas_batch
 
     def counting_factor(lo, di, up, label):
         sweep = label.split(" sweep")[0]
         factored[sweep] = factored.get(sweep, 0) + 1
-        out = factor_blocks(lo, di, up, label)
+        out = factor_lines(lo, di, up, label)
         sweep_of[id(out)] = sweep
         return out
 
@@ -286,7 +321,7 @@ def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
         solves[sweep] = solves.get(sweep, 0) + 1
         return thomas_batch(factors, rhs)
 
-    monkeypatch.setattr(_kernels, "factor_blocks", counting_factor)
+    monkeypatch.setattr(_kernels, "factor_lines", counting_factor)
     monkeypatch.setattr(_kernels, "thomas_batch", counting_solve)
     surf = pde.solve_dual_pde(model, payoff, grid, **kw)
     sweeps = [f"x axis {i}" for i in range(grid.dim)] + ["eta"]

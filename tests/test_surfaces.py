@@ -12,7 +12,7 @@ from qhedge import mc, pde
 from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import (GridSpec, Surface, _format_g17, read_surface_bin,
                              write_surface_bin, write_surface_csv)
-from surface_helpers import axes_equal, surface_eval, terminal
+from surface_helpers import axes_equal, surface_eval, terminal, wrongly_typed_headers
 
 
 def small_grid(domain="q", epsilon=0.1):
@@ -260,6 +260,18 @@ def test_binary_roundtrip_and_rejection(tmp_path):
     long.write_bytes(raw + b"garbage")
     with pytest.raises(ValueError, match="trailing bytes"):
         read_surface_bin(long)
+
+
+def test_binary_header_of_the_wrong_type_is_rejected(tmp_path):
+    # a header that is not an object raised AttributeError, an n_x that is
+    # not a list TypeError; every field of the wrong type is a ValueError
+    path = tmp_path / "surface.bin"
+    write_surface_bin(small_surface(), path)
+    for name, blob in wrongly_typed_headers(path.read_bytes()).items():
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(blob)
+        with pytest.raises(ValueError, match="JSON object|list|number"):
+            read_surface_bin(forged)
 
 
 def test_pipeline_surface_csvs_match_the_row_writer(tmp_path):
