@@ -8,13 +8,16 @@ guard.  The partition never depends on the thread schedule, so results
 are bit-identical under any worker count.
 
 Stream contract: terminal_block() is the one entry point and _step_block()
-the one reader of these streams.  W is one draw per block: cfg.n_steps
+the one reader of these streams.  W is one stream per block: cfg.n_steps
 increments per path for log-Euler, one over the whole horizon for an exact
-scheme.  B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme;
-the regularized estimators in mc turn it into the factor
-exp(-eps^2 (T-t0)/2 + eps B).  Bridge normals are drawn, (bn, d) per
-block, only at a step where some path of the block crosses LOG_FLOOR,
-from the stream keyed by that step.
+scheme.  The generic log-Euler stepper draws it in chunks of _DRAW_CHUNK
+paths and stores it step-major, (n_steps, bn, d); successive draws
+continue the stream, so the values are those of one (bn, n_steps, d)
+draw, the path-major array the gbm scheme reads.  B(T) - B(t0) is one
+N(0, T - t0) draw per path for every scheme; the regularized estimators
+in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).  Bridge
+normals are drawn, (bn, d) per block, only at a step where some path of
+the block crosses LOG_FLOOR, from the stream keyed by that step.
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
 -|theta|^2/2 and diffusion -theta'dW on the same W increments, keeping
@@ -39,6 +42,8 @@ LOG_FLOOR = -30.0
 # Above this magnitude exp() overflows float64; treated as a lost path.
 _LOG_LIMIT = 700.0
 _MASK64 = (1 << 64) - 1
+# Paths per W draw of a log-Euler block, stored step-major as drawn.
+_DRAW_CHUNK = 512
 
 _REGION_W = 0
 _REGION_B = 1
@@ -117,64 +122,119 @@ def _gbm_log_terminal(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: fl
     return logX[:, -1, :], logZ[:, -1]
 
 
+def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_out: np.ndarray,
+                dlz_out: np.ndarray, work: np.ndarray):
+    """One log-Euler step over time h from log X = y (n, d) on the W
+    increments e (n, d): writes log X into y_out (n, d) and the log Z
+    increment into dlz_out (n,).  work is (3, n, d) scratch; no argument
+    may share memory with another."""
+    d = y.shape[1]
+    x, t1, t2 = work
+    np.exp(y, out=x)
+    bv = np.asarray(model.b(x), dtype=float)
+    sv = np.asarray(model.s(x), dtype=float)
+    if d == 1:
+        # theta = b / s is what LAPACK's 1x1 solve returns, bit for bit
+        s = sv[:, :, 0]
+        if not s.all():
+            raise SingularDiffusion(
+                f"volatility matrix singular on a simulated path of model {model.name}")
+        # y + (b - 0.5 s^2) h + s e and -0.5 theta^2 h - theta e, each product
+        # and sum in the order written, so the rounding is that of the plain
+        # expressions
+        np.multiply(s, s, out=t1)
+        t1 *= 0.5
+        np.subtract(bv, t1, out=t1)
+        t1 *= h
+        t1 += y
+        np.multiply(s, e, out=t2)
+        np.add(t1, t2, out=y_out)
+        theta = np.divide(bv, s, out=x)
+        np.multiply(theta, theta, out=t1)
+        t1 *= -0.5
+        t1 *= h
+        np.multiply(theta, e, out=t2)
+        np.subtract(t1, t2, out=dlz_out[:, None])
+        return
+    try:
+        theta = np.linalg.solve(sv, bv[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularDiffusion(
+            f"volatility matrix singular on a simulated path of model {model.name}: {exc}"
+        ) from None
+    # y + (b - 0.5 diag(a)) h + s e and -0.5 |theta|^2 h - theta'e, in the
+    # order written, as for d = 1
+    np.einsum("nij,nij->ni", sv, sv, out=t1)
+    t1 *= 0.5
+    np.subtract(bv, t1, out=t1)
+    t1 *= h
+    t1 += y
+    np.einsum("nij,nj->ni", sv, e, out=t2)
+    np.add(t1, t2, out=y_out)
+    np.multiply(theta, theta, out=t1)
+    t1.sum(axis=1, out=dlz_out)
+    dlz_out *= -0.5
+    dlz_out *= h
+    dlz_out -= np.einsum("ni,ni->n", theta, e)
+
+
 def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, bridge_normals,
                first_path: int, what: str):
-    """Log-Euler for state-dependent coefficients, holding only the current
-    log X (bn, d) and log Z (bn,).  bridge_normals(k) returns the (bn, d)
+    """Log-Euler for state-dependent coefficients on the step-major W
+    increments dW (n_steps, bn, d), holding only the current log X (bn, d)
+    and log Z (bn,).  Every buffer is made here, per call, so blocks on
+    different threads share none.  bridge_normals(k) returns the (bn, d)
     bridge normals of step k; it is called only at a step that crosses the
     floor.  Returns (log X_T, log Z_T, n_clamped)."""
-    bn, n_steps, d = dW.shape
+    n_steps, bn, d = dW.shape
     y = np.tile(np.log(x0), (bn, 1))
+    y_new = np.empty_like(y)
     lz = np.zeros(bn)
+    dlz = np.empty(bn)
+    work = np.empty((3, bn, d))
     half = 0.5 * dt
     bridge_scale = 0.5 * np.sqrt(dt)
     n_clamped = 0
 
-    def step(y_cur, e, h):
-        x_cur = np.exp(y_cur)
-        bv = np.asarray(model.b(x_cur), dtype=float)
-        sv = np.asarray(model.s(x_cur), dtype=float)
-        if d == 1:
-            # theta = b / s is what LAPACK's 1x1 solve returns, bit for bit
-            s = sv[:, :, 0]
-            if not s.all():
-                raise SingularDiffusion(
-                    f"volatility matrix singular on a simulated path of model {model.name}")
-            theta = bv / s
-            y_new = y_cur + (bv - 0.5 * (s * s)) * h + s * e
-            return y_new, -0.5 * (theta * theta)[:, 0] * h - (theta * e)[:, 0]
-        a_diag = np.einsum("nij,nij->ni", sv, sv)
-        try:
-            theta = np.linalg.solve(sv, bv[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularDiffusion(
-                f"volatility matrix singular on a simulated path of model {model.name}: {exc}"
-            ) from None
-        y_new = y_cur + (bv - 0.5 * a_diag) * h + np.einsum("nij,nj->ni", sv, e)
-        dlz = -0.5 * (theta * theta).sum(axis=1) * h - np.einsum("ni,ni->n", theta, e)
-        return y_new, dlz
-
     def clamped_half_step(y_cur, e):
         nonlocal n_clamped
-        y_new, dlz = step(y_cur, e, half)
-        low = y_new < LOG_FLOOR
+        m = y_cur.shape[0]
+        y_half, dlz_half = np.empty((m, d)), np.empty(m)
+        _euler_step(model, y_cur, e, half, y_half, dlz_half, np.empty((3, m, d)))
+        low = y_half < LOG_FLOOR
         n_clamped += int(low.sum())
-        return np.where(low, LOG_FLOOR, y_new), dlz
+        return np.where(low, LOG_FLOOR, y_half), dlz_half
 
     for k in range(n_steps):
-        e = dW[:, k, :]
-        y_new, dlz = step(y, e, dt)
-        bad = (y_new < LOG_FLOOR).any(axis=1)
-        if bad.any():
-            eb = e[bad]
-            e1 = 0.5 * eb + bridge_scale * bridge_normals(k)[bad]
-            y1, dlz1 = clamped_half_step(y[bad], e1)
-            y_new[bad], dlz2 = clamped_half_step(y1, eb - e1)
-            dlz[bad] = dlz1 + dlz2
-        y = y_new
+        e = dW[k]
+        _euler_step(model, y, e, dt, y_new, dlz, work)
+        # false for NaN too, which then takes no bridge and fails the range check
+        if not y_new.min() >= LOG_FLOOR:
+            bad = (y_new < LOG_FLOOR).any(axis=1)
+            if bad.any():
+                eb = e[bad]
+                e1 = 0.5 * eb + bridge_scale * bridge_normals(k)[bad]
+                y1, dlz1 = clamped_half_step(y[bad], e1)
+                y_new[bad], dlz2 = clamped_half_step(y1, eb - e1)
+                dlz[bad] = dlz1 + dlz2
+        y, y_new = y_new, y
         lz += dlz
         _check_log_range(y, lz, first_path, what)
     return y, lz, n_clamped
+
+
+def _step_major_increments(gen: np.random.Generator, bn: int, n_steps: int, d: int, dt: float):
+    """sqrt(dt) times gen's (bn, n_steps, d) standard normal draw, stored
+    step-major as (n_steps, bn, d).  The draw is made _DRAW_CHUNK paths at
+    a time; successive draws continue the stream, so the values are those
+    of one draw, and each chunk's transpose stays in cache."""
+    sq_dt = np.sqrt(dt)
+    dW = np.empty((n_steps, bn, d))
+    for start in range(0, bn, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, bn)
+        chunk = gen.standard_normal((stop - start, n_steps, d))
+        np.multiply(chunk.transpose(1, 0, 2), sq_dt, out=dW[:, start:stop])
+    return dW
 
 
 def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int,
@@ -183,9 +243,11 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
     for the log-space schemes, one draw for exact-bessel3.
 
     The only reader of the block streams and the only place a scheme's
-    arithmetic is written.  Returns (X_T (bn, d), Z_T (bn,), B_T (bn,),
-    n_clamped).  The log-space schemes raise Nonfinite with the global
-    index of the first path that leaves the representable log range.
+    arithmetic is written.  gbm reads W path-major as (bn, n_steps, d);
+    the log-Euler stepper reads the same values step-major.  Returns
+    (X_T (bn, d), Z_T (bn,), B_T (bn,), n_clamped).  The log-space schemes
+    raise Nonfinite with the global index of the first path that leaves the
+    representable log range.
     """
     dt = cfg.horizon / n_steps
     sq_horizon = np.sqrt(cfg.horizon)
@@ -199,18 +261,19 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
         X = np.sqrt((w3 * w3).sum(axis=1))
         return X[:, None], x0[0] / X, B_T, 0
 
-    dW = gen_w.standard_normal((bn, n_steps, model.dim))
-    dW *= np.sqrt(dt)
     first_path = block_index * BLOCK
     what = f"{model.name}, {cfg.scheme}"
     n_clamped = 0
     if model.kind == "gbm":
+        dW = gen_w.standard_normal((bn, n_steps, model.dim))
+        dW *= np.sqrt(dt)
         logX, logZ = _gbm_log_terminal(model, x0, dW, dt, first_path, what)
     else:
         def bridge_normals(k):
             gen = _block_gen(cfg.seed, block_index, _REGION_BRIDGE, k)
             return gen.standard_normal((bn, model.dim))
 
+        dW = _step_major_increments(gen_w, bn, n_steps, model.dim, dt)
         logX, logZ, n_clamped = _log_euler(model, x0, dW, dt, bridge_normals, first_path, what)
     return np.exp(logX), np.exp(logZ), B_T, n_clamped
 

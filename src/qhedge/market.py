@@ -92,21 +92,37 @@ def linear_payoff(weights=None) -> Payoff:
 
 
 def payoff_from_expression(expr: str, dim: int) -> Payoff:
-    return Payoff(_compile_expression(expr, dim), f"expr:{expr}")
+    return Payoff(_expression_array(expr, dim), f"expr:{expr}")
 
 
-def _compile_expression(expr: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+def _compile_expression(expr: str):
+    """Compile one expression in x1..xd and the _EXPR_NAMES vocabulary,
+    rejecting any other name."""
     code = compile(expr, f"<expr {expr!r}>", "eval")
     for name in code.co_names:
         if name not in _EXPR_NAMES and not (name.startswith("x") and name[1:].isdigit()):
             raise InvalidCoefficients(f"unknown name {name!r} in expression {expr!r}")
+    return code
+
+
+def _expression_array(exprs, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of an array of expressions: exprs is one string, a list or
+    a nested list of them, each compiled once.  fn(x) maps (n, dim) states
+    to a float array of shape (n,) + the shape of exprs, each expression's
+    result assigned straight into its entry (broadcast over the n rows)."""
+    table = np.array(exprs, dtype=object)
+    codes = [(idx, _compile_expression(e)) for idx, e in np.ndenumerate(table)]
 
     def fn(x: np.ndarray) -> np.ndarray:
-        scope = dict(_EXPR_NAMES)
+        names = dict(_EXPR_NAMES)
         for i in range(dim):
-            scope[f"x{i + 1}"] = x[:, i]
-        out = eval(code, {"__builtins__": {}}, scope)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
+            names[f"x{i + 1}"] = x[:, i]
+        out = np.empty((x.shape[0],) + table.shape)
+        for idx, code in codes:
+            # a fresh scope per expression: an assignment expression in one
+            # must not rebind a name the next one reads
+            out[(slice(None),) + idx] = eval(code, {"__builtins__": {}}, dict(names))
+        return out
 
     return fn
 
@@ -176,14 +192,8 @@ def builtin_model(kind: str, **params) -> MarketModel:
             raise InvalidCoefficients(f"custom model requires parameter {exc}") from None
         if len(b_exprs) != dim or len(s_exprs) != dim or any(len(r) != dim for r in s_exprs):
             raise InvalidCoefficients("custom model needs d drift and d*d volatility expressions")
-        b_fns = [_compile_expression(e, dim) for e in b_exprs]
-        s_fns = [[_compile_expression(e, dim) for e in row] for row in s_exprs]
-
-        def b_fn(x: np.ndarray) -> np.ndarray:
-            return np.stack([f(x) for f in b_fns], axis=1)
-
-        def s_fn(x: np.ndarray) -> np.ndarray:
-            return np.stack([np.stack([f(x) for f in row], axis=1) for row in s_fns], axis=1)
+        b_fn = _expression_array(b_exprs, dim)
+        s_fn = _expression_array(s_exprs, dim)
 
         name = params.get("name", "custom")
         model = MarketModel(dim, b_fn, s_fn, str(name), "custom", {"b_exprs": b_exprs, "s_exprs": s_exprs})

@@ -183,6 +183,31 @@ def test_nonfinite_reports_global_path_index():
     assert streamed.value.path_index == 10_386
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bn", [1, 511, 512, 513, 808, 8192])
+def test_step_major_increments_are_the_block_draw(bn, d):
+    # drawn in path chunks and stored step-major, the increments are the
+    # values of one (bn, n_steps, d) draw, bit for bit; 808 is the last
+    # block of 9000 paths
+    n_steps, dt = 16, 1.0 / 16
+    one_draw = np.sqrt(dt) * engine._block_gen(3, 1, engine._REGION_W).standard_normal(
+        (bn, n_steps, d))
+    got = engine._step_major_increments(engine._block_gen(3, 1, engine._REGION_W), bn, n_steps,
+                                        d, dt)
+    assert got.shape == (n_steps, bn, d) and got.flags.c_contiguous
+    assert np.array_equal(got, one_draw.transpose(1, 0, 2))
+
+
+def test_nan_coefficient_raises_nonfinite():
+    # s = sqrt(x1 - 0.5) is NaN once a path falls below 0.5; the floor test
+    # neither bridges such a path nor lets it skip the range check
+    model = builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["sqrt(x1 - 0.5)"]])
+    cfg = SimConfig(0.0, 1.0, 32, 20_000, 3, "log-euler")
+    with np.errstate(invalid="ignore"), pytest.raises(Nonfinite) as exc:
+        sample_terminal(model, linear_payoff(), [1.0], cfg)
+    assert exc.value.path_index == 1417
+
+
 @pytest.mark.parametrize("model, x0, n_steps", [
     pytest.param(builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]]), [1.0], 64,
                  id="constant-d1"),

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qhedge import market
 from qhedge.errors import InvalidCoefficients, SingularDiffusion, UnknownModel
 from qhedge.market import (MarketModel, builtin_model, linear_payoff,
                            payoff_from_expression)
@@ -69,6 +70,33 @@ def test_custom_model_expressions():
         builtin_model("custom", dim=1, b_exprs=["os.kill"], s_exprs=[["1"]])
     with pytest.raises(InvalidCoefficients):
         builtin_model("custom", dim=2, b_exprs=["1"], s_exprs=[["1"]])
+
+
+def stacked_expressions(exprs, x):
+    """The per-expression form the custom coefficients replaced: each
+    result broadcast to (n,) and copied, then stacked along axis 1."""
+    if isinstance(exprs, list):
+        return np.stack([stacked_expressions(e, x) for e in exprs], axis=1)
+    scope = dict(market._EXPR_NAMES, **{f"x{i + 1}": x[:, i] for i in range(x.shape[1])})
+    out = eval(compile(exprs, "<expr>", "eval"), {"__builtins__": {}}, scope)
+    return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
+
+
+@pytest.mark.parametrize("dim, b_exprs, s_exprs", [
+    *[pytest.param(1, [e], [[e]], id=e) for e in ("0.05", "1", "x1", "0.2 * x1")],
+    pytest.param(2, ["0.05", "0.03*x2"], [["0.3", "0"], ["0.1*x1", "0.25"]], id="full-matrix-d2"),
+])
+def test_custom_coefficients_match_the_stacked_expressions(dim, b_exprs, s_exprs):
+    # each expression is written straight into its entry of one array: the
+    # same float64 bits as the stacked form, in memory apart from x even
+    # where an expression evaluates to a view of it
+    m = builtin_model("custom", dim=dim, b_exprs=b_exprs, s_exprs=s_exprs)
+    x = np.linspace(0.5, 2.0, 7 * dim).reshape(7, dim)
+    for got, want in ((m.b(x), stacked_expressions(b_exprs, x)),
+                      (m.s(x), stacked_expressions(s_exprs, x))):
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
 
 
 def test_quadratic_forms_consistency():

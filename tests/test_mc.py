@@ -201,6 +201,24 @@ def test_sample_terminal_threads_do_not_change_results():
     assert s1.horizon == 1.0
 
 
+@pytest.mark.parametrize("model, x0, n_steps", [
+    pytest.param(builtin_model("custom", dim=1, b_exprs=["0.1*sin(x1)"], s_exprs=[["0.2+0.1*x1"]]),
+                 [1.0], 32, id="state-d1"),
+    pytest.param(builtin_model("custom", dim=2, b_exprs=["0.05", "0.03*x2"],
+                               s_exprs=[["0.3", "0.1*x1"], ["0.05", "0.25"]]),
+                 [1.0, 1.2], 16, id="full-matrix-d2"),
+])
+def test_log_euler_samples_do_not_depend_on_the_thread_count(model, x0, n_steps):
+    # three blocks stepped on four threads give the one-thread samples, so
+    # no block writes into another's buffers
+    cfg = SimConfig(0.0, 1.0, n_steps, 20_000, 3, "log-euler")
+    s1 = mc.sample_terminal(model, linear_payoff(), x0, cfg, threads=1)
+    s4 = mc.sample_terminal(model, linear_payoff(), x0, cfg, threads=4)
+    assert np.array_equal(s1.values, s4.values)
+    assert np.array_equal(s1.aux, s4.aux)
+    assert s1.floor_clamps == s4.floor_clamps
+
+
 @pytest.mark.parametrize("model, scheme, n_steps", [
     pytest.param(builtin_model("gbm", b=0.1, s=0.2), "log-euler", 8, id="gbm-log-euler"),
     pytest.param(builtin_model("custom", dim=1, b_exprs=["0.1"], s_exprs=[["0.2"]]),
