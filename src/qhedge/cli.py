@@ -43,10 +43,8 @@ The solve summary also carries deterministic "counters" per epsilon: the
 dual solve's substeps per time step (always 1: the solver steps the dual
 in characteristic coordinates, without an x-q cross term to substep) and,
 with the pipeline method, the transform's enveloped and saturated slices.
-Every Monte Carlo summary (price and dual with the mc method,
-study-epsilon, compare-oracle) carries "counters" with "floor_clamps", the
-log-Euler floor clamps of the sample; the verify report counts the
-non-convex nodes the residual skips ("n_nonconvex").
+The verify report counts the non-convex nodes the residual skips
+("n_nonconvex").
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
@@ -270,11 +268,6 @@ class _Run:
                                   for v in row) + "\n")
 
 
-def _sample_counters(samples: mc.SampleSet) -> dict:
-    """Deterministic numerical events of a Monte Carlo sample."""
-    return {"floor_clamps": samples.floor_clamps}
-
-
 def _x0_index(grid: GridSpec, x0: np.ndarray) -> tuple:
     """The grid node nearest x0 on each x axis.  An x0 outside an axis
     (beyond the rounding of its ends) is a configuration error: the edge
@@ -291,12 +284,10 @@ def _x0_index(grid: GridSpec, x0: np.ndarray) -> tuple:
 def cmd_price(run: _Run) -> int:
     p_grid = mc.default_p_grid(run.p_points)
     grid = None
-    extra = {}
     if run.method == "mc":
         samples = run.samples()
         p_arr, value, se = mc.quantile_curve(samples, p_grid)
         rows = [(float(p), float(v), float(s)) for p, v, s in zip(p_arr, value, se)]
-        extra["counters"] = _sample_counters(samples)
     else:
         eps = run.epsilons[0] if run.epsilons else 0.0
         idx = _x0_index(run.grid(eps), run.x0)
@@ -313,7 +304,6 @@ def cmd_price(run: _Run) -> int:
         "rows": len(rows),
         "artifact": "price.csv",
         "summary": {"%.3f" % k: val for k, val in summary.items()},
-        **extra,
     })
     return 0
 
@@ -323,10 +313,8 @@ def cmd_dual(run: _Run) -> int:
     grid = None
     rows = []
     artifacts = ["dual.csv"]
-    extra = {}
     if run.method == "mc":
         samples = run.samples()
-        extra["counters"] = _sample_counters(samples)
         q_grid = np.linspace(0.0, run.q_window[1], run.n_probe)
         for eps in [0.0] + eps_list:
             _, value, se = mc.dual_curve(samples, q_grid, eps)
@@ -348,7 +336,6 @@ def cmd_dual(run: _Run) -> int:
         "rows": len(rows),
         "epsilons": eps_list,
         "artifacts": artifacts,
-        **extra,
     })
     return 0
 
@@ -432,7 +419,6 @@ def cmd_study_epsilon(run: _Run) -> int:
         "monotone": bool(all(a >= b for a, b in
                              zip(gaps_only, gaps_only[1:]))),
         "artifacts": ["study_epsilon.csv", "study_epsilon_baseline.csv"],
-        "counters": _sample_counters(samples),
     })
     return 0
 
@@ -498,7 +484,6 @@ def cmd_compare_oracle(run: _Run) -> int:
         "rows": len(rows),
         "worst_gap_over_3se": worst,
         "artifact": "compare_oracle.csv",
-        "counters": _sample_counters(samples),
     })
     return 0
 

@@ -1,11 +1,10 @@
 """Terminal states of X, the deflator Z and the auxiliary Brownian motion B.
 
 Randomness is counter-based (Philox).  Paths are partitioned into fixed
-blocks of BLOCK; block j draws from streams keyed by (seed, j, region,
-step), where the region index separates the driving increments of W, the
-auxiliary Brownian motion B, and the bridge normals of the near-zero
-guard.  The partition never depends on the thread schedule, so results
-are bit-identical under any worker count.
+blocks of BLOCK; block j draws from streams keyed by (seed, j, region),
+where the region index separates the driving increments of W from the
+auxiliary Brownian motion B.  The partition never depends on the thread
+schedule, so results are bit-identical under any worker count.
 
 Stream contract: terminal_block() is the one entry point and _step_block()
 the one reader of these streams.  W is one stream per block: cfg.n_steps
@@ -15,18 +14,14 @@ paths and stores it step-major, (n_steps, bn, d); successive draws
 continue the stream, so the values are those of one (bn, n_steps, d)
 draw, the path-major array the gbm scheme reads.  B(T) - B(t0) is one
 N(0, T - t0) draw per path for every scheme; the regularized estimators
-in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).  Bridge
-normals are drawn, (bn, d) per block, only at a step where some path of
-the block crosses LOG_FLOOR, from the stream keyed by that step.
+in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
 -|theta|^2/2 and diffusion -theta'dW on the same W increments, keeping
-only the current state.  A step that would push log X below LOG_FLOOR is
-redone as two half steps split by a bridge normal, and a half step still
-below the floor is clamped there; terminal_block() returns the number of
-clamps.  The log range is checked after every step, before the next
-coefficients are evaluated.  The exact-bessel3 scheme takes X as the norm
-of a 3-dimensional Brownian motion started at x0 e1, and Z = x0 / X.
+only the current state.  The log range is checked after every step,
+before the next coefficients are evaluated.  The exact-bessel3 scheme
+takes X as the norm of a 3-dimensional Brownian motion started at x0 e1,
+and Z = x0 / X.
 """
 from __future__ import annotations
 
@@ -38,7 +33,6 @@ from .errors import Nonfinite, SchemeMismatch, SingularDiffusion
 from .market import MarketModel
 
 BLOCK = 8192
-LOG_FLOOR = -30.0
 # Above this magnitude exp() overflows float64; treated as a lost path.
 _LOG_LIMIT = 700.0
 _MASK64 = (1 << 64) - 1
@@ -47,14 +41,13 @@ _DRAW_CHUNK = 512
 
 _REGION_W = 0
 _REGION_B = 1
-_REGION_BRIDGE = 2
 
 SCHEMES = ("log-euler", "exact-gbm", "exact-bessel3")
 
 
-def _block_gen(seed: int, block_index: int, region: int, step: int = 0) -> np.random.Generator:
+def _block_gen(seed: int, block_index: int, region: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    counter = np.array([0, step, block_index, region], dtype=np.uint64)
+    counter = np.array([0, 0, block_index, region], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -124,10 +117,10 @@ def _gbm_log_terminal(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: fl
 
 def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_out: np.ndarray,
                 dlz_out: np.ndarray, work: np.ndarray):
-    """One log-Euler step over time h from log X = y (n, d) on the W
-    increments e (n, d): writes log X into y_out (n, d) and the log Z
-    increment into dlz_out (n,).  work is (3, n, d) scratch; no argument
-    may share memory with another."""
+    """One log-Euler step of length h from log X = y (n, d) on the W
+    increments e (n, d) of that step: writes log X into y_out (n, d) and
+    the log Z increment into dlz_out (n,).  work is (3, n, d) scratch; no
+    argument may share memory with another."""
     d = y.shape[1]
     x, t1, t2 = work
     np.exp(y, out=x)
@@ -178,49 +171,24 @@ def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_ou
     dlz_out -= np.einsum("ni,ni->n", theta, e)
 
 
-def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, bridge_normals,
-               first_path: int, what: str):
+def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, first_path: int,
+               what: str):
     """Log-Euler for state-dependent coefficients on the step-major W
     increments dW (n_steps, bn, d), holding only the current log X (bn, d)
     and log Z (bn,).  Every buffer is made here, per call, so blocks on
-    different threads share none.  bridge_normals(k) returns the (bn, d)
-    bridge normals of step k; it is called only at a step that crosses the
-    floor.  Returns (log X_T, log Z_T, n_clamped)."""
+    different threads share none.  Returns (log X_T, log Z_T)."""
     n_steps, bn, d = dW.shape
     y = np.tile(np.log(x0), (bn, 1))
     y_new = np.empty_like(y)
     lz = np.zeros(bn)
     dlz = np.empty(bn)
     work = np.empty((3, bn, d))
-    half = 0.5 * dt
-    bridge_scale = 0.5 * np.sqrt(dt)
-    n_clamped = 0
-
-    def clamped_half_step(y_cur, e):
-        nonlocal n_clamped
-        m = y_cur.shape[0]
-        y_half, dlz_half = np.empty((m, d)), np.empty(m)
-        _euler_step(model, y_cur, e, half, y_half, dlz_half, np.empty((3, m, d)))
-        low = y_half < LOG_FLOOR
-        n_clamped += int(low.sum())
-        return np.where(low, LOG_FLOOR, y_half), dlz_half
-
     for k in range(n_steps):
-        e = dW[k]
-        _euler_step(model, y, e, dt, y_new, dlz, work)
-        # false for NaN too, which then takes no bridge and fails the range check
-        if not y_new.min() >= LOG_FLOOR:
-            bad = (y_new < LOG_FLOOR).any(axis=1)
-            if bad.any():
-                eb = e[bad]
-                e1 = 0.5 * eb + bridge_scale * bridge_normals(k)[bad]
-                y1, dlz1 = clamped_half_step(y[bad], e1)
-                y_new[bad], dlz2 = clamped_half_step(y1, eb - e1)
-                dlz[bad] = dlz1 + dlz2
+        _euler_step(model, y, dW[k], dt, y_new, dlz, work)
         y, y_new = y_new, y
         lz += dlz
         _check_log_range(y, lz, first_path, what)
-    return y, lz, n_clamped
+    return y, lz
 
 
 def _step_major_increments(gen: np.random.Generator, bn: int, n_steps: int, d: int, dt: float):
@@ -245,7 +213,7 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
     The only reader of the block streams and the only place a scheme's
     arithmetic is written.  gbm reads W path-major as (bn, n_steps, d);
     the log-Euler stepper reads the same values step-major.  Returns
-    (X_T (bn, d), Z_T (bn,), B_T (bn,), n_clamped).  The log-space schemes
+    (X_T (bn, d), Z_T (bn,), B_T (bn,)).  The log-space schemes
     raise Nonfinite with the global index of the first path that leaves the
     representable log range.
     """
@@ -259,23 +227,18 @@ def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index:
         w3 = sq_horizon * gen_w.standard_normal((bn, 3))
         w3[:, 0] += x0[0]
         X = np.sqrt((w3 * w3).sum(axis=1))
-        return X[:, None], x0[0] / X, B_T, 0
+        return X[:, None], x0[0] / X, B_T
 
     first_path = block_index * BLOCK
     what = f"{model.name}, {cfg.scheme}"
-    n_clamped = 0
     if model.kind == "gbm":
         dW = gen_w.standard_normal((bn, n_steps, model.dim))
         dW *= np.sqrt(dt)
         logX, logZ = _gbm_log_terminal(model, x0, dW, dt, first_path, what)
     else:
-        def bridge_normals(k):
-            gen = _block_gen(cfg.seed, block_index, _REGION_BRIDGE, k)
-            return gen.standard_normal((bn, model.dim))
-
         dW = _step_major_increments(gen_w, bn, n_steps, model.dim, dt)
-        logX, logZ, n_clamped = _log_euler(model, x0, dW, dt, bridge_normals, first_path, what)
-    return np.exp(logX), np.exp(logZ), B_T, n_clamped
+        logX, logZ = _log_euler(model, x0, dW, dt, first_path, what)
+    return np.exp(logX), np.exp(logZ), B_T
 
 
 def _check_scheme(model: MarketModel, scheme: str):
@@ -295,9 +258,8 @@ def default_scheme(model: MarketModel) -> str:
 
 
 def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int):
-    """Terminal state of one path block: (X_T (bn, d), Z_T (bn,), B_T (bn,),
-    n_clamped), B_T the auxiliary increment B(T) - B(t0) and n_clamped the
-    floor clamps of the log-Euler guard (0 for the exact schemes).
+    """Terminal state of one path block: (X_T (bn, d), Z_T (bn,), B_T (bn,)),
+    B_T the auxiliary increment B(T) - B(t0).
 
     Exact schemes make one draw over the whole horizon; log-Euler steps
     through cfg.n_steps steps.

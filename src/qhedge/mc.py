@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .errors import EmptySamples, MissingAux, POutOfRange
+from .errors import EmptySamples, MissingAux, Nonfinite, POutOfRange
 from .market import MarketModel, Payoff
 
 
@@ -50,13 +50,11 @@ class Estimate:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Terminal draws of Z(T) g(X(T)) in draw order, with the count of
-    log-Euler floor clamps that made them."""
+    """Terminal draws of Z(T) g(X(T)) in draw order."""
 
     values: np.ndarray
     aux: Optional[np.ndarray]
     horizon: float
-    floor_clamps: int
 
     def __post_init__(self):
         v = self.values
@@ -72,7 +70,7 @@ class SampleSet:
         return self.values.size
 
 
-def sample_set(values, aux=None, *, horizon: float = 1.0, floor_clamps: int = 0) -> SampleSet:
+def sample_set(values, aux=None, *, horizon: float = 1.0) -> SampleSet:
     """Build a SampleSet from raw draws, kept in the order given.  values
     and aux are read-only 1-d views of the float arrays given (copies only
     where the dtype needs one), so the caller must not write to those."""
@@ -82,25 +80,44 @@ def sample_set(values, aux=None, *, horizon: float = 1.0, floor_clamps: int = 0)
         a = np.asarray(aux, dtype=float).reshape(-1)
         a.flags.writeable = False
     v.flags.writeable = False
-    return SampleSet(values=v, aux=a, horizon=float(horizon), floor_clamps=int(floor_clamps))
+    return SampleSet(values=v, aux=a, horizon=float(horizon))
+
+
+def _check_samples(v: np.ndarray, Z_T: np.ndarray, g: np.ndarray, first_path: int):
+    """Raise Nonfinite on the first path whose sample v = Z_T g(X_T) is not
+    finite and > 0; first_path is v[0]'s global index.  The message names
+    both factors, so an underflow of the product reads apart from a payoff
+    of 0."""
+    # min/max propagate NaN, which fails the comparisons
+    if v.min() > 0.0 and v.max() < np.inf:
+        return
+    i = int(np.argmin(np.isfinite(v) & (v > 0.0)))
+    idx = first_path + i
+    g_i = np.broadcast_to(g, v.shape)[i]
+    raise Nonfinite(f"sample Z_T g(X_T) = {float(v[i])!r} on path {idx} is not finite and > 0 "
+                    f"(Z_T = {float(Z_T[i])!r}, g(X_T) = {float(g_i)!r})", path_index=idx)
 
 
 def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfig,
                     threads: int = 1) -> SampleSet:
     """Streaming terminal sampler: evolves fixed path blocks (engine.BLOCK)
     keeping only terminal states; thread count never changes the result.
-    floor_clamps counts the log-Euler floor clamps of every block."""
+    A sample that is not finite and > 0 raises Nonfinite with the global
+    index of the first such path of its block; blocks fail in block order,
+    so the path named is the same for any thread count."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cfg.n_paths
     values = np.empty(n)
     aux = np.empty(n)
     tasks = list(engine._blocks(n))
-    clamps = [0] * len(tasks)
 
     def run_block(args):
         blk, start, bn = args
-        X_T, Z_T, B_T, clamps[blk] = engine.terminal_block(model, x0, cfg, blk, bn)
-        values[start : start + bn] = Z_T * payoff(X_T)
+        X_T, Z_T, B_T = engine.terminal_block(model, x0, cfg, blk, bn)
+        g = payoff(X_T)
+        v = values[start : start + bn]
+        np.multiply(Z_T, g, out=v)
+        _check_samples(v, Z_T, g, start)
         aux[start : start + bn] = B_T
 
     if threads > 1:
@@ -110,7 +127,7 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
         for task in tasks:
             run_block(task)
 
-    return sample_set(values, aux=aux, horizon=cfg.horizon, floor_clamps=sum(clamps))
+    return sample_set(values, aux=aux, horizon=cfg.horizon)
 
 
 def _prefix_sum(v: np.ndarray) -> np.ndarray:

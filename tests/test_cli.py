@@ -397,7 +397,7 @@ def test_compare_oracle_floors_the_se_of_an_unreached_row(tmp_path):
     assert payload["worst_gap_over_3se"] < 5.0
 
 
-FLOOR_INI = """
+DIVE_INI = """
 [model]
 kind = custom
 dim = 1
@@ -418,11 +418,11 @@ p_points = 21
 """
 
 
-def test_mc_summaries_count_floor_clamps(tmp_path):
-    # a strong negative drift drives log X through the floor on most paths;
-    # every MC summary counts the clamps of its sample, whatever the thread
-    # count, and reruns are byte-identical apart from the timestamp
-    cfg = write_config(tmp_path, FLOOR_INI)
+def test_mc_summaries_are_byte_identical_across_reruns_and_threads(tmp_path):
+    # a strong negative drift drives X towards 0 on most paths; every MC
+    # summary is byte-identical apart from the timestamp, whatever the
+    # thread count
+    cfg = write_config(tmp_path, DIVE_INI)
     commands = {"price": "price.json", "dual": "dual.json", "study-epsilon": "study_epsilon.json"}
     texts = {}
     for run, threads in (("a", "1"), ("b", "2"), ("c", "1")):
@@ -431,16 +431,8 @@ def test_mc_summaries_count_floor_clamps(tmp_path):
             assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
             lines = (out / name).read_text().splitlines()
             texts[run, name] = [line for line in lines if '"timestamp"' not in line]
-    counts = set()
     for name in commands.values():
         assert texts["a", name] == texts["b", name] == texts["c", name]
-        counts.add(json.loads((tmp_path / "a" / name).read_text())["counters"]["floor_clamps"])
-    assert len(counts) == 1 and counts.pop() > 0
-    # the exact sampler never clamps
-    exact = write_config(tmp_path, gbm_mc_ini(), "exact.ini")
-    assert main(["compare-oracle", "--config", exact, "--out", str(tmp_path / "e")]) == 0
-    summary = json.loads((tmp_path / "e" / "compare_oracle.json").read_text())
-    assert summary["counters"] == {"floor_clamps": 0}
 
 
 def test_gbm_takes_a_full_volatility_matrix(tmp_path):
@@ -556,6 +548,30 @@ def test_log_overflow_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("model, payoff, factors", [
+    # Z_T g(X_T) underflows to 0 although neither factor is 0
+    pytest.param("[model]\nkind = gbm\nb = -350\ns = 12.5\n", "",
+                 "(Z_T = 1.4571872830818424e-158, g(X_T) = 4.0410378353936405e-181)",
+                 id="underflow"),
+    pytest.param(GBM_MC_MODEL, "\n[payoff]\nkind = expression\nexpr = maximum(x1 - 1, 0)\n",
+                 "(Z_T = 1.0274542027892832, g(X_T) = 0.0)", id="zero-payoff"),
+])
+def test_sample_that_is_not_finite_and_positive_exit_code(tmp_path, capsys, model, payoff, factors):
+    # a sample value of 0 is a numerical failure that names its path and
+    # both factors, whatever the thread count
+    text = gbm_mc_ini(model).replace("seed = 11", "seed = 1").replace(
+        "n_paths = 20000", "n_paths = 2000") + payoff
+    cfg = write_config(tmp_path, text)
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "Traceback" not in errs[0]
+    assert "numerical failure" in errs[0] and factors in errs[0]
 
 
 @pytest.mark.parametrize("line", ["n_paths = abc", "n_paths = 0", "n_steps = 0", "seed = x",

@@ -13,22 +13,20 @@ from qhedge.mc import sample_terminal
 
 
 def terminal(model, x0, T, n_paths, seed, scheme, n_steps=1):
-    """(X_T, Z_T, B_T) of every path, block by block, with the floor clamps
-    summed over the blocks."""
+    """(X_T, Z_T, B_T) of every path, block by block."""
     cfg = SimConfig(0.0, T, n_steps, n_paths, seed, scheme)
     blocks = [terminal_block(model, np.array([x0]), cfg, blk, bn)
               for blk, _, bn in _blocks(n_paths)]
-    X, Z, B = (np.concatenate([blk[k] for blk in blocks]) for k in range(3))
-    return X, Z, B, sum(blk[3] for blk in blocks)
+    return tuple(np.concatenate([blk[k] for blk in blocks]) for k in range(3))
 
 
 def exact_bessel3(x0, T, n_paths, seed):
-    X, Z, _, _ = terminal(builtin_model("bessel3"), x0, T, n_paths, seed, "exact-bessel3")
+    X, Z, _ = terminal(builtin_model("bessel3"), x0, T, n_paths, seed, "exact-bessel3")
     return X[:, 0], Z
 
 
 def exact_gbm(b, s, x0, T, n_paths, seed):
-    X, Z, _, _ = terminal(builtin_model("gbm", b=b, s=s), x0, T, n_paths, seed, "exact-gbm")
+    X, Z, _ = terminal(builtin_model("gbm", b=b, s=s), x0, T, n_paths, seed, "exact-gbm")
     return X[:, 0], Z
 
 
@@ -107,13 +105,12 @@ def test_exact_samplers_are_deterministic():
 
 
 def test_simulate_shapes_and_determinism():
-    # log-Euler terminal states of a stepped block: shapes, no floor
-    # clamps far from the floor, and the same draws on every call
+    # log-Euler terminal states of a stepped block: shapes, and the same
+    # draws on every call
     model = builtin_model("gbm", b=0.1, s=0.2)
     cfg = SimConfig(0.0, 0.5, 16, 300, 9, "log-euler")
-    X, Z, B, n_clamped = terminal_block(model, np.array([1.0]), cfg, 0, 300)
+    X, Z, B = terminal_block(model, np.array([1.0]), cfg, 0, 300)
     assert X.shape == (300, 1) and Z.shape == (300,) and B.shape == (300,)
-    assert n_clamped == 0
     assert np.all(X > 0) and np.all(Z > 0)
     again = terminal_block(model, np.array([1.0]), cfg, 0, 300)
     for a, b in zip((X, Z, B), again):
@@ -124,8 +121,8 @@ def test_simulate_shapes_and_determinism():
 
 def test_simulate_martingale_sanity():
     # Z X has constant expectation under a stepped gbm simulation
-    X, Z, _, _ = terminal(builtin_model("gbm", b=0.1, s=0.2), 2.0, 0.25, 50_000, 2,
-                          "log-euler", n_steps=32)
+    X, Z, _ = terminal(builtin_model("gbm", b=0.1, s=0.2), 2.0, 0.25, 50_000, 2,
+                       "log-euler", n_steps=32)
     prod = Z * X[:, 0]
     se = prod.std(ddof=1) / np.sqrt(prod.size)
     assert abs(prod.mean() - 2.0) < 3 * se
@@ -138,8 +135,8 @@ def test_simulate_martingale_sanity():
 
 
 def test_log_euler_matches_exact_gbm_distribution():
-    X, _, _, _ = terminal(builtin_model("gbm", b=0.1, s=0.2), 2.0, 0.25, 20_000, 4,
-                          "log-euler", n_steps=64)
+    X, _, _ = terminal(builtin_model("gbm", b=0.1, s=0.2), 2.0, 0.25, 20_000, 4,
+                       "log-euler", n_steps=64)
     # for constant coefficients the log-Euler step is exact in distribution
     X_ex, _ = exact_gbm(0.1, 0.2, 2.0, 0.25, 20_000, 4)
     a, b = np.sort(X[:, 0]), np.sort(X_ex)
@@ -151,14 +148,13 @@ def test_log_euler_matches_exact_gbm_distribution():
 def test_terminal_block_provides_brownian_aux():
     model = builtin_model("bessel3")
     cfg = SimConfig(0.0, 1.0, 8, 8192, 1, "exact-bessel3")
-    X, Z, B, n_clamped = terminal_block(model, np.array([1.0]), cfg, 0, 4096)
+    X, Z, B = terminal_block(model, np.array([1.0]), cfg, 0, 4096)
     assert X.shape == (4096, 1) and Z.shape == (4096,) and B.shape == (4096,)
-    assert n_clamped == 0
     # aux Brownian is independent N(0, T): crude moment check
     assert abs(B.mean()) < 4 / np.sqrt(4096)
     assert abs(B.std(ddof=1) - 1.0) < 0.05
     # blocks are keyed by index, so the same (index, size) is reproducible
-    X2, Z2, B2, _ = terminal_block(model, np.array([1.0]), cfg, 0, 4096)
+    X2, Z2, B2 = terminal_block(model, np.array([1.0]), cfg, 0, 4096)
     assert np.array_equal(X, X2) and np.array_equal(B, B2)
 
 
@@ -183,6 +179,27 @@ def test_nonfinite_reports_global_path_index():
     assert streamed.value.path_index == 10_386
 
 
+# volatility-stabilized market: b_i = (x1 + x2) / (2 x_i), s = diag(sqrt((x1 + x2) / x_i))
+VSM_D2 = builtin_model("custom", dim=2, b_exprs=["(x1+x2)/(2*x1)", "(x1+x2)/(2*x2)"],
+                       s_exprs=[["sqrt((x1+x2)/x1)", "0"], ["0", "sqrt((x1+x2)/x2)"]])
+
+
+@pytest.mark.parametrize("model, x0, n_steps, seed, path", [
+    pytest.param(builtin_model("bessel3"), [1.0], 16, 3, 5657, id="bessel3-16-steps"),
+    pytest.param(builtin_model("bessel3"), [1.0], 256, 0, 18_912, id="bessel3-256-steps"),
+    pytest.param(VSM_D2, [1.0, 1.0], 64, 1, 740, id="vsm-d2"),
+])
+def test_state_dependent_log_euler_fails_on_the_pinned_path(model, x0, n_steps, seed, path):
+    # explicit Euler on these superlinear coefficients throws a path that
+    # comes near X = 0 out of the log range (Hutzenthaler, Jentzen &
+    # Kloeden 2011); more steps do not avoid it.  The pinned path shows a
+    # change of the stepper that changes the outcome
+    cfg = SimConfig(0.0, 1.0, n_steps, 20_000, seed, "log-euler")
+    with np.errstate(over="ignore"), pytest.raises(Nonfinite) as exc:
+        sample_terminal(model, linear_payoff(), x0, cfg)
+    assert exc.value.path_index == path
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("bn", [1, 511, 512, 513, 808, 8192])
 def test_step_major_increments_are_the_block_draw(bn, d):
@@ -199,8 +216,8 @@ def test_step_major_increments_are_the_block_draw(bn, d):
 
 
 def test_nan_coefficient_raises_nonfinite():
-    # s = sqrt(x1 - 0.5) is NaN once a path falls below 0.5; the floor test
-    # neither bridges such a path nor lets it skip the range check
+    # s = sqrt(x1 - 0.5) is NaN once a path falls below 0.5; the range
+    # check after the step stops it
     model = builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["sqrt(x1 - 0.5)"]])
     cfg = SimConfig(0.0, 1.0, 32, 20_000, 3, "log-euler")
     with np.errstate(invalid="ignore"), pytest.raises(Nonfinite) as exc:
@@ -218,26 +235,25 @@ def test_nan_coefficient_raises_nonfinite():
                  [1.0, 1.2], 16, id="full-matrix-d2"),
 ])
 def test_log_euler_matches_the_full_path_reference(monkeypatch, model, x0, n_steps):
-    # on paths that never reach the floor the stepper keeps only the current
-    # state but does the reference's arithmetic, so X_T and Z_T are equal
-    # bit for bit; no bridge normal is drawn
+    # the stepper keeps only the current state but does the reference's
+    # arithmetic, so X_T and Z_T are equal bit for bit; it draws from the W
+    # and B streams only
     regions = []
     block_gen = engine._block_gen
 
-    def recording_gen(seed, block_index, region, step=0):
+    def recording_gen(seed, block_index, region):
         regions.append(region)
-        return block_gen(seed, block_index, region, step)
+        return block_gen(seed, block_index, region)
 
     monkeypatch.setattr(engine, "_block_gen", recording_gen)
     cfg = SimConfig(0.0, 1.0, n_steps, 9000, 3, "log-euler")
     for blk, _, bn in _blocks(cfg.n_paths):
-        X, Z, _, n_clamped = terminal_block(model, np.array(x0), cfg, blk, bn)
-        dW, xi, dt = ref.block_draws(cfg, blk, bn, model.dim)
-        y, lz, ref_clamped = ref.log_euler_paths(model, np.log(x0), dW, xi, dt)
+        X, Z, _ = terminal_block(model, np.array(x0), cfg, blk, bn)
+        dW, dt = ref.block_draws(cfg, blk, bn, model.dim)
+        y, lz = ref.log_euler_paths(model, np.log(x0), dW, dt)
         assert np.array_equal(X, np.exp(y[:, -1, :]))
         assert np.array_equal(Z, np.exp(lz[:, -1]))
-        assert n_clamped == ref_clamped == 0
-    assert engine._REGION_BRIDGE not in regions
+    assert set(regions) == {engine._REGION_W, engine._REGION_B}
 
 
 def test_bessel3_log_euler_matches_the_radial_recursion():
@@ -245,10 +261,9 @@ def test_bessel3_log_euler_matches_the_radial_recursion():
     # recursion computes the same map in another order
     cfg = SimConfig(0.0, 1.0, 64, 9000, 0, "log-euler")
     for blk, _, bn in _blocks(cfg.n_paths):
-        X, Z, _, n_clamped = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, blk, bn)
-        dW, _, dt = ref.block_draws(cfg, blk, bn, 1)
+        X, Z, _ = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, blk, bn)
+        dW, dt = ref.block_draws(cfg, blk, bn, 1)
         y, lz = ref.bessel3_log_paths(np.zeros(bn), dW[:, :, 0], dt)
-        assert n_clamped == 0
         assert np.max(np.abs(X[:, 0] / np.exp(y[:, -1]) - 1.0)) < 1e-12
         assert np.max(np.abs(Z / np.exp(lz[:, -1]) - 1.0)) < 1e-12
         # Z X = x0 pathwise, as for the exact sampler
@@ -269,31 +284,12 @@ def test_log_euler_draws_the_exact_schemes_aux_brownian(model, exact):
         assert np.array_equal(stepped[2], one_draw[2])
 
 
-def test_radial_log_euler_bridges_and_clamps_at_the_floor(monkeypatch):
-    # with the floor raised to log X = 0, coarse steps from log X = 0.1 dive
-    # through it; they are redone as two bridge half steps and clamped there
-    cfg = SimConfig(0.0, 0.5, 2, 4096, 1, "log-euler")
-    model = builtin_model("bessel3")
-    x0 = np.array([np.exp(0.1)])
-    monkeypatch.setattr(engine, "LOG_FLOOR", 0.0)
-    X, Z, _, n_clamped = terminal_block(model, x0, cfg, 0, 4096)
-    assert np.all(np.isfinite(X)) and np.all(np.isfinite(Z))
-    assert X.min() >= 1.0
-    assert n_clamped >= 1
-    # the same block with the floor far below takes the unguarded steps
-    monkeypatch.setattr(engine, "LOG_FLOOR", -1e6)
-    X2, _, _, n2 = terminal_block(model, x0, cfg, 0, 4096)
-    assert n2 == 0
-    assert X2.min() < 1.0
-
-
 def test_radial_log_euler_step_is_the_plain_euler_map():
     # one step from log X = 0, checked by hand against the block's W draw
     dt = 0.5
     cfg = SimConfig(0.0, dt, 1, 64, 2, "log-euler")
-    X, Z, _, n_clamped = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, 0, 64)
+    X, Z, _ = terminal_block(builtin_model("bessel3"), np.array([1.0]), cfg, 0, 64)
     dw = ref.block_draws(cfg, 0, 64, 1)[0][:, 0, 0]
     drift = 0.5 * dt
     assert np.allclose(np.log(X[:, 0]), drift + dw, rtol=0.0, atol=1e-15)
     assert np.allclose(np.log(Z), -drift - dw, rtol=0.0, atol=1e-15)
-    assert n_clamped == 0

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from neyman_pearson_reference import neyman_pearson_bruteforce
 from qhedge import engine, mc
 from qhedge.engine import SimConfig
-from qhedge.errors import EmptySamples, MissingAux, POutOfRange
-from qhedge.market import builtin_model, linear_payoff
+from qhedge.errors import EmptySamples, MissingAux, Nonfinite, POutOfRange
+from qhedge.market import builtin_model, linear_payoff, payoff_from_expression
 
 
 def toy(values, aux=None):
@@ -216,7 +216,6 @@ def test_log_euler_samples_do_not_depend_on_the_thread_count(model, x0, n_steps)
     s4 = mc.sample_terminal(model, linear_payoff(), x0, cfg, threads=4)
     assert np.array_equal(s1.values, s4.values)
     assert np.array_equal(s1.aux, s4.aux)
-    assert s1.floor_clamps == s4.floor_clamps
 
 
 @pytest.mark.parametrize("model, scheme, n_steps", [
@@ -235,28 +234,41 @@ def test_sample_terminal_assembles_terminal_blocks(model, scheme, n_steps):
     cfg = SimConfig(0.0, 0.5, n_steps, 9000, 5, scheme)
     blocks = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)
               for blk, _, bn in engine._blocks(cfg.n_paths)]
-    ref = mc.sample_set(np.concatenate([Z * payoff(X) for X, Z, _, _ in blocks]),
-                        aux=np.concatenate([B for _, _, B, _ in blocks]))
+    ref = mc.sample_set(np.concatenate([Z * payoff(X) for X, Z, _ in blocks]),
+                        aux=np.concatenate([B for _, _, B in blocks]))
     got = mc.sample_terminal(model, payoff, [1.0], cfg)
     assert np.array_equal(got.values, ref.values)
     assert np.array_equal(got.aux, ref.aux)
-    assert got.floor_clamps == sum(n for *_, n in blocks)
 
 
-def test_floor_clamps_are_counted_for_any_thread_count():
-    # a strong negative drift drives log X through the floor on most paths
-    model = builtin_model("custom", dim=1, b_exprs=["-32"], s_exprs=[["2"]])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_zero_sample_names_the_lowest_path_for_any_thread_count(threads):
+    # the payoff is 0 on paths 9977 and 16011 of block 1 and 17463 of block
+    # 2, so two blocks fail; the first in block order is reported
+    payoff = payoff_from_expression("maximum(x1 - 0.33, 0)", 1)
+    cfg = SimConfig(0.0, 1.0, 1, 20_000, 3, "exact-gbm")
+    with pytest.raises(Nonfinite) as exc:
+        mc.sample_terminal(builtin_model("gbm", b=0.05, s=0.3), payoff, [1.0], cfg, threads=threads)
+    assert exc.value.path_index == 9977
+    assert "g(X_T) = 0.0" in str(exc.value)
+
+
+@pytest.mark.parametrize("custom, gbm, x0", [
+    pytest.param(builtin_model("custom", dim=1, b_exprs=["-32"], s_exprs=[["2"]]),
+                 builtin_model("gbm", b=-32, s=2), [1.0], id="d1"),
+    pytest.param(builtin_model("custom", dim=2, b_exprs=["-32", "-20"],
+                               s_exprs=[["2", "0.5"], ["0.3", "1.5"]]),
+                 builtin_model("gbm", b=[-32, -20], s=[[2, 0.5], [0.3, 1.5]]), [1.0, 1.0],
+                 id="full-matrix-d2"),
+])
+def test_constant_custom_model_samples_the_builtin_gbm(custom, gbm, x0):
+    # log-Euler is exact for constant coefficients, so the generic stepper
+    # and the gbm scheme sample the same values up to rounding, also where
+    # log X falls far below -30 on most paths
     cfg = SimConfig(0.0, 1.0, 16, 20_000, 3, "log-euler")
-    one = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=1)
-    two = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=2)
-    per_block = [engine.terminal_block(model, np.array([1.0]), cfg, blk, bn)[3]
-                 for blk, _, bn in engine._blocks(cfg.n_paths)]
-    assert len(per_block) == 3 and min(per_block) > 0
-    assert one.floor_clamps == two.floor_clamps == sum(per_block)
-    assert np.array_equal(one.values, two.values)
-    exact = SimConfig(0.0, 1.0, 16, 20_000, 3, "exact-gbm")
-    gbm = builtin_model("gbm", b=0.1, s=0.2)
-    assert mc.sample_terminal(gbm, linear_payoff(), [1.0], exact).floor_clamps == 0
+    a = mc.sample_terminal(custom, linear_payoff(), x0, cfg)
+    b = mc.sample_terminal(gbm, linear_payoff(), x0, cfg)
+    assert np.max(np.abs(np.log(a.values) - np.log(b.values))) <= 1e-12
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=50),

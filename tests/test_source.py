@@ -61,16 +61,30 @@ def names_read(node) -> set:
     return out
 
 
+def bound_names(node) -> list:
+    """The names a module-level statement binds by def, class or
+    assignment."""
+    if isinstance(node, DEFINITIONS):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+
+
 def unread_private_definitions(sources: dict) -> list:
-    """Module-level private functions and classes (one leading underscore)
-    whose name no module of the package reads, as (module, name) pairs.
-    `sources` maps module names to their source text."""
+    """Module-level private functions, classes and assigned names (one
+    leading underscore) that no module of the package reads, as (module,
+    name) pairs.  `sources` maps module names to their source text."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     read = set().union(*map(names_read, trees.values()))
-    return sorted((module, node.name) for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, DEFINITIONS) and node.name.startswith("_")
-                  and not node.name.startswith("__") and node.name not in read)
+    return sorted((module, name) for module, tree in trees.items()
+                  for node in tree.body for name in bound_names(node)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
 def test_no_unread_private_definitions():
@@ -80,11 +94,15 @@ def test_no_unread_private_definitions():
 def test_unread_private_definition_is_found():
     sources = {
         "a.py": "def _used():\n    pass\n\n\ndef _orphan():\n    pass\n\n\n"
-                "class _Gone:\n    pass\n\n\ndef __dunder__():\n    pass\n",
-        "b.py": "from . import a\n\nx = a._used()\n\n\ndef public():\n    return _Local()\n\n\n"
-                "class _Local:\n    pass\n",
+                "class _Gone:\n    pass\n\n\ndef __dunder__():\n    pass\n\n\n"
+                "_LIMIT = 1.0\n_REGION_A, (_REGION_B, *_REST) = 0, (1, 2)\n"
+                "_TABLE: dict = {}\n_TABLE[_LIMIT] = 0\n__all__ = []\n",
+        "b.py": "from . import a\n\nx = a._used() + a._REGION_A\n\n\n"
+                "def public():\n    return _Local()\n\n\nclass _Local:\n    pass\n",
     }
-    assert unread_private_definitions(sources) == [("a.py", "_Gone"), ("a.py", "_orphan")]
+    # a subscript assignment reads _TABLE; only names bound are candidates
+    assert unread_private_definitions(sources) == [
+        ("a.py", "_Gone"), ("a.py", "_REGION_B"), ("a.py", "_REST"), ("a.py", "_orphan")]
 
 
 def public_methods(cls) -> list:
