@@ -307,6 +307,23 @@ def test_study_epsilon_gap_table(tmp_path):
     assert gaps[0] >= gaps[1]
 
 
+def test_study_epsilon_monotone_ignores_config_order(tmp_path):
+    # the same sample gives the same gaps; monotone once compared them in
+    # config order, so listing eps ascending reported false
+    payloads = []
+    for order in ("0.5 0.2 0.1", "0.1 0.2 0.5"):
+        cfg = write_config(tmp_path, gbm_mc_ini().replace("epsilons = 0.5 0.2",
+                                                          f"epsilons = {order}"))
+        out = tmp_path / order.replace(" ", "_")
+        assert main(["study-epsilon", "--config", cfg, "--out", str(out)]) == 0
+        payloads.append(json.loads((out / "study_epsilon.json").read_text()))
+    descending, ascending = payloads
+    assert [r["epsilon"] for r in ascending["rows"]] == [0.1, 0.2, 0.5]
+    assert descending["rows"] == ascending["rows"][::-1]
+    assert descending["monotone"] is True
+    assert ascending["monotone"] is True
+
+
 def test_compare_oracle_bessel(tmp_path):
     cfg = write_config(tmp_path, mc_ini())
     out = tmp_path / "out"

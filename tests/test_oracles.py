@@ -1,9 +1,11 @@
 """Closed forms against independent quadrature and sampling references."""
 import math
+import statistics
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from qhedge import oracles
@@ -23,8 +25,38 @@ def lognormal_put_quad(x, q, v):
 
 
 def test_std_normal_cdf_matches_scipy():
-    for z in (-3.7, -1.0, 0.0, 0.31, 2.5):
-        assert oracles.std_normal_cdf(z) == pytest.approx(norm.cdf(z), abs=1e-14)
+    # erfc agrees to a relative 1.3e-14 on [-8, 8] and 4.1e-13 in the left
+    # tail; past 8.3 both round to 1, and below -37.5 Phi is subnormal
+    for lo, hi, rtol in ((-8.0, 8.5, 5e-14), (-37.0, -8.0, 2e-12)):
+        z = np.linspace(lo, hi, 20001)
+        ours = np.array([oracles.std_normal_cdf(float(t)) for t in z])
+        np.testing.assert_allclose(ours, ndtr(z), rtol=rtol, atol=0.0)
+
+
+def test_lower_partial_inverse_matches_scipy_special():
+    # Phi^{-1} agrees to 2.9e-14 absolute down to p = 1e-300, where the
+    # quantile is -37 and Phi's slope turns it into a 1.1e-12 relative
+    # error of Phi(Phi^{-1}(p) - v)
+    p = np.concatenate([10.0 ** np.linspace(-300, -1, 3001), np.linspace(0.1, 0.9, 801),
+                        1.0 - 10.0 ** np.linspace(-1, -15, 1401)])
+    for v in (0.0, 0.3, 1.0):
+        ours = np.array([oracles.lognormal_lower_partial(1.0, float(t), v) for t in p])
+        np.testing.assert_allclose(ours, ndtr(ndtri(p) - v), rtol=1e-11, atol=1e-300)
+
+
+def test_lower_partial_at_extreme_p_is_finite_and_monotone():
+    # inv_cdf raises at p = 0 and p = 1, so the oracle must answer those first
+    with pytest.raises(statistics.StatisticsError):
+        statistics.NormalDist().inv_cdf(0.0)
+    with pytest.raises(statistics.StatisticsError):
+        statistics.NormalDist().inv_cdf(1.0)
+    x = 1.3
+    for v in (0.0, 0.6, 5.0):
+        ps = (0.0, 1e-300, 1e-200, 1e-16, 0.5, 1.0 - 1e-15, 1.0 - 1e-16, 1.0)
+        values = [oracles.lognormal_lower_partial(x, p, v) for p in ps]
+        assert all(math.isfinite(val) for val in values)
+        assert values[0] == 0.0 and values[-1] == x
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("x,q,v", [(1.0, 1.0, 0.3), (2.0, 1.5, 0.7), (0.5, 1.1, 0.05)])

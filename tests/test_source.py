@@ -197,28 +197,111 @@ def test_unreached_public_method_is_found():
     assert found == [("a.py", "Box.orphan"), ("a.py", "Box.stale")]
 
 
-def scipy_subpackages(statement: str) -> set:
-    """The public scipy subpackages that a fresh interpreter has loaded
-    after running `statement`."""
+def scipy_modules(statement: str) -> set:
+    """The scipy modules that a fresh interpreter has loaded after running
+    `statement`."""
     probe = (statement + "\nimport sys\n"
-             "print(*{n.split('.')[1] for n, m in list(sys.modules.items())\n"
-             "        if n.count('.') == 1 and n.startswith('scipy.')\n"
-             "        and hasattr(m, '__path__') and not n.split('.')[1].startswith('_')})")
+             "print(*[n for n in list(sys.modules) if n.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     return set(run.stdout.split())
 
 
-def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
-    # every subpackage adds to the start-up and the memory of each command:
-    # importing scipy.interpolate after qhedge.cli takes 0.25-0.31 s on 2
-    # vCPUs.  The ADI sweeps run in numpy, so scipy.linalg is not one of them
-    assert scipy_subpackages("import qhedge.cli") <= {"special"}
+TINY_MC = """
+[model]
+kind = gbm
+b = 0.05
+s = 0.3
+
+[run]
+method = mc
+seed = 1
+n_paths = 2000
+scheme = exact-gbm
+epsilons = 0.5 0.2
+n_probe = 5
+p_points = 5
+"""
+
+TINY_PDE = """
+[model]
+kind = gbm
+b = 0.05
+s = 0.3
+
+[grid]
+n_t = 4
+x_min = 0.5
+x_max = 2.0
+n_x = 12
+n_z = 12
+z_max = 3.0
+
+[run]
+method = pipeline
+epsilons = 0.2
+p_points = 5
+"""
+
+
+def six_subcommands(out) -> str:
+    """A statement that runs each qhedge subcommand once on a tiny config
+    under the directory `out`, and fails unless each one succeeds."""
+    return f"""
+import pathlib
+from qhedge.cli import main
+out = pathlib.Path({str(out)!r})
+(out / "mc.ini").write_text({TINY_MC!r})
+(out / "pde.ini").write_text({TINY_PDE!r})
+codes = [main([command, "--config", str(out / "mc.ini"), "--out", str(out / command)])
+         for command in ("price", "dual", "study-epsilon", "compare-oracle")]
+codes.append(main(["solve", "--config", str(out / "pde.ini"), "--out", str(out / "solve")]))
+codes.append(main(["verify", "--config", str(out / "pde.ini"), "--out", str(out / "verify"),
+                   str(out / "solve" / "primal_eps0p2.bin")]))
+assert codes == [0] * 6, codes
+"""
+
+
+@pytest.mark.parametrize("step", ["import qhedge", "import qhedge.cli", "six subcommands"])
+def test_runtime_loads_no_scipy(tmp_path, step):
+    # a run needs numpy only: importing scipy.special alone cost 0.23-0.26 s
+    # and 20 MB of resident memory on every command, on 2 vCPUs
+    statement = six_subcommands(tmp_path) if step == "six subcommands" else step
+    assert scipy_modules(statement) == set()
 
 
 def test_scipy_subpackage_import_is_found():
-    assert "interpolate" in scipy_subpackages("import qhedge.cli, scipy.interpolate")
+    assert "scipy.interpolate" in scipy_modules("import qhedge.cli, scipy.interpolate")
+
+
+def third_party_imports(sources) -> set:
+    """The top-level modules that `sources` (source texts) import, at any
+    depth, other than the standard library's and relative imports."""
+    names = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_runtime_dependencies_are_the_imports():
+    # a re-added scipy import, or a dependency nothing imports, fails here
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    assert third_party_imports(p.read_text() for p in PACKAGE) == declared
+
+
+def test_third_party_import_is_found():
+    src = ("from __future__ import annotations\nimport math, numpy.linalg as la\n"
+           "from . import engine\nfrom .errors import Nonfinite\n\n\n"
+           "def lazy():\n    from scipy.special import ndtr\n    return ndtr\n")
+    assert third_party_imports([src]) == {"numpy", "scipy"}
 
 
 def passed_arguments(trees) -> dict:
