@@ -333,6 +333,8 @@ def cmd_dual(run: _Run) -> int:
             artifacts += [f"dual_eps{tag}.bin", f"dual_eps{tag}.csv"]
             for j, q in enumerate(grid.z):
                 rows.append((eps, float(q), float(surf.values[0][ix + (j,)]), 0.0))
+            # release this epsilon's surface before the next one is solved
+            surf = None
     run.write_csv("dual.csv", "epsilon,q,value,stderr", rows)
     run.write_json("dual.json", {
         "provenance": run.provenance("dual", grid),
@@ -366,6 +368,8 @@ def cmd_solve(run: _Run) -> int:
             for key in ("enveloped_slices", "saturated_slices"):
                 counted[key] = primal.meta[key]
         counters.append(counted)
+        # release this epsilon's surfaces before the next one is solved
+        surf = primal = None
     run.write_json("solve.json", {
         "provenance": run.provenance("solve", grid),
         "epsilons": eps_list,

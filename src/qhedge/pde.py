@@ -679,8 +679,9 @@ class HJBResult:
 
 def _curvature_floor(U: np.ndarray) -> float:
     # a p second difference below machine rounding on the value scale is
-    # indistinguishable from zero, so the node counts as an envelope node
-    return 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(U).max()))
+    # indistinguishable from zero, so the node counts as an envelope node;
+    # max |U| from min and max, with no surface-sized temporary
+    return 64.0 * np.finfo(float).eps * max(1.0, -float(U.min()), float(U.max()))
 
 
 def _resolved_mask(convex: np.ndarray) -> np.ndarray:
@@ -693,19 +694,36 @@ def _resolved_mask(convex: np.ndarray) -> np.ndarray:
     return out
 
 
-def hjb_residual(U_surface: Surface, model: MarketModel) -> HJBResult:
+def hjb_residual(U_surface: Surface, model: MarketModel, start: int = 1,
+                 stop: Optional[int] = None, floor: Optional[float] = None) -> HJBResult:
     """Residual of the primal nonlinear operator at interior nodes, at the
     surface grid's epsilon.
 
     Nodes whose discrete p curvature is not positive beyond machine
     rounding take the operator's envelope value (minus infinity) and are
     excluded: counted, NaN residual.
+
+    Memory: the residual covers the time levels start..stop-1 (by default
+    every interior level, 1..n_t-2) and reads the levels start-1..stop.
+    The call peaks at about eight arrays the size of the residual it
+    returns (nine in d = 2), so a caller bounds its memory by the levels
+    it asks for.  `floor` is the curvature floor of the whole surface
+    (_curvature_floor of its values, the default); a caller that covers the
+    surface in several calls passes it, so that every node sees the same
+    floor.
     """
     g = U_surface.grid
     if g.domain != "p":
         raise DomainMismatch("hjb_residual expects a p-domain surface")
     d = g.dim
     U = U_surface.values
+    if stop is None:
+        stop = g.t.size - 1
+    if not 1 <= start < stop <= g.t.size - 1:
+        raise ValueError(f"time levels {start}..{stop - 1} are not interior levels of "
+                         f"a grid with {g.t.size} time nodes")
+    if floor is None:
+        floor = _curvature_floor(U)
     dp = g.dz
     A = _coefficients(model, g.x_axes, g.epsilon)[2]
     inner = (_MID,) * d
@@ -723,8 +741,8 @@ def hjb_residual(U_surface: Surface, model: MarketModel) -> HJBResult:
                 total = term if total is None else np.add(total, term, out=total)
         return total
 
-    # axes of Ui: t (interior times), x_1..x_d, p
-    Ui = U[1:-1]
+    # axes of Ui: t (interior times start..stop-1), x_1..x_d, p
+    Ui = U[start:stop]
     Ux = Ui[(slice(None),) + inner]
     Up = (Ux[..., 2:] - Ux[..., :-2]) / (2.0 * dp)
     Upp = (Ux[..., 2:] - 2.0 * Ux[..., 1:-1] + Ux[..., :-2]) / (dp * dp)
@@ -741,10 +759,10 @@ def hjb_residual(U_surface: Surface, model: MarketModel) -> HJBResult:
     v = Uxp + [-Up]
     res = sym_sum(A[..., :d, :d], U_xx)
     quad = sym_sum(A, lambda i, j: v[i] * v[j])
-    nonconvex = ~_resolved_mask(Upp > _curvature_floor(U) / (dp * dp))
+    nonconvex = ~_resolved_mask(Upp > floor / (dp * dp))
     with np.errstate(divide="ignore", invalid="ignore"):
         res *= 0.5
-        res += (_view(U[2:], 1) - _view(U[:-2], 1)) / (2.0 * g.dt)
+        res += (_view(U[start + 1:stop + 1], 1) - _view(U[start - 1:stop - 1], 1)) / (2.0 * g.dt)
         res -= np.divide(quad, 2.0 * Upp, out=quad)
     res[nonconvex] = np.nan
     return HJBResult(residual=res, curvature=Upp, n_nonconvex=int(nonconvex.sum()))
@@ -780,6 +798,10 @@ _TERMINAL_TOL = 1e-8
 _TOL_CONVEX = 1e-8
 _TIME_MARGIN = 0.1
 _P_WINDOW = (0.02, 0.98)
+# bytes of one slab-sized array of the verifier: a slab takes as many
+# interior time levels as fit in it, at least one.  256 kB was the fastest
+# of 128 kB to 2 MB on the 128^2 and 256^2 pipeline primals
+_SLAB_BYTES = 1 << 18
 
 
 def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
@@ -795,6 +817,15 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
     _P_WINDOW, where the kink of the terminal data makes central
     differences meaningless; the margins are part of the surrogate's
     definition and recorded in the report.
+
+    Memory: the residual is taken one slab of interior time levels at a
+    time, one hjb_residual call per slab, with as many levels as keep one
+    slab-sized array within _SLAB_BYTES.  Beyond the surface itself the
+    verifier then peaks at about a dozen such arrays, whatever the number
+    of time levels, where one whole-surface pass held about eight times
+    the surface.  Every node sees the operations and the curvature floor
+    it would see in one whole-surface call, and the worst node is the
+    first in C order, so the report does not depend on the slab length.
     """
     g = u_surface.grid
     if g.domain != "p":
@@ -802,42 +833,48 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
     if tol is None:
         tol = default_residual_tol(g)
 
+    U = u_surface.values
     p = g.z
     gx = payoff(_mesh(g.x_axes)).reshape(tuple(ax.size for ax in g.x_axes))
-    target = gx[..., None] * p
-    terminal_err = float(np.abs(u_surface.values[-1] - target).max())
+    terminal_err = float(np.abs(U[-1] - gx[..., None] * p).max())
     terminal_ok = terminal_err <= _TERMINAL_TOL
 
-    hjb = hjb_residual(u_surface, model)
-    res = hjb.residual
-    Upp = hjb.curvature
-
     t_int = g.t[1:-1]
-    tau = g.t[-1] - t_int
-    keep_t = tau >= _TIME_MARGIN * (g.t[-1] - g.t[0])
+    keep_t = g.t[-1] - t_int >= _TIME_MARGIN * (g.t[-1] - g.t[0])
     p_int = p[1:-1]
     keep_p = (p_int >= _P_WINDOW[0]) & (p_int <= _P_WINDOW[1])
-    window = keep_t.reshape((-1,) + (1,) * (res.ndim - 1)) & keep_p.reshape((1,) * (res.ndim - 1) + (-1,))
 
-    checkable = window & (Upp > _TOL_CONVEX) & np.isfinite(res)
-    auto = window & ~(Upp > _TOL_CONVEX)
-    checked = res[checkable]
-    n_checked = int(checkable.sum())
-    if n_checked:
-        max_residual = float(checked.max())
-        flat = np.where(checkable, res, -np.inf)
-        worst_flat = int(np.argmax(flat))
-        idx = np.unravel_index(worst_flat, res.shape)
-        coords = [float(t_int[idx[0]])]
-        for a, ax in enumerate(g.x_axes):
-            coords.append(float(ax[1:-1][idx[1 + a]]))
-        coords.append(float(p_int[idx[-1]]))
-        worst_node = tuple(coords)
-        n_violations = int((checked > tol).sum())
-    else:
-        max_residual = float("-inf")
-        worst_node = None
-        n_violations = 0
+    floor = _curvature_floor(U)
+    slab = max(1, _SLAB_BYTES // (8 * math.prod(n - 2 for n in g.shape[1:])))
+    n_checked = n_violations = n_auto = n_nonconvex = 0
+    max_residual, worst = float("-inf"), None
+    for start in range(1, g.t.size - 1, slab):
+        stop = min(start + slab, g.t.size - 1)
+        hjb = hjb_residual(u_surface, model, start, stop, floor)
+        res = hjb.residual
+        n_nonconvex += hjb.n_nonconvex
+        window = keep_t[start - 1:stop - 1].reshape((-1,) + (1,) * (g.dim + 1)) & keep_p
+        convex = hjb.curvature > _TOL_CONVEX
+        n_auto += int(np.count_nonzero(window & ~convex))
+        checkable = window & convex & np.isfinite(res)
+        checked = res[checkable]
+        if not checked.size:
+            continue
+        n_checked += checked.size
+        n_violations += int(np.count_nonzero(checked > tol))
+        top = float(checked.max())
+        # strictly greater: a tie keeps the earlier slab's node, and argmax
+        # the first in the slab, so the worst node is the first in C order
+        if top > max_residual:
+            max_residual = top
+            idx = np.unravel_index(int(np.argmax(np.where(checkable, res, -np.inf))), res.shape)
+            worst = (start - 1 + idx[0],) + idx[1:]
+
+    worst_node = None
+    if worst is not None:
+        worst_node = (float(t_int[worst[0]]),
+                      *(float(ax[1:-1][i]) for ax, i in zip(g.x_axes, worst[1:-1])),
+                      float(p_int[worst[-1]]))
 
     passed = terminal_ok and n_violations == 0
     notes = (
@@ -852,8 +889,8 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
         max_residual=max_residual,
         n_checked=n_checked,
         n_violations=n_violations,
-        n_auto_pass=int(auto.sum()),
-        n_nonconvex=hjb.n_nonconvex,
+        n_auto_pass=n_auto,
+        n_nonconvex=n_nonconvex,
         tol=float(tol),
         tol_convex=_TOL_CONVEX,
         worst_node=worst_node,

@@ -7,6 +7,13 @@ float64 payload: t axis, each x axis, the q-or-p axis, and the value array
 in C order.  Axes and values round-trip bit-exactly; the reader rejects a
 container that is cut short or has bytes after the payload.
 
+Memory: the writer hands each array to the file through the buffer
+protocol, with no copy of the payload.  The reader checks every length the
+header claims against the file's size before it allocates, then reads the
+payload once, into the one array the surface keeps, so it holds about one
+payload.  A surface's finiteness check takes its min and max, with no
+surface-sized temporary.
+
 CSV long format: header t,x1[,x2],<q|p>,value and one row per node,
 printed with %.17g so parsing back reproduces the exact doubles.  The
 writer formats each axis node once and, per time level, the value column
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -124,7 +132,8 @@ class Surface:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        # min and max propagate NaN, and take no surface-sized temporary
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("surface values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -308,11 +317,10 @@ def write_surface_bin(surface: Surface, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(g.t).tobytes())
-        for ax in g.x_axes:
-            fh.write(np.ascontiguousarray(ax).tobytes())
-        fh.write(np.ascontiguousarray(g.z).tobytes())
-        fh.write(np.ascontiguousarray(surface.values).tobytes())
+        # through the buffer protocol: no copy of a C-ordered little-endian
+        # array
+        for arr in (g.t, *g.x_axes, g.z, surface.values):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_surface_bin(path) -> Surface:
@@ -320,34 +328,42 @@ def read_surface_bin(path) -> Surface:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a surface container: bad magic {magic!r}")
-        # the rest at once: no length read from the file makes a read
-        # larger than the file
-        rest = fh.read()
-    if len(rest) < 8:
-        raise ValueError("truncated surface container")
-    (hlen,) = struct.unpack("<Q", rest[:8])
-    header = json.loads(rest[8:8 + hlen].decode("ascii"))
-    if not isinstance(header, dict):
-        raise ValueError(f"surface header must be a JSON object, not {type(header).__name__}")
-    if header.get("format") != 1:
-        raise ValueError(f"unsupported container format {header.get('format')}")
-    n_x, epsilon, meta = header.get("n_x"), header.get("epsilon"), header.get("meta", {})
-    if not isinstance(n_x, list):
-        raise ValueError(f"n_x must be a list of axis lengths, not {n_x!r}")
-    # bool is an int to isinstance, and never a length or an epsilon
-    counts = [header.get("n_t"), *n_x, header.get("n_z")]
-    if not all(type(c) is int and c >= 0 for c in counts):
-        raise ValueError(f"axis lengths must be nonnegative integers, not {counts}")
-    if type(epsilon) not in (int, float):
-        raise ValueError(f"epsilon must be a number, not {epsilon!r}")
-    if not isinstance(meta, dict):
-        raise ValueError(f"meta must be a JSON object, not {type(meta).__name__}")
-    end = 8 + hlen + 8 * (sum(counts) + math.prod(counts))
-    if len(rest) < end:
-        raise ValueError("truncated surface container")
-    if len(rest) > end:
-        raise ValueError(f"{len(rest) - end} trailing bytes after the surface payload")
-    data = np.frombuffer(rest, dtype="<f8", offset=8 + hlen).copy()
+        # every length the file claims is checked against its size before
+        # anything of that length is read or allocated
+        size = os.fstat(fh.fileno()).st_size - len(_MAGIC)
+        raw = fh.read(8)
+        if len(raw) < 8:
+            raise ValueError("truncated surface container")
+        (hlen,) = struct.unpack("<Q", raw)
+        if hlen > size - 8:
+            raise ValueError(f"truncated surface container: a {hlen}-byte header "
+                             f"in {size - 8} bytes")
+        header = json.loads(fh.read(hlen).decode("ascii"))
+        if not isinstance(header, dict):
+            raise ValueError(f"surface header must be a JSON object, not {type(header).__name__}")
+        if header.get("format") != 1:
+            raise ValueError(f"unsupported container format {header.get('format')}")
+        n_x, epsilon, meta = header.get("n_x"), header.get("epsilon"), header.get("meta", {})
+        if not isinstance(n_x, list):
+            raise ValueError(f"n_x must be a list of axis lengths, not {n_x!r}")
+        # bool is an int to isinstance, and never a length or an epsilon
+        counts = [header.get("n_t"), *n_x, header.get("n_z")]
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError(f"axis lengths must be nonnegative integers, not {counts}")
+        if type(epsilon) not in (int, float):
+            raise ValueError(f"epsilon must be a number, not {epsilon!r}")
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, not {type(meta).__name__}")
+        n = sum(counts) + math.prod(counts)
+        end = 8 + hlen + 8 * n
+        if size < end:
+            raise ValueError("truncated surface container")
+        if size > end:
+            raise ValueError(f"{size - end} trailing bytes after the surface payload")
+        # the payload once, straight into the array the surface keeps
+        data = np.empty(n, dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError("truncated surface container")
     t, *xs, z, values = np.split(data, np.cumsum(counts))
     grid = GridSpec(t, tuple(xs), z, header.get("domain"), float(epsilon))
     return Surface(grid, values.reshape(counts), meta)

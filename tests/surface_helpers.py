@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 
+from qhedge.surfaces import GridSpec, Surface
+
 
 def axes_equal(a, b) -> bool:
     """Whether two GridSpecs have the same domain and identical axes."""
@@ -15,6 +17,12 @@ def axes_equal(a, b) -> bool:
         and all(np.array_equal(x, y) for x, y in zip(a.x_axes, b.x_axes))
         and np.array_equal(a.z, b.z)
     )
+
+
+def large_surface():
+    """U = x p^2 on 257 t x 32 x x 101 p: a 6.6 MB payload, convex in p."""
+    g = GridSpec.regular(0.0, 1.0, 257, 0.5, 2.0, 32, 101, "p", epsilon=0.2)
+    return Surface(g, np.broadcast_to(g.x_axes[0][:, None] * g.z ** 2, g.shape).copy(), {})
 
 
 def terminal(surface):
