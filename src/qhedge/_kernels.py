@@ -16,8 +16,8 @@ no backward multiplier exceeds 1 in size, so elimination without
 pivoting is stable (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed. 2002, ch. 9).  The callers' sweeps say when theirs
 are.  A zero or non-finite pivot raises Nonfinite.  The Monte Carlo
-stepper has no kernel of its own: every log-Euler model, the radial one
-included, steps through engine._log_euler.
+stepper has no kernel of its own: every log-space scheme, for every
+model, steps through engine._log_euler, and exact-gbm is one of its steps.
 """
 from __future__ import annotations
 

@@ -27,8 +27,8 @@ Configs are INI files; the keys read, with their defaults:
             scheme = log-euler | exact-gbm | exact-bessel3 (the exact
             sampler of a gbm or bessel3 model, log-euler otherwise);
             t0 = 0.0, T = 1.0 (the [grid] values win);
-            epsilons (finite and positive; required by solve and
-              study-epsilon);
+            epsilons (finite and positive; solve and study-epsilon
+              need at least one);
             q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
               with the mc method probes [0, hi]); n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
@@ -346,13 +346,12 @@ def cmd_dual(run: _Run) -> int:
 
 
 def cmd_solve(run: _Run) -> int:
-    if run.epsilons is None:
-        raise ConfigError("solve needs an epsilons entry in [run]")
-    eps_list = run.epsilons or [0.0]
+    if not run.epsilons:
+        raise ConfigError("solve needs a non-empty epsilons entry in [run]")
     artifacts = []
     counters = []
     grid = None
-    for eps in eps_list:
+    for eps in run.epsilons:
         surf = run.solve(eps)
         grid = surf.grid
         tag = ("%g" % eps).replace(".", "p")
@@ -372,7 +371,7 @@ def cmd_solve(run: _Run) -> int:
         surf = primal = None
     run.write_json("solve.json", {
         "provenance": run.provenance("solve", grid),
-        "epsilons": eps_list,
+        "epsilons": run.epsilons,
         "artifacts": artifacts,
         # deterministic numerical events, one entry per epsilon
         "counters": counters,
@@ -399,8 +398,8 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
 
 
 def cmd_study_epsilon(run: _Run) -> int:
-    if run.epsilons is None:
-        raise ConfigError("study-epsilon needs an epsilons entry in [run]")
+    if not run.epsilons:
+        raise ConfigError("study-epsilon needs a non-empty epsilons entry in [run]")
     samples = run.samples()
     lo, hi = run.q_window
     q_grid = np.linspace(lo, hi, run.n_probe)
@@ -451,8 +450,7 @@ def cmd_compare_oracle(run: _Run) -> int:
     tau = run.T - run.t0
     rows = []
     if kind == "gbm":
-        sec = run.cp["model"]
-        b, s = _floats(sec["b"])[0], _floats(sec["s"])[0]
+        b, s = float(run.model.params["b"][0]), float(run.model.params["s"][0, 0])
 
         def q_oracle(p):
             return oracles.gbm_quantile_value(x0, p, b, s, tau)

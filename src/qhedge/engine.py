@@ -6,22 +6,23 @@ where the region index separates the driving increments of W from the
 auxiliary Brownian motion B.  The partition never depends on the thread
 schedule, so results are bit-identical under any worker count.
 
-Stream contract: terminal_block() is the one entry point and _step_block()
-the one reader of these streams.  W is one stream per block: cfg.n_steps
+Stream contract: terminal_block() is the one entry point and the one
+reader of these streams.  W is one stream per block: cfg.n_steps
 increments per path for log-Euler, one over the whole horizon for an exact
-scheme.  The generic log-Euler stepper draws it in chunks of _DRAW_CHUNK
-paths and stores it step-major, (n_steps, bn, d); successive draws
-continue the stream, so the values are those of one (bn, n_steps, d)
-draw, the path-major array the gbm scheme reads.  B(T) - B(t0) is one
-N(0, T - t0) draw per path for every scheme; the regularized estimators
-in mc turn it into the factor exp(-eps^2 (T-t0)/2 + eps B).
+scheme.  The log-space schemes draw it in chunks of _DRAW_CHUNK paths and
+store it step-major, (n_steps, bn, d); successive draws continue the
+stream, so the values are those of one (bn, n_steps, d) draw.
+B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme; the
+regularized estimators in mc turn it into the factor
+exp(-eps^2 (T-t0)/2 + eps B).
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
 -|theta|^2/2 and diffusion -theta'dW on the same W increments, keeping
 only the current state.  The log range is checked after every step,
-before the next coefficients are evaluated.  The exact-bessel3 scheme
-takes X as the norm of a 3-dimensional Brownian motion started at x0 e1,
-and Z = x0 / X.
+before the next coefficients are evaluated.  With constant coefficients
+log-Euler has no discretization error, so exact-gbm is one log-Euler step
+over [t0, T].  The exact-bessel3 scheme takes X as the norm of a
+3-dimensional Brownian motion started at x0 e1, and Z = x0 / X.
 """
 from __future__ import annotations
 
@@ -99,22 +100,6 @@ def _check_log_range(logX, logZ, first_path: int, what: str):
     raise Nonfinite(f"log-space overflow on path {idx} ({what})", path_index=idx)
 
 
-def _gbm_log_terminal(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, first_path: int,
-                      what: str):
-    """Constant coefficients: log X and log Z are sums of the increments, so
-    log-Euler has no discretization error and exact-gbm shares this path.
-    Returns (log X_T (bn, d), log Z_T (bn,))."""
-    b_vec = np.asarray(model.params["b"], dtype=float)
-    s_mat = np.asarray(model.params["s"], dtype=float)
-    a_diag = (s_mat * s_mat).sum(axis=1)
-    theta = np.linalg.solve(s_mat, b_vec)
-    logX = np.cumsum((b_vec - 0.5 * a_diag) * dt + dW @ s_mat.T, axis=1)
-    logX += np.log(x0)
-    logZ = np.cumsum(-0.5 * float(theta @ theta) * dt - dW @ theta, axis=1)
-    _check_log_range(logX, logZ, first_path, what)
-    return logX[:, -1, :], logZ[:, -1]
-
-
 def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_out: np.ndarray,
                 dlz_out: np.ndarray, work: np.ndarray):
     """One log-Euler step of length h from log X = y (n, d) on the W
@@ -173,10 +158,10 @@ def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_ou
 
 def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, first_path: int,
                what: str):
-    """Log-Euler for state-dependent coefficients on the step-major W
-    increments dW (n_steps, bn, d), holding only the current log X (bn, d)
-    and log Z (bn,).  Every buffer is made here, per call, so blocks on
-    different threads share none.  Returns (log X_T, log Z_T)."""
+    """Log-Euler on the step-major W increments dW (n_steps, bn, d),
+    holding only the current log X (bn, d) and log Z (bn,).  Every buffer
+    is made here, per call, so blocks on different threads share none.
+    Returns (log X_T, log Z_T)."""
     n_steps, bn, d = dW.shape
     y = np.tile(np.log(x0), (bn, 1))
     y_new = np.empty_like(y)
@@ -205,42 +190,6 @@ def _step_major_increments(gen: np.random.Generator, bn: int, n_steps: int, d: i
     return dW
 
 
-def _step_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int,
-                n_steps: int):
-    """Terminal states of one block over cfg's horizon: n_steps equal steps
-    for the log-space schemes, one draw for exact-bessel3.
-
-    The only reader of the block streams and the only place a scheme's
-    arithmetic is written.  gbm reads W path-major as (bn, n_steps, d);
-    the log-Euler stepper reads the same values step-major.  Returns
-    (X_T (bn, d), Z_T (bn,), B_T (bn,)).  The log-space schemes
-    raise Nonfinite with the global index of the first path that leaves the
-    representable log range.
-    """
-    dt = cfg.horizon / n_steps
-    sq_horizon = np.sqrt(cfg.horizon)
-    B_T = sq_horizon * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
-    gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
-
-    if cfg.scheme == "exact-bessel3":
-        # X = |x0 e1 + W3| for a 3-dimensional Brownian motion W3, Z = x0 / X
-        w3 = sq_horizon * gen_w.standard_normal((bn, 3))
-        w3[:, 0] += x0[0]
-        X = np.sqrt((w3 * w3).sum(axis=1))
-        return X[:, None], x0[0] / X, B_T
-
-    first_path = block_index * BLOCK
-    what = f"{model.name}, {cfg.scheme}"
-    if model.kind == "gbm":
-        dW = gen_w.standard_normal((bn, n_steps, model.dim))
-        dW *= np.sqrt(dt)
-        logX, logZ = _gbm_log_terminal(model, x0, dW, dt, first_path, what)
-    else:
-        dW = _step_major_increments(gen_w, bn, n_steps, model.dim, dt)
-        logX, logZ = _log_euler(model, x0, dW, dt, first_path, what)
-    return np.exp(logX), np.exp(logZ), B_T
-
-
 def _check_scheme(model: MarketModel, scheme: str):
     if scheme == "exact-gbm" and model.kind != "gbm":
         raise SchemeMismatch(f"exact-gbm scheme requires a gbm model, got {model.kind}")
@@ -261,9 +210,25 @@ def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_ind
     """Terminal state of one path block: (X_T (bn, d), Z_T (bn,), B_T (bn,)),
     B_T the auxiliary increment B(T) - B(t0).
 
-    Exact schemes make one draw over the whole horizon; log-Euler steps
-    through cfg.n_steps steps.
+    log-Euler steps through cfg.n_steps steps, exact-gbm is one log-Euler
+    step over the whole horizon, and exact-bessel3 is one draw.  The
+    log-space schemes raise Nonfinite with the global index of the first
+    path that leaves the representable log range.
     """
     _check_scheme(model, cfg.scheme)
+    sq_horizon = np.sqrt(cfg.horizon)
+    B_T = sq_horizon * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
+    gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
+
+    if cfg.scheme == "exact-bessel3":
+        # X = |x0 e1 + W3| for a 3-dimensional Brownian motion W3, Z = x0 / X
+        w3 = sq_horizon * gen_w.standard_normal((bn, 3))
+        w3[:, 0] += x0[0]
+        X = np.sqrt((w3 * w3).sum(axis=1))
+        return X[:, None], x0[0] / X, B_T
+
     n_steps = cfg.n_steps if cfg.scheme == "log-euler" else 1
-    return _step_block(model, x0, cfg, block_index, bn, n_steps)
+    dt = cfg.horizon / n_steps
+    dW = _step_major_increments(gen_w, bn, n_steps, model.dim, dt)
+    logX, logZ = _log_euler(model, x0, dW, dt, block_index * BLOCK, f"{model.name}, {cfg.scheme}")
+    return np.exp(logX), np.exp(logZ), B_T

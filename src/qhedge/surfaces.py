@@ -52,6 +52,10 @@ class GridSpec:
         t = np.asarray(self.t, dtype=float)
         z = np.asarray(self.z, dtype=float)
         xs = tuple(np.asarray(ax, dtype=float) for ax in self.x_axes)
+        for name, arr in (("t", t), ("q-or-p", z)) + tuple(
+                (f"x{i}", ax) for i, ax in enumerate(xs, start=1)):
+            if arr.ndim != 1:
+                raise ValueError(f"the {name} axis must be 1-d, got shape {arr.shape}")
         # every comparison below is written so that a NaN fails it
         if not all(np.isfinite(arr).all() for arr in (t, z) + xs):
             raise ValueError("grid nodes must be finite")

@@ -1,8 +1,10 @@
-"""The log-Euler steppers that engine._log_euler replaced, kept as test
-references: the full-path generic stepper and the radial model's own
+"""Full-path log-Euler steppers, kept as test references for
+engine._log_euler: the generic stepper and the radial model's own
 recursion.  Both store every step of log X and log Z.  The generic one
-does the engine's arithmetic, so terminal states agree bit for bit; the
-radial one writes the bessel3 coefficients out by hand, so it agrees up to
+does the engine's arithmetic, so terminal states agree bit for bit for
+every model the engine steps in log space, builtin gbm included, under
+log-euler and under exact-gbm (one step over the horizon).  The radial
+one writes the bessel3 coefficients out by hand, so it agrees up to
 rounding.
 """
 import numpy as np

@@ -157,11 +157,13 @@ def test_nonpositive_epsilons_rejected(tmp_path, eps):
 
 
 def test_solve_and_study_need_epsilons(tmp_path):
-    cfg = write_config(tmp_path, pde_ini(eps_line=""))
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-    cfg2 = write_config(tmp_path, mc_ini(eps_line=""), "mc.ini")
-    assert main(["study-epsilon", "--config", cfg2,
-                 "--out", str(tmp_path / "e")]) == 2
+    # no entry, and an empty one
+    for eps_line in ("", "epsilons ="):
+        cfg = write_config(tmp_path, pde_ini(eps_line=eps_line))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        cfg2 = write_config(tmp_path, mc_ini(eps_line=eps_line), "mc.ini")
+        assert main(["study-epsilon", "--config", cfg2,
+                     "--out", str(tmp_path / "e")]) == 2
 
 
 def test_dual_mc_empty_epsilons_baseline_only(tmp_path):

@@ -1,4 +1,6 @@
 """Path simulation: determinism, exact samplers, failure contracts."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -225,19 +227,28 @@ def test_nan_coefficient_raises_nonfinite():
     assert exc.value.path_index == 1417
 
 
-@pytest.mark.parametrize("model, x0, n_steps", [
+GBM_D1 = builtin_model("gbm", b=0.05, s=0.3)
+GBM_FULL_D2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.05, 0.25]])
+
+
+@pytest.mark.parametrize("model, x0, n_steps, scheme", [
     pytest.param(builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]]), [1.0], 64,
-                 id="constant-d1"),
+                 "log-euler", id="constant-d1"),
     pytest.param(builtin_model("custom", dim=1, b_exprs=["0.1*sin(x1)"], s_exprs=[["0.2+0.1*x1"]]),
-                 [1.0], 32, id="state-d1"),
+                 [1.0], 32, "log-euler", id="state-d1"),
     pytest.param(builtin_model("custom", dim=2, b_exprs=["0.05", "0.03*x2"],
                                s_exprs=[["0.3", "0.1*x1"], ["0.05", "0.25"]]),
-                 [1.0, 1.2], 16, id="full-matrix-d2"),
+                 [1.0, 1.2], 16, "log-euler", id="full-matrix-d2"),
+    pytest.param(GBM_D1, [1.3], 64, "log-euler", id="gbm-d1"),
+    pytest.param(GBM_D1, [1.3], 64, "exact-gbm", id="exact-gbm-d1"),
+    pytest.param(GBM_FULL_D2, [1.0, 1.2], 16, "log-euler", id="gbm-full-matrix-d2"),
+    pytest.param(GBM_FULL_D2, [1.0, 1.2], 16, "exact-gbm", id="exact-gbm-full-matrix-d2"),
 ])
-def test_log_euler_matches_the_full_path_reference(monkeypatch, model, x0, n_steps):
+def test_log_euler_matches_the_full_path_reference(monkeypatch, model, x0, n_steps, scheme):
     # the stepper keeps only the current state but does the reference's
     # arithmetic, so X_T and Z_T are equal bit for bit; it draws from the W
-    # and B streams only
+    # and B streams only.  exact-gbm is one log-Euler step over the horizon,
+    # whatever cfg.n_steps says
     regions = []
     block_gen = engine._block_gen
 
@@ -246,10 +257,11 @@ def test_log_euler_matches_the_full_path_reference(monkeypatch, model, x0, n_ste
         return block_gen(seed, block_index, region)
 
     monkeypatch.setattr(engine, "_block_gen", recording_gen)
-    cfg = SimConfig(0.0, 1.0, n_steps, 9000, 3, "log-euler")
+    cfg = SimConfig(0.0, 1.0, n_steps, 9000, 3, scheme)
+    ref_cfg = cfg if scheme == "log-euler" else dataclasses.replace(cfg, n_steps=1)
     for blk, _, bn in _blocks(cfg.n_paths):
         X, Z, _ = terminal_block(model, np.array(x0), cfg, blk, bn)
-        dW, dt = ref.block_draws(cfg, blk, bn, model.dim)
+        dW, dt = ref.block_draws(ref_cfg, blk, bn, model.dim)
         y, lz = ref.log_euler_paths(model, np.log(x0), dW, dt)
         assert np.array_equal(X, np.exp(y[:, -1, :]))
         assert np.array_equal(Z, np.exp(lz[:, -1]))

@@ -79,6 +79,18 @@ def test_two_dimensional_grid():
     assert g.x_axes[1][0] == pytest.approx(0.25)
 
 
+def test_axes_that_are_not_1d_are_rejected():
+    # each axis is named; an x axis passed bare, not in a tuple, makes 0-d
+    # x axes
+    g = small_grid(domain="p")
+    t, x, p = g.t, g.x_axes[0], g.z
+    for axes, name in (((t[None], (x,), p), "t"), ((t, (x[None],), p), "x1"),
+                       ((t, (x, x[:, None]), p), "x2"), ((t, (x,), p[None]), "q-or-p"),
+                       ((t, x, p), "x1")):
+        with pytest.raises(ValueError, match=f"the {name} axis must be 1-d"):
+            GridSpec(*axes, "p", 0.1)
+
+
 def test_surface_eval_multilinear():
     s = small_surface()
     g = s.grid
