@@ -61,14 +61,18 @@ def factor_lines(lo, di, up, label: str) -> TridiagFactors:
         for k in range(len(pivot) - 1):
             upper[k] = up[k] / pivot[k]
             pivot[k + 1] -= lo[k + 1] * upper[k]
-        inv = 1.0 / pivot
-        lower = lo * inv
-    lower[0] = 0.0
     zero = (pivot == 0.0).reshape(pivot.shape[0], -1).any(axis=1)
     if zero.any():
         raise Nonfinite(f"{label}: zero pivot in row {int(np.argmax(zero))} "
                         "of the tridiagonal sweep")
-    if not all(np.isfinite(a).all() for a in (pivot, inv, lower, upper)):
+    if not np.isfinite(pivot).all():
+        raise Nonfinite(f"{label}: tridiagonal sweep factors are not finite")
+    # the reciprocals replace the pivots, in place
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = np.divide(1.0, pivot, out=pivot)
+        lower = lo * inv
+    lower[0] = 0.0
+    if not all(np.isfinite(a).all() for a in (inv, lower, upper)):
         raise Nonfinite(f"{label}: tridiagonal sweep factors are not finite")
     return TridiagFactors(inv, list(lower), list(upper))
 
@@ -76,7 +80,9 @@ def factor_lines(lo, di, up, label: str) -> TridiagFactors:
 def thomas_batch(factors: TridiagFactors, rhs: np.ndarray) -> np.ndarray:
     """Solve the factored lines for rhs, swept axis first, in place, and
     return rhs.  rhs may be any writable view, a transpose included; its
-    trailing axes broadcast the factors, so they hold the lanes."""
+    trailing axes broadcast the factors, so they hold the lanes.  The
+    factors may have length 1 along a lane axis, one value for every lane
+    of a line, and broadcast along it."""
     inv, lower, upper = factors
     rhs *= inv
     rows = list(rhs)

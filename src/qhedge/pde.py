@@ -60,6 +60,19 @@ x; at its top, which reaches the padded q_max at every requested x, w_q =
 are read back by cubic interpolation in eta (`read`), clamped at 0, since
 a restored x edge can dip below it; q <= 0 reads 0, and the terminal level
 is (q - g(x))^+ itself.
+
+Memory: beyond the surface it returns, the solve holds the state, which
+each substep updates in place, one increment of its interior and the eta
+sweep's eta-first copy of it, the sweeps' factors, the read-back's data per
+requested node (stencil index, offset, two convexity bounds) and
+slab-sized scratch.  The eta sweep's factors have the increment's size;
+the x sweeps' keep their bands' shape, one value per line broadcast over
+the eta lanes, except in d = 1.  The explicit pass and the read-back work
+one slab of the first x axis at a time, as many rows as keep one slab
+array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
+the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q,
+88 eta) the solve peaks 15.4 MB above its 36 MB surface (tracemalloc),
+where whole-level passes and lane-shaped x factors took 33.4 MB.
 """
 from __future__ import annotations
 
@@ -178,11 +191,34 @@ def _cross_diff(W: np.ndarray, i: int, j: int, lead: int = 0) -> np.ndarray:
 # how far, in log q, the eta axis reaches below every requested q > 0
 _ETA_MARGIN = 0.75
 
+# bytes of one slab-sized array: the dual solver's explicit pass and
+# read-back and the verifier's residual work through an array one slab of
+# its first axis at a time, as many rows as fit in this, at least one.
+# For the verifier 256 kB was the fastest of 128 kB to 2 MB on the 128^2
+# and 256^2 pipeline primals
+_SLAB_BYTES = 1 << 18
+
+
+def _slab_rows(shape) -> int:
+    """Rows of axis 0 in one slab of a float array of this shape."""
+    return max(1, _SLAB_BYTES // (8 * math.prod(shape[1:])))
+
+
+def _carve(pool: np.ndarray, shapes) -> list:
+    """Consecutive views of the flat array pool, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(pool[at:at + n].reshape(shape))
+        at += n
+    return views
+
 
 class _DualOperator:
     """Workspace for the dual solve on (x_1..x_d, eta): coefficients on the
     interior nodes, the explicit terms, the implicit sweeps, the edges and
-    the read-back to the requested x nodes (`restrict`) and q nodes."""
+    the read-back to the requested x nodes (`restrict`) and q nodes, with
+    the increment and scratch buffers the substeps and reads reuse."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
                  restrict, q: np.ndarray, q_top: float, n_eta: int):
@@ -223,19 +259,31 @@ class _DualOperator:
         eta_part = self.ce2 * (2.0 * math.cosh(de) - 2.0)
         self.ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
         # per requested node with q > 0: the flat index of its stencil's
-        # first node, the cubic weights, and its place among the stencil's q
-        # nodes Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1),
-        # e f = (q - Q_1) / (Q_1 - Q_0) and g = (q - Q_2) / (Q_3 - Q_2)
+        # first node, its place u among the stencil's nodes, 0..3 (`read`
+        # takes the cubic weights from it), and its place among their q
+        # values Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1), with
+        # e^de f = (q - Q_1) / (Q_1 - Q_0), and g = (q - Q_2) / (Q_3 - Q_2)
         s = (np.log(q[self.first:]) - self.phi[restrict][..., None] - self.eta[0]) / de
         k = np.clip(np.floor(s).astype(np.intp) - 1, 0, self.eta.size - 4)
         rows = np.arange(self.phi.size).reshape(self.phi.shape)[restrict]
         self.start = rows[..., None] * self.eta.size + k
-        u = s - k
+        self.u = u = s - k
         self.centred = (u >= 1.0) & (u < 2.0)
-        self.cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
-                      u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
-        f = np.expm1((u - 1.0) * de) / math.expm1(de)
-        self.bounds = f, math.exp(de) * f, np.expm1((u - 2.0) * de) / math.expm1(de)
+        self.bounds = (np.expm1((u - 1.0) * de) / math.expm1(de),
+                       np.expm1((u - 2.0) * de) / math.expm1(de))
+        # the working set beyond the state, allocated once: the increment,
+        # its eta-first copy and explicit's product slab for a substep, nine
+        # slabs for read.  A substep and a read never run at once, and what
+        # a substep leaves there is spent, so they share one pool
+        inner_shape = tuple(n - 2 for n in self.phi.shape) + (self.eta.size - 2,)
+        self._z_rows = _slab_rows(inner_shape)
+        self._read_rows = _slab_rows(self.start.shape)
+        step = [inner_shape, inner_shape[-1:] + inner_shape[:-1],
+                (min(self._z_rows, inner_shape[0]),) + inner_shape[1:]]
+        read = (9, min(self._read_rows, self.start.shape[0])) + self.start.shape[1:]
+        pool = np.empty(max(sum(map(math.prod, step)), math.prod(read)))
+        self._z, self._cols, self._prod = _carve(pool, step)
+        self._read_slabs = pool[:math.prod(read)].reshape(read)
 
     def apply_bc(self, W: np.ndarray) -> None:
         """Set the edge relations in place: at each x edge the two nodes next
@@ -274,11 +322,22 @@ class _DualOperator:
 
     def explicit(self, W: np.ndarray, h: float) -> np.ndarray:
         """h F(W) on the interior nodes, F the whole discrete operator (every
-        axis and the x-x mixed terms) on W as it stands, edges included."""
+        axis and the x-x mixed terms) on W as it stands, edges included,
+        written to the operator's increment buffer, which the next substep
+        or read reuses, and returned.  It is
+        summed one slab of the first x axis at a time, term by term through
+        one slab-sized product buffer, in the order of the stencil; every
+        coefficient spans that axis."""
         (centre, _), *terms = self._stencil(h)
-        z = centre * _view(W, 0)
-        for c, shifts in terms:
-            z += c * _view(W, 0, shifts)
+        views = [_view(W, 0, shifts) for _, shifts in terms]
+        z, rows = self._z, self._z_rows
+        for lo in range(0, z.shape[0], rows):
+            hi = min(lo + rows, z.shape[0])
+            zs, prod = z[lo:hi], self._prod[:hi - lo]
+            np.multiply(centre[lo:hi], _view(W, 0)[lo:hi], out=zs)
+            for (c, _), v in zip(terms, views):
+                np.multiply(c[lo:hi], v[lo:hi], out=prod)
+                zs += prod
         return z
 
     def _factors(self, th: float):
@@ -306,11 +365,17 @@ class _DualOperator:
         up[0] += -lo[0] * r_lo
         di[-1] += up[-1] * (1.0 + r_hi)
         lo[-1] += -up[-1] * r_hi
-        # stored at the lane shape: a factor row that broadcasts (in d = 1,
-        # one value) makes every one of the kernel's calls slower
-        lanes = di.shape[:-1] + (self.eta.size - 2,)
-        return _kernels.factor_lines(*(np.broadcast_to(a, lanes) for a in (lo, di, up)),
-                                     f"x axis {axis} sweep at th={th:g}")
+        # the x coefficients do not depend on eta, so the factors keep the
+        # bands' shape, (46, 46, 1) on the 48^2 x 88 eta grid of the d=2
+        # benchmark, and each factor row broadcasts over the eta lanes.  Only
+        # where a row would be one value (d = 1) are the lanes materialised:
+        # there a broadcast row took 1.08 ms per kernel call against 0.74 ms.
+        # In d = 2 it took axis 0 from 0.79 to 0.96 ms per call and left axis
+        # 1 unchanged, and the factors of both axes shrink from 8.7 MB to 0.1
+        if self.d == 1:
+            lanes = di.shape[:-1] + (self.eta.size - 2,)
+            lo, di, up = (np.broadcast_to(a, lanes) for a in (lo, di, up))
+        return _kernels.factor_lines(lo, di, up, f"x axis {axis} sweep at th={th:g}")
 
     def _factor_eta(self, th: float):
         """(I - th*A_eta) on interior eta nodes, eta first, one line per x
@@ -332,23 +397,26 @@ class _DualOperator:
 
     def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
         """The eta sweep for an increment: one solve for every x node at
-        once, on an eta-first copy of rhs; returns an (x, eta) view of it."""
-        cols = np.moveaxis(rhs, -1, 0).copy()
-        return np.moveaxis(_kernels.thomas_batch(self._factors(th)[-1], cols), 0, -1)
+        once, on an eta-first copy of rhs in the operator's own buffer;
+        returns an (x, eta) view of that buffer."""
+        np.copyto(self._cols, np.moveaxis(rhs, -1, 0))
+        return np.moveaxis(_kernels.thomas_batch(self._factors(th)[-1], self._cols), 0, -1)
 
     def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
         """One Douglas step of length h in delta form: the increment z =
         h F(W), then (I - th A_i) z_i = z_(i-1) along each x axis and eta
-        with th = theta_w h, and W + z."""
+        with th = theta_w h, and W + z, in place: z is added to the
+        interior, and apply_bc rewrites every edge node from it.  Returns
+        W."""
         th = theta_w * h
         z = self.explicit(W, h)
         for axis in range(self.d):
             z = self.solve_x(z, th, axis)
         z = self.solve_eta(z, th)
-        out = np.empty_like(W)
-        np.add(_view(W, 0), z, out=out[(_MID,) * (self.d + 1)])
-        self.apply_bc(out)
-        return out
+        inner = _view(W, 0)
+        np.add(inner, z, out=inner)
+        self.apply_bc(W)
+        return W
 
     def read(self, W: np.ndarray, out: np.ndarray) -> None:
         """Write W on the requested nodes to out: the 4-point cubic Lagrange
@@ -357,16 +425,57 @@ class _DualOperator:
         neighbouring chord extended).  Smooth convex data keep the cubic in
         them up to O(de^4); at an unresolved kink the clamp stops overshoot.
         What is written is clamped at 0: a restored x edge can take W, and
-        the cubic through it, below 0."""
+        the cubic through it, below 0.
+
+        It runs one slab of the first x axis at a time: the four stencil
+        values are gathered into the operator's slab buffers, the cubic
+        weights are taken there from each node's offset u, and each slab
+        goes straight to out.  Every node sees the operations of one
+        whole-level pass in the same order, so the values do not depend on
+        the slab size; the cubic sum starts from 0, which turns -0.0 into
+        +0.0."""
         flat = W.ravel()
-        v0, v1, v2, v3 = (flat[m:][self.start] for m in range(4))
-        f, ef, g = self.bounds
-        floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
-        chord = v1 + f * (v2 - v1)
-        value = sum(c * v for c, v in zip(self.cubic, (v0, v1, v2, v3)))
-        np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=self.centred)
         out[..., :self.first] = 0.0
-        np.maximum(value, 0.0, out=out[..., self.first:])
+        e_de = math.exp(self.de)
+        n, rows = self.start.shape[0], self._read_rows
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            v0, v1, v2, v3, value, floor, a, b, c = self._read_slabs[:, :hi - lo]
+            # every index is in range; mode "clip" skips take's buffered copy
+            for m, v in enumerate((v0, v1, v2, v3)):
+                np.take(flat[m:], self.start[lo:hi], out=v, mode="clip")
+            u, f, g = self.u[lo:hi], self.bounds[0][lo:hi], self.bounds[1][lo:hi]
+            # value = 0 + c0 v0 + c1 v1 + c2 v2 + c3 v3 with the Lagrange
+            # weights c0 = (u - 1)(u - 2)(u - 3) / -6, c1 = u (u - 2)(u - 3) / 2,
+            # c2 = u (u - 1)(u - 3) / -2 and c3 = u (u - 1)(u - 2) / 6
+            np.subtract(u, 1.0, out=a)
+            np.subtract(u, 2.0, out=b)
+            np.subtract(u, 3.0, out=c)
+            value.fill(0.0)
+            for p1, p2, p3, div, v in ((a, b, c, -6.0, v0), (u, b, c, 2.0, v1),
+                                       (u, a, c, -2.0, v2), (u, a, b, 6.0, v3)):
+                np.multiply(p1, p2, out=floor)
+                floor *= p3
+                floor /= div
+                floor *= v
+                value += floor
+            # floor = max(v1 + e^de f (v1 - v0), v2 + g (v3 - v2)) and chord
+            # = v1 + f (v2 - v1)
+            np.multiply(e_de, f, out=a)
+            np.subtract(v1, v0, out=floor)
+            floor *= a
+            floor += v1
+            np.subtract(v3, v2, out=b)
+            b *= g
+            b += v2
+            np.maximum(floor, b, out=floor)
+            chord = np.subtract(v2, v1, out=c)
+            chord *= f
+            chord += v1
+            np.maximum(value, floor, out=floor)
+            np.minimum(floor, chord, out=floor)
+            np.copyto(value, floor, where=self.centred[lo:hi])
+            np.maximum(value, 0.0, out=out[lo:hi, ..., self.first:])
 
 
 def _refine_axis(x: np.ndarray, r: int) -> np.ndarray:
@@ -459,7 +568,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
             else:
                 W = ws.substep(W, h, 0.5)
             step += 1
-        if not np.isfinite(W).all():
+        # min and max propagate NaN: no temporary of W's size
+        if not (np.isfinite(W.min()) and np.isfinite(W.max())):
             raise Nonfinite(f"dual solve: non-finite values at t = {grid.t[k]:g}")
         # the exact flow preserves the sign of the terminal data; FD
         # undershoot below zero is projected out, then the edge relations
@@ -798,10 +908,6 @@ _TERMINAL_TOL = 1e-8
 _TOL_CONVEX = 1e-8
 _TIME_MARGIN = 0.1
 _P_WINDOW = (0.02, 0.98)
-# bytes of one slab-sized array of the verifier: a slab takes as many
-# interior time levels as fit in it, at least one.  256 kB was the fastest
-# of 128 kB to 2 MB on the 128^2 and 256^2 pipeline primals
-_SLAB_BYTES = 1 << 18
 
 
 def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
@@ -845,7 +951,7 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
     keep_p = (p_int >= _P_WINDOW[0]) & (p_int <= _P_WINDOW[1])
 
     floor = _curvature_floor(U)
-    slab = max(1, _SLAB_BYTES // (8 * math.prod(n - 2 for n in g.shape[1:])))
+    slab = _slab_rows([n - 2 for n in g.shape])
     n_checked = n_violations = n_auto = n_nonconvex = 0
     max_residual, worst = float("-inf"), None
     for start in range(1, g.t.size - 1, slab):

@@ -11,7 +11,13 @@ beyond either end.
 edge relations' own inhomogeneous terms.  They compute the same steps as
 the operator in another order of operations, so surfaces agree with them
 up to rounding.
+`explicit` and `read` are the operator's own whole-level passes, every
+temporary the size of a time level, from before it worked in slabs: the
+same operations in the same order, so surfaces agree with them bit for
+bit.
 """
+import math
+
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -104,3 +110,31 @@ def substep(op, W, h, theta_w):
     out[(_MID,) * (op.d + 1)] = y
     op.apply_bc(out)
     return out
+
+
+def explicit(op, W, h):
+    """h F(W) on the interior nodes, one full temporary per stencil term."""
+    (centre, _), *terms = op._stencil(h)
+    z = centre * _view(W, 0)
+    for c, shifts in terms:
+        z += c * _view(W, 0, shifts)
+    return z
+
+
+def read(op, W, out):
+    """The clamped cubic read-back of a whole level at once, with the
+    cubic weights and the bound e^de f made as the operator made them
+    once per solve."""
+    u = op.u
+    cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
+             u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
+    f, g = op.bounds
+    ef = math.exp(op.de) * f
+    flat = W.ravel()
+    v0, v1, v2, v3 = (flat[m:][op.start] for m in range(4))
+    floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
+    chord = v1 + f * (v2 - v1)
+    value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
+    np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
+    out[..., :op.first] = 0.0
+    np.maximum(value, 0.0, out=out[..., op.first:])

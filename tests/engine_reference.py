@@ -5,7 +5,8 @@ does the engine's arithmetic, so terminal states agree bit for bit for
 every model the engine steps in log space, builtin gbm included, under
 log-euler and under exact-gbm (one step over the horizon).  The radial
 one writes the bessel3 coefficients out by hand, so it agrees up to
-rounding.
+rounding.  `theta_by_solve` is engine._theta with a solve on every path,
+diagonal volatilities included.
 """
 import numpy as np
 
@@ -56,3 +57,8 @@ def bessel3_log_paths(y0, dw, dt):
         y[:, k + 1] = y[:, k] + drift + ey * dw[:, k]
         lz[:, k + 1] = lz[:, k] - drift - ey * dw[:, k]
     return y, lz
+
+
+def theta_by_solve(model, sv, bv):
+    """theta = s^-1 b by one batched solve, whatever the shape of s."""
+    return np.linalg.solve(sv, bv[..., None])[..., 0]

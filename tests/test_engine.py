@@ -9,7 +9,7 @@ import engine_reference as ref
 from qhedge import engine
 from qhedge.engine import (BLOCK, SCHEMES, SimConfig, _blocks, default_scheme,
                            terminal_block)
-from qhedge.errors import Nonfinite, SchemeMismatch
+from qhedge.errors import Nonfinite, SchemeMismatch, SingularDiffusion
 from qhedge.market import builtin_model, linear_payoff
 from qhedge.mc import sample_terminal
 
@@ -200,6 +200,43 @@ def test_state_dependent_log_euler_fails_on_the_pinned_path(model, x0, n_steps, 
     with np.errstate(over="ignore"), pytest.raises(Nonfinite) as exc:
         sample_terminal(model, linear_payoff(), x0, cfg)
     assert exc.value.path_index == path
+
+
+@pytest.mark.parametrize("model, x0, T, n_steps, scheme", [
+    pytest.param(builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25]), [1.0, 1.2], 1.0, 16,
+                 "log-euler", id="gbm-diagonal-d2"),
+    pytest.param(builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25]), [1.0, 1.2], 1.0, 16,
+                 "exact-gbm", id="exact-gbm-diagonal-d2"),
+    pytest.param(VSM_D2, [1.0, 1.0], 0.25, 64, "log-euler", id="vsm-d2"),
+])
+def test_diagonal_volatility_divides_as_the_solve_does(monkeypatch, model, x0, T, n_steps,
+                                                      scheme):
+    # a diagonal s gives theta = b / diag(s) with no solve, and that is what
+    # the solve returns, bit for bit.  Over T = 0.25 every VSM path of the
+    # block stays in the log range
+    cfg = SimConfig(0.0, T, n_steps, 2000, 1, scheme)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a diagonal volatility went to the solve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", no_solve)
+        got = terminal_block(model, np.array(x0), cfg, 0, cfg.n_paths)
+    monkeypatch.setattr(engine, "_theta", ref.theta_by_solve)
+    want = terminal_block(model, np.array(x0), cfg, 0, cfg.n_paths)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("s_exprs", [[["x1 - 1", "0"], ["0", "0.3"]],
+                                     [["x1 - 1", "0.1"], ["0", "0.3"]]],
+                         ids=["diagonal", "triangular"])
+def test_singular_volatility_on_a_path_raises(s_exprs):
+    # s is singular at the start x0 = (1, 1): an exactly zero diagonal entry
+    # stops the division as a singular matrix stops the solve
+    model = builtin_model("custom", dim=2, b_exprs=["0.05", "0.03"], s_exprs=s_exprs)
+    with pytest.raises(SingularDiffusion):
+        terminal_block(model, np.array([1.0, 1.0]), SimConfig(0.0, 1.0, 4, 64, 0, "log-euler"),
+                       0, 64)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import adi_reference as ref
 import numpy as np
 import pytest
+from memory_helpers import traced_peak
 
 from qhedge import _kernels, oracles, pde
 from qhedge.errors import ArgmaxAtBoundary, DimensionUnsupported, DomainMismatch, Nonfinite
@@ -329,6 +330,64 @@ def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     substeps = steps + min(surf.meta["rannacher_steps"], steps)
     assert factored == {sweep: 1 for sweep in sweeps}
     assert solves == {sweep: substeps for sweep in sweeps}
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_slabs_do_not_move_the_surface(monkeypatch, case):
+    # explicit and read work one slab of the first x axis at a time; the
+    # slab sizes below split it into one-row slabs, unevenly with a
+    # remainder slab, and into one slab, for both passes.  Every surface is
+    # the one of the default slab size, and of the whole-level passes,
+    # bit for bit
+    model, payoff, grid, kw = sweep_cases()[case]
+    kw = {"refine": 2} if case == 0 else kw
+    want = pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes()
+    splits = []
+    slab_rows = pde._slab_rows
+
+    def spy(shape):
+        rows = slab_rows(shape)
+        splits.append((shape[0], rows))
+        return rows
+
+    monkeypatch.setattr(pde, "_slab_rows", spy)
+    for slab_bytes in (1, 1400, 6000, 1 << 30):
+        monkeypatch.setattr(pde, "_SLAB_BYTES", slab_bytes)
+        assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
+    # one call for the explicit pass, then one for the read-back, per solve
+    for calls in (splits[0::2], splits[1::2]):
+        assert any(rows < n and n % rows for n, rows in calls)
+        assert any(rows >= n for n, rows in calls)
+    monkeypatch.setattr(pde._DualOperator, "explicit", ref.explicit)
+    monkeypatch.setattr(pde._DualOperator, "read", ref.read)
+    assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
+
+
+def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
+    # beyond the surface it returns, the d=2 solve holds, in state arrays W
+    # (an interior array counted as W): the state, 1; the increment and its
+    # eta-first copy, 2, whose memory the read-back's slabs share; the eta
+    # sweep's factors, 3, and the band their factoring copies, 1; per
+    # requested node the read-back's index, offset and two bounds, 4 x 0.7
+    # (a level has 31 q > 0 where W has 44 eta nodes), and a flag, 0.1.
+    # That is 9.9 W; the x factors at their bands' shape, the stencil's
+    # coefficients and the one-row product slab add about 0.3 W, so 11 W.
+    # Measured: 9.8 W, and 14.5 W with lane-shaped x factors, 18.6 W with
+    # the whole-level read
+    monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
+    model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
+    grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
+                            z_max=6.0, epsilon=0.2)
+    states = []
+    apply_bc = pde._DualOperator.apply_bc
+
+    def record(op, W):
+        states.append(W.nbytes)
+        apply_bc(op, W)
+
+    monkeypatch.setattr(pde._DualOperator, "apply_bc", record)
+    surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(), grid)
+    assert peak - surf.values.nbytes <= 11 * states[0]
 
 
 def test_refinement_and_padding_controls():
