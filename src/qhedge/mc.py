@@ -27,6 +27,19 @@ grid; per-bin sums of L, v and their products (taken about the means of
 L and v), accumulated over the bins, give every value and standard error
 in O(n log m) for n samples and m grid points.  Each eps uses the same
 aux draws, so curves at different eps keep the common random numbers.
+
+Memory: the curve estimators take the samples one block of _BIN_BLOCK
+(2^16) at a time, so their scratch is O(block) and O(grid), apart from
+two arrays that stay whole.  dual_curve at eps > 0 keeps L_eps for all
+samples, because its mean cL is numpy's pairwise sum of the whole array,
+which no sum of block sums reproduces; at eps = 0 it needs no L.
+quantile_curve keeps its sorted copy of the values, since the order
+statistics come from a whole-array sort.  The results are those of the
+whole-array passes bit for bit: np.add.at continues np.bincount's
+in-order sums across blocks, and each block's prefix sums start from the
+previous block's total.  At 10^6 samples dual_curve peaks at about 1.5
+times the value array at eps > 0 and 0.4 at eps = 0, quantile_curve at
+1.1 (tracemalloc), where the whole-array passes took 3.2 and 4.0.
 """
 from __future__ import annotations
 
@@ -60,7 +73,8 @@ class SampleSet:
         v = self.values
         if v.ndim != 1 or v.size < 1:
             raise EmptySamples("need a non-empty 1-d value array")
-        if not np.all(np.isfinite(v)) or not np.all(v > 0):
+        # min and max propagate NaN, and take no sample-sized temporary
+        if not (v.min() > 0 and v.max() < np.inf):
             raise ValueError("sample values must be finite and > 0")
         if self.aux is not None and self.aux.shape != v.shape:
             raise ValueError("aux must match values in shape")
@@ -130,12 +144,6 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
     return sample_set(values, aux=aux, horizon=cfg.horizon)
 
 
-def _prefix_sum(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.size + 1)
-    np.cumsum(v, out=out[1:])
-    return out
-
-
 def quantile_value(samples: SampleSet, p: float) -> Estimate:
     if not 0.0 <= p <= 1.0:
         raise POutOfRange(f"p={p} outside [0, 1]")
@@ -162,7 +170,9 @@ def quantile_value(samples: SampleSet, p: float) -> Estimate:
 def quantile_curve(samples: SampleSet, p_grid=None):
     """Vectorized quantile_value over a p grid via prefix sums.
 
-    Returns (p, value, std_error) arrays.
+    Returns (p, value, std_error) arrays.  Beyond the sorted copy of the
+    values, the prefix sums take one block of _BIN_BLOCK samples at a time
+    and keep only their values at the k of the p grid.
     """
     if p_grid is None:
         p_grid = default_p_grid()
@@ -174,7 +184,7 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     m = p * n
     k = np.minimum(np.floor(m).astype(int), n)
     vk = v[np.minimum(k, n - 1)]
-    value = (_prefix_sum(v)[k] + np.where(k < n, (m - k) * vk, 0.0)) / n
+    value = (_prefix_sums_at(v, k)[0] + np.where(k < n, (m - k) * vk, 0.0)) / n
     se = np.zeros_like(value)
     if n >= 2:
         # influence function (a - v)^+ at a = v_k: the k lowest samples pay
@@ -183,14 +193,40 @@ def quantile_curve(samples: SampleSet, p_grid=None):
         # spread among the payers plus the gap between their mean and the
         # n - k zeros.
         c = v.mean()
-        dv = v - c
-        sd = _prefix_sum(dv)[k]
-        sdd = _prefix_sum(dv * dv)[k]
+        sd, sdd = _prefix_sums_at(v, k, c)
         t = k * (vk - c) - sd
         k1 = np.maximum(k, 1)
         within = np.maximum(sdd - sd * sd / k1, 0.0)
         se = np.sqrt((within + (n - k) * t * t / (n * k1)) / (n - 1) / n)
     return p, value, se
+
+
+def _prefix_sums_at(v: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
+    """The sums of the first k of v, or with c given, of the first k of
+    v - c and of (v - c)**2, at each k in 0..n: what np.cumsum of the whole
+    array gives, bit for bit, taken one block of _BIN_BLOCK at a time in
+    one reused buffer.  Each block's first term gets the sum before it, so
+    every running sum is the whole array's sequential one."""
+    n = v.size
+    kk = k.reshape(-1)
+    terms = np.empty((1 if c is None else 2, min(n, _BIN_BLOCK)))
+    out = np.zeros((len(terms), kk.size))
+    for lo in range(0, n, _BIN_BLOCK):
+        hi = min(lo + _BIN_BLOCK, n)
+        blk = terms[:, :hi - lo]
+        if c is None:
+            blk[0] = v[lo:hi]
+        else:
+            np.subtract(v[lo:hi], c, out=blk[0])
+            np.multiply(blk[0], blk[0], out=blk[1])
+        if lo:
+            blk[:, 0] += carry
+        np.cumsum(blk, axis=1, out=blk)
+        carry = blk[:, -1].copy()
+        # the sums of the first lo + 1 .. hi samples
+        at = (kk > lo) & (kk <= hi)
+        out[:, at] = blk[:, kk[at] - lo - 1]
+    return out.reshape((len(terms),) + k.shape)
 
 
 def dual_value(samples: SampleSet, q: float) -> Estimate:
@@ -206,7 +242,9 @@ def dual_value(samples: SampleSet, q: float) -> Estimate:
 def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     """dual_value_regularized over a whole q grid in one pass; (q, value, se).
 
-    q may come in any order; value and se follow it.
+    q may come in any order; value and se follow it.  The samples are
+    binned and summed one block of _BIN_BLOCK at a time; at eps > 0 the
+    multipliers L_eps are the one other n-array.
     """
     q = np.asarray(q_grid, dtype=float)
     if np.any(q < 0):
@@ -215,28 +253,36 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
         raise ValueError("eps must be >= 0")
     v = samples.values
     n = v.size
-    L = _aux_multipliers(samples, eps) if eps > 0 else np.ones(n)
     order = np.argsort(q, kind="stable")
     qs = q[order]
-    # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
-    # grid index first[i] on
-    buf = np.divide(v, L)
-    first = _bin_right(qs, buf)
-
-    def paying(weights=None):
-        """Per-q sums over the paying samples: binned once, accumulated."""
-        return np.cumsum(np.bincount(first, weights, minlength=q.size + 1))[:-1]
-
     # moments about the global means, so that constant payouts cancel
-    # exactly; products go through buf, so three n-arrays are live at most
-    cL, cv = L.mean(), v.mean()
-    a = np.subtract(L, cL, out=L)
-    k, sa = paying(), paying(a)
-    saa = paying(np.multiply(a, a, out=buf))
-    d = np.subtract(v, cv, out=buf)
-    sd = paying(d)
-    sad = paying(np.multiply(a, d, out=a))
-    sdd = paying(np.multiply(d, d, out=d))
+    # exactly.  At eps = 0, L = 1 = cL on every sample, so the sums over
+    # a = L - cL are exactly +0.0 and v / L is v.
+    L = _aux_multipliers(samples, eps) if eps > 0 else None
+    cL, cv = (1.0 if L is None else L.mean()), v.mean()
+    # per-bin counts and sums of a, a a, d, a d and d d (d = v - cv); a
+    # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
+    # grid index first_i on.  np.add.at adds in sample order, as
+    # np.bincount does, so the blocks give the whole array's sums.
+    count = np.zeros(q.size + 1, dtype=np.intp)
+    bins = np.zeros((5, q.size + 1))
+    ba, baa, bd, bad, bdd = bins
+    for lo in range(0, n, _BIN_BLOCK):
+        vb = v[lo:lo + _BIN_BLOCK]
+        a = None if L is None else L[lo:lo + _BIN_BLOCK]
+        first = _bin_right(qs, vb if a is None else np.divide(vb, a))
+        count += np.bincount(first, minlength=q.size + 1)
+        d = np.subtract(vb, cv)
+        np.add.at(bd, first, d)
+        np.add.at(bdd, first, d * d)
+        if a is not None:
+            a -= cL
+            np.add.at(ba, first, a)
+            np.add.at(baa, first, a * a)
+            np.add.at(bad, first, a * d)
+    # the sums over the paying samples at each q
+    k = np.cumsum(count)[:-1]
+    sa, saa, sd, sad, sdd = np.cumsum(bins, axis=1)[:, :-1]
     t = qs * sa - sd
     total = np.maximum(t + k * (qs * cL - cv), 0.0)
     value = np.empty_like(qs)
@@ -251,7 +297,8 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     return q, value, se
 
 
-# samples binned per pass of _bin_right, so that its scratch stays small
+# samples per block of the curve estimators and of _bin_right, so that
+# their scratch stays O(block) whatever the number of samples
 _BIN_BLOCK = 1 << 16
 
 
@@ -260,7 +307,8 @@ def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
     j with qs[j-1] <= u < qs[j].  A first guess from the grid's mean
     spacing is corrected by +-1 until that holds for every sample, which
     on a uniform grid takes a round or two; a non-uniform grid just takes
-    more."""
+    more.  dual_curve bins one block of _BIN_BLOCK samples per call; a
+    longer u is binned that many samples at a time as well."""
     m = qs.size
     span = qs[-1] - qs[0]
     # below[j] = qs[j-1] and above[j] = qs[j], framed by -inf and by NaN,
@@ -292,8 +340,10 @@ def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _aux_multipliers(samples: SampleSet, eps: float) -> np.ndarray:
     if samples.aux is None:
         raise MissingAux("sample set carries no auxiliary Brownian increments")
-    tau = samples.horizon
-    return np.exp(-0.5 * eps * eps * tau + eps * samples.aux)
+    # exp(-eps^2 tau / 2 + eps B) built in the one array it returns
+    out = np.multiply(samples.aux, eps)
+    out += -0.5 * eps * eps * samples.horizon
+    return np.exp(out, out=out)
 
 
 def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate:

@@ -16,15 +16,19 @@ surface-sized temporary.
 
 CSV long format: header t,x1[,x2],<q|p>,value and one row per node,
 printed with %.17g so parsing back reproduces the exact doubles.  The
-writer formats each axis node once and, per time level, the value column
-as arrays; the bytes are those of formatting every column of every row
-with %.17g.  A value v with 1e-4 <= |v| < 1e16 gets its 17 significant
-digits exactly: the error-free product of |v| and 10**(16 - k) (Dekker's
-TwoProduct, with k = floor(log10 |v|) checked against the product) is
-rounded half-even, as the correctly rounded %.17g does, and the text
-comes from tables of 4-digit groups.  Exact zeros print as 0 or -0 on the
-same path.  Other values (nonzero |v| < 1e-4, subnormals included, and
-|v| >= 1e16) take b"%.17g" % v one by one.
+writer formats each axis node once and keeps the text of every x-and-q
+node of a level in one list, which it holds for the whole surface.  It
+then formats the value column as arrays and joins the rows one chunk of
+_CSV_CHUNK (4096) nodes of a level at a time, so that its scratch beyond
+that list does not grow with the surface.  The bytes are those of
+formatting every column of every row with %.17g.  A value v with
+1e-4 <= |v| < 1e16 gets its 17 significant digits exactly: the
+error-free product of |v| and 10**(16 - k) (Dekker's TwoProduct, with
+k = floor(log10 |v|) checked against the product) is rounded half-even,
+as the correctly rounded %.17g does, and the text comes from tables of
+4-digit groups.  Exact zeros print as 0 or -0 on the same path.  Other
+values (nonzero |v| < 1e-4, subnormals included, and |v| >= 1e16) take
+b"%.17g" % v one by one.
 """
 from __future__ import annotations
 
@@ -278,6 +282,11 @@ def _format_g17(values: np.ndarray) -> tuple[list, list]:
     return heads, tails
 
 
+# surface nodes per chunk of write_surface_csv, so that its scratch stays
+# within a few MB on any surface
+_CSV_CHUNK = 4096
+
+
 def write_surface_csv(surface: Surface, path) -> None:
     g = surface.grid
     xcols = ",".join(f"x{i + 1}" for i in range(g.dim))
@@ -293,15 +302,21 @@ def write_surface_csv(surface: Surface, path) -> None:
     nodes = [b""]
     for axis in g.x_axes + (g.z,):
         nodes = [head + node + b"," for head in nodes for node in fmt(axis)]
-    parts = [b""] * (4 * len(nodes))
-    parts[1::4] = nodes
+    # a level is formatted and joined _CSV_CHUNK nodes at a time, in one
+    # parts list; a shorter last chunk takes a slice of it
+    chunk = min(_CSV_CHUNK, len(nodes))
+    parts = [b""] * (4 * chunk)
     values = surface.values.reshape(g.t.size, -1)
     with open(path, "wb") as fh:
         fh.write(header)
         for t, level in zip(fmt(g.t), values):
-            parts[0::4] = [b"\n" + t + b","] * len(nodes)
-            parts[2::4], parts[3::4] = _format_g17(level)
-            fh.write(b"".join(parts))
+            parts[0::4] = [b"\n" + t + b","] * chunk
+            for lo in range(0, len(nodes), chunk):
+                hi = min(lo + chunk, len(nodes))
+                some = parts if hi - lo == chunk else parts[:4 * (hi - lo)]
+                some[1::4] = nodes[lo:hi]
+                some[2::4], some[3::4] = _format_g17(level[lo:hi])
+                fh.write(b"".join(some))
         fh.write(b"\n")
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import estimator_reference as ref
+from memory_helpers import traced_peak
 from neyman_pearson_reference import neyman_pearson_bruteforce
 from qhedge import engine, mc
 from qhedge.engine import SimConfig
@@ -33,6 +35,16 @@ def test_sample_set_keeps_draw_order_and_aligns_aux():
         toy([1.0, np.inf])
     with pytest.raises(ValueError):
         toy([1.0, 2.0], aux=[1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, -np.finfo(float).tiny])
+def test_sample_set_rejects_values_not_finite_and_positive(bad):
+    # the check takes the min and max, which NaN propagates to
+    for at in (0, 2, 4):
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        values[at] = bad
+        with pytest.raises(ValueError, match="finite and > 0"):
+            toy(values)
 
 
 def _tied_sample():
@@ -388,3 +400,82 @@ def test_dual_curve_argument_checks():
     # eps = 0 needs no aux
     _, value, _ = mc.dual_curve(toy([1.0, 2.0, 3.0]), [2.5])
     assert value[0] == pytest.approx(2.0 / 3)
+
+
+def _curves_equal(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _block_case():
+    # n = 1000 is a multiple of none of the blocks > 1 below, so every
+    # blocking ends on a short block; the q grid is unsorted, with repeats
+    # and q = 0; the p grid holds p = 0 and p = 1 (k = 0 and k = n)
+    rng = np.random.default_rng(23)
+    s = toy(rng.lognormal(0.0, 0.5, 1000), aux=rng.normal(size=1000))
+    q = rng.permutation(np.concatenate([np.linspace(0.0, 3.0, 41), [1.0, 1.0, 0.0, 2.5, 9.0]]))
+    p = rng.permutation(np.concatenate([np.linspace(0.0, 1.0, 101), [0.5, 0.0, 0.9995]]))
+    return s, q, p
+
+
+@pytest.mark.parametrize("block", [1, 7, 97, 1 << 16])
+@pytest.mark.parametrize("eps", [0.0, 0.2, 1.3])
+def test_blocked_dual_curve_matches_the_whole_array_pass(monkeypatch, block, eps):
+    monkeypatch.setattr(mc, "_BIN_BLOCK", block)
+    s, q, _ = _block_case()
+    assert _curves_equal(mc.dual_curve(s, q, eps), ref.dual_curve(s, q, eps))
+
+
+@pytest.mark.parametrize("block", [1, 7, 97, 1 << 16])
+def test_blocked_quantile_curve_matches_the_whole_array_pass(monkeypatch, block):
+    monkeypatch.setattr(mc, "_BIN_BLOCK", block)
+    s, _, p = _block_case()
+    assert _curves_equal(mc.quantile_curve(s, p), ref.quantile_curve(s, p))
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_blocked_curves_on_constant_samples_match_the_whole_array_passes(monkeypatch, block):
+    monkeypatch.setattr(mc, "_BIN_BLOCK", block)
+    s = toy(np.full(1000, 1.3), aux=np.linspace(-2.0, 2.0, 1000))
+    q = np.linspace(0.0, 3.0, 31)
+    p = np.linspace(0.0, 1.0, 21)
+    for eps in (0.0, 0.2):
+        assert _curves_equal(mc.dual_curve(s, q, eps), ref.dual_curve(s, q, eps))
+    assert _curves_equal(mc.quantile_curve(s, p), ref.quantile_curve(s, p))
+
+
+def test_in_place_multipliers_match_the_whole_array_expression():
+    s, _, _ = _block_case()
+    for eps in (0.2, 1.3):
+        assert np.array_equal(mc._aux_multipliers(s, eps), ref.aux_multipliers(s, eps))
+        est = mc.dual_value_regularized(s, 1.1, eps)
+        assert (est.value, est.std_error) == ref.dual_value_regularized(s, 1.1, eps)
+
+
+@pytest.fixture(scope="module")
+def million():
+    rng = np.random.default_rng(9)
+    return toy(rng.lognormal(0.0, 0.5, 10 ** 6), aux=rng.normal(size=10 ** 6))
+
+
+# One block of mc._BIN_BLOCK = 2^16 doubles is 0.066 of the 10^6-sample
+# value array.  While a block is binned, dual_curve holds _bin_right's
+# first guess, bin index, result and one gathered grid row (4.3 blocks,
+# its masks included), the block's thresholds v / L, and the previous
+# block's bins and d = v - cv: about 7.3 blocks, 0.48.  At eps > 0 it
+# also keeps L_eps whole (1.0), because cL is the pairwise mean of the
+# whole array.  Measured: 1.48 at eps > 0 and 0.41 at eps = 0; the gates
+# leave room for three or four more blocks.  The whole-array pass held L,
+# the thresholds, the bins and one weight array at once: 3.21 either way.
+@pytest.mark.parametrize("eps, bound", [(0.2, 1.7), (0.0, 0.7)])
+def test_dual_curve_scratch_is_a_few_blocks(million, eps, bound):
+    q = np.linspace(0.0, 3.0, 257)
+    _, peak = traced_peak(mc.dual_curve, million, q, eps)
+    assert peak < bound * million.values.nbytes
+
+
+def test_quantile_curve_scratch_is_its_sorted_copy_and_two_blocks(million):
+    # the sorted copy (1.0) and two reused block buffers of prefix sums
+    # (0.13): 1.13 measured, where the whole-array pass held the sorted
+    # copy, v - c, its square and a prefix sum at once: 4.00
+    _, peak = traced_peak(mc.quantile_curve, million, mc.default_p_grid())
+    assert peak < 1.25 * million.values.nbytes

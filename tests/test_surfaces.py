@@ -1,5 +1,6 @@
 """Grid containers, interpolation, and the CSV / binary persistence pair."""
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhedge import mc, pde
+from qhedge import mc, pde, surfaces
 from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import (GridSpec, Surface, _format_g17, read_surface_bin,
                              write_surface_bin, write_surface_csv)
@@ -371,3 +372,35 @@ def test_forged_lengths_are_rejected_before_any_payload_allocation(tmp_path):
         message, peak = traced_peak(read_error, forged)
         assert "truncated" in message
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, 48, 4096])
+def test_csv_chunks_do_not_change_the_bytes(tmp_path, monkeypatch, chunk):
+    # 48 nodes a level, so that chunks of 5 and 7 end on a short one; every
+    # third value prints by the per-value fallback
+    monkeypatch.setattr(surfaces, "_CSV_CHUNK", chunk)
+    g = GridSpec(np.arange(4.0), (np.array([0.5, 0.7, 1.9, 2.0]), np.array([0.1, 0.3, 5.0])),
+                 np.array([0.0, 0.1 + 0.2, 0.5, 1.0]), "p", 0.25)
+    vals = np.random.default_rng(chunk).normal(size=g.shape)
+    vals.flat[::3] *= 1e-7
+    surf = Surface(g, vals, {})
+    want, got = tmp_path / "rows.csv", tmp_path / "surface.csv"
+    write_rows_reference(surf, want)
+    write_surface_csv(surf, got)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writer_scratch_is_a_few_chunks():
+    # a pipeline-shaped dual, 64 t x 128 x x 128 q (8.4 MB).  The writer
+    # keeps the text of the 16 384 x-and-q nodes of a level, 80 bytes a
+    # node (1.3 MB).  One chunk of 4 096 nodes peaks at about 510 bytes a
+    # node (2.1 MB): the g17 kernel's arrays, its two lists of bytes
+    # objects, the parts list and the joined text.  That is 0.41 of the
+    # values (0.42 measured); formatting and joining a whole level at once
+    # took 1.13.
+    g = GridSpec.regular(0.0, 1.0, 64, 0.5, 2.0, 128, 128, "q", z_max=8.0, epsilon=0.2)
+    x, q = np.meshgrid(g.x_axes[0], g.z, indexing="ij")
+    level = np.maximum(q - x, 0.0) + 1e-3 * np.sin(x * q)
+    surf = Surface(g, np.broadcast_to(level, g.shape).copy(), {})
+    _, peak = traced_peak(write_surface_csv, surf, os.devnull)
+    assert peak < 0.6 * surf.values.nbytes
