@@ -18,7 +18,7 @@ Configs are INI files; the keys read, with their defaults:
             expression: expr (required)
   [grid]    needed by solve, and by price and dual unless the method is mc
             t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
-            n_x = 128, n_z = 128, domain = q, z_max (required for domain q)
+            n_x = 128, n_z = 128, domain = q (only q), z_max (required)
   [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values,
             each finite and > 0; price and dual with the pde or pipeline
             method read the surface at the grid node nearest x0 and need
@@ -52,7 +52,8 @@ sup gap never rises as eps falls, whatever order the config lists eps in.
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
 of range, such as a refine or pad with another count of values than those
-above), 3 numerical failure.
+above; also a grid or surface of the wrong dimension or domain, such as a
+dual surface given to verify), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -222,6 +223,8 @@ class _Run:
 
     def grid(self, epsilon: float) -> GridSpec:
         grid = _parse_grid(self.cp, epsilon)
+        if grid.domain != "q":
+            raise ConfigError(f"[grid] has domain {grid.domain}, the dual solver needs q")
         if grid.dim != self.model.dim:
             raise ConfigError(f"[grid] has dimension {grid.dim}, the model {self.model.dim}")
         return grid
@@ -284,6 +287,15 @@ def _x0_index(grid: GridSpec, x0: np.ndarray) -> tuple:
     return tuple(idx)
 
 
+def _write_surface(run: _Run, surf, stem: str) -> list:
+    """Write surf to `stem`.bin and `stem`.csv in the output directory and
+    return the two file names."""
+    names = [f"{stem}.bin", f"{stem}.csv"]
+    write_surface_bin(surf, os.path.join(run.out, names[0]))
+    write_surface_csv(surf, os.path.join(run.out, names[1]))
+    return names
+
+
 def cmd_price(run: _Run) -> int:
     p_grid = mc.default_p_grid(run.p_points)
     grid = None
@@ -328,9 +340,7 @@ def cmd_dual(run: _Run) -> int:
             surf = run.solve(eps)
             grid = surf.grid
             tag = ("%g" % eps).replace(".", "p")
-            write_surface_bin(surf, os.path.join(run.out, f"dual_eps{tag}.bin"))
-            write_surface_csv(surf, os.path.join(run.out, f"dual_eps{tag}.csv"))
-            artifacts += [f"dual_eps{tag}.bin", f"dual_eps{tag}.csv"]
+            artifacts += _write_surface(run, surf, f"dual_eps{tag}")
             for j, q in enumerate(grid.z):
                 rows.append((eps, float(q), float(surf.values[0][ix + (j,)]), 0.0))
             # release this epsilon's surface before the next one is solved
@@ -355,15 +365,11 @@ def cmd_solve(run: _Run) -> int:
         surf = run.solve(eps)
         grid = surf.grid
         tag = ("%g" % eps).replace(".", "p")
-        write_surface_bin(surf, os.path.join(run.out, f"surface_eps{tag}.bin"))
-        write_surface_csv(surf, os.path.join(run.out, f"surface_eps{tag}.csv"))
-        artifacts += [f"surface_eps{tag}.bin", f"surface_eps{tag}.csv"]
+        artifacts += _write_surface(run, surf, f"surface_eps{tag}")
         counted = {"epsilon": eps, "substeps": surf.meta["substeps"]}
         if run.method == "pipeline":
             primal = pde.dual_to_primal(surf, mc.default_p_grid(run.p_points))
-            write_surface_bin(primal, os.path.join(run.out, f"primal_eps{tag}.bin"))
-            write_surface_csv(primal, os.path.join(run.out, f"primal_eps{tag}.csv"))
-            artifacts += [f"primal_eps{tag}.bin", f"primal_eps{tag}.csv"]
+            artifacts += _write_surface(run, primal, f"primal_eps{tag}")
             for key in ("enveloped_slices", "saturated_slices"):
                 counted[key] = primal.meta[key]
         counters.append(counted)
@@ -384,6 +390,9 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
         surf = read_surface_bin(surface_path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read surface file: {exc}") from None
+    if surf.grid.domain != "p":
+        raise ConfigError(f"the surface has domain {surf.grid.domain}, verify needs "
+                          "a primal (p-domain) surface")
     if surf.grid.dim != run.model.dim:
         raise ConfigError(f"the surface has dimension {surf.grid.dim}, "
                           f"the model {run.model.dim}")

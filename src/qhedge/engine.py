@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Nonfinite, SchemeMismatch, SingularDiffusion
-from .market import MarketModel
+from .market import MarketModel, theta_from
 
 BLOCK = 8192
 # Above this magnitude exp() overflows float64; treated as a lost path.
@@ -134,7 +134,7 @@ def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_ou
         np.multiply(theta, e, out=t2)
         np.subtract(t1, t2, out=dlz_out[:, None])
         return
-    theta = _theta(model, sv, bv)
+    theta = theta_from(sv, bv, model.name)
     # y + (b - 0.5 diag(a)) h + s e and -0.5 |theta|^2 h - theta'e, in the
     # order written, as for d = 1
     np.einsum("nij,nij->ni", sv, sv, out=t1)
@@ -149,26 +149,6 @@ def _euler_step(model: MarketModel, y: np.ndarray, e: np.ndarray, h: float, y_ou
     dlz_out *= -0.5
     dlz_out *= h
     dlz_out -= np.einsum("ni,ni->n", theta, e)
-
-
-def _theta(model: MarketModel, sv: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """theta = s^-1 b on every path, for s (n, d, d) and b (n, d), d >= 2.
-    Where s is diagonal on every path (its nonzero entries are all on the
-    diagonal) this is b / diag(s), which is what LAPACK's solve returns on
-    a diagonal matrix, bit for bit, in a tenth of its time (0.3 against 3.0
-    ms on an 8192-path d = 2 block); otherwise one batched solve."""
-    diag = np.diagonal(sv, axis1=1, axis2=2)
-    if np.count_nonzero(sv) == np.count_nonzero(diag):
-        if not diag.all():
-            raise SingularDiffusion(
-                f"volatility matrix singular on a simulated path of model {model.name}")
-        return bv / diag
-    try:
-        return np.linalg.solve(sv, bv[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularDiffusion(
-            f"volatility matrix singular on a simulated path of model {model.name}: {exc}"
-        ) from None
 
 
 def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, first_path: int,

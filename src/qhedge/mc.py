@@ -297,8 +297,8 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     return q, value, se
 
 
-# samples per block of the curve estimators and of _bin_right, so that
-# their scratch stays O(block) whatever the number of samples
+# samples per block of the curve estimators, so that their scratch stays
+# O(block) whatever the number of samples
 _BIN_BLOCK = 1 << 16
 
 
@@ -307,34 +307,30 @@ def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
     j with qs[j-1] <= u < qs[j].  A first guess from the grid's mean
     spacing is corrected by +-1 until that holds for every sample, which
     on a uniform grid takes a round or two; a non-uniform grid just takes
-    more.  dual_curve bins one block of _BIN_BLOCK samples per call; a
-    longer u is binned that many samples at a time as well."""
+    more.  Its scratch is a few arrays of u's size: dual_curve passes one
+    block of _BIN_BLOCK samples per call."""
     m = qs.size
     span = qs[-1] - qs[0]
     # below[j] = qs[j-1] and above[j] = qs[j], framed by -inf and by NaN,
     # which compares false, so that no u, +inf included, moves past m
     framed = np.concatenate(([-np.inf], qs, [np.nan]))
     below, above = framed[:-1], framed[1:]
-    first = np.empty(u.size, dtype=np.intp)
-    for lo in range(0, u.size, _BIN_BLOCK):
-        ub = u[lo:lo + _BIN_BLOCK]
-        guess = np.subtract(ub, qs[0])
-        if span > 0.0:
-            guess *= (m - 1) / span
-        else:
-            guess.fill(0.0)
-        np.floor(guess, out=guess)
-        guess += 1.0
-        j = np.clip(guess, 0, m, out=guess).astype(np.intp)
-        todo = np.flatnonzero((below[j] > ub) | (above[j] <= ub))
-        while todo.size:
-            jt, ut = j[todo], ub[todo]
-            jt += above[jt] <= ut
-            jt -= below[jt] > ut
-            j[todo] = jt
-            todo = todo[(below[jt] > ut) | (above[jt] <= ut)]
-        first[lo:lo + _BIN_BLOCK] = j
-    return first
+    guess = np.subtract(u, qs[0])
+    if span > 0.0:
+        guess *= (m - 1) / span
+    else:
+        guess.fill(0.0)
+    np.floor(guess, out=guess)
+    guess += 1.0
+    j = np.clip(guess, 0, m, out=guess).astype(np.intp)
+    todo = np.flatnonzero((below[j] > u) | (above[j] <= u))
+    while todo.size:
+        jt, ut = j[todo], u[todo]
+        jt += above[jt] <= ut
+        jt -= below[jt] > ut
+        j[todo] = jt
+        todo = todo[(below[jt] > ut) | (above[jt] <= ut)]
+    return j
 
 
 def _aux_multipliers(samples: SampleSet, eps: float) -> np.ndarray:

@@ -25,23 +25,24 @@ e^(eta + phi): the drift above up to O(dx^2 + de^2), and w_q = 1 exactly
 where w - q does not depend on q.  Mixed terms remain only between x axes
 (gbm with a full volatility matrix), at the model's own correlation.
 
-Time stepping is Douglas ADI in delta form (Douglas & Rachford 1956): a
-substep of length h takes the increment z = h F(W) of the whole discrete
-operator, x-x mixed terms included, in one explicit pass of the stencil,
-then solves (I - th A_i) z_i = z_(i-1) one axis at a time (x axes, then
-eta) with th = theta h, and sets W <- W + z.  With h = dt / r_t for r_t
-time refinements, the first _RANNACHER_STEPS steps are each two implicit
-Euler half steps (Rannacher startup: theta = 1 on h / 2), the rest
-Crank-Nicolson (theta = 1/2 on h), so every substep has th = h / 2.  Each
-implicit sweep is one tridiagonal system per line, with the swept axis
-first and every other axis a lane: factored once per solve
-(_kernels.factor_lines) and solved by one Thomas recurrence per substep
-(_kernels.thomas_batch), down the swept axis on all lanes at once.  An x
-sweep works in place on the increment, every eta column a lane; the eta
-sweep works on one eta-first copy of it.  The Thomas kernel does not
-pivot.  That is stable where the rows are diagonally dominant: in every x
-sweep (slack 1), and in the eta sweep while th (|ce1| - ce2) <= 1/2,
-which a strong eta drift on a coarse t axis can break.
+Time stepping is Douglas ADI in delta form (Douglas & Rachford 1956), on
+one step length h = dt / r_t for r_t time refinements, whose stencil of h
+F the operator builds once per solve, F the whole discrete operator, x-x
+mixed terms included.  A substep takes the increment z = h F(W) in one
+explicit pass, solves (I - th A_i) z_i = z_(i-1) one axis at a time (x
+axes, then eta) and sets W <- W + z.  The first _RANNACHER_STEPS steps are
+each two implicit Euler half steps (Rannacher startup: theta = 1 on h /
+2), which halve z, exactly; the rest are Crank-Nicolson (theta = 1/2 on
+h).  So every substep sweeps at th = theta h' = h / 2.  Each implicit
+sweep is one tridiagonal system per line, with the swept axis first and
+every other axis a lane: factored once per solve (_kernels.factor_lines)
+and solved by one Thomas recurrence per substep (_kernels.thomas_batch),
+down the swept axis on all lanes at once.  An x sweep works in place on
+the increment, every eta column a lane; the eta sweep works on one
+eta-first copy of it.  The Thomas kernel does not pivot.  That is stable
+where the rows are diagonally dominant: in every x sweep (slack 1), and in
+the eta sweep while h (|ce1| - ce2) <= 1, which a strong eta drift on a
+coarse t axis can break.
 
 Every state a substep starts from satisfies the edge relations below:
 apply_bc sets them on the terminal data, after each substep, and after
@@ -215,13 +216,13 @@ def _carve(pool: np.ndarray, shapes) -> list:
 
 
 class _DualOperator:
-    """Workspace for the dual solve on (x_1..x_d, eta): coefficients on the
-    interior nodes, the explicit terms, the implicit sweeps, the edges and
-    the read-back to the requested x nodes (`restrict`) and q nodes, with
-    the increment and scratch buffers the substeps and reads reuse."""
+    """Workspace for the dual solve on (x_1..x_d, eta) with step length h:
+    coefficients on the interior nodes, the stencil of h F, the sweeps
+    factored at th = h / 2, the edges and the read-back to the requested x
+    nodes (`restrict`) and q nodes, with the buffers they reuse."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
-                 restrict, q: np.ndarray, q_top: float, n_eta: int):
+                 restrict, q: np.ndarray, q_top: float, n_eta: int, h: float):
         self.d = d = len(x_axes)
         sigma, theta, A = _coefficients(model, x_axes, eps)
         alpha = A[..., :d, :d]
@@ -244,7 +245,6 @@ class _DualOperator:
             self.faces.append([(e[a] - (1.0 + r) * e[b] + r * e[c])[..., None] * np.exp(self.eta)
                                for a, b, c, r in ((0, 1, 2, r_lo), (-1, -2, -3, r_hi))])
         self.cx = [0.5 * alpha[inner + (i, i)] for i in range(d)]
-        self._th = self._sweeps = self._h = self._terms = None
         # x pairs whose coefficient vanishes everywhere are left out
         spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(x_axes)]
         self.pairs = [(i, j, alpha[inner + (i, j)][..., None], spans[i] * spans[j])
@@ -284,6 +284,10 @@ class _DualOperator:
         pool = np.empty(max(sum(map(math.prod, step)), math.prod(read)))
         self._z, self._cols, self._prod = _carve(pool, step)
         self._read_slabs = pool[:math.prod(read)].reshape(read)
+        self.h = h
+        self.terms = self._stencil(h)
+        self.sweeps = [self._factor_x(0.5 * h, axis) for axis in range(d)] + [
+            self._factor_eta(0.5 * h)]
 
     def apply_bc(self, W: np.ndarray) -> None:
         """Set the edge relations in place: at each x edge the two nodes next
@@ -301,34 +305,31 @@ class _DualOperator:
         """h times the interior operator as (coefficient, shifts) terms: the
         centre, then one term per neighbour along each x axis and eta, and
         the four corners of each x-x mixed term.  The coefficients broadcast
-        along eta; only the current h's are kept."""
-        if h != self._h:
-            d = self.d
-            centre = -2.0 * self.ce2
-            sides = []
-            for axis, (c, (wl, wc, wr)) in enumerate(zip(self.cx, self.weights)):
-                c = c[..., None]
-                centre = centre + c * _along(wc, axis, d + 1)
-                sides += [(c * _along(wl, axis, d + 1), ((axis, _LO),)),
-                          (c * _along(wr, axis, d + 1), ((axis, _HI),))]
-            sides += [(self.ce2 - self.ce1, ((d, _LO),)), (self.ce2 + self.ce1, ((d, _HI),))]
-            sides += [(sign * c / span, ((i, si), (j, sj)))
-                      for i, j, c, span in self.pairs
-                      for si, sj, sign in ((_HI, _HI, 1.0), (_HI, _LO, -1.0),
-                                           (_LO, _HI, -1.0), (_LO, _LO, 1.0))]
-            self._terms = [(h * c, shifts) for c, shifts in [(centre, ())] + sides]
-            self._h = h
-        return self._terms
+        along eta."""
+        d = self.d
+        centre = -2.0 * self.ce2
+        sides = []
+        for axis, (c, (wl, wc, wr)) in enumerate(zip(self.cx, self.weights)):
+            c = c[..., None]
+            centre = centre + c * _along(wc, axis, d + 1)
+            sides += [(c * _along(wl, axis, d + 1), ((axis, _LO),)),
+                      (c * _along(wr, axis, d + 1), ((axis, _HI),))]
+        sides += [(self.ce2 - self.ce1, ((d, _LO),)), (self.ce2 + self.ce1, ((d, _HI),))]
+        sides += [(sign * c / span, ((i, si), (j, sj)))
+                  for i, j, c, span in self.pairs
+                  for si, sj, sign in ((_HI, _HI, 1.0), (_HI, _LO, -1.0),
+                                       (_LO, _HI, -1.0), (_LO, _LO, 1.0))]
+        return [(h * c, shifts) for c, shifts in [(centre, ())] + sides]
 
-    def explicit(self, W: np.ndarray, h: float) -> np.ndarray:
+    def explicit(self, W: np.ndarray) -> np.ndarray:
         """h F(W) on the interior nodes, F the whole discrete operator (every
         axis and the x-x mixed terms) on W as it stands, edges included,
         written to the operator's increment buffer, which the next substep
-        or read reuses, and returned.  It is
-        summed one slab of the first x axis at a time, term by term through
-        one slab-sized product buffer, in the order of the stencil; every
-        coefficient spans that axis."""
-        (centre, _), *terms = self._stencil(h)
+        or read reuses, and returned.  It is summed one slab of the first x
+        axis at a time, term by term through one slab-sized product buffer,
+        in the order of the stencil built for h; every coefficient spans
+        that axis."""
+        (centre, _), *terms = self.terms
         views = [_view(W, 0, shifts) for _, shifts in terms]
         z, rows = self._z, self._z_rows
         for lo in range(0, z.shape[0], rows):
@@ -339,15 +340,6 @@ class _DualOperator:
                 np.multiply(c[lo:hi], v[lo:hi], out=prod)
                 zs += prod
         return z
-
-    def _factors(self, th: float):
-        """The factored x and eta sweeps for th = theta_w h; only the current
-        th's are kept."""
-        if th != self._th:
-            self._sweeps = ([self._factor_x(th, axis) for axis in range(self.d)]
-                            + [self._factor_eta(th)])
-            self._th = th
-        return self._sweeps
 
     def _factor_x(self, th: float, axis: int):
         """(I - th*A_axis) on interior nodes with the edge extrapolation
@@ -381,38 +373,39 @@ class _DualOperator:
         """(I - th*A_eta) on interior eta nodes, eta first, one line per x
         node, with v = 0 at the bottom and the top's increment folded in.
         Its rows are diagonally dominant, so the pivot-free Thomas factors
-        are stable, while th (|ce1| - ce2) <= 1/2, that is while the eta
-        drift exceeds the diffusion by at most 1 / (2 th)."""
+        are stable, while th (|ce1| - ce2) <= 1/2, that is, at th = h / 2,
+        while h (|ce1| - ce2) <= 1."""
         c1 = np.moveaxis(self.ce1, -1, 0)
         lo, up = -th * (self.ce2 - c1), -th * (self.ce2 + c1)
         di = np.full((self.eta.size - 2,) + c1.shape[1:], 1.0 + 2.0 * th * self.ce2)
         di[-1] += up[-1]
         return _kernels.factor_lines(lo, di, up, f"eta sweep at th={th:g}")
 
-    def solve_x(self, rhs: np.ndarray, th: float, axis: int) -> np.ndarray:
+    def solve_x(self, rhs: np.ndarray, axis: int) -> np.ndarray:
         """The x sweep along `axis` for an increment, in place: one solve for
         every line of the axis, every eta column a lane."""
-        _kernels.thomas_batch(self._factors(th)[axis], np.moveaxis(rhs, axis, 0))
+        _kernels.thomas_batch(self.sweeps[axis], np.moveaxis(rhs, axis, 0))
         return rhs
 
-    def solve_eta(self, rhs: np.ndarray, th: float) -> np.ndarray:
+    def solve_eta(self, rhs: np.ndarray) -> np.ndarray:
         """The eta sweep for an increment: one solve for every x node at
         once, on an eta-first copy of rhs in the operator's own buffer;
         returns an (x, eta) view of that buffer."""
         np.copyto(self._cols, np.moveaxis(rhs, -1, 0))
-        return np.moveaxis(_kernels.thomas_batch(self._factors(th)[-1], self._cols), 0, -1)
+        return np.moveaxis(_kernels.thomas_batch(self.sweeps[-1], self._cols), 0, -1)
 
-    def substep(self, W: np.ndarray, h: float, theta_w: float) -> np.ndarray:
-        """One Douglas step of length h in delta form: the increment z =
-        h F(W), then (I - th A_i) z_i = z_(i-1) along each x axis and eta
-        with th = theta_w h, and W + z, in place: z is added to the
-        interior, and apply_bc rewrites every edge node from it.  Returns
-        W."""
-        th = theta_w * h
-        z = self.explicit(W, h)
+    def substep(self, W: np.ndarray, half: bool) -> np.ndarray:
+        """One Douglas step in delta form, in place: the increment z = h F(W),
+        halved on a Rannacher half step, then (I - th A_i) z_i = z_(i-1)
+        along each x axis and eta with th = h / 2, and W + z: z is added to
+        the interior, and apply_bc rewrites every edge node from it.
+        Returns W."""
+        z = self.explicit(W)
+        if half:
+            z *= 0.5
         for axis in range(self.d):
-            z = self.solve_x(z, th, axis)
-        z = self.solve_eta(z, th)
+            z = self.solve_x(z, axis)
+        z = self.solve_eta(z)
         inner = _view(W, 0)
         np.add(inner, z, out=inner)
         self.apply_bc(W)
@@ -553,8 +546,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     n_eta = (q.size - 1) * rq + 1 + pq * rq
     restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in grid.x_axes)
     q_top = float(q[-1] + pq * (q[-1] - q[-2]))
-    ws = _DualOperator(model, payoff, x_int, grid.epsilon, restrict, q, q_top, n_eta)
-    h = float(grid.dt) / rt
+    ws = _DualOperator(model, payoff, x_int, grid.epsilon, restrict, q, q_top, n_eta,
+                       float(grid.dt) / rt)
 
     values = np.empty(grid.shape)
     values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
@@ -563,10 +556,9 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     step = 0
     for k in range(grid.t.size - 2, -1, -1):
         for _ in range(rt):
-            if step < _RANNACHER_STEPS:
-                W = ws.substep(ws.substep(W, 0.5 * h, 1.0), 0.5 * h, 1.0)
-            else:
-                W = ws.substep(W, h, 0.5)
+            half = step < _RANNACHER_STEPS
+            for _ in range(2 if half else 1):
+                ws.substep(W, half)
             step += 1
         # min and max propagate NaN: no temporary of W's size
         if not (np.isfinite(W.min()) and np.isfinite(W.max())):

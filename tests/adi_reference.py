@@ -15,12 +15,19 @@ up to rounding.
 temporary the size of a time level, from before it worked in slabs: the
 same operations in the same order, so surfaces agree with them bit for
 bit.
+`substep_of_length` is the operator's step from before it was built for
+one step length: a Rannacher half step runs the stencil rebuilt for h / 2
+rather than halving the increment of h, and each step sweeps with factors
+rebuilt at th = theta h' for its own length h' and theta.  Halving is
+exact, so surfaces agree with it bit for bit.
+All of them take the step length h and th = h / 2 from the operator.
 """
 import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from qhedge import _kernels
 from qhedge.pde import _HI, _LO, _MID, _along, _cross_diff, _second_diff, _view
 
 
@@ -78,47 +85,71 @@ def _eta_sweep(op, rhs, th, bottom, top):
     return out.reshape(rhs.shape)
 
 
-def solve_x(op, rhs, th, axis):
+def solve_x(op, rhs, axis):
     """The x sweep for an increment: zero beyond either end."""
-    return _x_sweep(op, rhs, th, axis, (0.0, 0.0))
+    return _x_sweep(op, rhs, 0.5 * op.h, axis, (0.0, 0.0))
 
 
-def solve_eta(op, rhs, th):
+def solve_eta(op, rhs):
     """The eta sweep for an increment: zero beyond either end."""
     ends = np.zeros(rhs.shape[:-1])
-    return _eta_sweep(op, rhs, th, ends, ends)
+    return _eta_sweep(op, rhs, 0.5 * op.h, ends, ends)
 
 
-def substep(op, W, h, theta_w):
-    """One Douglas step in the standard form: the explicit predictor W + h
-    F(W), then per axis a sweep on the values of the predictor less th
-    times the axis's own explicit term, the edges folded in with the faces
-    of q and the top increment themselves."""
+def substep(op, W, half):
+    """One Douglas step in the standard form, in place: the explicit
+    predictor W + h' F(W), h' = h / 2 on a half step and h otherwise, then
+    per axis a sweep on the values of the predictor less th = h / 2 times
+    the axis's own explicit term, the edges folded in with the faces of q
+    and the top increment themselves."""
+    h = 0.5 * op.h if half else op.h
     diag = [op.cx[axis][..., None] * _second_diff(W, axis, op.weights[axis])
             for axis in range(op.d)]
     up, down = _view(W, 0, ((op.d, _HI),)), _view(W, 0, ((op.d, _LO),))
     diag.append(op.ce2 * (up - 2.0 * _view(W, 0) + down) + op.ce1 * (up - down))
     mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in op.pairs]
     y = _view(W, 0) + h * sum(diag + mixed)
-    th = theta_w * h
+    th = 0.5 * op.h
     inner = (_MID,) * op.d
     for axis in range(op.d):
         faces = [face[inner] for face in op.faces[axis]]
         y = _x_sweep(op, y - th * diag[axis], th, axis, faces)
     y = _eta_sweep(op, y - th * diag[-1], th, np.zeros(op.top[inner].shape), op.top[inner])
-    out = np.empty_like(W)
-    out[(_MID,) * (op.d + 1)] = y
-    op.apply_bc(out)
-    return out
+    W[(_MID,) * (op.d + 1)] = y
+    op.apply_bc(W)
+    return W
 
 
-def explicit(op, W, h):
-    """h F(W) on the interior nodes, one full temporary per stencil term."""
-    (centre, _), *terms = op._stencil(h)
+def _whole_level(stencil, W):
+    """The sum of a stencil's terms on W, one full temporary per term."""
+    (centre, _), *terms = stencil
     z = centre * _view(W, 0)
     for c, shifts in terms:
         z += c * _view(W, 0, shifts)
     return z
+
+
+def explicit(op, W):
+    """h F(W) on the interior nodes, one full temporary per stencil term."""
+    return _whole_level(op.terms, W)
+
+
+def substep_of_length(op, W, half):
+    """One Douglas step in delta form, in place, as the operator took it for
+    a step of length h' and weight theta: (h / 2, 1) on a half step, (h,
+    1/2) otherwise.  The increment h' F(W) comes from the stencil built for
+    h', and the sweeps from factors built at th = theta h'."""
+    h, theta_w = (0.5 * op.h, 1.0) if half else (op.h, 0.5)
+    th = theta_w * h
+    z = _whole_level(op._stencil(h), W)
+    for axis in range(op.d):
+        _kernels.thomas_batch(op._factor_x(th, axis), np.moveaxis(z, axis, 0))
+    cols = np.ascontiguousarray(np.moveaxis(z, -1, 0))
+    z = np.moveaxis(_kernels.thomas_batch(op._factor_eta(th), cols), 0, -1)
+    inner = _view(W, 0)
+    np.add(inner, z, out=inner)
+    op.apply_bc(W)
+    return W
 
 
 def read(op, W, out):

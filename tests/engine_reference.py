@@ -5,8 +5,8 @@ does the engine's arithmetic, so terminal states agree bit for bit for
 every model the engine steps in log space, builtin gbm included, under
 log-euler and under exact-gbm (one step over the horizon).  The radial
 one writes the bessel3 coefficients out by hand, so it agrees up to
-rounding.  `theta_by_solve` is engine._theta with a solve on every path,
-diagonal volatilities included.
+rounding.  `theta_by_solve` is market.theta_from with a solve at every
+state, diagonal volatilities included.
 """
 import numpy as np
 
@@ -59,6 +59,6 @@ def bessel3_log_paths(y0, dw, dt):
     return y, lz
 
 
-def theta_by_solve(model, sv, bv):
+def theta_by_solve(sv, bv, name):
     """theta = s^-1 b by one batched solve, whatever the shape of s."""
     return np.linalg.solve(sv, bv[..., None])[..., 0]

@@ -410,6 +410,34 @@ def test_verify_of_a_surface_of_another_dimension_is_a_config_error(tmp_path, ca
     assert not (vout / "verify.json").exists()
 
 
+@pytest.mark.parametrize("command, method", [("solve", "pipeline"), ("solve", "pde"),
+                                             ("price", "pde"), ("dual", "pde")])
+def test_grid_of_the_p_domain_is_a_config_error(tmp_path, capsys, command, method):
+    # the dual solver works on q; a p-domain [grid] exited 3, "numerical
+    # failure", with DomainMismatch
+    cfg = write_config(tmp_path, pde_ini(method=method).replace("domain = q", "domain = p"))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err and "domain" in err
+    assert list(out.iterdir()) == []
+
+
+def test_verify_of_a_dual_surface_is_a_config_error(tmp_path, capsys):
+    # verify checks a primal surface; a dual one exited 3, "numerical
+    # failure", with DomainMismatch
+    cfg = write_config(tmp_path, pde_ini(method="pde"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    vout = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(vout),
+                 str(out / "surface_eps0p2.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "domain" in err
+    assert not (vout / "verify.json").exists()
+
+
 def test_compare_oracle_rejects_a_payoff_other_than_x1(tmp_path):
     # the gbm closed forms price g(x) = x1; x1*x1 gave a worst gap of ~39 SE
     text = gbm_mc_ini() + "\n[payoff]\nkind = expression\nexpr = x1*x1\n"

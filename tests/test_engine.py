@@ -222,7 +222,7 @@ def test_diagonal_volatility_divides_as_the_solve_does(monkeypatch, model, x0, T
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "solve", no_solve)
         got = terminal_block(model, np.array(x0), cfg, 0, cfg.n_paths)
-    monkeypatch.setattr(engine, "_theta", ref.theta_by_solve)
+    monkeypatch.setattr(engine, "theta_from", ref.theta_by_solve)
     want = terminal_block(model, np.array(x0), cfg, 0, cfg.n_paths)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

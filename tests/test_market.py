@@ -58,6 +58,25 @@ def test_singular_volatility_raises():
         m.theta(np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("model", [
+    builtin_model("bessel3"),
+    builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25]),
+    builtin_model("custom", dim=2, b_exprs=["(x1 + x2) / (2 * x1)", "(x1 + x2) / (2 * x2)"],
+                  s_exprs=[["sqrt((x1 + x2) / x1)", "0"], ["0", "sqrt((x1 + x2) / x2)"]]),
+], ids=["bessel3", "gbm-d2", "vsm"])
+def test_diagonal_theta_divides_as_the_solve_does(monkeypatch, model):
+    # a diagonal s, always so in d = 1, gives theta = b / diag(s) with no
+    # solve, and that is what the solve returns, bit for bit
+    x = np.random.default_rng(3).uniform(0.05, 20.0, (5000, model.dim))
+    want = np.linalg.solve(model.vol(x), model.drift(x)[..., None])[..., 0]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a diagonal volatility went to the solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert np.array_equal(model.theta(x), want)
+
+
 def test_custom_model_expressions():
     m = builtin_model("custom", dim=2,
                       b_exprs=["0.1", "0.2 * x1"],

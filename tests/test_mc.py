@@ -369,11 +369,9 @@ def test_dual_curve_keeps_the_order_of_an_unsorted_grid():
 
 
 @pytest.mark.parametrize("grid", ["uniform", "nonuniform", "ties", "single", "flat"])
-def test_grid_bins_match_searchsorted(monkeypatch, grid):
+def test_grid_bins_match_searchsorted(grid):
     # thresholds on every node, a hair either side of them, far outside the
-    # grid and at random, against np.searchsorted(side="right"), in blocks
-    # of 97 samples so that the 5000-odd thresholds take many blocks
-    monkeypatch.setattr(mc, "_BIN_BLOCK", 97)
+    # grid and at random, against np.searchsorted(side="right")
     rng = np.random.default_rng(11)
     qs = {
         "uniform": np.linspace(0.0, 3.0, 31),

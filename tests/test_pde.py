@@ -267,6 +267,21 @@ def test_delta_form_matches_the_standard_form(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_half_step_halves_the_increment_bit_for_bit(monkeypatch, case):
+    # the operator is built for one step length h: a Rannacher half step
+    # takes the increment of h and halves it, and sweeps at th = h / 2 like
+    # a Crank-Nicolson step.  The step of length h / 2 with theta 1, its
+    # stencil and factors rebuilt for that length, is the same step: the
+    # halving is exact, and theta h' = h / 2 on both kinds of step
+    model, payoff, grid, kw = sweep_cases()[case]
+    got = pde.solve_dual_pde(model, payoff, grid, **kw)
+    monkeypatch.setattr(pde._DualOperator, "substep", ref.substep_of_length)
+    want = pde.solve_dual_pde(model, payoff, grid, **kw)
+    assert got.meta == want.meta
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
 def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
     # every state a substep starts from, the terminal data and the states
     # the projection onto w >= 0 clipped included, satisfies the edge
@@ -276,9 +291,9 @@ def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
     seen = []
     substep = pde._DualOperator.substep
 
-    def record(op, W, h, theta_w):
+    def record(op, W, half):
         seen.append((op, W.copy()))
-        return substep(op, W, h, theta_w)
+        return substep(op, W, half)
 
     monkeypatch.setattr(pde._DualOperator, "substep", record)
     pde.solve_dual_pde(model, payoff, grid, **kw)
