@@ -17,7 +17,7 @@ Configs are INI files; the keys read, with their defaults:
             linear: weights (none: the first coordinate)
             expression: expr (required)
   [grid]    needed by solve, and by price and dual unless the method is mc
-            t0 = 0.0, T = 1.0, n_t = 64, x_min, x_max (required),
+            t0, T (see [run]), n_t = 64, x_min, x_max (required),
             n_x = 128, n_z = 128, domain = q (only q), z_max (required)
   [run]     method = mc | pde | pipeline (mc); seed = 0; x0 = 1.0 (d values,
             each finite and > 0; price and dual with the pde or pipeline
@@ -26,7 +26,9 @@ Configs are INI files; the keys read, with their defaults:
             n_paths = 100000, n_steps = 64 (each at least 1);
             scheme = log-euler | exact-gbm | exact-bessel3 (the exact
             sampler of a gbm or bessel3 model, log-euler otherwise);
-            t0 = 0.0, T = 1.0 (the [grid] values win);
+            t0 = 0.0, T = 1.0 (the run's one horizon, for the sampler
+              and the grid alike: each of t0 and T comes from [grid]
+              where given there, else from [run], else the default);
             epsilons (finite and positive; solve and study-epsilon
               need at least one);
             q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
@@ -61,6 +63,7 @@ import argparse
 import configparser
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -121,27 +124,6 @@ def _parse_payoff(cp: configparser.ConfigParser, dim: int) -> market.Payoff:
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
-def _parse_grid(cp: configparser.ConfigParser, epsilon: float) -> GridSpec:
-    if not cp.has_section("grid"):
-        raise ConfigError("this command needs a [grid] section")
-    sec = cp["grid"]
-    try:
-        return GridSpec.regular(
-            sec.getfloat("t0", 0.0),
-            sec.getfloat("T", 1.0),
-            sec.getint("n_t", 64),
-            sec.getfloat("x_min"),
-            sec.getfloat("x_max"),
-            sec.getint("n_x", 128),
-            sec.getint("n_z", 128),
-            sec.get("domain", "q").strip(),
-            z_max=sec.getfloat("z_max", fallback=None),
-            epsilon=epsilon,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad [grid] section: {exc}") from None
-
-
 def _run_ints(run, key: str, count: int, least: int):
     """[run] `key`: None when absent or empty, else one integer or `count`
     of them, each at least `least`."""
@@ -190,6 +172,7 @@ class _Run:
         # every model lives on the positive orthant
         if not np.all(np.isfinite(self.x0) & (self.x0 > 0)):
             raise ConfigError("x0 components must be finite and > 0")
+        # the one horizon of the run: the sampler and the grid both read it
         self.t0 = cp.getfloat("grid", "t0", fallback=float(run.get("t0", 0.0)))
         self.T = cp.getfloat("grid", "T", fallback=float(run.get("T", 1.0)))
         scheme = run.get("scheme", "").strip() or engine.default_scheme(self.model)
@@ -221,8 +204,22 @@ class _Run:
         self.refine = _run_ints(run, "refine", 3, 1)
         self.pad = None if run.get("pad", "").strip() == "auto" else _run_ints(run, "pad", 2, 0)
 
-    def grid(self, epsilon: float) -> GridSpec:
-        grid = _parse_grid(self.cp, epsilon)
+    @functools.cached_property
+    def grid(self) -> GridSpec:
+        """[grid] on the run's horizon, at epsilon 0; each solve takes it at
+        its own epsilon."""
+        if not self.cp.has_section("grid"):
+            raise ConfigError("this command needs a [grid] section")
+        sec = self.cp["grid"]
+        try:
+            grid = GridSpec.regular(
+                self.t0, self.T, sec.getint("n_t", 64),
+                sec.getfloat("x_min"), sec.getfloat("x_max"), sec.getint("n_x", 128),
+                sec.getint("n_z", 128), sec.get("domain", "q").strip(),
+                z_max=sec.getfloat("z_max", fallback=None),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad [grid] section: {exc}") from None
         if grid.domain != "q":
             raise ConfigError(f"[grid] has domain {grid.domain}, the dual solver needs q")
         if grid.dim != self.model.dim:
@@ -234,7 +231,8 @@ class _Run:
                                   threads=self.threads)
 
     def solve(self, epsilon: float):
-        return pde.solve_dual_pde(self.model, self.payoff, self.grid(epsilon),
+        return pde.solve_dual_pde(self.model, self.payoff,
+                                  dataclasses.replace(self.grid, epsilon=epsilon),
                                   pad=self.pad, refine=self.refine)
 
     def provenance(self, command: str, grid: GridSpec = None) -> dict:
@@ -305,7 +303,7 @@ def cmd_price(run: _Run) -> int:
         rows = [(float(p), float(v), float(s)) for p, v, s in zip(p_arr, value, se)]
     else:
         eps = run.epsilons[0] if run.epsilons else 0.0
-        idx = _x0_index(run.grid(eps), run.x0)
+        idx = _x0_index(run.grid, run.x0)
         surf = run.solve(eps)
         primal = pde.dual_to_primal(surf, p_grid)
         grid = surf.grid
@@ -335,8 +333,8 @@ def cmd_dual(run: _Run) -> int:
             _, value, se = mc.dual_curve(samples, q_grid, eps)
             rows += zip([eps] * q_grid.size, q_grid.tolist(), value.tolist(), se.tolist())
     else:
+        ix = _x0_index(run.grid, run.x0)
         for eps in eps_list or [0.0]:
-            ix = _x0_index(run.grid(eps), run.x0)
             surf = run.solve(eps)
             grid = surf.grid
             tag = ("%g" % eps).replace(".", "p")
@@ -554,7 +552,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"qhedge: config error: {exc}", file=sys.stderr)
         return 2
-    except (Nonfinite, FloatingPointError) as exc:
+    except Nonfinite as exc:
         print(f"qhedge: numerical failure: {exc}", file=sys.stderr)
         return 3
     except QhedgeError as exc:

@@ -39,7 +39,7 @@ whole-array passes bit for bit: np.add.at continues np.bincount's
 in-order sums across blocks, and each block's prefix sums start from the
 previous block's total.  At 10^6 samples dual_curve peaks at about 1.5
 times the value array at eps > 0 and 0.4 at eps = 0, quantile_curve at
-1.1 (tracemalloc), where the whole-array passes took 3.2 and 4.0.
+1.2 (tracemalloc).
 """
 from __future__ import annotations
 
@@ -171,8 +171,9 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     """Vectorized quantile_value over a p grid via prefix sums.
 
     Returns (p, value, std_error) arrays.  Beyond the sorted copy of the
-    values, the prefix sums take one block of _BIN_BLOCK samples at a time
-    and keep only their values at the k of the p grid.
+    values, one prefix pass gives the value and the standard error: it sums
+    v, v - c and (v - c)**2 (c the mean of v) one block of _BIN_BLOCK
+    samples at a time and keeps only the sums at the k of the p grid.
     """
     if p_grid is None:
         p_grid = default_p_grid()
@@ -184,16 +185,16 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     m = p * n
     k = np.minimum(np.floor(m).astype(int), n)
     vk = v[np.minimum(k, n - 1)]
-    value = (_prefix_sums_at(v, k)[0] + np.where(k < n, (m - k) * vk, 0.0)) / n
+    # the moments of the standard error are taken about the mean of v, so
+    # that near-constant samples cancel exactly (as in dual_curve)
+    c = v.mean()
+    s, sd, sdd = _prefix_sums_at(v, k, c)
+    value = (s + np.where(k < n, (m - k) * vk, 0.0)) / n
     se = np.zeros_like(value)
     if n >= 2:
         # influence function (a - v)^+ at a = v_k: the k lowest samples pay
-        # a - v_i.  Their moments are taken about the mean of v, so that
-        # near-constant samples cancel exactly (as in dual_curve): the
-        # spread among the payers plus the gap between their mean and the
-        # n - k zeros.
-        c = v.mean()
-        sd, sdd = _prefix_sums_at(v, k, c)
+        # a - v_i.  Its variance is the spread among the payers plus the
+        # gap between their mean and the n - k zeros.
         t = k * (vk - c) - sd
         k1 = np.maximum(k, 1)
         within = np.maximum(sdd - sd * sd / k1, 0.0)
@@ -201,24 +202,22 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     return p, value, se
 
 
-def _prefix_sums_at(v: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
-    """The sums of the first k of v, or with c given, of the first k of
-    v - c and of (v - c)**2, at each k in 0..n: what np.cumsum of the whole
-    array gives, bit for bit, taken one block of _BIN_BLOCK at a time in
-    one reused buffer.  Each block's first term gets the sum before it, so
-    every running sum is the whole array's sequential one."""
+def _prefix_sums_at(v: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+    """The sums of the first k of v, of v - c and of (v - c)**2, at each k
+    in 0..n, as three rows: what np.cumsum of each whole array gives, bit
+    for bit, taken in one pass of one block of _BIN_BLOCK at a time in one
+    reused three-row buffer.  Each block's first terms get the sums before
+    it, so every running sum is the whole array's sequential one."""
     n = v.size
     kk = k.reshape(-1)
-    terms = np.empty((1 if c is None else 2, min(n, _BIN_BLOCK)))
-    out = np.zeros((len(terms), kk.size))
+    terms = np.empty((3, min(n, _BIN_BLOCK)))
+    out = np.zeros((3, kk.size))
     for lo in range(0, n, _BIN_BLOCK):
         hi = min(lo + _BIN_BLOCK, n)
         blk = terms[:, :hi - lo]
-        if c is None:
-            blk[0] = v[lo:hi]
-        else:
-            np.subtract(v[lo:hi], c, out=blk[0])
-            np.multiply(blk[0], blk[0], out=blk[1])
+        blk[0] = v[lo:hi]
+        np.subtract(blk[0], c, out=blk[1])
+        np.multiply(blk[1], blk[1], out=blk[2])
         if lo:
             blk[:, 0] += carry
         np.cumsum(blk, axis=1, out=blk)
@@ -226,7 +225,7 @@ def _prefix_sums_at(v: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
         # the sums of the first lo + 1 .. hi samples
         at = (kk > lo) & (kk <= hi)
         out[:, at] = blk[:, kk[at] - lo - 1]
-    return out.reshape((len(terms),) + k.shape)
+    return out.reshape((3,) + k.shape)
 
 
 def dual_value(samples: SampleSet, q: float) -> Estimate:

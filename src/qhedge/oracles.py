@@ -89,6 +89,17 @@ def _gbm_vol(b: float, s: float, tau: float) -> float:
     return abs(s - theta) * math.sqrt(tau)
 
 
+def _gbm_smeared_vol(b: float, s: float, tau: float, eps: float) -> float:
+    """Combined log-volatility sqrt(((s - theta)^2 + eps^2) tau) of the
+    eps-smeared Z(T)X(T), theta = b/s."""
+    if s == 0.0:
+        raise ValueError("s must be nonzero")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    theta = b / s
+    return math.sqrt(((s - theta) ** 2 + eps * eps) * tau)
+
+
 def gbm_dual(x: float, q: float, b: float, s: float, tau: float) -> float:
     """Dual value E[(q - Z(T)X(T))^+] for constant coefficients, g(x) = x.
 
@@ -149,21 +160,9 @@ def bessel_primal_smeared(x: float, p: float, eps: float, tau: float) -> float:
 def gbm_dual_smeared(x: float, q: float, b: float, s: float, tau: float, eps: float) -> float:
     """Regularized dual value for constant coefficients, g(x) = x: combined
     log-variance ((s - theta)^2 + eps^2) tau."""
-    if s == 0.0:
-        raise ValueError("s must be nonzero")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    theta = b / s
-    v = math.sqrt(((s - theta) ** 2 + eps * eps) * tau)
-    return lognormal_put(x, q, v)
+    return lognormal_put(x, q, _gbm_smeared_vol(b, s, tau, eps))
 
 
 def gbm_primal_smeared(x: float, p: float, b: float, s: float, tau: float, eps: float) -> float:
     """Regularized value surface for constant coefficients, g(x) = x."""
-    if s == 0.0:
-        raise ValueError("s must be nonzero")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    theta = b / s
-    v = math.sqrt(((s - theta) ** 2 + eps * eps) * tau)
-    return lognormal_lower_partial(x, p, v)
+    return lognormal_lower_partial(x, p, _gbm_smeared_vol(b, s, tau, eps))

@@ -692,16 +692,6 @@ def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
     return U, top, enveloped
 
 
-def _check_p_grid(p: np.ndarray) -> None:
-    if p.ndim != 1 or p.size < 3:
-        raise ValueError("p grid must be 1-d with >= 3 nodes")
-    # written so that a NaN fails
-    if not np.all(np.diff(p) > 0.0):
-        raise ValueError("p grid must be strictly increasing")
-    if not (p[0] >= 0.0 and p[-1] <= 1.0):
-        raise ValueError("p grid must lie in [0, 1]")
-
-
 # a slice whose largest spline slope stays below 1 - _SATURATION_GAP
 # saturates at q_max for the p above it
 _SATURATION_GAP = 0.02
@@ -712,16 +702,16 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
     at a time.
 
     The terminal slice is imposed analytically as p g(x), with g read off
-    the terminal data; the p=0 column is exactly 0.  The p grid is checked
-    (1-d, >= 3 strictly increasing nodes in [0, 1]) before any slice is
-    conjugated.  Slices whose top slope is below 1 - _SATURATION_GAP count
-    as saturated.
+    the terminal data; the p=0 column is exactly 0.  The output GridSpec,
+    built first, checks the p grid (1-d, >= 3 strictly increasing nodes in
+    [0, 1]) before any slice is conjugated.  Slices whose top slope is
+    below 1 - _SATURATION_GAP count as saturated.
     """
     g = w_surface.grid
     if g.domain != "q":
         raise DomainMismatch("dual_to_primal expects a q-domain surface")
-    p = np.asarray(p_grid, dtype=float)
-    _check_p_grid(p)
+    grid_p = GridSpec(g.t.copy(), tuple(ax.copy() for ax in g.x_axes), p_grid, "p", g.epsilon)
+    p = grid_p.z
     q = g.z
     nt = g.t.size
     xshape = tuple(ax.size for ax in g.x_axes)
@@ -751,7 +741,6 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
                 f"p >= {top[i]:.4f} although q_max >= 4 g(x); enlarge q_max"
             )
 
-    grid_p = GridSpec(g.t.copy(), tuple(ax.copy() for ax in g.x_axes), p, "p", g.epsilon)
     meta = dict(w_surface.meta)
     meta.update(
         {

@@ -12,7 +12,7 @@ from qhedge import cli, mc, pde
 from qhedge.cli import main
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
-from qhedge.surfaces import read_surface_bin, write_surface_bin
+from qhedge.surfaces import GridSpec, read_surface_bin, write_surface_bin
 from memory_helpers import traced_peak
 from surface_helpers import wrongly_typed_headers
 
@@ -422,6 +422,35 @@ def test_grid_of_the_p_domain_is_a_config_error(tmp_path, capsys, command, metho
     assert "Traceback" not in err
     assert "config error" in err and "domain" in err
     assert list(out.iterdir()) == []
+
+
+def test_the_run_horizon_is_the_grid_horizon(tmp_path):
+    # [run] T = 2 and a [grid] without T: Monte Carlo sampled to T = 2
+    # while the PDE grid fell back to T = 1
+    text = pde_ini().replace("T = 1.0\n", "").replace("[run]\n", "[run]\nT = 2\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    prov = json.loads((tmp_path / "p" / "price.json").read_text())["provenance"]
+    assert (prov["grid"]["t0"], prov["grid"]["T"]) == (0.0, 2.0)
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    surf = read_surface_bin(str(tmp_path / "d" / "dual_eps0p2.bin"))
+    assert surf.grid.t[-1] == 2.0
+
+
+def test_a_command_parses_the_grid_once(tmp_path, monkeypatch):
+    regular = GridSpec.regular
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return regular(*args, **kwargs)
+
+    monkeypatch.setattr(GridSpec, "regular", counted)
+    cfg = write_config(tmp_path, pde_ini("epsilons = 0.2 0.4"))
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    dual = [read_surface_bin(str(tmp_path / "o" / f"dual_eps{tag}.bin")) for tag in ("0p2", "0p4")]
+    assert [s.grid.epsilon for s in dual] == [0.2, 0.4]
 
 
 def test_verify_of_a_dual_surface_is_a_config_error(tmp_path, capsys):
