@@ -226,9 +226,11 @@ class _Run:
             raise ConfigError(f"[grid] has dimension {grid.dim}, the model {self.model.dim}")
         return grid
 
-    def samples(self) -> mc.SampleSet:
+    def samples(self, aux: bool = False) -> mc.SampleSet:
+        """The run's terminal samples; the auxiliary increments only with
+        aux, which the regularized (eps > 0) estimators need."""
         return mc.sample_terminal(self.model, self.payoff, self.x0, self.sim,
-                                  threads=self.threads)
+                                  threads=self.threads, aux=aux)
 
     def solve(self, epsilon: float):
         return pde.solve_dual_pde(self.model, self.payoff,
@@ -327,7 +329,7 @@ def cmd_dual(run: _Run) -> int:
     rows = []
     artifacts = ["dual.csv"]
     if run.method == "mc":
-        samples = run.samples()
+        samples = run.samples(aux=bool(eps_list))
         q_grid = np.linspace(0.0, run.q_window[1], run.n_probe)
         for eps in [0.0] + eps_list:
             _, value, se = mc.dual_curve(samples, q_grid, eps)
@@ -407,7 +409,7 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
 def cmd_study_epsilon(run: _Run) -> int:
     if not run.epsilons:
         raise ConfigError("study-epsilon needs a non-empty epsilons entry in [run]")
-    samples = run.samples()
+    samples = run.samples(aux=True)
     lo, hi = run.q_window
     q_grid = np.linspace(lo, hi, run.n_probe)
     _, base, base_se = mc.dual_curve(samples, q_grid)

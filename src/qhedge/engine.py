@@ -12,8 +12,10 @@ increments per path for log-Euler, one over the whole horizon for an exact
 scheme.  The log-space schemes draw it in chunks of _DRAW_CHUNK paths and
 store it step-major, (n_steps, bn, d); successive draws continue the
 stream, so the values are those of one (bn, n_steps, d) draw.
-B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme; the
-regularized estimators in mc turn it into the factor
+B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme, from a
+stream of its own, drawn only when the caller asks for it: W never
+depends on it, so X and Z are the same bit for bit with or without B.
+The regularized estimators in mc turn it into the factor
 exp(-eps^2 (T-t0)/2 + eps B).
 
 Log-Euler evolves log X with drift b - diag(a)/2 and log Z with drift
@@ -201,9 +203,11 @@ def default_scheme(model: MarketModel) -> str:
     return "log-euler"
 
 
-def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int):
+def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_index: int, bn: int,
+                   aux: bool = True):
     """Terminal state of one path block: (X_T (bn, d), Z_T (bn,), B_T (bn,)),
-    B_T the auxiliary increment B(T) - B(t0).
+    B_T the auxiliary increment B(T) - B(t0), or None without aux, in
+    which case its stream is not drawn.
 
     log-Euler steps through cfg.n_steps steps, exact-gbm is one log-Euler
     step over the whole horizon, and exact-bessel3 is one draw.  The
@@ -212,7 +216,9 @@ def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_ind
     """
     _check_scheme(model, cfg.scheme)
     sq_horizon = np.sqrt(cfg.horizon)
-    B_T = sq_horizon * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
+    B_T = None
+    if aux:
+        B_T = sq_horizon * _block_gen(cfg.seed, block_index, _REGION_B).standard_normal(bn)
     gen_w = _block_gen(cfg.seed, block_index, _REGION_W)
 
     if cfg.scheme == "exact-bessel3":

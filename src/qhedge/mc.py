@@ -29,17 +29,18 @@ in O(n log m) for n samples and m grid points.  Each eps uses the same
 aux draws, so curves at different eps keep the common random numbers.
 
 Memory: the curve estimators take the samples one block of _BIN_BLOCK
-(2^16) at a time, so their scratch is O(block) and O(grid), apart from
-two arrays that stay whole.  dual_curve at eps > 0 keeps L_eps for all
-samples, because its mean cL is numpy's pairwise sum of the whole array,
-which no sum of block sums reproduces; at eps = 0 it needs no L.
-quantile_curve keeps its sorted copy of the values, since the order
-statistics come from a whole-array sort.  The results are those of the
-whole-array passes bit for bit: np.add.at continues np.bincount's
-in-order sums across blocks, and each block's prefix sums start from the
-previous block's total.  At 10^6 samples dual_curve peaks at about 1.5
-times the value array at eps > 0 and 0.4 at eps = 0, quantile_curve at
-1.2 (tracemalloc).
+(2^14) at a time, so their scratch is O(block) and O(grid); only
+quantile_curve keeps an array as large as the values, its sorted copy,
+since the order statistics come from a whole-array sort.  dual_curve at
+eps > 0 builds L_eps block by block, twice: once for its mean cL, which
+_multiplier_sum adds in the order of numpy's pairwise sum of the whole
+array, and once for the bins.  The results are those of the whole-array
+passes bit for bit: np.add.at continues np.bincount's in-order sums
+across blocks, and each block's prefix sums start from the previous
+block's total.  At 10^6 samples dual_curve peaks at about 0.12 times the
+value array at eps > 0 and 0.09 at eps = 0, quantile_curve at 1.05
+(tracemalloc).  sample_terminal keeps the aux draws only when asked to,
+so a run that needs no eps > 0 holds the values alone.
 """
 from __future__ import annotations
 
@@ -113,26 +114,29 @@ def _check_samples(v: np.ndarray, Z_T: np.ndarray, g: np.ndarray, first_path: in
 
 
 def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfig,
-                    threads: int = 1) -> SampleSet:
+                    threads: int = 1, aux: bool = True) -> SampleSet:
     """Streaming terminal sampler: evolves fixed path blocks (engine.BLOCK)
     keeping only terminal states; thread count never changes the result.
+    With aux=False the auxiliary increments are neither drawn nor kept
+    (the set's aux is None) and the values are the same bit for bit.
     A sample that is not finite and > 0 raises Nonfinite with the global
     index of the first such path of its block; blocks fail in block order,
     so the path named is the same for any thread count."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cfg.n_paths
     values = np.empty(n)
-    aux = np.empty(n)
+    B = np.empty(n) if aux else None
     tasks = list(engine._blocks(n))
 
     def run_block(args):
         blk, start, bn = args
-        X_T, Z_T, B_T = engine.terminal_block(model, x0, cfg, blk, bn)
+        X_T, Z_T, B_T = engine.terminal_block(model, x0, cfg, blk, bn, aux=aux)
         g = payoff(X_T)
         v = values[start : start + bn]
         np.multiply(Z_T, g, out=v)
         _check_samples(v, Z_T, g, start)
-        aux[start : start + bn] = B_T
+        if aux:
+            B[start : start + bn] = B_T
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -141,7 +145,7 @@ def sample_terminal(model: MarketModel, payoff: Payoff, x0, cfg: engine.SimConfi
         for task in tasks:
             run_block(task)
 
-    return sample_set(values, aux=aux, horizon=cfg.horizon)
+    return sample_set(values, aux=B, horizon=cfg.horizon)
 
 
 def quantile_value(samples: SampleSet, p: float) -> Estimate:
@@ -242,8 +246,10 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     """dual_value_regularized over a whole q grid in one pass; (q, value, se).
 
     q may come in any order; value and se follow it.  The samples are
-    binned and summed one block of _BIN_BLOCK at a time; at eps > 0 the
-    multipliers L_eps are the one other n-array.
+    binned and summed one block of _BIN_BLOCK at a time.  At eps > 0 each
+    block builds its own multipliers L_eps, after a first pass that takes
+    their mean block by block (_multiplier_sum), so the call holds no
+    sample-sized array of its own.
     """
     q = np.asarray(q_grid, dtype=float)
     if np.any(q < 0):
@@ -257,8 +263,8 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     # moments about the global means, so that constant payouts cancel
     # exactly.  At eps = 0, L = 1 = cL on every sample, so the sums over
     # a = L - cL are exactly +0.0 and v / L is v.
-    L = _aux_multipliers(samples, eps) if eps > 0 else None
-    cL, cv = (1.0 if L is None else L.mean()), v.mean()
+    cL = _multiplier_sum(samples, eps, 0, n) / n if eps > 0 else 1.0
+    cv = v.mean()
     # per-bin counts and sums of a, a a, d, a d and d d (d = v - cv); a
     # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
     # grid index first_i on.  np.add.at adds in sample order, as
@@ -268,7 +274,7 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     ba, baa, bd, bad, bdd = bins
     for lo in range(0, n, _BIN_BLOCK):
         vb = v[lo:lo + _BIN_BLOCK]
-        a = None if L is None else L[lo:lo + _BIN_BLOCK]
+        a = _aux_multipliers(samples, eps, lo, lo + vb.size) if eps > 0 else None
         first = _bin_right(qs, vb if a is None else np.divide(vb, a))
         count += np.bincount(first, minlength=q.size + 1)
         d = np.subtract(vb, cv)
@@ -297,8 +303,12 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
 
 
 # samples per block of the curve estimators, so that their scratch stays
-# O(block) whatever the number of samples
-_BIN_BLOCK = 1 << 16
+# O(block) whatever the number of samples.  At 10^6 samples the four
+# dual_curve calls of a study-epsilon run (eps 0, 0.5, 0.2, 0.1; 41 q)
+# take 136 ms of CPU with 2^14 against 152 ms with 2^16 (median of 9, one
+# thread, 2-core VM), and one call at eps 0.2 holds 0.91 MB of scratch
+# against 3.6 MB (tracemalloc).
+_BIN_BLOCK = 1 << 14
 
 
 def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -332,13 +342,34 @@ def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
-def _aux_multipliers(samples: SampleSet, eps: float) -> np.ndarray:
+def _aux_multipliers(samples: SampleSet, eps: float, lo: int = 0,
+                     hi: Optional[int] = None) -> np.ndarray:
+    """L_eps of samples lo:hi (all of them by default).  Each element is
+    computed on its own, so a slice of the whole array's L_eps and the
+    L_eps of the slice are equal bit for bit."""
     if samples.aux is None:
         raise MissingAux("sample set carries no auxiliary Brownian increments")
     # exp(-eps^2 tau / 2 + eps B) built in the one array it returns
-    out = np.multiply(samples.aux, eps)
+    out = np.multiply(samples.aux[lo:hi], eps)
     out += -0.5 * eps * eps * samples.horizon
     return np.exp(out, out=out)
+
+
+def _multiplier_sum(samples: SampleSet, eps: float, lo: int, n: int) -> float:
+    """The sum of the n multipliers L_eps from lo on, holding at most
+    max(_BIN_BLOCK, 128) of them at a time, and added as np.add.reduce adds
+    them within the whole array, so that _multiplier_sum(samples, eps, 0,
+    n) / n is _aux_multipliers(samples, eps).mean() bit for bit.  numpy's
+    pairwise summation sums a range of more than 128 elements as its first
+    n2 = n//2 - (n//2) % 8 elements plus the rest, so a range of at most
+    max(_BIN_BLOCK, 128) elements is summed as one np.add.reduce of it
+    would sum it.  A module function, not a recursive closure, so that no
+    reference cycle keeps the samples alive after the call."""
+    if n <= max(_BIN_BLOCK, 128):
+        return float(np.add.reduce(_aux_multipliers(samples, eps, lo, lo + n)))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _multiplier_sum(samples, eps, lo, n2) + _multiplier_sum(samples, eps, lo + n2, n - n2)
 
 
 def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qhedge import cli, mc, pde
+from qhedge import cli, engine, mc, pde
 from qhedge.cli import main
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
@@ -561,6 +561,47 @@ def test_mc_commands_make_no_per_q_estimator_calls(tmp_path, monkeypatch):
         assert main(command + ["--config", cfg, "--out", str(tmp_path / command[0])]) == 0
 
 
+@pytest.mark.parametrize("command, eps_line, drawn", [
+    (["price", "--method", "mc"], "epsilons = 0.5 0.2", False),
+    (["compare-oracle"], "epsilons = 0.5 0.2", False),
+    (["dual", "--method", "mc"], "", False),
+    (["dual", "--method", "mc"], "epsilons = 0.5 0.2", True),
+    (["study-epsilon"], "epsilons = 0.5 0.2", True),
+], ids=["price", "compare-oracle", "dual-eps0", "dual-eps", "study-epsilon"])
+def test_auxiliary_increments_are_drawn_only_where_read(tmp_path, monkeypatch, command, eps_line,
+                                                        drawn):
+    # only the eps > 0 curves read B: the commands that never compute one
+    # draw no B stream, the others one per block (20 000 paths, 3 blocks)
+    b_blocks = []
+    block_gen = engine._block_gen
+
+    def recording_gen(seed, block_index, region):
+        if region == engine._REGION_B:
+            b_blocks.append(block_index)
+        return block_gen(seed, block_index, region)
+
+    monkeypatch.setattr(engine, "_block_gen", recording_gen)
+    cfg = write_config(tmp_path, mc_ini(eps_line))
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
+    assert b_blocks == ([0, 1, 2] if drawn else [])
+
+
+@pytest.mark.parametrize("command", ["compare-oracle", "price"])
+def test_mc_commands_without_eps_hold_no_aux_array(tmp_path, command):
+    # at 200 000 paths the values are 1.6 MB; the command holds them, the
+    # quantile curve's sorted copy and its three rows of 2^14 prefix sums
+    # (0.25): 2.28 value arrays measured for either command; kept aux
+    # draws would add 1.0.  The first run warms the imports and is left
+    # out
+    text = gbm_mc_ini().replace("n_paths = 20000", "n_paths = 200000")
+    cfg = write_config(tmp_path, text)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]
+    assert main(argv) == 0
+    rc, peak = traced_peak(main, argv)
+    assert rc == 0
+    assert peak < 2.5 * 8 * 200_000
+
+
 @pytest.mark.parametrize("text, model, scheme", [
     (mc_ini(), builtin_model("bessel3"), "exact-bessel3"),
     (gbm_mc_ini(), builtin_model("gbm", b=0.05, s=0.3), "exact-gbm"),
@@ -607,7 +648,8 @@ def test_numerical_failure_exit_code(tmp_path):
     text = mc_ini().replace("x0 = 1.0", "x0 = 0.02").replace(
         "scheme = exact-bessel3", "scheme = log-euler\nn_steps = 64")
     cfg = write_config(tmp_path, text)
-    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
 SINGULAR_INI = """
@@ -643,7 +685,9 @@ def test_log_overflow_exit_code(tmp_path, capsys):
     text = SINGULAR_INI.replace("b_exprs = 0.05", "b_exprs = 1/(x1*x1)").replace(
         "s_exprs = x1 - 1", "s_exprs = 1/x1")
     cfg = write_config(tmp_path, text)
-    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    # b = 1/(x1*x1) overflows on the paths that leave the range
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "numerical failure" in err

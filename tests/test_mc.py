@@ -1,5 +1,8 @@
 """Estimators on terminal samples in draw order (quantiles sort their own
 copy): hand values, order independence, duality, determinism."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +214,18 @@ def test_sample_terminal_threads_do_not_change_results():
     assert np.array_equal(s1.values, s4.values)
     assert np.array_equal(s1.aux, s4.aux)
     assert s1.horizon == 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scheme, n_steps", [("exact-gbm", 1), ("log-euler", 8)])
+def test_samples_without_aux_are_the_samples_with_aux(threads, scheme, n_steps):
+    # B has a stream of its own, so leaving it undrawn moves no value
+    model = builtin_model("gbm", b=0.05, s=0.3)
+    cfg = SimConfig(0.0, 1.0, n_steps, 20_000, 4, scheme)
+    full = mc.sample_terminal(model, linear_payoff(), [1.0], cfg)
+    bare = mc.sample_terminal(model, linear_payoff(), [1.0], cfg, threads=threads, aux=False)
+    assert bare.aux is None
+    assert np.array_equal(bare.values, full.values)
 
 
 @pytest.mark.parametrize("model, x0, n_steps", [
@@ -441,6 +456,43 @@ def test_blocked_curves_on_constant_samples_match_the_whole_array_passes(monkeyp
     assert _curves_equal(mc.quantile_curve(s, p), ref.quantile_curve(s, p))
 
 
+@pytest.fixture(scope="module")
+def mean_cases():
+    # lengths about the leaf of 128, the 8-element unroll and a 2^14 block,
+    # and one past 10^6 that no block divides
+    rng = np.random.default_rng(29)
+    return [toy(rng.lognormal(0.0, 0.5, n), aux=rng.normal(size=n))
+            for n in (1, 7, 8, 9, 127, 128, 129, 1000, (1 << 14) - 1, (1 << 14) + 1, 10 ** 6 + 3)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_blocked_multiplier_mean_is_the_whole_array_mean(monkeypatch, mean_cases, block):
+    # the mean is numpy's pairwise sum of the whole L_eps, replayed one
+    # range at a time; a range splits only above max(block, 128) elements,
+    # which also ends the recursion at block 1, where n//2 - (n//2) % 8 is
+    # 0 below 16 elements
+    monkeypatch.setattr(mc, "_BIN_BLOCK", block)
+    for s in mean_cases:
+        for eps in (0.2, 1.3):
+            blocked = mc._multiplier_sum(s, eps, 0, s.n) / s.n
+            assert blocked == np.mean(mc._aux_multipliers(s, eps))
+
+
+def test_dual_curve_leaves_no_reference_to_the_samples():
+    # with the cyclic collector off, the samples go as soon as the caller
+    # drops them; a recursive closure over them in the blocked mean made a
+    # reference cycle that kept them alive until the collector ran
+    s, q, _ = _block_case()
+    gone = weakref.ref(s)
+    gc.disable()
+    try:
+        mc.dual_curve(s, q, 0.2)
+        del s
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_in_place_multipliers_match_the_whole_array_expression():
     s, _, _ = _block_case()
     for eps in (0.2, 1.3):
@@ -455,16 +507,17 @@ def million():
     return toy(rng.lognormal(0.0, 0.5, 10 ** 6), aux=rng.normal(size=10 ** 6))
 
 
-# One block of mc._BIN_BLOCK = 2^16 doubles is 0.066 of the 10^6-sample
+# One block of mc._BIN_BLOCK = 2^14 doubles is 0.0164 of the 10^6-sample
 # value array.  While a block is binned, dual_curve holds _bin_right's
-# first guess, bin index, result and one gathered grid row (4.3 blocks,
-# its masks included), the block's thresholds v / L, and the previous
-# block's bins and d = v - cv: about 7.3 blocks, 0.48.  At eps > 0 it
-# also keeps L_eps whole (1.0), because cL is the pairwise mean of the
-# whole array.  Measured: 1.48 at eps > 0 and 0.41 at eps = 0; the gates
-# leave room for three or four more blocks.  The whole-array pass held L,
-# the thresholds, the bins and one weight array at once: 3.21 either way.
-@pytest.mark.parametrize("eps, bound", [(0.2, 1.7), (0.0, 0.7)])
+# first guess, bin index, result and one gathered grid row (about 4.3
+# blocks, its masks included) and d = v - cv with its square: 5.4 blocks,
+# 0.089 measured at eps = 0.  At eps > 0 the block's L_eps and its
+# thresholds v / L add two blocks: 0.122 measured.  L_eps is never whole:
+# its mean cL is taken one block at a time (mc._multiplier_sum).  The
+# gates leave room for three more blocks (0.049); an L_eps kept whole
+# would add 1.0.  The whole-array pass held L, the thresholds, the bins
+# and one weight array at once: 3.21.
+@pytest.mark.parametrize("eps, bound", [(0.2, 0.17), (0.0, 0.14)])
 def test_dual_curve_scratch_is_a_few_blocks(million, eps, bound):
     q = np.linspace(0.0, 3.0, 257)
     _, peak = traced_peak(mc.dual_curve, million, q, eps)
@@ -473,7 +526,8 @@ def test_dual_curve_scratch_is_a_few_blocks(million, eps, bound):
 
 def test_quantile_curve_scratch_is_its_sorted_copy_and_three_block_rows(million):
     # the sorted copy (1.0) and one reused three-row block buffer of prefix
-    # sums (0.20): 1.20 measured, where the whole-array pass held the
-    # sorted copy, v - c, its square and a prefix sum at once: 4.00
+    # sums (3 x 0.0164): 1.05 measured; the gate leaves room for three
+    # more blocks.  The whole-array pass held
+    # the sorted copy, v - c, its square and a prefix sum at once: 4.00
     _, peak = traced_peak(mc.quantile_curve, million, mc.default_p_grid())
-    assert peak < 1.25 * million.values.nbytes
+    assert peak < 1.10 * million.values.nbytes
