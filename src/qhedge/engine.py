@@ -9,9 +9,10 @@ schedule, so results are bit-identical under any worker count.
 Stream contract: terminal_block() is the one entry point and the one
 reader of these streams.  W is one stream per block: cfg.n_steps
 increments per path for log-Euler, one over the whole horizon for an exact
-scheme.  The log-space schemes draw it in chunks of _DRAW_CHUNK paths and
-store it step-major, (n_steps, bn, d); successive draws continue the
-stream, so the values are those of one (bn, n_steps, d) draw.
+scheme.  The log-space schemes draw it in chunks of whole paths, as many as
+fit in _DRAW_CHUNK values (at least one), and store it step-major, (n_steps,
+bn, d); successive draws continue the stream, so the values are those of
+one (bn, n_steps, d) draw.
 B(T) - B(t0) is one N(0, T - t0) draw per path for every scheme, from a
 stream of its own, drawn only when the caller asks for it: W never
 depends on it, so X and Z are the same bit for bit with or without B.
@@ -39,8 +40,9 @@ BLOCK = 8192
 # Above this magnitude exp() overflows float64; treated as a lost path.
 _LOG_LIMIT = 700.0
 _MASK64 = (1 << 64) - 1
-# Paths per W draw of a log-Euler block, stored step-major as drawn.
-_DRAW_CHUNK = 512
+# Values per W draw of a log-space block, stored step-major as drawn: 512
+# paths of 64 steps, and a whole 8192-path block of one step (exact-gbm).
+_DRAW_CHUNK = 512 * 64
 
 _REGION_W = 0
 _REGION_B = 1
@@ -175,13 +177,15 @@ def _log_euler(model: MarketModel, x0: np.ndarray, dW: np.ndarray, dt: float, fi
 
 def _step_major_increments(gen: np.random.Generator, bn: int, n_steps: int, d: int, dt: float):
     """sqrt(dt) times gen's (bn, n_steps, d) standard normal draw, stored
-    step-major as (n_steps, bn, d).  The draw is made _DRAW_CHUNK paths at
-    a time; successive draws continue the stream, so the values are those
-    of one draw, and each chunk's transpose stays in cache."""
+    step-major as (n_steps, bn, d).  The draw is made as many whole paths
+    at a time as fit in _DRAW_CHUNK values, at least one; successive draws
+    continue the stream, so the values are those of one draw, and each
+    chunk's transpose stays in cache."""
     sq_dt = np.sqrt(dt)
     dW = np.empty((n_steps, bn, d))
-    for start in range(0, bn, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, bn)
+    paths = max(1, _DRAW_CHUNK // (n_steps * d))
+    for start in range(0, bn, paths):
+        stop = min(start + paths, bn)
         chunk = gen.standard_normal((stop - start, n_steps, d))
         np.multiply(chunk.transpose(1, 0, 2), sq_dt, out=dW[:, start:stop])
     return dW

@@ -58,22 +58,25 @@ its bottom v = 0, which errs by at most the q there (0 <= w <= q), at most
 e^-_ETA_MARGIN times the smallest requested positive q at every requested
 x; at its top, which reaches the padded q_max at every requested x, w_q =
 1, as the exact increase of q between the top two nodes.  Requested nodes
-are read back by cubic interpolation in eta (`read`), clamped at 0, since
-a restored x edge can dip below it; q <= 0 reads 0, and the terminal level
-is (q - g(x))^+ itself.
+are read back by cubic interpolation in eta (`read`) plus a correction per
+node that makes it exact on q itself, so on w = q + c(x), the slope-1 tail
+of every slice, up to rounding, and clamped at 0, since a restored x edge
+can dip below it; q <= 0 reads 0, and the terminal level is (q - g(x))^+
+itself.
 
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, one increment of its interior and the eta
 sweep's eta-first copy of it, the sweeps' factors, the read-back's data per
-requested node (stencil index, offset, two convexity bounds) and
-slab-sized scratch.  The eta sweep's factors have the increment's size;
-the x sweeps' keep their bands' shape, one value per line broadcast over
-the eta lanes, except in d = 1.  The explicit pass and the read-back work
+requested node (stencil index, offset, two convexity bounds and the
+correction, 8 B each) and slab-sized scratch.  The eta sweep's factors
+have the increment's size; the x sweeps' keep their bands' shape, one
+value per line broadcast over the eta lanes, except in d = 1.  The explicit pass and the read-back work
 one slab of the first x axis at a time, as many rows as keep one slab
 array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
 the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q,
-88 eta) the solve peaks 15.4 MB above its 36 MB surface (tracemalloc),
-where whole-level passes and lane-shaped x factors took 33.4 MB.
+88 eta) the solve peaks 15.6 MB above its 36 MB surface (tracemalloc),
+1.1 MB of it the read-back's correction, where whole-level passes and
+lane-shaped x factors took 33.4 MB.
 """
 from __future__ import annotations
 
@@ -215,6 +218,25 @@ def _carve(pool: np.ndarray, shapes) -> list:
     return views
 
 
+def _cubic(u, values, out, scratch, a, b, c) -> None:
+    """out = 0 + c0 v0 + c1 v1 + c2 v2 + c3 v3 for the four stencil values
+    v0..v3 at offset u, with the Lagrange weights c0 = (u - 1)(u - 2)(u -
+    3) / -6, c1 = u (u - 2)(u - 3) / 2, c2 = u (u - 1)(u - 3) / -2 and c3 =
+    u (u - 1)(u - 2) / 6; leaves u - 1, u - 2 and u - 3 in a, b and c."""
+    v0, v1, v2, v3 = values
+    np.subtract(u, 1.0, out=a)
+    np.subtract(u, 2.0, out=b)
+    np.subtract(u, 3.0, out=c)
+    out.fill(0.0)
+    for p1, p2, p3, div, v in ((a, b, c, -6.0, v0), (u, b, c, 2.0, v1),
+                               (u, a, c, -2.0, v2), (u, a, b, 6.0, v3)):
+        np.multiply(p1, p2, out=scratch)
+        scratch *= p3
+        scratch /= div
+        scratch *= v
+        out += scratch
+
+
 class _DualOperator:
     """Workspace for the dual solve on (x_1..x_d, eta) with step length h:
     coefficients on the interior nodes, the stencil of h F, the sweeps
@@ -259,10 +281,10 @@ class _DualOperator:
         eta_part = self.ce2 * (2.0 * math.cosh(de) - 2.0)
         self.ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
         # per requested node with q > 0: the flat index of its stencil's
-        # first node, its place u among the stencil's nodes, 0..3 (`read`
-        # takes the cubic weights from it), and its place among their q
-        # values Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1), with
-        # e^de f = (q - Q_1) / (Q_1 - Q_0), and g = (q - Q_2) / (Q_3 - Q_2)
+        # first node, its place u among the stencil's nodes, 0..3 (the cubic
+        # weights are taken from it), and its place among their q values
+        # Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1), with e^de f =
+        # (q - Q_1) / (Q_1 - Q_0), and g = (q - Q_2) / (Q_3 - Q_2)
         s = (np.log(q[self.first:]) - self.phi[restrict][..., None] - self.eta[0]) / de
         k = np.clip(np.floor(s).astype(np.intp) - 1, 0, self.eta.size - 4)
         rows = np.arange(self.phi.size).reshape(self.phi.shape)[restrict]
@@ -284,6 +306,20 @@ class _DualOperator:
         pool = np.empty(max(sum(map(math.prod, step)), math.prod(read)))
         self._z, self._cols, self._prod = _carve(pool, step)
         self._read_slabs = pool[:math.prod(read)].reshape(read)
+        # per requested node with q > 0: what the cubic misses of q itself,
+        # corr = q - sum_m c_m(u) Q_m with Q_m = e^(eta_(k+m) + phi(x)), built
+        # one read slab at a time, so that `read` is exact on w = q + c(x)
+        self.corr = np.empty(self.start.shape)
+        phi = self.phi[restrict][..., None]
+        for lo in range(0, k.shape[0], self._read_rows):
+            hi = min(lo + self._read_rows, k.shape[0])
+            *Q, value, scratch, a, b, c = self._read_slabs[:, :hi - lo]
+            for m, v in enumerate(Q):
+                np.take(self.eta[m:], k[lo:hi], out=v)
+                v += phi[lo:hi]
+                np.exp(v, out=v)
+            _cubic(u[lo:hi], Q, value, scratch, a, b, c)
+            np.subtract(q[self.first:], value, out=self.corr[lo:hi])
         self.h = h
         self.terms = self._stencil(h)
         self.sweeps = [self._factor_x(0.5 * h, axis) for axis in range(d)] + [
@@ -413,12 +449,15 @@ class _DualOperator:
 
     def read(self, W: np.ndarray, out: np.ndarray) -> None:
         """Write W on the requested nodes to out: the 4-point cubic Lagrange
-        interpolant in eta, clamped in the stencil's middle cell to the
-        bounds convexity in q sets (below the cell's chord, above either
-        neighbouring chord extended).  Smooth convex data keep the cubic in
-        them up to O(de^4); at an unresolved kink the clamp stops overshoot.
-        What is written is clamped at 0: a restored x edge can take W, and
-        the cubic through it, below 0.
+        interpolant in eta plus corr, clamped in the stencil's middle cell to
+        the bounds convexity in q sets (below the cell's chord, above either
+        neighbouring chord extended).  The cubic's weights sum to 1 and corr
+        is what they miss of q, so a state w = q + c(x), the dual's slope-1
+        tail, reads back as q + c up to rounding; the chords are exact on it
+        too.  Smooth convex data keep the cubic in the bounds up to O(de^4);
+        at an unresolved kink the clamp stops overshoot.  What is written is
+        clamped at 0: a restored x edge can take W, and the cubic through
+        it, below 0.
 
         It runs one slab of the first x axis at a time: the four stencil
         values are gathered into the operator's slab buffers, the cubic
@@ -438,20 +477,8 @@ class _DualOperator:
             for m, v in enumerate((v0, v1, v2, v3)):
                 np.take(flat[m:], self.start[lo:hi], out=v, mode="clip")
             u, f, g = self.u[lo:hi], self.bounds[0][lo:hi], self.bounds[1][lo:hi]
-            # value = 0 + c0 v0 + c1 v1 + c2 v2 + c3 v3 with the Lagrange
-            # weights c0 = (u - 1)(u - 2)(u - 3) / -6, c1 = u (u - 2)(u - 3) / 2,
-            # c2 = u (u - 1)(u - 3) / -2 and c3 = u (u - 1)(u - 2) / 6
-            np.subtract(u, 1.0, out=a)
-            np.subtract(u, 2.0, out=b)
-            np.subtract(u, 3.0, out=c)
-            value.fill(0.0)
-            for p1, p2, p3, div, v in ((a, b, c, -6.0, v0), (u, b, c, 2.0, v1),
-                                       (u, a, c, -2.0, v2), (u, a, b, 6.0, v3)):
-                np.multiply(p1, p2, out=floor)
-                floor *= p3
-                floor /= div
-                floor *= v
-                value += floor
+            _cubic(u, (v0, v1, v2, v3), value, floor, a, b, c)
+            value += self.corr[lo:hi]
             # floor = max(v1 + e^de f (v1 - v0), v2 + g (v3 - v2)) and chord
             # = v1 + f (v2 - v1)
             np.multiply(e_de, f, out=a)
@@ -551,7 +578,11 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 
     values = np.empty(grid.shape)
     values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
-    W = np.maximum(np.exp(ws.eta + ws.phi[..., None]) - ws.gx[..., None], 0.0)
+    # (e^(eta + phi) - g(x))^+, in place: the solve's memory peaks here
+    W = np.add(ws.eta, ws.phi[..., None])
+    np.exp(W, out=W)
+    W -= ws.gx[..., None]
+    np.maximum(W, 0.0, out=W)
     ws.apply_bc(W)
     step = 0
     for k in range(grid.t.size - 2, -1, -1):
@@ -589,10 +620,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 # conjugate comes out exactly linear in p (zero discrete curvature,
 # excluded by the residual's convexity mask) instead of acquiring
 # spurious near-zero curvature that explodes any operator dividing by
-# it.  Above the top slope the transform saturates at q_max (a
-# truncation artifact near p=1); saturation for mid-range p on a slice
-# whose q_max covers 4x the payoff signals a genuinely undersized grid
-# and raises ArgmaxAtBoundary.
+# it.  At and above the top slope the transform saturates at q_max, read
+# at the node (a truncation artifact near p=1); saturation for mid-range
+# p on a slice whose q_max covers 4x the payoff signals a genuinely
+# undersized grid and raises ArgmaxAtBoundary.
 #
 # The transform runs one time level at a time, on all x slices of the
 # level together, in array passes (after Lucet's linear-time Legendre
@@ -658,7 +689,13 @@ def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
 
     Returns (U, top_slope, enveloped): U has one row per slice, top_slope
     is each row's largest spline slope, and enveloped flags the rows that
-    were replaced by their convex envelope first.
+    were replaced by their convex envelope first: those with a second
+    difference in q below -1e-8, which a solved dual has where it is not
+    convex in q (at a d = 2 kink, or for the volatility-stabilized model),
+    not in its slope-1 tail, which the solver reads back exactly.  At or above a row's top slope the maximizer is
+    q_max, and U = p q_max - W[:, -1] is read at the node: the last spline
+    piece, taken after the running maximum of the slopes, can end up to
+    3e-11 below it.
     """
     d2 = W[:, :-2] - 2.0 * W[:, 1:-1] + W[:, 2:]
     enveloped = d2.min(axis=1) < -1e-8
@@ -688,6 +725,8 @@ def _conjugate_level(q: np.ndarray, W: np.ndarray, p: np.ndarray):
     wstar = w0 + (sl0 + 0.5 * rate * u) * u
     U = p * qstar - wstar
     top = slopes[:, -1] + rates[:, -1] * lens[:, -1]
+    # at or above the top slope the maximizer is q_max, read at the node
+    np.copyto(U, p * q[-1] - W[:, -1:], where=p >= top[:, None])
     U[:, p == 0.0] = 0.0
     return U, top, enveloped
 

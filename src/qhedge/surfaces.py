@@ -21,14 +21,19 @@ node of a level in one list, which it holds for the whole surface.  It
 then formats the value column as arrays and joins the rows one chunk of
 _CSV_CHUNK (4096) nodes of a level at a time, so that its scratch beyond
 that list does not grow with the surface.  The bytes are those of
-formatting every column of every row with %.17g.  A value v with
-1e-4 <= |v| < 1e16 gets its 17 significant digits exactly: the
-error-free product of |v| and 10**(16 - k) (Dekker's TwoProduct, with
-k = floor(log10 |v|) checked against the product) is rounded half-even,
-as the correctly rounded %.17g does, and the text comes from tables of
-4-digit groups.  Exact zeros print as 0 or -0 on the same path.  Other
-values (nonzero |v| < 1e-4, subnormals included, and |v| >= 1e16) take
-b"%.17g" % v one by one.
+formatting every column of every row with %.17g.  A normal value v with
+|v| < 1e16 gets its 17 significant digits as arrays: |v| times 10**(16 -
+k), k = floor(log10 |v|) checked against the product, is rounded
+half-even, as the correctly rounded %.17g does.  Up to 10**22 the power
+is a double and the product is exact (Dekker's TwoProduct); for |v|
+below 1e-6 the power is a double-double 2**s (hi + lo), and the product
+is TwoProduct's on hi plus the low part's, within a known error bound
+(after Loitsch, PLDI 2010).  The text comes from tables of 4-digit
+groups; below 1e-4 it takes the exponent form, "e-" and -k appended.
+Exact zeros print as 0 or -0 on the same path.  Subnormals, |v| >= 1e16
+and the values whose scaled remainder lies within the error bound of a
+half take b"%.17g" % v one by one: the exact ties at the 17th digit
+(dyadics with short mantissas), and in practice no others.
 """
 from __future__ import annotations
 
@@ -37,7 +42,9 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,11 +155,16 @@ class Surface:
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for binary64
-_POW10 = np.array([float(10 ** i) for i in range(23)])  # exact doubles
+# 10**j for j = 16 - k, k >= -308 the decimal exponent of a normal double
+_POW10_SPAN = 16 + 309
 _POW10_INT = 10 ** np.arange(17, dtype=np.int64)
 # 17 digits are written as groups of 4, 4, 4, 4 and 1, one uint32 word
 # each; the place values of the first four groups
 _GROUP_UNITS = (10 ** 13, 10 ** 9, 10 ** 5, 10)
+# what the scaled remainder may be off by where 10**j is not a double:
+# below 2**-47 (lo's own rounding and that of its product, each at most
+# 2**-49 on a product below 10**17, and the sum's, 2**-48), with room
+_TIE_GUARD = 2.0 ** -40
 
 
 def _digit_table() -> np.ndarray:
@@ -180,27 +192,55 @@ _CUT, _DOT = 10000, 20000  # offsets of the digit table's blocks
 
 @functools.cache
 def _g17_tables() -> tuple:
-    """The digit table and, per decimal exponent k = -4..16 (row k + 4),
-    the mask that keeps the integer part's first k + 1 digits and, below 1,
-    the integer part "0." and -1 - k zeros.  Built on first use, so that a
-    run that writes no CSV does not pay for them."""
+    """The digit table; per decimal exponent k = -4..16 (row k + 4), the
+    mask that keeps the integer part's first k + 1 digits and, below 1,
+    the integer part "0." and -1 - k zeros; and per n = 0..308 the
+    exponent text "e-n", n with at least two digits.  Built on first use,
+    so that a run that writes no CSV does not pay for them."""
     tables = (_digit_table(),
               _exponent_words([b"\xff" * (k + 1) for k in range(-4, 17)]),
               _exponent_words([b"0." + b"0" * (-1 - k) for k in range(-4, 0)] + [b""] * 17))
+    for table in tables:
+        table.flags.writeable = False
+    return tables + (tuple(b"e-%02d" % n for n in range(_POW10_SPAN - 16)),)
+
+
+@functools.cache
+def _pow10_table() -> tuple:
+    """Per j < _POW10_SPAN: 2**s, hi and lo with 10**j = 2**s (hi + lo + r),
+    hi the double nearest 10**j / 2**s, lo the double nearest the rest and
+    |r| <= 2**-53 |lo|.  Up to j = 22, 10**j is a double: s = 0, hi = 10**j
+    and lo = 0.  Above, hi lies in [2**73, 2**74), where 10**22 lies, so
+    that hi's split and a 2**s stay in range.  Built on first use."""
+    shift = [max(0, (10 ** j).bit_length() - 74) for j in range(_POW10_SPAN)]
+    exact = [Fraction(10 ** j, 1 << s) for j, s in enumerate(shift)]
+    hi = [float(f) for f in exact]
+    tables = (np.ldexp(1.0, shift), np.array(hi),
+              np.array([float(f - Fraction(h)) for f, h in zip(exact, hi)]))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _round_scaled(a: np.ndarray, k: np.ndarray):
-    """floor(a * 10**(16 - k)), exactly, and the product rounded half to
-    even, exactly where it is at least 10**16; for 1e-4 <= a < 1e16 and
-    16 - k in [0, 22].
+    """floor(a * 10**(16 - k)), the product rounded half to even and the
+    lanes left undecided, for normal a < 1e16 and 16 - k in [0,
+    _POW10_SPAN), where the product is at least 10**16.
 
-    TwoProduct gives the product as p + e exactly.  A product of at least
-    10**16 > 2**53 makes p an even integer, so p + rint(e) rounds half to
-    even."""
-    b = _POW10[16 - k]
+    a 2**s is exact, and TwoProduct gives (a 2**s) hi as p + e exactly.
+    A product of at least 10**16 > 2**53 makes p an even integer, so p +
+    rint(e + a 2**s lo) rounds half to even.  Where 10**j is a double, lo
+    is 0 and both results are exact.  Elsewhere the remainder is off by
+    less than _TIE_GUARD: the rounding is right on every lane whose
+    remainder lies farther than that from a half, and the floor is off by
+    at most one, only next to an integer, which moves k at 10**16 or
+    10**17 by one where the carry moves it back.  The undecided lanes,
+    those within _TIE_GUARD of a half, are the exact ties at the 17th
+    digit, and in practice no others."""
+    twos, hi, lo = _pow10_table()
+    j = 16 - k
+    b = hi.take(j)
+    a = a * twos.take(j)
     p = a * b
     c = a * _SPLIT
     a_hi = c - (c - a)
@@ -209,40 +249,46 @@ def _round_scaled(a: np.ndarray, k: np.ndarray):
     b_hi = c - (c - b)
     b_lo = b - b_hi
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    e += a * lo.take(j)
     r = np.rint(e)
     rounded = p.astype(np.int64) + r.astype(np.int64)
-    return rounded - (r > e), rounded
+    return rounded - (r > e), rounded, np.abs(e - r) > 0.5 - _TIE_GUARD
 
 
 def _format_g17(values: np.ndarray) -> tuple[list, list]:
     """b"%.17g" % v for each v of a 1-D float array, as two lists of bytes
     whose items concatenate to it: the sign and integer part ("0.0.." below
-    1), and the fraction with its "."."""
+    1, the first digit in exponent form), and the fraction with its "."
+    and any exponent."""
     n = values.size
     a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1e16)
+    fast = (a >= sys.float_info.min) & (a < 1e16)
     zero = a == 0
     # the other lanes are computed on 1.0, which prints as "1", and
     # replaced: a zero by "0", the rest by the per-value fallback
     a = np.where(fast, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
-    floor, D = _round_scaled(a, k)
+    floor, D, undecided = _round_scaled(a, k)
     off = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
     if off.size:  # log10 rounded across a power of ten: k is one off
         k[off] += np.where(floor[off] < 10 ** 16, -1, 1)
-        D[off] = _round_scaled(a[off], k[off])[1]
-    # rounding up to the next power of ten; no double in range lies within
-    # half a unit of the 17th digit below one, so this is a guard
+        _, D[off], undecided[off] = _round_scaled(a[off], k[off])
+    # rounding up to the next power of ten
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     k += carry
     # D holds the 17 significant digits and k the decimal exponent, so the
     # value prints as D's first k + 1 digits, "." and the rest; below 1, as
-    # "0.", -1 - k zeros and D.  Trailing zeros of the fraction are cut.
-    digits, int_mask, int_prefix = _g17_tables()
-    row = k + 4
+    # "0.", -1 - k zeros and D; below 1e-4, in exponent form, as the first
+    # digit, "." and the rest, then "e-" and -k.  Trailing zeros of the
+    # fraction are cut.
+    digits, int_mask, int_prefix, exponents = _g17_tables()
+    expo = np.flatnonzero(k < -4)
+    place = k.copy()
+    place[expo] = 0  # the exponent form's digits are those of k = 0
+    row = place + 4
     ints = np.zeros((n, 5), "<u4")
-    words = (int(k.max()) + 4) // 4  # the groups the longest integer part fills
+    words = (int(place.max()) + 4) // 4  # the groups the longest integer part fills
     rest = D
     for j, unit in enumerate(_GROUP_UNITS[:words]):
         group = rest // unit
@@ -255,11 +301,11 @@ def _format_g17(values: np.ndarray) -> tuple[list, list]:
     ints[zero, 0] = 48
     # the fraction digits, left-aligned: 16 after "." (grouped 3, 4, 4, 4,
     # 1) from 1 up, all 17 of D (grouped 4, 4, 4, 4, 1) below 1
-    whole = np.maximum(k, 0)
+    whole = np.maximum(place, 0)
     scale = _POW10_INT[16 - whole]
-    rest = np.where(k < 0, D, (D - D // scale * scale) * _POW10_INT[whole])
+    rest = np.where(place < 0, D, (D - D // scale * scale) * _POW10_INT[whole])
     fracs = np.empty((n, 5), "<u4")
-    block = np.where(k < 0, 0, _DOT)  # from 1 up, the first group follows "."
+    block = np.where(place < 0, 0, _DOT)  # from 1 up, the first group follows "."
     for j, unit in enumerate(_GROUP_UNITS):
         group = rest // unit
         rest = rest - group * unit
@@ -275,10 +321,12 @@ def _format_g17(values: np.ndarray) -> tuple[list, list]:
         ints = np.where(neg[:, None], signed, ints)
     heads = ints.view("S20").ravel().tolist()
     tails = fracs.view("S20").ravel().tolist()
-    # the fallback; the fraction computed on 1.0 is already empty
-    slow = np.flatnonzero(~(fast | zero))
+    for i, x in zip(expo.tolist(), (-k[expo]).tolist()):
+        tails[i] += exponents[x]
+    # the fallback, its whole text in the head
+    slow = np.flatnonzero(~(fast | zero) | undecided)
     for i, v in zip(slow.tolist(), values[slow].tolist()):
-        heads[i] = b"%.17g" % v
+        heads[i], tails[i] = b"%.17g" % v, b""
     return heads, tails
 
 

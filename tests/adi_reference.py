@@ -154,8 +154,8 @@ def substep_of_length(op, W, half):
 
 def read(op, W, out):
     """The clamped cubic read-back of a whole level at once, with the
-    cubic weights and the bound e^de f made as the operator made them
-    once per solve."""
+    cubic weights, the bound e^de f and the correction corr, which makes
+    the cubic exact on q, made as the operator made them once per solve."""
     u = op.u
     cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
              u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
@@ -166,6 +166,7 @@ def read(op, W, out):
     floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
     chord = v1 + f * (v2 - v1)
     value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
+    value += op.corr
     np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
     out[..., :op.first] = 0.0
     np.maximum(value, 0.0, out=out[..., op.first:])

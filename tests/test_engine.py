@@ -254,6 +254,26 @@ def test_step_major_increments_are_the_block_draw(bn, d):
     assert np.array_equal(got, one_draw.transpose(1, 0, 2))
 
 
+@pytest.mark.parametrize("n_steps, d, paths", [(1, 1, 8192), (1, 2, 8192), (16, 1, 2048),
+                                                (64, 1, 512), (64, 2, 256)])
+def test_increments_are_drawn_by_values(n_steps, d, paths):
+    # a chunk holds as many whole paths as fit in _DRAW_CHUNK values: one
+    # step (exact-gbm) draws a whole 8192-path block at once, 64 steps
+    # (log-Euler) keep 512-path chunks; the values are one block draw
+    gen = engine._block_gen(3, 1, engine._REGION_W)
+    draws = []
+
+    class Counting:
+        def standard_normal(self, shape):
+            draws.append(shape[0])
+            return gen.standard_normal(shape)
+
+    got = engine._step_major_increments(Counting(), 8192, n_steps, d, 1.0 / n_steps)
+    assert draws == [paths] * (8192 // paths)
+    one_draw = engine._block_gen(3, 1, engine._REGION_W).standard_normal((8192, n_steps, d))
+    assert np.array_equal(got, np.sqrt(1.0 / n_steps) * one_draw.transpose(1, 0, 2))
+
+
 def test_nan_coefficient_raises_nonfinite():
     # s = sqrt(x1 - 0.5) is NaN once a path falls below 0.5; the range
     # check after the step stops it

@@ -378,17 +378,57 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
     assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
 
 
+@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
+    # a state w = q + c(x), the dual's tail, reads back as q + c up to
+    # rounding on every requested node, clamped at 0.  There the convexity
+    # clamp binds, and its chords are exact on q already, so the state
+    # also takes a term -beta eta, convex in q, that the cubic reproduces
+    # and under which the clamp does not bind: that reads back exactly
+    # only with the correction, since the cubic misses q by O(de^4 q).
+    # The offsets u carry the rounding of log q, a few ulps
+    model, payoff, grid, kw = sweep_cases()[case]
+    ops = []
+    read = pde._DualOperator.read
+
+    def record(op, W, out):
+        ops.append(op)
+        read(op, W, out)
+
+    monkeypatch.setattr(pde._DualOperator, "read", record)
+    pde.solve_dual_pde(model, payoff, grid, **kw)
+    op = ops[0]
+    # c and phi at the x node of each requested node, from its stencil's
+    # flat index
+    node = op.start // op.eta.size
+    c = np.cos(3.0 * op.phi) - op.gx
+    q = grid.z[op.first:]
+    ulp = np.spacing(grid.z[-1])
+    out = np.empty(grid.shape[1:])
+    for beta, tol in ((0.0, 32 * ulp), (0.5, 8 * ulp)):
+        W = np.exp(op.eta + op.phi[..., None]) + c[..., None] - beta * op.eta
+        want = np.zeros(grid.shape[1:])
+        want[..., op.first:] = np.maximum(
+            q + c.ravel()[node] - beta * (np.log(q) - op.phi.ravel()[node]), 0.0)
+        op.read(W, out)
+        assert np.abs(out - want).max() <= tol
+    monkeypatch.setattr(op, "corr", np.zeros_like(op.corr))
+    op.read(W, out)
+    assert np.abs(out - want).max() > 1e-5
+
+
 def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
     # beyond the surface it returns, the d=2 solve holds, in state arrays W
     # (an interior array counted as W): the state, 1; the increment and its
     # eta-first copy, 2, whose memory the read-back's slabs share; the eta
     # sweep's factors, 3, and the band their factoring copies, 1; per
-    # requested node the read-back's index, offset and two bounds, 4 x 0.7
-    # (a level has 31 q > 0 where W has 44 eta nodes), and a flag, 0.1.
-    # That is 9.9 W; the x factors at their bands' shape, the stencil's
-    # coefficients and the one-row product slab add about 0.3 W, so 11 W.
-    # Measured: 9.8 W, and 14.5 W with lane-shaped x factors, 18.6 W with
-    # the whole-level read
+    # requested node the read-back's index, offset, two bounds and
+    # correction, 5 x 0.7 (a level has 31 q > 0 where W has 44 eta nodes),
+    # and a flag, 0.1.  That is 10.6 W; the x factors at their bands'
+    # shape, the stencil's coefficients and the one-row product slab add
+    # about 0.3 W, so 11 W.  Measured: 10.3 W, where 9.8 W without the
+    # correction, and 14.5 W with lane-shaped x factors, 18.6 W with the
+    # whole-level read
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
     model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",

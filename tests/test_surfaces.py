@@ -142,24 +142,30 @@ def write_rows_reference(surface, path):
             fh.write(fmt % row)
 
 
-def is_17th_digit_tie(v: float) -> bool:
-    """Whether v lies exactly halfway between two 17-digit decimals."""
+def decimal_exponent(v: float) -> int:
+    """floor(log10 |v|), exactly."""
     f = Fraction(abs(v))
     k = int(np.floor(np.log10(abs(v))))
     while Fraction(10) ** k > f:
         k -= 1
     while Fraction(10) ** (k + 1) <= f:
         k += 1
-    return (f * Fraction(10) ** (16 - k)).denominator == 2
+    return k
+
+
+def is_17th_digit_tie(v: float) -> bool:
+    """Whether v lies exactly halfway between two 17-digit decimals."""
+    return (Fraction(abs(v)) * Fraction(10) ** (16 - decimal_exponent(v))).denominator == 2
 
 
 def g17_edge_values() -> list:
     """Values at the edges of the %.17g kernel, both signs: powers of ten
-    and their neighbours from 1e-6 to 1e18, the doubles just below a power
-    of ten that round up to it, exact ties at the 17th digit, the ends of
-    the exact-digit range [1e-4, 1e16), zeros, subnormals and the extremes."""
+    and their neighbours from 1e-307 to 1e18, the doubles just below a
+    power of ten that round up to it, exact ties at the 17th digit, the
+    ends of the fixed form [1e-4, 1e16), zeros, subnormals and the
+    extremes."""
     values = []
-    for j in range(-6, 19):
+    for j in range(-307, 19):
         p = float(f"1e{j}")
         values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
     carries = []
@@ -203,14 +209,38 @@ def test_g17_kernel_on_edge_values():
 
 
 def test_g17_kernel_on_short_mantissa_dyadics():
-    # odd 12-bit mantissas over 70 binades; those in [1e-4, 1e-2) with
-    # exponent k - 17 are exact ties at the 17th digit
+    # odd 12-bit mantissas over 105 binades; those in [1e-4, 1e-2) with
+    # exponent k - 17 are exact ties at the 17th digit, and so are some
+    # below 1e-4, in exponent form, such as 43 2**-22
     m = np.arange(1.0, 4096.0, 2.0)
-    values = (m[:, None] * 2.0 ** np.arange(-45, 25)).ravel()
+    values = (m[:, None] * 2.0 ** np.arange(-80, 25)).ravel()
     values = np.concatenate([values, -values])
     assert g17(values) == [b"%.17g" % v for v in values.tolist()]
     near = [v for v in values.tolist() if 1e-4 <= v < 1e-2]
     assert sum(map(is_17th_digit_tie, near)) > 1000
+    small = [v for v in values.tolist() if 0.0 < v < 1e-4]
+    assert sum(map(is_17th_digit_tie, small)) > 100
+
+
+def test_scaled_rounding_leaves_only_the_ties_undecided():
+    # below 1e-6 the power of ten is a double-double and the product has
+    # an error bound: every lane the bound decides rounds as Fraction
+    # arithmetic does, and the lanes it leaves undecided are exactly the
+    # ties at the 17th digit.  Short-mantissa dyadics from 1e-4 down,
+    # random normal values over every binade below 1e-4 and the smallest
+    # normal
+    m = np.arange(1.0, 512.0, 2.0)
+    values = np.concatenate([(m[:, None] * 2.0 ** np.arange(-60, -13)).ravel(),
+                             2.0 ** np.random.default_rng(7).uniform(-1022, -14, 2000),
+                             [sys.float_info.min]])
+    values = values[values < 1e-4]
+    k = np.array([decimal_exponent(v) for v in values])
+    _, rounded, undecided = surfaces._round_scaled(values, k)
+    exact = [Fraction(v) * Fraction(10) ** (16 - int(kk)) for v, kk in zip(values.tolist(), k)]
+    ties = np.array([f.denominator == 2 for f in exact])
+    assert ties.sum() > 50
+    assert np.array_equal(undecided, ties)
+    assert all(int(r) == round(f) for r, f, tie in zip(rounded, exact, ties) if not tie)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transform_reference as ref
-from qhedge import pde
+from qhedge import oracles, pde
 from qhedge.duality import convex_envelope_rows
 from qhedge.errors import ArgmaxAtBoundary
 from qhedge.market import builtin_model, linear_payoff
@@ -130,6 +130,39 @@ def test_solved_dual_surface_matches_reference():
     assert np.max(np.abs(primal.values - want)) <= 1e-12
     assert primal.meta["enveloped_slices"] == n_env > 0
     assert primal.meta["saturated_slices"] == n_sat
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    """The dual and primal surfaces of the pde-pipeline benchmark: gbm b =
+    0.05, s = 0.3, 128 x on [0.5, 2] x 128 q on [0, 8] x 64 t, eps 0.2,
+    101 p."""
+    grid = GridSpec.regular(0.0, 1.0, 64, 0.5, 2.0, 128, 128, "q", z_max=8.0, epsilon=0.2)
+    dual = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(), grid)
+    return dual, pde.dual_to_primal(dual, np.linspace(0.0, 1.0, 101))
+
+
+def test_pipeline_dual_is_convex_in_q_and_needs_no_envelope(pipeline):
+    # the read-back is exact on the slope-1 tail, so no slice dips below
+    # the envelope trigger; a cubic without the correction left 6 791 q
+    # second differences below -1e-8 and 2 540 enveloped slices
+    dual, primal = pipeline
+    W = dual.values
+    assert (W[..., :-2] - 2.0 * W[..., 1:-1] + W[..., 2:]).min() >= -1e-8
+    assert primal.meta["enveloped_slices"] == 0
+
+
+def test_pipeline_error_at_x0(pipeline):
+    # along the x row nearest x0 = 1 at t0, against the smeared closed
+    # forms: 7.13e-5 (dual) and 8.52e-5 (primal) before the correction
+    dual, primal = pipeline
+    x = dual.grid.x_axes[0]
+    i = int(np.argmin(np.abs(x - 1.0)))
+    dual_ref = [oracles.gbm_dual_smeared(x[i], q, 0.05, 0.3, 1.0, 0.2) for q in dual.grid.z]
+    primal_ref = [oracles.gbm_primal_smeared(x[i], p, 0.05, 0.3, 1.0, 0.2)
+                  for p in primal.grid.z]
+    assert np.abs(dual.values[0, i] - dual_ref).max() <= 7.13e-5
+    assert np.abs(primal.values[0, i] - primal_ref).max() <= 8.52e-5
 
 
 @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
