@@ -35,7 +35,7 @@ Configs are INI files; the keys read, with their defaults:
               with the mc method probes [0, hi]); n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
             tolerance (verify, finite and >= 0; none: 10 (dt + dx^2 +
-              dq^2));
+              dp^2), with the primal surface's p spacing);
             threads = 0 (0: one per CPU); refine (none, n or
             "r_x r_q r_t", each at least 1); pad (auto, n or
             "x_cells q_cells", each at least 0)
@@ -48,8 +48,9 @@ dual solve's substeps per time step (always 1: the solver steps the dual
 in characteristic coordinates, without an x-q cross term to substep) and,
 with the pipeline method, the transform's enveloped and saturated slices.
 The verify report counts the non-convex nodes the residual skips
-("n_nonconvex").  The study-epsilon summary's "monotone" says whether the
-sup gap never rises as eps falls, whatever order the config lists eps in.
+("n_nonconvex"); its "max_residual" is null where no node was checked.
+The study-epsilon summary's "monotone" says whether the sup gap never
+rises as eps falls, whatever order the config lists eps in.
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
@@ -263,7 +264,7 @@ class _Run:
         payload = dict(payload)
         payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         with open(os.path.join(self.out, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     def write_csv(self, name: str, header: str, rows) -> None:
@@ -398,10 +399,14 @@ def cmd_verify(run: _Run, surface_path: str) -> int:
                           f"the model {run.model.dim}")
     tol = run.tolerance
     report = pde.verify_supersolution(surf, run.model, run.payoff, tol)
+    fields = dataclasses.asdict(report)
+    # with no node checked the max residual is -inf, which JSON cannot hold
+    if not math.isfinite(report.max_residual):
+        fields["max_residual"] = None
     run.write_json("verify.json", {
         "provenance": run.provenance("verify", surf.grid),
         "surface": os.path.basename(surface_path),
-        "report": dataclasses.asdict(report),
+        "report": fields,
     })
     return 0 if report.passed else 1
 

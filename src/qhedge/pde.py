@@ -21,9 +21,13 @@ where the x-eta cross terms vanish identically:
 
 For bessel3 phi = log x and v = x f(eta); for gbm phi is linear in log x.
 The eta drift taken is the one whose discrete operator annihilates q =
-e^(eta + phi): the drift above up to O(dx^2 + de^2), and w_q = 1 exactly
-where w - q does not depend on q.  Mixed terms remain only between x axes
-(gbm with a full volatility matrix), at the model's own correlation.
+e^(eta + phi): the drift above up to O(dx^2 + de^2).  Mixed terms remain
+only between x axes (gbm with a full volatility matrix), at the model's
+own correlation.  Since q solves the equation, on the grid as well, the
+solver steps u = v - q, which solves it too: on the slope-1 tail of every
+slice, w = q - c(x) with c = E[Z_T g(X_T)] the p = 1 (superhedging)
+capital, u = -c(x) does not depend on eta, and the edges and the
+read-back below need no term of q.
 
 Time stepping is Douglas ADI in delta form (Douglas & Rachford 1956), on
 one step length h = dt / r_t for r_t time refinements, whose stencil of h
@@ -44,39 +48,40 @@ where the rows are diagonally dominant: in every x sweep (slack 1), and in
 the eta sweep while h (|ce1| - ce2) <= 1, which a strong eta drift on a
 coarse t axis can break.
 
-Every state a substep starts from satisfies the edge relations below:
-apply_bc sets them on the terminal data, after each substep, and after
-the projection onto w >= 0 at each output level, which clips the x edges
-(project, then restore the edges).  The sweeps act on the increment, so
-with the relations holding their end terms vanish, and the step is the
-standard Douglas step with the edges folded in.
+Every state u a substep starts from satisfies the edge relations below:
+apply_bc sets them on the terminal data, max(-q, -g(x)), after each
+substep, and after the projection onto w >= 0, u >= -q, at each output
+level, which clips the x edges (project, then restore the edges).  The
+sweeps act on the increment, so with the relations holding their end
+terms vanish, and the step is the standard Douglas step with the edges
+folded in.
 
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
-w - q is extrapolated linearly at fixed eta, exact where q is large.  The
+u is extrapolated linearly at fixed eta, exact where q is large.  The
 uniform eta axis has as many nodes as the padded q axis would have.  At
-its bottom v = 0, which errs by at most the q there (0 <= w <= q), at most
-e^-_ETA_MARGIN times the smallest requested positive q at every requested
-x; at its top, which reaches the padded q_max at every requested x, w_q =
-1, as the exact increase of q between the top two nodes.  Requested nodes
-are read back by cubic interpolation in eta (`read`) plus a correction per
-node that makes it exact on q itself, so on w = q + c(x), the slope-1 tail
-of every slice, up to rounding, and clamped at 0, since a restored x edge
-can dip below it; q <= 0 reads 0, and the terminal level is (q - g(x))^+
-itself.
+its bottom w = 0, u = -q, which errs by at most the q there (0 <= w <=
+q), at most e^-_ETA_MARGIN times the smallest requested positive q at
+every requested x; at its top, which reaches the padded q_max at every
+requested x, w_q = 1: u repeats the node below.  u is fixed at the bottom
+and repeats at the top whatever the step, so the increments' relations
+are homogeneous at every edge.  Requested nodes are read back by cubic
+interpolation of u in eta (`read`) plus the requested q, exact on the
+slope-1 tail up to rounding, since the cubic reproduces constants, and
+clamped at 0, since a restored x edge can dip below it; q <= 0 reads 0,
+and the terminal level is (q - g(x))^+ itself.
 
 Memory: beyond the surface it returns, the solve holds the state, which
-each substep updates in place, one increment of its interior and the eta
-sweep's eta-first copy of it, the sweeps' factors, the read-back's data per
-requested node (stencil index, offset, two convexity bounds and the
-correction, 8 B each) and slab-sized scratch.  The eta sweep's factors
-have the increment's size; the x sweeps' keep their bands' shape, one
-value per line broadcast over the eta lanes, except in d = 1.  The explicit pass and the read-back work
-one slab of the first x axis at a time, as many rows as keep one slab
-array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
-the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q,
-88 eta) the solve peaks 15.6 MB above its 36 MB surface (tracemalloc),
-1.1 MB of it the read-back's correction, where whole-level passes and
-lane-shaped x factors took 33.4 MB.
+each substep updates in place, -q on the state's nodes, one increment of
+the state's interior and the eta sweep's eta-first copy of it, the
+sweeps' factors, the read-back's data per requested node (stencil index,
+offset and two convexity bounds, 8 B each) and slab-sized scratch.  The
+eta sweep's factors have the increment's size; the x sweeps' keep their
+bands' shape, one value per line broadcast over the eta lanes, except in
+d = 1.  The explicit pass and the read-back work one slab of the first x
+axis at a time, as many rows as keep one slab array within _SLAB_BYTES
+(at least one), and the read-back's slabs reuse the memory of the
+increment.  On the d = 2 benchmark grid (48^2 x, 64 q, 88 eta) the solve
+peaks 15.9 MiB above its 36.0 MiB surface (tracemalloc), 1.5 MiB of it -q.
 """
 from __future__ import annotations
 
@@ -255,17 +260,15 @@ class _DualOperator:
         self.de = de = float(self.eta[1] - self.eta[0])
         self.gx = payoff(_mesh(x_axes)).reshape(self.phi.shape)
         e_phi = np.exp(self.phi)
-        self.top = e_phi * np.diff(np.exp(self.eta[-2:]))[0]  # v_eta = q at the top
+        # the state is u = w - q, and -q = -e^(eta + phi) its value where w =
+        # 0, built in place: temporaries of the state's size raised the d=2
+        # benchmark solve's peak RSS by 1.4 MB
+        self.neg_q = np.add(self.eta, self.phi[..., None])
+        np.exp(self.neg_q, out=self.neg_q)
+        np.negative(self.neg_q, out=self.neg_q)
         inner = (_MID,) * d
         self.weights = [_d2_weights(x) for x in x_axes]
         self.ratios = [_edge_ratios(x) for x in x_axes]
-        # what q = e^(eta + phi) adds at each x edge to a linear
-        # extrapolation of v: one (other x axes, eta) face per edge
-        self.faces = []
-        for axis, (r_lo, r_hi) in enumerate(self.ratios):
-            e = np.moveaxis(e_phi, axis, 0)
-            self.faces.append([(e[a] - (1.0 + r) * e[b] + r * e[c])[..., None] * np.exp(self.eta)
-                               for a, b, c, r in ((0, 1, 2, r_lo), (-1, -2, -3, r_hi))])
         self.cx = [0.5 * alpha[inner + (i, i)] for i in range(d)]
         # x pairs whose coefficient vanishes everywhere are left out
         spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(x_axes)]
@@ -285,7 +288,8 @@ class _DualOperator:
         # weights are taken from it), and its place among their q values
         # Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1), with e^de f =
         # (q - Q_1) / (Q_1 - Q_0), and g = (q - Q_2) / (Q_3 - Q_2)
-        s = (np.log(q[self.first:]) - self.phi[restrict][..., None] - self.eta[0]) / de
+        self.q_read = q[self.first:]
+        s = (np.log(self.q_read) - self.phi[restrict][..., None] - self.eta[0]) / de
         k = np.clip(np.floor(s).astype(np.intp) - 1, 0, self.eta.size - 4)
         rows = np.arange(self.phi.size).reshape(self.phi.shape)[restrict]
         self.start = rows[..., None] * self.eta.size + k
@@ -306,36 +310,22 @@ class _DualOperator:
         pool = np.empty(max(sum(map(math.prod, step)), math.prod(read)))
         self._z, self._cols, self._prod = _carve(pool, step)
         self._read_slabs = pool[:math.prod(read)].reshape(read)
-        # per requested node with q > 0: what the cubic misses of q itself,
-        # corr = q - sum_m c_m(u) Q_m with Q_m = e^(eta_(k+m) + phi(x)), built
-        # one read slab at a time, so that `read` is exact on w = q + c(x)
-        self.corr = np.empty(self.start.shape)
-        phi = self.phi[restrict][..., None]
-        for lo in range(0, k.shape[0], self._read_rows):
-            hi = min(lo + self._read_rows, k.shape[0])
-            *Q, value, scratch, a, b, c = self._read_slabs[:, :hi - lo]
-            for m, v in enumerate(Q):
-                np.take(self.eta[m:], k[lo:hi], out=v)
-                v += phi[lo:hi]
-                np.exp(v, out=v)
-            _cubic(u[lo:hi], Q, value, scratch, a, b, c)
-            np.subtract(q[self.first:], value, out=self.corr[lo:hi])
         self.h = h
         self.terms = self._stencil(h)
         self.sweeps = [self._factor_x(0.5 * h, axis) for axis in range(d)] + [
             self._factor_eta(0.5 * h)]
 
     def apply_bc(self, W: np.ndarray) -> None:
-        """Set the edge relations in place: at each x edge the two nodes next
-        to it continued linearly plus the face of q, then v = 0 at the eta
-        bottom and v_eta = q at the top."""
+        """Set the edge relations on a state W = w - q in place: at each x
+        edge the two nodes next to it continued linearly, then w = 0 at the
+        eta bottom and w_q = 1 at the top, where W repeats the node below."""
         for axis in range(self.d):
             Wa = np.moveaxis(W, axis, 0)
             for end, step in ((0, 1), (-1, -1)):
                 near, far = Wa[end + step], Wa[end + 2 * step]
-                Wa[end] = near + self.ratios[axis][end] * (near - far) + self.faces[axis][end]
-        W[..., 0] = 0.0
-        W[..., -1] = W[..., -2] + self.top
+                Wa[end] = near + self.ratios[axis][end] * (near - far)
+        W[..., 0] = self.neg_q[..., 0]
+        W[..., -1] = W[..., -2]
 
     def _stencil(self, h: float):
         """h times the interior operator as (coefficient, shifts) terms: the
@@ -407,7 +397,8 @@ class _DualOperator:
 
     def _factor_eta(self, th: float):
         """(I - th*A_eta) on interior eta nodes, eta first, one line per x
-        node, with v = 0 at the bottom and the top's increment folded in.
+        node, with the increment 0 at the bottom, where u = -q is fixed, and
+        equal to the node below at the top folded in.
         Its rows are diagonally dominant, so the pivot-free Thomas factors
         are stable, while th (|ce1| - ce2) <= 1/2, that is, at th = h / 2,
         while h (|ce1| - ce2) <= 1."""
@@ -448,16 +439,17 @@ class _DualOperator:
         return W
 
     def read(self, W: np.ndarray, out: np.ndarray) -> None:
-        """Write W on the requested nodes to out: the 4-point cubic Lagrange
-        interpolant in eta plus corr, clamped in the stencil's middle cell to
-        the bounds convexity in q sets (below the cell's chord, above either
-        neighbouring chord extended).  The cubic's weights sum to 1 and corr
-        is what they miss of q, so a state w = q + c(x), the dual's slope-1
-        tail, reads back as q + c up to rounding; the chords are exact on it
-        too.  Smooth convex data keep the cubic in the bounds up to O(de^4);
-        at an unresolved kink the clamp stops overshoot.  What is written is
-        clamped at 0: a restored x edge can take W, and the cubic through
-        it, below 0.
+        """Write w = W + q on the requested nodes to out: the 4-point cubic
+        Lagrange interpolant of the state W = w - q in eta, clamped in the
+        stencil's middle cell to the bounds convexity of w in q sets (below
+        the cell's chord, above either neighbouring chord extended), plus
+        the requested q.  The chords are exact on q, so clamping W against
+        them clamps w against its own.  The cubic's weights sum to 1, so on
+        the dual's slope-1 tail, where W does not depend on q, w reads back
+        as q + W up to rounding.  Smooth convex data keep the cubic in the
+        bounds up to O(de^4); at an unresolved kink the clamp stops
+        overshoot.  What is written is clamped at 0: a restored x edge can
+        take w, and the cubic through it, below 0.
 
         It runs one slab of the first x axis at a time: the four stencil
         values are gathered into the operator's slab buffers, the cubic
@@ -478,7 +470,6 @@ class _DualOperator:
                 np.take(flat[m:], self.start[lo:hi], out=v, mode="clip")
             u, f, g = self.u[lo:hi], self.bounds[0][lo:hi], self.bounds[1][lo:hi]
             _cubic(u, (v0, v1, v2, v3), value, floor, a, b, c)
-            value += self.corr[lo:hi]
             # floor = max(v1 + e^de f (v1 - v0), v2 + g (v3 - v2)) and chord
             # = v1 + f (v2 - v1)
             np.multiply(e_de, f, out=a)
@@ -495,6 +486,7 @@ class _DualOperator:
             np.maximum(value, floor, out=floor)
             np.minimum(floor, chord, out=floor)
             np.copyto(value, floor, where=self.centred[lo:hi])
+            value += self.q_read
             np.maximum(value, 0.0, out=out[lo:hi, ..., self.first:])
 
 
@@ -578,11 +570,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 
     values = np.empty(grid.shape)
     values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
-    # (e^(eta + phi) - g(x))^+, in place: the solve's memory peaks here
-    W = np.add(ws.eta, ws.phi[..., None])
-    np.exp(W, out=W)
-    W -= ws.gx[..., None]
-    np.maximum(W, 0.0, out=W)
+    # (q - g(x))^+ - q = max(-q, -g(x))
+    W = np.maximum(ws.neg_q, -ws.gx[..., None])
     ws.apply_bc(W)
     step = 0
     for k in range(grid.t.size - 2, -1, -1):
@@ -595,9 +584,9 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         if not (np.isfinite(W.min()) and np.isfinite(W.max())):
             raise Nonfinite(f"dual solve: non-finite values at t = {grid.t[k]:g}")
         # the exact flow preserves the sign of the terminal data; FD
-        # undershoot below zero is projected out, then the edge relations
+        # undershoot below w = 0 is projected out, then the edge relations
         # the projection clips are restored
-        np.maximum(W, 0.0, out=W)
+        np.maximum(W, ws.neg_q, out=W)
         ws.apply_bc(W)
         ws.read(W, values[k])
 

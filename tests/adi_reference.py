@@ -7,10 +7,10 @@ call, and both pivot (LAPACK gbsv), where the operator's Thomas kernel
 does not.  `solve_x` and `solve_eta` take the operator's interface: an
 increment of a state that satisfies the edge relations, so nothing lies
 beyond either end.
-`substep` is the standard form, in which the sweeps act on values with the
-edge relations' own inhomogeneous terms.  They compute the same steps as
-the operator in another order of operations, so surfaces agree with them
-up to rounding.
+`substep` is the standard form, in which the sweeps act on values of the
+state w - q, with its value -q beyond the eta bottom.  They compute the
+same steps as the operator in another order of operations, so surfaces
+agree with them up to rounding.
 `explicit` and `read` are the operator's own whole-level passes, every
 temporary the size of a time level, from before it worked in slabs: the
 same operations in the same order, so surfaces agree with them bit for
@@ -31,21 +31,17 @@ from qhedge import _kernels
 from qhedge.pde import _HI, _LO, _MID, _along, _cross_diff, _second_diff, _view
 
 
-def _x_sweep(op, rhs, th, axis, ends):
+def _x_sweep(op, rhs, th, axis):
     """(I - th*A_axis) on interior nodes with the edge extrapolation folded
     in: one banded solve per node of the other x axes, every eta column a
-    right-hand side.  `ends` are what the extrapolation adds beyond each
-    end, on the (other x axes, eta) interior face."""
+    right-hand side."""
     wl, wc, wr = (_along(w, axis, op.d) for w in op.weights[axis])
     r_lo, r_hi = op.ratios[axis]
     c = op.cx[axis]
     lo = np.moveaxis(-th * c * wl, axis, 0)
     di = np.moveaxis(1.0 - th * c * wc, axis, 0)
     up = np.moveaxis(-th * c * wr, axis, 0)
-    rhs = rhs.copy()
     src = np.moveaxis(rhs, axis, 0)
-    src[0] -= lo[0][..., None] * ends[0]
-    src[-1] -= up[-1][..., None] * ends[1]
     di[0] += lo[0] * (1.0 + r_lo)
     up[0] += -lo[0] * r_lo
     di[-1] += up[-1] * (1.0 + r_hi)
@@ -62,18 +58,17 @@ def _x_sweep(op, rhs, th, axis, ends):
     return out
 
 
-def _eta_sweep(op, rhs, th, bottom, top):
+def _eta_sweep(op, rhs, th, bottom):
     """(I - th*A_eta) on interior eta nodes, one banded solve per x node,
-    with the top's ghost increment folded in; `bottom` and `top` are the
-    values beyond either end, one per x node."""
+    with the top's repeated node folded in; `bottom` is the value beyond
+    the bottom end, one per x node."""
     n = rhs.shape[-1]
     c1 = np.broadcast_to(op.ce1, rhs.shape).reshape(-1, n)
     lo = -th * (op.ce2 - c1)
     up = -th * (op.ce2 + c1)
     di = np.full(lo.shape, 1.0 + 2.0 * th * op.ce2)
     flat = rhs.reshape(-1, n).copy()
-    flat[:, 0] -= lo[:, 0] * bottom.ravel()
-    flat[:, -1] -= up[:, -1] * top.ravel()
+    flat[:, 0] -= lo[:, 0] * np.ravel(bottom)
     di[:, -1] += up[:, -1]
     out = np.empty_like(flat)
     for line in range(flat.shape[0]):
@@ -87,21 +82,20 @@ def _eta_sweep(op, rhs, th, bottom, top):
 
 def solve_x(op, rhs, axis):
     """The x sweep for an increment: zero beyond either end."""
-    return _x_sweep(op, rhs, 0.5 * op.h, axis, (0.0, 0.0))
+    return _x_sweep(op, rhs, 0.5 * op.h, axis)
 
 
 def solve_eta(op, rhs):
     """The eta sweep for an increment: zero beyond either end."""
-    ends = np.zeros(rhs.shape[:-1])
-    return _eta_sweep(op, rhs, 0.5 * op.h, ends, ends)
+    return _eta_sweep(op, rhs, 0.5 * op.h, 0.0)
 
 
 def substep(op, W, half):
     """One Douglas step in the standard form, in place: the explicit
     predictor W + h' F(W), h' = h / 2 on a half step and h otherwise, then
     per axis a sweep on the values of the predictor less th = h / 2 times
-    the axis's own explicit term, the edges folded in with the faces of q
-    and the top increment themselves."""
+    the axis's own explicit term, the edges folded in, -q below the eta
+    bottom."""
     h = 0.5 * op.h if half else op.h
     diag = [op.cx[axis][..., None] * _second_diff(W, axis, op.weights[axis])
             for axis in range(op.d)]
@@ -112,9 +106,8 @@ def substep(op, W, half):
     th = 0.5 * op.h
     inner = (_MID,) * op.d
     for axis in range(op.d):
-        faces = [face[inner] for face in op.faces[axis]]
-        y = _x_sweep(op, y - th * diag[axis], th, axis, faces)
-    y = _eta_sweep(op, y - th * diag[-1], th, np.zeros(op.top[inner].shape), op.top[inner])
+        y = _x_sweep(op, y - th * diag[axis], th, axis)
+    y = _eta_sweep(op, y - th * diag[-1], th, op.neg_q[inner + (0,)])
     W[(_MID,) * (op.d + 1)] = y
     op.apply_bc(W)
     return W
@@ -154,8 +147,8 @@ def substep_of_length(op, W, half):
 
 def read(op, W, out):
     """The clamped cubic read-back of a whole level at once, with the
-    cubic weights, the bound e^de f and the correction corr, which makes
-    the cubic exact on q, made as the operator made them once per solve."""
+    cubic weights and the bound e^de f made as the operator made them once
+    per solve, and the requested q added after the clamp."""
     u = op.u
     cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
              u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
@@ -166,7 +159,7 @@ def read(op, W, out):
     floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
     chord = v1 + f * (v2 - v1)
     value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
-    value += op.corr
     np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
+    value += op.q_read
     out[..., :op.first] = 0.0
     np.maximum(value, 0.0, out=out[..., op.first:])

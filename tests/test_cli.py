@@ -12,7 +12,7 @@ from qhedge import cli, engine, mc, pde
 from qhedge.cli import main
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
-from qhedge.surfaces import GridSpec, read_surface_bin, write_surface_bin
+from qhedge.surfaces import GridSpec, Surface, read_surface_bin, write_surface_bin
 from memory_helpers import traced_peak
 from surface_helpers import wrongly_typed_headers
 
@@ -68,6 +68,15 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def load_summary(path):
+    """A summary JSON, parsed strictly: NaN and +-Infinity, which RFC 8259
+    JSON does not admit, raise."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -88,8 +97,8 @@ def test_price_mc_deterministic(tmp_path):
     csv1 = (tmp_path / "a" / "price.csv").read_bytes()
     csv2 = (tmp_path / "b" / "price.csv").read_bytes()
     assert csv1 == csv2
-    j1 = json.loads((tmp_path / "a" / "price.json").read_text())
-    j2 = json.loads((tmp_path / "b" / "price.json").read_text())
+    j1 = load_summary(tmp_path / "a" / "price.json")
+    j2 = load_summary(tmp_path / "b" / "price.json")
     datetime.datetime.fromisoformat(j1.pop("timestamp"))
     j2.pop("timestamp")
     assert j1 == j2
@@ -99,7 +108,7 @@ def test_price_provenance_fields(tmp_path):
     cfg = write_config(tmp_path, mc_ini())
     out = str(tmp_path / "out")
     assert main(["price", "--config", cfg, "--out", out]) == 0
-    prov = json.loads((tmp_path / "out" / "price.json").read_text())["provenance"]
+    prov = load_summary(tmp_path / "out" / "price.json")["provenance"]
     assert prov["schema"] == 1
     assert prov["command"] == "price"
     assert prov["method"] == "mc"
@@ -174,7 +183,7 @@ def test_dual_mc_empty_epsilons_baseline_only(tmp_path):
     assert header == "epsilon,q,value,stderr"
     assert len(rows) == 7
     assert all(float(r[0]) == 0.0 for r in rows)
-    assert json.loads((tmp_path / "out" / "dual.json").read_text())["epsilons"] == []
+    assert load_summary(tmp_path / "out" / "dual.json")["epsilons"] == []
 
 
 def test_dual_mc_regularized_curves(tmp_path):
@@ -192,13 +201,13 @@ def test_solve_verify_roundtrip(tmp_path):
     cfg = write_config(tmp_path, pde_ini(method="pipeline"))
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    created = json.loads((out / "solve.json").read_text())["artifacts"]
+    created = load_summary(out / "solve.json")["artifacts"]
     assert "surface_eps0p2.bin" in created
     assert "primal_eps0p2.bin" in created
     primal = str(out / "primal_eps0p2.bin")
     vout = tmp_path / "v"
     assert main(["verify", "--config", cfg, "--out", str(vout), primal]) == 0
-    report = json.loads((vout / "verify.json").read_text())["report"]
+    report = load_summary(vout / "verify.json")["report"]
     assert report["passed"] is True
     assert report["terminal_ok"] is True
     # the non-convex nodes the residual skips are counted, the same on a rerun
@@ -206,7 +215,7 @@ def test_solve_verify_roundtrip(tmp_path):
                                                      builtin_model("gbm", b=0.05, s=0.3)
                                                      ).n_nonconvex
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v2"), primal]) == 0
-    again = json.loads((tmp_path / "v2" / "verify.json").read_text())["report"]
+    again = load_summary(tmp_path / "v2" / "verify.json")["report"]
     assert again == report
 
     # a uniform shift breaks the terminal condition and must be flagged
@@ -238,6 +247,21 @@ def test_solve_verify_roundtrip(tmp_path):
         (tmp_path / "typed.bin").write_bytes(blob)
         assert main(["verify", "--config", cfg, "--out",
                      str(tmp_path / f"vt{i}"), str(tmp_path / "typed.bin")]) == 2
+
+
+def test_verify_with_no_node_checked_writes_strict_json(tmp_path):
+    # U = p x has no curvature in p: every node in the verifier's window
+    # auto-passes and none is checked, so the max residual is -inf, which
+    # verify.json held as -Infinity, a token JSON parsers reject
+    grid = GridSpec.regular(0.0, 1.0, 9, 0.5, 2.0, 9, 11, "p", epsilon=0.2)
+    U = np.broadcast_to(grid.x_axes[0][:, None] * grid.z, grid.shape).copy()
+    surface = str(tmp_path / "linear.bin")
+    write_surface_bin(Surface(grid, U, {}), surface)
+    cfg = write_config(tmp_path, mc_ini())
+    vout = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(vout), surface]) == 0
+    report = load_summary(vout / "verify.json")["report"]
+    assert report["n_checked"] == 0 and report["max_residual"] is None
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -273,7 +297,7 @@ def test_solve_summary_counts_numerical_events_deterministically(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        summary = json.loads((out / "solve.json").read_text())
+        summary = load_summary(out / "solve.json")
         datetime.datetime.fromisoformat(summary.pop("timestamp"))
         summaries.append(summary)
     assert summaries[0] == summaries[1]
@@ -289,7 +313,7 @@ def test_solve_summary_counts_numerical_events_deterministically(tmp_path):
     # the pde method solves the dual only, so only substeps are counted
     cfg = write_config(tmp_path, pde_ini(), name="pde.ini")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
-    counters = json.loads((tmp_path / "c" / "solve.json").read_text())["counters"]
+    counters = load_summary(tmp_path / "c" / "solve.json")["counters"]
     assert [sorted(c) for c in counters] == [["epsilon", "substeps"]]
 
 
@@ -325,7 +349,7 @@ def test_study_epsilon_gap_table(tmp_path):
     assert all(r[4] == "True" for r in rows)
     _, base = read_rows(out / "study_epsilon_baseline.csv")
     assert len(base) == 7
-    payload = json.loads((out / "study_epsilon.json").read_text())
+    payload = load_summary(out / "study_epsilon.json")
     assert payload["monotone"] is True
     # smaller smearing means a smaller gap and a smaller bound
     gaps = [r["sup_gap"] for r in payload["rows"]]
@@ -341,7 +365,7 @@ def test_study_epsilon_monotone_ignores_config_order(tmp_path):
                                                           f"epsilons = {order}"))
         out = tmp_path / order.replace(" ", "_")
         assert main(["study-epsilon", "--config", cfg, "--out", str(out)]) == 0
-        payloads.append(json.loads((out / "study_epsilon.json").read_text()))
+        payloads.append(load_summary(out / "study_epsilon.json"))
     descending, ascending = payloads
     assert [r["epsilon"] for r in ascending["rows"]] == [0.1, 0.2, 0.5]
     assert descending["rows"] == ascending["rows"][::-1]
@@ -356,7 +380,7 @@ def test_compare_oracle_bessel(tmp_path):
     header, rows = read_rows(out / "compare_oracle.csv")
     assert header == "quantity,coordinate,estimate,oracle,abs_gap,stderr"
     assert len(rows) == 10
-    payload = json.loads((out / "compare_oracle.json").read_text())
+    payload = load_summary(out / "compare_oracle.json")
     assert np.isfinite(payload["worst_gap_over_3se"])
 
 
@@ -430,7 +454,7 @@ def test_the_run_horizon_is_the_grid_horizon(tmp_path):
     text = pde_ini().replace("T = 1.0\n", "").replace("[run]\n", "[run]\nT = 2\n")
     cfg = write_config(tmp_path, text)
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    prov = json.loads((tmp_path / "p" / "price.json").read_text())["provenance"]
+    prov = load_summary(tmp_path / "p" / "price.json")["provenance"]
     assert (prov["grid"]["t0"], prov["grid"]["T"]) == (0.0, 2.0)
     assert main(["dual", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     surf = read_surface_bin(str(tmp_path / "d" / "dual_eps0p2.bin"))
@@ -492,7 +516,7 @@ def test_compare_oracle_floors_the_se_of_an_unreached_row(tmp_path):
     _, rows = read_rows(out / "compare_oracle.csv")
     half = [r for r in rows if r[0] == "dual_value" and float(r[1]) == 0.5]
     assert len(half) == 1 and float(half[0][5]) == 0.0 and float(half[0][4]) > 0.0
-    payload = json.loads((out / "compare_oracle.json").read_text())
+    payload = load_summary(out / "compare_oracle.json")
     assert payload["worst_gap_over_3se"] < 5.0
 
 
@@ -528,6 +552,7 @@ def test_mc_summaries_are_byte_identical_across_reruns_and_threads(tmp_path):
         for command, name in commands.items():
             out = tmp_path / run
             assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            load_summary(out / name)
             lines = (out / name).read_text().splitlines()
             texts[run, name] = [line for line in lines if '"timestamp"' not in line]
     for name in commands.values():

@@ -283,9 +283,10 @@ def test_half_step_halves_the_increment_bit_for_bit(monkeypatch, case):
 
 @pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
 def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
-    # every state a substep starts from, the terminal data and the states
-    # the projection onto w >= 0 clipped included, satisfies the edge
-    # relations on every line a sweep folds; so the sweeps on the
+    # every state W = w - q a substep starts from, the terminal data and
+    # the states the projection onto w >= 0 clipped included, satisfies the
+    # edge relations on every line a sweep folds: linear at the x edges,
+    # repeated at the eta top, -q at the eta bottom; so the sweeps on the
     # increment have nothing beyond their ends
     model, payoff, grid, kw = sweep_cases()[case]
     seen = []
@@ -303,11 +304,11 @@ def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
     def residuals(W):
         for axis in range(op.d):
             Wa = np.moveaxis(W, axis, 0)
-            (r_lo, r_hi), (f_lo, f_hi) = op.ratios[axis], op.faces[axis]
-            yield (Wa[1] + r_lo * (Wa[1] - Wa[2]) + f_lo - Wa[0])[inner]
-            yield (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) + f_hi - Wa[-1])[inner]
-        yield (W[..., -2] + op.top - W[..., -1])[inner]
-        yield W[..., 0][inner]
+            r_lo, r_hi = op.ratios[axis]
+            yield (Wa[1] + r_lo * (Wa[1] - Wa[2]) - Wa[0])[inner]
+            yield (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) - Wa[-1])[inner]
+        yield (W[..., -2] - W[..., -1])[inner]
+        yield (W[..., 0] - op.neg_q[..., 0])[inner]
 
     steps = (grid.t.size - 1) * kw.get("refine", (1, 1, 1))[2]
     assert len(seen) == steps + pde._RANNACHER_STEPS
@@ -380,12 +381,11 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
 
 @pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
 def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
-    # a state w = q + c(x), the dual's tail, reads back as q + c up to
-    # rounding on every requested node, clamped at 0.  There the convexity
-    # clamp binds, and its chords are exact on q already, so the state
-    # also takes a term -beta eta, convex in q, that the cubic reproduces
-    # and under which the clamp does not bind: that reads back exactly
-    # only with the correction, since the cubic misses q by O(de^4 q).
+    # the dual's tail w = q + c(x) is the state W = w - q = c(x), which
+    # reads back as q + c up to rounding on every requested node, clamped
+    # at 0.  There the convexity clamp binds, and its chords are exact on
+    # a constant, so the state also takes a term -beta eta, convex in q,
+    # that the cubic reproduces and under which the clamp does not bind.
     # The offsets u carry the rounding of log q, a few ulps
     model, payoff, grid, kw = sweep_cases()[case]
     ops = []
@@ -406,29 +406,27 @@ def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     ulp = np.spacing(grid.z[-1])
     out = np.empty(grid.shape[1:])
     for beta, tol in ((0.0, 32 * ulp), (0.5, 8 * ulp)):
-        W = np.exp(op.eta + op.phi[..., None]) + c[..., None] - beta * op.eta
+        W = c[..., None] - beta * op.eta
         want = np.zeros(grid.shape[1:])
         want[..., op.first:] = np.maximum(
             q + c.ravel()[node] - beta * (np.log(q) - op.phi.ravel()[node]), 0.0)
         op.read(W, out)
         assert np.abs(out - want).max() <= tol
-    monkeypatch.setattr(op, "corr", np.zeros_like(op.corr))
-    op.read(W, out)
-    assert np.abs(out - want).max() > 1e-5
 
 
 def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
     # beyond the surface it returns, the d=2 solve holds, in state arrays W
-    # (an interior array counted as W): the state, 1; the increment and its
-    # eta-first copy, 2, whose memory the read-back's slabs share; the eta
-    # sweep's factors, 3, and the band their factoring copies, 1; per
-    # requested node the read-back's index, offset, two bounds and
-    # correction, 5 x 0.7 (a level has 31 q > 0 where W has 44 eta nodes),
-    # and a flag, 0.1.  That is 10.6 W; the x factors at their bands'
-    # shape, the stencil's coefficients and the one-row product slab add
-    # about 0.3 W, so 11 W.  Measured: 10.3 W, where 9.8 W without the
-    # correction, and 14.5 W with lane-shaped x factors, 18.6 W with the
-    # whole-level read
+    # (an interior array counted as W): the state, 1, and -q, 1; the
+    # increment and its eta-first copy, 2, whose memory the read-back's
+    # slabs share; the eta sweep's factors, 3; per requested node the
+    # read-back's index, offset and two bounds, 4 x 0.7 (a level has 31 q
+    # > 0 where W has 44 eta nodes), and a flag, 0.1.  That is 9.9 W.  It
+    # peaks where a substep adds the eta-first increment into the state:
+    # numpy's iterator buffers for that add, about 190 kB whatever the
+    # size, are 0.9 W of this small grid, so 10.8 W; the x factors at their
+    # bands' shape, the stencil's coefficients and the one-row product
+    # slab add under 0.2 W, so 11 W.  Measured: 10.4 W, where 14.5 W with
+    # lane-shaped x factors and 18.6 W with the whole-level read
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
     model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",

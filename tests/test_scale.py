@@ -1,4 +1,5 @@
-"""Checks at the scale the project targets: 10^6 Monte Carlo paths.
+"""Checks at the scale the project targets: 10^6 Monte Carlo paths and a
+256^2 dual-to-primal pipeline.
 
 The exact-gbm sampler at 10^6 paths, with the aux draws, is checked for
 thread independence and against the closed forms of qhedge.oracles: the
@@ -10,13 +11,19 @@ below nearly every sample's threshold, no sample or only a few pay, and
 their SE is 0 or far below the true spread.  With seed 0 the points at
 q <= 0.35 are such points: at q = 0.35 the curve is 3.8e-8 with SE 2.7e-8
 against 1.9e-7, and below it 0 with SE 0 against up to 6.7e-9.
+
+The gbm pipeline on 256 x in [0.5, 2] x 256 q in [0, 8] x 128 t at eps 0.2
+solves the dual, conjugates it to the primal at 101 p, writes the primal
+to .bin only and verifies what it reads back.  Its bounds are derived in
+place from the values measured on a 2-core x86-64 machine (numpy 2.4).
 """
 import numpy as np
 import pytest
 
-from qhedge import mc, oracles
+from qhedge import mc, oracles, pde
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
+from qhedge.surfaces import GridSpec, read_surface_bin, write_surface_bin
 
 B, S, X0, TAU, EPS = 0.05, 0.3, 1.0, 1.0, 0.2
 N_PATHS = 10 ** 6
@@ -54,3 +61,47 @@ def test_million_path_regularized_dual_curve_matches_the_smeared_closed_form(mil
     q, value, se = mc.dual_curve(samples, np.linspace(0.0, 2.0, 41), EPS)
     ref = np.array([oracles.gbm_dual_smeared(X0, float(qq), B, S, TAU, EPS) for qq in q])
     assert within_3se(value, ref, se, q / N_PATHS)
+
+
+@pytest.fixture(scope="module")
+def pipeline_256(tmp_path_factory):
+    model = builtin_model("gbm", b=B, s=S)
+    grid = GridSpec.regular(0.0, TAU, 128, 0.5, 2.0, 256, 256, "q", z_max=8.0, epsilon=EPS)
+    dual = pde.solve_dual_pde(model, linear_payoff(), grid)
+    primal = pde.dual_to_primal(dual, mc.default_p_grid(101))
+    path = tmp_path_factory.mktemp("pipeline") / "primal_eps0p2.bin"
+    write_surface_bin(primal, path)
+    primal = read_surface_bin(path)
+    report = pde.verify_supersolution(primal, model, linear_payoff())
+    return dual, primal, report
+
+
+def test_256_pipeline_matches_the_smeared_closed_forms_at_x0(pipeline_256):
+    # measured at the x node nearest x0 = 1 (0.99729): dual 2.20e-5 over
+    # the q nodes, primal 2.41e-5 over the p nodes; bounds at 2x each
+    dual, primal, _ = pipeline_256
+    x = dual.grid.x_axes[0]
+    i = int(np.argmin(np.abs(x - X0)))
+    dual_ref = [oracles.gbm_dual_smeared(x[i], float(q), B, S, TAU, EPS) for q in dual.grid.z]
+    primal_ref = [oracles.gbm_primal_smeared(x[i], float(p), B, S, TAU, EPS)
+                  for p in primal.grid.z]
+    assert np.abs(dual.values[0, i] - dual_ref).max() <= 2 * 2.20e-5
+    assert np.abs(primal.values[0, i] - primal_ref).max() <= 2 * 2.41e-5
+
+
+def test_256_pipeline_passes_the_verifier_with_its_margin(pipeline_256):
+    # measured: max residual 0.0575 against the default tol 0.0809, a
+    # margin of 1.41; the bound allows the max 1.1x, a margin of 1.28
+    _, _, report = pipeline_256
+    assert report.passed
+    assert report.tol == pytest.approx(0.0809, abs=1e-4)
+    assert report.max_residual <= 1.1 * 0.0575
+
+
+def test_256_pipeline_dual_keeps_its_invariants(pipeline_256):
+    # measured: 0 nodes outside 0 <= w <= q and 0 enveloped slices, so
+    # both bounds are 0
+    dual, primal, _ = pipeline_256
+    w, q = dual.values, dual.grid.z
+    assert np.count_nonzero((w < 0.0) | (w > q)) == 0
+    assert primal.meta["enveloped_slices"] == 0
