@@ -14,8 +14,9 @@ There is no pivoting.  Where the rows are diagonally dominant, |di| >=
 |lo| + |up|, no pivot falls below the row's slack |di| - |lo| - |up| and
 no backward multiplier exceeds 1 in size, so elimination without
 pivoting is stable (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed. 2002, ch. 9).  The callers' sweeps say when theirs
-are.  A zero or non-finite pivot raises Nonfinite.
+Algorithms, 2nd ed. 2002, ch. 9).  pde._DualOperator._factor states when
+the dual solver's sweeps are.  A zero or non-finite pivot raises
+Nonfinite.
 """
 from __future__ import annotations
 

@@ -182,7 +182,8 @@ def quantile_curve(samples: SampleSet, p_grid=None):
     if p_grid is None:
         p_grid = default_p_grid()
     p = np.asarray(p_grid, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    # NaN fails both comparisons
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise POutOfRange("p grid outside [0, 1]")
     v = np.sort(samples.values)
     n = v.size
@@ -232,10 +233,17 @@ def _prefix_sums_at(v: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
     return out.reshape((3,) + k.shape)
 
 
+def _check_finite_nonnegative(name: str, value) -> None:
+    """Raise ValueError unless every element of value is finite and >= 0;
+    NaN fails the comparisons."""
+    v = np.asarray(value, dtype=float)
+    if not np.all((v >= 0.0) & (v < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def dual_value(samples: SampleSet, q: float) -> Estimate:
     """Mean of (q - v)^+ with standard error."""
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _check_finite_nonnegative("q", q)
     w = np.maximum(q - samples.values, 0.0)
     n = w.size
     se = float(w.std(ddof=1) / np.sqrt(n)) if n >= 2 else 0.0
@@ -252,10 +260,8 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     sample-sized array of its own.
     """
     q = np.asarray(q_grid, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("q grid must be >= 0")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    _check_finite_nonnegative("q grid", q)
+    _check_finite_nonnegative("eps", eps)
     v = samples.values
     n = v.size
     order = np.argsort(q, kind="stable")
@@ -376,10 +382,8 @@ def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate
     """Mean of (q L_eps - v)^+ with L_eps = exp(-eps^2 tau/2 + eps (B(T)-B(t0)));
     the same B draws serve every (q, eps), so gaps to dual_value are
     common-random-number estimates."""
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    _check_finite_nonnegative("q", q)
+    _check_finite_nonnegative("eps", eps)
     if eps == 0.0:
         return dual_value(samples, q)
     L = _aux_multipliers(samples, eps)

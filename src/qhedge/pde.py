@@ -30,23 +30,24 @@ capital, u = -c(x) does not depend on eta, and the edges and the
 read-back below need no term of q.
 
 Time stepping is Douglas ADI in delta form (Douglas & Rachford 1956), on
-one step length h = dt / r_t for r_t time refinements, whose stencil of h
-F the operator builds once per solve, F the whole discrete operator, x-x
-mixed terms included.  A substep takes the increment z = h F(W) in one
-explicit pass, solves (I - th A_i) z_i = z_(i-1) one axis at a time (x
-axes, then eta) and sets W <- W + z.  The first _RANNACHER_STEPS steps are
-each two implicit Euler half steps (Rannacher startup: theta = 1 on h /
-2), which halve z, exactly; the rest are Crank-Nicolson (theta = 1/2 on
-h).  So every substep sweeps at th = theta h' = h / 2.  Each implicit
-sweep is one tridiagonal system per line, with the swept axis first and
-every other axis a lane: factored once per solve (_kernels.factor_lines)
-and solved by one Thomas recurrence per substep (_kernels.thomas_batch),
-down the swept axis on all lanes at once.  An x sweep works in place on
-the increment, every eta column a lane; the eta sweep works on one
-eta-first copy of it.  The Thomas kernel does not pivot.  That is stable
-where the rows are diagonally dominant: in every x sweep (slack 1), and in
-the eta sweep while h (|ce1| - ce2) <= 1, which a strong eta drift on a
-coarse t axis can break.
+one step length h = dt / r_t for r_t time refinements.  The operator
+describes each axis once, x_1..x_d then eta, by its interior three-point
+weights (`bands`) and the node beyond each end as a near + b far
+(`ends`), and builds from them, once per solve, the stencil of h F (F
+the whole discrete operator, x-x mixed terms included) and each implicit
+sweep's factors (`_factor`).  A substep takes the increment z = h F(W) in
+one explicit pass, solves (I - th A_i) z_i = z_(i-1) one axis at a time
+(`sweep`) and sets W <- W + z.  The first _RANNACHER_STEPS steps are each
+two implicit Euler half steps (Rannacher startup: theta = 1 on h / 2),
+which halve z, exactly; the rest are Crank-Nicolson (theta = 1/2 on h),
+so every substep sweeps at th = theta h' = h / 2.  A sweep is one
+tridiagonal system per line, swept axis first and every other axis a
+lane, factored once per solve (_kernels.factor_lines) and solved by one
+Thomas recurrence per substep (_kernels.thomas_batch) on all lanes at
+once, in place on the increment, or along eta on one eta-first copy.  The
+Thomas kernel does not pivot: it is stable where the rows are diagonally
+dominant, in every x sweep (slack 1), and in the eta sweep while h (|ce1|
+- ce2) <= 1, which a strong eta drift on a coarse t axis can break.
 
 Every state u a substep starts from satisfies the edge relations below:
 apply_bc sets them on the terminal data, max(-q, -g(x)), after each
@@ -77,10 +78,10 @@ sweeps' factors, the read-back's data per requested node (stencil index,
 offset and two convexity bounds, 8 B each) and slab-sized scratch.  The
 eta sweep's factors have the increment's size; the x sweeps' keep their
 bands' shape, one value per line broadcast over the eta lanes, except in
-d = 1.  The explicit pass and the read-back work one slab of the first x
-axis at a time, as many rows as keep one slab array within _SLAB_BYTES
-(at least one), and the read-back's slabs reuse the memory of the
-increment.  On the d = 2 benchmark grid (48^2 x, 64 q, 88 eta) the solve
+d = 1 (see `_factor`).  The explicit pass and the read-back work one slab
+of the first x axis at a time, as many rows as keep one slab array within
+_SLAB_BYTES (at least one), and the read-back's slabs reuse the memory of
+the increment.  On the d = 2 benchmark grid (48^2 x, 64 q, 88 eta) the solve
 peaks 15.9 MiB above its 36.0 MiB surface (tracemalloc), 1.5 MiB of it -q.
 """
 from __future__ import annotations
@@ -111,12 +112,6 @@ def _d2_weights(x: np.ndarray):
     wc = -2.0 / (hm * hp)
     wr = 2.0 / (hp * (hm + hp))
     return wl, wc, wr
-
-
-def _edge_ratios(x: np.ndarray):
-    r_lo = (x[1] - x[0]) / (x[2] - x[1])
-    r_hi = (x[-1] - x[-2]) / (x[-2] - x[-3])
-    return r_lo, r_hi
 
 
 def _mesh(x_axes) -> np.ndarray:
@@ -267,22 +262,30 @@ class _DualOperator:
         np.exp(self.neg_q, out=self.neg_q)
         np.negative(self.neg_q, out=self.neg_q)
         inner = (_MID,) * d
-        self.weights = [_d2_weights(x) for x in x_axes]
-        self.ratios = [_edge_ratios(x) for x in x_axes]
-        self.cx = [0.5 * alpha[inner + (i, i)] for i in range(d)]
+        # per axis, x_1..x_d then eta: the interior three-point weights
+        # (below, centre, above), and the node beyond each end as a near + b
+        # far, near the interior node next to it.  The x weights broadcast
+        # along eta; at the x edges u is continued linearly
+        self.bands, self.ends = [], []
+        for axis, x in enumerate(x_axes):
+            c = 0.5 * alpha[inner + (axis, axis)][..., None]
+            self.bands.append(tuple(c * _along(w, axis, d + 1) for w in _d2_weights(x)))
+            ratios = ((x[1] - x[0]) / (x[2] - x[1]), (x[-1] - x[-2]) / (x[-2] - x[-3]))
+            self.ends.append(tuple((1.0 + r, -r) for r in ratios))
         # x pairs whose coefficient vanishes everywhere are left out
         spans = [_along(x[2:] - x[:-2], i, d + 1) for i, x in enumerate(x_axes)]
         self.pairs = [(i, j, alpha[inner + (i, j)][..., None], spans[i] * spans[j])
                       for i in range(d) for j in range(i + 1, d) if np.any(alpha[..., i, j])]
-        # eta diffusion per second difference, and the drift per two-cell
-        # difference that makes the discrete operator annihilate q
-        self.ce2 = 0.5 * eps * eps / (de * de)
+        # eta: diffusion ce2 per second difference, and the drift ce1 per
+        # two-cell difference with which the x terms and eta's annihilate q
+        # = e^(eta + phi).  u = -q is fixed at the bottom, repeats at the top
+        ce2 = 0.5 * eps * eps / (de * de)
         e_three = np.broadcast_to(e_phi[..., None], e_phi.shape + (3,))
-        x_part = sum(c[..., None] * _second_diff(e_three, axis, w)
-                     for axis, (c, w) in enumerate(zip(self.cx, self.weights))) + sum(
-            c * (_cross_diff(e_three, i, j) / span) for i, j, c, span in self.pairs)
-        eta_part = self.ce2 * (2.0 * math.cosh(de) - 2.0)
-        self.ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
+        x_part = sum(c * _view(e_three, 0, shifts) for c, shifts in self._x_terms())
+        eta_part = ce2 * (2.0 * math.cosh(de) - 2.0)
+        ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
+        self.bands.append((ce2 - ce1, -2.0 * ce2, ce2 + ce1))
+        self.ends.append(((0.0, 0.0), (1.0, 0.0)))
         # per requested node with q > 0: the flat index of its stencil's
         # first node, its place u among the stencil's nodes, 0..3 (the cubic
         # weights are taken from it), and its place among their q values
@@ -312,40 +315,41 @@ class _DualOperator:
         self._read_slabs = pool[:math.prod(read)].reshape(read)
         self.h = h
         self.terms = self._stencil(h)
-        self.sweeps = [self._factor_x(0.5 * h, axis) for axis in range(d)] + [
-            self._factor_eta(0.5 * h)]
+        self.sweeps = [self._factor(0.5 * h, axis) for axis in range(d + 1)]
 
     def apply_bc(self, W: np.ndarray) -> None:
-        """Set the edge relations on a state W = w - q in place: at each x
-        edge the two nodes next to it continued linearly, then w = 0 at the
-        eta bottom and w_q = 1 at the top, where W repeats the node below."""
-        for axis in range(self.d):
+        """Set the edge relations on a state W = w - q in place: each x edge
+        node from its `ends` relation, then w = 0 at the eta bottom and w_q
+        = 1 at the top, where W repeats the node below."""
+        for axis, ends in enumerate(self.ends[:-1]):
             Wa = np.moveaxis(W, axis, 0)
-            for end, step in ((0, 1), (-1, -1)):
-                near, far = Wa[end + step], Wa[end + 2 * step]
-                Wa[end] = near + self.ratios[axis][end] * (near - far)
+            for (a, b), (end, step) in zip(ends, ((0, 1), (-1, -1))):
+                Wa[end] = a * Wa[end + step] + b * Wa[end + 2 * step]
         W[..., 0] = self.neg_q[..., 0]
         W[..., -1] = W[..., -2]
 
-    def _stencil(self, h: float):
-        """h times the interior operator as (coefficient, shifts) terms: the
-        centre, then one term per neighbour along each x axis and eta, and
-        the four corners of each x-x mixed term.  The coefficients broadcast
-        along eta."""
-        d = self.d
-        centre = -2.0 * self.ce2
-        sides = []
-        for axis, (c, (wl, wc, wr)) in enumerate(zip(self.cx, self.weights)):
-            c = c[..., None]
-            centre = centre + c * _along(wc, axis, d + 1)
-            sides += [(c * _along(wl, axis, d + 1), ((axis, _LO),)),
-                      (c * _along(wr, axis, d + 1), ((axis, _HI),))]
-        sides += [(self.ce2 - self.ce1, ((d, _LO),)), (self.ce2 + self.ce1, ((d, _HI),))]
+    def _x_terms(self):
+        """The x part of the interior operator as (coefficient, shifts)
+        terms: the centre, then one term per neighbour along each x axis,
+        and the four corners of each x-x mixed term."""
+        centre = sum(c for _, c, _ in self.bands[:self.d])
+        sides = [(b, ((axis, s),)) for axis, (lo, _, up) in enumerate(self.bands[:self.d])
+                 for b, s in ((lo, _LO), (up, _HI))]
         sides += [(sign * c / span, ((i, si), (j, sj)))
                   for i, j, c, span in self.pairs
                   for si, sj, sign in ((_HI, _HI, 1.0), (_HI, _LO, -1.0),
                                        (_LO, _HI, -1.0), (_LO, _LO, 1.0))]
-        return [(h * c, shifts) for c, shifts in [(centre, ())] + sides]
+        return [(centre, ())] + sides
+
+    def _stencil(self, h: float):
+        """h times the interior operator as (coefficient, shifts) terms: the
+        x terms, eta's centre added to theirs, and eta's two neighbours.
+        The coefficients broadcast along eta."""
+        d = self.d
+        lo, mid, up = self.bands[d]
+        (centre, _), *sides = self._x_terms()
+        sides += [(lo, ((d, _LO),)), (up, ((d, _HI),))]
+        return [(h * c, shifts) for c, shifts in [(centre + mid, ())] + sides]
 
     def explicit(self, W: np.ndarray) -> np.ndarray:
         """h F(W) on the interior nodes, F the whole discrete operator (every
@@ -367,72 +371,60 @@ class _DualOperator:
                 zs += prod
         return z
 
-    def _factor_x(self, th: float, axis: int):
-        """(I - th*A_axis) on interior nodes with the edge extrapolation
-        folded in, swept axis first, one line per node of the other x axes
-        and every eta column a lane.  The edge rows reduce to the identity
-        (the extrapolation is linear, so its second difference vanishes),
-        and every other row is diagonally dominant with a slack of 1, so
-        the pivot-free Thomas factors are stable whatever th."""
-        wl, wc, wr = (_along(w, axis, self.d) for w in self.weights[axis])
-        r_lo, r_hi = self.ratios[axis]
-        c = self.cx[axis]
-        lo, di, up = (np.moveaxis(a, axis, 0)[..., None]
-                      for a in (-th * c * wl, 1.0 - th * c * wc, -th * c * wr))
-        di[0] += lo[0] * (1.0 + r_lo)
-        up[0] += -lo[0] * r_lo
-        di[-1] += up[-1] * (1.0 + r_hi)
-        lo[-1] += -up[-1] * r_hi
-        # the x coefficients do not depend on eta, so the factors keep the
-        # bands' shape, (46, 46, 1) on the 48^2 x 88 eta grid of the d=2
-        # benchmark, and each factor row broadcasts over the eta lanes.  Only
-        # where a row would be one value (d = 1) are the lanes materialised:
-        # there a broadcast row took 1.08 ms per kernel call against 0.74 ms.
-        # In d = 2 it took axis 0 from 0.79 to 0.96 ms per call and left axis
-        # 1 unchanged, and the factors of both axes shrink from 8.7 MB to 0.1
-        if self.d == 1:
-            lanes = di.shape[:-1] + (self.eta.size - 2,)
-            lo, di, up = (np.broadcast_to(a, lanes) for a in (lo, di, up))
-        return _kernels.factor_lines(lo, di, up, f"x axis {axis} sweep at th={th:g}")
+    def _factor(self, th: float, axis: int):
+        """(I - th*A_axis) on the interior nodes of `axis`, swept axis first,
+        one line per node of the other axes: the axis's bands broadcast
+        along it, with the node beyond each end, a near + b far for an
+        increment, folded in.  The pivot-free Thomas factors are stable
+        where the rows are diagonally dominant: every x row, with a slack
+        of 1 whatever th (the folded edge rows reduce to the identity, the
+        linear extrapolation having no second difference), and every eta
+        row while th (|ce1| - ce2) <= 1/2, that is, at th = h / 2, while h
+        (|ce1| - ce2) <= 1.
 
-    def _factor_eta(self, th: float):
-        """(I - th*A_eta) on interior eta nodes, eta first, one line per x
-        node, with the increment 0 at the bottom, where u = -q is fixed, and
-        equal to the node below at the top folded in.
-        Its rows are diagonally dominant, so the pivot-free Thomas factors
-        are stable, while th (|ce1| - ce2) <= 1/2, that is, at th = h / 2,
-        while h (|ce1| - ce2) <= 1."""
-        c1 = np.moveaxis(self.ce1, -1, 0)
-        lo, up = -th * (self.ce2 - c1), -th * (self.ce2 + c1)
-        di = np.full((self.eta.size - 2,) + c1.shape[1:], 1.0 + 2.0 * th * self.ce2)
-        di[-1] += up[-1]
-        return _kernels.factor_lines(lo, di, up, f"eta sweep at th={th:g}")
+        A lane axis the bands do not vary along keeps length 1, and each
+        factor row broadcasts over it: the x factors of the 48^2 x 88 eta
+        d=2 benchmark grid are (46, 46, 1), 0.1 MB where lane-shaped ones
+        took 8.7 MB, at 0.96 against 0.79 ms per kernel call on axis 0.
+        Where a row would be one value (the x sweep in d = 1) the lanes are
+        materialised: a broadcast row took 1.08 ms per call against 0.74."""
+        lo, c, up = self.bands[axis]
+        bands = [np.moveaxis(a, axis, 0)
+                 for a in np.broadcast_arrays(-th * lo, 1.0 - th * c, -th * up)]
+        shape = self._z.shape[axis:axis + 1] + bands[0].shape[1:]
+        if math.prod(shape) == shape[0]:
+            shape = np.moveaxis(self._z, axis, 0).shape
+        lo, di, up = (np.array(np.broadcast_to(a, shape), order="C") for a in bands)
+        (a0, b0), (a1, b1) = self.ends[axis]
+        di[0] += lo[0] * a0
+        up[0] += lo[0] * b0
+        di[-1] += up[-1] * a1
+        lo[-1] += up[-1] * b1
+        name = f"x axis {axis}" if axis < self.d else "eta"
+        return _kernels.factor_lines(lo, di, up, f"{name} sweep at th={th:g}")
 
-    def solve_x(self, rhs: np.ndarray, axis: int) -> np.ndarray:
-        """The x sweep along `axis` for an increment, in place: one solve for
-        every line of the axis, every eta column a lane."""
-        _kernels.thomas_batch(self.sweeps[axis], np.moveaxis(rhs, axis, 0))
-        return rhs
-
-    def solve_eta(self, rhs: np.ndarray) -> np.ndarray:
-        """The eta sweep for an increment: one solve for every x node at
-        once, on an eta-first copy of rhs in the operator's own buffer;
-        returns an (x, eta) view of that buffer."""
-        np.copyto(self._cols, np.moveaxis(rhs, -1, 0))
-        return np.moveaxis(_kernels.thomas_batch(self.sweeps[-1], self._cols), 0, -1)
+    def sweep(self, z: np.ndarray, axis: int) -> np.ndarray:
+        """The implicit sweep along `axis` for an increment z, every line of
+        the axis at once, in place; returns z.  Along eta, the last axis,
+        whose lines are strided one value apart, it solves an eta-first copy
+        in the operator's buffer and returns an (x, eta) view of that: the
+        strided view took 3.7 against 2.0 ms."""
+        if axis < z.ndim - 1:
+            _kernels.thomas_batch(self.sweeps[axis], np.moveaxis(z, axis, 0))
+            return z
+        np.copyto(self._cols, np.moveaxis(z, -1, 0))
+        return np.moveaxis(_kernels.thomas_batch(self.sweeps[axis], self._cols), 0, -1)
 
     def substep(self, W: np.ndarray, half: bool) -> np.ndarray:
-        """One Douglas step in delta form, in place: the increment z = h F(W),
-        halved on a Rannacher half step, then (I - th A_i) z_i = z_(i-1)
-        along each x axis and eta with th = h / 2, and W + z: z is added to
-        the interior, and apply_bc rewrites every edge node from it.
-        Returns W."""
+        """One Douglas step in delta form, in place, returning W: the
+        increment z = h F(W), halved on a Rannacher half step, then (I - th
+        A_i) z_i = z_(i-1) along each axis with th = h / 2, and W + z on the
+        interior, from which apply_bc rewrites every edge node."""
         z = self.explicit(W)
         if half:
             z *= 0.5
-        for axis in range(self.d):
-            z = self.solve_x(z, axis)
-        z = self.solve_eta(z)
+        for axis in range(self.d + 1):
+            z = self.sweep(z, axis)
         inner = _view(W, 0)
         np.add(inner, z, out=inner)
         self.apply_bc(W)
@@ -829,7 +821,8 @@ def hjb_residual(U_surface: Surface, model: MarketModel, start: int = 1,
     it asks for.  `floor` is the curvature floor of the whole surface
     (_curvature_floor of its values, the default); a caller that covers the
     surface in several calls passes it, so that every node sees the same
-    floor.
+    floor.  A floor that is not finite and >= 0 raises ValueError: a NaN
+    floor would mark every node non-convex, so that none is checked.
     """
     g = U_surface.grid
     if g.domain != "p":
@@ -843,6 +836,8 @@ def hjb_residual(U_surface: Surface, model: MarketModel, start: int = 1,
                          f"a grid with {g.t.size} time nodes")
     if floor is None:
         floor = _curvature_floor(U)
+    elif not 0.0 <= floor < math.inf:
+        raise ValueError(f"curvature floor must be finite and >= 0, got {floor!r}")
     dp = g.dz
     A = _coefficients(model, g.x_axes, g.epsilon)[2]
     inner = (_MID,) * d
@@ -941,12 +936,16 @@ def verify_supersolution(u_surface: Surface, model: MarketModel, payoff: Payoff,
     the surface.  Every node sees the operations and the curvature floor
     it would see in one whole-surface call, and the worst node is the
     first in C order, so the report does not depend on the slab length.
+    A tol that is not finite raises ValueError (a NaN tol passes every
+    node); a negative one asks for residuals below 0.
     """
     g = u_surface.grid
     if g.domain != "p":
         raise DomainMismatch("verify_supersolution expects a p-domain surface")
     if tol is None:
         tol = default_residual_tol(g)
+    elif not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
 
     U = u_surface.values
     p = g.z

@@ -1,16 +1,18 @@
 """pde._DualOperator's time step in the standard Douglas form, and its
-implicit sweeps in per-node form, kept as test references.
+implicit sweep in per-line form, kept as test references.
 
-The sweeps: the x sweep as one banded solve per node of the other x axes,
-and the eta sweep as one per x node.  Both rebuild their matrices on every
-call, and both pivot (LAPACK gbsv), where the operator's Thomas kernel
-does not.  `solve_x` and `solve_eta` take the operator's interface: an
-increment of a state that satisfies the edge relations, so nothing lies
-beyond either end.
+`_sweep` is the implicit sweep along one axis as one banded solve per line
+of that axis, built from the operator's per-axis description: its bands
+(op.bands) and the relation beyond each end (op.ends), both folded in as
+the operator folds them.  It rebuilds its matrices on every call, and it
+pivots (LAPACK gbsv), where the operator's Thomas kernel does not.
+`sweep` takes the operator's interface: an increment of a state that
+satisfies the edge relations, so nothing lies beyond either end.
 `substep` is the standard form, in which the sweeps act on values of the
-state w - q, with its value -q beyond the eta bottom.  They compute the
-same steps as the operator in another order of operations, so surfaces
-agree with them up to rounding.
+state w - q, with its value -q beyond the eta bottom.  It takes each
+axis's explicit term from the same bands.  They compute the same steps as
+the operator in another order of operations, so surfaces agree with them
+up to rounding.
 `explicit` and `read` are the operator's own whole-level passes, every
 temporary the size of a time level, from before it worked in slabs: the
 same operations in the same order, so surfaces agree with them bit for
@@ -28,66 +30,37 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from qhedge import _kernels
-from qhedge.pde import _HI, _LO, _MID, _along, _cross_diff, _second_diff, _view
+from qhedge.pde import _HI, _LO, _MID, _cross_diff, _view
 
 
-def _x_sweep(op, rhs, th, axis):
-    """(I - th*A_axis) on interior nodes with the edge extrapolation folded
-    in: one banded solve per node of the other x axes, every eta column a
-    right-hand side."""
-    wl, wc, wr = (_along(w, axis, op.d) for w in op.weights[axis])
-    r_lo, r_hi = op.ratios[axis]
-    c = op.cx[axis]
-    lo = np.moveaxis(-th * c * wl, axis, 0)
-    di = np.moveaxis(1.0 - th * c * wc, axis, 0)
-    up = np.moveaxis(-th * c * wr, axis, 0)
-    src = np.moveaxis(rhs, axis, 0)
-    di[0] += lo[0] * (1.0 + r_lo)
-    up[0] += -lo[0] * r_lo
-    di[-1] += up[-1] * (1.0 + r_hi)
-    lo[-1] += -up[-1] * r_hi
-    ab = np.zeros((3,) + di.shape)
-    ab[0, 1:] = up[:-1]
-    ab[1] = di
-    ab[2, :-1] = lo[1:]
-    out = np.empty_like(rhs)
-    dst = np.moveaxis(out, axis, 0)
-    for node in np.ndindex(di.shape[1:]):
-        dst[(slice(None),) + node] = solve_banded((1, 1), ab[(slice(None), slice(None)) + node],
-                                                  src[(slice(None),) + node])
-    return out
-
-
-def _eta_sweep(op, rhs, th, bottom):
-    """(I - th*A_eta) on interior eta nodes, one banded solve per x node,
-    with the top's repeated node folded in; `bottom` is the value beyond
-    the bottom end, one per x node."""
-    n = rhs.shape[-1]
-    c1 = np.broadcast_to(op.ce1, rhs.shape).reshape(-1, n)
-    lo = -th * (op.ce2 - c1)
-    up = -th * (op.ce2 + c1)
-    di = np.full(lo.shape, 1.0 + 2.0 * th * op.ce2)
-    flat = rhs.reshape(-1, n).copy()
-    flat[:, 0] -= lo[:, 0] * np.ravel(bottom)
-    di[:, -1] += up[:, -1]
-    out = np.empty_like(flat)
-    for line in range(flat.shape[0]):
+def _sweep(op, rhs, th, axis, beyond=0.0):
+    """(I - th*A_axis) on the interior nodes of `axis`, one banded solve per
+    line of it, with op.ends folded in at both ends; `beyond` is added to
+    the node beyond the bottom end, a value per line or one for all."""
+    n = rhs.shape[axis]
+    below, centre, above = op.bands[axis]
+    lo, di, up = (np.moveaxis(np.broadcast_to(b, rhs.shape), axis, 0).reshape(n, -1).copy()
+                  for b in (-th * below, 1.0 - th * centre, -th * above))
+    src = np.moveaxis(rhs, axis, 0).reshape(n, -1).copy()
+    src[0] -= lo[0] * np.ravel(beyond)
+    (a0, b0), (a1, b1) = op.ends[axis]
+    di[0] += a0 * lo[0]
+    up[0] += b0 * lo[0]
+    di[-1] += a1 * up[-1]
+    lo[-1] += b1 * up[-1]
+    out = np.empty_like(src)
+    for line in range(src.shape[1]):
         ab = np.zeros((3, n))
-        ab[0, 1:] = up[line, :-1]
-        ab[1] = di[line]
-        ab[2, :-1] = lo[line, 1:]
-        out[line] = solve_banded((1, 1), ab, flat[line])
-    return out.reshape(rhs.shape)
+        ab[0, 1:] = up[:-1, line]
+        ab[1] = di[:, line]
+        ab[2, :-1] = lo[1:, line]
+        out[:, line] = solve_banded((1, 1), ab, src[:, line])
+    return np.moveaxis(out.reshape(np.moveaxis(rhs, axis, 0).shape), 0, axis)
 
 
-def solve_x(op, rhs, axis):
-    """The x sweep for an increment: zero beyond either end."""
-    return _x_sweep(op, rhs, 0.5 * op.h, axis)
-
-
-def solve_eta(op, rhs):
-    """The eta sweep for an increment: zero beyond either end."""
-    return _eta_sweep(op, rhs, 0.5 * op.h, 0.0)
+def sweep(op, rhs, axis):
+    """The sweep along `axis` for an increment: zero beyond either end."""
+    return _sweep(op, rhs, 0.5 * op.h, axis)
 
 
 def substep(op, W, half):
@@ -97,18 +70,16 @@ def substep(op, W, half):
     the axis's own explicit term, the edges folded in, -q below the eta
     bottom."""
     h = 0.5 * op.h if half else op.h
-    diag = [op.cx[axis][..., None] * _second_diff(W, axis, op.weights[axis])
-            for axis in range(op.d)]
-    up, down = _view(W, 0, ((op.d, _HI),)), _view(W, 0, ((op.d, _LO),))
-    diag.append(op.ce2 * (up - 2.0 * _view(W, 0) + down) + op.ce1 * (up - down))
+    d = op.d
+    diag = [lo * _view(W, 0, ((axis, _LO),)) + c * _view(W, 0) + up * _view(W, 0, ((axis, _HI),))
+            for axis, (lo, c, up) in enumerate(op.bands)]
     mixed = [c * (_cross_diff(W, i, j) / span) for i, j, c, span in op.pairs]
     y = _view(W, 0) + h * sum(diag + mixed)
     th = 0.5 * op.h
-    inner = (_MID,) * op.d
-    for axis in range(op.d):
-        y = _x_sweep(op, y - th * diag[axis], th, axis)
-    y = _eta_sweep(op, y - th * diag[-1], th, op.neg_q[inner + (0,)])
-    W[(_MID,) * (op.d + 1)] = y
+    bottom = op.neg_q[(_MID,) * d + (0,)]
+    for axis in range(d + 1):
+        y = _sweep(op, y - th * diag[axis], th, axis, bottom if axis == d else 0.0)
+    W[(_MID,) * (d + 1)] = y
     op.apply_bc(W)
     return W
 
@@ -131,14 +102,14 @@ def substep_of_length(op, W, half):
     """One Douglas step in delta form, in place, as the operator took it for
     a step of length h' and weight theta: (h / 2, 1) on a half step, (h,
     1/2) otherwise.  The increment h' F(W) comes from the stencil built for
-    h', and the sweeps from factors built at th = theta h'."""
+    h', and the sweeps from factors built at th = theta h', each on a
+    swept-axis-first copy of the increment."""
     h, theta_w = (0.5 * op.h, 1.0) if half else (op.h, 0.5)
     th = theta_w * h
     z = _whole_level(op._stencil(h), W)
-    for axis in range(op.d):
-        _kernels.thomas_batch(op._factor_x(th, axis), np.moveaxis(z, axis, 0))
-    cols = np.ascontiguousarray(np.moveaxis(z, -1, 0))
-    z = np.moveaxis(_kernels.thomas_batch(op._factor_eta(th), cols), 0, -1)
+    for axis in range(op.d + 1):
+        lines = np.ascontiguousarray(np.moveaxis(z, axis, 0))
+        z = np.moveaxis(_kernels.thomas_batch(op._factor(th, axis), lines), 0, axis)
     inner = _view(W, 0)
     np.add(inner, z, out=inner)
     op.apply_bc(W)

@@ -1,6 +1,7 @@
 """Estimators on terminal samples in draw order (quantiles sort their own
 copy): hand values, order independence, duality, determinism."""
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -400,6 +401,25 @@ def test_grid_bins_match_searchsorted(grid):
                         rng.uniform(-0.5, 1.2 * qs[-1] + 1.0, 5000)])
     rng.shuffle(u)
     assert np.array_equal(mc._bin_right(qs, u), np.searchsorted(qs, u, side="right"))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: mc.dual_curve(s, [1.0, 2.5], math.nan), ValueError),
+    (lambda s: mc.dual_curve(s, [1.0, 2.5], math.inf), ValueError),
+    (lambda s: mc.dual_curve(s, [math.nan, 2.5]), ValueError),
+    (lambda s: mc.dual_curve(s, [1.0, math.inf]), ValueError),
+    (lambda s: mc.quantile_curve(s, [math.nan, 0.5]), POutOfRange),
+    (lambda s: mc.dual_value(s, math.nan), ValueError),
+    (lambda s: mc.dual_value(s, math.inf), ValueError),
+    (lambda s: mc.dual_value_regularized(s, 2.5, math.nan), ValueError),
+    (lambda s: mc.dual_value_regularized(s, math.nan, 0.2), ValueError),
+], ids=["curve-eps-nan", "curve-eps-inf", "curve-q-nan", "curve-q-inf", "quantile-p-nan",
+        "value-q-nan", "value-q-inf", "regularized-eps-nan", "regularized-q-nan"])
+def test_estimators_reject_nonfinite_arguments(call, error):
+    # a NaN fails every range check, as in quantile_value: no curve of eps
+    # = 0, no NaN row and no cast warning comes back instead
+    with pytest.raises(error):
+        call(toy([1.0, 2.0, 3.0], aux=[0.1, -0.2, 0.3]))
 
 
 def test_dual_curve_argument_checks():

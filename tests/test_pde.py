@@ -209,8 +209,7 @@ def sweep_cases():
 def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
     model, payoff, grid, kw = sweep_cases()[case]
     got = pde.solve_dual_pde(model, payoff, grid, **kw)
-    monkeypatch.setattr(pde._DualOperator, "solve_x", ref.solve_x)
-    monkeypatch.setattr(pde._DualOperator, "solve_eta", ref.solve_eta)
+    monkeypatch.setattr(pde._DualOperator, "sweep", ref.sweep)
     want = pde.solve_dual_pde(model, payoff, grid, **kw)
     assert got.meta == want.meta
     assert got.meta["substeps"] == 1
@@ -245,8 +244,7 @@ def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n
         assert "eta sweep" in str(err)
         return
     assert len(slack) == 1 and (slack[0] > 0.0) == dominant
-    monkeypatch.setattr(pde._DualOperator, "solve_x", ref.solve_x)
-    monkeypatch.setattr(pde._DualOperator, "solve_eta", ref.solve_eta)
+    monkeypatch.setattr(pde._DualOperator, "sweep", ref.sweep)
     want = pde.solve_dual_pde(model, linear_payoff(), grid)
     scale = max(1.0, np.abs(want.values).max())
     assert np.abs(got.values - want.values).max() <= 1e-11 * scale
@@ -302,12 +300,13 @@ def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
     inner = (slice(1, -1),) * op.d
 
     def residuals(W):
-        for axis in range(op.d):
+        # the node beyond each end is a near + b far, on every x axis and at
+        # the eta top; the eta bottom holds -q
+        for axis, ((a0, b0), (a1, b1)) in enumerate(op.ends):
             Wa = np.moveaxis(W, axis, 0)
-            r_lo, r_hi = op.ratios[axis]
-            yield (Wa[1] + r_lo * (Wa[1] - Wa[2]) - Wa[0])[inner]
-            yield (Wa[-2] + r_hi * (Wa[-2] - Wa[-3]) - Wa[-1])[inner]
-        yield (W[..., -2] - W[..., -1])[inner]
+            if axis < op.d:
+                yield (a0 * Wa[1] + b0 * Wa[2] - Wa[0])[inner]
+            yield (a1 * Wa[-2] + b1 * Wa[-3] - Wa[-1])[inner]
         yield (W[..., 0] - op.neg_q[..., 0])[inner]
 
     steps = (grid.t.size - 1) * kw.get("refine", (1, 1, 1))[2]

@@ -14,12 +14,14 @@ against 1.9e-7, and below it 0 with SE 0 against up to 6.7e-9.
 
 The gbm pipeline on 256 x in [0.5, 2] x 256 q in [0, 8] x 128 t at eps 0.2
 solves the dual, conjugates it to the primal at 101 p, writes the primal
-to .bin only and verifies what it reads back.  Its bounds are derived in
-place from the values measured on a 2-core x86-64 machine (numpy 2.4).
+to .bin only and verifies what it reads back, each stage through
+memory_helpers.traced_peak.  Its bounds are derived in place from the
+values measured on a 2-core x86-64 machine (numpy 2.4).
 """
 import numpy as np
 import pytest
 
+from memory_helpers import traced_peak
 from qhedge import mc, oracles, pde
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
@@ -67,19 +69,19 @@ def test_million_path_regularized_dual_curve_matches_the_smeared_closed_form(mil
 def pipeline_256(tmp_path_factory):
     model = builtin_model("gbm", b=B, s=S)
     grid = GridSpec.regular(0.0, TAU, 128, 0.5, 2.0, 256, 256, "q", z_max=8.0, epsilon=EPS)
-    dual = pde.solve_dual_pde(model, linear_payoff(), grid)
-    primal = pde.dual_to_primal(dual, mc.default_p_grid(101))
+    dual, solve_peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(), grid)
+    primal, transform_peak = traced_peak(pde.dual_to_primal, dual, mc.default_p_grid(101))
     path = tmp_path_factory.mktemp("pipeline") / "primal_eps0p2.bin"
     write_surface_bin(primal, path)
     primal = read_surface_bin(path)
-    report = pde.verify_supersolution(primal, model, linear_payoff())
-    return dual, primal, report
+    report, verify_peak = traced_peak(pde.verify_supersolution, primal, model, linear_payoff())
+    return dual, primal, report, (solve_peak, transform_peak, verify_peak)
 
 
 def test_256_pipeline_matches_the_smeared_closed_forms_at_x0(pipeline_256):
     # measured at the x node nearest x0 = 1 (0.99729): dual 2.20e-5 over
     # the q nodes, primal 2.41e-5 over the p nodes; bounds at 2x each
-    dual, primal, _ = pipeline_256
+    dual, primal, _, _ = pipeline_256
     x = dual.grid.x_axes[0]
     i = int(np.argmin(np.abs(x - X0)))
     dual_ref = [oracles.gbm_dual_smeared(x[i], float(q), B, S, TAU, EPS) for q in dual.grid.z]
@@ -92,7 +94,7 @@ def test_256_pipeline_matches_the_smeared_closed_forms_at_x0(pipeline_256):
 def test_256_pipeline_passes_the_verifier_with_its_margin(pipeline_256):
     # measured: max residual 0.0575 against the default tol 0.0809, a
     # margin of 1.41; the bound allows the max 1.1x, a margin of 1.28
-    _, _, report = pipeline_256
+    _, _, report, _ = pipeline_256
     assert report.passed
     assert report.tol == pytest.approx(0.0809, abs=1e-4)
     assert report.max_residual <= 1.1 * 0.0575
@@ -101,7 +103,18 @@ def test_256_pipeline_passes_the_verifier_with_its_margin(pipeline_256):
 def test_256_pipeline_dual_keeps_its_invariants(pipeline_256):
     # measured: 0 nodes outside 0 <= w <= q and 0 enveloped slices, so
     # both bounds are 0
-    dual, primal, _ = pipeline_256
+    dual, primal, _, _ = pipeline_256
     w, q = dual.values, dual.grid.z
     assert np.count_nonzero((w < 0.0) | (w > q)) == 0
     assert primal.meta["enveloped_slices"] == 0
+
+
+def test_256_pipeline_stages_keep_their_memory(pipeline_256):
+    # tracemalloc peak of each stage, its result included, measured: the
+    # solve 80.7 MB with its 67.1 MB dual surface (1.20x), the transform
+    # 38.0 MB with its 26.5 MB primal (1.43x), the verifier 2.3 MB (0.087x
+    # the primal).  Each bound allows the measured ratio 1.1x
+    dual, primal, _, (solve, transform, verify) = pipeline_256
+    assert solve <= 1.1 * 1.20 * dual.values.nbytes
+    assert transform <= 1.1 * 1.43 * primal.values.nbytes
+    assert verify <= 1.1 * 0.087 * primal.values.nbytes

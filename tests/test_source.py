@@ -76,15 +76,47 @@ def bound_names(node) -> list:
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def attributes_loaded(node) -> set:
+    """Every attribute that `node` or a node inside it reads; an attribute
+    only assigned, augmented included, is not read."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def private_members(cls) -> list:
+    """The private methods of a class body, and the private attributes its
+    methods assign on self, as (name, is_method) pairs."""
+    methods = [node for node in cls.body if isinstance(node, FUNCTIONS)]
+    attributes = {sub.attr for method in methods for sub in ast.walk(method)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                  and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+    return [(node.name, True) for node in methods if is_private(node.name)] + [
+        (name, False) for name in sorted(attributes) if is_private(name)]
+
+
 def unread_private_definitions(sources: dict) -> list:
-    """Module-level private functions, classes and assigned names (one
-    leading underscore) that no module of the package reads, as (module,
-    name) pairs.  `sources` maps module names to their source text."""
+    """Private names (one leading underscore) that no module of the package
+    reads, as (module, name) pairs: module-level functions, classes and
+    assigned names, and the methods of module-level classes and the
+    attributes those set on self, named "Class._name".  A method counts as
+    read where its name is, an attribute where it is read as an attribute.
+    `sources` maps module names to their source text."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     read = set().union(*map(names_read, trees.values()))
-    return sorted((module, name) for module, tree in trees.items()
-                  for node in tree.body for name in bound_names(node)
-                  if name.startswith("_") and not name.startswith("__") and name not in read)
+    loaded = set().union(*map(attributes_loaded, trees.values()))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            found += [(module, name) for name in bound_names(node)
+                      if is_private(name) and name not in read]
+            if isinstance(node, ast.ClassDef):
+                found += [(module, f"{node.name}.{name}") for name, method in private_members(node)
+                          if name not in (read if method else loaded)]
+    return sorted(found)
 
 
 def test_no_unread_private_definitions():
@@ -103,6 +135,22 @@ def test_unread_private_definition_is_found():
     # a subscript assignment reads _TABLE; only names bound are candidates
     assert unread_private_definitions(sources) == [
         ("a.py", "_Gone"), ("a.py", "_REGION_B"), ("a.py", "_REST"), ("a.py", "_orphan")]
+
+
+def test_unread_private_member_is_found():
+    sources = {
+        "a.py": "class Box:\n"
+                "    def __init__(self):\n        self._kept, (self._spent, self._shared) = 1, (2, 3)\n"
+                "        self._count = 0\n        self.size = 1\n        self._fill()\n\n"
+                "    def _fill(self):\n        self._count += self._kept\n\n"
+                "    def _orphan(self):\n        return self.size\n\n"
+                "    def __repr__(self):\n        return 'Box'\n",
+        "b.py": "from .a import Box\n\nBOX = Box()\nSHARED = BOX._shared\n",
+    }
+    # _fill is called and _shared read from another module; _count is
+    # only assigned, augmented included, and _spent only assigned
+    assert unread_private_definitions(sources) == [
+        ("a.py", "Box._count"), ("a.py", "Box._orphan"), ("a.py", "Box._spent")]
 
 
 def public_methods(cls) -> list:

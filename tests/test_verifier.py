@@ -90,6 +90,20 @@ def test_the_failing_surface_fails():
     assert not report.passed and not report.terminal_ok
 
 
+def test_tolerances_must_be_finite_and_nonnegative():
+    # checked > nan is false at every node, so a NaN tol passed a surface
+    # that tol = 0 fails, and a NaN floor marked every interior node
+    # non-convex, so that none was checked
+    primal, model, payoff = gbm_primal_d1(n_x=16, n_p=21)
+    assert not pde.verify_supersolution(primal, model, payoff, tol=0.0).passed
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            pde.verify_supersolution(primal, model, payoff, tol=bad)
+    for bad in (math.nan, math.inf, -1e-3):
+        with pytest.raises(ValueError, match="floor"):
+            pde.hjb_residual(primal, model, floor=bad)
+
+
 def test_slab_length_that_does_not_divide_the_interior_levels(monkeypatch):
     surface, model, payoff = gbm_primal_d1(n_x=64, n_p=101)
     interior = surface.grid.t.size - 2
