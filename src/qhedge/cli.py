@@ -25,18 +25,20 @@ Configs are INI files; the keys read, with their defaults:
             x0 inside [x_min, x_max]);
             n_paths = 100000, n_steps = 64 (each at least 1);
             scheme = log-euler | exact-gbm | exact-bessel3 (the exact
-            sampler of a gbm or bessel3 model, log-euler otherwise);
-            t0 = 0.0, T = 1.0 (the run's one horizon, for the sampler
-              and the grid alike: each of t0 and T comes from [grid]
-              where given there, else from [run], else the default);
+            sampler of a gbm or bessel3 model, log-euler otherwise; an
+            exact scheme of another model is a configuration error);
+            t0 = 0.0, T = 1.0 (finite, t0 < T; the run's one horizon, for
+              the sampler and the grid alike: each of t0 and T comes from
+              [grid] where given there, else from [run], else the default);
             epsilons (finite and positive; solve and study-epsilon
               need at least one);
-            q_window = 0.2 2.0 (study-epsilon probes [lo, hi]; dual
-              with the mc method probes [0, hi]); n_probe = 41 (at least 1);
+            q_window = 0.2 2.0 (0 <= lo < hi, hi finite; study-epsilon
+              probes [lo, hi]; dual with the mc method probes [0, hi]);
+              n_probe = 41 (at least 1);
             p_points = 101 (at least 3);
             tolerance (verify, finite and >= 0; none: 10 (dt + dx^2 +
               dp^2), with the primal surface's p spacing);
-            threads = 0 (0: one per CPU); refine (none, n or
+            threads = 0 (at least 0; 0: one per CPU); refine (none, n or
             "r_x r_q r_t", each at least 1); pad (auto, n or
             "x_cells q_cells", each at least 0)
 
@@ -56,7 +58,8 @@ Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
 of range, such as a refine or pad with another count of values than those
 above; also a grid or surface of the wrong dimension or domain, such as a
-dual surface given to verify), 3 numerical failure.
+dual surface given to verify), 3 numerical failure (also a summary value
+that is not finite, which JSON cannot hold: no summary file is written).
 """
 from __future__ import annotations
 
@@ -177,9 +180,11 @@ class _Run:
         self.t0 = cp.getfloat("grid", "t0", fallback=float(run.get("t0", 0.0)))
         self.T = cp.getfloat("grid", "T", fallback=float(run.get("T", 1.0)))
         scheme = run.get("scheme", "").strip() or engine.default_scheme(self.model)
-        # raises ValueError on n_paths or n_steps below 1, or an unknown scheme
+        # raises ValueError on t0 or T not finite, n_paths or n_steps below 1,
+        # or an unknown scheme, and SchemeMismatch on a scheme of another model
         self.sim = engine.SimConfig(self.t0, self.T, int(run.get("n_steps", 64)),
                                     int(run.get("n_paths", 100_000)), self.seed, scheme)
+        engine.check_scheme(self.model, scheme)
         raw_eps = run.get("epsilons", None)
         if raw_eps is None:
             self.epsilons = None
@@ -189,8 +194,9 @@ class _Run:
             if not all(0 < e < math.inf for e in self.epsilons):
                 raise ConfigError("epsilons must be finite and positive")
         self.q_window = _floats(run.get("q_window", "0.2 2.0"))
-        if len(self.q_window) != 2 or not 0 <= self.q_window[0] < self.q_window[1]:
-            raise ConfigError("q_window must be 'lo hi' with 0 <= lo < hi")
+        # written so that a NaN fails
+        if len(self.q_window) != 2 or not 0 <= self.q_window[0] < self.q_window[1] < math.inf:
+            raise ConfigError("q_window must be 'lo hi' with 0 <= lo < hi < inf")
         self.n_probe = int(run.get("n_probe", 41))
         if self.n_probe < 1:
             raise ConfigError("n_probe must be >= 1")
@@ -201,6 +207,8 @@ class _Run:
         if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
             raise ConfigError("tolerance must be finite and >= 0")
         threads = args.threads if args.threads is not None else int(run.get("threads", 0))
+        if threads < 0:
+            raise ConfigError("threads must be >= 0")
         self.threads = threads if threads > 0 else (os.cpu_count() or 1)
         self.refine = _run_ints(run, "refine", 3, 1)
         self.pad = None if run.get("pad", "").strip() == "auto" else _run_ints(run, "pad", 2, 0)
@@ -261,11 +269,16 @@ class _Run:
         }
 
     def write_json(self, name: str, payload: dict) -> None:
+        """Write payload with a timestamp to `name`, strict JSON; a value
+        that is not finite raises Nonfinite before the file is opened."""
         payload = dict(payload)
         payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise Nonfinite(f"a value in {name} is not finite ({exc})") from None
         with open(os.path.join(self.out, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def write_csv(self, name: str, header: str, rows) -> None:
         with open(os.path.join(self.out, name), "w") as fh:

@@ -76,8 +76,9 @@ class SimConfig:
     scheme: str = "log-euler"
 
     def __post_init__(self):
-        if not self.t0 < self.T:
-            raise ValueError(f"need t0 < T, got {self.t0} >= {self.T}")
+        # written so that a NaN fails
+        if not -np.inf < self.t0 < self.T < np.inf:
+            raise ValueError(f"need finite t0 < T, got t0 = {self.t0}, T = {self.T}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_paths < 1:
@@ -191,7 +192,9 @@ def _step_major_increments(gen: np.random.Generator, bn: int, n_steps: int, d: i
     return dW
 
 
-def _check_scheme(model: MarketModel, scheme: str):
+def check_scheme(model: MarketModel, scheme: str):
+    """Raise SchemeMismatch where `scheme` is the exact sampler of another
+    model."""
     if scheme == "exact-gbm" and model.kind != "gbm":
         raise SchemeMismatch(f"exact-gbm scheme requires a gbm model, got {model.kind}")
     if scheme == "exact-bessel3" and model.kind != "bessel3":
@@ -218,7 +221,7 @@ def terminal_block(model: MarketModel, x0: np.ndarray, cfg: SimConfig, block_ind
     log-space schemes raise Nonfinite with the global index of the first
     path that leaves the representable log range.
     """
-    _check_scheme(model, cfg.scheme)
+    check_scheme(model, cfg.scheme)
     sq_horizon = np.sqrt(cfg.horizon)
     B_T = None
     if aux:

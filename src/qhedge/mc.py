@@ -23,24 +23,29 @@ draws: common random numbers across an eps study by construction.
 dual_curve gives mean (q L_eps - v)^+ on a whole q grid in one pass
 (L = 1 at eps = 0).  Sample i pays at every q above its threshold
 u_i = v_i / L_i, so each sample is binned once by where u_i falls in the
-grid; per-bin sums of L, v and their products (taken about the means of
-L and v), accumulated over the bins, give every value and standard error
-in O(n log m) for n samples and m grid points.  Each eps uses the same
-aux draws, so curves at different eps keep the common random numbers.
+grid; per-bin sums of L, v and their products about centres cL and cv,
+accumulated over the bins, give every value and standard error in
+O(n log m) for n samples and m grid points.  Both are exact for any
+centre, so the centres move rounding only: cv is the mean of v, and cL
+is L_eps at the mean increment (one pass over aux, no exp), about
+exp(-eps^2 tau / 2), at most 0.301 of L's standard deviation
+sqrt(exp(eps^2 tau) - 1) from its mean 1 for any eps and tau.  Each eps
+uses the same aux draws, so curves at different eps keep the common
+random numbers.
 
 Memory: the curve estimators take the samples one block of _BIN_BLOCK
 (2^14) at a time, so their scratch is O(block) and O(grid); only
 quantile_curve keeps an array as large as the values, its sorted copy,
 since the order statistics come from a whole-array sort.  dual_curve at
-eps > 0 builds L_eps block by block, twice: once for its mean cL, which
-_multiplier_sum adds in the order of numpy's pairwise sum of the whole
-array, and once for the bins.  The results are those of the whole-array
-passes bit for bit: np.add.at continues np.bincount's in-order sums
-across blocks, and each block's prefix sums start from the previous
-block's total.  At 10^6 samples dual_curve peaks at about 0.12 times the
-value array at eps > 0 and 0.09 at eps = 0, quantile_curve at 1.05
-(tracemalloc).  sample_terminal keeps the aux draws only when asked to,
-so a run that needs no eps > 0 holds the values alone.
+eps > 0 builds each block's L_eps once, in its bin loop.  The results
+are those of the whole-array passes bit for bit: np.add.at continues
+np.bincount's in-order sums across blocks, each block's prefix sums
+start from the previous block's total, and the centres come from
+whole-array means, which no blocking changes.  At 10^6 samples
+dual_curve peaks at about 0.12 times the value array at eps > 0 and
+0.09 at eps = 0, quantile_curve at 1.05 (tracemalloc).  sample_terminal
+keeps the aux draws only when asked to, so a run that needs no eps > 0
+holds the values alone.
 """
 from __future__ import annotations
 
@@ -255,9 +260,8 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
 
     q may come in any order; value and se follow it.  The samples are
     binned and summed one block of _BIN_BLOCK at a time.  At eps > 0 each
-    block builds its own multipliers L_eps, after a first pass that takes
-    their mean block by block (_multiplier_sum), so the call holds no
-    sample-sized array of its own.
+    block builds its own multipliers L_eps, n of them in all, so the call
+    holds no sample-sized array of its own.
     """
     q = np.asarray(q_grid, dtype=float)
     _check_finite_nonnegative("q grid", q)
@@ -266,10 +270,14 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     n = v.size
     order = np.argsort(q, kind="stable")
     qs = q[order]
-    # moments about the global means, so that constant payouts cancel
-    # exactly.  At eps = 0, L = 1 = cL on every sample, so the sums over
+    # moments about cv = mean v and cL = L_eps(mean aux), the expression of
+    # _aux_multipliers on one value: where the increments' mean is B_i, cL
+    # is L_i.  At eps = 0, L = 1 = cL on every sample, so the sums over
     # a = L - cL are exactly +0.0 and v / L is v.
-    cL = _multiplier_sum(samples, eps, 0, n) / n if eps > 0 else 1.0
+    cL = 1.0
+    if eps > 0:
+        b = _increments(samples).mean()
+        cL = float(np.exp(b * eps + -0.5 * eps * eps * samples.horizon))
     cv = v.mean()
     # per-bin counts and sums of a, a a, d, a d and d d (d = v - cv); a
     # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
@@ -348,34 +356,24 @@ def _bin_right(qs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
+def _increments(samples: SampleSet) -> np.ndarray:
+    """The auxiliary increments B(T) - B(t0); MissingAux without them."""
+    if samples.aux is None:
+        raise MissingAux("sample set carries no auxiliary Brownian increments")
+    return samples.aux
+
+
 def _aux_multipliers(samples: SampleSet, eps: float, lo: int = 0,
                      hi: Optional[int] = None) -> np.ndarray:
     """L_eps of samples lo:hi (all of them by default).  Each element is
     computed on its own, so a slice of the whole array's L_eps and the
-    L_eps of the slice are equal bit for bit."""
-    if samples.aux is None:
-        raise MissingAux("sample set carries no auxiliary Brownian increments")
+    L_eps of the slice are equal bit for bit.  dual_curve evaluates the
+    same expression on the mean increment for its centre: keep the two
+    alike."""
     # exp(-eps^2 tau / 2 + eps B) built in the one array it returns
-    out = np.multiply(samples.aux[lo:hi], eps)
+    out = np.multiply(_increments(samples)[lo:hi], eps)
     out += -0.5 * eps * eps * samples.horizon
     return np.exp(out, out=out)
-
-
-def _multiplier_sum(samples: SampleSet, eps: float, lo: int, n: int) -> float:
-    """The sum of the n multipliers L_eps from lo on, holding at most
-    max(_BIN_BLOCK, 128) of them at a time, and added as np.add.reduce adds
-    them within the whole array, so that _multiplier_sum(samples, eps, 0,
-    n) / n is _aux_multipliers(samples, eps).mean() bit for bit.  numpy's
-    pairwise summation sums a range of more than 128 elements as its first
-    n2 = n//2 - (n//2) % 8 elements plus the rest, so a range of at most
-    max(_BIN_BLOCK, 128) elements is summed as one np.add.reduce of it
-    would sum it.  A module function, not a recursive closure, so that no
-    reference cycle keeps the samples alive after the call."""
-    if n <= max(_BIN_BLOCK, 128):
-        return float(np.add.reduce(_aux_multipliers(samples, eps, lo, lo + n)))
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _multiplier_sum(samples, eps, lo, n2) + _multiplier_sum(samples, eps, lo + n2, n - n2)
 
 
 def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate:

@@ -86,8 +86,8 @@ class GridSpec:
             raise ValueError("domain must be 'q' or 'p'")
         if self.domain == "p" and (z[0] < -1e-15 or z[-1] > 1.0 + 1e-15):
             raise ValueError("p axis must lie in [0, 1]")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         for arr in (t, z) + xs:
             arr.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -379,7 +379,7 @@ def write_surface_bin(surface: Surface, path) -> None:
         "n_z": int(g.z.size),
         "meta": surface.meta,
     }
-    blob = json.dumps(header, sort_keys=True).encode("ascii")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))

@@ -13,8 +13,10 @@ def _prefix_sum(v):
     return out
 
 
-def aux_multipliers(samples, eps):
-    return np.exp(-0.5 * eps * eps * samples.horizon + eps * samples.aux)
+def aux_multipliers(samples, eps, aux=None):
+    """L_eps of every sample, or of the increments aux where given."""
+    b = samples.aux if aux is None else aux
+    return np.exp(-0.5 * eps * eps * samples.horizon + eps * b)
 
 
 def quantile_curve(samples, p_grid):
@@ -50,7 +52,9 @@ def dual_curve(samples, q_grid, eps=0.0):
     def paying(weights=None):
         return np.cumsum(np.bincount(first, weights, minlength=q.size + 1))[:-1]
 
-    cL, cv = L.mean(), v.mean()
+    # the centre of L is L_eps at the mean increment
+    cL = aux_multipliers(samples, eps, samples.aux.mean()) if eps > 0 else 1.0
+    cv = v.mean()
     a = L - cL
     d = v - cv
     k, sa, saa = paying(), paying(a), paying(a * a)

@@ -14,7 +14,7 @@ from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
 from qhedge.surfaces import GridSpec, Surface, read_surface_bin, write_surface_bin
 from memory_helpers import traced_peak
-from surface_helpers import wrongly_typed_headers
+from surface_helpers import with_header, wrongly_typed_headers
 
 
 def mc_ini(eps_line="epsilons = 0.5 0.2"):
@@ -262,6 +262,26 @@ def test_verify_with_no_node_checked_writes_strict_json(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(vout), surface]) == 0
     report = load_summary(vout / "verify.json")["report"]
     assert report["n_checked"] == 0 and report["max_residual"] is None
+
+
+def test_verify_of_a_surface_at_infinite_epsilon_is_a_config_error(tmp_path, capsys):
+    # the writer put "epsilon": Infinity into the header and the reader took
+    # it back: verify then checked no node at all, or ended in a traceback
+    # with a truncated verify.json
+    cfg = write_config(tmp_path, pde_ini(method="pipeline"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    raw = (out / "primal_eps0p2.bin").read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    forged = tmp_path / "inf.bin"
+    forged.write_bytes(with_header(raw, dict(header, epsilon=float("inf"))))
+    vout = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(vout), str(forged)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err and "epsilon" in err
+    assert not (vout / "verify.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -743,9 +763,9 @@ def test_sample_that_is_not_finite_and_positive_exit_code(tmp_path, capsys, mode
 
 
 @pytest.mark.parametrize("line", ["n_paths = abc", "n_paths = 0", "n_steps = 0", "seed = x",
-                                  "threads = x", "n_probe = 0", "refine = 2 2", "refine = 0",
-                                  "refine = 1 2 3 4", "refine = auto", "pad = 1 2 3",
-                                  "pad = -3"])
+                                  "threads = x", "threads = -3", "n_probe = 0", "refine = 2 2",
+                                  "refine = 0", "refine = 1 2 3 4", "refine = auto",
+                                  "pad = 1 2 3", "pad = -3"])
 def test_malformed_run_integers_are_config_errors(tmp_path, capsys, line):
     key = line.split()[0]
     text = "\n".join(ln for ln in mc_ini().splitlines() if not ln.startswith(key + " "))
@@ -754,6 +774,59 @@ def test_malformed_run_integers_are_config_errors(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    ("dual", "q_window = 0.2 inf", []),
+    ("study-epsilon", "q_window = 0.2 inf", []),
+    ("study-epsilon", "q_window = 0.2 nan", []),
+    ("price", "T = inf", []),
+    ("price", "t0 = -inf", []),
+    ("price", "T = nan", []),
+    ("price", "", ["--threads", "-3"]),
+    ("price", "scheme = exact-bessel3", []),
+], ids=["dual-q-inf", "study-q-inf", "study-q-nan", "T-inf", "t0-minus-inf", "T-nan",
+        "threads-flag-negative", "scheme-of-another-model"])
+def test_out_of_range_run_values_are_config_errors(tmp_path, capsys, command, line, flags):
+    # an infinite q window ended in a ValueError traceback, an infinite
+    # horizon in a log-space overflow (exit 3), a negative thread count ran
+    # one thread per CPU, and an exact scheme of another model failed in
+    # the sampler (exit 3)
+    key = line.split(" ")[0]
+    text = "\n".join(ln for ln in gbm_mc_ini().splitlines() if not (key and ln.startswith(key + " ")))
+    cfg = write_config(tmp_path, text.replace("[run]", "[run]\n" + line))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, x0, line, summary", [
+    # the quantile standard error overflows: (v - c)^2 = inf gives NaN
+    ("price", "1e300", "", "price.json"),
+    # the gap bound overflows to inf
+    ("study-epsilon", "1.0", "epsilons = 1e300", "study_epsilon.json"),
+    ("study-epsilon", "1.0", "q_window = 0 1e308", "study_epsilon.json"),
+], ids=["price-x0-1e300", "study-eps-1e300", "study-q-1e308"])
+def test_a_summary_value_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys, command,
+                                                                   x0, line, summary):
+    # json.dump raised in the middle of the write: a traceback, exit 1 and
+    # a truncated summary
+    key = line.split(" ")[0]
+    text = "\n".join(ln for ln in gbm_mc_ini(x0=x0).splitlines()
+                     if not (key and ln.startswith(key + " ")))
+    cfg = write_config(tmp_path, text.replace("[run]", "[run]\n" + line))
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "numerical failure" in err and summary in err
+    assert not (out / summary).exists()
 
 
 GBM_MC_INI = """

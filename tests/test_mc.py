@@ -476,32 +476,31 @@ def test_blocked_curves_on_constant_samples_match_the_whole_array_passes(monkeyp
     assert _curves_equal(mc.quantile_curve(s, p), ref.quantile_curve(s, p))
 
 
-@pytest.fixture(scope="module")
-def mean_cases():
-    # lengths about the leaf of 128, the 8-element unroll and a 2^14 block,
-    # and one past 10^6 that no block divides
-    rng = np.random.default_rng(29)
-    return [toy(rng.lognormal(0.0, 0.5, n), aux=rng.normal(size=n))
-            for n in (1, 7, 8, 9, 127, 128, 129, 1000, (1 << 14) - 1, (1 << 14) + 1, 10 ** 6 + 3)]
+def test_dual_curve_builds_each_multiplier_once(monkeypatch):
+    # the centre cL is L_eps at the mean increment, so the bins are the one
+    # pass that builds L_eps; taking L's own mean block by block built
+    # every multiplier twice
+    built = []
 
+    def counted(*args):
+        out = aux_multipliers(*args)
+        built.append(out.size)
+        return out
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 14])
-def test_blocked_multiplier_mean_is_the_whole_array_mean(monkeypatch, mean_cases, block):
-    # the mean is numpy's pairwise sum of the whole L_eps, replayed one
-    # range at a time; a range splits only above max(block, 128) elements,
-    # which also ends the recursion at block 1, where n//2 - (n//2) % 8 is
-    # 0 below 16 elements
-    monkeypatch.setattr(mc, "_BIN_BLOCK", block)
-    for s in mean_cases:
-        for eps in (0.2, 1.3):
-            blocked = mc._multiplier_sum(s, eps, 0, s.n) / s.n
-            assert blocked == np.mean(mc._aux_multipliers(s, eps))
+    aux_multipliers = mc._aux_multipliers
+    monkeypatch.setattr(mc, "_aux_multipliers", counted)
+    s, q, _ = _block_case()
+    for block in (97, 1 << 14):
+        monkeypatch.setattr(mc, "_BIN_BLOCK", block)
+        built.clear()
+        mc.dual_curve(s, q, 0.2)
+        assert sum(built) == s.n
 
 
 def test_dual_curve_leaves_no_reference_to_the_samples():
     # with the cyclic collector off, the samples go as soon as the caller
-    # drops them; a recursive closure over them in the blocked mean made a
-    # reference cycle that kept them alive until the collector ran
+    # drops them: no reference cycle, such as a recursive closure over the
+    # samples, may keep them alive until the collector runs
     s, q, _ = _block_case()
     gone = weakref.ref(s)
     gc.disable()
@@ -533,7 +532,7 @@ def million():
 # blocks, its masks included) and d = v - cv with its square: 5.4 blocks,
 # 0.089 measured at eps = 0.  At eps > 0 the block's L_eps and its
 # thresholds v / L add two blocks: 0.122 measured.  L_eps is never whole:
-# its mean cL is taken one block at a time (mc._multiplier_sum).  The
+# its centre cL is L_eps at the mean increment, which needs no L_eps.  The
 # gates leave room for three more blocks (0.049); an L_eps kept whole
 # would add 1.0.  The whole-array pass held L, the thresholds, the bins
 # and one weight array at once: 3.21.

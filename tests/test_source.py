@@ -45,6 +45,35 @@ def test_unused_import_is_found():
     assert unused_imports(src) == [(2, "List")]
 
 
+def lenient_json_writes(source: str) -> list:
+    """Lines of calls to json.dump or json.dumps that do not pass
+    allow_nan=False: those write NaN and Infinity, which strict JSON does
+    not admit."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            continue
+        strict = any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                     and kw.value.value is False for kw in node.keywords)
+        if not strict:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_json_writes_are_strict(path):
+    assert lenient_json_writes(path.read_text()) == []
+
+
+def test_lenient_json_write_is_found():
+    src = ("import json\n\n\ndef save(fh, d):\n    json.dump(d, fh, allow_nan=False)\n"
+           "    json.dumps(d)\n    json.dumps(d, allow_nan=True)\n    json.loads('1')\n"
+           "    return json.dumps(d, sort_keys=True, allow_nan=False)\n")
+    assert lenient_json_writes(src) == [6, 7]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 

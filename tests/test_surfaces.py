@@ -1,5 +1,6 @@
 """Grid containers, interpolation, and the CSV / binary persistence pair."""
 import json
+import math
 import os
 import sys
 import warnings
@@ -318,6 +319,33 @@ def test_binary_header_of_the_wrong_type_is_rejected(tmp_path):
         forged.write_bytes(blob)
         with pytest.raises(ValueError, match="JSON object|list|number"):
             read_surface_bin(forged)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -0.1])
+def test_epsilon_must_be_finite_and_nonnegative(tmp_path, eps):
+    # epsilon = inf made a grid, which the writer put into the header as
+    # Infinity, a token that strict JSON does not admit, and the reader
+    # took back
+    with pytest.raises(ValueError, match="epsilon"):
+        small_grid(epsilon=eps)
+    path = tmp_path / "surface.bin"
+    write_surface_bin(small_surface(), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    forged = tmp_path / "forged.bin"
+    forged.write_bytes(with_header(raw, dict(json.loads(raw[16:16 + hlen]), epsilon=eps)))
+    with pytest.raises(ValueError, match="epsilon"):
+        read_surface_bin(forged)
+
+
+def test_binary_header_is_strict_json(tmp_path):
+    # a value that is not finite in the metadata raises before the file is
+    # opened, instead of writing NaN into the header
+    g = small_grid()
+    path = tmp_path / "nan.bin"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_surface_bin(Surface(g, np.zeros(g.shape), {"gap": math.nan}), path)
+    assert not path.exists()
 
 
 def test_pipeline_surface_csvs_match_the_row_writer(tmp_path):
