@@ -52,14 +52,18 @@ with the pipeline method, the transform's enveloped and saturated slices.
 The verify report counts the non-convex nodes the residual skips
 ("n_nonconvex"); its "max_residual" is null where no node was checked.
 The study-epsilon summary's "monotone" says whether the sup gap never
-rises as eps falls, whatever order the config lists eps in.
+rises as eps falls, whatever order the config lists eps in.  The price and
+compare-oracle summaries record the "epsilon" of their values: 0 under
+Monte Carlo, the solved eps under the pde and pipeline methods.
 
 Exit codes: 0 success (verify: pass), 1 verify failure, 2 configuration
 error (a missing or unknown entry, or a value that does not parse or is out
 of range, such as a refine or pad with another count of values than those
 above; also a grid or surface of the wrong dimension or domain, such as a
 dual surface given to verify), 3 numerical failure (also a summary value
-that is not finite, which JSON cannot hold: no summary file is written).
+that is not finite, which JSON cannot hold: price, study-epsilon and
+compare-oracle serialize their summary before any artifact, so such a run
+writes no file).
 """
 from __future__ import annotations
 
@@ -268,17 +272,25 @@ class _Run:
             "grid": gdict,
         }
 
-    def write_json(self, name: str, payload: dict) -> None:
-        """Write payload with a timestamp to `name`, strict JSON; a value
-        that is not finite raises Nonfinite before the file is opened."""
+    def summary(self, name: str, payload: dict) -> str:
+        """The text of summary `name`: payload with a timestamp, strict
+        JSON.  A value that is not finite raises Nonfinite; a command
+        serializes its summary this way before it writes any artifact, so
+        that such a run leaves no file behind."""
         payload = dict(payload)
         payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
             raise Nonfinite(f"a value in {name} is not finite ({exc})") from None
+
+    def write_text(self, name: str, text: str) -> None:
         with open(os.path.join(self.out, name), "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+    def write_json(self, name: str, payload: dict) -> None:
+        """Write the summary of payload to `name`."""
+        self.write_text(name, self.summary(name, payload))
 
     def write_csv(self, name: str, header: str, rows) -> None:
         with open(os.path.join(self.out, name), "w") as fh:
@@ -314,6 +326,8 @@ def cmd_price(run: _Run) -> int:
     p_grid = mc.default_p_grid(run.p_points)
     grid = None
     if run.method == "mc":
+        # the Monte Carlo curve is the unregularized value
+        eps = 0.0
         samples = run.samples()
         p_arr, value, se = mc.quantile_curve(samples, p_grid)
         rows = [(float(p), float(v), float(s)) for p, v, s in zip(p_arr, value, se)]
@@ -325,15 +339,17 @@ def cmd_price(run: _Run) -> int:
         grid = surf.grid
         vals = primal.values[0, ...]
         rows = [(float(p), float(vals[idx + (j,)]), 0.0) for j, p in enumerate(p_grid)]
-    run.write_csv("price.csv", "p,value,stderr", rows)
     summary = {k: {"value": v, "stderr": s}
                for k, v, s in (rows[len(rows) // 10], rows[len(rows) // 2], rows[-1])}
-    run.write_json("price.json", {
+    text = run.summary("price.json", {
         "provenance": run.provenance("price", grid),
+        "epsilon": eps,
         "rows": len(rows),
         "artifact": "price.csv",
         "summary": {"%.3f" % k: val for k, val in summary.items()},
     })
+    run.write_csv("price.csv", "p,value,stderr", rows)
+    run.write_text("price.json", text)
     return 0
 
 
@@ -431,8 +447,6 @@ def cmd_study_epsilon(run: _Run) -> int:
     lo, hi = run.q_window
     q_grid = np.linspace(lo, hi, run.n_probe)
     _, base, base_se = mc.dual_curve(samples, q_grid)
-    run.write_csv("study_epsilon_baseline.csv", "q,value,stderr",
-                  zip(q_grid.tolist(), base.tolist(), base_se.tolist()))
     tau = run.T - run.t0
     rows = []
     for eps in run.epsilons:
@@ -442,10 +456,9 @@ def cmd_study_epsilon(run: _Run) -> int:
         sup_gap, se = float(gaps[k]), float(reg_se[k] + base_se[k])
         bound = oracles.regularization_bound(hi, eps, tau)
         rows.append((eps, sup_gap, bound, se, sup_gap <= bound + 3.0 * se))
-    run.write_csv("study_epsilon.csv", "epsilon,sup_gap,bound,gap_stderr,within", rows)
     # the gap must not rise as eps falls, whatever order the config lists eps in
     gaps_by_eps = [gap for _, gap, *_ in sorted(rows)]
-    run.write_json("study_epsilon.json", {
+    text = run.summary("study_epsilon.json", {
         "provenance": run.provenance("study-epsilon"),
         "q_window": [lo, hi],
         "rows": [{"epsilon": r[0], "sup_gap": r[1], "bound": r[2],
@@ -453,6 +466,10 @@ def cmd_study_epsilon(run: _Run) -> int:
         "monotone": all(a <= b for a, b in zip(gaps_by_eps, gaps_by_eps[1:])),
         "artifacts": ["study_epsilon.csv", "study_epsilon_baseline.csv"],
     })
+    run.write_csv("study_epsilon_baseline.csv", "q,value,stderr",
+                  zip(q_grid.tolist(), base.tolist(), base_se.tolist()))
+    run.write_csv("study_epsilon.csv", "epsilon,sup_gap,bound,gap_stderr,within", rows)
+    run.write_text("study_epsilon.json", text)
     return 0
 
 
@@ -501,8 +518,6 @@ def cmd_compare_oracle(run: _Run) -> int:
     for q, est, err in zip(q_points, value.tolist(), se.tolist()):
         ref = d_oracle(q)
         rows.append(("dual_value", q, est, ref, abs(est - ref), err))
-    run.write_csv("compare_oracle.csv",
-                  "quantity,coordinate,estimate,oracle,abs_gap,stderr", rows)
 
     def se_floor(row):
         """One sample's contribution, coordinate / n (x0 / n for a quantile
@@ -511,12 +526,17 @@ def cmd_compare_oracle(run: _Run) -> int:
         return (row[1] if row[0] == "dual_value" else x0) / samples.n
 
     worst = max(r[4] / max(3.0 * max(r[5], se_floor(r)), 1e-12) for r in rows)
-    run.write_json("compare_oracle.json", {
+    text = run.summary("compare_oracle.json", {
         "provenance": run.provenance("compare-oracle"),
+        # the Monte Carlo estimates and the closed forms are unregularized
+        "epsilon": 0.0,
         "rows": len(rows),
         "worst_gap_over_3se": worst,
         "artifact": "compare_oracle.csv",
     })
+    run.write_csv("compare_oracle.csv",
+                  "quantity,coordinate,estimate,oracle,abs_gap,stderr", rows)
+    run.write_text("compare_oracle.json", text)
     return 0
 
 

@@ -59,7 +59,8 @@ folded in.
 
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
 u is extrapolated linearly at fixed eta, exact where q is large.  The
-uniform eta axis has as many nodes as the padded q axis would have.  At
+uniform eta axis has as many nodes as the padded q axis would have (twice
+the cells on the price-ratio route below).  At
 its bottom w = 0, u = -q, which errs by at most the q there (0 <= w <=
 q), at most e^-_ETA_MARGIN times the smallest requested positive q at
 every requested x; at its top, which reaches the padded q_max at every
@@ -71,18 +72,45 @@ slope-1 tail up to rounding, since the cubic reproduces constants, and
 clamped at 0, since a restored x edge can dip below it; q <= 0 reads 0,
 and the terminal level is (q - g(x))^+ itself.
 
+The price-ratio route (`_price_ratio`).  A builtin gbm in d = 2 with a
+linear payoff g = w1 x1 + w2 x2, w >= 0, is scale-free.  With x2 as
+numeraire (Geman, El Karoui & Rochet, J. Appl. Probab. 1995), Z g(X) =
+x2 Z^ g~(rho) with rho = X1 / X2, Z^ = Z X2 / x2 and g~(rho) = w1 rho + w2.
+rho is a gbm with b~ = b1 - b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1,
+s2 the rows of s), whose own deflator is the part of Z^ along rho's
+noise; the rest of Z^ is an independent mean-one lognormal with
+volatility nu, nu^2 = |s2 - theta|^2 - (b~ / s~)^2, which smears like eps.
+So, exactly,
+
+    w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2),
+
+with w~ the d = 1 dual of that gbm at eps_eff = sqrt(eps^2 + nu^2).  Where
+the two x axes are log-uniform with one common log step, every x1_i /
+x2_j is a node of one log-uniform rho axis, and solve_dual_pde solves w~
+there with the d = 1 solver (its default pad a quarter of the rho axis,
+its eta axis twice the cells of the padded q axis) instead of the Douglas
+solve on the d = 2 mesh.  The read-back is one map over targets, built
+once: each is a rho row, a q read at q / x2 (its eta shifted by log x2)
+and a factor x2, and reads w = x2 u~ + q.  The d = 1 read is the same
+map with the requested rows and factor 1.  Every other d = 2 input takes
+the direct solve: custom models (those with a constant (s s')^{-1} b),
+gbm on axes with different log steps, and other payoffs.
+
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, -q on the state's nodes, one increment of
 the state's interior and the eta sweep's eta-first copy of it, the
-sweeps' factors, the read-back's data per requested node (stencil index,
-offset and two convexity bounds, 8 B each) and slab-sized scratch.  The
-eta sweep's factors have the increment's size; the x sweeps' keep their
-bands' shape, one value per line broadcast over the eta lanes, except in
-d = 1 (see `_factor`).  The explicit pass and the read-back work one slab
-of the first x axis at a time, as many rows as keep one slab array within
-_SLAB_BYTES (at least one), and the read-back's slabs reuse the memory of
-the increment.  On the d = 2 benchmark grid (48^2 x, 64 q, 88 eta) the solve
-peaks 15.9 MiB above its 36.0 MiB surface (tracemalloc), 1.5 MiB of it -q.
+sweeps' factors, the read-back's data per target (stencil index, offset
+and two convexity bounds, 8 B each, and a flag) and slab-sized scratch.
+The eta sweep's factors have the increment's size; the x sweeps' keep
+their bands' shape, one value per line broadcast over the eta lanes,
+except in d = 1 (see `_factor`).  The explicit pass and the read-back work
+one slab of the first x axis at a time, as many rows as keep one slab
+array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
+the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q)
+the price-ratio route peaks 8.5 MiB above its 36.0 MiB surface
+(tracemalloc): 4.6 MiB of read-back data for its 48^2 x 63 targets, 2.1
+MiB of read slabs, and its (141 rho, 175 eta) state, 0.19 MiB each, with
+the sweeps.  The direct solve there peaked 15.9 MiB above the surface.
 """
 from __future__ import annotations
 
@@ -100,7 +128,7 @@ from .errors import (
     DomainMismatch,
     Nonfinite,
 )
-from .market import MarketModel, Payoff
+from .market import MarketModel, Payoff, builtin_model
 from .surfaces import GridSpec, Surface
 
 
@@ -240,18 +268,26 @@ def _cubic(u, values, out, scratch, a, b, c) -> None:
 class _DualOperator:
     """Workspace for the dual solve on (x_1..x_d, eta) with step length h:
     coefficients on the interior nodes, the stencil of h F, the sweeps
-    factored at th = h / 2, the edges and the read-back to the requested x
-    nodes (`restrict`) and q nodes, with the buffers they reuse."""
+    factored at th = h / 2, the edges and the read-back to the targets,
+    with the buffers they reuse.  A target is a requested x node, by the
+    flat index of its row of the state in `rows`, times each requested q;
+    it reads the state at q / scale, for its `scale` (broadcast against
+    rows), and w = scale u + q: scale 1 but on the price-ratio route."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
-                 restrict, q: np.ndarray, q_top: float, n_eta: int, h: float):
+                 rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
+                 h: float):
         self.d = d = len(x_axes)
         sigma, theta, A = _coefficients(model, x_axes, eps)
         alpha = A[..., :d, :d]
         self.phi = _phase(x_axes, sigma, theta)
         self.first = int(np.count_nonzero(q <= 0.0))  # index of the first q > 0
-        lo = math.log(q[self.first]) - float(self.phi[restrict].max()) - _ETA_MARGIN
-        self.eta = np.linspace(lo, math.log(q_top) - float(self.phi[restrict].min()), n_eta)
+        # each target reads the state on its row at q / scale, at eta = log
+        # q - shift
+        self.scale = np.broadcast_to(scale, rows.shape)[..., None]
+        shift = self.phi.ravel()[rows] + np.log(self.scale[..., 0])
+        lo = math.log(q[self.first]) - float(shift.max()) - _ETA_MARGIN
+        self.eta = np.linspace(lo, math.log(q_top) - float(shift.min()), n_eta)
         self.de = de = float(self.eta[1] - self.eta[0])
         self.gx = payoff(_mesh(x_axes)).reshape(self.phi.shape)
         e_phi = np.exp(self.phi)
@@ -286,20 +322,29 @@ class _DualOperator:
         ce1 = -(x_part / e_phi[inner][..., None] + eta_part) / (2.0 * math.sinh(de))
         self.bands.append((ce2 - ce1, -2.0 * ce2, ce2 + ce1))
         self.ends.append(((0.0, 0.0), (1.0, 0.0)))
-        # per requested node with q > 0: the flat index of its stencil's
-        # first node, its place u among the stencil's nodes, 0..3 (the cubic
-        # weights are taken from it), and its place among their q values
-        # Q_m = Q_0 e^(m de): f = (q - Q_1) / (Q_2 - Q_1), with e^de f =
-        # (q - Q_1) / (Q_1 - Q_0), and g = (q - Q_2) / (Q_3 - Q_2)
+        # per target with q > 0: the flat index of its stencil's first node,
+        # its place u among the stencil's nodes, 0..3 (the cubic weights are
+        # taken from it), and its place among their q values Q_m = Q_0 e^(m
+        # de): f = (q - Q_1) / (Q_2 - Q_1), with e^de f = (q - Q_1) / (Q_1 -
+        # Q_0), and g = (q - Q_2) / (Q_3 - Q_2).  Built in place, with at
+        # most two temporaries of the targets' size
         self.q_read = q[self.first:]
-        s = (np.log(self.q_read) - self.phi[restrict][..., None] - self.eta[0]) / de
-        k = np.clip(np.floor(s).astype(np.intp) - 1, 0, self.eta.size - 4)
-        rows = np.arange(self.phi.size).reshape(self.phi.shape)[restrict]
-        self.start = rows[..., None] * self.eta.size + k
-        self.u = u = s - k
+        self.u = u = np.subtract(np.log(self.q_read), shift[..., None])
+        u -= self.eta[0]
+        u /= de
+        k = np.floor(u)
+        k -= 1.0
+        np.clip(k, 0, self.eta.size - 4, out=k)
+        u -= k
+        self.start = k.astype(np.intp)
+        del k
+        self.start += rows[..., None] * self.eta.size
         self.centred = (u >= 1.0) & (u < 2.0)
-        self.bounds = (np.expm1((u - 1.0) * de) / math.expm1(de),
-                       np.expm1((u - 2.0) * de) / math.expm1(de))
+        self.bounds = tuple(np.subtract(u, c) for c in (1.0, 2.0))
+        for f in self.bounds:
+            f *= de
+            np.expm1(f, out=f)
+            f /= math.expm1(de)
         # the working set beyond the state, allocated once: the increment,
         # its eta-first copy and explicit's product slab for a substep, nine
         # slabs for read.  A substep and a read never run at once, and what
@@ -431,17 +476,17 @@ class _DualOperator:
         return W
 
     def read(self, W: np.ndarray, out: np.ndarray) -> None:
-        """Write w = W + q on the requested nodes to out: the 4-point cubic
-        Lagrange interpolant of the state W = w - q in eta, clamped in the
-        stencil's middle cell to the bounds convexity of w in q sets (below
-        the cell's chord, above either neighbouring chord extended), plus
-        the requested q.  The chords are exact on q, so clamping W against
-        them clamps w against its own.  The cubic's weights sum to 1, so on
-        the dual's slope-1 tail, where W does not depend on q, w reads back
-        as q + W up to rounding.  Smooth convex data keep the cubic in the
-        bounds up to O(de^4); at an unresolved kink the clamp stops
-        overshoot.  What is written is clamped at 0: a restored x edge can
-        take w, and the cubic through it, below 0.
+        """Write w = W + q on the targets to out: the 4-point cubic Lagrange
+        interpolant of the state W = w - q in eta, clamped in the stencil's
+        middle cell to the bounds convexity of w in q sets (below the
+        cell's chord, above either neighbouring chord extended), times the
+        target's scale, plus the requested q.  The chords are exact on q,
+        so clamping W against them clamps w against its own.  The cubic's
+        weights sum to 1, so on the dual's slope-1 tail, where W does not
+        depend on q, w reads back as q + W up to rounding.  Smooth convex
+        data keep the cubic in the bounds up to O(de^4); at an unresolved
+        kink the clamp stops overshoot.  What is written is clamped at 0:
+        a restored x edge can take w, and the cubic through it, below 0.
 
         It runs one slab of the first x axis at a time: the four stencil
         values are gathered into the operator's slab buffers, the cubic
@@ -478,6 +523,7 @@ class _DualOperator:
             np.maximum(value, floor, out=floor)
             np.minimum(floor, chord, out=floor)
             np.copyto(value, floor, where=self.centred[lo:hi])
+            value *= self.scale[lo:hi]
             value += self.q_read
             np.maximum(value, 0.0, out=out[lo:hi, ..., self.first:])
 
@@ -506,6 +552,52 @@ def _pad_geometric(x: np.ndarray, n: int) -> np.ndarray:
 _RANNACHER_STEPS = 2
 
 
+@dataclass(frozen=True)
+class _PriceRatio:
+    """The d = 1 gbm dual in rho = x1 / x2 that a d = 2 gbm dual with a
+    linear payoff is: w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2)."""
+
+    model: MarketModel
+    payoff: Payoff
+    axis: np.ndarray
+    nu: float
+    eps: float
+
+
+def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec) -> Optional[_PriceRatio]:
+    """The problem in the price ratio rho = x1 / x2 for a builtin d = 2 gbm
+    with a payoff w1 x1 + w2 x2, w >= 0, on x axes that are log-uniform with
+    one common log step, so that every x1_i / x2_j is a node of one
+    log-uniform rho axis; None for any other input.  rho is a gbm with b~ =
+    b1 - b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), the
+    payoff is w1 rho + w2, and the deflator's part orthogonal to rho's
+    noise, nu = |(s2 - theta) x (s1 - s2)| / s~, smears like eps: eps_eff
+    = sqrt(eps^2 + nu^2)."""
+    weights = payoff.weights
+    if model.dim != 2 or model.kind != "gbm" or weights is None or len(weights) > 2:
+        return None
+    w1, w2 = (tuple(weights) + (0.0,))[:2]
+    if min(w1, w2) < 0.0 or w1 == w2 == 0.0:
+        return None
+    ys = [np.log(ax) for ax in grid.x_axes]
+    step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
+    if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
+        return None
+    b, s = model.params["b"], model.params["s"]
+    # s is not singular, so its rows differ and s~ > 0
+    diff = s[0] - s[1]
+    s_rho = float(np.hypot(*diff))
+    b_rho = float(b[0] - b[1] - diff @ s[1])
+    v = s[1] - np.linalg.solve(s, b)
+    nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
+    # the rho node of x1_i / x2_j is i - j + n2 - 1
+    axis = np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0],
+                              ys[0].size + ys[1].size - 1))
+    return _PriceRatio(builtin_model("gbm", b=b_rho, s=s_rho),
+                       Payoff(lambda x: w1 * x[:, 0] + w2, f"ratio:{w1:g}*rho+{w2:g}"),
+                       axis, nu, math.hypot(grid.epsilon, nu))
+
+
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
                    pad=None, refine=None) -> Surface:
     """Backward solve of the regularized dual equation on a q-domain grid.
@@ -518,11 +610,23 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     nodes.  Requested x nodes stay on the internal mesh exactly.  The
     first _RANNACHER_STEPS steps are each two implicit Euler half steps.
 
-    pad : None for the default margin (quarter of the x range, ~3/8 of the
-        q range, d=1 only), 0 to disable, or a pair (x_cells, q_cells) in
-        units of the requested grid's spacing; each >= 0.
+    A builtin d = 2 gbm with a payoff w1 x1 + w2 x2, w >= 0, on x axes that
+    are log-uniform with one common log step (GridSpec.regular with equal
+    x axes) takes the price-ratio route (module docstring): the d = 1 dual
+    of rho = x1 / x2, read back as w = x2 w~(t, x1 / x2, q / x2); `pad`
+    and `refine` then apply to the rho axis.  Every other d = 2 input
+    takes the direct Douglas solve.
+
+    pad : None for the default margin (quarter of the x range, or of the
+        rho range, ~3/8 of the q range; no x margin on the direct d=2
+        solve), 0 to disable, or a pair (x_cells, q_cells) in units of the
+        requested grid's spacing; each >= 0.
     refine : None for no refinement, an int, or a triple (r_x, r_q, r_t);
         each >= 1.
+
+    meta: kind, model, payoff, epsilon, substeps, rannacher_steps, pad
+    and refine (as applied), scheme; in d = 2 also "route", "price-ratio"
+    or "direct", and on the route "nu" and "epsilon_eff".
     """
     if model.dim > 2:
         raise DimensionUnsupported(f"finite differences support d <= 2, got d={model.dim}")
@@ -542,8 +646,13 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     if min(rx, rq, rt) < 1:
         raise ValueError("refinement factors must be >= 1")
 
+    ratio = _price_ratio(model, payoff, grid)
+    if ratio is None:
+        solved, axes, eps = (model, payoff), grid.x_axes, grid.epsilon
+    else:
+        solved, axes, eps = (ratio.model, ratio.payoff), (ratio.axis,), ratio.eps
     if pad is None:
-        px = grid.x_axes[0].size // 4 if model.dim == 1 else 0
+        px = axes[0].size // 4 if len(axes) == 1 else 0
         pq = (3 * grid.z.size) // 8
     elif np.isscalar(pad):
         px = pq = int(pad)
@@ -553,15 +662,28 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         raise ValueError("padding cells must be >= 0")
 
     q = grid.z
-    x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in grid.x_axes)
+    x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in axes)
     n_eta = (q.size - 1) * rq + 1 + pq * rq
-    restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in grid.x_axes)
+    restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
+    rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
+        tuple(ax.size for ax in x_int))[restrict]
+    scale = 1.0
+    if ratio is not None:
+        n1, n2 = (ax.size for ax in grid.x_axes)
+        rows = rows[np.subtract.outer(np.arange(n1), np.arange(n2)) + n2 - 1]
+        scale = grid.x_axes[1]
+        # a target at x2 reads q / x2, at q spacings that shrink as x2
+        # grows, several to an eta cell of the q axis's count, where the
+        # cubic read breaks convexity in q near T; the rho solve is cheap,
+        # so eta takes twice the cells
+        n_eta = 2 * n_eta - 1
     q_top = float(q[-1] + pq * (q[-1] - q[-2]))
-    ws = _DualOperator(model, payoff, x_int, grid.epsilon, restrict, q, q_top, n_eta,
-                       float(grid.dt) / rt)
+    ws = _DualOperator(*solved, x_int, eps, rows, scale, q, q_top, n_eta, float(grid.dt) / rt)
 
     values = np.empty(grid.shape)
-    values[-1] = np.maximum(q - ws.gx[restrict][..., None], 0.0)
+    gx = payoff(_mesh(grid.x_axes)).reshape(rows.shape)
+    np.subtract(q, gx[..., None], out=values[-1])
+    np.maximum(values[-1], 0.0, out=values[-1])
     # (q - g(x))^+ - q = max(-q, -g(x))
     W = np.maximum(ws.neg_q, -ws.gx[..., None])
     ws.apply_bc(W)
@@ -585,6 +707,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
             "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,
             "pad": [px, pq], "refine": [rx, rq, rt], "scheme": "douglas-adi"}
+    if model.dim == 2:
+        meta["route"] = "direct" if ratio is None else "price-ratio"
+    if ratio is not None:
+        meta.update(nu=ratio.nu, epsilon_eff=ratio.eps)
     return Surface(grid, values, meta)
 
 

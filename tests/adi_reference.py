@@ -119,7 +119,8 @@ def substep_of_length(op, W, half):
 def read(op, W, out):
     """The clamped cubic read-back of a whole level at once, with the
     cubic weights and the bound e^de f made as the operator made them once
-    per solve, and the requested q added after the clamp."""
+    per solve, scaled by each target's factor, and the requested q added
+    after the clamp."""
     u = op.u
     cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
              u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
@@ -131,6 +132,7 @@ def read(op, W, out):
     chord = v1 + f * (v2 - v1)
     value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
     np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
+    value *= op.scale
     value += op.q_read
     out[..., :op.first] = 0.0
     np.maximum(value, 0.0, out=out[..., op.first:])

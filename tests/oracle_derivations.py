@@ -402,6 +402,51 @@ for q, want in [(0.5, 0.0625), (1.0, 0.25), (2.0, 1.0), (3.0, 2.0)]:
     got = (pd * q - pd ** 2).max()
     check(f"conj(p^2)({q})", got, want, 1e-9)
 
+# ---------------------------------------------------------------------------
+# 11. the d=2 gbm dual in the price ratio rho = x1/x2 (pde._price_ratio).
+#     With x2 as numeraire, Z g(X) = x2 Zh g~(rho), Zh = Z X2 / x2, and rho
+#     a gbm with b~ = b1 - b2 + |s2|^2 - s1.s2, s~ = |s1 - s2|; the part of
+#     Zh orthogonal to rho's noise has volatility nu, nu^2 = |s2 - theta|^2
+#     - (b~/s~)^2, and smears like eps.  For g = x1 (g~ = rho):
+#       (s~ - b~/s~)^2 + nu^2 = |s1 - theta|^2,
+#       x2 * smeared(x1/x2, q/x2; b~, s~, eps_eff) = smeared(x1, q; 0, |s1 - theta|, eps)
+#     with smeared(x, q; b, s, eps) the put at log-vol sqrt((s - b/s)^2 +
+#     eps^2) sqrt(tau), eps_eff^2 = eps^2 + nu^2.  Brute force: the d=2
+#     expectation E[(q L - Z X1)^+] by 2-d Gauss-Hermite quadrature over
+#     the two Brownian motions, L integrated in closed form.
+# ---------------------------------------------------------------------------
+print("== d=2 gbm dual in the price ratio ==")
+
+
+def smeared(x, q, b, s, tau, ev):
+    return put_formula(x, q, np.sqrt(((s - b / s) ** 2 + ev * ev) * tau))
+
+
+gh_z, gh_w = np.polynomial.hermite_e.hermegauss(120)
+gh_w = gh_w / gh_w.sum()
+for label, sm in (("diagonal", np.diag([0.3, 0.25])), ("full", np.array([[0.3, 0.1], [0.0, 0.25]]))):
+    bv = np.array([0.05, 0.03])
+    th = np.linalg.solve(sm, bv)
+    s1, s2 = sm
+    b_t = bv[0] - bv[1] + s2 @ s2 - s1 @ s2
+    s_t = np.linalg.norm(s1 - s2)
+    nu2 = (s2 - th) @ (s2 - th) - (b_t / s_t) ** 2
+    v1 = np.linalg.norm(s1 - th)
+    check(f"{label}: (s~ - b~/s~)^2 + nu^2 = |s1 - theta|^2", (s_t - b_t / s_t) ** 2 + nu2,
+          v1 * v1, 1e-15)
+    print(f"    {label}: b~ = {b_t!r}, s~ = {s_t!r}, nu = {np.sqrt(nu2)!r}")
+    ev, tau = 0.2, 1.0
+    ev_eff = np.sqrt(ev * ev + nu2)
+    for x1, x2, q in ((1.0, 1.0, 1.2), (0.6, 1.7, 0.9), (1.9, 0.55, 2.5)):
+        ratio = x2 * smeared(x1 / x2, q / x2, b_t, s_t, tau, ev_eff)
+        check(f"{label}: x2 smeared(rho) = smeared(x1) at {(x1, x2, q)}", ratio,
+              smeared(x1, q, 0.0, v1, tau, ev), 1e-14)
+        w1, w2 = np.meshgrid(gh_z, gh_z, indexing="ij")
+        m = x1 * np.exp(np.sqrt(tau) * ((s1 - th)[0] * w1 + (s1 - th)[1] * w2) - 0.5 * v1 * v1 * tau)
+        inner = np.vectorize(lambda mm: put_formula(mm, q, ev * np.sqrt(tau)))(m)
+        brute = float((gh_w[:, None] * gh_w[None, :] * inner).sum())
+        check(f"{label}: 2-d quadrature = x2 smeared(rho) at {(x1, x2, q)}", brute, ratio, 1e-9)
+
 print()
 print(f"passed {OK['pass']}  failed {OK['fail']}")
 raise SystemExit(0 if OK["fail"] == 0 else 1)

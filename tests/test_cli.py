@@ -104,6 +104,24 @@ def test_price_mc_deterministic(tmp_path):
     assert j1 == j2
 
 
+@pytest.mark.parametrize("command, text, method, eps", [
+    ("price", mc_ini(), "mc", 0.0),
+    ("price", pde_ini("epsilons = 0.3 0.2"), "pde", 0.3),
+    ("price", pde_ini("epsilons = 0.25", method="pipeline"), "pipeline", 0.25),
+    ("compare-oracle", mc_ini(), "mc", 0.0),
+], ids=["price-mc", "price-pde", "price-pipeline", "compare-oracle"])
+def test_summaries_record_the_epsilon_of_their_values(tmp_path, command, text, method, eps):
+    # Monte Carlo prices the unregularized value, the pde and pipeline
+    # methods the first eps of the config
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    summary = load_summary(tmp_path / "o" / (command.replace("-", "_") + ".json"))
+    assert summary["provenance"]["method"] == method
+    assert summary["epsilon"] == eps
+    if method != "mc":
+        assert summary["provenance"]["grid"]["epsilon"] == eps
+
+
 def test_price_provenance_fields(tmp_path):
     cfg = write_config(tmp_path, mc_ini())
     out = str(tmp_path / "out")
@@ -826,7 +844,8 @@ def test_a_summary_value_that_is_not_finite_is_a_numerical_failure(tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "numerical failure" in err and summary in err
-    assert not (out / summary).exists()
+    # the summary is serialized before any artifact: no CSV is left behind
+    assert list(out.iterdir()) == []
 
 
 GBM_MC_INI = """

@@ -10,7 +10,7 @@ from memory_helpers import traced_peak
 
 from qhedge import _kernels, oracles, pde
 from qhedge.errors import ArgmaxAtBoundary, DimensionUnsupported, DomainMismatch, Nonfinite
-from qhedge.market import Payoff, builtin_model, linear_payoff
+from qhedge.market import Payoff, builtin_model, linear_payoff, payoff_from_expression
 from qhedge.surfaces import GridSpec, Surface
 from surface_helpers import axes_equal, surface_eval, terminal
 
@@ -80,6 +80,13 @@ def test_interior_matches_radial_smeared_closed_form():
     assert max_rel_err(fine) < max_rel_err(coarse)
 
 
+def custom_twin(b, s):
+    """A custom d=2 model with the constant coefficients of the gbm (b, s):
+    the same problem, which the price-ratio route does not take."""
+    return builtin_model("custom", dim=2, b_exprs=[repr(float(v)) for v in b],
+                         s_exprs=[[repr(float(v)) for v in row] for row in s])
+
+
 def test_one_substep_and_no_warning_on_default_grids():
     # the radial model's x-q correlation 1/sqrt(1 + eps^2 x^2) approaches 1
     # at small x; in characteristic coordinates there is no x-eta term, so
@@ -90,16 +97,22 @@ def test_one_substep_and_no_warning_on_default_grids():
         (builtin_model("bessel3"),
          GridSpec.regular(0.0, 1.0, 8, 0.25, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)),
         (builtin_model("gbm", b=0.05, s=0.3), radial_grid(eps=0.2)),
-        (builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]]),
-         GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
-                          z_max=6.0, epsilon=0.2)),
     ]
+    # the d=2 gbm takes the price-ratio route; its custom twin, with the
+    # same constant coefficients, the direct Douglas solve
+    d2_grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
+                               z_max=6.0, epsilon=0.2)
+    cases += [(builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]]), d2_grid),
+              (custom_twin([0.05, 0.03], [[0.3, 0.1], [0.0, 0.25]]), d2_grid)]
+    routes = []
     for model, grid in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             surf = pde.solve_dual_pde(model, linear_payoff(), grid)
         assert surf.meta["substeps"] == 1
         assert np.all(np.isfinite(surf.values))
+        routes.append(surf.meta.get("route"))
+    assert routes == [None] * 3 + ["price-ratio", "direct"]
 
 
 def test_no_substeps_for_mild_correlation():
@@ -347,14 +360,25 @@ def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     assert solves == {sweep: substeps for sweep in sweeps}
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+def read_cases():
+    """The sweep cases, and a d=2 gbm on equal x axes, which takes the
+    price-ratio route: its read scales the state by x2 and reads it at q /
+    x2."""
+    routed = (builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]]),
+              linear_payoff([0.5, 1.0]),
+              GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [11, 11], 16, "q",
+                               z_max=4.0, epsilon=0.2), {})
+    return sweep_cases() + [routed]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["bessel3-d1", "gbm-d2", "gbm-d2-ratio"])
 def test_slabs_do_not_move_the_surface(monkeypatch, case):
     # explicit and read work one slab of the first x axis at a time; the
     # slab sizes below split it into one-row slabs, unevenly with a
     # remainder slab, and into one slab, for both passes.  Every surface is
     # the one of the default slab size, and of the whole-level passes,
     # bit for bit
-    model, payoff, grid, kw = sweep_cases()[case]
+    model, payoff, grid, kw = read_cases()[case]
     kw = {"refine": 2} if case == 0 else kw
     want = pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes()
     splits = []
@@ -378,15 +402,17 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
     assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+@pytest.mark.parametrize("case", range(3), ids=["bessel3-d1", "gbm-d2", "gbm-d2-ratio"])
 def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     # the dual's tail w = q + c(x) is the state W = w - q = c(x), which
     # reads back as q + c up to rounding on every requested node, clamped
     # at 0.  There the convexity clamp binds, and its chords are exact on
     # a constant, so the state also takes a term -beta eta, convex in q,
     # that the cubic reproduces and under which the clamp does not bind.
-    # The offsets u carry the rounding of log q, a few ulps
-    model, payoff, grid, kw = sweep_cases()[case]
+    # The offsets u carry the rounding of log q, a few ulps.  On the
+    # price-ratio route a target reads x2 (c - beta eta) + q at eta = log
+    # (q / x2) - phi
+    model, payoff, grid, kw = read_cases()[case]
     ops = []
     read = pde._DualOperator.read
 
@@ -402,19 +428,21 @@ def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     node = op.start // op.eta.size
     c = np.cos(3.0 * op.phi) - op.gx
     q = grid.z[op.first:]
+    scale = op.scale
     ulp = np.spacing(grid.z[-1])
     out = np.empty(grid.shape[1:])
     for beta, tol in ((0.0, 32 * ulp), (0.5, 8 * ulp)):
         W = c[..., None] - beta * op.eta
         want = np.zeros(grid.shape[1:])
-        want[..., op.first:] = np.maximum(
-            q + c.ravel()[node] - beta * (np.log(q) - op.phi.ravel()[node]), 0.0)
+        eta = np.log(q / scale) - op.phi.ravel()[node]
+        want[..., op.first:] = np.maximum(q + scale * (c.ravel()[node] - beta * eta), 0.0)
         op.read(W, out)
         assert np.abs(out - want).max() <= tol
 
 
 def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
-    # beyond the surface it returns, the d=2 solve holds, in state arrays W
+    # the direct solve, on the custom twin of a gbm.  Beyond the surface it
+    # returns, the d=2 solve holds, in state arrays W
     # (an interior array counted as W): the state, 1, and -q, 1; the
     # increment and its eta-first copy, 2, whose memory the read-back's
     # slabs share; the eta sweep's factors, 3; per requested node the
@@ -424,8 +452,35 @@ def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
     # numpy's iterator buffers for that add, about 190 kB whatever the
     # size, are 0.9 W of this small grid, so 10.8 W; the x factors at their
     # bands' shape, the stencil's coefficients and the one-row product
-    # slab add under 0.2 W, so 11 W.  Measured: 10.4 W, where 14.5 W with
+    # slab add under 0.2 W, so 11 W.  Measured: 10.6 W, where 14.5 W with
     # lane-shaped x factors and 18.6 W with the whole-level read
+    monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
+    model = custom_twin([0.05, 0.03], [[0.3, 0.0], [0.0, 0.25]])
+    grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
+                            z_max=6.0, epsilon=0.2)
+    states = []
+    apply_bc = pde._DualOperator.apply_bc
+
+    def record(op, W):
+        states.append(W.nbytes)
+        apply_bc(op, W)
+
+    monkeypatch.setattr(pde._DualOperator, "apply_bc", record)
+    surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(), grid)
+    assert surf.meta["route"] == "direct"
+    assert peak - surf.values.nbytes <= 11 * states[0]
+
+
+def test_routed_d2_solve_memory_is_its_targets_read_data_and_rho_states(monkeypatch):
+    # the price-ratio route on the grid above holds no state on the d=2
+    # mesh (the direct solve's is 8.4 rho states W here).  Beyond the
+    # surface: per target (24^2 x nodes times 31 q > 0) the read-back's
+    # index, offset and two bounds, 8 B each, and a flag, 1 B; and in rho
+    # states W (69 rho x 87 eta): the state and -q, 2; the increment and
+    # its eta-first copy, 2, which the nine one-row read slabs (1.1 W)
+    # share; the rho and eta sweeps' factors, 3 each (d = 1 keeps the rho
+    # factors' lanes); numpy's iterator buffers for the eta-first add,
+    # about 190 kB, 4 W.  That is 14 W; measured 14.05 W
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
     model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
@@ -439,7 +494,10 @@ def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
 
     monkeypatch.setattr(pde._DualOperator, "apply_bc", record)
     surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(), grid)
-    assert peak - surf.values.nbytes <= 11 * states[0]
+    assert surf.meta["route"] == "price-ratio"
+    assert states[0] == 8 * 69 * 87
+    targets = 24 * 24 * 31
+    assert peak - surf.values.nbytes <= 33 * targets + 15 * states[0]
 
 
 def test_refinement_and_padding_controls():
@@ -654,7 +712,9 @@ def test_d2_full_matrix_matches_closed_form():
     x1, x2 = grid.x_axes
     i1, i2 = np.argmin(np.abs(x1 - 1.0)), np.argmin(np.abs(x2 - 1.0))
     ref = np.array([oracles.gbm_dual_smeared(x1[i1], q, 0.0, vol, 1.0, 0.2) for q in grid.z])
-    assert np.abs(surf.values[0, i1, i2] - ref).max() < 1e-2
+    # the price-ratio route: measured 2.61e-4 (the direct solve, 1e-2 gated)
+    assert surf.meta["route"] == "price-ratio"
+    assert np.abs(surf.values[0, i1, i2] - ref).max() < 5e-4
 
 
 def test_d2_residual_vanishes_on_the_closed_form():
@@ -676,3 +736,141 @@ def test_d2_residual_vanishes_on_the_closed_form():
         errs.append(np.nanmax(np.abs(np.where(inner, res, np.nan))))
     assert errs[0] < 1e-3
     assert errs[1] < errs[0] / 3.0
+
+
+D2_B = [0.05, 0.03]
+D2_S = {"diagonal": [[0.3, 0.0], [0.0, 0.25]], "full": [[0.3, 0.1], [0.0, 0.25]]}
+
+
+def log_vol_of_z_x1(s):
+    """|s1 - theta|: Z X1 is lognormal with this log-volatility."""
+    s = np.asarray(s)
+    return float(np.linalg.norm(s[0] - np.linalg.solve(s, D2_B)))
+
+
+@pytest.mark.parametrize("kind", D2_S)
+def test_price_ratio_problem_is_the_d2_closed_form(kind):
+    # for g = x1 the d=1 gbm in rho = x1 / x2 at eps_eff, scaled by x2 and
+    # read at q / x2, is the closed form of Z X1 at every (x1, x2, q):
+    # (s~ - b~ / s~)^2 + nu^2 = |s1 - theta|^2
+    model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
+    grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.6], [2.0, 2.4], [5, 5], 5, "q",
+                            z_max=6.0, epsilon=0.2)
+    ratio = pde._price_ratio(model, linear_payoff(), grid)
+    b_rho, s_rho = float(ratio.model.params["b"][0]), float(ratio.model.params["s"][0, 0])
+    vol = log_vol_of_z_x1(D2_S[kind])
+    assert (s_rho - b_rho / s_rho) ** 2 + ratio.nu ** 2 == pytest.approx(vol ** 2, rel=1e-14)
+    assert ratio.eps == pytest.approx(np.hypot(0.2, ratio.nu), rel=1e-15)
+    if kind == "diagonal":
+        assert (b_rho, s_rho) == pytest.approx((0.0825, np.hypot(0.3, 0.25)), rel=1e-14)
+        assert ratio.nu == pytest.approx(0.006828633596, rel=1e-9)
+    x1, x2 = grid.x_axes
+    for i, j in ((0, 4), (2, 2), (4, 0), (3, 1)):
+        assert ratio.axis[i - j + 4] == pytest.approx(x1[i] / x2[j], rel=1e-14)
+        for q in (0.3, 1.1, 2.5):
+            for tau in (0.25, 1.0):
+                got = x2[j] * oracles.gbm_dual_smeared(x1[i] / x2[j], q / x2[j], b_rho, s_rho,
+                                                       tau, ratio.eps)
+                want = oracles.gbm_dual_smeared(x1[i], q, 0.0, vol, tau, 0.2)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert ratio.payoff(np.array([[0.5], [2.0]])).tolist() == [0.5, 2.0]
+
+
+def ratio_window(grid, values):
+    """values at t0 on x1, x2 in [0.7, 1.4] and q in [0.5, 3]."""
+    x, q = grid.x_axes[0], grid.z
+    xi = (x >= 0.7) & (x <= 1.4)
+    return values[0][np.ix_(xi, xi, (q >= 0.5) & (q <= 3.0))]
+
+
+def closed_form_window(grid, vol):
+    x, q = grid.x_axes[0], grid.z
+    xi = (x >= 0.7) & (x <= 1.4)
+    qs = q[(q >= 0.5) & (q <= 3.0)]
+    ref = np.array([[oracles.gbm_dual_smeared(xx, qq, 0.0, vol, 1.0, 0.2) for qq in qs]
+                    for xx in x[xi]])
+    return ref[:, None, :]
+
+
+def ratio_grid(n):
+    return GridSpec.regular(0.0, 1.0, n // 2 + 1, [0.5, 0.5], [2.0, 2.0], [n + 1, n + 1],
+                            n + 1, "q", z_max=6.0, epsilon=0.2)
+
+
+@pytest.mark.parametrize("kind", D2_S)
+def test_routed_d2_converges_to_the_closed_form(kind):
+    # n + 1 nodes on each x axis and on q, n / 2 time steps, n = 12, 24,
+    # 48; the error at t0 over the window.  Measured: diagonal 1.38e-3,
+    # 4.27e-4, 1.38e-4 (observed orders 1.69, 1.63); full 1.42e-3,
+    # 4.25e-4, 1.56e-4 (1.74, 1.45)
+    model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
+    vol = log_vol_of_z_x1(D2_S[kind])
+    errs = []
+    for n in (12, 24, 48):
+        grid = ratio_grid(n)
+        surf = pde.solve_dual_pde(model, linear_payoff([1.0, 0.0]), grid)
+        assert surf.meta["route"] == "price-ratio"
+        errs.append(np.abs(ratio_window(grid, surf.values) - closed_form_window(grid, vol)).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert errs[-1] <= 2e-4
+    assert orders.min() >= 1.3
+
+
+def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
+    # the same full-matrix problem, routed and on its custom twin, which
+    # takes the direct solve (with a quarter of the x range as pad), on the
+    # window of the 24-cell grid.  For g = x1 the direct solve's own error
+    # accounts for the gap (measured: gap 1.22e-3, direct error 1.3e-3,
+    # routed 4.3e-4); for the market portfolio, with no closed form, the
+    # gap falls with the mesh (measured 6.56e-3 to 2.32e-3 from 12 to 24
+    # cells)
+    gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
+    twin = custom_twin(D2_B, D2_S["full"])
+    vol = log_vol_of_z_x1(D2_S["full"])
+    grid = ratio_grid(24)
+    pad = (6, 9)
+    routed = pde.solve_dual_pde(gbm, linear_payoff([1.0, 0.0]), grid)
+    direct = pde.solve_dual_pde(twin, linear_payoff([1.0, 0.0]), grid, pad=pad)
+    assert (routed.meta["route"], direct.meta["route"]) == ("price-ratio", "direct")
+    exact = closed_form_window(grid, vol)
+    r, d = ratio_window(grid, routed.values), ratio_window(grid, direct.values)
+    direct_err = np.abs(d - exact).max()
+    assert np.abs(r - exact).max() <= 0.5 * direct_err
+    assert np.abs(r - d).max() <= 1.25 * direct_err
+    gaps = []
+    for n in (12, 24):
+        grid = ratio_grid(n)
+        r, d = (ratio_window(grid, pde.solve_dual_pde(m, linear_payoff([1.0, 1.0]), grid,
+                                                      **kw).values)
+                for m, kw in ((gbm, {}), (twin, {"pad": (n // 4, (3 * (n + 1)) // 8)})))
+        gaps.append(np.abs(r - d).max())
+    assert gaps[1] <= gaps[0] / 2.0
+
+
+def test_d2_inputs_the_route_does_not_take_are_solved_directly():
+    # a custom model, x axes with different log steps, a payoff that is
+    # not linear (or is written as an expression) and a negative weight
+    # each take the direct solve, and the meta says so
+    grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 8], 8, "q",
+                            z_max=6.0, epsilon=0.2)
+    uneven = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 9], 8, "q",
+                              z_max=6.0, epsilon=0.2)
+    gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
+    square = Payoff(lambda x: x[:, 0] ** 2, "square")
+    cases = [
+        (custom_twin(D2_B, D2_S["full"]), linear_payoff(), grid),
+        (gbm, linear_payoff(), uneven),
+        (gbm, square, grid),
+        (gbm, payoff_from_expression("x1", 2), grid),
+        (gbm, linear_payoff([1.0, -0.1]), grid),
+    ]
+    for model, payoff, g in cases:
+        assert pde._price_ratio(model, payoff, g) is None
+        surf = pde.solve_dual_pde(model, payoff, g)
+        assert surf.meta["route"] == "direct"
+        assert "nu" not in surf.meta and "epsilon_eff" not in surf.meta
+    routed = pde.solve_dual_pde(gbm, linear_payoff([0.0, 2.0]), grid)
+    assert routed.meta["route"] == "price-ratio"
+    assert routed.meta["epsilon_eff"] == pytest.approx(np.hypot(0.2, routed.meta["nu"]))
+    assert "route" not in pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3),
+                                             linear_payoff(), radial_grid()).meta

@@ -21,7 +21,10 @@ def gbm_primal_d1(n_x=32, n_p=41):
 
 
 def gbm_primal_d2():
-    model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
+    # a custom model with the constant coefficients of a gbm: the direct
+    # d=2 solve, which the price-ratio route would skip for the gbm itself
+    model = builtin_model("custom", dim=2, b_exprs=["0.05", "0.03"],
+                          s_exprs=[["0.3", "0"], ["0", "0.25"]])
     payoff = linear_payoff([1.0, 0.0])
     grid = GridSpec.regular(0.0, 1.0, 12, [0.5, 0.5], [2.0, 2.0], [12, 12], 24, "q",
                             z_max=6.0, epsilon=0.2)
