@@ -10,7 +10,7 @@ alpha = sigma sigma' from sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -87,14 +87,10 @@ def theta_from(sv: np.ndarray, bv: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Payoff:
-    """Terminal claim g(X(T)) > 0, evaluated batchwise (n, d) -> (n,).
-
-    `weights` is w where g(x) = w . x is linear, over the first len(w)
-    coordinates (the rest weigh 0), and None otherwise."""
+    """Terminal claim g(X(T)) > 0, evaluated batchwise (n, d) -> (n,)."""
 
     g: Callable[[np.ndarray], np.ndarray]
     name: str = "payoff"
-    weights: Optional[tuple] = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -104,9 +100,9 @@ class Payoff:
 def linear_payoff(weights=None) -> Payoff:
     """g(x) = w . x ; default takes the first coordinate."""
     if weights is None:
-        return Payoff(lambda x: x[:, 0], "first-coordinate", (1.0,))
+        return Payoff(lambda x: x[:, 0], "first-coordinate")
     w = np.asarray(weights, dtype=float)
-    return Payoff(lambda x: x @ w, "weighted-sum", tuple(w.tolist()))
+    return Payoff(lambda x: x @ w, "weighted-sum")
 
 
 def payoff_from_expression(expr: str, dim: int) -> Payoff:

@@ -73,28 +73,31 @@ clamped at 0, since a restored x edge can dip below it; q <= 0 reads 0,
 and the terminal level is (q - g(x))^+ itself.
 
 The price-ratio route (`_price_ratio`).  A builtin gbm in d = 2 with a
-linear payoff g = w1 x1 + w2 x2, w >= 0, is scale-free.  With x2 as
-numeraire (Geman, El Karoui & Rochet, J. Appl. Probab. 1995), Z g(X) =
-x2 Z^ g~(rho) with rho = X1 / X2, Z^ = Z X2 / x2 and g~(rho) = w1 rho + w2.
-rho is a gbm with b~ = b1 - b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1,
-s2 the rows of s), whose own deflator is the part of Z^ along rho's
-noise; the rest of Z^ is an independent mean-one lognormal with
-volatility nu, nu^2 = |s2 - theta|^2 - (b~ / s~)^2, which smears like eps.
-So, exactly,
+1-homogeneous payoff, g(c x) = c g(x) (w1 x1 + w2 x2 is one), is
+scale-free.  With x2 as numeraire (Geman, El Karoui & Rochet, J. Appl.
+Probab. 1995), Z g(X) = x2 Z^ g~(rho) with rho = X1 / X2, Z^ = Z X2 / x2
+and g~(rho) = g(rho, 1).  rho is a gbm with b~ = b1 - b2 + |s2|^2 -
+s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), whose own deflator is
+the part of Z^ along rho's noise; the rest of Z^ is an independent
+mean-one lognormal with volatility nu, nu^2 = |s2 - theta|^2 - (b~ /
+s~)^2, which smears like eps.  So, exactly,
 
     w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2),
 
 with w~ the d = 1 dual of that gbm at eps_eff = sqrt(eps^2 + nu^2).  Where
 the two x axes are log-uniform with one common log step, every x1_i /
-x2_j is a node of one log-uniform rho axis, and solve_dual_pde solves w~
-there with the d = 1 solver (its default pad a quarter of the rho axis,
-its eta axis twice the cells of the padded q axis) instead of the Douglas
-solve on the d = 2 mesh.  The read-back is one map over targets, built
+x2_j is a node of one log-uniform rho axis; where, in addition, g(x1_i,
+x2_j) = x2_j g~(x1_i / x2_j) holds to rounding on the grid's mesh (the
+route's test of homogeneity), solve_dual_pde solves w~ there with the
+d = 1 solver (its default pad a quarter of the rho axis, its eta axis
+twice the cells of the padded q axis) instead of the Douglas solve on
+the d = 2 mesh.  The read-back is one map over targets, built
 once: each is a rho row, a q read at q / x2 (its eta shifted by log x2)
 and a factor x2, and reads w = x2 u~ + q.  The d = 1 read is the same
-map with the requested rows and factor 1.  Every other d = 2 input takes
-the direct solve: custom models (those with a constant (s s')^{-1} b),
-gbm on axes with different log steps, and other payoffs.
+map with the requested rows and no factor.  Every other d = 2 input
+takes the direct solve: custom models (those with a constant (s s')^{-1}
+b), gbm on axes with different log steps, and payoffs that are not
+1-homogeneous.
 
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, -q on the state's nodes, one increment of
@@ -272,7 +275,8 @@ class _DualOperator:
     with the buffers they reuse.  A target is a requested x node, by the
     flat index of its row of the state in `rows`, times each requested q;
     it reads the state at q / scale, for its `scale` (broadcast against
-    rows), and w = scale u + q: scale 1 but on the price-ratio route."""
+    rows), and w = scale u + q.  `scale` is None, read as 1, but on the
+    price-ratio route."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
                  rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
@@ -284,8 +288,11 @@ class _DualOperator:
         self.first = int(np.count_nonzero(q <= 0.0))  # index of the first q > 0
         # each target reads the state on its row at q / scale, at eta = log
         # q - shift
-        self.scale = np.broadcast_to(scale, rows.shape)[..., None]
-        shift = self.phi.ravel()[rows] + np.log(self.scale[..., 0])
+        shift = self.phi.ravel()[rows]
+        self.scale = scale
+        if scale is not None:
+            self.scale = np.broadcast_to(scale, rows.shape)[..., None]
+            shift = shift + np.log(self.scale[..., 0])
         lo = math.log(q[self.first]) - float(shift.max()) - _ETA_MARGIN
         self.eta = np.linspace(lo, math.log(q_top) - float(shift.min()), n_eta)
         self.de = de = float(self.eta[1] - self.eta[0])
@@ -523,7 +530,8 @@ class _DualOperator:
             np.maximum(value, floor, out=floor)
             np.minimum(floor, chord, out=floor)
             np.copyto(value, floor, where=self.centred[lo:hi])
-            value *= self.scale[lo:hi]
+            if self.scale is not None:
+                value *= self.scale[lo:hi]
             value += self.q_read
             np.maximum(value, 0.0, out=out[lo:hi, ..., self.first:])
 
@@ -555,33 +563,44 @@ _RANNACHER_STEPS = 2
 @dataclass(frozen=True)
 class _PriceRatio:
     """The d = 1 gbm dual in rho = x1 / x2 that a d = 2 gbm dual with a
-    linear payoff is: w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2)."""
+    1-homogeneous payoff is: w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2).
+    `nodes[i, j]` is the node of x1_i / x2_j on `axis`."""
 
     model: MarketModel
     payoff: Payoff
     axis: np.ndarray
+    nodes: np.ndarray
     nu: float
     eps: float
 
 
-def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec) -> Optional[_PriceRatio]:
+def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec,
+                 gx: np.ndarray) -> Optional[_PriceRatio]:
     """The problem in the price ratio rho = x1 / x2 for a builtin d = 2 gbm
-    with a payoff w1 x1 + w2 x2, w >= 0, on x axes that are log-uniform with
-    one common log step, so that every x1_i / x2_j is a node of one
-    log-uniform rho axis; None for any other input.  rho is a gbm with b~ =
-    b1 - b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), the
-    payoff is w1 rho + w2, and the deflator's part orthogonal to rho's
-    noise, nu = |(s2 - theta) x (s1 - s2)| / s~, smears like eps: eps_eff
-    = sqrt(eps^2 + nu^2)."""
-    weights = payoff.weights
-    if model.dim != 2 or model.kind != "gbm" or weights is None or len(weights) > 2:
-        return None
-    w1, w2 = (tuple(weights) + (0.0,))[:2]
-    if min(w1, w2) < 0.0 or w1 == w2 == 0.0:
+    on x axes that are log-uniform with one common log step, so that every
+    x1_i / x2_j is a node of one log-uniform rho axis, with a payoff g that
+    is 1-homogeneous on the grid's mesh: g(x1_i, x2_j) = x2_j g~(x1_i /
+    x2_j) to rounding, for g~(rho) = g(rho, 1) and gx = g on the mesh (w1 x1
+    + w2 x2 is one).  None for any other input.  rho is a gbm with b~ = b1 -
+    b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), the
+    payoff is g~, and the deflator's part orthogonal to rho's noise, nu =
+    |(s2 - theta) x (s1 - s2)| / s~, smears like eps: eps_eff = sqrt(eps^2
+    + nu^2)."""
+    if model.dim != 2 or model.kind != "gbm":
         return None
     ys = [np.log(ax) for ax in grid.x_axes]
     step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
     if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
+        return None
+    n1, n2 = (y.size for y in ys)
+    axis = np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0], n1 + n2 - 1))
+    nodes = np.subtract.outer(np.arange(n1), np.arange(n2)) + (n2 - 1)
+    reduced = Payoff(lambda x: payoff(np.column_stack((x[:, 0], np.ones(x.shape[0])))),
+                     f"{payoff.name}(rho, 1)")
+    # the tolerance of the step check: rho nodes sit within about 1e-9 of
+    # the mesh's ratios
+    if not np.allclose(grid.x_axes[1] * reduced(axis[:, None])[nodes], gx,
+                       rtol=1e-9, atol=0.0):
         return None
     b, s = model.params["b"], model.params["s"]
     # s is not singular, so its rows differ and s~ > 0
@@ -590,12 +609,8 @@ def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec) -> Optional
     b_rho = float(b[0] - b[1] - diff @ s[1])
     v = s[1] - np.linalg.solve(s, b)
     nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
-    # the rho node of x1_i / x2_j is i - j + n2 - 1
-    axis = np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0],
-                              ys[0].size + ys[1].size - 1))
-    return _PriceRatio(builtin_model("gbm", b=b_rho, s=s_rho),
-                       Payoff(lambda x: w1 * x[:, 0] + w2, f"ratio:{w1:g}*rho+{w2:g}"),
-                       axis, nu, math.hypot(grid.epsilon, nu))
+    return _PriceRatio(builtin_model("gbm", b=b_rho, s=s_rho), reduced, axis, nodes, nu,
+                       math.hypot(grid.epsilon, nu))
 
 
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
@@ -610,12 +625,13 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     nodes.  Requested x nodes stay on the internal mesh exactly.  The
     first _RANNACHER_STEPS steps are each two implicit Euler half steps.
 
-    A builtin d = 2 gbm with a payoff w1 x1 + w2 x2, w >= 0, on x axes that
-    are log-uniform with one common log step (GridSpec.regular with equal
-    x axes) takes the price-ratio route (module docstring): the d = 1 dual
-    of rho = x1 / x2, read back as w = x2 w~(t, x1 / x2, q / x2); `pad`
-    and `refine` then apply to the rho axis.  Every other d = 2 input
-    takes the direct Douglas solve.
+    A builtin d = 2 gbm on x axes that are log-uniform with one common log
+    step (GridSpec.regular with equal x axes), with a payoff that is
+    1-homogeneous on the grid's mesh (w1 x1 + w2 x2 is one), takes the
+    price-ratio route (module docstring): the d = 1 dual of rho = x1 / x2,
+    read back as w = x2 w~(t, x1 / x2, q / x2); `pad` and `refine` then
+    apply to the rho axis.  Every other d = 2 input takes the direct
+    Douglas solve.
 
     pad : None for the default margin (quarter of the x range, or of the
         rho range, ~3/8 of the q range; no x margin on the direct d=2
@@ -646,7 +662,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     if min(rx, rq, rt) < 1:
         raise ValueError("refinement factors must be >= 1")
 
-    ratio = _price_ratio(model, payoff, grid)
+    gx = payoff(_mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
+    ratio = _price_ratio(model, payoff, grid, gx)
     if ratio is None:
         solved, axes, eps = (model, payoff), grid.x_axes, grid.epsilon
     else:
@@ -667,11 +684,9 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
     rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
         tuple(ax.size for ax in x_int))[restrict]
-    scale = 1.0
+    scale = None
     if ratio is not None:
-        n1, n2 = (ax.size for ax in grid.x_axes)
-        rows = rows[np.subtract.outer(np.arange(n1), np.arange(n2)) + n2 - 1]
-        scale = grid.x_axes[1]
+        rows, scale = rows[ratio.nodes], grid.x_axes[1]
         # a target at x2 reads q / x2, at q spacings that shrink as x2
         # grows, several to an eta cell of the q axis's count, where the
         # cubic read breaks convexity in q near T; the rho solve is cheap,
@@ -681,7 +696,6 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     ws = _DualOperator(*solved, x_int, eps, rows, scale, q, q_top, n_eta, float(grid.dt) / rt)
 
     values = np.empty(grid.shape)
-    gx = payoff(_mesh(grid.x_axes)).reshape(rows.shape)
     np.subtract(q, gx[..., None], out=values[-1])
     np.maximum(values[-1], 0.0, out=values[-1])
     # (q - g(x))^+ - q = max(-q, -g(x))

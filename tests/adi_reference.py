@@ -132,7 +132,8 @@ def read(op, W, out):
     chord = v1 + f * (v2 - v1)
     value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
     np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
-    value *= op.scale
+    if op.scale is not None:
+        value *= op.scale
     value += op.q_read
     out[..., :op.first] = 0.0
     np.maximum(value, 0.0, out=out[..., op.first:])

@@ -428,7 +428,7 @@ def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     node = op.start // op.eta.size
     c = np.cos(3.0 * op.phi) - op.gx
     q = grid.z[op.first:]
-    scale = op.scale
+    scale = 1.0 if op.scale is None else op.scale
     ulp = np.spacing(grid.z[-1])
     out = np.empty(grid.shape[1:])
     for beta, tol in ((0.0, 32 * ulp), (0.5, 8 * ulp)):
@@ -685,36 +685,42 @@ def test_d2_lift_matches_d1():
 
 
 def test_d2_default_surface_is_nonnegative_and_a_supersolution():
-    # the d=2 gbm grid of the pde-adi benchmark at the default pad: the
-    # projection clips the x edges, apply_bc restores them and the read-back
-    # is clamped at 0, so no w < 0 is read and the primal passes the
-    # verifier
-    model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
+    # the d=2 gbm grid of the pde-adi benchmark at the default pad.  The gbm
+    # takes the price ratio, whose read-back is clamped at 0; its custom
+    # twin takes the direct solve, whose projection clips the x edges,
+    # apply_bc restores them and the read-back is clamped at 0.  On both no
+    # w < 0 is read and the primal passes the verifier
+    b, s = [0.05, 0.03], [[0.3, 0.0], [0.0, 0.25]]
     payoff = linear_payoff([1.0, 0.0])
     grid = GridSpec.regular(0.0, 1.0, 32, [0.5, 0.5], [2.0, 2.0], [48, 48], 64, "q",
                             z_max=6.0, epsilon=0.2)
-    surf = pde.solve_dual_pde(model, payoff, grid)
-    assert surf.values.min() >= 0.0
-    primal = pde.dual_to_primal(surf, np.linspace(0.0, 1.0, 41))
-    assert pde.verify_supersolution(primal, model, payoff).passed
+    for route, model in (("price-ratio", builtin_model("gbm", b=b, s=s)),
+                         ("direct", custom_twin(b, s))):
+        surf = pde.solve_dual_pde(model, payoff, grid)
+        assert surf.meta["route"] == route
+        assert surf.values.min() >= 0.0
+        primal = pde.dual_to_primal(surf, np.linspace(0.0, 1.0, 41))
+        assert pde.verify_supersolution(primal, model, payoff).passed
 
 
 def test_d2_full_matrix_matches_closed_form():
     # the x1-x2 mixed term: with a full volatility matrix Z X1 is
-    # lognormal with log-volatility |s[0] - theta|, whatever x2 is
+    # lognormal with log-volatility |s[0] - theta|, whatever x2 is.  The
+    # gbm takes the price ratio (measured 2.61e-4), its custom twin the
+    # direct solve with its mixed term (measured 9.58e-4)
     s = np.array([[0.3, 0.1], [0.0, 0.25]])
     b = np.array([0.05, 0.03])
-    model = builtin_model("gbm", b=b, s=s)
     grid = GridSpec.regular(0.0, 1.0, 16, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
                             z_max=6.0, epsilon=0.2)
-    surf = pde.solve_dual_pde(model, linear_payoff(), grid)
     vol = float(np.linalg.norm(s[0] - np.linalg.solve(s, b)))
     x1, x2 = grid.x_axes
     i1, i2 = np.argmin(np.abs(x1 - 1.0)), np.argmin(np.abs(x2 - 1.0))
     ref = np.array([oracles.gbm_dual_smeared(x1[i1], q, 0.0, vol, 1.0, 0.2) for q in grid.z])
-    # the price-ratio route: measured 2.61e-4 (the direct solve, 1e-2 gated)
-    assert surf.meta["route"] == "price-ratio"
-    assert np.abs(surf.values[0, i1, i2] - ref).max() < 5e-4
+    for route, model, tol in (("price-ratio", builtin_model("gbm", b=b, s=s), 5e-4),
+                              ("direct", custom_twin(b, s), 1e-2)):
+        surf = pde.solve_dual_pde(model, linear_payoff(), grid)
+        assert surf.meta["route"] == route
+        assert np.abs(surf.values[0, i1, i2] - ref).max() < tol
 
 
 def test_d2_residual_vanishes_on_the_closed_form():
@@ -748,6 +754,12 @@ def log_vol_of_z_x1(s):
     return float(np.linalg.norm(s[0] - np.linalg.solve(s, D2_B)))
 
 
+def price_ratio(model, payoff, grid):
+    """pde._price_ratio with g evaluated on the grid's mesh."""
+    gx = payoff(pde._mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
+    return pde._price_ratio(model, payoff, grid, gx)
+
+
 @pytest.mark.parametrize("kind", D2_S)
 def test_price_ratio_problem_is_the_d2_closed_form(kind):
     # for g = x1 the d=1 gbm in rho = x1 / x2 at eps_eff, scaled by x2 and
@@ -756,7 +768,7 @@ def test_price_ratio_problem_is_the_d2_closed_form(kind):
     model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
     grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.6], [2.0, 2.4], [5, 5], 5, "q",
                             z_max=6.0, epsilon=0.2)
-    ratio = pde._price_ratio(model, linear_payoff(), grid)
+    ratio = price_ratio(model, linear_payoff(), grid)
     b_rho, s_rho = float(ratio.model.params["b"][0]), float(ratio.model.params["s"][0, 0])
     vol = log_vol_of_z_x1(D2_S[kind])
     assert (s_rho - b_rho / s_rho) ** 2 + ratio.nu ** 2 == pytest.approx(vol ** 2, rel=1e-14)
@@ -820,10 +832,10 @@ def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
     # the same full-matrix problem, routed and on its custom twin, which
     # takes the direct solve (with a quarter of the x range as pad), on the
     # window of the 24-cell grid.  For g = x1 the direct solve's own error
-    # accounts for the gap (measured: gap 1.22e-3, direct error 1.3e-3,
-    # routed 4.3e-4); for the market portfolio, with no closed form, the
-    # gap falls with the mesh (measured 6.56e-3 to 2.32e-3 from 12 to 24
-    # cells)
+    # accounts for the gap (measured: gap 1.22e-3, direct error 1.60e-3,
+    # routed 4.3e-4); for the market portfolio and the geometric mean,
+    # with no closed form, the gap falls with the mesh (measured 1.47e-2
+    # to 4.28e-3 and 5.28e-3 to 1.94e-3 from 12 to 24 cells)
     gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
     twin = custom_twin(D2_B, D2_S["full"])
     vol = log_vol_of_z_x1(D2_S["full"])
@@ -837,20 +849,22 @@ def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
     direct_err = np.abs(d - exact).max()
     assert np.abs(r - exact).max() <= 0.5 * direct_err
     assert np.abs(r - d).max() <= 1.25 * direct_err
-    gaps = []
-    for n in (12, 24):
-        grid = ratio_grid(n)
-        r, d = (ratio_window(grid, pde.solve_dual_pde(m, linear_payoff([1.0, 1.0]), grid,
-                                                      **kw).values)
-                for m, kw in ((gbm, {}), (twin, {"pad": (n // 4, (3 * (n + 1)) // 8)})))
-        gaps.append(np.abs(r - d).max())
-    assert gaps[1] <= gaps[0] / 2.0
+    for payoff in (linear_payoff([1.0, 1.0]), payoff_from_expression("sqrt(x1 * x2)", 2)):
+        gaps = []
+        for n in (12, 24):
+            grid = ratio_grid(n)
+            r, d = (ratio_window(grid, pde.solve_dual_pde(m, payoff, grid, **kw).values)
+                    for m, kw in ((gbm, {}), (twin, {"pad": (n // 4, (3 * (n + 1)) // 8)})))
+            gaps.append(np.abs(r - d).max())
+        assert gaps[1] <= gaps[0] / 2.0
 
 
 def test_d2_inputs_the_route_does_not_take_are_solved_directly():
-    # a custom model, x axes with different log steps, a payoff that is
-    # not linear (or is written as an expression) and a negative weight
-    # each take the direct solve, and the meta says so
+    # a custom model, x axes with different log steps and payoffs that are
+    # not 1-homogeneous (of degree 2, affine) each take the direct solve,
+    # and the meta says so.  The route depends on what g is, not on how it
+    # is written: x1 as an expression is solved as linear_payoff() is, and
+    # a homogeneous payoff that is not linear takes the route too
     grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 8], 8, "q",
                             z_max=6.0, epsilon=0.2)
     uneven = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 9], 8, "q",
@@ -861,16 +875,19 @@ def test_d2_inputs_the_route_does_not_take_are_solved_directly():
         (custom_twin(D2_B, D2_S["full"]), linear_payoff(), grid),
         (gbm, linear_payoff(), uneven),
         (gbm, square, grid),
-        (gbm, payoff_from_expression("x1", 2), grid),
-        (gbm, linear_payoff([1.0, -0.1]), grid),
+        (gbm, payoff_from_expression("x1 + 0.5", 2), grid),
     ]
     for model, payoff, g in cases:
-        assert pde._price_ratio(model, payoff, g) is None
+        assert price_ratio(model, payoff, g) is None
         surf = pde.solve_dual_pde(model, payoff, g)
         assert surf.meta["route"] == "direct"
         assert "nu" not in surf.meta and "epsilon_eff" not in surf.meta
-    routed = pde.solve_dual_pde(gbm, linear_payoff([0.0, 2.0]), grid)
-    assert routed.meta["route"] == "price-ratio"
-    assert routed.meta["epsilon_eff"] == pytest.approx(np.hypot(0.2, routed.meta["nu"]))
+    for payoff in (linear_payoff([0.0, 2.0]), payoff_from_expression("sqrt(x1 * x2)", 2)):
+        routed = pde.solve_dual_pde(gbm, payoff, grid)
+        assert routed.meta["route"] == "price-ratio"
+        assert routed.meta["epsilon_eff"] == pytest.approx(np.hypot(0.2, routed.meta["nu"]))
+    expr = pde.solve_dual_pde(gbm, payoff_from_expression("x1", 2), grid)
+    assert expr.meta["route"] == "price-ratio"
+    assert np.array_equal(expr.values, pde.solve_dual_pde(gbm, linear_payoff(), grid).values)
     assert "route" not in pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3),
                                              linear_payoff(), radial_grid()).meta
