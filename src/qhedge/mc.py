@@ -27,7 +27,7 @@ grid; per-bin sums of L, v and their products about centres cL and cv,
 accumulated over the bins, give every value and standard error in
 O(n log m) for n samples and m grid points.  Both are exact for any
 centre, so the centres move rounding only: cv is the mean of v, and cL
-is L_eps at the mean increment (one pass over aux, no exp), about
+is L_eps at the mean increment (one pass over aux, one exp), about
 exp(-eps^2 tau / 2), at most 0.301 of L's standard deviation
 sqrt(exp(eps^2 tau) - 1) from its mean 1 for any eps and tau.  Each eps
 uses the same aux draws, so curves at different eps keep the common
@@ -270,14 +270,13 @@ def dual_curve(samples: SampleSet, q_grid, eps: float = 0.0):
     n = v.size
     order = np.argsort(q, kind="stable")
     qs = q[order]
-    # moments about cv = mean v and cL = L_eps(mean aux), the expression of
-    # _aux_multipliers on one value: where the increments' mean is B_i, cL
-    # is L_i.  At eps = 0, L = 1 = cL on every sample, so the sums over
-    # a = L - cL are exactly +0.0 and v / L is v.
+    # moments about cv = mean v and cL = L_eps(mean aux): where the
+    # increments' mean is B_i, cL is L_i.  At eps = 0, L = 1 = cL on every
+    # sample, so the sums over a = L - cL are exactly +0.0 and v / L is v.
     cL = 1.0
     if eps > 0:
-        b = _increments(samples).mean()
-        cL = float(np.exp(b * eps + -0.5 * eps * eps * samples.horizon))
+        cL = float(_multipliers(_increments(samples).mean(keepdims=True), eps,
+                                samples.horizon)[0])
     cv = v.mean()
     # per-bin counts and sums of a, a a, d, a d and d d (d = v - cv); a
     # sample i pays q L_i - v_i at every q_j > v_i / L_i, i.e. from sorted
@@ -363,17 +362,19 @@ def _increments(samples: SampleSet) -> np.ndarray:
     return samples.aux
 
 
+def _multipliers(b: np.ndarray, eps: float, horizon: float) -> np.ndarray:
+    """L_eps = exp(-eps^2 tau / 2 + eps b) of the increments b, built in
+    the one array it returns.  Each element is computed on its own."""
+    out = np.multiply(b, eps)
+    out += -0.5 * eps * eps * horizon
+    return np.exp(out, out=out)
+
+
 def _aux_multipliers(samples: SampleSet, eps: float, lo: int = 0,
                      hi: Optional[int] = None) -> np.ndarray:
-    """L_eps of samples lo:hi (all of them by default).  Each element is
-    computed on its own, so a slice of the whole array's L_eps and the
-    L_eps of the slice are equal bit for bit.  dual_curve evaluates the
-    same expression on the mean increment for its centre: keep the two
-    alike."""
-    # exp(-eps^2 tau / 2 + eps B) built in the one array it returns
-    out = np.multiply(_increments(samples)[lo:hi], eps)
-    out += -0.5 * eps * eps * samples.horizon
-    return np.exp(out, out=out)
+    """L_eps of samples lo:hi (all of them by default), equal bit for bit
+    to the same slice of the whole array's L_eps."""
+    return _multipliers(_increments(samples)[lo:hi], eps, samples.horizon)
 
 
 def dual_value_regularized(samples: SampleSet, q: float, eps: float) -> Estimate:

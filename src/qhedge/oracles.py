@@ -80,6 +80,49 @@ def bessel_dual(x: float, q: float) -> float:
     return max(q - x, 0.0)
 
 
+def _bessel_survival(x: float, a: float, tau: float) -> float:
+    """P(X_tau >= a) for the radial model (BES(3)) started at x:
+    Phi((x - a)/r) + Phi(-(x + a)/r) + (r/x) (phi((a - x)/r) - phi((a +
+    x)/r)), r = sqrt(tau), from the density (y/x) (phi_tau(y - x) -
+    phi_tau(y + x)) on y > 0."""
+    r = math.sqrt(tau)
+    lo, hi = (a - x) / r, (a + x) / r
+    density_gap = (math.exp(-0.5 * lo * lo) - math.exp(-0.5 * hi * hi)) / math.sqrt(2.0 * math.pi)
+    return std_normal_cdf(-lo) + std_normal_cdf(-hi) + r / x * density_gap
+
+
+def bessel_unit_quantile_value(x: float, p: float, tau: float) -> float:
+    """Quantile-hedging value for the radial model with g = 1 (a claim of
+    one), at eps = 0: Phi((x - a)/sqrt(tau)) + Phi((x + a)/sqrt(tau)) - 1,
+    where P(X_tau >= a) = p.  The cheapest set of probability p is {X_tau
+    >= a}, where the deflator x/X_tau is smallest, and E[x/X_tau; X_tau >=
+    a] is the probability that a Brownian motion from x ends above a
+    without hitting 0.  Z is a strict local martingale, so at p = 1 (a =
+    0) the value is 2 Phi(x/sqrt(tau)) - 1 < 1.  a is found by bisection
+    on the survival function, which falls from 1 at a = 0."""
+    if x <= 0:
+        raise ValueError("x must be > 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
+    if p == 0.0:
+        return 0.0
+    r = math.sqrt(tau)
+    a = 0.0
+    if p < 1.0:
+        # the survival at x + 40 r is below 1e-300
+        lo, hi = 0.0, x + 40.0 * r
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if _bessel_survival(x, mid, tau) >= p:
+                lo = mid
+            else:
+                hi = mid
+        a = 0.5 * (lo + hi)
+    return std_normal_cdf((x - a) / r) + std_normal_cdf((x + a) / r) - 1.0
+
+
 def _gbm_vol(b: float, s: float, tau: float) -> float:
     if s == 0.0:
         raise ValueError("s must be nonzero")

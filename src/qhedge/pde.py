@@ -67,10 +67,11 @@ every requested x; at its top, which reaches the padded q_max at every
 requested x, w_q = 1: u repeats the node below.  u is fixed at the bottom
 and repeats at the top whatever the step, so the increments' relations
 are homogeneous at every edge.  Requested nodes are read back by cubic
-interpolation of u in eta (`read`) plus the requested q, exact on the
-slope-1 tail up to rounding, since the cubic reproduces constants, and
-clamped at 0, since a restored x edge can dip below it; q <= 0 reads 0,
-and the terminal level is (q - g(x))^+ itself.
+interpolation of u in eta (`read`), in Newton form on the stencil's
+differences, which the convexity clamp shares, plus the requested q:
+exact on the slope-1 tail, where every difference is 0, and clamped at
+0, since a restored x edge can dip below it; q <= 0 reads 0, and the
+terminal level is (q - g(x))^+ itself.
 
 The price-ratio route (`_price_ratio`).  A builtin gbm in d = 2 with a
 1-homogeneous payoff, g(c x) = c g(x) (w1 x1 + w2 x2 is one), is
@@ -94,7 +95,7 @@ twice the cells of the padded q axis) instead of the Douglas solve on
 the d = 2 mesh.  The read-back is one map over targets, built
 once: each is a rho row, a q read at q / x2 (its eta shifted by log x2)
 and a factor x2, and reads w = x2 u~ + q.  The d = 1 read is the same
-map with the requested rows and no factor.  Every other d = 2 input
+map with the requested rows and a factor of 1.  Every other d = 2 input
 takes the direct solve: custom models (those with a constant (s s')^{-1}
 b), gbm on axes with different log steps, and payoffs that are not
 1-homogeneous.
@@ -110,10 +111,11 @@ except in d = 1 (see `_factor`).  The explicit pass and the read-back work
 one slab of the first x axis at a time, as many rows as keep one slab
 array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
 the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q)
-the price-ratio route peaks 8.5 MiB above its 36.0 MiB surface
-(tracemalloc): 4.6 MiB of read-back data for its 48^2 x 63 targets, 2.1
-MiB of read slabs, and its (141 rho, 175 eta) state, 0.19 MiB each, with
-the sweeps.  The direct solve there peaked 15.9 MiB above the surface.
+the price-ratio route peaks 8.2 MiB above its 36.0 MiB surface
+(tracemalloc): 4.6 MiB of read-back data for its 48^2 x 63 targets, 1.8
+MiB in its eight read slabs, and its (141 rho, 175 eta) state, 0.19 MiB
+each, with the sweeps.  The direct solve of a custom model with the same
+coefficients peaks 15.5 MiB above the surface there.
 """
 from __future__ import annotations
 
@@ -249,25 +251,6 @@ def _carve(pool: np.ndarray, shapes) -> list:
     return views
 
 
-def _cubic(u, values, out, scratch, a, b, c) -> None:
-    """out = 0 + c0 v0 + c1 v1 + c2 v2 + c3 v3 for the four stencil values
-    v0..v3 at offset u, with the Lagrange weights c0 = (u - 1)(u - 2)(u -
-    3) / -6, c1 = u (u - 2)(u - 3) / 2, c2 = u (u - 1)(u - 3) / -2 and c3 =
-    u (u - 1)(u - 2) / 6; leaves u - 1, u - 2 and u - 3 in a, b and c."""
-    v0, v1, v2, v3 = values
-    np.subtract(u, 1.0, out=a)
-    np.subtract(u, 2.0, out=b)
-    np.subtract(u, 3.0, out=c)
-    out.fill(0.0)
-    for p1, p2, p3, div, v in ((a, b, c, -6.0, v0), (u, b, c, 2.0, v1),
-                               (u, a, c, -2.0, v2), (u, a, b, 6.0, v3)):
-        np.multiply(p1, p2, out=scratch)
-        scratch *= p3
-        scratch /= div
-        scratch *= v
-        out += scratch
-
-
 class _DualOperator:
     """Workspace for the dual solve on (x_1..x_d, eta) with step length h:
     coefficients on the interior nodes, the stencil of h F, the sweeps
@@ -275,8 +258,8 @@ class _DualOperator:
     with the buffers they reuse.  A target is a requested x node, by the
     flat index of its row of the state in `rows`, times each requested q;
     it reads the state at q / scale, for its `scale` (broadcast against
-    rows), and w = scale u + q.  `scale` is None, read as 1, but on the
-    price-ratio route."""
+    rows), and w = scale u + q.  `scale` is 1 but on the price-ratio
+    route: a multiply by 1 and a shift by log 1 = 0 are exact."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
                  rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
@@ -288,11 +271,8 @@ class _DualOperator:
         self.first = int(np.count_nonzero(q <= 0.0))  # index of the first q > 0
         # each target reads the state on its row at q / scale, at eta = log
         # q - shift
-        shift = self.phi.ravel()[rows]
-        self.scale = scale
-        if scale is not None:
-            self.scale = np.broadcast_to(scale, rows.shape)[..., None]
-            shift = shift + np.log(self.scale[..., 0])
+        self.scale = np.broadcast_to(scale, rows.shape)[..., None]
+        shift = self.phi.ravel()[rows] + np.log(self.scale[..., 0])
         lo = math.log(q[self.first]) - float(shift.max()) - _ETA_MARGIN
         self.eta = np.linspace(lo, math.log(q_top) - float(shift.min()), n_eta)
         self.de = de = float(self.eta[1] - self.eta[0])
@@ -330,8 +310,8 @@ class _DualOperator:
         self.bands.append((ce2 - ce1, -2.0 * ce2, ce2 + ce1))
         self.ends.append(((0.0, 0.0), (1.0, 0.0)))
         # per target with q > 0: the flat index of its stencil's first node,
-        # its place u among the stencil's nodes, 0..3 (the cubic weights are
-        # taken from it), and its place among their q values Q_m = Q_0 e^(m
+        # its place u among the stencil's nodes, 0..3, where the cubic is
+        # evaluated, and its place among their q values Q_m = Q_0 e^(m
         # de): f = (q - Q_1) / (Q_2 - Q_1), with e^de f = (q - Q_1) / (Q_1 -
         # Q_0), and g = (q - Q_2) / (Q_3 - Q_2).  Built in place, with at
         # most two temporaries of the targets' size
@@ -353,7 +333,7 @@ class _DualOperator:
             np.expm1(f, out=f)
             f /= math.expm1(de)
         # the working set beyond the state, allocated once: the increment,
-        # its eta-first copy and explicit's product slab for a substep, nine
+        # its eta-first copy and explicit's product slab for a substep, eight
         # slabs for read.  A substep and a read never run at once, and what
         # a substep leaves there is spent, so they share one pool
         inner_shape = tuple(n - 2 for n in self.phi.shape) + (self.eta.size - 2,)
@@ -361,7 +341,7 @@ class _DualOperator:
         self._read_rows = _slab_rows(self.start.shape)
         step = [inner_shape, inner_shape[-1:] + inner_shape[:-1],
                 (min(self._z_rows, inner_shape[0]),) + inner_shape[1:]]
-        read = (9, min(self._read_rows, self.start.shape[0])) + self.start.shape[1:]
+        read = (8, min(self._read_rows, self.start.shape[0])) + self.start.shape[1:]
         pool = np.empty(max(sum(map(math.prod, step)), math.prod(read)))
         self._z, self._cols, self._prod = _carve(pool, step)
         self._read_slabs = pool[:math.prod(read)].reshape(read)
@@ -435,9 +415,11 @@ class _DualOperator:
         (|ce1| - ce2) <= 1.
 
         A lane axis the bands do not vary along keeps length 1, and each
-        factor row broadcasts over it: the x factors of the 48^2 x 88 eta
-        d=2 benchmark grid are (46, 46, 1), 0.1 MB where lane-shaped ones
-        took 8.7 MB, at 0.96 against 0.79 ms per kernel call on axis 0.
+        factor row broadcasts over it: the x factors of a direct d=2 solve
+        on the 48^2 x 88 eta grid (the d=2 benchmark grid before its gbm
+        took the price-ratio route) are (46, 46, 1), 0.1 MB where
+        lane-shaped ones took 8.7 MB, at 0.96 against 0.79 ms per kernel
+        call on axis 0.
         Where a row would be one value (the x sweep in d = 1) the lanes are
         materialised: a broadcast row took 1.08 ms per call against 0.74."""
         lo, c, up = self.bands[axis]
@@ -483,55 +465,70 @@ class _DualOperator:
         return W
 
     def read(self, W: np.ndarray, out: np.ndarray) -> None:
-        """Write w = W + q on the targets to out: the 4-point cubic Lagrange
+        """Write w = W + q on the targets to out: the 4-point cubic
         interpolant of the state W = w - q in eta, clamped in the stencil's
         middle cell to the bounds convexity of w in q sets (below the
         cell's chord, above either neighbouring chord extended), times the
-        target's scale, plus the requested q.  The chords are exact on q,
-        so clamping W against them clamps w against its own.  The cubic's
-        weights sum to 1, so on the dual's slope-1 tail, where W does not
-        depend on q, w reads back as q + W up to rounding.  Smooth convex
+        target's scale, plus the requested q.  Both come from the stencil's
+        differences d0 = v1 - v0, d1 = v2 - v1 and d2 = v3 - v2: the chords
+        are v1 + f d1, v1 + e^de f d0 and v2 + g d2, exact on q, so clamping
+        W against them clamps w against its own, and the cubic is taken in
+        Newton form about v1 with s = u - 1,
+
+            v1 + s (d1 + (s - 1) ((d1 - d0) / 2 + (s + 1) (d2 - d1 - (d1 - d0)) / 6)).
+
+        On the dual's slope-1 tail, where W does not depend on q, every
+        difference is 0 and w reads back as q + W exactly.  Smooth convex
         data keep the cubic in the bounds up to O(de^4); at an unresolved
         kink the clamp stops overshoot.  What is written is clamped at 0:
         a restored x edge can take w, and the cubic through it, below 0.
 
         It runs one slab of the first x axis at a time: the four stencil
-        values are gathered into the operator's slab buffers, the cubic
-        weights are taken there from each node's offset u, and each slab
-        goes straight to out.  Every node sees the operations of one
-        whole-level pass in the same order, so the values do not depend on
-        the slab size; the cubic sum starts from 0, which turns -0.0 into
-        +0.0."""
+        values are gathered into the operator's slab buffers, turned into
+        their differences there, and each slab goes straight to out.  Every
+        node sees the operations of one whole-level pass in the same order,
+        so the values do not depend on the slab size.  The interpolant can
+        be -0.0 (the Lagrange sum from 0 never was); adding the requested q
+        > 0 leaves no -0.0 in w."""
         flat = W.ravel()
         out[..., :self.first] = 0.0
         e_de = math.exp(self.de)
         n, rows = self.start.shape[0], self._read_rows
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            v0, v1, v2, v3, value, floor, a, b, c = self._read_slabs[:, :hi - lo]
+            v0, v1, v2, v3, value, floor, a, b = self._read_slabs[:, :hi - lo]
             # every index is in range; mode "clip" skips take's buffered copy
             for m, v in enumerate((v0, v1, v2, v3)):
                 np.take(flat[m:], self.start[lo:hi], out=v, mode="clip")
             u, f, g = self.u[lo:hi], self.bounds[0][lo:hi], self.bounds[1][lo:hi]
-            _cubic(u, (v0, v1, v2, v3), value, floor, a, b, c)
-            # floor = max(v1 + e^de f (v1 - v0), v2 + g (v3 - v2)) and chord
-            # = v1 + f (v2 - v1)
-            np.multiply(e_de, f, out=a)
-            np.subtract(v1, v0, out=floor)
-            floor *= a
+            d0 = np.subtract(v1, v0, out=v0)
+            d1 = np.subtract(v2, v1, out=a)
+            d2 = np.subtract(v3, v2, out=v3)
+            np.multiply(e_de, f, out=floor)
+            floor *= d0
             floor += v1
-            np.subtract(v3, v2, out=b)
-            b *= g
+            np.multiply(g, d2, out=b)
             b += v2
             np.maximum(floor, b, out=floor)
-            chord = np.subtract(v2, v1, out=c)
-            chord *= f
+            chord = np.multiply(f, d1, out=v2)
             chord += v1
+            # the cubic in Newton form, from the inside out: s + 1 = u and
+            # s - 1 = u - 2
+            dd = np.subtract(d1, d0, out=v0)
+            ddd = np.subtract(d2, d1, out=v3)
+            ddd -= dd
+            ddd /= 6.0
+            ddd *= u
+            dd /= 2.0
+            dd += ddd
+            dd *= np.subtract(u, 2.0, out=b)
+            dd += d1
+            dd *= np.subtract(u, 1.0, out=b)
+            np.add(v1, dd, out=value)
             np.maximum(value, floor, out=floor)
             np.minimum(floor, chord, out=floor)
             np.copyto(value, floor, where=self.centred[lo:hi])
-            if self.scale is not None:
-                value *= self.scale[lo:hi]
+            value *= self.scale[lo:hi]
             value += self.q_read
             np.maximum(value, 0.0, out=out[lo:hi, ..., self.first:])
 
@@ -684,7 +681,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
     rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
         tuple(ax.size for ax in x_int))[restrict]
-    scale = None
+    scale = 1.0
     if ratio is not None:
         rows, scale = rows[ratio.nodes], grid.x_axes[1]
         # a target at x2 reads q / x2, at q spacings that shrink as x2

@@ -117,23 +117,23 @@ def substep_of_length(op, W, half):
 
 
 def read(op, W, out):
-    """The clamped cubic read-back of a whole level at once, with the
-    cubic weights and the bound e^de f made as the operator made them once
-    per solve, scaled by each target's factor, and the requested q added
-    after the clamp."""
+    """The clamped cubic read-back of a whole level at once, with the bound
+    e^de f made as the operator made it once per solve: the stencil's
+    differences, the chords and the cubic in Newton form taken from them
+    in the operator's order, scaled by each target's factor, and the
+    requested q added after the clamp."""
     u = op.u
-    cubic = ((u - 1.0) * (u - 2.0) * (u - 3.0) / -6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
-             u * (u - 1.0) * (u - 3.0) / -2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
     f, g = op.bounds
     ef = math.exp(op.de) * f
     flat = W.ravel()
     v0, v1, v2, v3 = (flat[m:][op.start] for m in range(4))
-    floor = np.maximum(v1 + ef * (v1 - v0), v2 + g * (v3 - v2))
-    chord = v1 + f * (v2 - v1)
-    value = sum(c * v for c, v in zip(cubic, (v0, v1, v2, v3)))
+    d0, d1, d2 = v1 - v0, v2 - v1, v3 - v2
+    floor = np.maximum(v1 + ef * d0, v2 + g * d2)
+    chord = v1 + f * d1
+    dd = d1 - d0
+    value = v1 + (((dd / 2.0 + (d2 - d1 - dd) / 6.0 * u) * (u - 2.0) + d1) * (u - 1.0))
     np.copyto(value, np.minimum(np.maximum(value, floor), chord), where=op.centred)
-    if op.scale is not None:
-        value *= op.scale
+    value *= op.scale
     value += op.q_read
     out[..., :op.first] = 0.0
     np.maximum(value, 0.0, out=out[..., op.first:])

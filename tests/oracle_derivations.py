@@ -10,7 +10,7 @@ force disagree here, the formula is wrong and must not be shipped.
 """
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri
 import mpmath
 
@@ -446,6 +446,57 @@ for label, sm in (("diagonal", np.diag([0.3, 0.25])), ("full", np.array([[0.3, 0
         inner = np.vectorize(lambda mm: put_formula(mm, q, ev * np.sqrt(tau)))(m)
         brute = float((gh_w[:, None] * gh_w[None, :] * inner).sum())
         check(f"{label}: 2-d quadrature = x2 smeared(rho) at {(x1, x2, q)}", brute, ratio, 1e-9)
+
+# ---------------------------------------------------------------------------
+# 12. a claim of one under the radial model (g = 1, eps = 0), the paper's
+#     strict local martingale case (oracles.bessel_unit_quantile_value).
+#     The cheapest set of probability p is {R >= a}, P(R >= a) = p, where
+#     Z = x0/R is smallest, and E[x0/R; R >= a] is the mass of Brownian
+#     motion from x0 killed at 0 above a (the density of R times x0/r):
+#       P(R >= a) = Phi((x0-a)/r) + Phi(-(x0+a)/r)
+#                   + (r/x0) (phi((a-x0)/r) - phi((a+x0)/r)),  r = sqrt(T),
+#       U(p)      = Phi((x0-a)/r) + Phi((x0+a)/r) - 1,
+#     so U(1) = 2 Phi(x0/r) - 1 = E[x0/R] of block 3.  Brute force: both by
+#     quadrature of the radial density, a by root finding on the quadrature,
+#     and U by the lowest-Z p-mass of the radial samples of block 3.
+# ---------------------------------------------------------------------------
+print("== claim of one under the radial model ==")
+
+
+def npdf(z):
+    return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+
+
+def survival_formula(a, x0, T):
+    r = np.sqrt(T)
+    return (phi((x0 - a) / r) + phi(-(x0 + a) / r)
+            + r / x0 * (npdf((a - x0) / r) - npdf((a + x0) / r)))
+
+
+def survival_quad(a, x0, T):
+    return integrate.quad(radial_density, a, 60, args=(x0, T), limit=200,
+                          epsabs=0.0, epsrel=1e-13)[0]
+
+
+for a in (0.0, 0.1, 0.7, 1.5, 3.0):
+    check(f"P(R >= {a}) closed form vs quadrature", survival_formula(a, x0, T),
+          survival_quad(a, x0, T), 1e-15)
+
+R_sorted = np.sort(R)[::-1]
+for p in (0.5, 0.9, 1.0):
+    a = 0.0 if p == 1.0 else optimize.brentq(lambda t: survival_quad(t, x0, T) - p, 0.0, 20.0,
+                                             xtol=1e-15)
+    r = np.sqrt(T)
+    formula = phi((x0 - a) / r) + phi((x0 + a) / r) - 1.0
+    quad_u = integrate.quad(lambda y: (x0 / y) * radial_density(y, x0, T), max(a, 1e-300), 60,
+                            limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+    check(f"U({p}) closed form vs quadrature", formula, quad_u, 1e-10)
+    k = int(p * len(R_sorted))
+    zp = np.zeros(len(R_sorted))
+    zp[:k] = x0 / R_sorted[:k]
+    se = zp.std(ddof=1) / np.sqrt(len(zp))
+    check(f"U({p}) MC lowest-Z p-mass (n=2e6, seed 20240817)", zp.mean(), formula, 4 * se)
+    print(f"    U({p}) = {formula!r}  a = {a!r}")
 
 print()
 print(f"passed {OK['pass']}  failed {OK['fail']}")

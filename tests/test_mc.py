@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import estimator_reference as ref
 from memory_helpers import traced_peak
 from neyman_pearson_reference import neyman_pearson_bruteforce
-from qhedge import engine, mc
+from qhedge import engine, mc, oracles
 from qhedge.engine import SimConfig
 from qhedge.errors import EmptySamples, MissingAux, Nonfinite, POutOfRange
 from qhedge.market import builtin_model, linear_payoff, payoff_from_expression
@@ -204,6 +204,18 @@ def test_neyman_pearson_bruteforce_validation():
     # greedy fill by hand: values (1, 0.25), (2, 0.75); p = 0.5
     got = neyman_pearson_bruteforce([(2.0, 0.75), (1.0, 0.25)], 0.5)
     assert got == pytest.approx(0.25 * 1.0 + 0.25 * 2.0)
+
+
+def test_bessel3_claim_of_one_matches_its_closed_form():
+    # a claim of one under exact bessel3: the samples are Z_T = x/X_T, a
+    # strict local martingale, and the value at p = 1 is E[Z_T] = 2 Phi(1)
+    # - 1 = 0.6827, not 1
+    cfg = SimConfig(0.0, 1.0, 1, 200_000, 5, "exact-bessel3")
+    s = mc.sample_terminal(builtin_model("bessel3"), payoff_from_expression("1 + 0*x1", 1),
+                           [1.0], cfg, aux=False)
+    p, value, se = mc.quantile_curve(s, [0.1, 0.5, 0.9, 1.0])
+    want = [oracles.bessel_unit_quantile_value(1.0, float(pi), 1.0) for pi in p]
+    assert np.all(np.abs(value - want) <= 3.0 * se)
 
 
 def test_sample_terminal_threads_do_not_change_results():

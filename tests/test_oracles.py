@@ -5,6 +5,7 @@ import statistics
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
@@ -177,3 +178,27 @@ def test_smeared_primal_dual_consistency():
     for p in (0.3, 0.5, 0.7):
         u = np.max(p * q_grid - w)
         assert u == pytest.approx(oracles.bessel_primal_smeared(x, p, eps, tau), abs=5e-5)
+
+
+def test_bessel_claim_of_one_matches_quadrature():
+    # U(p) = E[x/X; X >= a] with P(X >= a) = p, both by quadrature of the
+    # BES(3) density (y/x) (phi_tau(y - x) - phi_tau(y + x)) and a root
+    # finder; at p = 1 the strict local martingale's E[Z_T] = 2 Phi(x /
+    # sqrt(tau)) - 1
+    for x, tau in ((1.0, 1.0), (0.6, 0.5), (2.0, 1.7)):
+        r = math.sqrt(tau)
+
+        def density(y):
+            return y / x * (norm.pdf(y, x, r) - norm.pdf(y, -x, r))
+
+        def survival(a):
+            return quad(density, a, x + 40.0 * r, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        for p in (0.05, 0.5, 0.9, 0.999):
+            a = brentq(lambda t: survival(t) - p, 0.0, x + 40.0 * r, xtol=1e-14)
+            want = quad(lambda y: x / y * density(y), a, x + 40.0 * r, epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0]
+            assert oracles.bessel_unit_quantile_value(x, p, tau) == pytest.approx(want, abs=1e-10)
+        assert oracles.bessel_unit_quantile_value(x, 1.0, tau) == pytest.approx(
+            2.0 * norm.cdf(x / r) - 1.0, abs=1e-15)
+        assert oracles.bessel_unit_quantile_value(x, 0.0, tau) == 0.0

@@ -167,6 +167,22 @@ def test_bessel3_error_at_x0_on_the_benchmark_grid():
     assert surf.meta["substeps"] == 1
 
 
+@pytest.mark.xfail(strict=True, reason="the solver picks a solution above the smallest "
+                   "where the deflator is a strict local martingale (ROADMAP item 1)")
+def test_bessel3_claim_of_one_is_the_smallest_solution():
+    # the paper's own case: Z = x/X is a strict local martingale, so a
+    # claim of one costs E[Z_T] = 2 Phi(x / sqrt(tau)) - 1 < 1 at p = 1
+    # (oracles.bessel_unit_quantile_value), 0.6720 at the node x = 0.978.
+    # Measured: the solver's primal reads 1.0000 there
+    grid = GridSpec.regular(0.0, 1.0, 32, 0.25, 4.0, 64, 128, "q", z_max=20.0, epsilon=0.0)
+    one = Payoff(lambda x: np.ones(x.shape[0]), "one")
+    dual = pde.solve_dual_pde(builtin_model("bessel3"), one, grid)
+    primal = pde.dual_to_primal(dual, np.linspace(0.0, 1.0, 101))
+    x = grid.x_axes[0]
+    i = int(np.argmin(np.abs(x - 1.0)))
+    assert abs(primal.values[0, i, -1] - oracles.bessel_unit_quantile_value(x[i], 1.0, 1.0)) <= 0.01
+
+
 def test_custom_constant_model_matches_builtin_gbm():
     # the custom model's phase is a cumulative trapezoid of a psi that is
     # constant up to rounding, so it agrees with gbm's to rounding as well
@@ -405,11 +421,11 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
 @pytest.mark.parametrize("case", range(3), ids=["bessel3-d1", "gbm-d2", "gbm-d2-ratio"])
 def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     # the dual's tail w = q + c(x) is the state W = w - q = c(x), which
-    # reads back as q + c up to rounding on every requested node, clamped
-    # at 0.  There the convexity clamp binds, and its chords are exact on
-    # a constant, so the state also takes a term -beta eta, convex in q,
-    # that the cubic reproduces and under which the clamp does not bind.
-    # The offsets u carry the rounding of log q, a few ulps.  On the
+    # reads back as q + c exactly on every requested node, clamped at 0:
+    # the stencil's differences are 0, and so are the cubic's and the
+    # chords' terms.  The state also takes a term -beta eta, convex in q,
+    # that the cubic reproduces and under which the clamp does not bind;
+    # there the offsets u carry the rounding of log q, a few ulps.  On the
     # price-ratio route a target reads x2 (c - beta eta) + q at eta = log
     # (q / x2) - phi
     model, payoff, grid, kw = read_cases()[case]
@@ -428,14 +444,13 @@ def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     node = op.start // op.eta.size
     c = np.cos(3.0 * op.phi) - op.gx
     q = grid.z[op.first:]
-    scale = 1.0 if op.scale is None else op.scale
     ulp = np.spacing(grid.z[-1])
     out = np.empty(grid.shape[1:])
-    for beta, tol in ((0.0, 32 * ulp), (0.5, 8 * ulp)):
+    for beta, tol in ((0.0, 0.0), (0.5, 8 * ulp)):
         W = c[..., None] - beta * op.eta
         want = np.zeros(grid.shape[1:])
-        eta = np.log(q / scale) - op.phi.ravel()[node]
-        want[..., op.first:] = np.maximum(q + scale * (c.ravel()[node] - beta * eta), 0.0)
+        eta = np.log(q / op.scale) - op.phi.ravel()[node]
+        want[..., op.first:] = np.maximum(q + op.scale * (c.ravel()[node] - beta * eta), 0.0)
         op.read(W, out)
         assert np.abs(out - want).max() <= tol
 
@@ -477,7 +492,7 @@ def test_routed_d2_solve_memory_is_its_targets_read_data_and_rho_states(monkeypa
     # surface: per target (24^2 x nodes times 31 q > 0) the read-back's
     # index, offset and two bounds, 8 B each, and a flag, 1 B; and in rho
     # states W (69 rho x 87 eta): the state and -q, 2; the increment and
-    # its eta-first copy, 2, which the nine one-row read slabs (1.1 W)
+    # its eta-first copy, 2, which the eight one-row read slabs (1.0 W)
     # share; the rho and eta sweeps' factors, 3 each (d = 1 keeps the rho
     # factors' lanes); numpy's iterator buffers for the eta-first add,
     # about 190 kB, 4 W.  That is 14 W; measured 14.05 W

@@ -169,10 +169,10 @@ def test_routed_d2_dual_keeps_its_invariants_everywhere(routed_d2_64):
 def test_routed_d2_peak_is_the_surface_and_its_targets(routed_d2_64):
     # beyond the 67.1 MB surface: per target (64^2 x nodes times 63 q > 0)
     # the read-back's index, offset and two bounds, 8 B each, and a flag,
-    # 8.5 MB; the nine read slabs, each within _SLAB_BYTES, 2.3 MB; and
+    # 8.5 MB; the eight read slabs, each within _SLAB_BYTES, 2.1 MB; and
     # rho states (189 rho x 175 eta, 0.26 MB): state and -q, increment and
     # eta-first copy, the two sweeps' factors, measured 9.4 in all.  The
-    # bound allows 11 rho states
+    # bound allows nine slabs and 11 rho states
     dual, peak = routed_d2_64
     targets = 64 * 64 * 63
     rho_state = 8 * 189 * 175
