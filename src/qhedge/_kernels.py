@@ -73,7 +73,8 @@ def factor_lines(lo, di, up, label: str) -> TridiagFactors:
     lower[0] = 0.0
     if not all(np.isfinite(a).all() for a in (inv, lower, upper)):
         raise Nonfinite(f"{label}: tridiagonal sweep factors are not finite")
-    return TridiagFactors(inv, list(lower), list(upper))
+    # the multipliers of one line are Python floats (see thomas_batch)
+    return TridiagFactors(inv, *(a.tolist() if a.ndim == 1 else list(a) for a in (lower, upper)))
 
 
 def thomas_batch(factors: TridiagFactors, rhs: np.ndarray) -> np.ndarray:
@@ -81,9 +82,22 @@ def thomas_batch(factors: TridiagFactors, rhs: np.ndarray) -> np.ndarray:
     return rhs.  rhs may be any writable view, a transpose included; its
     trailing axes broadcast the factors, so they hold the lanes.  The
     factors may have length 1 along a lane axis, one value for every lane
-    of a line, and broadcast along it."""
+    of a line, and broadcast along it.
+
+    A 1-d rhs, with 1-d factors, is one line, and its recurrence runs on
+    Python floats, the same operations in the same order: a ufunc call per
+    row costs more than the row's two flops (0.06 ms on a line of 347 rows,
+    against 0.80 ms for that line as the one lane of an (n, 1) system)."""
     inv, lower, upper = factors
     rhs *= inv
+    if rhs.ndim == 1:
+        r = rhs.tolist()
+        for k in range(1, len(r)):
+            r[k] -= lower[k] * r[k - 1]
+        for k in range(len(r) - 2, -1, -1):
+            r[k] -= upper[k] * r[k + 1]
+        rhs[:] = r
+        return rhs
     rows = list(rhs)
     tmp = np.empty(rows[0].shape)
     # out given by position: on rows of a few hundred values the call's

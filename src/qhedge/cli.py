@@ -46,9 +46,11 @@ Configs are INI files; the keys read, with their defaults:
 are data-only (CSV plus a JSON summary); identical config and seed produce
 byte-identical outputs except for the isolated "timestamp" key in the JSON.
 The solve summary also carries deterministic "counters" per epsilon: the
-dual solve's substeps per time step (always 1: the solver steps the dual
-in characteristic coordinates, without an x-q cross term to substep) and,
-with the pipeline method, the transform's enveloped and saturated slices.
+route the dual solve took ("numeraire" for a gbm or bessel3 model with
+g = c x1, "direct" otherwise in d = 1), the dual solve's substeps per time
+step (always 1: the solver steps the dual in characteristic coordinates,
+without an x-q cross term to substep) and, with the pipeline method, the
+transform's enveloped and saturated slices.
 The verify report counts the non-convex nodes the residual skips
 ("n_nonconvex"); its "max_residual" is null where no node was checked.
 The study-epsilon summary's "monotone" says whether the sup gap never
@@ -396,7 +398,8 @@ def cmd_solve(run: _Run) -> int:
         grid = surf.grid
         tag = ("%g" % eps).replace(".", "p")
         artifacts += _write_surface(run, surf, f"surface_eps{tag}")
-        counted = {"epsilon": eps, "substeps": surf.meta["substeps"]}
+        counted = {"epsilon": eps, "route": surf.meta["route"],
+                   "substeps": surf.meta["substeps"]}
         if run.method == "pipeline":
             primal = pde.dual_to_primal(surf, mc.default_p_grid(run.p_points))
             artifacts += _write_surface(run, primal, f"primal_eps{tag}")

@@ -60,28 +60,28 @@ folded in.
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
 u is extrapolated linearly at fixed eta, exact where q is large.  The
 uniform eta axis has as many nodes as the padded q axis would have (twice
-the cells on the price-ratio route below).  At
-its bottom w = 0, u = -q, which errs by at most the q there (0 <= w <=
-q), at most e^-_ETA_MARGIN times the smallest requested positive q at
-every requested x; at its top, which reaches the padded q_max at every
-requested x, w_q = 1: u repeats the node below.  u is fixed at the bottom
-and repeats at the top whatever the step, so the increments' relations
-are homogeneous at every edge.  Requested nodes are read back by cubic
-interpolation of u in eta (`read`), in Newton form on the stencil's
-differences, which the convexity clamp shares, plus the requested q:
-exact on the slope-1 tail, where every difference is 0, and clamped at
-0, since a restored x edge can dip below it; q <= 0 reads 0, and the
-terminal level is (q - g(x))^+ itself.
+the cells on the numeraire routes below).  At its bottom w = 0, u = -q,
+which errs by at most the q there (0 <= w <= q), at most e^-_ETA_MARGIN
+times the smallest requested positive q at every requested x; at its
+top, which reaches the padded q_max at every requested x, w_q = 1: u
+repeats the node below.  u is fixed at the bottom and repeats at the top
+whatever the step, so the increments' relations are homogeneous at every
+edge.  Requested nodes are read back by cubic interpolation of u in eta
+(`read`), in Newton form on the stencil's differences, which the
+convexity clamp shares, plus the requested q: exact on the slope-1 tail,
+where every difference is 0, and clamped at 0, since a restored x edge
+can dip below it; q <= 0 reads 0, and the terminal level is (q - g(x))^+
+itself.
 
-The price-ratio route (`_price_ratio`).  A builtin gbm in d = 2 with a
-1-homogeneous payoff, g(c x) = c g(x) (w1 x1 + w2 x2 is one), is
-scale-free.  With x2 as numeraire (Geman, El Karoui & Rochet, J. Appl.
-Probab. 1995), Z g(X) = x2 Z^ g~(rho) with rho = X1 / X2, Z^ = Z X2 / x2
-and g~(rho) = g(rho, 1).  rho is a gbm with b~ = b1 - b2 + |s2|^2 -
-s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), whose own deflator is
-the part of Z^ along rho's noise; the rest of Z^ is an independent
-mean-one lognormal with volatility nu, nu^2 = |s2 - theta|^2 - (b~ /
-s~)^2, which smears like eps.  So, exactly,
+The numeraire routes (`_numeraire`).  The price-ratio route: a builtin
+gbm in d = 2 with a 1-homogeneous payoff, g(c x) = c g(x) (w1 x1 + w2 x2
+is one), is scale-free.  With x2 as numeraire (Geman, El Karoui &
+Rochet, J. Appl. Probab. 1995), Z g(X) = x2 Z^ g~(rho) with rho = X1 /
+X2, Z^ = Z X2 / x2 and g~(rho) = g(rho, 1).  rho is a gbm with b~ = b1 -
+b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), whose own
+deflator is the part of Z^ along rho's noise; the rest of Z^ is an
+independent mean-one lognormal with volatility nu, nu^2 = |s2 - theta|^2
+- (b~ / s~)^2, which smears like eps.  So, exactly,
 
     w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2),
 
@@ -100,6 +100,26 @@ takes the direct solve: custom models (those with a constant (s s')^{-1}
 b), gbm on axes with different log steps, and payoffs that are not
 1-homogeneous.
 
+The numeraire route, d = 1: the same change of numeraire with nothing
+left to take a ratio of.  For g = c x, the stock itself as numeraire
+gives w(t, x, q) = x f(t, q / x): substituted into the dual equation, the
+x-x, x-q and q-q terms collapse onto y = q / x, to
+
+    f_t + 1/2 y^2 ((s - theta)^2 + eps^2) f_yy = 0,   f(T, y) = (y - c)^+,
+
+with s the relative volatility.  Where s - theta is a constant nu, the
+log-volatility of the deflated price Z X, f is the dual with no x axis at
+eps_eff = sqrt(eps^2 + nu^2): for every builtin gbm, nu = |s - b / s|,
+and for bessel3, where s = theta = 1 / x and Z X = x0, nu = 0.  So a
+builtin gbm or bessel3 whose payoff is g = c x with c = g(1) > 0 on the
+requested x nodes (to 1e-9 relative; linear_payoff() is one) is solved
+on the eta axis alone, eta = log y, with twice the cells of the padded
+q axis (at the q axis's count the gbm benchmark dual errs 2.0e-4 at x0);
+each target (x_i, q) reads that one line at q / x_i with factor x_i,
+through the same read map, every target's row being the line's.  Every
+other d = 1 input takes the direct solve: custom models (the tests solve
+each builtin's custom twin there), and payoffs that are not c x.
+
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, -q on the state's nodes, one increment of
 the state's interior and the eta sweep's eta-first copy of it, the
@@ -115,7 +135,13 @@ the price-ratio route peaks 8.2 MiB above its 36.0 MiB surface
 (tracemalloc): 4.6 MiB of read-back data for its 48^2 x 63 targets, 1.8
 MiB in its eight read slabs, and its (141 rho, 175 eta) state, 0.19 MiB
 each, with the sweeps.  The direct solve of a custom model with the same
-coefficients peaks 15.5 MiB above the surface there.
+coefficients peaks 15.5 MiB above the surface there.  On the numeraire
+route the state, -q, the increment and the sweep's factors are one eta
+line each (351 nodes on the pipeline grid, 128 x, 128 q), and the
+working set is the read-back's: there the solve peaks 1.67 MiB above its
+8.0 MiB surface, 0.51 MiB of read data for its 128 x 127 targets and 0.99
+MiB in its eight read slabs, where the direct solve of the gbm's custom
+twin peaks 3.88 MiB above it.
 """
 from __future__ import annotations
 
@@ -148,7 +174,10 @@ def _d2_weights(x: np.ndarray):
 
 
 def _mesh(x_axes) -> np.ndarray:
-    """Every node of the x mesh as an (n_nodes, d) array, in C order."""
+    """Every node of the x mesh as an (n_nodes, d) array, in C order; with
+    no x axis, one node with no coordinate."""
+    if not x_axes:
+        return np.empty((1, 0))
     return np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, len(x_axes))
 
 
@@ -258,16 +287,25 @@ class _DualOperator:
     with the buffers they reuse.  A target is a requested x node, by the
     flat index of its row of the state in `rows`, times each requested q;
     it reads the state at q / scale, for its `scale` (broadcast against
-    rows), and w = scale u + q.  `scale` is 1 but on the price-ratio
-    route: a multiply by 1 and a shift by log 1 = 0 are exact."""
+    rows), and w = scale u + q.  `scale` is 1 but on the numeraire routes:
+    a multiply by 1 and a shift by log 1 = 0 are exact.
+
+    With zero x axes (the numeraire route, d = 1) there is no model and
+    phi = 0: the state is one eta line, the operator is eta's bands, edges
+    and stencil, its one sweep solves one line, the explicit pass is one
+    slab, and every target reads row 0."""
 
     def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
                  rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
                  h: float):
         self.d = d = len(x_axes)
-        sigma, theta, A = _coefficients(model, x_axes, eps)
-        alpha = A[..., :d, :d]
-        self.phi = _phase(x_axes, sigma, theta)
+        if d:
+            sigma, theta, A = _coefficients(model, x_axes, eps)
+            alpha = A[..., :d, :d]
+            self.phi = _phase(x_axes, sigma, theta)
+        else:
+            # no x axis and no model (the numeraire route): q = e^eta
+            alpha, self.phi = np.empty((0, 0)), np.zeros(())
         self.first = int(np.count_nonzero(q <= 0.0))  # index of the first q > 0
         # each target reads the state on its row at q / scale, at eta = log
         # q - shift
@@ -337,7 +375,8 @@ class _DualOperator:
         # slabs for read.  A substep and a read never run at once, and what
         # a substep leaves there is spent, so they share one pool
         inner_shape = tuple(n - 2 for n in self.phi.shape) + (self.eta.size - 2,)
-        self._z_rows = _slab_rows(inner_shape)
+        # with no x axis the one eta line is one slab
+        self._z_rows = _slab_rows(inner_shape) if d else inner_shape[0]
         self._read_rows = _slab_rows(self.start.shape)
         step = [inner_shape, inner_shape[-1:] + inner_shape[:-1],
                 (min(self._z_rows, inner_shape[0]),) + inner_shape[1:]]
@@ -363,8 +402,9 @@ class _DualOperator:
     def _x_terms(self):
         """The x part of the interior operator as (coefficient, shifts)
         terms: the centre, then one term per neighbour along each x axis,
-        and the four corners of each x-x mixed term."""
-        centre = sum(c for _, c, _ in self.bands[:self.d])
+        and the four corners of each x-x mixed term.  With no x axis the
+        centre is an array of 0."""
+        centre = sum((c for _, c, _ in self.bands[:self.d]), np.zeros(1))
         sides = [(b, ((axis, s),)) for axis, (lo, _, up) in enumerate(self.bands[:self.d])
                  for b, s in ((lo, _LO), (up, _HI))]
         sides += [(sign * c / span, ((i, si), (j, sj)))
@@ -421,7 +461,9 @@ class _DualOperator:
         lane-shaped ones took 8.7 MB, at 0.96 against 0.79 ms per kernel
         call on axis 0.
         Where a row would be one value (the x sweep in d = 1) the lanes are
-        materialised: a broadcast row took 1.08 ms per call against 0.74."""
+        materialised: a broadcast row took 1.08 ms per call against 0.74.
+        With no x axis the eta factors are one line, which the kernel
+        solves on Python floats."""
         lo, c, up = self.bands[axis]
         bands = [np.moveaxis(a, axis, 0)
                  for a in np.broadcast_arrays(-th * lo, 1.0 - th * c, -th * up)]
@@ -558,56 +600,75 @@ _RANNACHER_STEPS = 2
 
 
 @dataclass(frozen=True)
-class _PriceRatio:
-    """The d = 1 gbm dual in rho = x1 / x2 that a d = 2 gbm dual with a
-    1-homogeneous payoff is: w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2).
-    `nodes[i, j]` is the node of x1_i / x2_j on `axis`."""
+class _Numeraire:
+    """The dual of a scale-free problem in the units of a numeraire N: w(t,
+    x, q) = N w~(t, x~, q / N), with w~ the dual of one dimension less at
+    eps_eff = sqrt(eps^2 + nu^2).  On the "price-ratio" route (d = 2) N =
+    x2, x~ = rho = x1 / x2 on the one axis in `axes`, a gbm `model`, and
+    g~(rho) = g(rho, 1); on the "numeraire" route (d = 1) N = x, there is no
+    x~ (no axes, no model) and g~ = g(1).  Requested x node i reads the
+    node `nodes[i]` of the reduced mesh, scaled by `scale[i]`, broadcast
+    against nodes."""
 
-    model: MarketModel
+    route: str
+    model: Optional[MarketModel]
     payoff: Payoff
-    axis: np.ndarray
+    axes: tuple
     nodes: np.ndarray
+    scale: np.ndarray
     nu: float
     eps: float
 
 
-def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec,
-                 gx: np.ndarray) -> Optional[_PriceRatio]:
-    """The problem in the price ratio rho = x1 / x2 for a builtin d = 2 gbm
-    on x axes that are log-uniform with one common log step, so that every
-    x1_i / x2_j is a node of one log-uniform rho axis, with a payoff g that
-    is 1-homogeneous on the grid's mesh: g(x1_i, x2_j) = x2_j g~(x1_i /
-    x2_j) to rounding, for g~(rho) = g(rho, 1) and gx = g on the mesh (w1 x1
-    + w2 x2 is one).  None for any other input.  rho is a gbm with b~ = b1 -
-    b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), the
-    payoff is g~, and the deflator's part orthogonal to rho's noise, nu =
-    |(s2 - theta) x (s1 - s2)| / s~, smears like eps: eps_eff = sqrt(eps^2
-    + nu^2)."""
-    if model.dim != 2 or model.kind != "gbm":
+def _numeraire(model: MarketModel, payoff: Payoff, grid: GridSpec,
+               gx: np.ndarray) -> Optional[_Numeraire]:
+    """The problem in a numeraire's units (module docstring), or None where
+    neither route applies.  d = 2: a builtin gbm on x axes that are
+    log-uniform with one common log step, so that every x1_i / x2_j is a
+    node of one log-uniform rho axis; rho is a gbm with b~ = b1 - b2 +
+    |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), and the
+    deflator's part orthogonal to rho's noise, nu = |(s2 - theta) x (s1 -
+    s2)| / s~, smears like eps.  d = 1: a builtin gbm or bessel3, where the
+    deflated price Z X has the constant log-volatility nu = |s - b / s|
+    (gbm) or 0 (bessel3: Z X = x0), with g~ = g(1) > 0.  On both, g must be
+    1-homogeneous on the grid's mesh, g = N g~(x~) to rounding, with gx = g
+    on the mesh (w1 x1 + w2 x2 is, and c x1 in d = 1)."""
+    x = grid.x_axes
+    if model.kind == "gbm" and model.dim == 2:
+        ys = [np.log(ax) for ax in x]
+        step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
+        if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
+            return None
+        n1, n2 = (y.size for y in ys)
+        axes = (np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0], n1 + n2 - 1)),)
+        nodes = np.subtract.outer(np.arange(n1), np.arange(n2)) + (n2 - 1)
+        b, s = model.params["b"], model.params["s"]
+        # s is not singular, so its rows differ and s~ > 0
+        diff = s[0] - s[1]
+        s_rho = float(np.hypot(*diff))
+        v = s[1] - np.linalg.solve(s, b)
+        nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
+        reduced = builtin_model("gbm", b=float(b[0] - b[1] - diff @ s[1]), s=s_rho)
+        route = "price-ratio"
+    elif model.kind in ("gbm", "bessel3") and model.dim == 1:
+        axes, nodes, reduced = (), np.zeros(x[0].size, dtype=np.intp), None
+        nu = 0.0
+        if model.kind == "gbm":
+            b, s = float(model.params["b"][0]), float(model.params["s"][0, 0])
+            nu = abs(s - b / s)
+        route = "numeraire"
+    else:
         return None
-    ys = [np.log(ax) for ax in grid.x_axes]
-    step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
-    if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
-        return None
-    n1, n2 = (y.size for y in ys)
-    axis = np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0], n1 + n2 - 1))
-    nodes = np.subtract.outer(np.arange(n1), np.arange(n2)) + (n2 - 1)
-    reduced = Payoff(lambda x: payoff(np.column_stack((x[:, 0], np.ones(x.shape[0])))),
-                     f"{payoff.name}(rho, 1)")
+    g = Payoff(lambda y: payoff(np.column_stack((y, np.ones(y.shape[0])))),
+               f"{payoff.name} per numeraire")
+    g_nodes = g(_mesh(axes))[nodes]
     # the tolerance of the step check: rho nodes sit within about 1e-9 of
     # the mesh's ratios
-    if not np.allclose(grid.x_axes[1] * reduced(axis[:, None])[nodes], gx,
-                       rtol=1e-9, atol=0.0):
+    if not np.allclose(x[-1] * g_nodes, gx, rtol=1e-9, atol=0.0):
         return None
-    b, s = model.params["b"], model.params["s"]
-    # s is not singular, so its rows differ and s~ > 0
-    diff = s[0] - s[1]
-    s_rho = float(np.hypot(*diff))
-    b_rho = float(b[0] - b[1] - diff @ s[1])
-    v = s[1] - np.linalg.solve(s, b)
-    nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
-    return _PriceRatio(builtin_model("gbm", b=b_rho, s=s_rho), reduced, axis, nodes, nu,
-                       math.hypot(grid.epsilon, nu))
+    if not axes and not g_nodes[0] > 0.0:
+        return None
+    return _Numeraire(route, reduced, g, axes, nodes, x[-1], nu, math.hypot(grid.epsilon, nu))
 
 
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
@@ -622,24 +683,32 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     nodes.  Requested x nodes stay on the internal mesh exactly.  The
     first _RANNACHER_STEPS steps are each two implicit Euler half steps.
 
-    A builtin d = 2 gbm on x axes that are log-uniform with one common log
-    step (GridSpec.regular with equal x axes), with a payoff that is
+    Two inputs take a numeraire's route (module docstring).  A builtin d =
+    2 gbm on x axes that are log-uniform with one common log step
+    (GridSpec.regular with equal x axes), with a payoff that is
     1-homogeneous on the grid's mesh (w1 x1 + w2 x2 is one), takes the
-    price-ratio route (module docstring): the d = 1 dual of rho = x1 / x2,
-    read back as w = x2 w~(t, x1 / x2, q / x2); `pad` and `refine` then
-    apply to the rho axis.  Every other d = 2 input takes the direct
-    Douglas solve.
+    price-ratio route: the d = 1 dual of rho = x1 / x2, read back as w = x2
+    w~(t, x1 / x2, q / x2); `pad` and `refine` then apply to the rho axis.
+    A builtin d = 1 gbm or bessel3 with g = c x, c > 0, on the requested x
+    nodes (linear_payoff() is one) takes the numeraire route: the dual on
+    the eta axis alone, read back as w = x f(t, q / x).  There is no x axis
+    to pad or refine there: the x parts of `pad` and `refine` are checked
+    and recorded but act on nothing, and their q and t parts act as
+    elsewhere.  Every other input (custom models among them) takes the
+    direct Douglas solve on (x, eta).
 
     pad : None for the default margin (quarter of the x range, or of the
         rho range, ~3/8 of the q range; no x margin on the direct d=2
-        solve), 0 to disable, or a pair (x_cells, q_cells) in units of the
-        requested grid's spacing; each >= 0.
+        solve or on the numeraire route), 0 to disable, or a pair
+        (x_cells, q_cells) in units of the requested grid's spacing; each
+        >= 0.
     refine : None for no refinement, an int, or a triple (r_x, r_q, r_t);
         each >= 1.
 
     meta: kind, model, payoff, epsilon, substeps, rannacher_steps, pad
-    and refine (as applied), scheme; in d = 2 also "route", "price-ratio"
-    or "direct", and on the route "nu" and "epsilon_eff".
+    and refine (as applied), scheme, and "route": "direct", "price-ratio"
+    (d = 2) or "numeraire" (d = 1); on a route also "nu" and
+    "epsilon_eff".
     """
     if model.dim > 2:
         raise DimensionUnsupported(f"finite differences support d <= 2, got d={model.dim}")
@@ -660,11 +729,11 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         raise ValueError("refinement factors must be >= 1")
 
     gx = payoff(_mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
-    ratio = _price_ratio(model, payoff, grid, gx)
-    if ratio is None:
+    numeraire = _numeraire(model, payoff, grid, gx)
+    if numeraire is None:
         solved, axes, eps = (model, payoff), grid.x_axes, grid.epsilon
     else:
-        solved, axes, eps = (ratio.model, ratio.payoff), (ratio.axis,), ratio.eps
+        solved, axes, eps = (numeraire.model, numeraire.payoff), numeraire.axes, numeraire.eps
     if pad is None:
         px = axes[0].size // 4 if len(axes) == 1 else 0
         pq = (3 * grid.z.size) // 8
@@ -682,12 +751,13 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
         tuple(ax.size for ax in x_int))[restrict]
     scale = 1.0
-    if ratio is not None:
-        rows, scale = rows[ratio.nodes], grid.x_axes[1]
-        # a target at x2 reads q / x2, at q spacings that shrink as x2
-        # grows, several to an eta cell of the q axis's count, where the
-        # cubic read breaks convexity in q near T; the rho solve is cheap,
-        # so eta takes twice the cells
+    if numeraire is not None:
+        rows, scale = rows.ravel()[numeraire.nodes], numeraire.scale
+        # a target at N reads q / N, at q spacings that shrink as N grows,
+        # several to an eta cell of the q axis's count, where the cubic
+        # read breaks convexity in q near T (price ratio) or errs 2.0e-4 at
+        # x0 (numeraire, gbm); the reduced solve is cheap, so eta takes
+        # twice the cells
         n_eta = 2 * n_eta - 1
     q_top = float(q[-1] + pq * (q[-1] - q[-2]))
     ws = _DualOperator(*solved, x_int, eps, rows, scale, q, q_top, n_eta, float(grid.dt) / rt)
@@ -718,10 +788,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
             "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,
             "pad": [px, pq], "refine": [rx, rq, rt], "scheme": "douglas-adi"}
-    if model.dim == 2:
-        meta["route"] = "direct" if ratio is None else "price-ratio"
-    if ratio is not None:
-        meta.update(nu=ratio.nu, epsilon_eff=ratio.eps)
+    if numeraire is None:
+        meta["route"] = "direct"
+    else:
+        meta.update(route=numeraire.route, nu=numeraire.nu, epsilon_eff=numeraire.eps)
     return Surface(grid, values, meta)
 
 

@@ -345,14 +345,39 @@ def test_solve_summary_counts_numerical_events_deterministically(tmp_path):
         dual = read_surface_bin(str(tmp_path / "a" / f"surface_eps{eps}.bin"))
         primal = read_surface_bin(str(tmp_path / "a" / f"primal_eps{eps}.bin"))
         assert c == {"epsilon": dual.grid.epsilon,
+                     "route": dual.meta["route"],
                      "substeps": dual.meta["substeps"],
                      "enveloped_slices": primal.meta["enveloped_slices"],
                      "saturated_slices": primal.meta["saturated_slices"]}
-    # the pde method solves the dual only, so only substeps are counted
+    # the pde method solves the dual only, so only its route and substeps
+    # are counted
     cfg = write_config(tmp_path, pde_ini(), name="pde.ini")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     counters = load_summary(tmp_path / "c" / "solve.json")["counters"]
-    assert [sorted(c) for c in counters] == [["epsilon", "substeps"]]
+    assert [sorted(c) for c in counters] == [["epsilon", "route", "substeps"]]
+
+
+@pytest.mark.parametrize("payoff, route", [
+    ("", "numeraire"),
+    ("\n[payoff]\nkind = expression\nexpr = 2*x1\n", "numeraire"),
+    ("\n[payoff]\nkind = expression\nexpr = x1 + 0.1\n", "direct"),
+], ids=["x1", "2x1", "x1+0.1"])
+def test_solve_summary_reports_the_route(tmp_path, payoff, route):
+    # the default gbm config's payoff g = x1, and 2 x1, take the numeraire
+    # route, x1 + 0.1 the direct solve; reruns write the same summary
+    # apart from the timestamp
+    cfg = write_config(tmp_path, pde_ini() + payoff)
+    texts = []
+    for run in ("a", "b"):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        summary = load_summary(tmp_path / run / "solve.json")
+        assert [c["route"] for c in summary["counters"]] == [route]
+        lines = (tmp_path / run / "solve.json").read_text().splitlines()
+        texts.append([line for line in lines if '"timestamp"' not in line])
+    assert texts[0] == texts[1]
+    dual = read_surface_bin(str(tmp_path / "a" / "surface_eps0p2.bin"))
+    assert dual.meta["route"] == route
+    assert ("epsilon_eff" in dual.meta) == (route == "numeraire")
 
 
 @pytest.mark.parametrize("command, method", [("solve", "pipeline"), ("dual", "pde")])

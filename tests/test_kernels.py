@@ -67,6 +67,25 @@ def test_lines_match_solve_banded_per_line():
                            rtol=1e-12, atol=1e-12)
 
 
+def test_one_line_is_solved_as_a_lane_bit_for_bit():
+    # a 1-d line runs its recurrence on Python floats: the operations of
+    # the lane path in the same order, so the same bits as that line solved
+    # as the one lane of an (n, 1) system, and the pivoting solution up to
+    # rounding
+    rng = np.random.default_rng(3)
+    n = 40
+    lo, di, up = random_bands(rng, (n,))
+    rhs = rng.uniform(-5, 5, n)
+    lane = _kernels.thomas_batch(
+        _kernels.factor_lines(lo[:, None], di[:, None], up[:, None], "lane"), rhs[:, None].copy())
+    line = rhs.copy()
+    got = _kernels.thomas_batch(_kernels.factor_lines(lo, di, up, "line"), line)
+    assert got is line
+    assert np.array_equal(got, lane[:, 0])
+    assert np.allclose(got, per_line(lo[:, None], di[:, None], up[:, None], rhs[:, None])[:, 0],
+                       rtol=1e-12, atol=1e-12)
+
+
 def test_line_without_diagonal_dominance_matches_or_raises():
     # the kernel does not pivot: on a line far from diagonal dominance, where
     # partial pivoting would swap rows, it must give the pivoting solution

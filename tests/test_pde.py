@@ -45,11 +45,14 @@ def test_zero_payoff_keeps_linear_solution_away_from_the_bottom_edge(kind):
 
 def test_interior_matches_heat_equation_closed_form():
     # drift-free constant-volatility model, eps = 0: the dual value is a
-    # plain lognormal put, solved here on a modest grid
-    model = builtin_model("gbm", b=0.0, s=0.2)
+    # plain lognormal put, solved here on a modest grid by the direct
+    # solve, whose eta axis has no diffusion at eps = 0 (the builtin gbm
+    # takes the numeraire route, at eps_eff = nu = 0.2)
+    model = custom_twin(builtin_model("gbm", b=0.0, s=0.2))
     grid = GridSpec.regular(0.0, 1.0, 24, 0.4, 2.5, 48, 48, "q",
                             z_max=3.0, epsilon=0.0)
     surf = pde.solve_dual_pde(model, linear_payoff(), grid)
+    assert surf.meta["route"] == "direct"
     x = grid.x_axes[0]
     for ix in (18, 24, 30):
         for iq in (16, 24, 32):
@@ -80,39 +83,48 @@ def test_interior_matches_radial_smeared_closed_form():
     assert max_rel_err(fine) < max_rel_err(coarse)
 
 
-def custom_twin(b, s):
-    """A custom d=2 model with the constant coefficients of the gbm (b, s):
-    the same problem, which the price-ratio route does not take."""
-    return builtin_model("custom", dim=2, b_exprs=[repr(float(v)) for v in b],
+def custom_twin(model):
+    """A custom model with the coefficients of a builtin gbm or bessel3, in
+    the builtin's arithmetic: the same problem, which no numeraire route
+    takes, so it is solved directly on (x, eta)."""
+    if model.kind == "bessel3":
+        return builtin_model("custom", dim=1, b_exprs=["1/(x1*x1)"], s_exprs=[["1/x1"]])
+    b, s = model.params["b"], model.params["s"]
+    return builtin_model("custom", dim=model.dim, b_exprs=[repr(float(v)) for v in b],
                          s_exprs=[[repr(float(v)) for v in row] for row in s])
+
+
+def gbm_twin(b, s):
+    """The custom twin of the gbm (b, s)."""
+    return custom_twin(builtin_model("gbm", b=b, s=s))
 
 
 def test_one_substep_and_no_warning_on_default_grids():
     # the radial model's x-q correlation 1/sqrt(1 + eps^2 x^2) approaches 1
     # at small x; in characteristic coordinates there is no x-eta term, so
-    # this grid, which used to need x8 substeps, takes one like any other
+    # this grid, which used to need x8 substeps, takes one like any other.
+    # Each builtin takes a numeraire route (d = 1: the eta axis alone; d =
+    # 2: the price ratio), its custom twin, with the same coefficients, the
+    # direct Douglas solve
+    bessel3, gbm = builtin_model("bessel3"), builtin_model("gbm", b=0.05, s=0.3)
+    d2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]])
     cases = [
-        (builtin_model("bessel3"),
-         radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0)),
-        (builtin_model("bessel3"),
-         GridSpec.regular(0.0, 1.0, 8, 0.25, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)),
-        (builtin_model("gbm", b=0.05, s=0.3), radial_grid(eps=0.2)),
+        (bessel3, radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0)),
+        (bessel3, GridSpec.regular(0.0, 1.0, 8, 0.25, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)),
+        (gbm, radial_grid(eps=0.2)),
+        (d2, GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
+                              z_max=6.0, epsilon=0.2)),
     ]
-    # the d=2 gbm takes the price-ratio route; its custom twin, with the
-    # same constant coefficients, the direct Douglas solve
-    d2_grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
-                               z_max=6.0, epsilon=0.2)
-    cases += [(builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]]), d2_grid),
-              (custom_twin([0.05, 0.03], [[0.3, 0.1], [0.0, 0.25]]), d2_grid)]
     routes = []
     for model, grid in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            surf = pde.solve_dual_pde(model, linear_payoff(), grid)
-        assert surf.meta["substeps"] == 1
-        assert np.all(np.isfinite(surf.values))
-        routes.append(surf.meta.get("route"))
-    assert routes == [None] * 3 + ["price-ratio", "direct"]
+        for solved in (model, custom_twin(model)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                surf = pde.solve_dual_pde(solved, linear_payoff(), grid)
+            assert surf.meta["substeps"] == 1
+            assert np.all(np.isfinite(surf.values))
+            routes.append(surf.meta["route"])
+    assert routes == ["numeraire", "direct"] * 3 + ["price-ratio", "direct"]
 
 
 def test_no_substeps_for_mild_correlation():
@@ -133,38 +145,86 @@ def _window_error(surf, ref, x_window, q_window):
     return np.abs(surf.values[0][np.ix_(xi, qi)] - want).max()
 
 
+def order_case(kind):
+    """The builtin model of `kind` and its smeared closed form at eps 0.2."""
+    if kind == "gbm":
+        return (builtin_model("gbm", b=0.05, s=0.3),
+                lambda x, q: oracles.gbm_dual_smeared(x, q, 0.05, 0.3, 1.0, 0.2))
+    return builtin_model("bessel3"), lambda x, q: oracles.bessel_dual_smeared(x, q, 0.2, 1.0)
+
+
+ORDER_GRID = GridSpec.regular(0.0, 1.0, 17, 0.5, 2.0, 33, 33, "q", z_max=8.0, epsilon=0.2)
+
+
+def order_ladder(model, ref):
+    """The window error at t0 at refine 1, 2, 4 on ORDER_GRID, and the
+    observed orders: the eta axis keeps its ends, so every spacing halves.
+    The x pad is widened until the x edges err below the finest level; the
+    window stays clear of the edges and of the smallest q, and the t0
+    slice has no kink left."""
+    surfs = [pde.solve_dual_pde(model, linear_payoff(), ORDER_GRID, refine=r, pad=(16, 12))
+             for r in (1, 2, 4)]
+    errs = np.array([_window_error(s, ref, (0.7, 1.45), (0.25, 4.0)) for s in surfs])
+    return surfs, errs, np.log2(errs[:-1] / errs[1:])
+
+
 @pytest.mark.parametrize("kind", ["gbm", "bessel3"])
 def test_observed_order_is_two(kind):
-    # refine 1, 2, 4 on one requested grid: the eta axis keeps its ends, so
-    # every spacing halves.  The x pad is widened until the x edges err
-    # below the finest level; the window stays clear of the edges and of
-    # the smallest q, and the t0 slice has no kink left
-    if kind == "gbm":
-        model = builtin_model("gbm", b=0.05, s=0.3)
-        def ref(x, q):
-            return oracles.gbm_dual_smeared(x, q, 0.05, 0.3, 1.0, 0.2)
-    else:
-        model = builtin_model("bessel3")
-        def ref(x, q):
-            return oracles.bessel_dual_smeared(x, q, 0.2, 1.0)
-    grid = GridSpec.regular(0.0, 1.0, 17, 0.5, 2.0, 33, 33, "q", z_max=8.0, epsilon=0.2)
-    errs = np.array([_window_error(pde.solve_dual_pde(model, linear_payoff(), grid,
-                                                      refine=r, pad=(16, 12)),
-                                   ref, (0.7, 1.45), (0.25, 4.0)) for r in (1, 2, 4)])
-    orders = np.log2(errs[:-1] / errs[1:])
+    # the direct solve, on the custom twin of each builtin
+    model, ref = order_case(kind)
+    surfs, errs, orders = order_ladder(custom_twin(model), ref)
+    assert {s.meta["route"] for s in surfs} == {"direct"}
     assert np.all(orders >= 1.7), (errs, orders)
+
+
+@pytest.mark.parametrize("kind", ["gbm", "bessel3"])
+def test_numeraire_route_converges_to_the_closed_form(kind):
+    # the eta axis alone, read back as w = x f(t, q / x), on the ladder of
+    # the direct solve.  Measured: gbm 1.10e-3, 2.11e-4, 2.83e-5 (observed
+    # orders 2.38, 2.90); bessel3 1.26e-3, 2.39e-4, 3.08e-5 (2.40, 2.96).
+    # The x parts of pad and refine act on nothing there, and are recorded
+    model, ref = order_case(kind)
+    surfs, errs, orders = order_ladder(model, ref)
+    assert [s.meta["route"] for s in surfs] == ["numeraire"] * 3
+    assert [s.meta["pad"] for s in surfs] == [[16, 12]] * 3
+    assert [s.meta["refine"] for s in surfs] == [[r] * 3 for r in (1, 2, 4)]
+    assert errs[-1] <= 5e-5
+    assert np.all(orders >= 1.5), (errs, orders)
+
+
+def test_numeraire_route_and_direct_twin_agree_within_the_direct_error():
+    # at the default pad, on the grid of the ladders, over their window:
+    # the route and the direct solve of the custom twin differ by less than
+    # the direct solve's own error against the closed form.  Measured: gbm
+    # route 1.10e-3, direct 1.05e-3, gap 4.25e-4; bessel3 route 1.26e-3,
+    # direct 5.62e-3, gap 4.44e-3
+    for kind in ("gbm", "bessel3"):
+        model, ref = order_case(kind)
+        routed = pde.solve_dual_pde(model, linear_payoff(), ORDER_GRID)
+        direct = pde.solve_dual_pde(custom_twin(model), linear_payoff(), ORDER_GRID)
+        assert (routed.meta["route"], direct.meta["route"]) == ("numeraire", "direct")
+        x, q = ORDER_GRID.x_axes[0], ORDER_GRID.z
+        window = np.ix_((x >= 0.7) & (x <= 1.45), (q >= 0.25) & (q <= 4.0))
+        direct_err = _window_error(direct, ref, (0.7, 1.45), (0.25, 4.0))
+        assert np.abs(routed.values[0][window] - direct.values[0][window]).max() <= direct_err
 
 
 def test_bessel3_error_at_x0_on_the_benchmark_grid():
     # the grid of the pde-adi benchmark workload, where the explicit x-q
-    # cross term used to leave a 0.037 bias at x0 = 1
+    # cross term used to leave a 0.037 bias at x0 = 1.  The builtin takes
+    # the numeraire route, its custom twin the direct solve.  Measured:
+    # route 2.47e-5, direct 1.02e-4
     grid = GridSpec.regular(0.0, 1.0, 32, 0.25, 2.0, 64, 64, "q", z_max=8.0, epsilon=0.2)
-    surf = pde.solve_dual_pde(builtin_model("bessel3"), linear_payoff(), grid, refine=2)
     x = grid.x_axes[0]
     i0 = int(np.argmin(np.abs(x - 1.0)))
     ref = np.array([oracles.bessel_dual_smeared(x[i0], q, 0.2, 1.0) for q in grid.z])
-    assert np.abs(surf.values[0, i0] - ref).max() <= 5e-3
-    assert surf.meta["substeps"] == 1
+    errs = {}
+    for model in (builtin_model("bessel3"), custom_twin(builtin_model("bessel3"))):
+        surf = pde.solve_dual_pde(model, linear_payoff(), grid, refine=2)
+        errs[surf.meta["route"]] = np.abs(surf.values[0, i0] - ref).max()
+        assert surf.meta["substeps"] == 1
+    assert errs["direct"] <= 5e-3
+    assert errs["numeraire"] <= 0.3 * errs["direct"]
 
 
 @pytest.mark.xfail(strict=True, reason="the solver picks a solution above the smallest "
@@ -185,12 +245,14 @@ def test_bessel3_claim_of_one_is_the_smallest_solution():
 
 def test_custom_constant_model_matches_builtin_gbm():
     # the custom model's phase is a cumulative trapezoid of a psi that is
-    # constant up to rounding, so it agrees with gbm's to rounding as well
+    # constant up to rounding, so it agrees with gbm's to rounding as well.
+    # With g = x1 + 0.1, which is not c x1, both take the direct solve
     grid = radial_grid(n_t=8, n_x=20, n_z=24, eps=0.2, z_max=4.0)
-    gbm = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(), grid)
+    payoff = payoff_from_expression("x1 + 0.1", 1)
+    gbm = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), payoff, grid)
     custom = pde.solve_dual_pde(
-        builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]]),
-        linear_payoff(), grid)
+        builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]]), payoff, grid)
+    assert gbm.meta["route"] == custom.meta["route"] == "direct"
     assert np.abs(custom.values - gbm.values).max() <= 1e-10
 
 
@@ -221,20 +283,27 @@ def test_custom_d2_state_dependent_model_is_unsupported():
 
 
 def sweep_cases():
-    """A d=1 bessel3 grid that used to need x8 substeps, and a d=2 gbm grid
-    with a full volatility matrix (so the x1-x2 term is live) and unequal
-    x axes."""
+    """The custom twin of bessel3 on a d=1 grid that used to need x8
+    substeps, a d=2 gbm grid with a full volatility matrix (so the x1-x2
+    term is live) and unequal x axes, and the eta axis alone: a d=1 gbm
+    with g = x1 on the numeraire route, where nu = 0.133 smears eta too."""
     d2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]])
     return [
-        (builtin_model("bessel3"), linear_payoff(),
+        (custom_twin(builtin_model("bessel3")), linear_payoff(),
          radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0), {}),
         (d2, linear_payoff(),
          GridSpec.regular(0.0, 1.0, 6, [0.5, 0.6], [2.0, 1.8], [12, 10], 16, "q",
                           z_max=4.0, epsilon=0.2), {"refine": (1, 1, 2)}),
+        (builtin_model("gbm", b=0.05, s=0.3), linear_payoff(),
+         radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0),
+         {"refine": (1, 1, 2)}),
     ]
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+SWEEP_IDS = ["bessel3-d1", "gbm-d2", "eta-only"]
+
+
+@pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
 def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
     model, payoff, grid, kw = sweep_cases()[case]
     got = pde.solve_dual_pde(model, payoff, grid, **kw)
@@ -253,8 +322,10 @@ def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n
     # not pivot, is no longer backed by dominance.  It must then match the
     # reference, which pivots, or raise; never return a surface of its own.
     # The surfaces themselves break w <= q on this grid (up to 1.2e3 and
-    # 1.9e4), so the 1e-11 is taken relative to their size
-    model = builtin_model("gbm", b=0.5, s=0.1)
+    # 1.9e4), so the 1e-11 is taken relative to their size.  The direct
+    # solve, on the custom twin of the gbm: on the numeraire route the
+    # drift is folded into eps_eff = 4.9, and eta has no such drift
+    model = custom_twin(builtin_model("gbm", b=0.5, s=0.1))
     grid = radial_grid(n_t=n_t, n_x=64, n_z=64, eps=0.05, x_min=0.5, x_max=2.0, z_max=8.0)
     slack = []
     factor_lines = _kernels.factor_lines
@@ -273,13 +344,14 @@ def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n
         assert "eta sweep" in str(err)
         return
     assert len(slack) == 1 and (slack[0] > 0.0) == dominant
+    assert got.meta["route"] == "direct"
     monkeypatch.setattr(pde._DualOperator, "sweep", ref.sweep)
     want = pde.solve_dual_pde(model, linear_payoff(), grid)
     scale = max(1.0, np.abs(want.values).max())
     assert np.abs(got.values - want.values).max() <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+@pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
 def test_delta_form_matches_the_standard_form(monkeypatch, case):
     # the step in delta form solves for the increment; the standard form
     # predicts values and corrects them axis by axis, each sweep less th
@@ -293,7 +365,7 @@ def test_delta_form_matches_the_standard_form(monkeypatch, case):
     assert np.abs(got.values - want.values).max() <= 1e-11
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+@pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
 def test_half_step_halves_the_increment_bit_for_bit(monkeypatch, case):
     # the operator is built for one step length h: a Rannacher half step
     # takes the increment of h and halves it, and sweeps at th = h / 2 like
@@ -308,7 +380,7 @@ def test_half_step_halves_the_increment_bit_for_bit(monkeypatch, case):
     assert np.array_equal(got.values, want.values)
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+@pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
 def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
     # every state W = w - q a substep starts from, the terminal data and
     # the states the projection onto w >= 0 clipped included, satisfies the
@@ -345,7 +417,7 @@ def test_edge_relations_hold_after_apply_bc(monkeypatch, case):
         assert all(np.abs(r).max() <= 1e-12 * scale for r in residuals(W))
 
 
-@pytest.mark.parametrize("case", range(2), ids=["bessel3-d1", "gbm-d2"])
+@pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
 def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     # the Rannacher half steps and the Crank-Nicolson steps share one th,
     # so each sweep is factored once, and solved by one call per substep,
@@ -369,7 +441,9 @@ def test_one_factorization_and_one_solve_per_sweep(monkeypatch, case):
     monkeypatch.setattr(_kernels, "factor_lines", counting_factor)
     monkeypatch.setattr(_kernels, "thomas_batch", counting_solve)
     surf = pde.solve_dual_pde(model, payoff, grid, **kw)
-    sweeps = [f"x axis {i}" for i in range(grid.dim)] + ["eta"]
+    # the numeraire route has no x axis to sweep
+    x_axes = 0 if surf.meta["route"] == "numeraire" else grid.dim
+    sweeps = [f"x axis {i}" for i in range(x_axes)] + ["eta"]
     steps = (grid.t.size - 1) * surf.meta["refine"][2]
     substeps = steps + min(surf.meta["rannacher_steps"], steps)
     assert factored == {sweep: 1 for sweep in sweeps}
@@ -387,16 +461,22 @@ def read_cases():
     return sweep_cases() + [routed]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["bessel3-d1", "gbm-d2", "gbm-d2-ratio"])
+READ_IDS = SWEEP_IDS + ["gbm-d2-ratio"]
+
+
+@pytest.mark.parametrize("case", range(4), ids=READ_IDS)
 def test_slabs_do_not_move_the_surface(monkeypatch, case):
     # explicit and read work one slab of the first x axis at a time; the
     # slab sizes below split it into one-row slabs, unevenly with a
-    # remainder slab, and into one slab, for both passes.  Every surface is
-    # the one of the default slab size, and of the whole-level passes,
-    # bit for bit
+    # remainder slab, and into one slab, for both passes.  With no x axis
+    # (eta-only) the explicit pass is one slab, and only read splits.
+    # Every surface is the one of the default slab size, and of the
+    # whole-level passes, bit for bit
     model, payoff, grid, kw = read_cases()[case]
     kw = {"refine": 2} if case == 0 else kw
-    want = pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes()
+    want = pde.solve_dual_pde(model, payoff, grid, **kw)
+    passes = 1 if want.meta["route"] == "numeraire" else 2
+    want = want.values.tobytes()
     splits = []
     slab_rows = pde._slab_rows
 
@@ -410,7 +490,7 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
         monkeypatch.setattr(pde, "_SLAB_BYTES", slab_bytes)
         assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
     # one call for the explicit pass, then one for the read-back, per solve
-    for calls in (splits[0::2], splits[1::2]):
+    for calls in (splits[i::passes] for i in range(passes)):
         assert any(rows < n and n % rows for n, rows in calls)
         assert any(rows >= n for n, rows in calls)
     monkeypatch.setattr(pde._DualOperator, "explicit", ref.explicit)
@@ -418,7 +498,7 @@ def test_slabs_do_not_move_the_surface(monkeypatch, case):
     assert pde.solve_dual_pde(model, payoff, grid, **kw).values.tobytes() == want
 
 
-@pytest.mark.parametrize("case", range(3), ids=["bessel3-d1", "gbm-d2", "gbm-d2-ratio"])
+@pytest.mark.parametrize("case", range(4), ids=READ_IDS)
 def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     # the dual's tail w = q + c(x) is the state W = w - q = c(x), which
     # reads back as q + c exactly on every requested node, clamped at 0:
@@ -427,7 +507,8 @@ def test_read_back_is_exact_on_the_slope_one_tail(monkeypatch, case):
     # that the cubic reproduces and under which the clamp does not bind;
     # there the offsets u carry the rounding of log q, a few ulps.  On the
     # price-ratio route a target reads x2 (c - beta eta) + q at eta = log
-    # (q / x2) - phi
+    # (q / x2) - phi, on the numeraire route x (c - beta eta) + q at eta =
+    # log (q / x)
     model, payoff, grid, kw = read_cases()[case]
     ops = []
     read = pde._DualOperator.read
@@ -470,7 +551,7 @@ def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
     # slab add under 0.2 W, so 11 W.  Measured: 10.6 W, where 14.5 W with
     # lane-shaped x factors and 18.6 W with the whole-level read
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
-    model = custom_twin([0.05, 0.03], [[0.3, 0.0], [0.0, 0.25]])
+    model = gbm_twin([0.05, 0.03], [[0.3, 0.0], [0.0, 0.25]])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
                             z_max=6.0, epsilon=0.2)
     states = []
@@ -516,13 +597,15 @@ def test_routed_d2_solve_memory_is_its_targets_read_data_and_rho_states(monkeypa
 
 
 def test_refinement_and_padding_controls():
-    model = builtin_model("gbm", b=0.1, s=0.2)
+    # the direct solve, on the custom twin of a gbm
+    model = custom_twin(builtin_model("gbm", b=0.1, s=0.2))
     grid = radial_grid(n_t=6, n_x=14, n_z=14, eps=0.2)
     base = pde.solve_dual_pde(model, linear_payoff(), grid)
     fine = pde.solve_dual_pde(model, linear_payoff(), grid, refine=2)
     assert axes_equal(fine.grid, base.grid)
     assert np.array_equal(terminal(fine), terminal(base))
     assert fine.meta["refine"] == [2, 2, 2]
+    assert fine.meta["route"] == "direct"
     # refinement changes interior values only modestly on a smooth problem
     delta = np.abs(fine.values[0] - base.values[0]).max()
     assert 0.0 < delta < 0.05
@@ -671,15 +754,18 @@ def test_default_residual_tol_scales_with_grid():
 
 def test_d2_lift_matches_d1():
     # a second stock with no drift, independent of the first and absent
-    # from the payoff, leaves the d=1 problem unchanged at every x2
+    # from the payoff, leaves the d=1 problem unchanged at every x2.  Both
+    # solves are direct: the d=2 x axes have different log steps, and the
+    # d=1 model is the custom twin of the gbm
     g1 = GridSpec.regular(0.0, 1.0, 10, 0.5, 2.0, 16, 32, "q", z_max=4.0, epsilon=0.2)
     x2 = np.exp(np.linspace(np.log(0.6), np.log(1.8), 12))
     g2 = GridSpec(g1.t, (g1.x_axes[0], x2), g1.z, "q", g1.epsilon)
-    m1 = builtin_model("gbm", b=0.05, s=0.3)
+    m1 = custom_twin(builtin_model("gbm", b=0.05, s=0.3))
     m2 = builtin_model("gbm", b=[0.05, 0.0], s=[[0.3, 0.0], [0.0, 0.25]])
     payoff = linear_payoff()
     dual1 = pde.solve_dual_pde(m1, payoff, g1, pad=0)
     dual2 = pde.solve_dual_pde(m2, payoff, g2, pad=0)
+    assert dual1.meta["route"] == dual2.meta["route"] == "direct"
     assert np.abs(dual2.values - dual1.values[:, :, None, :]).max() < 1e-12
     assert dual2.meta["substeps"] == dual1.meta["substeps"]
 
@@ -710,7 +796,7 @@ def test_d2_default_surface_is_nonnegative_and_a_supersolution():
     grid = GridSpec.regular(0.0, 1.0, 32, [0.5, 0.5], [2.0, 2.0], [48, 48], 64, "q",
                             z_max=6.0, epsilon=0.2)
     for route, model in (("price-ratio", builtin_model("gbm", b=b, s=s)),
-                         ("direct", custom_twin(b, s))):
+                         ("direct", gbm_twin(b, s))):
         surf = pde.solve_dual_pde(model, payoff, grid)
         assert surf.meta["route"] == route
         assert surf.values.min() >= 0.0
@@ -732,7 +818,7 @@ def test_d2_full_matrix_matches_closed_form():
     i1, i2 = np.argmin(np.abs(x1 - 1.0)), np.argmin(np.abs(x2 - 1.0))
     ref = np.array([oracles.gbm_dual_smeared(x1[i1], q, 0.0, vol, 1.0, 0.2) for q in grid.z])
     for route, model, tol in (("price-ratio", builtin_model("gbm", b=b, s=s), 5e-4),
-                              ("direct", custom_twin(b, s), 1e-2)):
+                              ("direct", gbm_twin(b, s), 1e-2)):
         surf = pde.solve_dual_pde(model, linear_payoff(), grid)
         assert surf.meta["route"] == route
         assert np.abs(surf.values[0, i1, i2] - ref).max() < tol
@@ -769,10 +855,10 @@ def log_vol_of_z_x1(s):
     return float(np.linalg.norm(s[0] - np.linalg.solve(s, D2_B)))
 
 
-def price_ratio(model, payoff, grid):
-    """pde._price_ratio with g evaluated on the grid's mesh."""
+def numeraire(model, payoff, grid):
+    """pde._numeraire with g evaluated on the grid's mesh."""
     gx = payoff(pde._mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
-    return pde._price_ratio(model, payoff, grid, gx)
+    return pde._numeraire(model, payoff, grid, gx)
 
 
 @pytest.mark.parametrize("kind", D2_S)
@@ -783,7 +869,8 @@ def test_price_ratio_problem_is_the_d2_closed_form(kind):
     model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
     grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.6], [2.0, 2.4], [5, 5], 5, "q",
                             z_max=6.0, epsilon=0.2)
-    ratio = price_ratio(model, linear_payoff(), grid)
+    ratio = numeraire(model, linear_payoff(), grid)
+    assert ratio.route == "price-ratio"
     b_rho, s_rho = float(ratio.model.params["b"][0]), float(ratio.model.params["s"][0, 0])
     vol = log_vol_of_z_x1(D2_S[kind])
     assert (s_rho - b_rho / s_rho) ** 2 + ratio.nu ** 2 == pytest.approx(vol ** 2, rel=1e-14)
@@ -793,7 +880,7 @@ def test_price_ratio_problem_is_the_d2_closed_form(kind):
         assert ratio.nu == pytest.approx(0.006828633596, rel=1e-9)
     x1, x2 = grid.x_axes
     for i, j in ((0, 4), (2, 2), (4, 0), (3, 1)):
-        assert ratio.axis[i - j + 4] == pytest.approx(x1[i] / x2[j], rel=1e-14)
+        assert ratio.axes[0][i - j + 4] == pytest.approx(x1[i] / x2[j], rel=1e-14)
         for q in (0.3, 1.1, 2.5):
             for tau in (0.25, 1.0):
                 got = x2[j] * oracles.gbm_dual_smeared(x1[i] / x2[j], q / x2[j], b_rho, s_rho,
@@ -852,7 +939,7 @@ def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
     # with no closed form, the gap falls with the mesh (measured 1.47e-2
     # to 4.28e-3 and 5.28e-3 to 1.94e-3 from 12 to 24 cells)
     gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
-    twin = custom_twin(D2_B, D2_S["full"])
+    twin = gbm_twin(D2_B, D2_S["full"])
     vol = log_vol_of_z_x1(D2_S["full"])
     grid = ratio_grid(24)
     pad = (6, 9)
@@ -887,13 +974,13 @@ def test_d2_inputs_the_route_does_not_take_are_solved_directly():
     gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
     square = Payoff(lambda x: x[:, 0] ** 2, "square")
     cases = [
-        (custom_twin(D2_B, D2_S["full"]), linear_payoff(), grid),
+        (gbm_twin(D2_B, D2_S["full"]), linear_payoff(), grid),
         (gbm, linear_payoff(), uneven),
         (gbm, square, grid),
         (gbm, payoff_from_expression("x1 + 0.5", 2), grid),
     ]
     for model, payoff, g in cases:
-        assert price_ratio(model, payoff, g) is None
+        assert numeraire(model, payoff, g) is None
         surf = pde.solve_dual_pde(model, payoff, g)
         assert surf.meta["route"] == "direct"
         assert "nu" not in surf.meta and "epsilon_eff" not in surf.meta
@@ -904,5 +991,5 @@ def test_d2_inputs_the_route_does_not_take_are_solved_directly():
     expr = pde.solve_dual_pde(gbm, payoff_from_expression("x1", 2), grid)
     assert expr.meta["route"] == "price-ratio"
     assert np.array_equal(expr.values, pde.solve_dual_pde(gbm, linear_payoff(), grid).values)
-    assert "route" not in pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3),
-                                             linear_payoff(), radial_grid()).meta
+    assert pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(),
+                              radial_grid()).meta["route"] == "numeraire"

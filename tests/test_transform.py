@@ -120,10 +120,14 @@ def test_strategy_reaches_every_branch():
 
 
 def test_solved_dual_surface_matches_reference():
-    # a gbm dual surface as the pipeline makes it; rounding leaves spline
-    # slopes in the slope-1 tail of its slices an ulp out of order
+    # a gbm dual surface as the direct solve makes it (on the custom twin
+    # of the gbm; the builtin takes the numeraire route, whose slices need
+    # no envelope here); rounding leaves spline slopes in the slope-1 tail
+    # of its slices an ulp out of order
     grid = GridSpec.regular(0.0, 1.0, 12, 0.5, 2.0, 48, 48, "q", z_max=8.0, epsilon=0.2)
-    surf = pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(), grid)
+    twin = builtin_model("custom", dim=1, b_exprs=["0.05"], s_exprs=[["0.3"]])
+    surf = pde.solve_dual_pde(twin, linear_payoff(), grid)
+    assert surf.meta["route"] == "direct"
     p = np.linspace(0.0, 1.0, 41)
     primal = pde.dual_to_primal(surf, p)
     want, n_env, n_sat = ref.dual_to_primal(surf, p)

@@ -161,9 +161,10 @@ def test_verifier_memory_is_a_fraction_of_the_surface():
 @pytest.mark.xfail(strict=True, reason="the spline transform's first-order curvature fails "
                    "the verifier on bessel3 (ROADMAP item 2)")
 def test_bessel3_pipeline_on_the_adi_benchmark_grid_passes_the_verifier():
-    # the pde-adi bessel3 grid through the pipeline.  Measured: 32 501 of
-    # 162 374 checked nodes violate, max 10.58 against tol 0.366, at (t
-    # 0.87, x 0.276, p 0.84); the exact dual fails there as well
+    # the pde-adi bessel3 grid through the pipeline, on the numeraire
+    # route.  Measured: 32 313 of 162 370 checked nodes violate, max 10.55
+    # against tol 0.366, at (t 0.87, x 0.276, p 0.84) (the direct solve:
+    # 32 501, max 10.58); the exact dual fails there as well
     model = builtin_model("bessel3")
     grid = GridSpec.regular(0.0, 1.0, 32, 0.25, 2.0, 64, 64, "q", z_max=8.0, epsilon=0.2)
     dual = pde.solve_dual_pde(model, linear_payoff(), grid, refine=2)
