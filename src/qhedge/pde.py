@@ -59,8 +59,8 @@ folded in.
 
 Edges, folded into the sweeps: at both ends of each (non-uniform) x axis
 u is extrapolated linearly at fixed eta, exact where q is large.  The
-uniform eta axis has as many nodes as the padded q axis would have (twice
-the cells on the numeraire routes below).  At its bottom w = 0, u = -q,
+uniform eta axis has as many nodes as the padded q axis would have (more
+on the numeraire routes below).  At its bottom w = 0, u = -q,
 which errs by at most the q there (0 <= w <= q), at most e^-_ETA_MARGIN
 times the smallest requested positive q at every requested x; at its
 top, which reaches the padded q_max at every requested x, w_q = 1: u
@@ -73,7 +73,7 @@ where every difference is 0, and clamped at 0, since a restored x edge
 can dip below it; q <= 0 reads 0, and the terminal level is (q - g(x))^+
 itself.
 
-The numeraire routes (`_numeraire`).  The price-ratio route: a builtin
+The numeraire routes.  The price-ratio route (`_price_ratio`): a builtin
 gbm in d = 2 with a 1-homogeneous payoff, g(c x) = c g(x) (w1 x1 + w2 x2
 is one), is scale-free.  With x2 as numeraire (Geman, El Karoui &
 Rochet, J. Appl. Probab. 1995), Z g(X) = x2 Z^ g~(rho) with rho = X1 /
@@ -100,8 +100,8 @@ takes the direct solve: custom models (those with a constant (s s')^{-1}
 b), gbm on axes with different log steps, and payoffs that are not
 1-homogeneous.
 
-The numeraire route, d = 1: the same change of numeraire with nothing
-left to take a ratio of.  For g = c x, the stock itself as numeraire
+The numeraire route, d = 1 (`_stock_numeraire`): the same change of
+numeraire with nothing left to take a ratio of.  For g = c x, the stock itself as numeraire
 gives w(t, x, q) = x f(t, q / x): substituted into the dual equation, the
 x-x, x-q and q-q terms collapse onto y = q / x, to
 
@@ -111,14 +111,30 @@ with s the relative volatility.  Where s - theta is a constant nu, the
 log-volatility of the deflated price Z X, f is the dual with no x axis at
 eps_eff = sqrt(eps^2 + nu^2): for every builtin gbm, nu = |s - b / s|,
 and for bessel3, where s = theta = 1 / x and Z X = x0, nu = 0.  So a
-builtin gbm or bessel3 whose payoff is g = c x with c = g(1) > 0 on the
-requested x nodes (to 1e-9 relative; linear_payoff() is one) is solved
-on the eta axis alone, eta = log y, with twice the cells of the padded
-q axis (at the q axis's count the gbm benchmark dual errs 2.0e-4 at x0);
-each target (x_i, q) reads that one line at q / x_i with factor x_i,
-through the same read map, every target's row being the line's.  Every
-other d = 1 input takes the direct solve: custom models (the tests solve
-each builtin's custom twin there), and payoffs that are not c x.
+builtin gbm or bessel3 whose payoff is g = c x with c = g(1) > 0 (to
+1e-9 relative; linear_payoff() is one) on the x mesh the direct solve
+would step, its pad included, is solved on the eta axis alone, eta = log
+y; each target (x_i, q) reads that one line at q / x_i with factor x_i,
+through the same read map, every target's row being the line's.  The
+test takes the pad because the direct solve evaluates g there: min(x1,
+x_max) is x1 on the requested nodes, and the route would drop its cap.
+The line spans the q axis and log(x_max / x_min), which the direct solve
+resolves on its x axis, so it takes twice the cells of the padded q axis
+and at most the refined x axis's mean log step between nodes (no more
+nodes than the direct solve's state), and it is shifted by under a cell
+so that the terminal data's one kink, at eta = log c, sits mid-cell: on
+a node it erred 3-4 times more.  Every other d = 1 input takes the
+direct solve: custom models (the tests solve each builtin's custom twin
+there), and payoffs that are not c x.
+
+f also has a closed form, the lognormal one that oracles.gbm_dual_smeared
+and bessel_dual_smeared evaluate; the route solves it numerically all the
+same.  Those closed forms are what the solver is checked against, by the
+tests and by the benchmark's accuracy metrics on its gbm and bessel3
+workloads, and these builtins with g = c x are the only inputs that have
+one: evaluating it on the route would leave those checks comparing the
+oracle with itself, where they now measure the scheme every other input
+is solved with.
 
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, -q on the state's nodes, one increment of
@@ -137,11 +153,11 @@ MiB in its eight read slabs, and its (141 rho, 175 eta) state, 0.19 MiB
 each, with the sweeps.  The direct solve of a custom model with the same
 coefficients peaks 15.5 MiB above the surface there.  On the numeraire
 route the state, -q, the increment and the sweep's factors are one eta
-line each (351 nodes on the pipeline grid, 128 x, 128 q), and the
-working set is the read-back's: there the solve peaks 1.67 MiB above its
+line each (671 nodes on the pipeline grid, 128 x, 128 q), and the
+working set is the read-back's: there the solve peaks 1.70 MiB above its
 8.0 MiB surface, 0.51 MiB of read data for its 128 x 127 targets and 0.99
 MiB in its eight read slabs, where the direct solve of the gbm's custom
-twin peaks 3.88 MiB above it.
+twin peaks 3.87 MiB above it.
 """
 from __future__ import annotations
 
@@ -174,10 +190,7 @@ def _d2_weights(x: np.ndarray):
 
 
 def _mesh(x_axes) -> np.ndarray:
-    """Every node of the x mesh as an (n_nodes, d) array, in C order; with
-    no x axis, one node with no coordinate."""
-    if not x_axes:
-        return np.empty((1, 0))
+    """Every node of the x mesh as an (n_nodes, d) array, in C order."""
     return np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, len(x_axes))
 
 
@@ -284,18 +297,20 @@ class _DualOperator:
     """Workspace for the dual solve on (x_1..x_d, eta) with step length h:
     coefficients on the interior nodes, the stencil of h F, the sweeps
     factored at th = h / 2, the edges and the read-back to the targets,
-    with the buffers they reuse.  A target is a requested x node, by the
-    flat index of its row of the state in `rows`, times each requested q;
-    it reads the state at q / scale, for its `scale` (broadcast against
-    rows), and w = scale u + q.  `scale` is 1 but on the numeraire routes:
-    a multiply by 1 and a shift by log 1 = 0 are exact.
+    with the buffers they reuse.  gx is the payoff g on the x mesh, in its
+    shape; the terminal state is max(-q, -g).  A target is a requested x
+    node, by the flat index of its row of the state in `rows`, times each
+    requested q; it reads the state at q / scale, for its `scale`
+    (broadcast against rows), and w = scale u + q.  `scale` is 1 but on
+    the numeraire routes: a multiply by 1 and a shift by log 1 = 0 are
+    exact.
 
-    With zero x axes (the numeraire route, d = 1) there is no model and
-    phi = 0: the state is one eta line, the operator is eta's bands, edges
-    and stencil, its one sweep solves one line, the explicit pass is one
-    slab, and every target reads row 0."""
+    With zero x axes (the numeraire route, d = 1) there is no model, gx is
+    the 0-d c of g = c x and phi = 0: the state is one eta line, the
+    operator is eta's bands, edges and stencil, its one sweep solves one
+    line, the explicit pass is one slab, and every target reads row 0."""
 
-    def __init__(self, model: MarketModel, payoff: Payoff, x_axes, eps: float,
+    def __init__(self, model: Optional[MarketModel], gx: np.ndarray, x_axes, eps: float,
                  rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
                  h: float):
         self.d = d = len(x_axes)
@@ -313,8 +328,15 @@ class _DualOperator:
         shift = self.phi.ravel()[rows] + np.log(self.scale[..., 0])
         lo = math.log(q[self.first]) - float(shift.max()) - _ETA_MARGIN
         self.eta = np.linspace(lo, math.log(q_top) - float(shift.min()), n_eta)
+        if not d:
+            # the terminal data's one kink, at eta = log c, sits mid-cell:
+            # the axis drops by under a cell and gains a node.  On a node it
+            # erred 3-4x more (33 x, 33 q, 17 t at refine 1 to 4)
+            de = float(self.eta[1] - self.eta[0])
+            lo -= (0.5 - (math.log(gx) - lo) / de) % 1.0 * de
+            self.eta = lo + de * np.arange(n_eta + 1)
         self.de = de = float(self.eta[1] - self.eta[0])
-        self.gx = payoff(_mesh(x_axes)).reshape(self.phi.shape)
+        self.gx = gx
         e_phi = np.exp(self.phi)
         # the state is u = w - q, and -q = -e^(eta + phi) its value where w =
         # 0, built in place: temporaries of the state's size raised the d=2
@@ -600,75 +622,75 @@ _RANNACHER_STEPS = 2
 
 
 @dataclass(frozen=True)
-class _Numeraire:
-    """The dual of a scale-free problem in the units of a numeraire N: w(t,
-    x, q) = N w~(t, x~, q / N), with w~ the dual of one dimension less at
-    eps_eff = sqrt(eps^2 + nu^2).  On the "price-ratio" route (d = 2) N =
-    x2, x~ = rho = x1 / x2 on the one axis in `axes`, a gbm `model`, and
-    g~(rho) = g(rho, 1); on the "numeraire" route (d = 1) N = x, there is no
-    x~ (no axes, no model) and g~ = g(1).  Requested x node i reads the
-    node `nodes[i]` of the reduced mesh, scaled by `scale[i]`, broadcast
-    against nodes."""
+class _PriceRatio:
+    """The d = 1 gbm dual in rho = x1 / x2 that a d = 2 gbm dual with a
+    1-homogeneous payoff is: w(t, x1, x2, q) = x2 w~(t, x1 / x2, q / x2).
+    `nodes[i, j]` is the node of x1_i / x2_j on `axis`."""
 
-    route: str
-    model: Optional[MarketModel]
+    model: MarketModel
     payoff: Payoff
-    axes: tuple
+    axis: np.ndarray
     nodes: np.ndarray
-    scale: np.ndarray
     nu: float
     eps: float
 
 
-def _numeraire(model: MarketModel, payoff: Payoff, grid: GridSpec,
-               gx: np.ndarray) -> Optional[_Numeraire]:
-    """The problem in a numeraire's units (module docstring), or None where
-    neither route applies.  d = 2: a builtin gbm on x axes that are
-    log-uniform with one common log step, so that every x1_i / x2_j is a
-    node of one log-uniform rho axis; rho is a gbm with b~ = b1 - b2 +
-    |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), and the
-    deflator's part orthogonal to rho's noise, nu = |(s2 - theta) x (s1 -
-    s2)| / s~, smears like eps.  d = 1: a builtin gbm or bessel3, where the
-    deflated price Z X has the constant log-volatility nu = |s - b / s|
-    (gbm) or 0 (bessel3: Z X = x0), with g~ = g(1) > 0.  On both, g must be
-    1-homogeneous on the grid's mesh, g = N g~(x~) to rounding, with gx = g
-    on the mesh (w1 x1 + w2 x2 is, and c x1 in d = 1)."""
-    x = grid.x_axes
-    if model.kind == "gbm" and model.dim == 2:
-        ys = [np.log(ax) for ax in x]
-        step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
-        if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
-            return None
-        n1, n2 = (y.size for y in ys)
-        axes = (np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0], n1 + n2 - 1)),)
-        nodes = np.subtract.outer(np.arange(n1), np.arange(n2)) + (n2 - 1)
-        b, s = model.params["b"], model.params["s"]
-        # s is not singular, so its rows differ and s~ > 0
-        diff = s[0] - s[1]
-        s_rho = float(np.hypot(*diff))
-        v = s[1] - np.linalg.solve(s, b)
-        nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
-        reduced = builtin_model("gbm", b=float(b[0] - b[1] - diff @ s[1]), s=s_rho)
-        route = "price-ratio"
-    elif model.kind in ("gbm", "bessel3") and model.dim == 1:
-        axes, nodes, reduced = (), np.zeros(x[0].size, dtype=np.intp), None
-        nu = 0.0
-        if model.kind == "gbm":
-            b, s = float(model.params["b"][0]), float(model.params["s"][0, 0])
-            nu = abs(s - b / s)
-        route = "numeraire"
-    else:
+def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec,
+                 gx: np.ndarray) -> Optional[_PriceRatio]:
+    """The problem in the price ratio rho = x1 / x2 for a builtin d = 2 gbm
+    on x axes that are log-uniform with one common log step, so that every
+    x1_i / x2_j is a node of one log-uniform rho axis, with a payoff g that
+    is 1-homogeneous on the grid's mesh: g(x1_i, x2_j) = x2_j g~(x1_i /
+    x2_j) to rounding, for g~(rho) = g(rho, 1) and gx = g on the mesh (w1 x1
+    + w2 x2 is one).  None for any other input.  rho is a gbm with b~ = b1 -
+    b2 + |s2|^2 - s1.s2 and s~ = |s1 - s2| (s1, s2 the rows of s), the
+    payoff is g~, and the deflator's part orthogonal to rho's noise, nu =
+    |(s2 - theta) x (s1 - s2)| / s~, smears like eps: eps_eff = sqrt(eps^2
+    + nu^2)."""
+    if model.dim != 2 or model.kind != "gbm":
         return None
-    g = Payoff(lambda y: payoff(np.column_stack((y, np.ones(y.shape[0])))),
-               f"{payoff.name} per numeraire")
-    g_nodes = g(_mesh(axes))[nodes]
+    ys = [np.log(ax) for ax in grid.x_axes]
+    step = (ys[0][-1] - ys[0][0]) / (ys[0].size - 1)
+    if not all(np.allclose(np.diff(y), step, rtol=1e-9, atol=0.0) for y in ys):
+        return None
+    n1, n2 = (y.size for y in ys)
+    axis = np.exp(np.linspace(ys[0][0] - ys[1][-1], ys[0][-1] - ys[1][0], n1 + n2 - 1))
+    nodes = np.subtract.outer(np.arange(n1), np.arange(n2)) + (n2 - 1)
+    reduced = Payoff(lambda x: payoff(np.column_stack((x[:, 0], np.ones(x.shape[0])))),
+                     f"{payoff.name}(rho, 1)")
     # the tolerance of the step check: rho nodes sit within about 1e-9 of
     # the mesh's ratios
-    if not np.allclose(x[-1] * g_nodes, gx, rtol=1e-9, atol=0.0):
+    if not np.allclose(grid.x_axes[1] * reduced(axis[:, None])[nodes], gx,
+                       rtol=1e-9, atol=0.0):
         return None
-    if not axes and not g_nodes[0] > 0.0:
+    b, s = model.params["b"], model.params["s"]
+    # s is not singular, so its rows differ and s~ > 0
+    diff = s[0] - s[1]
+    s_rho = float(np.hypot(*diff))
+    b_rho = float(b[0] - b[1] - diff @ s[1])
+    v = s[1] - np.linalg.solve(s, b)
+    nu = abs(float(v[0] * diff[1] - v[1] * diff[0])) / s_rho
+    return _PriceRatio(builtin_model("gbm", b=b_rho, s=s_rho), reduced, axis, nodes, nu,
+                       math.hypot(grid.epsilon, nu))
+
+
+def _stock_numeraire(model: MarketModel, payoff: Payoff, x_axes,
+                     gx: np.ndarray) -> Optional[tuple]:
+    """(c, nu) for a builtin d = 1 gbm or bessel3 whose payoff is g = c x
+    with c = g(1) > 0 (to 1e-9 relative) on the x mesh the direct solve
+    steps, gx = g there, pad included: a payoff that bends beyond the
+    requested nodes, as min(x1, x_max) does, is not c x.  nu, the constant
+    log-volatility of the deflated price Z X, is |s - b / s| for gbm and 0
+    for bessel3 (Z X = x0).  None for any other input."""
+    if model.dim != 1 or model.kind not in ("gbm", "bessel3"):
         return None
-    return _Numeraire(route, reduced, g, axes, nodes, x[-1], nu, math.hypot(grid.epsilon, nu))
+    c = float(payoff(np.ones((1, 1)))[0])
+    if not (c > 0.0 and np.allclose(gx, c * x_axes[0], rtol=1e-9, atol=0.0)):
+        return None
+    if model.kind == "bessel3":
+        return c, 0.0
+    b, s = float(model.params["b"][0]), float(model.params["s"][0, 0])
+    return c, abs(s - b / s)
 
 
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
@@ -689,17 +711,19 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     1-homogeneous on the grid's mesh (w1 x1 + w2 x2 is one), takes the
     price-ratio route: the d = 1 dual of rho = x1 / x2, read back as w = x2
     w~(t, x1 / x2, q / x2); `pad` and `refine` then apply to the rho axis.
-    A builtin d = 1 gbm or bessel3 with g = c x, c > 0, on the requested x
-    nodes (linear_payoff() is one) takes the numeraire route: the dual on
-    the eta axis alone, read back as w = x f(t, q / x).  There is no x axis
-    to pad or refine there: the x parts of `pad` and `refine` are checked
-    and recorded but act on nothing, and their q and t parts act as
-    elsewhere.  Every other input (custom models among them) takes the
-    direct Douglas solve on (x, eta).
+    A builtin d = 1 gbm or bessel3 with g = c x, c > 0, on the x mesh the
+    direct solve would step, its pad included (linear_payoff() is one),
+    takes the numeraire route: the dual on the eta axis alone, read back as
+    w = x f(t, q / x).  There is no x axis to pad or refine there: the x
+    part of `pad` only sets the mesh that g is tested on, r_x divides the
+    x axis's mean log step that bounds the eta spacing, and both are
+    recorded; the q and t parts act as elsewhere.  Every other input
+    (custom models among them) takes the direct Douglas solve on (x, eta).
 
     pad : None for the default margin (quarter of the x range, or of the
         rho range, ~3/8 of the q range; no x margin on the direct d=2
-        solve or on the numeraire route), 0 to disable, or a pair
+        solve, and none recorded on the numeraire route, whose g is tested
+        on the direct d=1 solve's default margin), 0 to disable, or a pair
         (x_cells, q_cells) in units of the requested grid's spacing; each
         >= 0.
     refine : None for no refinement, an int, or a triple (r_x, r_q, r_t);
@@ -729,11 +753,11 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         raise ValueError("refinement factors must be >= 1")
 
     gx = payoff(_mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
-    numeraire = _numeraire(model, payoff, grid, gx)
-    if numeraire is None:
-        solved, axes, eps = (model, payoff), grid.x_axes, grid.epsilon
+    ratio = _price_ratio(model, payoff, grid, gx)
+    if ratio is None:
+        solved, g, axes, eps = model, payoff, grid.x_axes, grid.epsilon
     else:
-        solved, axes, eps = (numeraire.model, numeraire.payoff), numeraire.axes, numeraire.eps
+        solved, g, axes, eps = ratio.model, ratio.payoff, (ratio.axis,), ratio.eps
     if pad is None:
         px = axes[0].size // 4 if len(axes) == 1 else 0
         pq = (3 * grid.z.size) // 8
@@ -745,22 +769,41 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         raise ValueError("padding cells must be >= 0")
 
     q = grid.z
+    q_top = float(q[-1] + pq * (q[-1] - q[-2]))
     x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in axes)
+    g_int = g(_mesh(x_int)).reshape(tuple(ax.size for ax in x_int))
     n_eta = (q.size - 1) * rq + 1 + pq * rq
     restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
     rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
         tuple(ax.size for ax in x_int))[restrict]
     scale = 1.0
-    if numeraire is not None:
-        rows, scale = rows.ravel()[numeraire.nodes], numeraire.scale
-        # a target at N reads q / N, at q spacings that shrink as N grows,
-        # several to an eta cell of the q axis's count, where the cubic
-        # read breaks convexity in q near T (price ratio) or errs 2.0e-4 at
-        # x0 (numeraire, gbm); the reduced solve is cheap, so eta takes
-        # twice the cells
+    stock = _stock_numeraire(model, payoff, x_int, g_int) if ratio is None else None
+    if ratio is not None:
+        rows, scale, nu = rows[ratio.nodes], grid.x_axes[1], ratio.nu
+        # a target at x2 reads q / x2, at q spacings that shrink as x2
+        # grows, several to an eta cell of the q axis's count, where the
+        # cubic read breaks convexity in q near T; the rho solve is cheap,
+        # so eta takes twice the cells
         n_eta = 2 * n_eta - 1
-    q_top = float(q[-1] + pq * (q[-1] - q[-2]))
-    ws = _DualOperator(*solved, x_int, eps, rows, scale, q, q_top, n_eta, float(grid.dt) / rt)
+    elif stock is not None:
+        c, nu = stock
+        x = grid.x_axes[0]
+        # the one eta line spans the q axis and log(x_max / x_min), which
+        # the direct solve resolves on its x axis.  It takes twice the q
+        # axis's cells (at its count the gbm benchmark dual errs 2.0e-4 at
+        # x0), at most the refined x axis's mean log step apart (without
+        # that bound the heat-equation test's gbm erred 7.1e-4, its direct
+        # solve 3.2e-4), and no more nodes than the direct solve's state
+        log_x = math.log(x[-1] / x[0])
+        span = math.log(q_top / q[q > 0.0][0]) + log_x + _ETA_MARGIN
+        cells = math.ceil(span * (x.size - 1) * rx / log_x)
+        n_eta = max(2 * n_eta - 1, min(cells + 1, x_int[0].size * n_eta))
+        solved, eps, x_int, g_int = None, math.hypot(eps, nu), (), np.array(c)
+        rows, scale = np.zeros(x.size, dtype=np.intp), x
+        if pad is None:
+            px = 0
+    ws = _DualOperator(solved, g_int, x_int, eps, rows, scale, q, q_top, n_eta,
+                       float(grid.dt) / rt)
 
     values = np.empty(grid.shape)
     np.subtract(q, gx[..., None], out=values[-1])
@@ -788,10 +831,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
             "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,
             "pad": [px, pq], "refine": [rx, rq, rt], "scheme": "douglas-adi"}
-    if numeraire is None:
+    if ratio is None and stock is None:
         meta["route"] = "direct"
     else:
-        meta.update(route=numeraire.route, nu=numeraire.nu, epsilon_eff=numeraire.eps)
+        meta.update(route="price-ratio" if stock is None else "numeraire", nu=nu, epsilon_eff=eps)
     return Surface(grid, values, meta)
 
 

@@ -162,7 +162,7 @@ def test_verifier_memory_is_a_fraction_of_the_surface():
                    "the verifier on bessel3 (ROADMAP item 2)")
 def test_bessel3_pipeline_on_the_adi_benchmark_grid_passes_the_verifier():
     # the pde-adi bessel3 grid through the pipeline, on the numeraire
-    # route.  Measured: 32 313 of 162 370 checked nodes violate, max 10.55
+    # route.  Measured: 32 296 of 162 368 checked nodes violate, max 10.53
     # against tol 0.366, at (t 0.87, x 0.276, p 0.84) (the direct solve:
     # 32 501, max 10.58); the exact dual fails there as well
     model = builtin_model("bessel3")
