@@ -95,46 +95,52 @@ twice the cells of the padded q axis) instead of the Douglas solve on
 the d = 2 mesh.  The read-back is one map over targets, built
 once: each is a rho row, a q read at q / x2 (its eta shifted by log x2)
 and a factor x2, and reads w = x2 u~ + q.  The d = 1 read is the same
-map with the requested rows and a factor of 1.  Every other d = 2 input
-takes the direct solve: custom models (those with a constant (s s')^{-1}
-b), gbm on axes with different log steps, and payoffs that are not
-1-homogeneous.
+map with the requested rows and a factor of 1.  A payoff c x_k, which is
+1-homogeneous too, takes the numeraire route below instead.  Every other
+d = 2 input takes the direct solve: custom models (those with a constant
+(s s')^{-1} b), gbm on axes with different log steps, and payoffs that
+are not 1-homogeneous.
 
-The numeraire route, d = 1 (`_stock_numeraire`): the same change of
-numeraire with nothing left to take a ratio of.  For g = c x, the stock itself as numeraire
-gives w(t, x, q) = x f(t, q / x): substituted into the dual equation, the
-x-x, x-q and q-q terms collapse onto y = q / x, to
+The numeraire route, d <= 2 (`_stock_numeraire`): the same change of
+numeraire with nothing left to take a ratio of.  For g = c x_k, the
+stock k itself as numeraire gives w(t, x, q) = x_k f(t, q / x_k):
+substituted into the dual equation, the x_k-x_k, x_k-q and q-q terms
+collapse onto y = q / x_k, and no other x term is left, to
 
-    f_t + 1/2 y^2 ((s - theta)^2 + eps^2) f_yy = 0,   f(T, y) = (y - c)^+,
+    f_t + 1/2 y^2 (|s_k - theta|^2 + eps^2) f_yy = 0,   f(T, y) = (y - c)^+,
 
-with s the relative volatility.  Where s - theta is a constant nu, the
-log-volatility of the deflated price Z X, f is the dual with no x axis at
-eps_eff = sqrt(eps^2 + nu^2): for every builtin gbm, nu = |s - b / s|,
-and for bessel3, where s = theta = 1 / x and Z X = x0, nu = 0.  So a
-builtin gbm or bessel3 whose payoff is g = c x with c = g(1) > 0 (to
-1e-9 relative; linear_payoff() is one) on the x mesh the direct solve
-would step, its pad included, is solved on the eta axis alone, eta = log
-y; each target (x_i, q) reads that one line at q / x_i with factor x_i,
-through the same read map, every target's row being the line's.  The
-test takes the pad because the direct solve evaluates g there: min(x1,
-x_max) is x1 on the requested nodes, and the route would drop its cap.
-The line spans the q axis and log(x_max / x_min), which the direct solve
-resolves on its x axis, so it takes twice the cells of the padded q axis
-and at most the refined x axis's mean log step between nodes (no more
-nodes than the direct solve's state), and it is shifted by under a cell
-so that the terminal data's one kink, at eta = log c, sits mid-cell: on
-a node it erred 3-4 times more.  Every other d = 1 input takes the
-direct solve: custom models (the tests solve each builtin's custom twin
-there), and payoffs that are not c x.
+with s_k the k-th row of the relative volatility.  Where |s_k - theta| is
+a constant nu, the log-volatility of the deflated price Z X_k, f is the
+dual with no x axis at eps_eff = sqrt(eps^2 + nu^2): for every builtin
+gbm (|s - b / s| in d = 1), and for bessel3, where s = theta = 1 / x and
+Z X = x0, nu = 0.  So a builtin gbm or bessel3 whose payoff is g = c x_k
+with c = g(e_k) > 0 (to 1e-9 relative; linear_payoff() and
+linear_payoff([0, 2]) are such) on the x mesh the direct solve would
+step, its pad included, is solved on the eta axis alone, eta = log y;
+each target (x, q) reads that one line at q / x_k with factor x_k,
+through the same read map, every target's row being the line's.  In d =
+2 the read runs on the targets of the x_k axis alone, into one line of a
+level that is then repeated along the other x axis, so the two axes need
+no common log step.  The test takes the pad because the direct solve
+evaluates g there: min(x1, x_max) is x1 on the requested nodes, and the
+route would drop its cap.  The line spans the q axis and log(x_max /
+x_min) of the x_k axis, which the direct solve resolves on that axis, so
+it takes twice the cells of the padded q axis and at most the refined x_k
+axis's mean log step between nodes (no more nodes than the direct
+solve's state), and it is shifted by under a cell so that the terminal
+data's one kink, at eta = log c, sits mid-cell: on a node it erred 3-4
+times more.  Every other input takes the direct solve or, in d = 2, the
+price ratio: custom models (the tests solve each builtin's custom twin
+there), and payoffs that are not c x_k.
 
 f also has a closed form, the lognormal one that oracles.gbm_dual_smeared
 and bessel_dual_smeared evaluate; the route solves it numerically all the
 same.  Those closed forms are what the solver is checked against, by the
 tests and by the benchmark's accuracy metrics on its gbm and bessel3
-workloads, and these builtins with g = c x are the only inputs that have
-one: evaluating it on the route would leave those checks comparing the
-oracle with itself, where they now measure the scheme every other input
-is solved with.
+workloads, and these builtins with g = c x_k are the only inputs that
+have one: evaluating it on the route would leave those checks comparing
+the oracle with itself, where they now measure the scheme every other
+input is solved with.
 
 Memory: beyond the surface it returns, the solve holds the state, which
 each substep updates in place, -q on the state's nodes, one increment of
@@ -146,18 +152,21 @@ their bands' shape, one value per line broadcast over the eta lanes,
 except in d = 1 (see `_factor`).  The explicit pass and the read-back work
 one slab of the first x axis at a time, as many rows as keep one slab
 array within _SLAB_BYTES (at least one), and the read-back's slabs reuse
-the memory of the increment.  On the d = 2 benchmark grid (48^2 x, 64 q)
-the price-ratio route peaks 8.2 MiB above its 36.0 MiB surface
-(tracemalloc): 4.6 MiB of read-back data for its 48^2 x 63 targets, 1.8
-MiB in its eight read slabs, and its (141 rho, 175 eta) state, 0.19 MiB
-each, with the sweeps.  The direct solve of a custom model with the same
-coefficients peaks 15.5 MiB above the surface there.  On the numeraire
-route the state, -q, the increment and the sweep's factors are one eta
-line each (671 nodes on the pipeline grid, 128 x, 128 q), and the
-working set is the read-back's: there the solve peaks 1.70 MiB above its
-8.0 MiB surface, 0.51 MiB of read data for its 128 x 127 targets and 0.99
-MiB in its eight read slabs, where the direct solve of the gbm's custom
-twin peaks 3.87 MiB above it.
+the memory of the increment.  On the numeraire route the state, -q, the
+increment and the sweep's factors are one eta line each (671 nodes on
+the pipeline grid, 128 x, 128 q), and the working set is the read-back's:
+there the solve peaks 1.70 MiB above its 8.0 MiB surface, 0.51 MiB of
+read data for its 128 x 127 targets and 0.99 MiB in its eight read slabs,
+where the direct solve of the gbm's custom twin peaks 3.87 MiB above it.
+On the d = 2 benchmark grid (48^2 x, 64 q) the numeraire route, g = x1,
+peaks 0.47 MiB above its 36.0 MiB surface (tracemalloc): 0.10 MiB of
+read data for the 48 x 63 targets of the x1 axis, 0.18 MiB in its eight
+read slabs, its one (48, 64) line and a 226-node eta line.  The
+price-ratio route, for the market portfolio there, peaks 8.2 MiB above
+it: 4.6 MiB of read data for its 48^2 x 63 targets, 1.8 MiB in its eight
+read slabs, and its (141 rho, 175 eta) state, 0.19 MiB each, with the
+sweeps.  The direct solve of a custom model with the same coefficients
+peaks 15.5 MiB above the surface there.
 """
 from __future__ import annotations
 
@@ -175,7 +184,7 @@ from .errors import (
     DomainMismatch,
     Nonfinite,
 )
-from .market import MarketModel, Payoff, builtin_model
+from .market import MarketModel, Payoff, builtin_model, theta_from
 from .surfaces import GridSpec, Surface
 
 
@@ -305,10 +314,10 @@ class _DualOperator:
     the numeraire routes: a multiply by 1 and a shift by log 1 = 0 are
     exact.
 
-    With zero x axes (the numeraire route, d = 1) there is no model, gx is
-    the 0-d c of g = c x and phi = 0: the state is one eta line, the
-    operator is eta's bands, edges and stencil, its one sweep solves one
-    line, the explicit pass is one slab, and every target reads row 0."""
+    With zero x axes (the numeraire route) there is no model, gx is the
+    0-d c of g = c x_k and phi = 0: the state is one eta line, the operator
+    is eta's bands, edges and stencil, its one sweep solves one line, the
+    explicit pass is one slab, and every target reads row 0."""
 
     def __init__(self, model: Optional[MarketModel], gx: np.ndarray, x_axes, eps: float,
                  rows: np.ndarray, scale, q: np.ndarray, q_top: float, n_eta: int,
@@ -676,21 +685,32 @@ def _price_ratio(model: MarketModel, payoff: Payoff, grid: GridSpec,
 
 def _stock_numeraire(model: MarketModel, payoff: Payoff, x_axes,
                      gx: np.ndarray) -> Optional[tuple]:
-    """(c, nu) for a builtin d = 1 gbm or bessel3 whose payoff is g = c x
-    with c = g(1) > 0 (to 1e-9 relative) on the x mesh the direct solve
-    steps, gx = g there, pad included: a payoff that bends beyond the
-    requested nodes, as min(x1, x_max) does, is not c x.  nu, the constant
-    log-volatility of the deflated price Z X, is |s - b / s| for gbm and 0
-    for bessel3 (Z X = x0).  None for any other input."""
-    if model.dim != 1 or model.kind not in ("gbm", "bessel3"):
+    """(k, c, nu) for a builtin gbm (d <= 2) or bessel3 whose payoff is g =
+    c x_k, the stock on x axis k, with c = g(e_k) > 0 (to 1e-9 relative)
+    on the x mesh the direct solve steps, gx = g there, pad included: a
+    payoff that bends beyond the requested nodes, as min(x1, x_max) does,
+    is not c x1.  nu, the constant log-volatility of the deflated price Z
+    X_k, is |s_k - theta| for gbm (s_k the k-th row of s; |s - b / s| in d
+    = 1) and 0 for bessel3 (Z X = x0).  None for any other input."""
+    if model.kind not in ("gbm", "bessel3"):
         return None
-    c = float(payoff(np.ones((1, 1)))[0])
-    if not (c > 0.0 and np.allclose(gx, c * x_axes[0], rtol=1e-9, atol=0.0)):
+    d = model.dim
+    for k, x in enumerate(x_axes):
+        unit = np.zeros((1, d))
+        unit[0, k] = 1.0
+        # g at e_k may leave its domain (log(x2) at x2 = 0): that is no c
+        with np.errstate(all="ignore"):
+            c = float(payoff(unit)[0])
+        if c > 0.0 and np.allclose(gx, c * _along(x, k, d), rtol=1e-9, atol=0.0):
+            break
+    else:
         return None
     if model.kind == "bessel3":
-        return c, 0.0
-    b, s = float(model.params["b"][0]), float(model.params["s"][0, 0])
-    return c, abs(s - b / s)
+        return k, c, 0.0
+    b, s = model.params["b"], model.params["s"]
+    # b / s in d = 1, bit for bit; the norm of one value is its size
+    theta = theta_from(s[None], b[None], model.name)[0]
+    return k, c, float(np.linalg.norm(s[k] - theta))
 
 
 def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
@@ -705,25 +725,27 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     nodes.  Requested x nodes stay on the internal mesh exactly.  The
     first _RANNACHER_STEPS steps are each two implicit Euler half steps.
 
-    Two inputs take a numeraire's route (module docstring).  A builtin d =
-    2 gbm on x axes that are log-uniform with one common log step
-    (GridSpec.regular with equal x axes), with a payoff that is
-    1-homogeneous on the grid's mesh (w1 x1 + w2 x2 is one), takes the
-    price-ratio route: the d = 1 dual of rho = x1 / x2, read back as w = x2
-    w~(t, x1 / x2, q / x2); `pad` and `refine` then apply to the rho axis.
-    A builtin d = 1 gbm or bessel3 with g = c x, c > 0, on the x mesh the
-    direct solve would step, its pad included (linear_payoff() is one),
-    takes the numeraire route: the dual on the eta axis alone, read back as
-    w = x f(t, q / x).  There is no x axis to pad or refine there: the x
-    part of `pad` only sets the mesh that g is tested on, r_x divides the
-    x axis's mean log step that bounds the eta spacing, and both are
-    recorded; the q and t parts act as elsewhere.  Every other input
+    Two kinds of input take a numeraire's route (module docstring), chosen
+    by what the model and g are.  A builtin gbm (d <= 2) or bessel3 with g
+    = c x_k, c > 0, on the x mesh the direct solve would step, its pad
+    included (linear_payoff() and linear_payoff([0, 2]) are such), takes
+    the numeraire route: the dual on the eta axis alone, read back as w =
+    x_k f(t, q / x_k), in d = 2 on the x_k axis and repeated along the
+    other.  There is no x axis to pad or refine there: the x part of `pad`
+    only sets the mesh that g is tested on, r_x divides the x_k axis's
+    mean log step that bounds the eta spacing, and both are recorded; the
+    q and t parts act as elsewhere.  Any other builtin d = 2 gbm on x axes
+    that are log-uniform with one common log step (GridSpec.regular with
+    equal x axes), with a payoff that is 1-homogeneous on the grid's mesh
+    (the market portfolio x1 + x2 is one), takes the price-ratio route:
+    the d = 1 dual of rho = x1 / x2, read back as w = x2 w~(t, x1 / x2, q /
+    x2); `pad` and `refine` then apply to the rho axis.  Every other input
     (custom models among them) takes the direct Douglas solve on (x, eta).
 
     pad : None for the default margin (quarter of the x range, or of the
         rho range, ~3/8 of the q range; no x margin on the direct d=2
         solve, and none recorded on the numeraire route, whose g is tested
-        on the direct d=1 solve's default margin), 0 to disable, or a pair
+        on the direct solve's default margin), 0 to disable, or a pair
         (x_cells, q_cells) in units of the requested grid's spacing; each
         >= 0.
     refine : None for no refinement, an int, or a triple (r_x, r_q, r_t);
@@ -731,8 +753,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 
     meta: kind, model, payoff, epsilon, substeps, rannacher_steps, pad
     and refine (as applied), scheme, and "route": "direct", "price-ratio"
-    (d = 2) or "numeraire" (d = 1); on a route also "nu" and
-    "epsilon_eff".
+    (d = 2) or "numeraire"; on a route also "nu" and "epsilon_eff".
     """
     if model.dim > 2:
         raise DimensionUnsupported(f"finite differences support d <= 2, got d={model.dim}")
@@ -752,32 +773,44 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     if min(rx, rq, rt) < 1:
         raise ValueError("refinement factors must be >= 1")
 
-    gx = payoff(_mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
-    ratio = _price_ratio(model, payoff, grid, gx)
-    if ratio is None:
-        solved, g, axes, eps = model, payoff, grid.x_axes, grid.epsilon
-    else:
-        solved, g, axes, eps = ratio.model, ratio.payoff, (ratio.axis,), ratio.eps
     if pad is None:
-        px = axes[0].size // 4 if len(axes) == 1 else 0
-        pq = (3 * grid.z.size) // 8
+        x_cells, pq = None, (3 * grid.z.size) // 8
     elif np.isscalar(pad):
-        px = pq = int(pad)
+        x_cells = pq = int(pad)
     else:
-        px, pq = (int(v) for v in pad)
-    if min(px, pq) < 0:
+        x_cells, pq = (int(v) for v in pad)
+    if min(pq, x_cells or 0) < 0:
         raise ValueError("padding cells must be >= 0")
+
+    def solve_mesh(axes, g):
+        """The x pad, the x axes the direct solve steps for these requested
+        ones (refined, then padded: by default by a quarter of a d = 1 axis,
+        not in d = 2) and g on their mesh."""
+        px = (axes[0].size // 4 if len(axes) == 1 else 0) if x_cells is None else x_cells
+        x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in axes)
+        return px, x_int, g(_mesh(x_int)).reshape(tuple(ax.size for ax in x_int))
+
+    gx = payoff(_mesh(grid.x_axes)).reshape(tuple(ax.size for ax in grid.x_axes))
+    solved, axes, eps = model, grid.x_axes, grid.epsilon
+    px, x_int, g_int = solve_mesh(axes, payoff)
+    stock = _stock_numeraire(model, payoff, x_int, g_int)
+    ratio = None if stock else _price_ratio(model, payoff, grid, gx)
+    if ratio is not None:
+        solved, axes, eps = ratio.model, (ratio.axis,), ratio.eps
+        px, x_int, g_int = solve_mesh(axes, ratio.payoff)
+    elif stock is not None and pad is None:
+        # the route's default x pad only sets the mesh g is tested on: it
+        # is not recorded
+        px = 0
 
     q = grid.z
     q_top = float(q[-1] + pq * (q[-1] - q[-2]))
-    x_int = tuple(_pad_geometric(_refine_axis(ax, rx), px * rx) for ax in axes)
-    g_int = g(_mesh(x_int)).reshape(tuple(ax.size for ax in x_int))
     n_eta = (q.size - 1) * rq + 1 + pq * rq
-    restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
-    rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
-        tuple(ax.size for ax in x_int))[restrict]
-    scale = 1.0
-    stock = _stock_numeraire(model, payoff, x_int, g_int) if ratio is None else None
+    if stock is None:
+        restrict = tuple(slice(px * rx, px * rx + (ax.size - 1) * rx + 1, rx) for ax in axes)
+        rows = np.arange(math.prod(ax.size for ax in x_int)).reshape(
+            tuple(ax.size for ax in x_int))[restrict]
+        scale = 1.0
     if ratio is not None:
         rows, scale, nu = rows[ratio.nodes], grid.x_axes[1], ratio.nu
         # a target at x2 reads q / x2, at q spacings that shrink as x2
@@ -786,26 +819,32 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         # so eta takes twice the cells
         n_eta = 2 * n_eta - 1
     elif stock is not None:
-        c, nu = stock
-        x = grid.x_axes[0]
+        k_x, c, nu = stock
+        x = grid.x_axes[k_x]
         # the one eta line spans the q axis and log(x_max / x_min), which
-        # the direct solve resolves on its x axis.  It takes twice the q
+        # the direct solve resolves on its x_k axis.  It takes twice the q
         # axis's cells (at its count the gbm benchmark dual errs 2.0e-4 at
-        # x0), at most the refined x axis's mean log step apart (without
+        # x0), at most the refined x_k axis's mean log step apart (without
         # that bound the heat-equation test's gbm erred 7.1e-4, its direct
         # solve 3.2e-4), and no more nodes than the direct solve's state
         log_x = math.log(x[-1] / x[0])
         span = math.log(q_top / q[q > 0.0][0]) + log_x + _ETA_MARGIN
         cells = math.ceil(span * (x.size - 1) * rx / log_x)
-        n_eta = max(2 * n_eta - 1, min(cells + 1, x_int[0].size * n_eta))
+        n_eta = max(2 * n_eta - 1, min(cells + 1, g_int.size * n_eta))
         solved, eps, x_int, g_int = None, math.hypot(eps, nu), (), np.array(c)
+        # every target on the x_k axis reads the one line
         rows, scale = np.zeros(x.size, dtype=np.intp), x
-        if pad is None:
-            px = 0
     ws = _DualOperator(solved, g_int, x_int, eps, rows, scale, q, q_top, n_eta,
                        float(grid.dt) / rt)
 
     values = np.empty(grid.shape)
+    line = None
+    if stock is not None and grid.dim == 2:
+        # the targets read are those of the x_k axis, into one line of a
+        # level, which then repeats along the other x axis.  Not into the
+        # level's first row: numpy copies a source that interleaves its
+        # target, a level-sized temporary (2.0 MiB on 64^2 x)
+        line = np.empty((x.size, q.size))
     np.subtract(q, gx[..., None], out=values[-1])
     np.maximum(values[-1], 0.0, out=values[-1])
     # (q - g(x))^+ - q = max(-q, -g(x))
@@ -826,7 +865,11 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         # the projection clips are restored
         np.maximum(W, ws.neg_q, out=W)
         ws.apply_bc(W)
-        ws.read(W, values[k])
+        if line is None:
+            ws.read(W, values[k])
+        else:
+            ws.read(W, line)
+            values[k] = np.expand_dims(line, 1 - k_x)
 
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
             "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,

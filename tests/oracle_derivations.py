@@ -498,6 +498,42 @@ for p in (0.5, 0.9, 1.0):
     check(f"U({p}) MC lowest-Z p-mass (n=2e6, seed 20240817)", zp.mean(), formula, 4 * se)
     print(f"    U({p}) = {formula!r}  a = {a!r}")
 
+# ---------------------------------------------------------------------------
+# 13. the d=2 gbm dual of g = x_k on the stock itself (pde._stock_numeraire).
+#     Z X_k = x_k exp((s_k - theta).W_tau - |s_k - theta|^2 tau / 2): the
+#     drift b_k - s_k.theta is 0, so Z X_k is lognormal with log-volatility
+#     v_k = |s_k - theta| whatever the other stock does, and
+#       E[(q L - Z X_k)^+] = x_k smeared(1, q/x_k; 0, v_k, eps)
+#                          = x_k put(1, q/x_k, eps_eff sqrt(tau)),
+#     eps_eff^2 = eps^2 + v_k^2: the eta-only dual f at eps_eff, which is
+#     that of the d=1 gbm(b = 0, s = v_k).  Brute force: as in block 11, the
+#     2-d Gauss-Hermite quadrature over the two Brownian motions, for k = 1
+#     and k = 2 (block 11 has k = 1 only, through rho).
+# ---------------------------------------------------------------------------
+print("== d=2 gbm dual on the stock itself ==")
+
+for label, sm in (("diagonal", np.diag([0.3, 0.25])), ("full", np.array([[0.3, 0.1], [0.0, 0.25]]))):
+    bv = np.array([0.05, 0.03])
+    th = np.linalg.solve(sm, bv)
+    ev, tau = 0.2, 1.0
+    w1, w2 = np.meshgrid(gh_z, gh_z, indexing="ij")
+    for k in (0, 1):
+        u = sm[k] - th
+        vk = np.linalg.norm(u)
+        check(f"{label}, k = {k + 1}: drift of Z X_k, b_k - s_k.theta", bv[k] - sm[k] @ th, 0.0,
+              1e-15)
+        print(f"    {label}, k = {k + 1}: v_k = {vk!r}, eps_eff = {np.hypot(ev, vk)!r}")
+        for x1, x2, q in ((1.0, 1.0, 1.2), (0.6, 1.7, 0.9), (1.9, 0.55, 2.5)):
+            xk = (x1, x2)[k]
+            want = xk * smeared(1.0, q / xk, 0.0, vk, tau, ev)
+            check(f"{label}, k = {k + 1}: smeared = put at eps_eff at {(x1, x2, q)}",
+                  xk * put_formula(1.0, q / xk, np.hypot(ev, vk) * np.sqrt(tau)), want, 1e-15)
+            m = xk * np.exp(np.sqrt(tau) * (u[0] * w1 + u[1] * w2) - 0.5 * vk * vk * tau)
+            inner = np.vectorize(lambda mm: put_formula(mm, q, ev * np.sqrt(tau)))(m)
+            brute = float((gh_w[:, None] * gh_w[None, :] * inner).sum())
+            check(f"{label}, k = {k + 1}: 2-d quadrature = x_k smeared(1, q/x_k) at {(x1, x2, q)}",
+                  brute, want, 1e-9)
+
 print()
 print(f"passed {OK['pass']}  failed {OK['fail']}")
 raise SystemExit(0 if OK["fail"] == 0 else 1)

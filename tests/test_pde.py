@@ -107,28 +107,32 @@ def test_one_substep_and_no_warning_on_default_grids():
     # the radial model's x-q correlation 1/sqrt(1 + eps^2 x^2) approaches 1
     # at small x; in characteristic coordinates there is no x-eta term, so
     # this grid, which used to need x8 substeps, takes one like any other.
-    # Each builtin takes a numeraire route (d = 1: the eta axis alone; d =
-    # 2: the price ratio), its custom twin, with the same coefficients, the
-    # direct Douglas solve
+    # Each builtin takes a numeraire route (g = x1, in d = 1 and d = 2: the
+    # eta axis alone; the market portfolio in d = 2: the price ratio), its
+    # custom twin, with the same coefficients, the direct Douglas solve
     bessel3, gbm = builtin_model("bessel3"), builtin_model("gbm", b=0.05, s=0.3)
     d2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]])
+    d2_grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
+                               z_max=6.0, epsilon=0.2)
     cases = [
-        (bessel3, radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0)),
-        (bessel3, GridSpec.regular(0.0, 1.0, 8, 0.25, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)),
-        (gbm, radial_grid(eps=0.2)),
-        (d2, GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [10, 10], 12, "q",
-                              z_max=6.0, epsilon=0.2)),
+        (bessel3, linear_payoff(),
+         radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0)),
+        (bessel3, linear_payoff(),
+         GridSpec.regular(0.0, 1.0, 8, 0.25, 2.0, 16, 16, "q", z_max=8.0, epsilon=0.2)),
+        (gbm, linear_payoff(), radial_grid(eps=0.2)),
+        (d2, linear_payoff(), d2_grid),
+        (d2, linear_payoff([1.0, 1.0]), d2_grid),
     ]
     routes = []
-    for model, grid in cases:
+    for model, payoff, grid in cases:
         for solved in (model, custom_twin(model)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                surf = pde.solve_dual_pde(solved, linear_payoff(), grid)
+                surf = pde.solve_dual_pde(solved, payoff, grid)
             assert surf.meta["substeps"] == 1
             assert np.all(np.isfinite(surf.values))
             routes.append(surf.meta["route"])
-    assert routes == ["numeraire", "direct"] * 3 + ["price-ratio", "direct"]
+    assert routes == ["numeraire", "direct"] * 4 + ["price-ratio", "direct"]
 
 
 def test_no_substeps_for_mild_correlation():
@@ -307,10 +311,11 @@ def test_custom_d2_state_dependent_model_is_unsupported():
 
 def sweep_cases():
     """The custom twin of bessel3 on a d=1 grid that used to need x8
-    substeps, a d=2 gbm grid with a full volatility matrix (so the x1-x2
-    term is live) and unequal x axes, and the eta axis alone: a d=1 gbm
-    with g = x1 on the numeraire route, where nu = 0.133 smears eta too."""
-    d2 = builtin_model("gbm", b=[0.05, 0.03], s=[[0.3, 0.1], [0.0, 0.25]])
+    substeps, the custom twin of a d=2 gbm with a full volatility matrix
+    (so the x1-x2 term is live) on unequal x axes, where the gbm itself
+    would take the numeraire route, and the eta axis alone: a d=1 gbm with
+    g = x1 on the numeraire route, where nu = 0.133 smears eta too."""
+    d2 = gbm_twin([0.05, 0.03], [[0.3, 0.1], [0.0, 0.25]])
     return [
         (custom_twin(builtin_model("bessel3")), linear_payoff(),
          radial_grid(n_t=6, n_x=16, n_z=16, eps=0.1, x_min=0.25, x_max=4.0), {}),
@@ -337,6 +342,12 @@ def test_factored_sweeps_match_the_per_node_reference(monkeypatch, case):
     assert np.abs(got.values - want.values).max() <= 1e-11
 
 
+def drift_dominated_grid(n_t):
+    """64 x in [0.5, 2], 64 q in [0, 8] at eps 0.05, where the gbm (b 0.5,
+    s 0.1) has b / s^2 = 50."""
+    return radial_grid(n_t=n_t, n_x=64, n_z=64, eps=0.05, x_min=0.5, x_max=2.0, z_max=8.0)
+
+
 @pytest.mark.parametrize("n_t, dominant", [(8, True), (7, False)])
 def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n_t, dominant):
     # at b/s^2 = 50 and eps = 0.05 the eta drift outweighs its diffusion:
@@ -344,12 +355,12 @@ def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n
     # slack of only 6e-4, with 7 they lose it, where the kernel, which does
     # not pivot, is no longer backed by dominance.  It must then match the
     # reference, which pivots, or raise; never return a surface of its own.
-    # The surfaces themselves break w <= q on this grid (up to 1.2e3 and
-    # 1.9e4), so the 1e-11 is taken relative to their size.  The direct
+    # The surfaces themselves break w <= q on this grid (by up to 4.6 and
+    # 4.9), so the 1e-11 is taken relative to their size.  The direct
     # solve, on the custom twin of the gbm: on the numeraire route the
     # drift is folded into eps_eff = 4.9, and eta has no such drift
     model = custom_twin(builtin_model("gbm", b=0.5, s=0.1))
-    grid = radial_grid(n_t=n_t, n_x=64, n_z=64, eps=0.05, x_min=0.5, x_max=2.0, z_max=8.0)
+    grid = drift_dominated_grid(n_t)
     slack = []
     factor_lines = _kernels.factor_lines
 
@@ -372,6 +383,35 @@ def test_drift_dominated_eta_sweep_matches_the_pivoting_reference(monkeypatch, n
     want = pde.solve_dual_pde(model, linear_payoff(), grid)
     scale = max(1.0, np.abs(want.values).max())
     assert np.abs(got.values - want.values).max() <= 1e-11 * scale
+
+
+def nodes_above_q(model, n_ts=(8, 16, 32, 64)):
+    """The nodes with w > q of the drift-dominated dual at each n_t."""
+    counts = []
+    for n_t in n_ts:
+        grid = drift_dominated_grid(n_t)
+        counts.append(int(np.count_nonzero(
+            pde.solve_dual_pde(model, linear_payoff(), grid).values > grid.z)))
+    return counts
+
+
+def test_drift_dominated_gbm_keeps_w_at_most_q_on_the_numeraire_route():
+    # the builtin gbm takes the numeraire route, whose one eta line has no
+    # drift: b and s enter through eps_eff = 4.9 alone.  Measured: 0 nodes
+    # with w > q at n_t 8, 16, 32 and 64
+    model = builtin_model("gbm", b=0.5, s=0.1)
+    assert pde.solve_dual_pde(model, linear_payoff(),
+                              drift_dominated_grid(8)).meta["route"] == "numeraire"
+    assert nodes_above_q(model) == [0, 0, 0, 0]
+
+
+@pytest.mark.xfail(strict=True, reason="the direct solve's central eta drift outweighs its "
+                   "diffusion and leaves w > q (ROADMAP item 5)")
+def test_drift_dominated_custom_twin_keeps_w_at_most_q():
+    # the same problem on the direct solve, whose eta drift is a central
+    # difference, monotone only while |ce1| <= ce2.  Measured: 182, 366,
+    # 466 and 502 nodes with w > q at n_t 8, 16, 32 and 64, by up to 4.6
+    assert nodes_above_q(custom_twin(builtin_model("gbm", b=0.5, s=0.1))) == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("case", range(3), ids=SWEEP_IDS)
@@ -591,15 +631,16 @@ def test_d2_solve_memory_is_bounded_by_its_buffers(monkeypatch):
 
 
 def test_routed_d2_solve_memory_is_its_targets_read_data_and_rho_states(monkeypatch):
-    # the price-ratio route on the grid above holds no state on the d=2
-    # mesh (the direct solve's is 8.4 rho states W here).  Beyond the
-    # surface: per target (24^2 x nodes times 31 q > 0) the read-back's
-    # index, offset and two bounds, 8 B each, and a flag, 1 B; and in rho
-    # states W (69 rho x 87 eta): the state and -q, 2; the increment and
-    # its eta-first copy, 2, which the eight one-row read slabs (1.0 W)
-    # share; the rho and eta sweeps' factors, 3 each (d = 1 keeps the rho
-    # factors' lanes); numpy's iterator buffers for the eta-first add,
-    # about 190 kB, 4 W.  That is 14 W; measured 14.05 W
+    # the price-ratio route, for the market portfolio g = x1 + x2 on the
+    # grid above, holds no state on the d=2 mesh (the direct solve's is
+    # 8.4 rho states W here).  Beyond the surface: per target (24^2 x
+    # nodes times 31 q > 0) the read-back's index, offset and two bounds,
+    # 8 B each, and a flag, 1 B; and in rho states W (69 rho x 87 eta): the
+    # state and -q, 2; the increment and its eta-first copy, 2, which the
+    # eight one-row read slabs (1.0 W) share; the rho and eta sweeps'
+    # factors, 3 each (d = 1 keeps the rho factors' lanes); numpy's
+    # iterator buffers for the eta-first add, about 190 kB, 4 W.  That is
+    # 14 W; measured 14.07 W
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
     model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
@@ -612,11 +653,31 @@ def test_routed_d2_solve_memory_is_its_targets_read_data_and_rho_states(monkeypa
         apply_bc(op, W)
 
     monkeypatch.setattr(pde._DualOperator, "apply_bc", record)
-    surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(), grid)
+    surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff([1.0, 1.0]), grid)
     assert surf.meta["route"] == "price-ratio"
     assert states[0] == 8 * 69 * 87
     targets = 24 * 24 * 31
     assert peak - surf.values.nbytes <= 33 * targets + 15 * states[0]
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.0], [0.0, 2.0]])
+def test_numeraire_d2_solve_memory_is_the_surface_and_one_axis_of_targets(monkeypatch, weights):
+    # g = x1 (or 2 x2) on the grid above takes the numeraire route: one eta
+    # line (99 nodes), and the targets of the stock's axis alone, 24 x
+    # nodes times 31 q > 0, read into one line of a level that repeats
+    # along the other axis.  Beyond the surface: per such target the
+    # read-back's data, 33 B; the line, 8 B per (x, q) node; numpy's
+    # iterator buffers for the terminal level, 130 kB whatever the size;
+    # the eta line's states and g on the x mesh, under 20 kB.  Measured
+    # 182 kB (the price-ratio route: 1.26 MB); the bound allows 170 kB
+    # for what does not grow with the targets
+    monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
+    model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
+    grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
+                            z_max=6.0, epsilon=0.2)
+    surf, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff(weights), grid)
+    assert surf.meta["route"] == "numeraire"
+    assert peak - surf.values.nbytes <= 33 * 24 * 31 + 8 * 24 * 32 + 170_000
 
 
 def test_refinement_and_padding_controls():
@@ -778,13 +839,13 @@ def test_default_residual_tol_scales_with_grid():
 def test_d2_lift_matches_d1():
     # a second stock with no drift, independent of the first and absent
     # from the payoff, leaves the d=1 problem unchanged at every x2.  Both
-    # solves are direct: the d=2 x axes have different log steps, and the
-    # d=1 model is the custom twin of the gbm
+    # solves are direct, on the custom twins of the gbms: the builtins
+    # take the numeraire route
     g1 = GridSpec.regular(0.0, 1.0, 10, 0.5, 2.0, 16, 32, "q", z_max=4.0, epsilon=0.2)
     x2 = np.exp(np.linspace(np.log(0.6), np.log(1.8), 12))
     g2 = GridSpec(g1.t, (g1.x_axes[0], x2), g1.z, "q", g1.epsilon)
     m1 = custom_twin(builtin_model("gbm", b=0.05, s=0.3))
-    m2 = builtin_model("gbm", b=[0.05, 0.0], s=[[0.3, 0.0], [0.0, 0.25]])
+    m2 = gbm_twin([0.05, 0.0], [[0.3, 0.0], [0.0, 0.25]])
     payoff = linear_payoff()
     dual1 = pde.solve_dual_pde(m1, payoff, g1, pad=0)
     dual2 = pde.solve_dual_pde(m2, payoff, g2, pad=0)
@@ -809,17 +870,19 @@ def test_d2_lift_matches_d1():
 
 
 def test_d2_default_surface_is_nonnegative_and_a_supersolution():
-    # the d=2 gbm grid of the pde-adi benchmark at the default pad.  The gbm
-    # takes the price ratio, whose read-back is clamped at 0; its custom
-    # twin takes the direct solve, whose projection clips the x edges,
-    # apply_bc restores them and the read-back is clamped at 0.  On both no
-    # w < 0 is read and the primal passes the verifier
+    # the d=2 gbm grid of the pde-adi benchmark at the default pad.  For g
+    # = x1 the gbm takes the numeraire route and the market portfolio the
+    # price ratio, whose read-backs are clamped at 0; the custom twin takes
+    # the direct solve, whose projection clips the x edges, apply_bc
+    # restores them and the read-back is clamped at 0.  On each no w < 0 is
+    # read and the primal passes the verifier
     b, s = [0.05, 0.03], [[0.3, 0.0], [0.0, 0.25]]
-    payoff = linear_payoff([1.0, 0.0])
     grid = GridSpec.regular(0.0, 1.0, 32, [0.5, 0.5], [2.0, 2.0], [48, 48], 64, "q",
                             z_max=6.0, epsilon=0.2)
-    for route, model in (("price-ratio", builtin_model("gbm", b=b, s=s)),
-                         ("direct", gbm_twin(b, s))):
+    gbm = builtin_model("gbm", b=b, s=s)
+    for route, model, payoff in (("numeraire", gbm, linear_payoff([1.0, 0.0])),
+                                 ("price-ratio", gbm, linear_payoff([1.0, 1.0])),
+                                 ("direct", gbm_twin(b, s), linear_payoff([1.0, 0.0]))):
         surf = pde.solve_dual_pde(model, payoff, grid)
         assert surf.meta["route"] == route
         assert surf.values.min() >= 0.0
@@ -830,8 +893,9 @@ def test_d2_default_surface_is_nonnegative_and_a_supersolution():
 def test_d2_full_matrix_matches_closed_form():
     # the x1-x2 mixed term: with a full volatility matrix Z X1 is
     # lognormal with log-volatility |s[0] - theta|, whatever x2 is.  The
-    # gbm takes the price ratio (measured 2.61e-4), its custom twin the
-    # direct solve with its mixed term (measured 9.58e-4)
+    # gbm takes the numeraire route (measured 1.97e-4; the price ratio
+    # 2.61e-4), its custom twin the direct solve with its mixed term
+    # (measured 9.58e-4)
     s = np.array([[0.3, 0.1], [0.0, 0.25]])
     b = np.array([0.05, 0.03])
     grid = GridSpec.regular(0.0, 1.0, 16, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
@@ -840,7 +904,7 @@ def test_d2_full_matrix_matches_closed_form():
     x1, x2 = grid.x_axes
     i1, i2 = np.argmin(np.abs(x1 - 1.0)), np.argmin(np.abs(x2 - 1.0))
     ref = np.array([oracles.gbm_dual_smeared(x1[i1], q, 0.0, vol, 1.0, 0.2) for q in grid.z])
-    for route, model, tol in (("price-ratio", builtin_model("gbm", b=b, s=s), 5e-4),
+    for route, model, tol in (("numeraire", builtin_model("gbm", b=b, s=s), 4e-4),
                               ("direct", gbm_twin(b, s), 1e-2)):
         surf = pde.solve_dual_pde(model, linear_payoff(), grid)
         assert surf.meta["route"] == route
@@ -872,10 +936,11 @@ D2_B = [0.05, 0.03]
 D2_S = {"diagonal": [[0.3, 0.0], [0.0, 0.25]], "full": [[0.3, 0.1], [0.0, 0.25]]}
 
 
-def log_vol_of_z_x1(s):
-    """|s1 - theta|: Z X1 is lognormal with this log-volatility."""
+def log_vol_of_z_x(s, k=0):
+    """|s_k - theta|, s_k the k-th row of s: Z X_k is lognormal with this
+    log-volatility."""
     s = np.asarray(s)
-    return float(np.linalg.norm(s[0] - np.linalg.solve(s, D2_B)))
+    return float(np.linalg.norm(s[k] - np.linalg.solve(s, D2_B)))
 
 
 def price_ratio(model, payoff, grid):
@@ -894,7 +959,7 @@ def test_price_ratio_problem_is_the_d2_closed_form(kind):
                             z_max=6.0, epsilon=0.2)
     ratio = price_ratio(model, linear_payoff(), grid)
     b_rho, s_rho = float(ratio.model.params["b"][0]), float(ratio.model.params["s"][0, 0])
-    vol = log_vol_of_z_x1(D2_S[kind])
+    vol = log_vol_of_z_x(D2_S[kind])
     assert (s_rho - b_rho / s_rho) ** 2 + ratio.nu ** 2 == pytest.approx(vol ** 2, rel=1e-14)
     assert ratio.eps == pytest.approx(np.hypot(0.2, ratio.nu), rel=1e-15)
     if kind == "diagonal":
@@ -910,6 +975,33 @@ def test_price_ratio_problem_is_the_d2_closed_form(kind):
                 want = oracles.gbm_dual_smeared(x1[i], q, 0.0, vol, tau, 0.2)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert ratio.payoff(np.array([[0.5], [2.0]])).tolist() == [0.5, 2.0]
+
+
+@pytest.mark.parametrize("kind", D2_S)
+@pytest.mark.parametrize("k", [0, 1])
+def test_numeraire_d2_is_the_d1_dual_of_its_stock_repeated_bit_for_bit(kind, k):
+    # for g = c x_k, w(t, x1, x2, q) = x_k f(t, q / x_k) with f the eta-only
+    # dual at nu = |s_k - theta|.  The d=1 builtin gbm(b = 0, s = nu), whose
+    # nu = |s - b / s| is that same value, solved with g = c x on the x_k
+    # axis and repeated along the other axis, is the same surface bit for
+    # bit, on equal axes and on axes with different log steps alike
+    model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
+    c = (1.0, 2.0)[k]
+    weights = [0.0, 0.0]
+    weights[k] = c
+    uneven = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.6], [2.0, 1.8], [12, 10], 12, "q",
+                              z_max=4.0, epsilon=0.2)
+    for grid in (ratio_grid(12), uneven):
+        surf = pde.solve_dual_pde(model, linear_payoff(weights), grid)
+        assert surf.meta["route"] == "numeraire"
+        assert surf.meta["nu"] == log_vol_of_z_x(D2_S[kind], k)
+        line = GridSpec(grid.t, (grid.x_axes[k],), grid.z, "q", grid.epsilon)
+        d1 = pde.solve_dual_pde(builtin_model("gbm", b=0.0, s=surf.meta["nu"]),
+                                linear_payoff([c]), line)
+        keys = ("route", "nu", "epsilon_eff", "pad", "refine", "substeps", "rannacher_steps")
+        assert [d1.meta[key] for key in keys] == [surf.meta[key] for key in keys]
+        repeated = np.broadcast_to(np.expand_dims(d1.values, 2 - k), surf.values.shape)
+        assert np.array_equal(surf.values, repeated)
 
 
 def ratio_window(grid, values):
@@ -935,60 +1027,87 @@ def ratio_grid(n):
 
 @pytest.mark.parametrize("kind", D2_S)
 def test_routed_d2_converges_to_the_closed_form(kind):
-    # n + 1 nodes on each x axis and on q, n / 2 time steps, n = 12, 24,
-    # 48; the error at t0 over the window.  Measured: diagonal 1.38e-3,
-    # 4.27e-4, 1.38e-4 (observed orders 1.69, 1.63); full 1.42e-3,
-    # 4.25e-4, 1.56e-4 (1.74, 1.45)
+    # g = x1 takes the numeraire route: n + 1 nodes on each x axis and on
+    # q, n / 2 time steps, n = 12, 24, 48; the error at t0 over the window.
+    # Measured: diagonal 9.61e-4, 2.69e-4, 7.07e-5 (observed orders 1.84,
+    # 1.93); full 9.58e-4, 2.72e-4, 7.12e-5 (1.82, 1.93).  The price-ratio
+    # route erred 1.38e-4 and 1.56e-4 at n = 48
     model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
-    vol = log_vol_of_z_x1(D2_S[kind])
+    vol = log_vol_of_z_x(D2_S[kind])
     errs = []
     for n in (12, 24, 48):
         grid = ratio_grid(n)
         surf = pde.solve_dual_pde(model, linear_payoff([1.0, 0.0]), grid)
-        assert surf.meta["route"] == "price-ratio"
+        assert surf.meta["route"] == "numeraire"
         errs.append(np.abs(ratio_window(grid, surf.values) - closed_form_window(grid, vol)).max())
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
-    assert errs[-1] <= 2e-4
-    assert orders.min() >= 1.3
+    assert errs[-1] <= 1e-4
+    assert orders.min() >= 1.7
+
+
+@pytest.mark.parametrize("kind", D2_S)
+def test_price_ratio_route_self_converges_on_the_market_portfolio(kind):
+    # g = x1 + x2 has no closed form; the price-ratio ladder of the test
+    # above, compared on the nodes of n = 12 over its window, where each
+    # grid's nodes are every other node of the next.  Measured: steps
+    # 2.93e-3, 7.31e-4 (observed order 2.00) diagonal; 2.54e-3, 7.56e-4
+    # (1.75) full
+    model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
+    levels = []
+    for n in (12, 24, 48):
+        surf = pde.solve_dual_pde(model, linear_payoff([1.0, 1.0]), ratio_grid(n))
+        assert surf.meta["route"] == "price-ratio"
+        every = n // 12
+        levels.append(surf.values[:1, ::every, ::every, ::every])
+    coarse = ratio_grid(12)
+    steps = [np.abs(ratio_window(coarse, b) - ratio_window(coarse, a)).max()
+             for a, b in zip(levels, levels[1:])]
+    assert steps[-1] <= 1e-3
+    assert np.log2(steps[0] / steps[1]) >= 1.6
 
 
 def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
     # the same full-matrix problem, routed and on its custom twin, which
     # takes the direct solve (with a quarter of the x range as pad), on the
-    # window of the 24-cell grid.  For g = x1 the direct solve's own error
-    # accounts for the gap (measured: gap 1.22e-3, direct error 1.60e-3,
-    # routed 4.3e-4); for the market portfolio and the geometric mean,
-    # with no closed form, the gap falls with the mesh (measured 1.47e-2
-    # to 4.28e-3 and 5.28e-3 to 1.94e-3 from 12 to 24 cells)
+    # window of the 24-cell grid.  For g = x1, on the numeraire route, the
+    # direct solve's own error accounts for the gap (measured: gap 1.55e-3,
+    # direct error 1.60e-3, routed 2.72e-4; on the price-ratio route the
+    # gap was 1.22e-3, routed 4.3e-4); for the market portfolio and the
+    # geometric mean, on the price-ratio route and with no closed form, the
+    # gap falls with the mesh (measured 1.47e-2 to 4.28e-3 and 5.28e-3 to
+    # 1.94e-3 from 12 to 24 cells)
     gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
     twin = gbm_twin(D2_B, D2_S["full"])
-    vol = log_vol_of_z_x1(D2_S["full"])
+    vol = log_vol_of_z_x(D2_S["full"])
     grid = ratio_grid(24)
     pad = (6, 9)
     routed = pde.solve_dual_pde(gbm, linear_payoff([1.0, 0.0]), grid)
     direct = pde.solve_dual_pde(twin, linear_payoff([1.0, 0.0]), grid, pad=pad)
-    assert (routed.meta["route"], direct.meta["route"]) == ("price-ratio", "direct")
+    assert (routed.meta["route"], direct.meta["route"]) == ("numeraire", "direct")
     exact = closed_form_window(grid, vol)
     r, d = ratio_window(grid, routed.values), ratio_window(grid, direct.values)
     direct_err = np.abs(d - exact).max()
-    assert np.abs(r - exact).max() <= 0.5 * direct_err
+    assert np.abs(r - exact).max() <= 0.25 * direct_err
     assert np.abs(r - d).max() <= 1.25 * direct_err
     for payoff in (linear_payoff([1.0, 1.0]), payoff_from_expression("sqrt(x1 * x2)", 2)):
         gaps = []
         for n in (12, 24):
             grid = ratio_grid(n)
-            r, d = (ratio_window(grid, pde.solve_dual_pde(m, payoff, grid, **kw).values)
-                    for m, kw in ((gbm, {}), (twin, {"pad": (n // 4, (3 * (n + 1)) // 8)})))
-            gaps.append(np.abs(r - d).max())
+            routed = pde.solve_dual_pde(gbm, payoff, grid)
+            assert routed.meta["route"] == "price-ratio"
+            direct = pde.solve_dual_pde(twin, payoff, grid, pad=(n // 4, (3 * (n + 1)) // 8))
+            gaps.append(np.abs(ratio_window(grid, routed.values)
+                               - ratio_window(grid, direct.values)).max())
         assert gaps[1] <= gaps[0] / 2.0
 
 
 def test_d2_inputs_the_route_does_not_take_are_solved_directly():
-    # a custom model, x axes with different log steps and payoffs that are
-    # not 1-homogeneous (of degree 2, affine) each take the direct solve,
-    # and the meta says so.  The route depends on what g is, not on how it
-    # is written: x1 as an expression is solved as linear_payoff() is, and
-    # a homogeneous payoff that is not linear takes the route too
+    # a custom model, the market portfolio on x axes with different log
+    # steps, and payoffs that are not 1-homogeneous (of degree 2, affine)
+    # each take the direct solve, and the meta says so.  The route depends
+    # on what g is, not on how it is written: c x_k takes the numeraire
+    # route (x1 as an expression is solved as linear_payoff() is), and any
+    # other 1-homogeneous payoff, linear or not, the price ratio
     grid = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 8], 8, "q",
                             z_max=6.0, epsilon=0.2)
     uneven = GridSpec.regular(0.0, 1.0, 4, [0.5, 0.5], [2.0, 2.0], [8, 9], 8, "q",
@@ -997,7 +1116,7 @@ def test_d2_inputs_the_route_does_not_take_are_solved_directly():
     square = Payoff(lambda x: x[:, 0] ** 2, "square")
     cases = [
         (gbm_twin(D2_B, D2_S["full"]), linear_payoff(), grid),
-        (gbm, linear_payoff(), uneven),
+        (gbm, linear_payoff([1.0, 1.0]), uneven),
         (gbm, square, grid),
         (gbm, payoff_from_expression("x1 + 0.5", 2), grid),
     ]
@@ -1006,12 +1125,14 @@ def test_d2_inputs_the_route_does_not_take_are_solved_directly():
         surf = pde.solve_dual_pde(model, payoff, g)
         assert surf.meta["route"] == "direct"
         assert "nu" not in surf.meta and "epsilon_eff" not in surf.meta
-    for payoff in (linear_payoff([0.0, 2.0]), payoff_from_expression("sqrt(x1 * x2)", 2)):
+    for route, payoff in (("numeraire", linear_payoff([0.0, 2.0])),
+                          ("price-ratio", linear_payoff([1.0, 1.0])),
+                          ("price-ratio", payoff_from_expression("sqrt(x1 * x2)", 2))):
         routed = pde.solve_dual_pde(gbm, payoff, grid)
-        assert routed.meta["route"] == "price-ratio"
+        assert routed.meta["route"] == route
         assert routed.meta["epsilon_eff"] == pytest.approx(np.hypot(0.2, routed.meta["nu"]))
     expr = pde.solve_dual_pde(gbm, payoff_from_expression("x1", 2), grid)
-    assert expr.meta["route"] == "price-ratio"
+    assert expr.meta["route"] == "numeraire"
     assert np.array_equal(expr.values, pde.solve_dual_pde(gbm, linear_payoff(), grid).values)
     assert pde.solve_dual_pde(builtin_model("gbm", b=0.05, s=0.3), linear_payoff(),
                               radial_grid()).meta["route"] == "numeraire"

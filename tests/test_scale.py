@@ -20,11 +20,14 @@ values measured on a 2-core x86-64 machine (numpy 2.4).
 
 The d=2 gbm dual of the pde-adi benchmark model, b = (0.05, 0.03), s =
 diag(0.3, 0.25), g = x1, on 64^2 x in [0.5, 2]^2 x 64 q in [0, 6] x 32 t
-at eps 0.2, takes the price-ratio route: one d=1 solve on the 127-node
-ratio axis x1 / x2, read back onto the d=2 grid.  It is checked against
-the closed form at x0 = (1, 1), for 0 <= w <= q, 0 <= w_q <= 1 and
-convexity in q at every node, and for a peak of the surface plus the
-read-back's data per target.
+at eps 0.2, takes the numeraire route: one eta line, read back on the x1
+axis and repeated along x2.  It is checked against the closed form at x0
+= (1, 1), for 0 <= w <= q, 0 <= w_q <= 1 and convexity in q at every
+node, and for a peak of the surface plus the read-back's data of the x1
+axis.  The market portfolio g = x1 + x2 on that grid takes the
+price-ratio route, one d=1 solve on the 127-node ratio axis x1 / x2, read
+back onto the d=2 grid; its peak is the surface plus the read-back's
+data per target.
 """
 import numpy as np
 import pytest
@@ -135,33 +138,38 @@ def test_256_pipeline_stages_keep_their_memory(pipeline_256):
 D2_B, D2_S = [0.05, 0.03], [0.3, 0.25]
 
 
-@pytest.fixture(scope="module")
-def routed_d2_64():
+def d2_64(weights):
+    """The d=2 dual of g = weights . x on the 64^2 grid, and its traced peak."""
     model = builtin_model("gbm", b=D2_B, s=D2_S)
     grid = GridSpec.regular(0.0, TAU, 32, [0.5, 0.5], [2.0, 2.0], [64, 64], 64, "q",
                             z_max=6.0, epsilon=EPS)
-    dual, peak = traced_peak(pde.solve_dual_pde, model, linear_payoff([1.0, 0.0]), grid)
-    return dual, peak
+    return traced_peak(pde.solve_dual_pde, model, linear_payoff(weights), grid)
+
+
+@pytest.fixture(scope="module")
+def routed_d2_64():
+    return d2_64([1.0, 0.0])
 
 
 def test_routed_d2_matches_the_closed_form_at_x0(routed_d2_64):
     # Z X1 is lognormal with log-volatility |(s1 - theta1, -theta2)|;
-    # measured at the node nearest (1, 1), (0.98906, 0.98906): 6.26e-5
-    # over the q nodes, where the direct Douglas solve of the benchmark's
-    # 48^2 grid is 3.4e-4 off; the bound is 2x
+    # measured at the node nearest (1, 1), (0.98906, 0.98906): 2.98e-5
+    # over the q nodes (the price-ratio route 6.26e-5), where the direct
+    # Douglas solve of the benchmark's 48^2 grid is 3.4e-4 off; the bound
+    # is 2x
     dual, _ = routed_d2_64
-    assert dual.meta["route"] == "price-ratio"
+    assert dual.meta["route"] == "numeraire"
     x = dual.grid.x_axes[0]
     i = int(np.argmin(np.abs(x - X0)))
     vol = float(np.hypot(D2_S[0] - D2_B[0] / D2_S[0], D2_B[1] / D2_S[1]))
     ref = [oracles.gbm_dual_smeared(x[i], float(q), 0.0, vol, TAU, EPS) for q in dual.grid.z]
-    assert np.abs(dual.values[0, i, i] - ref).max() <= 2 * 6.26e-5
+    assert np.abs(dual.values[0, i, i] - ref).max() <= 2 * 2.98e-5
 
 
 def test_routed_d2_dual_keeps_its_invariants_everywhere(routed_d2_64):
-    # measured: 0 <= w <= q exactly; slopes in [0, 1 + 9.3e-15] and second
-    # differences of the slope down to -1.9e-14, rounding, at every node
-    # (the direct solve broke them at 41 175 nodes of the 48^2 grid)
+    # measured: 0 <= w <= q exactly; slopes in [-2.3e-15, 1 + 9.3e-15] and
+    # second differences of the slope down to -1.9e-14, rounding, at every
+    # node (the direct solve broke them at 41 175 nodes of the 48^2 grid)
     dual, _ = routed_d2_64
     w, q = dual.values, dual.grid.z
     assert np.count_nonzero((w < 0.0) | (w > q)) == 0
@@ -170,14 +178,29 @@ def test_routed_d2_dual_keeps_its_invariants_everywhere(routed_d2_64):
     assert np.diff(slope, axis=-1).min() >= -1e-12
 
 
-def test_routed_d2_peak_is_the_surface_and_its_targets(routed_d2_64):
-    # beyond the 67.1 MB surface: per target (64^2 x nodes times 63 q > 0)
-    # the read-back's index, offset and two bounds, 8 B each, and a flag,
-    # 8.5 MB; the eight read slabs, each within _SLAB_BYTES, 2.1 MB; and
-    # rho states (189 rho x 175 eta, 0.26 MB): state and -q, increment and
-    # eta-first copy, the two sweeps' factors, measured 9.4 in all.  The
-    # bound allows nine slabs and 11 rho states
+def test_numeraire_d2_peak_is_the_surface_and_its_x1_targets(routed_d2_64):
+    # beyond the 67.1 MB surface: per target of the x1 axis (64 x1 nodes
+    # times 63 q > 0) the read-back's data, 33 B, its place in the eight
+    # read slabs, 64 B, and in the line that repeats along x2, 8 B: 0.42
+    # MB; the x mesh and g on it, the eta line's states and numpy's
+    # iterator buffers for the terminal level, 0.20 MB.  Measured 0.62 MB
+    # (the price-ratio route 13.1 MB); the bound allows 105 B per target
+    # and 0.26 MB
     dual, peak = routed_d2_64
+    assert dual.meta["route"] == "numeraire"
+    assert peak - dual.values.nbytes <= 105 * 64 * 63 + 260_000
+
+
+def test_routed_d2_peak_is_the_surface_and_its_targets():
+    # the market portfolio, on the price-ratio route.  Beyond the 67.1 MB
+    # surface: per target (64^2 x nodes times 63 q > 0) the read-back's
+    # index, offset and two bounds, 8 B each, and a flag, 8.5 MB; the eight
+    # read slabs, each within _SLAB_BYTES, 2.1 MB; and rho states (189 rho
+    # x 175 eta, 0.26 MB): state and -q, increment and eta-first copy, the
+    # two sweeps' factors, measured 9.4 in all.  The bound allows nine
+    # slabs and 11 rho states
+    dual, peak = d2_64([1.0, 1.0])
+    assert dual.meta["route"] == "price-ratio"
     targets = 64 * 64 * 63
     rho_state = 8 * 189 * 175
     assert peak - dual.values.nbytes <= 33 * targets + 9 * pde._SLAB_BYTES + 11 * rho_state
