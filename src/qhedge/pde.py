@@ -126,10 +126,10 @@ evaluates g there: min(x1, x_max) is x1 on the requested nodes, and the
 route would drop its cap.  The line spans the q axis and log(x_max /
 x_min) of the x_k axis, which the direct solve resolves on that axis, so
 it takes twice the cells of the padded q axis and at most the refined x_k
-axis's mean log step between nodes (no more nodes than the direct
-solve's state), and it is shifted by under a cell so that the terminal
-data's one kink, at eta = log c, sits mid-cell: on a node it erred 3-4
-times more.  Every other input takes the direct solve or, in d = 2, the
+axis's mean log step between nodes (no more nodes than a d = 1 direct
+solve's state on the x_k axis), and it is shifted by under a cell so
+that the terminal data's one kink, at eta = log c, sits mid-cell: on a
+node it erred 3-4 times more.  Every other input takes the direct solve or, in d = 2, the
 price ratio: custom models (the tests solve each builtin's custom twin
 there), and payoffs that are not c x_k.
 
@@ -826,11 +826,15 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         # axis's cells (at its count the gbm benchmark dual errs 2.0e-4 at
         # x0), at most the refined x_k axis's mean log step apart (without
         # that bound the heat-equation test's gbm erred 7.1e-4, its direct
-        # solve 3.2e-4), and no more nodes than the direct solve's state
+        # solve 3.2e-4), and no more nodes than the d = 1 direct solve's
+        # state on the x_k axis (its x pad included), whatever the other
+        # axis is
         log_x = math.log(x[-1] / x[0])
         span = math.log(q_top / q[q > 0.0][0]) + log_x + _ETA_MARGIN
         cells = math.ceil(span * (x.size - 1) * rx / log_x)
-        n_eta = max(2 * n_eta - 1, min(cells + 1, g_int.size * n_eta))
+        px_1 = x.size // 4 if x_cells is None else x_cells
+        n_x = (x.size - 1 + 2 * px_1) * rx + 1
+        n_eta = max(2 * n_eta - 1, min(cells + 1, n_x * n_eta))
         solved, eps, x_int, g_int = None, math.hypot(eps, nu), (), np.array(c)
         # every target on the x_k axis reads the one line
         rows, scale = np.zeros(x.size, dtype=np.intp), x

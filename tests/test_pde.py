@@ -669,8 +669,8 @@ def test_numeraire_d2_solve_memory_is_the_surface_and_one_axis_of_targets(monkey
     # read-back's data, 33 B; the line, 8 B per (x, q) node; numpy's
     # iterator buffers for the terminal level, 130 kB whatever the size;
     # the eta line's states and g on the x mesh, under 20 kB.  Measured
-    # 182 kB (the price-ratio route: 1.26 MB); the bound allows 170 kB
-    # for what does not grow with the targets
+    # 182 kB; the bound allows 170 kB for what does not grow with the
+    # targets
     monkeypatch.setattr(pde, "_SLAB_BYTES", 1)
     model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
     grid = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
@@ -893,9 +893,8 @@ def test_d2_default_surface_is_nonnegative_and_a_supersolution():
 def test_d2_full_matrix_matches_closed_form():
     # the x1-x2 mixed term: with a full volatility matrix Z X1 is
     # lognormal with log-volatility |s[0] - theta|, whatever x2 is.  The
-    # gbm takes the numeraire route (measured 1.97e-4; the price ratio
-    # 2.61e-4), its custom twin the direct solve with its mixed term
-    # (measured 9.58e-4)
+    # gbm takes the numeraire route (measured 1.97e-4), its custom twin
+    # the direct solve with its mixed term (measured 9.58e-4)
     s = np.array([[0.3, 0.1], [0.0, 0.25]])
     b = np.array([0.05, 0.03])
     grid = GridSpec.regular(0.0, 1.0, 16, [0.5, 0.5], [2.0, 2.0], [24, 24], 32, "q",
@@ -984,14 +983,20 @@ def test_numeraire_d2_is_the_d1_dual_of_its_stock_repeated_bit_for_bit(kind, k):
     # dual at nu = |s_k - theta|.  The d=1 builtin gbm(b = 0, s = nu), whose
     # nu = |s - b / s| is that same value, solved with g = c x on the x_k
     # axis and repeated along the other axis, is the same surface bit for
-    # bit, on equal axes and on axes with different log steps alike
+    # bit, on equal axes and on axes with different log steps alike.  On
+    # a narrow x_k axis, 4 nodes over [0.98, 1.02], the x_k axis's log
+    # step asks for 264 eta nodes, more than the d=1 direct solve's state
+    # (6 x times 16 eta nodes), which caps the line at 96 there as in d=1
     model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
     c = (1.0, 2.0)[k]
     weights = [0.0, 0.0]
     weights[k] = c
     uneven = GridSpec.regular(0.0, 1.0, 6, [0.5, 0.6], [2.0, 1.8], [12, 10], 12, "q",
                               z_max=4.0, epsilon=0.2)
-    for grid in (ratio_grid(12), uneven):
+    lo, hi, n = [0.5, 0.5], [2.0, 2.0], [10, 10]
+    lo[k], hi[k], n[k] = 0.98, 1.02, 4
+    narrow = GridSpec.regular(0.0, 1.0, 6, lo, hi, n, 12, "q", z_max=4.0, epsilon=0.2)
+    for grid in (ratio_grid(12), uneven, narrow):
         surf = pde.solve_dual_pde(model, linear_payoff(weights), grid)
         assert surf.meta["route"] == "numeraire"
         assert surf.meta["nu"] == log_vol_of_z_x(D2_S[kind], k)
@@ -1030,8 +1035,7 @@ def test_routed_d2_converges_to_the_closed_form(kind):
     # g = x1 takes the numeraire route: n + 1 nodes on each x axis and on
     # q, n / 2 time steps, n = 12, 24, 48; the error at t0 over the window.
     # Measured: diagonal 9.61e-4, 2.69e-4, 7.07e-5 (observed orders 1.84,
-    # 1.93); full 9.58e-4, 2.72e-4, 7.12e-5 (1.82, 1.93).  The price-ratio
-    # route erred 1.38e-4 and 1.56e-4 at n = 48
+    # 1.93); full 9.58e-4, 2.72e-4, 7.12e-5 (1.82, 1.93)
     model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
     vol = log_vol_of_z_x(D2_S[kind])
     errs = []
@@ -1043,6 +1047,27 @@ def test_routed_d2_converges_to_the_closed_form(kind):
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert errs[-1] <= 1e-4
     assert orders.min() >= 1.7
+
+
+@pytest.mark.parametrize("kind", D2_S)
+def test_price_ratio_route_converges_to_the_closed_form_on_one_stock(kind, monkeypatch):
+    # the ladder above with the stock hidden from the numeraire route, so
+    # that g = x1 takes the price-ratio route, the one d=2 input of that
+    # route with a closed form.  Measured: diagonal 1.38e-3, 4.27e-4,
+    # 1.38e-4 (observed orders 1.69, 1.63); full 1.42e-3, 4.25e-4,
+    # 1.56e-4 (1.74, 1.45)
+    monkeypatch.setattr(pde, "_stock_numeraire", lambda *args: None)
+    model = builtin_model("gbm", b=D2_B, s=D2_S[kind])
+    vol = log_vol_of_z_x(D2_S[kind])
+    errs = []
+    for n in (12, 24, 48):
+        grid = ratio_grid(n)
+        surf = pde.solve_dual_pde(model, linear_payoff([1.0, 0.0]), grid)
+        assert surf.meta["route"] == "price-ratio"
+        errs.append(np.abs(ratio_window(grid, surf.values) - closed_form_window(grid, vol)).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert errs[-1] <= 2e-4
+    assert orders.min() >= 1.3
 
 
 @pytest.mark.parametrize("kind", D2_S)
@@ -1071,11 +1096,10 @@ def test_routed_and_direct_d2_agree_within_the_direct_grid_error():
     # takes the direct solve (with a quarter of the x range as pad), on the
     # window of the 24-cell grid.  For g = x1, on the numeraire route, the
     # direct solve's own error accounts for the gap (measured: gap 1.55e-3,
-    # direct error 1.60e-3, routed 2.72e-4; on the price-ratio route the
-    # gap was 1.22e-3, routed 4.3e-4); for the market portfolio and the
-    # geometric mean, on the price-ratio route and with no closed form, the
-    # gap falls with the mesh (measured 1.47e-2 to 4.28e-3 and 5.28e-3 to
-    # 1.94e-3 from 12 to 24 cells)
+    # direct error 1.60e-3, routed 2.72e-4); for the market portfolio and
+    # the geometric mean, on the price-ratio route and with no closed
+    # form, the gap falls with the mesh (measured 1.47e-2 to 4.28e-3 and
+    # 5.28e-3 to 1.94e-3 from 12 to 24 cells)
     gbm = builtin_model("gbm", b=D2_B, s=D2_S["full"])
     twin = gbm_twin(D2_B, D2_S["full"])
     vol = log_vol_of_z_x(D2_S["full"])
