@@ -119,17 +119,21 @@ linear_payoff([0, 2]) are such) on the x mesh the direct solve would
 step, its pad included, is solved on the eta axis alone, eta = log y;
 each target (x, q) reads that one line at q / x_k with factor x_k,
 through the same read map, every target's row being the line's.  In d =
-2 the read runs on the targets of the x_k axis alone, into one line of a
-level that is then repeated along the other x axis, so the two axes need
-no common log step.  The test takes the pad because the direct solve
-evaluates g there: min(x1, x_max) is x1 on the requested nodes, and the
-route would drop its cap.  The line spans the q axis and log(x_max /
-x_min) of the x_k axis, which the direct solve resolves on that axis, so
-it takes twice the cells of the padded q axis and at most the refined x_k
-axis's mean log step between nodes (no more nodes than a d = 1 direct
-solve's state on the x_k axis), and it is shifted by under a cell so
-that the terminal data's one kink, at eta = log c, sits mid-cell: on a
-node it erred 3-4 times more.  Every other input takes the direct solve or, in d = 2, the
+2 the read runs on the targets of the x_k axis alone, into one (n_k,
+n_q) line a level of an (n_t, n_k, n_q) block, and the surface returned
+is a read-only view that repeats the block along the other x axis
+(stride 0 there), so the two axes need no common log step and no level
+is copied along that axis; dual_to_primal conjugates the n_k slices of a
+level once and returns the primal repeated the same way.  The test
+takes the pad because the direct solve evaluates g there: min(x1, x_max)
+is x1 on the requested nodes, and the route would drop its cap.  The
+line spans the q axis and log(x_max / x_min) of the x_k axis, which the
+direct solve resolves on that axis, so it takes twice the cells of the
+padded q axis and at most the refined x_k axis's mean log step between
+nodes (no more nodes than a d = 1 direct solve's state on the x_k axis),
+and it is shifted by under a cell so that the terminal data's one kink,
+at eta = log c, sits mid-cell: on a node it erred 3-4 times more.  Every
+other input takes the direct solve or, in d = 2, the
 price ratio: custom models (the tests solve each builtin's custom twin
 there), and payoffs that are not c x_k.
 
@@ -159,14 +163,15 @@ there the solve peaks 1.70 MiB above its 8.0 MiB surface, 0.51 MiB of
 read data for its 128 x 127 targets and 0.99 MiB in its eight read slabs,
 where the direct solve of the gbm's custom twin peaks 3.87 MiB above it.
 On the d = 2 benchmark grid (48^2 x, 64 q) the numeraire route, g = x1,
-peaks 0.47 MiB above its 36.0 MiB surface (tracemalloc): 0.10 MiB of
-read data for the 48 x 63 targets of the x1 axis, 0.18 MiB in its eight
-read slabs, its one (48, 64) line and a 226-node eta line.  The
-price-ratio route, for the market portfolio there, peaks 8.2 MiB above
-it: 4.6 MiB of read data for its 48^2 x 63 targets, 1.8 MiB in its eight
-read slabs, and its (141 rho, 175 eta) state, 0.19 MiB each, with the
-sweeps.  The direct solve of a custom model with the same coefficients
-peaks 15.5 MiB above the surface there.
+peaks at 1.11 MiB in all (tracemalloc), where its surface, a view, spans
+36.0 MiB: the 0.75 MiB (32, 48, 64) block, 0.10 MiB of read data for
+the 48 x 63 targets of the x1 axis, 0.18 MiB in its eight read slabs, a
+226-node eta line and numpy's iterator buffers for the view's min and
+max.  The price-ratio route, for the market portfolio there, peaks 8.2
+MiB above its 36.0 MiB surface: 4.6 MiB of read data for its 48^2 x 63
+targets, 1.8 MiB in its eight read slabs, and its (141 rho, 175 eta)
+state, 0.19 MiB each, with the sweeps.  The direct solve of a custom
+model with the same coefficients peaks 15.5 MiB above the surface there.
 """
 from __future__ import annotations
 
@@ -730,11 +735,12 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     = c x_k, c > 0, on the x mesh the direct solve would step, its pad
     included (linear_payoff() and linear_payoff([0, 2]) are such), takes
     the numeraire route: the dual on the eta axis alone, read back as w =
-    x_k f(t, q / x_k), in d = 2 on the x_k axis and repeated along the
-    other.  There is no x axis to pad or refine there: the x part of `pad`
-    only sets the mesh that g is tested on, r_x divides the x_k axis's
-    mean log step that bounds the eta spacing, and both are recorded; the
-    q and t parts act as elsewhere.  Any other builtin d = 2 gbm on x axes
+    x_k f(t, q / x_k), in d = 2 on the x_k axis alone, into one (n_t, n_k,
+    n_q) block that the returned values, a read-only view, repeat along
+    the other x axis (stride 0 there).  There is no x axis to pad or
+    refine there: the x part of `pad` only sets the mesh that g is tested
+    on, r_x divides the x_k axis's mean log step that bounds the eta
+    spacing, and both are recorded; the q and t parts act as elsewhere.  Any other builtin d = 2 gbm on x axes
     that are log-uniform with one common log step (GridSpec.regular with
     equal x axes), with a payoff that is 1-homogeneous on the grid's mesh
     (the market portfolio x1 + x2 is one), takes the price-ratio route:
@@ -753,7 +759,9 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 
     meta: kind, model, payoff, epsilon, substeps, rannacher_steps, pad
     and refine (as applied), scheme, and "route": "direct", "price-ratio"
-    (d = 2) or "numeraire"; on a route also "nu" and "epsilon_eff".
+    (d = 2) or "numeraire"; on a route also "nu" and "epsilon_eff".  No
+    key records the layout: a d = 2 numeraire surface is the only one
+    whose values repeat along an x axis, which their strides show.
     """
     if model.dim > 2:
         raise DimensionUnsupported(f"finite differences support d <= 2, got d={model.dim}")
@@ -841,14 +849,14 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
     ws = _DualOperator(solved, g_int, x_int, eps, rows, scale, q, q_top, n_eta,
                        float(grid.dt) / rt)
 
-    values = np.empty(grid.shape)
-    line = None
     if stock is not None and grid.dim == 2:
-        # the targets read are those of the x_k axis, into one line of a
-        # level, which then repeats along the other x axis.  Not into the
-        # level's first row: numpy copies a source that interleaves its
-        # target, a level-sized temporary (2.0 MiB on 64^2 x)
-        line = np.empty((x.size, q.size))
+        # the targets read are those of the x_k axis, one (n_k, n_q) line a
+        # level, which the returned view repeats along the other x axis;
+        # the terminal line is g on the x_k axis
+        values = np.empty((grid.t.size, x.size, q.size))
+        gx = np.take(gx, 0, axis=1 - k_x)
+    else:
+        values = np.empty(grid.shape)
     np.subtract(q, gx[..., None], out=values[-1])
     np.maximum(values[-1], 0.0, out=values[-1])
     # (q - g(x))^+ - q = max(-q, -g(x))
@@ -869,11 +877,7 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         # the projection clips are restored
         np.maximum(W, ws.neg_q, out=W)
         ws.apply_bc(W)
-        if line is None:
-            ws.read(W, values[k])
-        else:
-            ws.read(W, line)
-            values[k] = np.expand_dims(line, 1 - k_x)
+        ws.read(W, values[k])
 
     meta = {"kind": "dual", "model": model.name, "payoff": payoff.name,
             "epsilon": grid.epsilon, "substeps": 1, "rannacher_steps": _RANNACHER_STEPS,
@@ -882,6 +886,8 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
         meta["route"] = "direct"
     else:
         meta.update(route="price-ratio" if stock is None else "numeraire", nu=nu, epsilon_eff=eps)
+    if values.ndim < len(grid.shape):
+        values = np.broadcast_to(np.expand_dims(values, 2 - k_x), grid.shape)
     return Surface(grid, values, meta)
 
 
@@ -903,10 +909,10 @@ def solve_dual_pde(model: MarketModel, payoff: Payoff, grid: GridSpec, *,
 # p on a slice whose q_max covers 4x the payoff signals a genuinely
 # undersized grid and raises ArgmaxAtBoundary.
 #
-# The transform runs one time level at a time, on all x slices of the
-# level together, in array passes (after Lucet's linear-time Legendre
-# transform, Numer. Algorithms 1997), so its scratch memory is
-# O(slices x n_q):
+# The transform reads the dual one time level at a time and works on all
+# distinct x slices of the level together, in array passes (after Lucet's
+# linear-time Legendre transform, Numer. Algorithms 1997), so its scratch
+# memory is O(slices x n_q):
 #   - the second differences of the whole level flag the slices that
 #     need their convex envelope, and one row-wise hull envelopes them;
 #   - the spline pieces of every slice are built at once;
@@ -1023,6 +1029,14 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
     built first, checks the p grid (1-d, >= 3 strictly increasing nodes in
     [0, 1]) before any slice is conjugated.  Slices whose top slope is
     below 1 - _SATURATION_GAP count as saturated.
+
+    Where the values repeat along an x axis (stride 0, as on the d = 2
+    numeraire route), each distinct slice of a level is conjugated once
+    and the primal is returned as a read-only view that repeats the same
+    way.  _conjugate_level works row by row, so this is bit for bit the
+    transform of a contiguous copy: enveloped_slices and saturated_slices
+    count every slice of the grid, and ArgmaxAtBoundary names the same
+    first slice in C order.
     """
     g = w_surface.grid
     if g.domain != "q":
@@ -1032,13 +1046,19 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
     q = g.z
     nt = g.t.size
     xshape = tuple(ax.size for ax in g.x_axes)
-    nslices = int(np.prod(xshape))
-    wflat = w_surface.values.reshape(nt, nslices, q.size)
+    # an x axis of stride 0 repeats every slice along it: one of them is
+    # conjugated, and the primal repeats the same way
+    W = w_surface.values
+    W = W[(slice(None),) + tuple(slice(0, 1) if n == 0 else slice(None)
+                                 for n in W.strides[1:-1])]
+    shape = W.shape[1:-1]
+    nslices = math.prod(shape)
+    repeats = math.prod(xshape) // nslices
 
     # recover g(x) from the terminal ramp; slices with q_max < 4 g(x) are
     # undercovered by the default-domain rule, so their saturation is
     # tolerated as a truncation artifact rather than raised
-    gx = q[-1] - wflat[-1, :, -1]
+    gx = q[-1] - W[-1, ..., -1].reshape(nslices)
     covered = 4.0 * gx <= q[-1] * (1.0 + 1e-12)
 
     out = np.empty((nt, nslices, p.size))
@@ -1046,16 +1066,17 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
     n_env = 0
     n_sat = 0
     for k in range(nt - 1):
-        out[k], top, enveloped = _conjugate_level(q, wflat[k], p)
-        n_env += int(enveloped.sum())
+        out[k], top, enveloped = _conjugate_level(q, W[k].reshape(nslices, q.size), p)
+        n_env += repeats * int(enveloped.sum())
         saturated = top < 1.0 - _SATURATION_GAP
-        n_sat += int(saturated.sum())
+        n_sat += repeats * int(saturated.sum())
         bad = np.flatnonzero(saturated & covered)
         if bad.size:
-            i = int(bad[0])
+            # the first bad slice in C order over every x node
+            i = int(np.ravel_multi_index(np.unravel_index(bad[0], shape), xshape))
             raise ArgmaxAtBoundary(
                 f"slice t-index {k}, x-slice {i}: maximizer at q_max for "
-                f"p >= {top[i]:.4f} although q_max >= 4 g(x); enlarge q_max"
+                f"p >= {top[bad[0]]:.4f} although q_max >= 4 g(x); enlarge q_max"
             )
 
     meta = dict(w_surface.meta)
@@ -1067,7 +1088,10 @@ def dual_to_primal(w_surface: Surface, p_grid) -> Surface:
             "saturated_slices": n_sat,
         }
     )
-    return Surface(grid_p, out.reshape((nt,) + xshape + (p.size,)), meta)
+    out = out.reshape((nt,) + shape + (p.size,))
+    if repeats > 1:
+        out = np.broadcast_to(out, (nt,) + xshape + (p.size,))
+    return Surface(grid_p, out, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -7,28 +7,31 @@ float64 payload: t axis, each x axis, the q-or-p axis, and the value array
 in C order.  Axes and values round-trip bit-exactly; the reader rejects a
 container that is cut short or has bytes after the payload.
 
-Memory: the writer hands each array to the file through the buffer
-protocol, with no copy of the payload.  The reader checks every length the
-header claims against the file's size before it allocates, then reads the
-payload once, into the one array the surface keeps, so it holds about one
-payload.  A surface's finiteness check takes its min and max, with no
-surface-sized temporary.
+Memory: the writer hands each axis and each time level of the values to
+the file through the buffer protocol, with no copy of a contiguous
+payload and one level's copy at a time of values that repeat along an x
+axis (a stride-0 view).  The reader checks every length the header
+claims against the file's size before it allocates, then reads the
+payload once, into the one array the surface keeps, so it holds about
+one payload.  A surface's finiteness check takes its min and max, with
+no surface-sized temporary.
 
 CSV long format: header t,x1[,x2],<q|p>,value and one row per node,
 printed with %.17g so parsing back reproduces the exact doubles.  The
 writer formats each axis node once and keeps the text of every x-and-q
 node of a level in one list, which it holds for the whole surface.  It
-then formats the value column as arrays and joins the rows one chunk of
-_CSV_CHUNK (4096) nodes of a level at a time, so that its scratch beyond
-that list does not grow with the surface.  The bytes are those of
-formatting every column of every row with %.17g.  A normal value v with
-|v| < 1e16 gets its 17 significant digits as arrays: |v| times 10**(16 -
-k), k = floor(log10 |v|) checked against the product, is rounded
-half-even, as the correctly rounded %.17g does.  Up to 10**22 the power
-is a double and the product is exact (Dekker's TwoProduct); for |v|
-below 1e-6 the power is a double-double 2**s (hi + lo), and the product
-is TwoProduct's on hi plus the low part's, within a known error bound
-(after Loitsch, PLDI 2010).  The text comes from tables of 4-digit
+then reads the values one level at a time (flat, a copy only where the
+level repeats along an x axis), formats them as arrays and joins the
+rows one chunk of _CSV_CHUNK (4096) nodes of a level at a time, so that
+its scratch beyond that list does not grow with the surface.  The bytes
+are those of formatting every column of every row with %.17g.  A normal
+value v with |v| < 1e16 gets its 17 significant digits as arrays: |v|
+times 10**(16 - k), k = floor(log10 |v|) checked against the product, is
+rounded half-even, as the correctly rounded %.17g does.  Up to 10**22
+the power is a double and the product is exact (Dekker's TwoProduct);
+for |v| below 1e-6 the power is a double-double 2**s (hi + lo), and the
+product is TwoProduct's on hi plus the low part's, within a known error
+bound (after Loitsch, PLDI 2010).  The text comes from tables of 4-digit
 groups; below 1e-4 it takes the exponent form, "e-" and -k appended.
 Exact zeros print as 0 or -0 on the same path.  Subnormals, |v| >= 1e16
 and the values whose scaled remainder lies within the error bound of a
@@ -139,6 +142,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Surface:
+    """Read-only values on the nodes of a grid.  values may be a view that
+    repeats along an x axis (stride 0 there), as a d = 2 dual on the
+    numeraire route is: its nbytes counts every node, not the memory held.
+    The writers here and pde's transform and verifier read a surface one
+    time level at a time, so none of them copies such a view whole."""
+
     grid: GridSpec
     values: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -354,10 +363,10 @@ def write_surface_csv(surface: Surface, path) -> None:
     # parts list; a shorter last chunk takes a slice of it
     chunk = min(_CSV_CHUNK, len(nodes))
     parts = [b""] * (4 * chunk)
-    values = surface.values.reshape(g.t.size, -1)
     with open(path, "wb") as fh:
         fh.write(header)
-        for t, level in zip(fmt(g.t), values):
+        for t, level in zip(fmt(g.t), surface.values):
+            level = level.reshape(-1)
             parts[0::4] = [b"\n" + t + b","] * chunk
             for lo in range(0, len(nodes), chunk):
                 hi = min(lo + chunk, len(nodes))
@@ -384,9 +393,10 @@ def write_surface_bin(surface: Surface, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        # through the buffer protocol: no copy of a C-ordered little-endian
-        # array
-        for arr in (g.t, *g.x_axes, g.z, surface.values):
+        # through the buffer protocol, the values one level at a time: no
+        # copy of a C-ordered little-endian array, one level's copy of
+        # values that repeat along an x axis
+        for arr in (g.t, *g.x_axes, g.z, *surface.values):
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 

@@ -23,13 +23,15 @@ diag(0.3, 0.25), g = x1, on 64^2 x in [0.5, 2]^2 x 64 q in [0, 6] x 32 t
 at eps 0.2, takes the numeraire route: one eta line, read back on the x1
 axis and repeated along x2.  It is checked against the closed form at x0
 = (1, 1), for 0 <= w <= q, 0 <= w_q <= 1 and convexity in q at every
-node, and for a peak of the surface plus the read-back's data of the x1
-axis.  The market portfolio g = x1 + x2 on that grid takes the
-price-ratio route, one d=1 solve on the 127-node ratio axis x1 / x2, read
-back onto the d=2 grid; its peak is the surface plus the read-back's
-data per target, and it keeps 0 <= w <= q and 0 <= w_q <= 1 but not
-convexity in q near T (a strict xfail).  g = x1 forced onto that route
-keeps all three.
+node, and for a peak of the one (t, x1, q) block that the surface
+repeats along x2, plus the read-back's data of the x1 axis.  Its 41-p
+primal is the d=1 transform of the x1 line, repeated along x2 bit for
+bit, and passes the verifier.  The market portfolio g = x1 + x2 on that
+grid takes the price-ratio route, one d=1 solve on the 127-node ratio
+axis x1 / x2, read back onto the d=2 grid; its peak is the surface plus
+the read-back's data per target, and it keeps 0 <= w <= q and 0 <= w_q
+<= 1 but not convexity in q near T (a strict xfail).  g = x1 forced onto
+that route keeps all three.
 """
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from memory_helpers import traced_peak
 from qhedge import mc, oracles, pde
 from qhedge.engine import SimConfig
 from qhedge.market import builtin_model, linear_payoff
-from qhedge.surfaces import GridSpec, read_surface_bin, write_surface_bin
+from qhedge.surfaces import GridSpec, Surface, read_surface_bin, write_surface_bin
 
 B, S, X0, TAU, EPS = 0.05, 0.3, 1.0, 1.0, 0.2
 N_PATHS = 10 ** 6
@@ -227,15 +229,45 @@ def test_market_portfolio_d2_dual_is_convex_in_q_everywhere(market_d2_64):
 
 
 def test_numeraire_d2_peak_is_the_surface_and_its_x1_targets(routed_d2_64):
-    # beyond the 67.1 MB surface: per target of the x1 axis (64 x1 nodes
-    # times 63 q > 0) the read-back's data, 33 B, its place in the eight
-    # read slabs, 64 B, and in the line that repeats along x2, 8 B: 0.42
-    # MB; the x mesh and g on it, the eta line's states and numpy's
-    # iterator buffers for the terminal level, 0.20 MB.  Measured 0.62
-    # MB; the bound allows 105 B per target and 0.26 MB
+    # the 67.1 MB surface is a view that repeats a (32 t, 64 x1, 64 q)
+    # block, 1.05 MB, along x2 (stride 0).  The whole peak: the block; per
+    # target of the x1 axis (64 x1 nodes times 63 q > 0) the read-back's
+    # data, 33 B, and its place in the eight read slabs, 64 B: 0.39 MB;
+    # the x mesh and g on it, the eta line's states and numpy's iterator
+    # buffers for the surface's min and max, 0.11 MB.  Measured 1.55 MB
+    # (64.6 MiB before the block); the bound allows 105 B per target and
+    # 0.26 MB, 1.73 MB in all
     dual, peak = routed_d2_64
     assert dual.meta["route"] == "numeraire"
-    assert peak - dual.values.nbytes <= 105 * 64 * 63 + 260_000
+    assert dual.values.strides[2] == 0
+    assert peak <= 8 * 32 * 64 * 64 + 105 * 64 * 63 + 260_000
+
+
+def test_numeraire_d2_pipeline_is_its_x1_line_transformed_and_repeated(routed_d2_64):
+    # the 41-p primal of g = x1: the transform conjugates the 64 x1 slices
+    # of each level once and repeats them along x2 (stride 0), bit for bit
+    # the d=1 transform of the x1 line.  Measured: terminal slice off p x1
+    # by 4.4e-16, p second differences down to -4.4e-16; the verifier
+    # passes with max residual 0.120 against tol 0.348 over 4 047 732
+    # nodes, 0 violations
+    dual, _ = routed_d2_64
+    p = np.linspace(0.0, 1.0, 41)
+    primal = pde.dual_to_primal(dual, p)
+    U, x1 = primal.values, primal.grid.x_axes[0]
+    assert U.strides[2] == 0
+    assert np.abs(U[-1] - x1[:, None, None] * p).max() <= 1e-14
+    # every x2 reads the same memory, so the x1 line shows every slice
+    assert np.diff(U[:, :, 0], 2, axis=-1).min() >= -1e-12
+    line = Surface(GridSpec(dual.grid.t, (x1,), dual.grid.z, "q", EPS), dual.values[:, :, 0],
+                   dual.meta)
+    d1 = pde.dual_to_primal(line, p)
+    assert np.array_equal(U, np.broadcast_to(d1.values[:, :, None], U.shape))
+    assert primal.meta["enveloped_slices"] == 64 * d1.meta["enveloped_slices"]
+    assert primal.meta["saturated_slices"] == 64 * d1.meta["saturated_slices"]
+    report = pde.verify_supersolution(primal, builtin_model("gbm", b=D2_B, s=D2_S),
+                                      linear_payoff([1.0, 0.0]))
+    assert report.passed and report.n_violations == 0
+    assert report.max_residual <= 1.1 * 0.120
 
 
 def test_routed_d2_peak_is_the_surface_and_its_targets(market_d2_64):

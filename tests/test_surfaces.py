@@ -462,3 +462,49 @@ def test_csv_writer_scratch_is_a_few_chunks():
     surf = Surface(g, np.broadcast_to(level, g.shape).copy(), {})
     _, peak = traced_peak(write_surface_csv, surf, os.devnull)
     assert peak < 0.6 * surf.values.nbytes
+
+
+def test_a_surface_that_repeats_along_x2_reaches_every_consumer_a_level_at_a_time(tmp_path):
+    # the d=2 numeraire route's layout: one (t, x1, q) block, here the
+    # route's own, repeated along x2 by a stride-0 view.  Every consumer
+    # gives on it what it gives on its contiguous copy, and reads it one
+    # level at a time: each call peaks at most two of its input's levels
+    # above the same call on the copy, where a copy of the whole surface
+    # would be 13 levels.  Measured: the bin and CSV writers 1.0 level
+    # above (one level's copy), the transform 54 levels below (its primal
+    # is a view too), the verifier level with it
+    model = builtin_model("gbm", b=[0.05, 0.03], s=[0.3, 0.25])
+    grid = GridSpec.regular(0.0, 1.0, 13, [0.5, 0.5], [2.0, 2.0], [12, 12], 24, "q",
+                            z_max=6.0, epsilon=0.2)
+    block = pde.solve_dual_pde(model, linear_payoff([1.0, 0.0]), grid).values[:, :, 0]
+    dual = Surface(grid, np.broadcast_to(block[:, :, None], grid.shape), {"tag": "repeat"})
+    assert dual.values.strides[2] == 0
+
+    def contiguous(surf):
+        return Surface(surf.grid, np.ascontiguousarray(surf.values), surf.meta)
+
+    def both(fn, surf, *args):
+        """fn's results on surf and on its contiguous copy, after checking
+        that the first call peaks within two levels of the second.  A call
+        on the copy first fills the tables the CSV writer builds on first
+        use."""
+        copy = contiguous(surf)
+        fn(copy, *args)
+        got, peak = traced_peak(fn, surf, *args)
+        want, copy_peak = traced_peak(fn, copy, *args)
+        assert peak <= copy_peak + 2 * surf.values[0].nbytes
+        return got, want
+
+    copy = contiguous(dual)
+    for writer, ext in ((write_surface_bin, "bin"), (write_surface_csv, "csv")):
+        both(writer, dual, os.devnull)
+        writer(dual, tmp_path / f"view.{ext}")
+        writer(copy, tmp_path / f"copy.{ext}")
+        assert (tmp_path / f"view.{ext}").read_bytes() == (tmp_path / f"copy.{ext}").read_bytes()
+    assert np.array_equal(read_surface_bin(tmp_path / "view.bin").values, copy.values)
+    primal, want = both(pde.dual_to_primal, dual, np.linspace(0.0, 1.0, 41))
+    assert primal.values.strides[2] == 0
+    assert np.array_equal(primal.values, want.values)
+    assert primal.meta == want.meta
+    got, want = both(pde.verify_supersolution, primal, model, linear_payoff([1.0, 0.0]))
+    assert got == want

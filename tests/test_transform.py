@@ -109,6 +109,20 @@ def test_strategy_reaches_every_branch():
     assert primal.meta["enveloped_slices"] == n_env
     assert primal.meta["saturated_slices"] == n_sat
     assert np.max(np.abs(primal.values - want)) <= 1e-12
+    # the same slices repeated along x2 (and along x1), as the d=2
+    # numeraire route makes its surfaces: stride 0 along that axis, each
+    # distinct slice conjugated once, every slice of the grid counted
+    x2 = np.array([0.9, 1.0, 1.1])
+    for axis, axes in ((2, (x, x2)), (1, (x2, x))):
+        grid2 = GridSpec(grid.t, axes, q, "q", 0.1)
+        rep = Surface(grid2, np.broadcast_to(np.expand_dims(vals, axis), grid2.shape), {})
+        primal2 = pde.dual_to_primal(rep, p)
+        want2, n_env2, n_sat2 = ref.dual_to_primal(rep, p)
+        assert primal2.values.strides[axis] == 0
+        assert np.max(np.abs(primal2.values - want2)) <= 1e-12
+        assert (n_env2, n_sat2) == (x2.size * n_env, x2.size * n_sat)
+        assert primal2.meta["enveloped_slices"] == n_env2
+        assert primal2.meta["saturated_slices"] == n_sat2
     # swap it to x = 0.5, which is covered: both raise the same error
     vals = vals.copy()
     vals[:-1, [0, 4]] = vals[:-1, [4, 0]]
@@ -117,6 +131,21 @@ def test_strategy_reaches_every_branch():
     with pytest.raises(ArgmaxAtBoundary) as got_exc:
         pde.dual_to_primal(Surface(grid, vals, {}), p)
     assert str(got_exc.value) == str(want_exc.value)
+    # at x = 0.7, also covered, its repeats raise naming the first slice in
+    # C order over the whole grid, as their contiguous copies do: x-slice
+    # 2 x 3 + 0 repeated along x2, 0 x 5 + 2 along x1
+    vals = vals.copy()
+    vals[:-1, [0, 2]] = vals[:-1, [2, 0]]
+    for axis, axes, first in ((2, (x, x2), 6), (1, (x2, x), 2)):
+        grid2 = GridSpec(grid.t, axes, q, "q", 0.1)
+        rep = np.broadcast_to(np.expand_dims(vals, axis), grid2.shape)
+        messages = []
+        for values in (rep, rep.copy()):
+            with pytest.raises(ArgmaxAtBoundary) as exc:
+                pde.dual_to_primal(Surface(grid2, values, {}), p)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert f"x-slice {first}:" in messages[0]
 
 
 def test_solved_dual_surface_matches_reference():
